@@ -18,11 +18,19 @@
 //!   direct dependents so the caller can cascade (and compensate, see
 //!   [`crate::compensation`]).
 //!
-//! Validation itself restricts the record to committed transactions plus
-//! the candidate and re-runs dependency inference — `O(inference)` per
-//! commit (experiment B4 measures it), obviously correct, and mode-
-//! selectable between the paper's Definition 16 and the strengthened
-//! whole-system check.
+//! Validation asks whether admitting the candidate to the committed
+//! transactions keeps Definition 16 — mode-selectable between the
+//! paper's decentralized check and the strengthened whole-system check.
+//! The default [`CertBackend::Incremental`] maintains one set of
+//! dependency relations across attempts, feeds it only the actions
+//! appended since the last attempt, and searches for a cycle from the
+//! candidate's own edges
+//! ([`check_candidate_decentralized`]),
+//! so a commit costs its delta plus what its edges reach, not the record.
+//! [`CertBackend::FromScratch`] restricts the record to the scope and
+//! re-runs dependency inference on every attempt — `O(inference)` per
+//! commit (experiment B4 measures it), obviously correct, and kept as
+//! the differential oracle.
 //!
 //! ```
 //! use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
@@ -53,7 +61,7 @@ use crate::ids::{ActionIdx, TxnIdx};
 use crate::incremental::{FeedOutcome, IncrementalFeed, IncrementalSchedules};
 use crate::schedule::SystemSchedules;
 use crate::serializability::{
-    check_incremental_decentralized, check_incremental_global, check_system_decentralized,
+    check_candidate_decentralized, check_candidate_global, check_system_decentralized,
     check_system_global, Violation,
 };
 use crate::system::TransactionSystem;
@@ -158,6 +166,22 @@ pub struct CertifierStats {
     /// restricted history (garbage from excluded transactions outgrew
     /// the live edges).
     pub incremental_reseeds: u64,
+    /// Nodes expanded by the incremental backend's candidate-rooted
+    /// Definition-16 search, summed over every validation. Follows the
+    /// candidate's edges, not the record: 0 for a transaction that
+    /// derived no dependency.
+    pub check_visited: u64,
+}
+
+impl CertifierStats {
+    /// Charge one feed of the incremental schedules: the actions it
+    /// inferred over, and the reseed if it was one.
+    pub fn charge_feed(&mut self, out: FeedOutcome) {
+        self.actions_inferred += out.fed as u64;
+        if out.reseeded {
+            self.incremental_reseeds += 1;
+        }
+    }
 }
 
 impl Certifier {
@@ -208,11 +232,9 @@ impl Certifier {
         if self.backend != CertBackend::Incremental {
             return FeedOutcome::default();
         }
-        let out = self.feed_mut().feed(ts, history);
-        self.stats.actions_inferred += out.fed as u64;
-        if out.reseeded {
-            self.stats.incremental_reseeds += 1;
-        }
+        let feed = self.feed.get_or_insert_with(IncrementalFeed::new);
+        let out = feed.feed_admitted(ts, history, |t| self.committed.contains(&t));
+        self.stats.charge_feed(out);
         out
     }
 
@@ -320,30 +342,27 @@ impl Certifier {
             // edges involving a finalized predecessor may linger until
             // the next reseed; the liveness filter makes them inert,
             // exactly like the scoped inference excluding them
-            let me = ts.top_level()[candidate.as_usize()];
-            let mut wait_on = None;
             let inc = self.feed.as_ref().expect("fed above").schedules();
-            for (f, t) in inc.top_level_deps().edges() {
-                if *t == me {
-                    let pred = ts.action(*f).txn;
-                    if pred != candidate && self.is_live(pred) {
-                        wait_on = Some(pred);
-                        break;
-                    }
-                }
-            }
+            let wait_on = inc
+                .top_level_dependencies(ts, candidate)
+                .find(|&pred| pred != candidate && self.is_live(pred));
             if let Some(on) = wait_on {
                 self.stats.waits += 1;
                 return CommitOutcome::MustWait { on };
             }
         }
 
-        let mut scope: HashSet<TxnIdx> = self.committed.clone();
-        scope.insert(candidate);
+        // the rooted search needs every primitive of the candidate, and of
+        // each committed transaction when it was the candidate, fed by now:
+        // `feed_record` above consumed the record and rejects late arrivals
         let inc = self.feed.as_ref().expect("fed above").schedules();
+        let in_scope = |t: TxnIdx| t == candidate || self.committed.contains(&t);
+        let visited = &mut self.stats.check_visited;
         let verdict = match self.mode {
-            CertifierMode::Paper => check_incremental_decentralized(ts, inc, &scope),
-            CertifierMode::Global => check_incremental_global(ts, inc, &scope),
+            CertifierMode::Paper => {
+                check_candidate_decentralized(ts, inc, candidate, in_scope, visited)
+            }
+            CertifierMode::Global => check_candidate_global(ts, inc, candidate, in_scope, visited),
         };
         let outcome = self.finalize_attempt(candidate, verdict);
         if matches!(outcome, CommitOutcome::MustAbort(_)) {
@@ -382,18 +401,7 @@ impl Certifier {
             self.feed_record(ts, history);
             self.aborted.insert(txn);
             self.stats.aborts += 1;
-            let me = ts.top_level()[txn.as_usize()];
-            let inc = self.feed.as_ref().expect("fed above").schedules();
-            let mut cascade = Vec::new();
-            let mut seen = HashSet::new();
-            for (f, t) in inc.top_level_deps().edges() {
-                if *f == me {
-                    let dep = ts.action(*t).txn;
-                    if self.is_live(dep) && seen.insert(dep) {
-                        cascade.push(dep);
-                    }
-                }
-            }
+            let cascade = self.live_dependents(ts, txn);
             self.feed_mut().exclude(txn);
             return cascade;
         }
@@ -418,6 +426,18 @@ impl Certifier {
             }
         }
         cascade
+    }
+
+    /// Live transactions with a top-level dependency on the finalized
+    /// `txn` in the maintained schedules — the cascade set of its abort.
+    /// Empty under the from-scratch backend or before the first feed.
+    pub fn live_dependents(&self, ts: &TransactionSystem, txn: TxnIdx) -> Vec<TxnIdx> {
+        let Some(inc) = self.incremental() else {
+            return Vec::new();
+        };
+        inc.top_level_dependents(ts, txn)
+            .filter(|&dep| self.is_live(dep))
+            .collect()
     }
 
     /// Record an abort without computing the cascade set. For snapshot
@@ -621,6 +641,8 @@ mod tests {
                         continue;
                     }
                     let mut cert = Certifier::new(CertifierMode::Paper);
+                    // committed transactions were fed before they committed
+                    cert.feed_record(&ts, &h);
                     for t in 0..n {
                         if mask & (1 << t) != 0 {
                             cert.committed.insert(TxnIdx(t));
@@ -672,35 +694,39 @@ mod tests {
         cert.try_commit(&ts, &h, TxnIdx(0));
     }
 
+    /// The 3-object gap: A@X → B@Y → C@Z → A@X, each hop a cross-object
+    /// caller dependency through one shared page. No two hops share an
+    /// object pair, so no single object's combined relation is cyclic.
+    fn gap_system() -> (TransactionSystem, History) {
+        let mut ts = TransactionSystem::new();
+        let x = ts.add_object("X", Arc::new(KeyedSpec::search_structure("x")));
+        let y = ts.add_object("Y", Arc::new(KeyedSpec::search_structure("y")));
+        let z = ts.add_object("Z", Arc::new(KeyedSpec::search_structure("z")));
+        let p1 = ts.add_object("P1", Arc::new(ReadWriteSpec));
+        let p2 = ts.add_object("P2", Arc::new(ReadWriteSpec));
+        let p3 = ts.add_object("P3", Arc::new(ReadWriteSpec));
+        let mk = |ts: &mut TransactionSystem, name: &str, o, pa, pb| {
+            let mut b = ts.txn(name);
+            b.call(o, ActionDescriptor::new("op", vec![key(name)]));
+            let first = b.leaf(pa, desc("write"));
+            let second = b.leaf(pb, desc("write"));
+            b.end();
+            b.finish();
+            (first, second)
+        };
+        let a = mk(&mut ts, "A", x, p1, p3);
+        let bp = mk(&mut ts, "B", y, p1, p2);
+        let c = mk(&mut ts, "C", z, p2, p3);
+        let h = History::from_order(&ts, &[a.0, bp.0, bp.1, c.0, c.1, a.1]).unwrap();
+        (ts, h)
+    }
+
     #[test]
     fn global_mode_catches_the_added_relation_gap() {
-        // the 3-object gap: paper-mode certifier commits all three,
-        // global-mode aborts the last one. Cross-object caller deps do
-        // not reach the top level, so no MustWait interferes.
-        let build = || {
-            let mut ts = TransactionSystem::new();
-            let x = ts.add_object("X", Arc::new(KeyedSpec::search_structure("x")));
-            let y = ts.add_object("Y", Arc::new(KeyedSpec::search_structure("y")));
-            let z = ts.add_object("Z", Arc::new(KeyedSpec::search_structure("z")));
-            let p1 = ts.add_object("P1", Arc::new(ReadWriteSpec));
-            let p2 = ts.add_object("P2", Arc::new(ReadWriteSpec));
-            let p3 = ts.add_object("P3", Arc::new(ReadWriteSpec));
-            let mk = |ts: &mut TransactionSystem, name: &str, o, pa, pb| {
-                let mut b = ts.txn(name);
-                b.call(o, ActionDescriptor::new("op", vec![key(name)]));
-                let first = b.leaf(pa, desc("write"));
-                let second = b.leaf(pb, desc("write"));
-                b.end();
-                b.finish();
-                (first, second)
-            };
-            let a = mk(&mut ts, "A", x, p1, p3);
-            let bp = mk(&mut ts, "B", y, p1, p2);
-            let c = mk(&mut ts, "C", z, p2, p3);
-            let h = History::from_order(&ts, &[a.0, bp.0, bp.1, c.0, c.1, a.1]).unwrap();
-            (ts, h)
-        };
-        let (ts, h) = build();
+        // paper-mode certifier commits all three, global-mode aborts the
+        // last one. Cross-object caller deps do not reach the top level,
+        // so no MustWait interferes.
+        let (ts, h) = gap_system();
         let mut paper = Certifier::new(CertifierMode::Paper);
         assert_eq!(
             paper.try_commit(&ts, &h, TxnIdx(0)),
@@ -715,7 +741,7 @@ mod tests {
             CommitOutcome::Committed,
             "the paper's check cannot see the 3-object cycle"
         );
-        let (ts, h) = build();
+        let (ts, h) = gap_system();
         let mut global = Certifier::new(CertifierMode::Global);
         assert_eq!(
             global.try_commit(&ts, &h, TxnIdx(0)),
@@ -729,6 +755,19 @@ mod tests {
             global.try_commit(&ts, &h, TxnIdx(2)),
             CommitOutcome::MustAbort(Violation::GlobalCycle { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "after T1 was admitted")]
+    fn actions_of_a_committed_transaction_must_not_arrive_late() {
+        let (ts, h) = chain_system();
+        let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore);
+        // T1 is admitted on a record that lacks its write ...
+        let empty = History::from_order(&ts, &[]).unwrap();
+        cert.try_commit(&ts, &empty, TxnIdx(0));
+        // ... which then shows up: the rooted search would never see the
+        // edges it derives between committed transactions
+        cert.try_commit(&ts, &h, TxnIdx(1));
     }
 
     #[test]
@@ -918,6 +957,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Two callers on *different* objects meeting on two pages in
+    /// opposite orders: the 2-cycle lives only in the added relation.
+    fn added_cycle_system() -> (TransactionSystem, History) {
+        let mut ts = TransactionSystem::new();
+        let x = ts.add_object("X", Arc::new(KeyedSpec::search_structure("x")));
+        let y = ts.add_object("Y", Arc::new(KeyedSpec::search_structure("y")));
+        let p = ts.add_object("PageA", Arc::new(ReadWriteSpec));
+        let q = ts.add_object("PageB", Arc::new(ReadWriteSpec));
+        let mk = |ts: &mut TransactionSystem, name: &str, o| {
+            let mut b = ts.txn(name);
+            b.call(o, ActionDescriptor::new("op", vec![key(name)]));
+            let first = b.leaf(p, desc("write"));
+            let second = b.leaf(q, desc("write"));
+            b.end();
+            b.finish();
+            (first, second)
+        };
+        let a = mk(&mut ts, "A", x);
+        let b = mk(&mut ts, "B", y);
+        let h = History::from_order(&ts, &[a.0, b.0, b.1, a.1]).unwrap();
+        (ts, h)
+    }
+
+    /// Commuting leaf inserts where T1 touches the page on both sides of
+    /// T2's access: the page's caller relation is cyclic by itself, and
+    /// the page is registered before the leaf, so Definition 16 meets
+    /// the transaction dependency cycle first.
+    fn txn_cycle_system() -> (TransactionSystem, History) {
+        let mut ts = TransactionSystem::new();
+        let p = ts.add_object("Page", Arc::new(ReadWriteSpec));
+        let leaf = ts.add_object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let mut b = ts.txn("T1");
+        b.call(leaf, ActionDescriptor::new("insert", vec![key("K")]));
+        let w1 = b.leaf(p, desc("write"));
+        let w2 = b.leaf(p, desc("write"));
+        b.end();
+        b.finish();
+        let mut b = ts.txn("T2");
+        b.call(leaf, ActionDescriptor::new("insert", vec![key("L")]));
+        let w = b.leaf(p, desc("write"));
+        b.end();
+        b.finish();
+        let h = History::from_order(&ts, &[w1, w, w2]).unwrap();
+        (ts, h)
+    }
+
+    /// ROADMAP aim 4: whatever the rooted search reports is a real cycle.
+    /// Every hop (the closing one included) is an edge of the named
+    /// relation at the named object, every node is in the validated
+    /// scope, and the cycle passes through the candidate.
+    fn assert_witness_is_real(
+        ts: &TransactionSystem,
+        cert: &Certifier,
+        candidate: TxnIdx,
+        violation: &Violation,
+    ) {
+        let inc = cert.incremental().expect("incremental backend has fed");
+        let has = |g: Option<&crate::graph::DiGraph<ActionIdx>>, f: ActionIdx, t: ActionIdx| {
+            g.is_some_and(|g| g.has_edge(&f, &t))
+        };
+        type Hop<'a> = Box<dyn Fn(ActionIdx, ActionIdx) -> bool + 'a>;
+        let (cycle, is_hop): (&Vec<ActionIdx>, Hop) = match violation {
+            Violation::TxnDepCycle { object, cycle } => {
+                (cycle, Box::new(|f, t| has(inc.txn_deps(*object), f, t)))
+            }
+            Violation::ActionDepCycle { object, cycle } => {
+                (cycle, Box::new(|f, t| has(inc.action_deps(*object), f, t)))
+            }
+            Violation::AddedDepCycle { object, cycle } => (
+                cycle,
+                Box::new(|f, t| {
+                    has(inc.action_deps(*object), f, t) || has(inc.added_deps(*object), f, t)
+                }),
+            ),
+            Violation::GlobalCycle { cycle } => (
+                cycle,
+                Box::new(|f, t| {
+                    ts.object_indices()
+                        .any(|o| has(inc.action_deps(o), f, t) || has(inc.added_deps(o), f, t))
+                }),
+            ),
+            other => panic!("the certifier never reports {other:?}"),
+        };
+        assert!(!cycle.is_empty(), "{violation:?}");
+        for (i, &f) in cycle.iter().enumerate() {
+            let t = cycle[(i + 1) % cycle.len()];
+            assert!(is_hop(f, t), "hop {f} → {t} is no edge of {violation:?}");
+            let owner = ts.action(f).txn;
+            assert!(
+                owner == candidate || cert.committed().contains(&owner),
+                "{f} of {owner} lies outside the scope of {violation:?}"
+            );
+        }
+        assert!(
+            cycle.iter().any(|&a| ts.action(a).txn == candidate),
+            "{violation:?} misses candidate {candidate}"
+        );
+    }
+
+    #[test]
+    fn every_reported_witness_is_a_genuine_cycle_through_the_candidate() {
+        let mut seen = HashSet::new();
+        for (ts, h) in [
+            contended_system(),
+            four_txn_system(),
+            gap_system(),
+            added_cycle_system(),
+            txn_cycle_system(),
+        ] {
+            for perm in permutations_of(ts.top_level().len()) {
+                for mode in [CertifierMode::Paper, CertifierMode::Global] {
+                    let mut cert = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
+                    for &t in &perm {
+                        let candidate = TxnIdx(t as u32);
+                        if let CommitOutcome::MustAbort(v) = cert.try_commit(&ts, &h, candidate) {
+                            assert_witness_is_real(&ts, &cert, candidate, &v);
+                            seen.insert(std::mem::discriminant(&v));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            seen.len(),
+            4,
+            "txn, action, added and global cycles all occur"
+        );
     }
 
     /// The incremental backend's cost accounting: feeding is charged per

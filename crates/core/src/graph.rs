@@ -11,7 +11,51 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Multiply-rotate hasher with a fixed seed for the maps in this module.
+/// Their keys are dense indices and interned ids the program itself
+/// hands out — never outside input — so SipHash's collision resistance
+/// buys nothing on what is the certifier's hottest path (one lookup per
+/// derived edge). No map here is iterated, so no order depends on it.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A directed graph over interned nodes of type `N`.
 ///
@@ -19,11 +63,11 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct DiGraph<N: Eq + Hash + Clone> {
     nodes: Vec<N>,
-    index: HashMap<N, usize>,
+    index: IdMap<N, usize>,
     /// Forward adjacency; `succs[i]` is sorted and deduplicated lazily via
     /// `edge_set` membership checks on insert.
     succs: Vec<Vec<usize>>,
-    edge_set: HashMap<(usize, usize), ()>,
+    edge_set: IdMap<(usize, usize), ()>,
 }
 
 impl<N: Eq + Hash + Clone> Default for DiGraph<N> {
@@ -37,9 +81,9 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
     pub fn new() -> Self {
         DiGraph {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             succs: Vec::new(),
-            edge_set: HashMap::new(),
+            edge_set: IdMap::default(),
         }
     }
 
@@ -114,6 +158,11 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
         let idx = self.index.get(n).copied();
         idx.into_iter()
             .flat_map(move |i| self.succs[i].iter().map(move |&t| &self.nodes[t]))
+    }
+
+    /// Number of distinct edges leaving `n` (0 if `n` is unknown).
+    pub fn out_degree(&self, n: &N) -> usize {
+        self.index.get(n).map_or(0, |&i| self.succs[i].len())
     }
 
     /// True iff the graph contains a directed cycle (including self-loops).
@@ -333,12 +382,79 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = writeln!(out, "  n{} [label=\"{}\"];", i, label(n).replace('"', "'"));
         }
-        for &(f, t) in self.edge_set.keys() {
-            let _ = writeln!(out, "  n{f} -> n{t};");
+        for (f, ts) in self.succs.iter().enumerate() {
+            for t in ts {
+                let _ = writeln!(out, "  n{f} -> n{t};");
+            }
         }
         out.push_str("}\n");
         out
     }
+}
+
+/// Search the part of an implicit graph reachable from `starts` for a
+/// cycle, without materializing it.
+///
+/// `expand(v, out)` appends the successors of `v` to `out`; the graph may
+/// be a filtered view or the union of several [`DiGraph`]s, and only the
+/// nodes the search reaches are ever asked for. Returns the first cycle
+/// found as the node sequence `v0 → v1 → … → vk → v0` (every hop was
+/// handed out by `expand`), or `None` if none is reachable. `visited`
+/// is incremented once per node expanded — the cost of the search.
+///
+/// Iterative three-colour DFS; a start an earlier start's walk already
+/// finished costs one map lookup.
+pub fn find_cycle_from<N: Eq + Hash + Clone>(
+    starts: impl IntoIterator<Item = N>,
+    mut expand: impl FnMut(&N, &mut Vec<N>),
+    visited: &mut u64,
+) -> Option<Vec<N>> {
+    // present = grey while `true`, black once `false`
+    let mut on_path: IdMap<N, bool> = IdMap::default();
+    // successors of every node on the DFS path, one run per frame; the
+    // top frame's unexplored successors are `arena[next..]`
+    let mut arena: Vec<N> = Vec::new();
+    // (node, start of its run in `arena`, next successor to explore)
+    let mut stack: Vec<(N, usize, usize)> = Vec::new();
+    for start in starts {
+        if on_path.contains_key(&start) {
+            continue;
+        }
+        on_path.insert(start.clone(), true);
+        *visited += 1;
+        expand(&start, &mut arena);
+        stack.push((start, 0, 0));
+        while let Some(&mut (ref v, lo, ref mut next)) = stack.last_mut() {
+            if *next == arena.len() {
+                on_path.insert(v.clone(), false);
+                arena.truncate(lo);
+                stack.pop();
+                continue;
+            }
+            let w = arena[*next].clone();
+            *next += 1;
+            match on_path.get(&w) {
+                Some(true) => {
+                    // back edge v → w: the path from w's frame to the top
+                    // of the stack closes the cycle
+                    let from = stack
+                        .iter()
+                        .position(|(n, _, _)| *n == w)
+                        .expect("grey nodes are on the stack");
+                    return Some(stack[from..].iter().map(|(n, _, _)| n.clone()).collect());
+                }
+                Some(false) => {}
+                None => {
+                    on_path.insert(w.clone(), true);
+                    *visited += 1;
+                    let lo = arena.len();
+                    expand(&w, &mut arena);
+                    stack.push((w, lo, lo));
+                }
+            }
+        }
+    }
+    None
 }
 
 /// Result of [`DiGraph::transitive_closure`].
@@ -452,6 +568,29 @@ mod tests {
         let i = |n: u32| g.index_of(&n).unwrap();
         assert!(tc.reaches(i(1), i(1)));
         assert!(tc.reaches(i(2), i(2)));
+    }
+
+    #[test]
+    fn rooted_search_sees_only_what_its_starts_reach() {
+        // 1 → 2 → 3 hangs off a cycle 4 ⇄ 5 it cannot reach
+        let g = graph(&[(1, 2), (2, 3), (4, 5), (5, 4), (5, 1)]);
+        let expand = |v: &u32, out: &mut Vec<u32>| out.extend(g.successors(v).copied());
+        let mut visited = 0;
+        assert_eq!(find_cycle_from([1, 2], expand, &mut visited), None);
+        assert_eq!(visited, 3, "2 was finished by the walk from 1");
+        let mut visited = 0;
+        assert_eq!(find_cycle_from([5], expand, &mut visited), Some(vec![5, 4]));
+        let mut visited = 0;
+        assert_eq!(find_cycle_from([], expand, &mut visited), None);
+        assert_eq!(visited, 0);
+    }
+
+    #[test]
+    fn out_degree_counts_distinct_edges() {
+        let g = graph(&[(1, 2), (1, 3), (1, 2)]);
+        assert_eq!(g.out_degree(&1), 2);
+        assert_eq!(g.out_degree(&2), 0);
+        assert_eq!(g.out_degree(&9), 0);
     }
 
     #[test]

@@ -24,6 +24,30 @@ use crate::schedule::{ObjectSchedule, SystemSchedules};
 use crate::system::TransactionSystem;
 use std::collections::{HashMap, HashSet};
 
+/// One of the three per-object relations [`IncrementalSchedules`]
+/// maintains. Ordered the way Definition 16 checks them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Relation {
+    /// Caller (transaction) dependencies — Definition 10.
+    Txn,
+    /// Action dependencies — Axiom 1 seeds and Definition 11 inheritance.
+    Action,
+    /// Added cross-object dependencies — Definition 15.
+    Added,
+}
+
+/// A node with at least one outgoing edge in `relation` at `object`:
+/// somewhere a cycle through its transaction could pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct CycleStart {
+    /// The object whose relation holds the edge.
+    pub(crate) object: ObjectIdx,
+    /// Which of the object's relations.
+    pub(crate) relation: Relation,
+    /// The edge's source.
+    pub(crate) node: ActionIdx,
+}
+
 /// Incrementally maintained per-object dependency relations.
 #[derive(Debug, Default)]
 pub struct IncrementalSchedules {
@@ -37,6 +61,16 @@ pub struct IncrementalSchedules {
     /// Top-level dependency graph (action deps of the system object,
     /// mirrored for cheap certifier access).
     top: DiGraph<ActionIdx>,
+    /// `top` with every edge reversed, so "whom does this transaction
+    /// depend on" is a successor list as well.
+    top_rev: DiGraph<ActionIdx>,
+    /// Per transaction (by index): every `(object, relation, node)` where
+    /// one of its actions is the source of an edge, appended when the
+    /// node gains its first out-edge there. The candidate-rooted
+    /// Definition-16 search starts from these and nowhere else, so a
+    /// transaction that derived no edge costs nothing to certify however
+    /// many actions it has.
+    starts: Vec<Vec<CycleStart>>,
 }
 
 impl IncrementalSchedules {
@@ -90,8 +124,10 @@ impl IncrementalSchedules {
         if !self.action_deps[o.as_usize()].add_edge(from, to) {
             return; // already known: nothing new can follow from it
         }
+        self.note_out_edge(ts, o, Relation::Action, from);
         if o == ts.system_object() {
             self.top.add_edge(from, to);
+            self.top_rev.add_edge(to, from);
         }
         // Definition 10: lift to callers if the endpoints conflict
         if !ts.conflicts(from, to) {
@@ -106,15 +142,69 @@ impl IncrementalSchedules {
         if !self.txn_deps[o.as_usize()].add_edge(t, u) {
             return;
         }
+        self.note_out_edge(ts, o, Relation::Txn, t);
         let (qt, qu) = (ts.action(t).object, ts.action(u).object);
         if qt == qu {
             // Definition 11: inherit at the callers' object
             self.add_action_dep(ts, qt, t, u);
         } else if self.added_seen.insert((t, u)) {
             // Definition 15: record at both endpoint objects
-            self.added_deps[qt.as_usize()].add_edge(t, u);
-            self.added_deps[qu.as_usize()].add_edge(t, u);
+            for q in [qt, qu] {
+                self.added_deps[q.as_usize()].add_edge(t, u);
+                self.note_out_edge(ts, q, Relation::Added, t);
+            }
         }
+    }
+
+    /// Called after a new edge left `node` in `relation` at `o`: on the
+    /// node's first out-edge there, list it under its transaction.
+    fn note_out_edge(
+        &mut self,
+        ts: &TransactionSystem,
+        o: ObjectIdx,
+        relation: Relation,
+        node: ActionIdx,
+    ) {
+        if self.relation(relation)[o.as_usize()].out_degree(&node) != 1 {
+            return;
+        }
+        let t = ts.action(node).txn.as_usize();
+        if self.starts.len() <= t {
+            self.starts.resize_with(t + 1, Vec::new);
+        }
+        self.starts[t].push(CycleStart {
+            object: o,
+            relation,
+            node,
+        });
+    }
+
+    fn relation(&self, relation: Relation) -> &[DiGraph<ActionIdx>] {
+        match relation {
+            Relation::Txn => &self.txn_deps,
+            Relation::Action => &self.action_deps,
+            Relation::Added => &self.added_deps,
+        }
+    }
+
+    /// Successors of `a` in `relation` at `o` (none if either is unknown).
+    pub(crate) fn successors(
+        &self,
+        relation: Relation,
+        o: ObjectIdx,
+        a: ActionIdx,
+    ) -> impl Iterator<Item = ActionIdx> + '_ {
+        self.relation(relation)
+            .get(o.as_usize())
+            .into_iter()
+            .flat_map(move |g| g.successors(&a).copied())
+    }
+
+    /// Where a cycle through `txn` could pass: its nodes that are the
+    /// source of an edge, per object and relation (empty if it derived
+    /// no edge).
+    pub(crate) fn cycle_starts(&self, txn: TxnIdx) -> &[CycleStart] {
+        self.starts.get(txn.as_usize()).map_or(&[], Vec::as_slice)
     }
 
     /// The maintained action dependency relation of `o`.
@@ -136,6 +226,38 @@ impl IncrementalSchedules {
     /// (cheap `MustWait` checks for the certifier).
     pub fn top_level_deps(&self) -> &DiGraph<ActionIdx> {
         &self.top
+    }
+
+    /// The transactions with a top-level dependency on `txn`, each once:
+    /// whom an abort of `txn` cascades to. Costs `txn`'s own edges.
+    pub fn top_level_dependents<'a>(
+        &'a self,
+        ts: &'a TransactionSystem,
+        txn: TxnIdx,
+    ) -> impl Iterator<Item = TxnIdx> + 'a {
+        Self::owners(ts, &self.top, txn)
+    }
+
+    /// The transactions `txn` has a top-level dependency on, each once:
+    /// whom a commit of `txn` waits for while they are live. Costs
+    /// `txn`'s own edges.
+    pub fn top_level_dependencies<'a>(
+        &'a self,
+        ts: &'a TransactionSystem,
+        txn: TxnIdx,
+    ) -> impl Iterator<Item = TxnIdx> + 'a {
+        Self::owners(ts, &self.top_rev, txn)
+    }
+
+    /// Owners of the successors of `txn`'s root in a graph over
+    /// top-level roots (one root per transaction, so no owner repeats).
+    fn owners<'a>(
+        ts: &'a TransactionSystem,
+        g: &'a DiGraph<ActionIdx>,
+        txn: TxnIdx,
+    ) -> impl Iterator<Item = TxnIdx> + 'a {
+        g.successors(&ts.top_level()[txn.as_usize()])
+            .map(|a| ts.action(*a).txn)
     }
 
     /// Compare against batch inference (test/diagnostic helper): true iff
@@ -240,6 +362,34 @@ impl IncrementalFeed {
             fed,
             reseeded: false,
         }
+    }
+
+    /// [`feed`](Self::feed) for a certifier, enforcing the precondition
+    /// of the candidate-rooted Definition-16 search
+    /// ([`check_candidate_decentralized`](crate::serializability::check_candidate_decentralized)):
+    /// a transaction is admitted only after its last primitive was fed,
+    /// so no edge between two admitted transactions can surface later
+    /// and escape a search rooted at a later candidate. `admitted` is
+    /// the certifier's committed set.
+    ///
+    /// # Panics
+    /// If a primitive appended since the last feed belongs to a
+    /// transaction `admitted` accepts — a caller bug that would
+    /// otherwise silently weaken certification.
+    pub fn feed_admitted(
+        &mut self,
+        ts: &TransactionSystem,
+        history: &History,
+        admitted: impl Fn(TxnIdx) -> bool,
+    ) -> FeedOutcome {
+        for &p in &history.order()[self.fed..] {
+            let t = ts.action(p).txn;
+            assert!(
+                !admitted(t) || self.excluded.contains(&t),
+                "action {p} of transaction {t} was recorded after {t} was admitted"
+            );
+        }
+        self.feed(ts, history)
     }
 
     /// Append the unseen history suffix without considering a reseed.
@@ -359,6 +509,18 @@ mod tests {
             !inc.top_level_deps().contains_node(&tops[2])
                 || inc.top_level_deps().successors(&tops[2]).count() == 0
         );
+        // both directions answer from the transaction's own edges
+        let owners = |it: &mut dyn Iterator<Item = TxnIdx>| it.collect::<Vec<_>>();
+        assert_eq!(
+            owners(&mut inc.top_level_dependents(&ts, TxnIdx(0))),
+            [TxnIdx(1)]
+        );
+        assert_eq!(
+            owners(&mut inc.top_level_dependencies(&ts, TxnIdx(1))),
+            [TxnIdx(0)]
+        );
+        assert_eq!(owners(&mut inc.top_level_dependencies(&ts, TxnIdx(0))), []);
+        assert_eq!(owners(&mut inc.top_level_dependents(&ts, TxnIdx(2))), []);
     }
 
     #[test]

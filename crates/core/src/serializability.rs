@@ -20,9 +20,10 @@
 //!   generalizes: depth-indexed levels, each level's dependency graph must
 //!   be acyclic. Coincides with oo-serializability on layered systems.
 
-use crate::graph::DiGraph;
+use crate::graph::{find_cycle_from, DiGraph};
 use crate::history::History;
-use crate::ids::{ActionIdx, ObjectIdx};
+use crate::ids::{ActionIdx, ObjectIdx, TxnIdx};
+use crate::incremental::{CycleStart, IncrementalSchedules, Relation};
 use crate::schedule::{conventional_deps, SystemSchedules};
 use crate::system::TransactionSystem;
 use std::collections::HashMap;
@@ -182,89 +183,125 @@ pub fn check_system_global(ts: &TransactionSystem, ss: &SystemSchedules) -> Resu
     }
 }
 
-/// Restrict the edges of `g` to those whose endpoint actions both pass
-/// `keep`, as a fresh graph ready for cycle search.
-fn filtered_graph(
-    g: Option<&DiGraph<ActionIdx>>,
+/// Cycle search over one object's maintained relations, rooted at the
+/// candidate's [`CycleStart`]s in `relations` and following only edges
+/// whose target passes `keep` (the starts already do).
+fn rooted_cycle(
+    inc: &IncrementalSchedules,
+    o: ObjectIdx,
+    relations: &[Relation],
+    starts: &[CycleStart],
     keep: &impl Fn(ActionIdx) -> bool,
-) -> DiGraph<ActionIdx> {
-    let mut out: DiGraph<ActionIdx> = DiGraph::new();
-    if let Some(g) = g {
-        for (f, t) in g.edges() {
-            if keep(*f) && keep(*t) {
-                out.add_edge(*f, *t);
+    visited: &mut u64,
+) -> Option<Vec<ActionIdx>> {
+    find_cycle_from(
+        starts
+            .iter()
+            .filter(|s| relations.contains(&s.relation))
+            .map(|s| s.node),
+        |a, out| {
+            for &r in relations {
+                out.extend(inc.successors(r, o, *a).filter(|&b| keep(b)));
             }
-        }
-    }
-    out
+        },
+        visited,
+    )
 }
 
-/// **Definition 16 over incrementally maintained relations.** The same
-/// decentralized check as [`check_system_decentralized`], but reading
-/// the live [`IncrementalSchedules`](crate::incremental::IncrementalSchedules)
-/// instead of a batch inference, with
-/// every edge filtered to transactions in `scope`.
+/// **Definition 16, candidate-rooted, over incrementally maintained
+/// relations.** Decides whether admitting `candidate` to the scope
+/// `in_scope` (which must accept it) makes any object's transaction,
+/// action, or action ∪ added dependency relation cyclic — the same
+/// verdict as [`check_system_decentralized`] over the history restricted
+/// to the scope, at a cost that follows the candidate's own edges
+/// instead of the whole record. Nodes expanded are added to `visited`.
 ///
-/// Equivalence with `infer_scoped` on the restricted history rests on
-/// the pairwise-derivation property: every dependency edge between two
-/// transactions is derived exclusively from those two transactions'
-/// actions (Axiom 1 seeds relate the conflicting pair itself; lifting
-/// and inheritance stay within the pair's call paths). Filtering the
-/// full-history relations to in-scope endpoints therefore yields
-/// exactly the relations inference over the restricted history builds —
-/// edge for edge (the exhaustive test in `certifier.rs` pins this).
-pub fn check_incremental_decentralized(
+/// Reading the full-history relations filtered to in-scope endpoints is
+/// sound by the pairwise-derivation property: every dependency edge
+/// between two transactions is derived exclusively from those two
+/// transactions' actions (Axiom 1 seeds relate the conflicting pair
+/// itself; lifting and inheritance stay within the pair's call paths),
+/// so the filter yields exactly the relations inference over the
+/// restricted history builds (the exhaustive test in `certifier.rs`
+/// pins this edge for edge).
+///
+/// Searching only from the candidate rests on an invariant and a
+/// precondition. **Invariant:** the scope without the candidate was
+/// acyclic in every relation when its last member was admitted (each
+/// admission ran this check). **Precondition:** a transaction is offered
+/// only after its last primitive is in the history and fed to `inc` —
+/// then every edge between two earlier members already existed when the
+/// later of them was checked, and none can surface afterwards. Together:
+/// any cycle in the scope is new, a new cycle needs a new edge, every new
+/// edge has an endpoint owned by the candidate, and a node on a cycle has
+/// an out-edge — so the cycle passes through one of the candidate's
+/// nodes that are the source of an edge (`inc` lists them per
+/// transaction as edges are derived), and the search from those finds
+/// it. [`IncrementalFeed::feed_admitted`](crate::incremental::IncrementalFeed::feed_admitted)
+/// enforces the precondition; a certifier feeds through it. The
+/// returned witness is a genuine cycle of the named relation at the
+/// named object through a candidate node.
+pub fn check_candidate_decentralized(
     ts: &TransactionSystem,
-    inc: &crate::incremental::IncrementalSchedules,
-    scope: &std::collections::HashSet<crate::ids::TxnIdx>,
+    inc: &IncrementalSchedules,
+    candidate: TxnIdx,
+    in_scope: impl Fn(TxnIdx) -> bool,
+    visited: &mut u64,
 ) -> Result<(), Violation> {
-    let keep = |a: ActionIdx| scope.contains(&ts.action(a).txn);
-    for o in ts.object_indices() {
-        if let Some(cycle) = filtered_graph(inc.txn_deps(o), &keep).find_cycle() {
-            return Err(Violation::TxnDepCycle { object: o, cycle });
+    debug_assert!(in_scope(candidate), "the candidate is part of its scope");
+    let keep = |a: ActionIdx| in_scope(ts.action(a).txn);
+    // object-major, relations in Definition-16 order — the order the
+    // batch check reports violations in
+    let mut starts = inc.cycle_starts(candidate).to_vec();
+    starts.sort_unstable();
+    for at_object in starts.chunk_by(|a, b| a.object == b.object) {
+        let object = at_object[0].object;
+        let mut search = |relations: &[Relation]| {
+            rooted_cycle(inc, object, relations, at_object, &keep, visited)
+        };
+        if let Some(cycle) = search(&[Relation::Txn]) {
+            return Err(Violation::TxnDepCycle { object, cycle });
         }
-        if let Some(cycle) = filtered_graph(inc.action_deps(o), &keep).find_cycle() {
-            return Err(Violation::ActionDepCycle { object: o, cycle });
+        if let Some(cycle) = search(&[Relation::Action]) {
+            return Err(Violation::ActionDepCycle { object, cycle });
         }
-        let mut combined = filtered_graph(inc.action_deps(o), &keep);
-        if let Some(g) = inc.added_deps(o) {
-            for (f, t) in g.edges() {
-                if keep(*f) && keep(*t) {
-                    combined.add_edge(*f, *t);
-                }
-            }
-        }
-        if let Some(cycle) = combined.find_cycle() {
-            return Err(Violation::AddedDepCycle { object: o, cycle });
+        if let Some(cycle) = search(&[Relation::Action, Relation::Added]) {
+            return Err(Violation::AddedDepCycle { object, cycle });
         }
     }
     Ok(())
 }
 
-/// Incremental counterpart of [`check_system_global`]: the decentralized
-/// check above plus one stitched whole-system graph over the filtered
-/// action and added dependencies of every object.
-pub fn check_incremental_global(
+/// Candidate-rooted counterpart of [`check_system_global`]: the
+/// decentralized check above plus the stitched whole-system graph over
+/// every object's action and added dependencies. Each action's
+/// out-edges in that graph all live at its own object (action
+/// dependencies relate actions on one object; an added dependency is
+/// recorded at both endpoints' objects), so the stitched successor list
+/// of a node is read off two relations without visiting other objects.
+pub fn check_candidate_global(
     ts: &TransactionSystem,
-    inc: &crate::incremental::IncrementalSchedules,
-    scope: &std::collections::HashSet<crate::ids::TxnIdx>,
+    inc: &IncrementalSchedules,
+    candidate: TxnIdx,
+    in_scope: impl Fn(TxnIdx) -> bool,
+    visited: &mut u64,
 ) -> Result<(), Violation> {
-    check_incremental_decentralized(ts, inc, scope)?;
-    let keep = |a: ActionIdx| scope.contains(&ts.action(a).txn);
-    let mut g: DiGraph<ActionIdx> = DiGraph::new();
-    for o in ts.object_indices() {
-        for deps in [inc.action_deps(o), inc.added_deps(o)]
-            .into_iter()
-            .flatten()
-        {
-            for (f, t) in deps.edges() {
-                if keep(*f) && keep(*t) {
-                    g.add_edge(*f, *t);
-                }
+    check_candidate_decentralized(ts, inc, candidate, &in_scope, visited)?;
+    let keep = |a: ActionIdx| in_scope(ts.action(a).txn);
+    let stitched = find_cycle_from(
+        inc.cycle_starts(candidate)
+            .iter()
+            .filter(|s| s.relation != Relation::Txn)
+            .map(|s| s.node),
+        |a, out| {
+            let o = ts.action(*a).object;
+            for r in [Relation::Action, Relation::Added] {
+                out.extend(inc.successors(r, o, *a).filter(|&b| keep(b)));
             }
-        }
-    }
-    match g.find_cycle() {
+        },
+        visited,
+    );
+    match stitched {
         Some(cycle) => Err(Violation::GlobalCycle { cycle }),
         None => Ok(()),
     }

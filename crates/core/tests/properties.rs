@@ -386,6 +386,40 @@ proptest! {
         }
     }
 
+    /// The rooted search over an implicit graph: from one start it finds
+    /// a cycle iff one is reachable from that start, the witness is a
+    /// genuine cycle, and it expands each reachable node at most once.
+    #[test]
+    fn rooted_search_finds_exactly_the_reachable_cycles(
+        edges in small_graph(),
+        start in 0..6u8,
+    ) {
+        use oodb_core::graph::find_cycle_from;
+        let mut g = DiGraph::new();
+        g.add_node(start);
+        for &(a, b) in &edges {
+            g.add_edge(a, b);
+        }
+        let reachable: Vec<(u8, u8)> = edges
+            .iter()
+            .copied()
+            .filter(|&(a, _)| a == start || g.is_reachable(&start, &a))
+            .collect();
+        let mut visited = 0u64;
+        let found = find_cycle_from(
+            [start],
+            |v, out| out.extend(g.successors(v).copied()),
+            &mut visited,
+        );
+        prop_assert_eq!(found.is_some(), brute_has_cycle(&reachable));
+        prop_assert!(visited as usize <= g.node_count());
+        if let Some(cycle) = found {
+            for (i, v) in cycle.iter().enumerate() {
+                prop_assert!(g.has_edge(v, &cycle[(i + 1) % cycle.len()]));
+            }
+        }
+    }
+
     #[test]
     fn closure_matches_reachability(edges in small_graph()) {
         let mut g = DiGraph::new();
@@ -543,6 +577,112 @@ proptest! {
         prop_assert_eq!(top_batch.edge_count(), top_inc.edge_count());
         for (f, t) in top_batch.edges() {
             prop_assert!(top_inc.has_edge(f, t));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The candidate-rooted Definition-16 check decides what the whole-scope
+// checks decide.
+// ---------------------------------------------------------------------
+
+/// Definition 16 over the maintained relations, each filtered to `scope`,
+/// rebuilt as a fresh graph and searched whole for every object — what
+/// the incremental certifier ran before the candidate-rooted search.
+/// Kept as that search's reference.
+fn whole_scope_check(
+    ts: &TransactionSystem,
+    inc: &IncrementalSchedules,
+    scope: &std::collections::HashSet<TxnIdx>,
+    global: bool,
+) -> bool {
+    let keep = |a: &ActionIdx| scope.contains(&ts.action(*a).txn);
+    let filtered = |graphs: &[Option<&DiGraph<ActionIdx>>]| {
+        let mut out: DiGraph<ActionIdx> = DiGraph::new();
+        for (f, t) in graphs.iter().flatten().flat_map(|g| g.edges()) {
+            if keep(f) && keep(t) {
+                out.add_edge(*f, *t);
+            }
+        }
+        out
+    };
+    let mut stitched = Vec::new();
+    for o in ts.object_indices() {
+        let (txn, action, added) = (inc.txn_deps(o), inc.action_deps(o), inc.added_deps(o));
+        if filtered(&[txn]).has_cycle()
+            || filtered(&[action]).has_cycle()
+            || filtered(&[action, added]).has_cycle()
+        {
+            return false;
+        }
+        stitched.extend([action, added]);
+    }
+    !(global && filtered(&stitched).has_cycle())
+}
+
+proptest! {
+    /// Random small systems × random histories × random finalization
+    /// orders × {Paper, Global} × forced reseeds: the rooted verdict, the
+    /// from-scratch verdict and the old whole-scope filter agree at every
+    /// step — both through the public check functions over a hand-driven
+    /// feed (reseeded after every step when forced, so the start lists
+    /// are rebuilt too) and through the production `Certifier`.
+    #[test]
+    fn rooted_check_matches_from_scratch_and_whole_scope(
+        plan in system_plan(),
+        priority in prop::collection::vec(any::<u32>(), 4),
+        global in any::<bool>(),
+        force_reseed in any::<bool>(),
+    ) {
+        use oodb_core::certifier::{CertBackend, Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::incremental::IncrementalFeed;
+        use oodb_core::serializability::{check_candidate_decentralized, check_candidate_global};
+        use std::collections::HashSet;
+
+        let (ts, prims) = build(&plan);
+        let h = History::from_order(&ts, &interleave(&prims, &plan.shuffle)).unwrap();
+        let mut order: Vec<u32> = (0..ts.top_level().len() as u32).collect();
+        order.sort_by_key(|&t| (priority[t as usize % priority.len()], t));
+
+        let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
+        // validation only: the wait check is not what changed
+        let mut cert = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
+        let mut oracle = Certifier::new(mode)
+            .with_wait_policy(WaitPolicy::Ignore)
+            .with_backend(CertBackend::FromScratch);
+        let mut feed = IncrementalFeed::new();
+        let mut committed: HashSet<TxnIdx> = HashSet::new();
+        let mut visited = 0u64;
+        for t in order.into_iter().map(TxnIdx) {
+            feed.feed_admitted(&ts, &h, |x| committed.contains(&x));
+            if force_reseed {
+                feed.reseed(&ts, &h);
+            }
+            let mut scope = committed.clone();
+            scope.insert(t);
+            let in_scope = |x: TxnIdx| scope.contains(&x);
+            let rooted = if global {
+                check_candidate_global(&ts, feed.schedules(), t, in_scope, &mut visited)
+            } else {
+                check_candidate_decentralized(&ts, feed.schedules(), t, in_scope, &mut visited)
+            }
+            .is_ok();
+            let whole = whole_scope_check(&ts, feed.schedules(), &scope, global);
+            let scratch = oracle.try_commit(&ts, &h, t) == CommitOutcome::Committed;
+            let production = cert.try_commit(&ts, &h, t) == CommitOutcome::Committed;
+            prop_assert_eq!(rooted, scratch, "rooted vs from-scratch at {}", t);
+            prop_assert_eq!(rooted, whole, "rooted vs whole-scope at {}", t);
+            prop_assert_eq!(rooted, production, "rooted vs Certifier at {}", t);
+            if rooted {
+                committed.insert(t);
+            } else {
+                feed.exclude(t);
+            }
+        }
+        prop_assert_eq!(cert.committed(), oracle.committed());
+        if !force_reseed {
+            // same feed, same searches, same count
+            prop_assert_eq!(cert.stats.check_visited, visited);
         }
     }
 }

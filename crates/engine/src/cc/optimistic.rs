@@ -191,6 +191,13 @@ impl OptimisticCc {
     ) {
         let fed = after.actions_inferred - before.actions_inferred;
         let reseeds = after.incremental_reseeds - before.incremental_reseeds;
+        let visited = after.check_visited - before.check_visited;
+        if visited > 0 {
+            shared
+                .metrics
+                .cert_check_visited
+                .fetch_add(visited, Ordering::Relaxed);
+        }
         if fed > 0 {
             shared
                 .metrics
@@ -229,7 +236,6 @@ impl OptimisticCc {
             let mut cert = self.cert.lock();
             let before = cert.stats;
             cert.feed_record(ts, history);
-            let me = ts.top_level()[txn.txn.as_usize()];
             if self.snapshot.is_none() {
                 // commit dependency: a live *managed* predecessor must
                 // finalize first. Same liveness scope as the
@@ -239,15 +245,13 @@ impl OptimisticCc {
                 // scoped inference excluding them.
                 let live = self.live.lock();
                 let inc = cert.incremental().expect("fed above");
-                for (f, t) in inc.top_level_deps().edges() {
-                    if *t == me {
-                        let pred = ts.action(*f).txn;
-                        if pred != txn.txn && live.contains(&pred) {
-                            drop(live);
-                            Self::publish_cert_round(shared, txn, before, cert.stats, true);
-                            return Round::Wait;
-                        }
-                    }
+                let must_wait = inc
+                    .top_level_dependencies(ts, txn.txn)
+                    .any(|pred| pred != txn.txn && live.contains(&pred));
+                drop(live);
+                if must_wait {
+                    Self::publish_cert_round(shared, txn, before, cert.stats, true);
+                    return Round::Wait;
                 }
             }
             // certification scope: the committed set plus the candidate
@@ -271,21 +275,7 @@ impl OptimisticCc {
                     // effects: live successors in the maintained edges
                     // (the candidate itself is finalized-aborted now,
                     // so the liveness filter skips it)
-                    let inc = cert.incremental().expect("fed above");
-                    let mut cascade = Vec::new();
-                    let mut seen = HashSet::new();
-                    for (f, t) in inc.top_level_deps().edges() {
-                        if *f == me {
-                            let dep = ts.action(*t).txn;
-                            if !cert.committed().contains(&dep)
-                                && !cert.aborted().contains(&dep)
-                                && seen.insert(dep)
-                            {
-                                cascade.push(dep);
-                            }
-                        }
-                    }
-                    Round::Abort(cascade)
+                    Round::Abort(cert.live_dependents(ts, txn.txn))
                 }
             };
             Self::publish_cert_round(shared, txn, before, cert.stats, true);

@@ -54,7 +54,7 @@ use oodb_core::ids::TxnIdx;
 use oodb_core::incremental::IncrementalFeed;
 use oodb_core::schedule::SystemSchedules;
 use oodb_core::serializability::{
-    check_incremental_decentralized, check_incremental_global, check_system_decentralized,
+    check_candidate_decentralized, check_candidate_global, check_system_decentralized,
     check_system_global,
 };
 use oodb_core::system::TransactionSystem;
@@ -547,6 +547,25 @@ impl OptMeta {
         self.settle_sweep();
     }
 
+    /// Fold the actions recorded since the last round into the
+    /// maintained schedules, charging the cost to `stats`.
+    fn feed_record(&mut self, ts: &TransactionSystem, history: &History) {
+        let out = self
+            .feed
+            .feed_admitted(ts, history, |t| self.committed.contains(&t));
+        self.stats.charge_feed(out);
+    }
+
+    /// Live transactions with a top-level dependency on `me` in the
+    /// maintained schedules: the cascade set of aborting `me`.
+    fn live_dependents(&self, ts: &TransactionSystem, me: TxnIdx) -> Vec<TxnIdx> {
+        self.feed
+            .schedules()
+            .top_level_dependents(ts, me)
+            .filter(|d| *d != me && self.live.contains(d))
+            .collect()
+    }
+
     /// Move every committed transaction that predates the begin of every
     /// currently live transaction into the settled set. Soundness: if
     /// `commit_stamp(T) < begin_stamp(C)` for all live `C`, then every
@@ -1004,14 +1023,9 @@ impl ShardedOptimisticCc {
             let mut meta = self.meta.lock();
             meta.stats.attempts += 1;
             let before = meta.stats;
-            let out = meta.feed.feed(ts, history);
-            meta.stats.actions_inferred += out.fed as u64;
-            if out.reseeded {
-                meta.stats.incremental_reseeds += 1;
-            }
+            meta.feed_record(ts, history);
             let plan = Self::plan(&meta, me);
             let component = plan.component.len();
-            let me_root = ts.top_level()[me.as_usize()];
             let cert_event = |outcome: CertOutcome| {
                 shared
                     .trace
@@ -1024,11 +1038,11 @@ impl ShardedOptimisticCc {
             // come from the maintained schedules. Snapshot mode skips
             // the check — nothing uncommitted is ever visible.
             if self.snapshot.is_none() {
-                let inc = meta.feed.schedules();
-                let must_wait = inc
-                    .top_level_deps()
-                    .edges()
-                    .any(|(f, t)| *t == me_root && plan.live_sharers.contains(&ts.action(*f).txn));
+                let must_wait = meta
+                    .feed
+                    .schedules()
+                    .top_level_dependencies(ts, me)
+                    .any(|pred| plan.live_sharers.contains(&pred));
                 if must_wait {
                     meta.stats.waits += 1;
                     OptimisticCc::publish_cert_round(shared, txn, before, meta.stats, true);
@@ -1038,16 +1052,26 @@ impl ShardedOptimisticCc {
                 }
             }
 
+            // the same candidate-rooted search as the global certifier,
+            // scoped to the component. Its invariant holds here too:
+            // `component ∖ {me}` is a subset of the committed set, which
+            // is acyclic (the last committer of a cycle always sees the
+            // whole cycle in its component); its precondition holds
+            // because `me` finished executing before this round and the
+            // feed above consumed everything recorded.
             let ok = {
-                let inc = meta.feed.schedules();
+                let OptMeta { feed, stats, .. } = &mut *meta;
+                let in_scope = |t: TxnIdx| plan.component.contains(&t);
+                let visited = &mut stats.check_visited;
                 match self.mode {
                     CertifierMode::Paper => {
-                        check_incremental_decentralized(ts, inc, &plan.component).is_ok()
+                        check_candidate_decentralized(ts, feed.schedules(), me, in_scope, visited)
                     }
                     CertifierMode::Global => {
-                        check_incremental_global(ts, inc, &plan.component).is_ok()
+                        check_candidate_global(ts, feed.schedules(), me, in_scope, visited)
                     }
                 }
+                .is_ok()
             };
 
             if ok {
@@ -1069,18 +1093,11 @@ impl ShardedOptimisticCc {
                 // doom everyone who read our soon-compensated effects:
                 // live successors in the maintained edges (none in
                 // snapshot mode — the writes never left the buffer)
-                let mut doomed_now = Vec::new();
-                if self.snapshot.is_none() {
-                    let inc = meta.feed.schedules();
-                    for (f, t) in inc.top_level_deps().edges() {
-                        if *f == me_root {
-                            let d = ts.action(*t).txn;
-                            if d != me && meta.live.contains(&d) && !doomed_now.contains(&d) {
-                                doomed_now.push(d);
-                            }
-                        }
-                    }
-                }
+                let doomed_now = if self.snapshot.is_none() {
+                    meta.live_dependents(ts, me)
+                } else {
+                    Vec::new()
+                };
                 meta.aborted.insert(me);
                 meta.note_finalized(me, false);
                 meta.touched.remove(&me);
@@ -1193,28 +1210,12 @@ impl ConcurrencyControl for ShardedOptimisticCc {
                     return Vec::new();
                 }
                 let before = meta.stats;
-                let out = meta.feed.feed(ts, history);
-                meta.stats.actions_inferred += out.fed as u64;
-                if out.reseeded {
-                    meta.stats.incremental_reseeds += 1;
-                }
+                meta.feed_record(ts, history);
                 meta.aborted.insert(me);
                 meta.note_finalized(me, false);
                 meta.stats.aborts += 1;
                 meta.touched.remove(&me);
-                let me_root = ts.top_level()[me.as_usize()];
-                let mut doomed_now = Vec::new();
-                {
-                    let inc = meta.feed.schedules();
-                    for (f, t) in inc.top_level_deps().edges() {
-                        if *f == me_root {
-                            let d = ts.action(*t).txn;
-                            if d != me && meta.live.contains(&d) && !doomed_now.contains(&d) {
-                                doomed_now.push(d);
-                            }
-                        }
-                    }
-                }
+                let doomed_now = meta.live_dependents(ts, me);
                 for &d in &doomed_now {
                     meta.doomed.insert(d);
                 }

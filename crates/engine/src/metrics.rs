@@ -246,6 +246,11 @@ pub struct EngineMetrics {
     /// the restricted history (garbage from excluded transactions
     /// outgrew the live edges).
     pub cert_incremental_reseeds: AtomicU64,
+    /// Nodes expanded by the incremental certifiers' candidate-rooted
+    /// Definition-16 search, summed over every validation — the check's
+    /// share of certification, beside `cert_actions_inferred` for the
+    /// feed's. Exactly repeatable for a given schedule.
+    pub cert_check_visited: AtomicU64,
     /// Write-ahead-log records appended (redo/compensation payloads and
     /// lifecycle markers; zero with durability off).
     pub wal_appends: AtomicU64,
@@ -313,6 +318,7 @@ impl EngineMetrics {
             versions_gcd: AtomicU64::new(0),
             cert_actions_inferred: AtomicU64::new(0),
             cert_incremental_reseeds: AtomicU64::new(0),
+            cert_check_visited: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -383,6 +389,7 @@ impl EngineMetrics {
             versions_gcd: self.versions_gcd.load(Ordering::Relaxed),
             cert_actions_inferred: self.cert_actions_inferred.load(Ordering::Relaxed),
             cert_incremental_reseeds: self.cert_incremental_reseeds.load(Ordering::Relaxed),
+            cert_check_visited: self.cert_check_visited.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -469,6 +476,8 @@ pub struct MetricsSnapshot {
     pub cert_actions_inferred: u64,
     /// Incremental-certifier reseeds (schedule rebuilds).
     pub cert_incremental_reseeds: u64,
+    /// Nodes expanded by the candidate-rooted Definition-16 search.
+    pub cert_check_visited: u64,
     /// Write-ahead-log records appended (zero with durability off).
     pub wal_appends: u64,
     /// Write-ahead-log bytes appended, including framing.
@@ -539,6 +548,7 @@ impl MetricsSnapshot {
             "\"cert_incremental_reseeds\":{},",
             self.cert_incremental_reseeds
         );
+        let _ = write!(s, "\"cert_check_visited\":{},", self.cert_check_visited);
         let _ = write!(s, "\"wal_appends\":{},", self.wal_appends);
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
         let _ = write!(s, "\"fsyncs\":{},", self.fsyncs);
@@ -644,8 +654,8 @@ impl std::fmt::Display for MetricsSnapshot {
         if self.cert_actions_inferred > 0 {
             write!(
                 f,
-                " cert-inferred {} (reseeds {})",
-                self.cert_actions_inferred, self.cert_incremental_reseeds
+                " cert-inferred {} (reseeds {}, check visited {})",
+                self.cert_actions_inferred, self.cert_incremental_reseeds, self.cert_check_visited
             )?;
         }
         if self.wal_appends > 0 {
@@ -818,6 +828,7 @@ mod tests {
             "\"versions_gcd\":",
             "\"cert_actions_inferred\":",
             "\"cert_incremental_reseeds\":",
+            "\"cert_check_visited\":",
             "\"wal_appends\":9",
             "\"wal_bytes\":412",
             "\"fsyncs\":2",

@@ -1,0 +1,109 @@
+//! Certification cost follows the candidate's own edges, not the record.
+//!
+//! Measured on a count, not a clock: `CertifierStats::check_visited` is
+//! the number of nodes the candidate-rooted Definition-16 search
+//! expanded, and repeats exactly for a given schedule.
+
+use oodb::btree::{Encyclopedia, EncyclopediaConfig};
+use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+use oodb::core::ids::TxnIdx;
+use oodb::model::{Recorder, TxnCtx};
+
+const KEYS: usize = 128;
+
+fn key(i: usize) -> String {
+    format!("k{:04}", i % KEYS)
+}
+
+struct Stack {
+    rec: Recorder,
+    enc: Encyclopedia,
+    cert: Certifier,
+}
+
+impl Stack {
+    /// A fresh encyclopedia whose preload — one transaction, `KEYS`
+    /// inserts, the shape of `Engine::preload` — has been certified.
+    fn preloaded(mode: CertifierMode) -> Stack {
+        let rec = Recorder::new();
+        let enc = Encyclopedia::create(
+            rec.clone(),
+            EncyclopediaConfig {
+                fanout: 8,
+                ..EncyclopediaConfig::default()
+            },
+        );
+        let mut stack = Stack {
+            rec,
+            enc,
+            cert: Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore),
+        };
+        let mut setup = stack.rec.begin_txn("Setup");
+        for i in 0..KEYS {
+            stack.enc.insert(&mut setup, &key(i), "preloaded");
+        }
+        stack.commit(setup);
+        stack
+    }
+
+    /// Certify `ctx` against the live record; returns the nodes its check
+    /// visited.
+    fn commit(&mut self, ctx: TxnCtx) -> u64 {
+        let before = self.cert.stats.check_visited;
+        let txn = TxnIdx(ctx.txn_number());
+        let cert = &mut self.cert;
+        let outcome = self
+            .rec
+            .with_record(|ts, history| cert.try_commit(ts, history, txn));
+        assert_eq!(outcome, CommitOutcome::Committed, "disjoint keys certify");
+        self.cert.stats.check_visited - before
+    }
+}
+
+#[test]
+fn a_candidate_without_edges_costs_nothing_to_check() {
+    for mode in [CertifierMode::Paper, CertifierMode::Global] {
+        let stack = Stack::preloaded(mode);
+        assert!(
+            stack.cert.stats.actions_inferred > KEYS as u64,
+            "the preload's actions were fed"
+        );
+        assert_eq!(stack.cert.stats.check_visited, 0, "{mode:?}");
+    }
+}
+
+/// Snapshot-style pipeline of depth two: transaction `i` reads, then
+/// transaction `i - 1` installs its write and commits, so a candidate
+/// has read pages a later committer wrote — real out-edges for the
+/// search to follow. Neighbours touch different keys, and the key
+/// sequence repeats every `KEYS / 2` transactions over a tree no
+/// operation restructures. What a commit visits is bounded by what ran
+/// beside it, so one period of commits visits exactly as many nodes with
+/// 370 committed transactions behind it as with 50.
+#[test]
+fn visited_per_commit_is_flat_in_history_length() {
+    const PERIOD: usize = KEYS / 2;
+    for mode in [CertifierMode::Paper, CertifierMode::Global] {
+        let mut stack = Stack::preloaded(mode);
+        let mut visited = Vec::new();
+        let mut pending: Option<(TxnCtx, usize)> = None;
+        for i in 0..=50 + 6 * PERIOD {
+            let mut ctx = stack.rec.begin_txn(format!("J{i}"));
+            stack.enc.search(&mut ctx, &key(2 * i));
+            if let Some((mut prev, j)) = pending.replace((ctx, i)) {
+                stack.enc.change(&mut prev, &key(2 * j + 1), "changed");
+                visited.push(stack.commit(prev));
+            }
+        }
+        let period_from = |at: usize| visited[at..at + PERIOD].iter().sum::<u64>();
+        let (early, late) = (period_from(50), period_from(50 + 5 * PERIOD));
+        assert!(
+            early > 0,
+            "{mode:?}: the pipeline gives candidates out-edges"
+        );
+        assert_eq!(
+            early, late,
+            "{mode:?}: nodes visited by {PERIOD} commits from history 50 vs from history 370"
+        );
+    }
+}
