@@ -21,7 +21,7 @@ fn label(ts: &TransactionSystem, a: ActionIdx) -> String {
         "{}.{}[{}]",
         ts.object(info.object).name,
         info.descriptor,
-        info.path
+        ts.path(a)
     )
 }
 
@@ -193,7 +193,7 @@ fn txn_shape_stats(ts: &TransactionSystem, history: &History, skip: usize) -> Sh
             let info = ts.action(a);
             objs.insert(info.object);
             actions += 1;
-            max_depth = max_depth.max(info.path.depth());
+            max_depth = max_depth.max(info.depth as usize);
             if info.is_primitive() && history.position(a).is_some() {
                 prims += 1;
             }

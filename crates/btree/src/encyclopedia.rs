@@ -8,8 +8,8 @@
 //! Examples 1 and 4.
 
 use crate::list::{ItemId, ItemList};
-use crate::tree::{required_page_size, BLinkTree};
-use oodb_core::commutativity::{ActionDescriptor, RangeSpec};
+use crate::tree::{keyed, required_page_size, BLinkTree};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, RangeSpec};
 use oodb_core::ids::ObjectIdx;
 use oodb_core::value::key as keyval;
 use oodb_model::{Recorder, TxnCtx};
@@ -114,15 +114,14 @@ impl Encyclopedia {
     /// Insert a new item under `key`. Returns the item id, or `None` if
     /// the key already exists (no overwrite at the encyclopedia level).
     pub fn insert(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> Option<ItemId> {
-        ctx.enter(
-            self.enc_obj,
-            ActionDescriptor::new("insert", vec![keyval(key)]),
-        );
+        // one `insert(key)` for Enc, LinkedList, BpTree and its nodes
+        let insert = keyed("insert", key);
+        ctx.enter(self.enc_obj, insert.clone());
         let result = if self.tree.search(ctx, key).is_some() {
             None
         } else {
-            let id = self.list.insert(ctx, key, text);
-            self.tree.insert(ctx, key, id);
+            let id = self.list.insert(ctx, key, text, &insert);
+            self.tree.insert_as(ctx, key, id, &insert);
             Some(id)
         };
         ctx.exit();
@@ -131,26 +130,22 @@ impl Encyclopedia {
 
     /// Look up the item text stored under `key`.
     pub fn search(&self, ctx: &mut TxnCtx, key: &str) -> Option<String> {
-        ctx.enter(
-            self.enc_obj,
-            ActionDescriptor::new("search", vec![keyval(key)]),
-        );
+        let search = keyed("search", key);
+        ctx.enter(self.enc_obj, search.clone());
         let result = self
             .tree
-            .search(ctx, key)
-            .and_then(|id| self.list.read_item(ctx, id));
+            .search_as(ctx, key, &search)
+            .and_then(|id| self.list.read_item(ctx, id, &search));
         ctx.exit();
         result
     }
 
     /// Change the text of the item under `key` (Example 4's `T2`).
     pub fn change(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> bool {
-        ctx.enter(
-            self.enc_obj,
-            ActionDescriptor::new("update", vec![keyval(key)]),
-        );
+        let update = keyed("update", key);
+        ctx.enter(self.enc_obj, update.clone());
         let changed = match self.tree.search(ctx, key) {
-            Some(id) => self.list.update_item(ctx, id, text),
+            Some(id) => self.list.update_item(ctx, id, text, &update),
             None => false,
         };
         ctx.exit();
@@ -159,12 +154,10 @@ impl Encyclopedia {
 
     /// Delete the item under `key`.
     pub fn delete(&self, ctx: &mut TxnCtx, key: &str) -> bool {
-        ctx.enter(
-            self.enc_obj,
-            ActionDescriptor::new("delete", vec![keyval(key)]),
-        );
-        let deleted = match self.tree.delete(ctx, key) {
-            Some(id) => self.list.remove(ctx, id),
+        let delete = keyed("delete", key);
+        ctx.enter(self.enc_obj, delete.clone());
+        let deleted = match self.tree.delete_as(ctx, key, &delete) {
+            Some(id) => self.list.remove(ctx, id, &delete),
             None => false,
         };
         ctx.exit();
@@ -184,14 +177,16 @@ impl Encyclopedia {
     /// protection for exactly the scanned interval (§1's anomaly list),
     /// without conflicting with inserts outside it.
     pub fn range(&self, ctx: &mut TxnCtx, lo: &str, hi: &str) -> Vec<(String, String)> {
-        ctx.enter(
-            self.enc_obj,
-            ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]),
-        );
-        let hits = self.tree.range(ctx, lo, hi);
+        let scan: DescriptorRef =
+            ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]).into();
+        ctx.enter(self.enc_obj, scan.clone());
+        let hits = self.tree.range_as(ctx, lo, hi, &scan);
         let out = hits
             .into_iter()
-            .filter_map(|(k, id)| self.list.read_item(ctx, id).map(|text| (k, text)))
+            .filter_map(|(k, id)| {
+                let text = self.list.read_item(ctx, id, &keyed("search", &k))?;
+                Some((k, text))
+            })
             .collect();
         ctx.exit();
         out

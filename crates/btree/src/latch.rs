@@ -3,9 +3,10 @@
 //! The tree's pages are latched through `oodb-storage`'s
 //! [`BufferManager`], which guarantees *latched ⇒ pinned* — a latched
 //! page can never be evicted under a traversal. This module supplies the
-//! protocol layer on top: typed helpers that decode a node under its
-//! latch, and the retained-ancestor stack that makes multi-level splits
-//! atomic with respect to every other traversal.
+//! protocol layer on top: typed helpers that read a node under its latch
+//! — in place for readers, decoded for writers — and the
+//! retained-ancestor stack that makes multi-level splits atomic with
+//! respect to every other traversal.
 //!
 //! ## The protocol
 //!
@@ -37,7 +38,10 @@
 //!   (depth, left-to-right position): all waits point the same way, so no
 //!   cycle can form.
 //! * **Recording**: every `enter`/`page_read`/`page_write` for a node is
-//!   issued while that node's latch is held. This keeps each node
+//!   issued while that node's latch is held — a visit's `enter` and
+//!   `page_read` as one `TxnCtx::record` call, so the read claims its
+//!   history position in the same recorder acquisition that creates it.
+//!   This keeps each node
 //!   action's page accesses *block-atomic*, which is what prevents the
 //!   interleaved read-read-write-write page pattern that
 //!   `oodb-model::recorder` pins down as a leaf-level action-dependency
@@ -49,25 +53,34 @@
 //! (such a writer retains X(parent)), and once the reader has coupled to
 //! the child, a writer cannot latch it.
 
-use crate::node::Node;
-use oodb_storage::{BufferManager, PageError, PageExclusive, PageId, PageShared};
+use crate::node::{EncodedNode, Node};
+use oodb_storage::{BufferManager, Page, PageError, PageExclusive, PageId, PageShared};
 
 /// `true` iff an insertion below `node` cannot split it.
 pub(crate) fn is_safe(node: &Node, fanout: usize) -> bool {
     node.entries.len() < fanout
 }
 
-/// S-latch `page`, pin it, and decode its node.
-pub(crate) fn read_latched(mgr: &BufferManager, page: PageId) -> (PageShared, Node) {
-    let guard = mgr.read_page(page).expect("tree pages exist");
-    let node = guard.read(|p| Node::decode(p.read(0).expect("node record present")));
-    (guard, node)
+/// The encoded node of a tree page: its record 0.
+pub(crate) fn node_record(page: &Page) -> &[u8] {
+    page.read(0).expect("node record present")
+}
+
+/// S-latch `page` and pin it.
+pub(crate) fn read_latched(mgr: &BufferManager, page: PageId) -> PageShared {
+    mgr.read_page(page).expect("tree pages exist")
+}
+
+/// Run `f` on the node of a shared-latched page, in place: readers never
+/// decode.
+pub(crate) fn with_encoded<R>(page: &PageShared, f: impl FnOnce(EncodedNode<'_>) -> R) -> R {
+    page.read(|p| f(EncodedNode::parse(node_record(p))))
 }
 
 /// X-latch `page`, pin it, and decode its node.
 pub(crate) fn write_latched(mgr: &BufferManager, page: PageId) -> (PageExclusive, Node) {
     let guard = mgr.write_page(page).expect("tree pages exist");
-    let node = guard.read(|p| Node::decode(p.read(0).expect("node record present")));
+    let node = guard.read(|p| Node::decode(node_record(p)));
     (guard, node)
 }
 

@@ -19,10 +19,11 @@ pub mod encyclopedia;
 pub mod latch;
 pub mod list;
 pub mod node;
+mod objects;
 pub mod tree;
 
 pub use compensated::{AbortReport, CompensatedEncyclopedia};
 pub use encyclopedia::{Encyclopedia, EncyclopediaConfig};
 pub use list::{ItemId, ItemList};
-pub use node::{Entry, Node, MAX_KEY_LEN};
+pub use node::{Entry, Node, Probe, MAX_KEY_LEN};
 pub use tree::{required_page_size, BLinkTree};

@@ -7,35 +7,43 @@
 //! keyed container whose `readSeq` scan conflicts with every updater —
 //! exactly the `T2 ↔ readSeq` dependency of Figure 8.
 //!
-//! Concurrency: one list-wide [`RwLatch`] — mutations latch exclusive,
-//! reads latch shared, so readers scale while the (already
-//! stripe-serialized at the engine level) mutators stay simple. All
-//! recording happens under the latch, keeping each list/item action's
-//! page accesses block-atomic.
+//! Concurrency: one list-wide reader-writer lock that *owns* the list's
+//! bookkeeping (directory cache, page chain) — mutations hold it
+//! exclusively, reads shared, so readers overlap all the way through
+//! while the (already stripe-serialized at the engine level) mutators
+//! stay simple. All recording happens under that lock, keeping each
+//! list/item action's page accesses block-atomic.
+//!
+//! The keyed operations take the descriptor of the list-level action from
+//! the caller: the encyclopedia records the same `search(k)` /
+//! `insert(k)` / `update(k)` / `delete(k)` on itself, the index and the
+//! list, so one descriptor is shared by all three.
 
+use crate::objects::{ObjectIds, ObjectKey};
 use bytes::{Buf, BufMut};
-use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, KeyedSpec};
 use oodb_core::ids::ObjectIdx;
-use oodb_core::value::key as keyval;
 use oodb_model::{Recorder, TxnCtx};
-use oodb_storage::{BufferPool, PageError, PageId, RwLatch};
+use oodb_storage::{BufferPool, PageError, PageId};
+use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Identifier of an item within one list.
 pub type ItemId = u64;
 
-/// One directory record: where an item lives and whether it is alive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DirEntry {
+/// One directory record, borrowed from its page: where an item lives and
+/// whether it is alive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DirEntry<'a> {
     id: ItemId,
-    key: String,
+    key: &'a str,
     item_page: PageId,
     item_slot: u16,
     alive: bool,
 }
 
-impl DirEntry {
+impl<'a> DirEntry<'a> {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(17 + self.key.len());
         out.put_u64_le(self.id);
@@ -47,11 +55,11 @@ impl DirEntry {
         out
     }
 
-    fn decode(mut buf: &[u8]) -> DirEntry {
+    fn decode(mut buf: &'a [u8]) -> Self {
         let id = buf.get_u64_le();
         let klen = buf.get_u16_le() as usize;
-        let kb = buf.copy_to_bytes(klen);
-        let key = String::from_utf8(kb.to_vec()).expect("keys are utf-8");
+        let (key, mut buf) = buf.split_at(klen);
+        let key = std::str::from_utf8(key).expect("keys are utf-8");
         let item_page = PageId(buf.get_u32_le());
         let item_slot = buf.get_u16_le();
         let alive = buf.get_u8() != 0;
@@ -65,8 +73,16 @@ impl DirEntry {
     }
 }
 
-/// The list's mutable bookkeeping, guarded by one mutex (brief critical
-/// sections only; the page work happens under the list latch).
+/// Where a live item's directory record and content are.
+#[derive(Debug, Clone, Copy)]
+struct Location {
+    dir_page: PageId,
+    dir_slot: u16,
+    item_page: PageId,
+    item_slot: u16,
+}
+
+/// The list's bookkeeping, owned by the list lock.
 struct ListState {
     /// Chain of directory pages, in order (head first). The chain is also
     /// materialized on the pages themselves via next-pointers in record 0.
@@ -79,14 +95,14 @@ struct ListState {
 }
 
 /// Linked list of items over pages, with per-item objects. Shareable
-/// across threads; mutations serialize on the list latch, reads overlap.
+/// across threads; mutations serialize on the list lock, reads overlap.
 pub struct ItemList {
     pool: BufferPool,
-    rec: Recorder,
+    /// Recorder ids of this list's page and item objects.
+    objects: ObjectIds,
     name: String,
     list_obj: ObjectIdx,
-    latch: Arc<RwLatch>,
-    state: Mutex<ListState>,
+    state: RwLock<ListState>,
 }
 
 const CHAIN_HEADER_SLOT: u16 = 0;
@@ -108,11 +124,10 @@ impl ItemList {
         drop(item_pin);
         ItemList {
             pool,
-            rec,
+            objects: ObjectIds::new(rec, &name),
             name,
             list_obj,
-            latch: RwLatch::new(),
-            state: Mutex::new(ListState {
+            state: RwLock::new(ListState {
                 chain: vec![head],
                 item_page,
                 directory: HashMap::new(),
@@ -132,51 +147,51 @@ impl ItemList {
     }
 
     fn page_object(&self, page: PageId) -> ObjectIdx {
-        self.rec
-            .object(&format!("Page{}", page.0), Arc::new(ReadWriteSpec))
+        self.objects.get(ObjectKey::Page(page))
     }
 
     fn item_object(&self, id: ItemId) -> ObjectIdx {
-        self.rec
-            .object(&format!("Item{id}"), Arc::new(ReadWriteSpec))
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, ListState> {
-        self.state.lock().expect("list state mutex")
+        self.objects.get(ObjectKey::Item(id))
     }
 
     /// Number of live items.
     pub fn len(&self) -> usize {
-        self.state().directory.len()
+        self.state.read().directory.len()
     }
 
     /// True iff no live items exist.
     pub fn is_empty(&self) -> bool {
-        self.state().directory.is_empty()
+        self.state.read().directory.is_empty()
     }
 
-    /// Append a new item with `key` and `text`; returns its id.
-    pub fn insert(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> ItemId {
-        let _x = self.latch.acquire_exclusive();
-        ctx.enter(
-            self.list_obj,
-            ActionDescriptor::new("insert", vec![keyval(key)]),
-        );
-        let mut state = self.state();
+    /// Append a new item with `key` and `text`, recording `descriptor`
+    /// (the caller's `insert(key)`) as the list-level action; returns the
+    /// item's id.
+    pub fn insert(
+        &self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        text: &str,
+        descriptor: &DescriptorRef,
+    ) -> ItemId {
+        debug_assert_eq!(descriptor.key(), Some(key));
+        let mut state = self.state.write();
         let id = state.next_id;
         state.next_id += 1;
 
         // 1. store the content on an item page, via the item object
-        let item_obj = self.item_object(id);
-        ctx.enter(item_obj, ActionDescriptor::nullary("write"));
         let (item_page, item_slot) = self.store_content(&mut state, text.as_bytes());
-        ctx.page_write(self.page_object(item_page));
+        let write = DescriptorRef::write();
+        ctx.record(
+            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
+            Some((self.page_object(item_page), &write)),
+        );
         ctx.exit();
 
         // 2. append the directory record to the chain's tail page
         let entry = DirEntry {
             id,
-            key: key.to_owned(),
+            key,
             item_page,
             item_slot,
             alive: true,
@@ -207,15 +222,16 @@ impl ItemList {
         &self,
         state: &mut ListState,
         ctx: &mut TxnCtx,
-        entry: &DirEntry,
+        entry: &DirEntry<'_>,
     ) -> (PageId, u16) {
         let tail = *state.chain.last().expect("chain never empty");
-        ctx.page_read(self.page_object(tail));
+        let tail_obj = self.page_object(tail);
+        ctx.page_read(tail_obj);
         let pin = self.pool.fetch(tail).expect("chain page exists");
         let res = pin.write(|p| p.insert(&entry.encode()));
         match res {
             Ok(slot) => {
-                ctx.page_write(self.page_object(tail));
+                ctx.page_write(tail_obj);
                 (tail, slot)
             }
             Err(PageError::Full { .. }) => {
@@ -234,7 +250,7 @@ impl ItemList {
                         .expect("chain header update");
                 });
                 drop(old_pin);
-                ctx.page_write(self.page_object(tail));
+                ctx.page_write(tail_obj);
                 ctx.page_write(self.page_object(new_tail));
                 state.chain.push(new_tail);
                 (new_tail, slot)
@@ -243,77 +259,113 @@ impl ItemList {
         }
     }
 
-    /// Read an item's text through the list and the item object.
+    /// Where item `id` lives, if it is alive — read off the directory
+    /// record in place; the key stays on the page.
+    fn locate(
+        &self,
+        state: &ListState,
+        id: ItemId,
+        descriptor: &DescriptorRef,
+    ) -> Option<Location> {
+        let &(dir_page, dir_slot) = state.directory.get(&id)?;
+        let pin = self.pool.fetch(dir_page).expect("dir page exists");
+        pin.read(|p| {
+            let entry = DirEntry::decode(p.read(dir_slot).expect("directory record present"));
+            debug_assert_eq!(descriptor.key(), Some(entry.key));
+            entry.alive.then_some(Location {
+                dir_page,
+                dir_slot,
+                item_page: entry.item_page,
+                item_slot: entry.item_slot,
+            })
+        })
+    }
+
+    /// Rewrite the directory record at `loc` through `change`.
+    fn rewrite_entry(&self, loc: Location, change: impl FnOnce(&mut DirEntry<'_>)) {
+        let pin = self.pool.fetch(loc.dir_page).expect("dir page exists");
+        pin.write(|p| {
+            let bytes = {
+                let record = p.read(loc.dir_slot).expect("directory record present");
+                let mut entry = DirEntry::decode(record);
+                change(&mut entry);
+                entry.encode()
+            };
+            p.update(loc.dir_slot, &bytes).expect("dir update fits");
+        });
+    }
+
+    /// Read an item's text through the list and the item object;
+    /// `descriptor` is the caller's `search(key)` with the item's key.
     ///
     /// The list-level `search` action is essential for the dependency
     /// machinery: it makes the callers of conflicting item actions live
     /// on a *common object* (LinkedList), so Definition 11 inheritance
     /// can lift their order instead of stranding it in the pairwise
     /// added relation (Figure 8's `LinkedList: T2 ↔ readSeq` row).
-    pub fn read_item(&self, ctx: &mut TxnCtx, id: ItemId) -> Option<String> {
-        let _s = self.latch.acquire_shared();
-        let &(dir_page, dir_slot) = self.state().directory.get(&id)?;
-        let entry = self.load_entry(dir_page, dir_slot);
-        if !entry.alive {
-            return None;
-        }
-        ctx.enter(
-            self.list_obj,
-            ActionDescriptor::new("search", vec![keyval(&entry.key)]),
+    pub fn read_item(
+        &self,
+        ctx: &mut TxnCtx,
+        id: ItemId,
+        descriptor: &DescriptorRef,
+    ) -> Option<String> {
+        let state = self.state.read();
+        let loc = self.locate(&state, id, descriptor)?;
+        let read = DescriptorRef::read();
+        ctx.record(
+            &[(self.list_obj, descriptor), (self.item_object(id), &read)],
+            Some((self.page_object(loc.item_page), &read)),
         );
-        let item_obj = self.item_object(id);
-        ctx.enter(item_obj, ActionDescriptor::nullary("read"));
-        ctx.page_read(self.page_object(entry.item_page));
-        let pin = self.pool.fetch(entry.item_page).expect("item page exists");
-        let text = pin.read(|p| {
-            p.read(entry.item_slot)
-                .ok()
-                .map(|b| String::from_utf8_lossy(b).into_owned())
-        });
+        let text = self.read_text(loc.item_page, loc.item_slot);
         ctx.exit(); // item read
         ctx.exit(); // list search
         text
     }
 
+    fn read_text(&self, item_page: PageId, item_slot: u16) -> Option<String> {
+        let pin = self.pool.fetch(item_page).expect("item page exists");
+        pin.read(|p| {
+            p.read(item_slot)
+                .ok()
+                .map(|b| String::from_utf8_lossy(b).into_owned())
+        })
+    }
+
     /// Overwrite an item's text through the list and the item object (the
     /// paper's Example 4: `T2` changes the previously inserted item). The
-    /// list-level `update` action carries the dependency to LinkedList —
-    /// see [`ItemList::read_item`].
-    pub fn update_item(&self, ctx: &mut TxnCtx, id: ItemId, text: &str) -> bool {
-        let _x = self.latch.acquire_exclusive();
-        let mut state = self.state();
-        let Some(&(dir_page, dir_slot)) = state.directory.get(&id) else {
+    /// list-level `update` action — `descriptor`, the caller's
+    /// `update(key)` — carries the dependency to LinkedList, see
+    /// [`ItemList::read_item`].
+    pub fn update_item(
+        &self,
+        ctx: &mut TxnCtx,
+        id: ItemId,
+        text: &str,
+        descriptor: &DescriptorRef,
+    ) -> bool {
+        let mut state = self.state.write();
+        let Some(loc) = self.locate(&state, id, descriptor) else {
             return false;
         };
-        let mut entry = self.load_entry(dir_page, dir_slot);
-        if !entry.alive {
-            return false;
-        }
-        ctx.enter(
-            self.list_obj,
-            ActionDescriptor::new("update", vec![keyval(&entry.key)]),
+        let write = DescriptorRef::write();
+        ctx.record(
+            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
+            Some((self.page_object(loc.item_page), &DescriptorRef::read())),
         );
-        let item_obj = self.item_object(id);
-        ctx.enter(item_obj, ActionDescriptor::nullary("write"));
-        ctx.page_read(self.page_object(entry.item_page));
-        let pin = self.pool.fetch(entry.item_page).expect("item page exists");
-        let updated = pin.write(|p| p.update(entry.item_slot, text.as_bytes()).is_ok());
+        let pin = self.pool.fetch(loc.item_page).expect("item page exists");
+        let updated = pin.write(|p| p.update(loc.item_slot, text.as_bytes()).is_ok());
+        drop(pin);
         if updated {
-            ctx.page_write(self.page_object(entry.item_page));
+            ctx.page_write(self.page_object(loc.item_page));
         } else {
             // relocation to a fresh page when the old one cannot grow
-            drop(pin);
             let (np, ns) = self.store_content(&mut state, text.as_bytes());
             ctx.page_write(self.page_object(np));
-            entry.item_page = np;
-            entry.item_slot = ns;
-            let dir_pin = self.pool.fetch(dir_page).expect("dir page exists");
-            dir_pin.write(|p| {
-                p.update(dir_slot, &entry.encode())
-                    .expect("dir update fits")
+            self.rewrite_entry(loc, |entry| {
+                entry.item_page = np;
+                entry.item_slot = ns;
             });
-            drop(dir_pin);
-            ctx.page_write(self.page_object(dir_page));
+            ctx.page_write(self.page_object(loc.dir_page));
         }
         ctx.exit(); // item write
         ctx.exit(); // list update
@@ -321,37 +373,30 @@ impl ItemList {
     }
 
     /// Remove an item: mark its directory record dead and delete content.
-    pub fn remove(&self, ctx: &mut TxnCtx, id: ItemId) -> bool {
-        let _x = self.latch.acquire_exclusive();
-        let mut state = self.state();
-        let Some(&(dir_page, dir_slot)) = state.directory.get(&id) else {
+    /// `descriptor` is the caller's `delete(key)` with the item's key.
+    pub fn remove(&self, ctx: &mut TxnCtx, id: ItemId, descriptor: &DescriptorRef) -> bool {
+        let mut state = self.state.write();
+        let Some(loc) = self.locate(&state, id, descriptor) else {
             return false;
         };
-        let mut entry = self.load_entry(dir_page, dir_slot);
-        if !entry.alive {
-            return false;
-        }
-        ctx.enter(
-            self.list_obj,
-            ActionDescriptor::new("delete", vec![keyval(&entry.key)]),
+        let dir_obj = self.page_object(loc.dir_page);
+        ctx.record(
+            &[(self.list_obj, descriptor)],
+            Some((dir_obj, &DescriptorRef::read())),
         );
-        entry.alive = false;
-        ctx.page_read(self.page_object(dir_page));
-        let pin = self.pool.fetch(dir_page).expect("dir page exists");
-        pin.write(|p| {
-            p.update(dir_slot, &entry.encode())
-                .expect("dir update fits")
-        });
-        drop(pin);
-        ctx.page_write(self.page_object(dir_page));
+        self.rewrite_entry(loc, |entry| entry.alive = false);
+        ctx.page_write(dir_obj);
         // delete content
-        ctx.enter(self.item_object(id), ActionDescriptor::nullary("write"));
-        let item_pin = self.pool.fetch(entry.item_page).expect("item page exists");
+        let item_pin = self.pool.fetch(loc.item_page).expect("item page exists");
         item_pin.write(|p| {
-            let _ = p.delete(entry.item_slot);
+            let _ = p.delete(loc.item_slot);
         });
         drop(item_pin);
-        ctx.page_write(self.page_object(entry.item_page));
+        let write = DescriptorRef::write();
+        ctx.record(
+            &[(self.item_object(id), &write)],
+            Some((self.page_object(loc.item_page), &write)),
+        );
         ctx.exit();
         state.directory.remove(&id);
         ctx.exit();
@@ -361,44 +406,35 @@ impl ItemList {
     /// Sequential read of all live items, in insertion order — the
     /// paper's `readSeq`. Each item is read through its item object.
     pub fn read_seq(&self, ctx: &mut TxnCtx) -> Vec<(ItemId, String, String)> {
-        let _s = self.latch.acquire_shared();
+        let state = self.state.read();
         ctx.enter(self.list_obj, ActionDescriptor::nullary("readSeq"));
-        let chain = self.state().chain.clone();
+        let read = DescriptorRef::read();
         let mut out = Vec::new();
-        for &page in &chain {
+        for &page in &state.chain {
             ctx.page_read(self.page_object(page));
-            let entries = self.load_entries(page);
-            for entry in entries.into_iter().filter(|e| e.alive) {
-                ctx.enter(
-                    self.item_object(entry.id),
-                    ActionDescriptor::nullary("read"),
+            for (id, key, item_page, item_slot) in self.live_entries(page) {
+                ctx.record(
+                    &[(self.item_object(id), &read)],
+                    Some((self.page_object(item_page), &read)),
                 );
-                ctx.page_read(self.page_object(entry.item_page));
-                let pin = self.pool.fetch(entry.item_page).expect("item page exists");
-                let text = pin.read(|p| {
-                    p.read(entry.item_slot)
-                        .map(|b| String::from_utf8_lossy(b).into_owned())
-                        .unwrap_or_default()
-                });
+                let text = self.read_text(item_page, item_slot).unwrap_or_default();
                 ctx.exit();
-                out.push((entry.id, entry.key, text));
+                out.push((id, key, text));
             }
         }
         ctx.exit();
         out
     }
 
-    fn load_entry(&self, page: PageId, slot: u16) -> DirEntry {
-        let pin = self.pool.fetch(page).expect("dir page exists");
-        pin.read(|p| DirEntry::decode(p.read(slot).expect("directory record present")))
-    }
-
-    fn load_entries(&self, page: PageId) -> Vec<DirEntry> {
+    /// The live directory records of one chain page, in slot order.
+    fn live_entries(&self, page: PageId) -> Vec<(ItemId, String, PageId, u16)> {
         let pin = self.pool.fetch(page).expect("dir page exists");
         pin.read(|p| {
             p.records()
                 .filter(|(s, _)| *s != CHAIN_HEADER_SLOT)
                 .map(|(_, b)| DirEntry::decode(b))
+                .filter(|e| e.alive)
+                .map(|e| (e.id, e.key.to_owned(), e.item_page, e.item_slot))
                 .collect()
         })
     }
@@ -407,6 +443,7 @@ impl ItemList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::keyed;
     use oodb_core::prelude::analyze;
 
     fn list() -> (ItemList, Recorder) {
@@ -420,14 +457,20 @@ mod tests {
     fn insert_read_roundtrip() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let a = l.insert(&mut ctx, "DBS", "database systems");
-        let b = l.insert(&mut ctx, "DBMS", "management systems");
+        let a = l.insert(&mut ctx, "DBS", "database systems", &keyed("insert", "DBS"));
+        let b = l.insert(
+            &mut ctx,
+            "DBMS",
+            "management systems",
+            &keyed("insert", "DBMS"),
+        );
         assert_eq!(
-            l.read_item(&mut ctx, a).as_deref(),
+            l.read_item(&mut ctx, a, &keyed("search", "DBS")).as_deref(),
             Some("database systems")
         );
         assert_eq!(
-            l.read_item(&mut ctx, b).as_deref(),
+            l.read_item(&mut ctx, b, &keyed("search", "DBMS"))
+                .as_deref(),
             Some("management systems")
         );
         assert_eq!(l.len(), 2);
@@ -438,13 +481,17 @@ mod tests {
     fn update_changes_text_even_across_relocation() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let id = l.insert(&mut ctx, "DBMS", "v1");
-        assert!(l.update_item(&mut ctx, id, "v2"));
-        assert_eq!(l.read_item(&mut ctx, id).as_deref(), Some("v2"));
+        let id = l.insert(&mut ctx, "DBMS", "v1", &keyed("insert", "DBMS"));
+        assert!(l.update_item(&mut ctx, id, "v2", &keyed("update", "DBMS")));
+        let search = keyed("search", "DBMS");
+        assert_eq!(l.read_item(&mut ctx, id, &search).as_deref(), Some("v2"));
         // force relocation with a much larger payload
         let long = "x".repeat(180);
-        assert!(l.update_item(&mut ctx, id, &long));
-        assert_eq!(l.read_item(&mut ctx, id).as_deref(), Some(long.as_str()));
+        assert!(l.update_item(&mut ctx, id, &long, &keyed("update", "DBMS")));
+        assert_eq!(
+            l.read_item(&mut ctx, id, &search).as_deref(),
+            Some(long.as_str())
+        );
         drop(ctx);
     }
 
@@ -452,10 +499,10 @@ mod tests {
     fn remove_hides_item() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let id = l.insert(&mut ctx, "DBS", "text");
-        assert!(l.remove(&mut ctx, id));
-        assert!(!l.remove(&mut ctx, id));
-        assert_eq!(l.read_item(&mut ctx, id), None);
+        let id = l.insert(&mut ctx, "DBS", "text", &keyed("insert", "DBS"));
+        assert!(l.remove(&mut ctx, id, &keyed("delete", "DBS")));
+        assert!(!l.remove(&mut ctx, id, &keyed("delete", "DBS")));
+        assert_eq!(l.read_item(&mut ctx, id, &keyed("search", "DBS")), None);
         assert!(l.is_empty());
         drop(ctx);
     }
@@ -466,7 +513,8 @@ mod tests {
         let mut ctx = rec.begin_txn("T1");
         let n = 40; // enough to overflow 256-byte directory pages
         for i in 0..n {
-            l.insert(&mut ctx, &format!("k{i:02}"), &format!("text{i}"));
+            let key = format!("k{i:02}");
+            l.insert(&mut ctx, &key, &format!("text{i}"), &keyed("insert", &key));
         }
         let seq = l.read_seq(&mut ctx);
         assert_eq!(seq.len(), n);
@@ -475,7 +523,10 @@ mod tests {
             assert_eq!(key, &format!("k{i:02}"));
             assert_eq!(text, &format!("text{i}"));
         }
-        assert!(l.state().chain.len() > 1, "directory chain must have grown");
+        assert!(
+            l.state.read().chain.len() > 1,
+            "directory chain must have grown"
+        );
         drop(ctx);
     }
 
@@ -485,14 +536,14 @@ mod tests {
         // depend on each other when interleaved around the same item
         let (l, rec) = list();
         let mut setup = rec.begin_txn("Setup");
-        let id = l.insert(&mut setup, "DBMS", "v1");
+        let id = l.insert(&mut setup, "DBMS", "v1", &keyed("insert", "DBMS"));
         drop(setup);
         let mut t2 = rec.begin_txn("T2");
         let mut t4 = rec.begin_txn("T4");
         // T4 scans, then T2 updates, then T4 scans again: T4 sees both
         // versions — non-serializable
         l.read_seq(&mut t4);
-        l.update_item(&mut t2, id, "v2");
+        l.update_item(&mut t2, id, "v2", &keyed("update", "DBMS"));
         l.read_seq(&mut t4);
         drop(t2);
         drop(t4);
@@ -505,11 +556,11 @@ mod tests {
     fn single_scan_and_update_is_serializable() {
         let (l, rec) = list();
         let mut setup = rec.begin_txn("Setup");
-        let id = l.insert(&mut setup, "DBMS", "v1");
+        let id = l.insert(&mut setup, "DBMS", "v1", &keyed("insert", "DBMS"));
         drop(setup);
         let mut t2 = rec.begin_txn("T2");
         let mut t4 = rec.begin_txn("T4");
-        l.update_item(&mut t2, id, "v2");
+        l.update_item(&mut t2, id, "v2", &keyed("update", "DBMS"));
         l.read_seq(&mut t4);
         drop(t2);
         drop(t4);

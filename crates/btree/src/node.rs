@@ -51,7 +51,102 @@ pub struct Node {
     pub entries: Vec<Entry>,
 }
 
+/// What a read-only descent learns from one node about one key
+/// ([`Node::probe`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The key is at or above the node's high key: chase the right link.
+    Chase(PageId),
+    /// Inner node: descend into this child.
+    Child(PageId),
+    /// Leaf: the key's value, if present.
+    Leaf(Option<u64>),
+}
+
+/// Borrowed view of an encoded node: the fixed header parsed, the high
+/// key and the entries left in place. Read-only descents work on this
+/// under the page's shared latch; only mutators pay for [`Node::decode`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EncodedNode<'a> {
+    pub(crate) is_leaf: bool,
+    pub(crate) right_link: Option<PageId>,
+    pub(crate) first_child: Option<PageId>,
+    high_key: Option<&'a [u8]>,
+    count: usize,
+    /// `count` × `{ u16 key_len, key bytes, u64 value }`.
+    entries: &'a [u8],
+}
+
+fn link(raw: u32) -> Option<PageId> {
+    raw.checked_sub(1).map(PageId)
+}
+
+impl<'a> EncodedNode<'a> {
+    /// Parse the header of [`Node::encode`]'s output.
+    pub(crate) fn parse(mut buf: &'a [u8]) -> Self {
+        let is_leaf = buf.get_u8() != 0;
+        let count = buf.get_u16_le() as usize;
+        let right_link = link(buf.get_u32_le());
+        let first_child = link(buf.get_u32_le());
+        let hk_len = buf.get_u16_le();
+        let high_key = (hk_len != u16::MAX).then(|| {
+            let (h, rest) = buf.split_at(hk_len as usize);
+            buf = rest;
+            h
+        });
+        EncodedNode {
+            is_leaf,
+            right_link,
+            first_child,
+            high_key,
+            count,
+            entries: buf,
+        }
+    }
+
+    /// The entries in key order, borrowed from the page.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&'a str, u64)> {
+        let mut buf = self.entries;
+        (0..self.count).map(move |_| {
+            let klen = buf.get_u16_le() as usize;
+            let (key, rest) = buf.split_at(klen);
+            buf = rest;
+            let key = std::str::from_utf8(key).expect("keys are utf-8");
+            (key, buf.get_u64_le())
+        })
+    }
+
+    /// Linear over at most fanout + 1 entries. `str` orders by bytes, so
+    /// the comparisons agree with [`Node::must_chase`],
+    /// [`Node::child_for`] and [`Node::get`].
+    pub(crate) fn probe(&self, key: &str) -> Probe {
+        if self.high_key.is_some_and(|h| key.as_bytes() >= h) {
+            return Probe::Chase(self.right_link.expect("high key implies right link"));
+        }
+        if self.is_leaf {
+            let hit = self
+                .entries()
+                .take_while(|(k, _)| *k <= key)
+                .find(|(k, _)| *k == key);
+            return Probe::Leaf(hit.map(|(_, v)| v));
+        }
+        let child = self
+            .entries()
+            .take_while(|(k, _)| *k <= key)
+            .last()
+            .map(|(_, v)| PageId(v as u32))
+            .unwrap_or_else(|| self.first_child.expect("inner node has first child"));
+        Probe::Child(child)
+    }
+}
+
 impl Node {
+    /// Answer a read-only descent's question about `key` from the encoded
+    /// node in place — no `Node`, no `String`s.
+    pub fn probe(encoded: &[u8], key: &str) -> Probe {
+        EncodedNode::parse(encoded).probe(key)
+    }
+
     /// An empty leaf.
     pub fn leaf() -> Self {
         Node {
@@ -195,39 +290,23 @@ impl Node {
                 .sum::<usize>()
     }
 
-    /// Deserialize from record bytes.
-    pub fn decode(mut buf: &[u8]) -> Node {
-        let is_leaf = buf.get_u8() != 0;
-        let n = buf.get_u16_le() as usize;
-        let right_link = match buf.get_u32_le() {
-            0 => None,
-            p => Some(PageId(p - 1)),
-        };
-        let first_child = match buf.get_u32_le() {
-            0 => None,
-            p => Some(PageId(p - 1)),
-        };
-        let hk_len = buf.get_u16_le();
-        let high_key = if hk_len == u16::MAX {
-            None
-        } else {
-            let bytes = buf.copy_to_bytes(hk_len as usize);
-            Some(String::from_utf8(bytes.to_vec()).expect("keys are utf-8"))
-        };
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let klen = buf.get_u16_le() as usize;
-            let kb = buf.copy_to_bytes(klen);
-            let key = String::from_utf8(kb.to_vec()).expect("keys are utf-8");
-            let value = buf.get_u64_le();
-            entries.push(Entry { key, value });
-        }
+    /// Deserialize from record bytes into an owned, mutable node.
+    pub fn decode(buf: &[u8]) -> Node {
+        let encoded = EncodedNode::parse(buf);
         Node {
-            is_leaf,
-            right_link,
-            first_child,
-            high_key,
-            entries,
+            is_leaf: encoded.is_leaf,
+            right_link: encoded.right_link,
+            first_child: encoded.first_child,
+            high_key: encoded
+                .high_key
+                .map(|h| String::from_utf8(h.to_vec()).expect("keys are utf-8")),
+            entries: encoded
+                .entries()
+                .map(|(key, value)| Entry {
+                    key: key.to_owned(),
+                    value,
+                })
+                .collect(),
         }
     }
 
@@ -368,6 +447,91 @@ mod tests {
         assert!(n.must_chase("K"));
         assert!(n.must_chase("Z"));
         assert!(!n.must_chase("A"));
+    }
+
+    #[test]
+    fn probe_answers_from_the_encoded_bytes() {
+        let mut leaf = sample_leaf();
+        leaf.right_link = Some(PageId(7));
+        leaf.high_key = Some("K".to_owned());
+        let bytes = leaf.encode();
+        assert_eq!(Node::probe(&bytes, "DBS"), Probe::Leaf(Some(1)));
+        assert_eq!(Node::probe(&bytes, "DBT"), Probe::Leaf(None));
+        assert_eq!(Node::probe(&bytes, "A"), Probe::Leaf(None));
+        assert_eq!(Node::probe(&bytes, "K"), Probe::Chase(PageId(7)));
+        let mut inner = Node::inner(PageId(10));
+        inner.upsert("M", 20);
+        inner.upsert("T", 30);
+        let bytes = inner.encode();
+        assert_eq!(Node::probe(&bytes, "A"), Probe::Child(PageId(10)));
+        assert_eq!(Node::probe(&bytes, "M"), Probe::Child(PageId(20)));
+        assert_eq!(Node::probe(&bytes, "P"), Probe::Child(PageId(20)));
+        assert_eq!(Node::probe(&bytes, "Z"), Probe::Child(PageId(30)));
+        assert_eq!(
+            Node::probe(&Node::leaf().encode(), "A"),
+            Probe::Leaf(None),
+            "empty node"
+        );
+    }
+
+    mod probe_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn k(i: u8) -> String {
+            format!("k{i:02}")
+        }
+
+        /// A valid leaf or inner node over a small key domain, so probes
+        /// land below the first entry, on entries, between them, on the
+        /// high key and above it; zero entries included.
+        fn nodes() -> impl Strategy<Value = Node> {
+            (
+                any::<bool>(),
+                prop::collection::vec(0u8..40, 0..9),
+                prop::option::of(40u8..44),
+            )
+                .prop_map(|(is_leaf, mut keys, high)| {
+                    keys.sort_unstable();
+                    keys.dedup();
+                    Node {
+                        is_leaf,
+                        right_link: high.map(|_| PageId(99)),
+                        first_child: (!is_leaf).then_some(PageId(50)),
+                        high_key: high.map(k),
+                        entries: keys
+                            .into_iter()
+                            .map(|i| Entry {
+                                key: k(i),
+                                value: 100 + u64::from(i),
+                            })
+                            .collect(),
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The in-place probe is the decode-based
+            /// `must_chase` / `child_for` / `get`, on every key.
+            #[test]
+            fn probe_equals_the_decoded_node(node in nodes(), probe in 0u8..46) {
+                node.check_invariants().map_err(TestCaseError::fail)?;
+                let bytes = node.encode();
+                let decoded = Node::decode(&bytes);
+                prop_assert_eq!(&decoded, &node);
+                let key = k(probe);
+                let want = if decoded.must_chase(&key) {
+                    Probe::Chase(decoded.right_link.expect("high key implies right link"))
+                } else if decoded.is_leaf {
+                    Probe::Leaf(decoded.get(&key))
+                } else {
+                    Probe::Child(decoded.child_for(&key))
+                };
+                prop_assert_eq!(Node::probe(&bytes, &key), want);
+            }
+        }
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //! All operations take `&self`; the tree is shared freely across worker
 //! threads.
 
-use crate::latch::{is_safe, read_latched, write_latched, write_node, Retained};
-use crate::node::{Node, MAX_KEY_LEN};
-use oodb_core::commutativity::{ActionDescriptor, RangeSpec, ReadWriteSpec};
+use crate::latch::{
+    is_safe, node_record, read_latched, with_encoded, write_latched, write_node, Retained,
+};
+use crate::node::{Node, Probe, MAX_KEY_LEN};
+use crate::objects::{ObjectIds, ObjectKey};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, RangeSpec};
 use oodb_core::ids::ObjectIdx;
 use oodb_core::value::key as keyval;
 use oodb_model::{Recorder, TxnCtx};
-use oodb_storage::{BufferManager, PageExclusive, PageId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use oodb_storage::{BufferManager, PageExclusive, PageId, PageShared};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Smallest page size that always fits a node of `fanout` entries plus
@@ -41,10 +44,17 @@ pub fn required_page_size(fanout: usize) -> usize {
     node + 6 + 4
 }
 
+/// The descriptor of a keyed operation, built once per operation and
+/// shared by every level that records it.
+pub(crate) fn keyed(method: &str, key: &str) -> DescriptorRef {
+    ActionDescriptor::new(method, vec![keyval(key)]).into()
+}
+
 /// A recorded, latch-coupled B-link tree.
 pub struct BLinkTree {
     mgr: BufferManager,
-    rec: Recorder,
+    /// Recorder ids of this tree's node and page objects.
+    objects: ObjectIds,
     name: String,
     tree_obj: ObjectIdx,
     /// Immutable: root splits rewrite this page in place.
@@ -56,7 +66,7 @@ pub struct BLinkTree {
     /// coincide with an ancestor's object, the Definition 5 cycle).
     /// Written only under the root's exclusive latch; read during
     /// descents, which always hold at least the root's shared latch.
-    root_epoch: AtomicU64,
+    root_epoch: AtomicU32,
     fanout: usize,
 }
 
@@ -86,11 +96,11 @@ impl BLinkTree {
         drop(root_pin);
         BLinkTree {
             mgr,
-            rec,
+            objects: ObjectIds::new(rec, &name),
             name,
             tree_obj,
             root,
-            root_epoch: AtomicU64::new(0),
+            root_epoch: AtomicU32::new(0),
             fanout,
         }
     }
@@ -116,46 +126,66 @@ impl BLinkTree {
         } else {
             0 // non-root pages are never reused: stable 1:1 binding
         };
-        let name = if epoch == 0 {
-            format!("{}.N{}", self.name, page.0)
-        } else {
-            format!("{}.N{}g{}", self.name, page.0, epoch)
-        };
-        self.rec
-            .object(&name, Arc::new(RangeSpec::ordered_container("btree-node")))
+        self.objects.get(ObjectKey::Node { page, epoch })
     }
 
     fn page_object(&self, page: PageId) -> ObjectIdx {
-        self.rec
-            .object(&format!("Page{}", page.0), Arc::new(ReadWriteSpec))
+        self.objects.get(ObjectKey::Page(page))
+    }
+
+    /// Record the visit of a node whose latch the caller holds: the
+    /// operation `descriptor` on the node object and the page read under
+    /// it, in one recorder acquisition. The first visit of an operation
+    /// (`tree_level`: the cursor is still where the operation found it)
+    /// also opens the tree-level action around them. Leaves the node
+    /// action (and the tree action) open.
+    fn record_visit(
+        &self,
+        ctx: &mut TxnCtx,
+        page: PageId,
+        descriptor: &DescriptorRef,
+        tree_level: bool,
+    ) {
+        let node = (self.node_object(page), descriptor);
+        let read = DescriptorRef::read();
+        let page_read = Some((self.page_object(page), &read));
+        if tree_level {
+            ctx.record(&[(self.tree_obj, descriptor), node], page_read);
+        } else {
+            ctx.record(&[node], page_read);
+        }
     }
 
     /// Unlatched node read for single-threaded diagnostics
     /// (depth/integrity/dump).
     fn read_node_raw(&self, page: PageId) -> Node {
         let pin = self.mgr.pool().fetch(page).expect("tree pages exist");
-        pin.read(|p| Node::decode(p.read(0).expect("node record present")))
+        pin.read(|p| Node::decode(node_record(p)))
     }
 
     /// Insert `key → value`. Overwrites silently on duplicate key and
     /// returns `false` in that case.
     pub fn insert(&self, ctx: &mut TxnCtx, key: &str, value: u64) -> bool {
+        self.insert_as(ctx, key, value, &keyed("insert", key))
+    }
+
+    /// [`insert`](Self::insert) recording the caller's `insert(key)`
+    /// descriptor at the tree and node levels.
+    pub(crate) fn insert_as(
+        &self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        value: u64,
+        descriptor: &DescriptorRef,
+    ) -> bool {
         assert!(key.len() <= MAX_KEY_LEN, "key longer than MAX_KEY_LEN");
-        ctx.enter(
-            self.tree_obj,
-            ActionDescriptor::new("insert", vec![keyval(key)]),
-        );
         // X-latch-coupled descent retaining ancestors of unsafe children;
         // every record call happens under the node's latch.
         let mut retained = Retained::new();
-        let mut depth_entered = 0usize;
+        let base = ctx.depth();
         let (mut page, mut node) = write_latched(&self.mgr, self.root);
         loop {
-            ctx.enter(
-                self.node_object(page.id()),
-                ActionDescriptor::new("insert", vec![keyval(key)]),
-            );
-            ctx.page_read(self.page_object(page.id()));
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
             if node.must_chase(key) {
                 // B-link chase (safety net — splits are atomic under the
                 // retained latches, so a writer normally never sees one):
@@ -171,7 +201,6 @@ impl BLinkTree {
                 // no split below can reach any ancestor: release them all
                 retained.release_all();
             }
-            depth_entered += 1;
             if node.is_leaf {
                 break;
             }
@@ -187,28 +216,7 @@ impl BLinkTree {
         // retained.
         let fresh = node.upsert(key, value);
         if node.entries.len() > self.fanout {
-            if page.id() == self.root {
-                // root is the leaf: split it in place
-                self.split_root_in_place(ctx, &page, &mut node);
-                drop(page);
-            } else {
-                let (sep, right) = node.split();
-                let right_pin = self.mgr.allocate().expect("allocating split page");
-                let right_page = right_pin.id();
-                // split() already handed the old right link and high key
-                // to the new sibling; B-link: left now points at the
-                // sibling before the father learns anything
-                node.right_link = Some(right_page);
-                write_node(&right_pin, &right);
-                ctx.page_write(self.page_object(right_page));
-                write_node(&page, &node);
-                ctx.page_write(self.page_object(page.id()));
-                drop(right_pin);
-                drop(page);
-                // rearrange the father — a separate subtransaction called
-                // from this insert (the Definition 5 call-path cycle)
-                self.rearrange(ctx, &mut retained, sep, right_page);
-            }
+            self.split(ctx, &mut retained, page, node);
         } else {
             write_node(&page, &node);
             ctx.page_write(self.page_object(page.id()));
@@ -217,11 +225,42 @@ impl BLinkTree {
         retained.release_all();
 
         // close leaf + descent actions + the tree-level insert
-        for _ in 0..depth_entered {
-            ctx.exit();
-        }
-        ctx.exit();
+        ctx.exit_to(base);
         fresh
+    }
+
+    /// Split the overflowed, exclusively latched `node` — in place if it
+    /// is the root, otherwise B-link style with the father rearranged as
+    /// a separate subtransaction of the action currently open.
+    fn split(
+        &self,
+        ctx: &mut TxnCtx,
+        retained: &mut Retained,
+        page: PageExclusive,
+        mut node: Node,
+    ) {
+        if page.id() == self.root {
+            // the nested action lands on the fresh root object, off the
+            // caller's call path
+            self.split_root_in_place(ctx, &page, &mut node);
+            return;
+        }
+        let (sep, right) = node.split();
+        let right_pin = self.mgr.allocate().expect("allocating split page");
+        let right_page = right_pin.id();
+        // split() already handed the old right link and high key to the
+        // new sibling; B-link: left now points at the sibling before the
+        // father learns anything
+        node.right_link = Some(right_page);
+        write_node(&right_pin, &right);
+        ctx.page_write(self.page_object(right_page));
+        write_node(&page, &node);
+        ctx.page_write(self.page_object(page.id()));
+        drop(right_pin);
+        drop(page);
+        // rearrange the father — a separate subtransaction called from
+        // the open action (the Definition 5 call-path cycle)
+        self.rearrange(ctx, retained, sep, right_page);
     }
 
     /// Install `separator → child` in the father (splitting upward as
@@ -238,33 +277,12 @@ impl BLinkTree {
         let (page, mut node) = retained
             .pop()
             .expect("a splitting node's father is always retained");
-        ctx.enter(
-            self.node_object(page.id()),
-            ActionDescriptor::new("rearrange", vec![keyval(&separator)]),
-        );
-        ctx.page_read(self.page_object(page.id()));
+        self.record_visit(ctx, page.id(), &keyed("rearrange", &separator), false);
         node.upsert(&separator, child.0 as u64);
         if node.entries.len() > self.fanout {
-            if page.id() == self.root {
-                // rewrite in place; the nested action lands on the fresh
-                // root object, off this rearrange's call path
-                self.split_root_in_place(ctx, &page, &mut node);
-                drop(page);
-            } else {
-                let (sep2, right) = node.split();
-                let right_pin = self.mgr.allocate().expect("allocating split page");
-                let right_page = right_pin.id();
-                node.right_link = Some(right_page);
-                write_node(&right_pin, &right);
-                ctx.page_write(self.page_object(right_page));
-                write_node(&page, &node);
-                ctx.page_write(self.page_object(page.id()));
-                drop(right_pin);
-                drop(page);
-                // the father's father is rearranged from within this
-                // rearrangement
-                self.rearrange(ctx, retained, sep2, right_page);
-            }
+            // the father's father is rearranged from within this
+            // rearrangement
+            self.split(ctx, retained, page, node);
         } else {
             write_node(&page, &node);
             ctx.page_write(self.page_object(page.id()));
@@ -292,10 +310,7 @@ impl BLinkTree {
         // safe to bump before the writes: we hold the root's exclusive
         // latch, so no concurrent descent can observe the half-made epoch
         self.root_epoch.fetch_add(1, Ordering::AcqRel);
-        ctx.enter(
-            self.node_object(root_page.id()),
-            ActionDescriptor::new("rearrange", vec![keyval(&sep)]),
-        );
+        ctx.enter(self.node_object(root_page.id()), keyed("rearrange", &sep));
         let left_pin = self.mgr.allocate().expect("allocating root left half");
         let right_pin = self.mgr.allocate().expect("allocating root right half");
         // left half keeps chaining to the right half; the right half
@@ -312,88 +327,94 @@ impl BLinkTree {
         ctx.exit();
     }
 
+    /// S-latch-coupled descent to the leaf responsible for `key`,
+    /// recording `descriptor` at the tree level and at every node visited
+    /// and probing each node in place. Returns the still-latched leaf
+    /// and what it holds for `key`; the tree-level action and one action
+    /// per node on the path are left open above the cursor's depth at
+    /// entry.
+    fn descend_shared(
+        &self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        descriptor: &DescriptorRef,
+    ) -> (PageShared, Option<u64>) {
+        let base = ctx.depth();
+        let mut page = read_latched(&self.mgr, self.root);
+        loop {
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
+            // coupling: the next node is latched before this one is
+            // released (the assignment drops the old guard)
+            match with_encoded(&page, |node| node.probe(key)) {
+                Probe::Chase(right) => {
+                    ctx.exit();
+                    page = read_latched(&self.mgr, right);
+                }
+                Probe::Child(child) => page = read_latched(&self.mgr, child),
+                Probe::Leaf(hit) => return (page, hit),
+            }
+        }
+    }
+
     /// Exact-match lookup. S-latch-coupled descent.
     pub fn search(&self, ctx: &mut TxnCtx, key: &str) -> Option<u64> {
-        ctx.enter(
-            self.tree_obj,
-            ActionDescriptor::new("search", vec![keyval(key)]),
-        );
-        let mut depth_entered = 0usize;
-        let (mut page, mut node) = read_latched(&self.mgr, self.root);
-        let result = loop {
-            ctx.enter(
-                self.node_object(page.id()),
-                ActionDescriptor::new("search", vec![keyval(key)]),
-            );
-            ctx.page_read(self.page_object(page.id()));
-            if node.must_chase(key) {
-                ctx.exit();
-                let right = node.right_link.expect("high key implies right link");
-                let (rp, rn) = read_latched(&self.mgr, right);
-                page = rp;
-                node = rn;
-                continue;
-            }
-            depth_entered += 1;
-            if node.is_leaf {
-                break node.get(key);
-            }
-            let child = node.child_for(key);
-            let (cp, cn) = read_latched(&self.mgr, child);
-            // coupling: child latched before the parent is released
-            page = cp;
-            node = cn;
-        };
-        drop(page);
-        for _ in 0..depth_entered {
-            ctx.exit();
-        }
-        ctx.exit();
-        result
+        self.search_as(ctx, key, &keyed("search", key))
+    }
+
+    /// [`search`](Self::search) recording the caller's `search(key)`
+    /// descriptor at the tree and node levels.
+    pub(crate) fn search_as(
+        &self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        descriptor: &DescriptorRef,
+    ) -> Option<u64> {
+        let base = ctx.depth();
+        let (leaf, hit) = self.descend_shared(ctx, key, descriptor);
+        drop(leaf);
+        ctx.exit_to(base);
+        hit
     }
 
     /// Remove `key`; returns its value if present. Lazy: leaves are never
     /// merged, so the X-latch-coupled descent retains nothing.
     pub fn delete(&self, ctx: &mut TxnCtx, key: &str) -> Option<u64> {
-        ctx.enter(
-            self.tree_obj,
-            ActionDescriptor::new("delete", vec![keyval(key)]),
-        );
-        let mut depth_entered = 0usize;
-        let (mut page, mut node) = write_latched(&self.mgr, self.root);
+        self.delete_as(ctx, key, &keyed("delete", key))
+    }
+
+    /// [`delete`](Self::delete) recording the caller's `delete(key)`
+    /// descriptor at the tree and node levels.
+    pub(crate) fn delete_as(
+        &self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        descriptor: &DescriptorRef,
+    ) -> Option<u64> {
+        let base = ctx.depth();
+        let mut page = self.mgr.write_page(self.root).expect("tree pages exist");
         let removed = loop {
-            ctx.enter(
-                self.node_object(page.id()),
-                ActionDescriptor::new("delete", vec![keyval(key)]),
-            );
-            ctx.page_read(self.page_object(page.id()));
-            if node.must_chase(key) {
-                ctx.exit();
-                let right = node.right_link.expect("high key implies right link");
-                let (rp, rn) = write_latched(&self.mgr, right);
-                page = rp;
-                node = rn;
-                continue;
-            }
-            depth_entered += 1;
-            if node.is_leaf {
-                let removed = node.remove(key);
-                if removed.is_some() {
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
+            match page.read(|p| Node::probe(node_record(p), key)) {
+                Probe::Chase(right) => {
+                    ctx.exit();
+                    page = self.mgr.write_page(right).expect("tree pages exist");
+                }
+                Probe::Child(child) => {
+                    page = self.mgr.write_page(child).expect("tree pages exist");
+                }
+                Probe::Leaf(None) => break None,
+                Probe::Leaf(Some(_)) => {
+                    // only the leaf that loses the key is decoded
+                    let mut node = page.read(|p| Node::decode(node_record(p)));
+                    let removed = node.remove(key);
                     write_node(&page, &node);
                     ctx.page_write(self.page_object(page.id()));
+                    break removed;
                 }
-                break removed;
             }
-            let child = node.child_for(key);
-            let (cp, cn) = write_latched(&self.mgr, child);
-            page = cp;
-            node = cn;
         };
         drop(page);
-        for _ in 0..depth_entered {
-            ctx.exit();
-        }
-        ctx.exit();
+        ctx.exit_to(base);
         removed
     }
 
@@ -403,55 +424,22 @@ impl BLinkTree {
     /// chain (each leaf's sibling is latched before the leaf is
     /// released).
     pub fn scan(&self, ctx: &mut TxnCtx) -> Vec<(String, u64)> {
-        ctx.enter(self.tree_obj, ActionDescriptor::nullary("readSeq"));
+        let scan: DescriptorRef = ActionDescriptor::nullary("readSeq").into();
         // descend the leftmost spine
-        let mut depth_entered = 0usize;
-        let (mut page, mut node) = read_latched(&self.mgr, self.root);
+        let base = ctx.depth();
+        let mut page = read_latched(&self.mgr, self.root);
         loop {
-            ctx.enter(
-                self.node_object(page.id()),
-                ActionDescriptor::nullary("readSeq"),
-            );
-            ctx.page_read(self.page_object(page.id()));
-            depth_entered += 1;
-            if node.is_leaf {
-                break;
-            }
-            let child = node.first_child.expect("inner node has first child");
-            let (cp, cn) = read_latched(&self.mgr, child);
-            page = cp;
-            node = cn;
-        }
-        // walk the chain
-        let mut out = Vec::new();
-        let mut first = true;
-        loop {
-            if !first {
-                ctx.enter(
-                    self.node_object(page.id()),
-                    ActionDescriptor::nullary("readSeq"),
-                );
-                ctx.page_read(self.page_object(page.id()));
-                ctx.exit();
-            }
-            for e in &node.entries {
-                out.push((e.key.clone(), e.value));
-            }
-            first = false;
-            match node.right_link {
-                Some(next) => {
-                    let (np, nn) = read_latched(&self.mgr, next);
-                    page = np;
-                    node = nn;
-                }
+            self.record_visit(ctx, page.id(), &scan, ctx.depth() == base);
+            let child = with_encoded(&page, |node| {
+                (!node.is_leaf).then(|| node.first_child.expect("inner node has first child"))
+            });
+            match child {
+                Some(child) => page = read_latched(&self.mgr, child),
                 None => break,
             }
         }
-        drop(page);
-        for _ in 0..depth_entered {
-            ctx.exit();
-        }
-        ctx.exit();
+        let out = self.walk_chain(ctx, page, &scan, |_| true, |_| false);
+        ctx.exit_to(base);
         out
     }
 
@@ -460,67 +448,63 @@ impl BLinkTree {
     /// the updates whose key falls inside the interval: semantic phantom
     /// protection (§1 of the paper lists phantoms among the anomalies).
     pub fn range(&self, ctx: &mut TxnCtx, lo: &str, hi: &str) -> Vec<(String, u64)> {
-        let scan = ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]);
-        ctx.enter(self.tree_obj, scan.clone());
+        let scan = ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]).into();
+        self.range_as(ctx, lo, hi, &scan)
+    }
+
+    /// [`range`](Self::range) recording the caller's `rangeScan(lo,hi)`
+    /// descriptor at the tree and node levels.
+    pub(crate) fn range_as(
+        &self,
+        ctx: &mut TxnCtx,
+        lo: &str,
+        hi: &str,
+        descriptor: &DescriptorRef,
+    ) -> Vec<(String, u64)> {
         // descend to the leaf responsible for lo; every visited node is
         // entered with the rangeScan descriptor (the scan semantically
         // reads that node's slice of the interval — this is what makes an
         // in-range insert into the same leaf a conflict, i.e. phantom
         // protection)
-        let mut depth_entered = 0usize;
-        let (mut page, mut node) = read_latched(&self.mgr, self.root);
-        loop {
-            ctx.enter(self.node_object(page.id()), scan.clone());
-            ctx.page_read(self.page_object(page.id()));
-            if node.must_chase(lo) {
-                ctx.exit();
-                let right = node.right_link.expect("high key implies right link");
-                let (rp, rn) = read_latched(&self.mgr, right);
-                page = rp;
-                node = rn;
-                continue;
-            }
-            depth_entered += 1;
-            if node.is_leaf {
-                break;
-            }
-            let child = node.child_for(lo);
-            let (cp, cn) = read_latched(&self.mgr, child);
-            page = cp;
-            node = cn;
-        }
-        // walk the chain collecting keys in [lo, hi]
+        let base = ctx.depth();
+        let (leaf, _) = self.descend_shared(ctx, lo, descriptor);
+        let out = self.walk_chain(ctx, leaf, descriptor, |k| k >= lo, |k| k > hi);
+        ctx.exit_to(base);
+        out
+    }
+
+    /// Walk the leaf chain rightward from the latched, already recorded
+    /// `leaf`, collecting the entries `keep` accepts until `past` says a
+    /// key lies beyond the scan or the chain ends. Every further leaf is
+    /// latched before the previous one is released and recorded as one
+    /// closed visit of `descriptor`.
+    fn walk_chain(
+        &self,
+        ctx: &mut TxnCtx,
+        leaf: PageShared,
+        descriptor: &DescriptorRef,
+        keep: impl Fn(&str) -> bool,
+        past: impl Fn(&str) -> bool,
+    ) -> Vec<(String, u64)> {
         let mut out = Vec::new();
-        let mut first = true;
-        'chain: loop {
-            if !first {
-                ctx.enter(self.node_object(page.id()), scan.clone());
-                ctx.page_read(self.page_object(page.id()));
-                ctx.exit();
-            }
-            for e in &node.entries {
-                if e.key.as_str() > hi {
-                    break 'chain;
+        let mut page = leaf;
+        loop {
+            let next = with_encoded(&page, |node| {
+                for (k, v) in node.entries() {
+                    if past(k) {
+                        return None;
+                    }
+                    if keep(k) {
+                        out.push((k.to_owned(), v));
+                    }
                 }
-                if e.key.as_str() >= lo {
-                    out.push((e.key.clone(), e.value));
-                }
-            }
-            first = false;
-            match node.right_link {
-                Some(next) => {
-                    let (np, nn) = read_latched(&self.mgr, next);
-                    page = np;
-                    node = nn;
-                }
-                None => break,
-            }
-        }
-        drop(page);
-        for _ in 0..depth_entered {
+                node.right_link
+            });
+            let Some(next) = next else { break };
+            page = read_latched(&self.mgr, next);
+            self.record_visit(ctx, page.id(), descriptor, false);
             ctx.exit();
         }
-        ctx.exit();
         out
     }
 

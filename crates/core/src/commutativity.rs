@@ -11,7 +11,8 @@
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// What the commutativity test sees of an action: the method name plus its
 /// parameter values, i.e. the paper's `m(parameters)`.
@@ -53,6 +54,90 @@ impl fmt::Display for ActionDescriptor {
             write!(f, "{a}")?;
         }
         write!(f, ")")
+    }
+}
+
+/// Shared, immutable handle to an [`ActionDescriptor`] — the form in
+/// which an action of the record stores its `m(parameters)`.
+///
+/// One operation's descriptor is recorded at every level of its call
+/// path (`Enc.search(k)` → `BpTree.search(k)` → each node's `search(k)`),
+/// so the levels share one allocation through [`Clone`]. The two page
+/// primitives, [`DescriptorRef::read`] and [`DescriptorRef::write`],
+/// borrow process-wide constants instead: recording a page access neither
+/// allocates nor touches a reference count that other threads write.
+///
+/// Dereferences to the descriptor; equality, hashing and display are the
+/// descriptor's own, so a shared handle and a freshly built descriptor
+/// with the same method and arguments are indistinguishable to the
+/// commutativity test.
+#[derive(Clone)]
+pub struct DescriptorRef(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Static(&'static ActionDescriptor),
+    Shared(Arc<ActionDescriptor>),
+}
+
+impl DescriptorRef {
+    /// The nullary page primitive `read()`.
+    pub fn read() -> Self {
+        static READ: OnceLock<ActionDescriptor> = OnceLock::new();
+        DescriptorRef(Repr::Static(
+            READ.get_or_init(|| ActionDescriptor::nullary("read")),
+        ))
+    }
+
+    /// The nullary page primitive `write()`.
+    pub fn write() -> Self {
+        static WRITE: OnceLock<ActionDescriptor> = OnceLock::new();
+        DescriptorRef(Repr::Static(
+            WRITE.get_or_init(|| ActionDescriptor::nullary("write")),
+        ))
+    }
+}
+
+impl From<ActionDescriptor> for DescriptorRef {
+    fn from(d: ActionDescriptor) -> Self {
+        DescriptorRef(Repr::Shared(Arc::new(d)))
+    }
+}
+
+impl Deref for DescriptorRef {
+    type Target = ActionDescriptor;
+
+    fn deref(&self) -> &ActionDescriptor {
+        match &self.0 {
+            Repr::Static(d) => d,
+            Repr::Shared(d) => d,
+        }
+    }
+}
+
+impl PartialEq for DescriptorRef {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DescriptorRef {}
+
+impl std::hash::Hash for DescriptorRef {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Debug for DescriptorRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for DescriptorRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
     }
 }
 
@@ -537,6 +622,33 @@ mod tests {
         let compact = d("compact", vec![]);
         assert!(!s.commutes(&compact, &d("insert", vec![key("C")])));
         assert!(!s.commutes(&compact, &compact.clone()));
+    }
+
+    #[test]
+    fn shared_handles_are_value_identical_to_fresh_descriptors() {
+        use std::collections::HashSet;
+        let fresh = d("search", vec![key("DBS")]);
+        let shared = DescriptorRef::from(fresh.clone());
+        let level2 = shared.clone();
+        assert_eq!(*shared, fresh);
+        assert_eq!(shared, level2);
+        assert_eq!(shared.to_string(), fresh.to_string());
+        assert_eq!(format!("{shared:?}"), format!("{fresh:?}"));
+        // the page constants equal the descriptors executors used to build
+        assert_eq!(*DescriptorRef::read(), d("read", vec![]));
+        assert_eq!(*DescriptorRef::write(), d("write", vec![]));
+        assert_eq!(
+            DescriptorRef::read(),
+            DescriptorRef::from(d("read", vec![]))
+        );
+        let set: HashSet<DescriptorRef> = [DescriptorRef::read(), d("read", vec![]).into()]
+            .into_iter()
+            .collect();
+        assert_eq!(set.len(), 1, "hash follows the value, not the handle");
+        // and the commutativity test sees no difference
+        let s = ReadWriteSpec;
+        assert!(s.commutes(&DescriptorRef::read(), &d("read", vec![])));
+        assert!(!s.commutes(&DescriptorRef::write(), &DescriptorRef::read()));
     }
 
     #[test]

@@ -91,9 +91,9 @@ pub fn extend_virtual_objects(ts: &mut TransactionSystem) -> ExtensionReport {
         let mut duplicates = Vec::with_capacity(others.len());
         for b in others {
             let parent_info = ts.action(b).clone();
-            let n = parent_info.children.len() as u32 + 1;
             let dup = ts.push_action(ActionInfo {
-                path: parent_info.path.child(n),
+                ordinal: parent_info.children.len() as u32 + 1,
+                depth: parent_info.depth + 1,
                 object: virtual_object,
                 descriptor: parent_info.descriptor.clone(),
                 parent: Some(b),

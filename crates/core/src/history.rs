@@ -9,15 +9,19 @@
 
 use crate::ids::ActionIdx;
 use crate::system::TransactionSystem;
-use std::collections::HashMap;
 
 /// A total execution order over (a subset of) the primitive actions of a
 /// system. Positions double as logical timestamps.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     order: Vec<ActionIdx>,
-    position: HashMap<ActionIdx, usize>,
+    /// Position of each action, indexed by `ActionIdx` (action indices are
+    /// dense arena slots); [`NOT_EXECUTED`] where the action has not run.
+    /// Grows to the highest executed index only.
+    position: Vec<u32>,
 }
+
+const NOT_EXECUTED: u32 = u32::MAX;
 
 /// Errors detected when recording or validating a history.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,10 +80,17 @@ impl History {
         if !ts.action(a).is_primitive() {
             return Err(HistoryError::NotPrimitive(a));
         }
-        if self.position.contains_key(&a) {
+        if self.position(a).is_some() {
             return Err(HistoryError::Duplicate(a));
         }
-        self.position.insert(a, self.order.len());
+        assert!(
+            self.order.len() < NOT_EXECUTED as usize,
+            "history positions fit below the u32 sentinel"
+        );
+        if self.position.len() <= a.as_usize() {
+            self.position.resize(a.as_usize() + 1, NOT_EXECUTED);
+        }
+        self.position[a.as_usize()] = self.order.len() as u32;
         self.order.push(a);
         Ok(())
     }
@@ -101,7 +112,10 @@ impl History {
 
     /// Position (logical timestamp) of `a`, if executed.
     pub fn position(&self, a: ActionIdx) -> Option<usize> {
-        self.position.get(&a).copied()
+        match self.position.get(a.as_usize()) {
+            None | Some(&NOT_EXECUTED) => None,
+            Some(&p) => Some(p as usize),
+        }
     }
 
     /// True iff `a` executed strictly before `b` (Axiom 1 order). False
@@ -116,7 +130,7 @@ impl History {
     /// Check that every primitive of `ts` occurs (a *complete* history).
     pub fn check_complete(&self, ts: &TransactionSystem) -> Result<(), HistoryError> {
         for p in ts.primitives() {
-            if !self.position.contains_key(&p) {
+            if self.position(p).is_none() {
                 return Err(HistoryError::Missing(p));
             }
         }

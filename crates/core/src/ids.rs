@@ -4,7 +4,11 @@
 //! the second child of action `a_1`). We keep that surface notation in
 //! [`ActionPath`] for display and paper-faithful output, while the runtime
 //! machinery uses dense arena indices ([`ActionIdx`], [`ObjectIdx`],
-//! [`TxnIdx`]) for efficiency.
+//! [`TxnIdx`]) for efficiency. The record does not store paths: an action
+//! keeps its last segment and its depth, and
+//! [`TransactionSystem::path`](crate::system::TransactionSystem::path)
+//! rebuilds the number from the parent chain when something wants to
+//! print it.
 
 use std::fmt;
 

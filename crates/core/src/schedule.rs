@@ -393,7 +393,7 @@ impl SystemSchedules {
                 "{}.{}[{}]",
                 ts.object(info.object).name,
                 info.descriptor,
-                info.path
+                ts.path(*a)
             )
         };
         let mut out = format!("object {}:\n", ts.object(o).name);

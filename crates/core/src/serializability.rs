@@ -340,11 +340,11 @@ pub fn check_multilevel(ts: &TransactionSystem, ss: &SystemSchedules) -> Result<
     for o in ts.object_indices() {
         let sch = ss.schedule(o);
         for (f, t) in sch.action_deps.edges() {
-            let d = ts.action(*f).path.depth().max(ts.action(*t).path.depth());
+            let d = ts.action(*f).depth.max(ts.action(*t).depth) as usize;
             by_depth.entry(d).or_default().add_edge(*f, *t);
         }
         for (f, t) in sch.txn_deps.edges() {
-            let d = ts.action(*f).path.depth().max(ts.action(*t).path.depth());
+            let d = ts.action(*f).depth.max(ts.action(*t).depth) as usize;
             by_depth.entry(d).or_default().add_edge(*f, *t);
         }
     }

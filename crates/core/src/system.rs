@@ -7,7 +7,7 @@
 //! *system object* `S`, so the uniform per-object machinery of
 //! Definitions 6–13 applies at the top level without special cases.
 
-use crate::commutativity::{ActionDescriptor, AllConflict, SpecRef};
+use crate::commutativity::{ActionDescriptor, AllConflict, DescriptorRef, SpecRef};
 use crate::ids::{ActionIdx, ActionPath, ObjectIdx, TxnIdx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,12 +40,20 @@ impl std::fmt::Debug for ObjectInfo {
 /// object, with its call children and programmed sibling precedence.
 #[derive(Debug, Clone)]
 pub struct ActionInfo {
-    /// Hierarchical number, the paper's `a_121` notation.
-    pub path: ActionPath,
+    /// Last segment of the paper's hierarchical number (`a_121`): the
+    /// 1-based top-level transaction number for a root, otherwise the
+    /// 1-based position among the siblings at creation. The full number
+    /// is rebuilt on demand by [`TransactionSystem::path`].
+    pub ordinal: u32,
+    /// Call depth: 1 for top-level transactions, 2 for their direct
+    /// subactions, and so on (the length of the hierarchical number).
+    pub depth: u32,
     /// The object this action accesses.
     pub object: ObjectIdx,
-    /// Method + parameters, input to the commutativity test.
-    pub descriptor: ActionDescriptor,
+    /// Method + parameters, input to the commutativity test. A shared
+    /// handle: every level of one operation's call path holds the same
+    /// descriptor.
+    pub descriptor: DescriptorRef,
     /// Calling action; `None` for top-level transactions.
     pub parent: Option<ActionIdx>,
     /// Called actions, in creation order.
@@ -210,9 +218,10 @@ impl TransactionSystem {
         let process = self.next_process;
         self.next_process += 1;
         let root = self.push_action(ActionInfo {
-            path: ActionPath::root(txn.0 + 1),
+            ordinal: txn.0 + 1,
+            depth: 1,
             object: self.system_object,
-            descriptor: ActionDescriptor::nullary(name.into()),
+            descriptor: ActionDescriptor::nullary(name.into()).into(),
             parent: None,
             children: Vec::new(),
             precedes: Vec::new(),
@@ -238,9 +247,10 @@ impl TransactionSystem {
         let txn = TxnIdx(self.tops.len() as u32);
         let process = self.fresh_process();
         let root = self.push_action(ActionInfo {
-            path: ActionPath::root(txn.0 + 1),
+            ordinal: txn.0 + 1,
+            depth: 1,
             object: self.system_object,
-            descriptor: ActionDescriptor::nullary(name.into()),
+            descriptor: ActionDescriptor::nullary(name.into()).into(),
             parent: None,
             children: Vec::new(),
             precedes: Vec::new(),
@@ -259,19 +269,20 @@ impl TransactionSystem {
         &mut self,
         parent: ActionIdx,
         object: ObjectIdx,
-        descriptor: ActionDescriptor,
+        descriptor: impl Into<DescriptorRef>,
         sequential: bool,
     ) -> ActionIdx {
         let parent_info = self.action(parent);
-        let n = parent_info.children.len() as u32 + 1;
-        let path = parent_info.path.child(n);
+        let ordinal = parent_info.children.len() as u32 + 1;
+        let depth = parent_info.depth + 1;
         let txn = parent_info.txn;
         let process = parent_info.process;
         let prev_sibling = parent_info.children.last().copied();
         let idx = self.push_action(ActionInfo {
-            path,
+            ordinal,
+            depth,
             object,
-            descriptor,
+            descriptor: descriptor.into(),
             parent: Some(parent),
             children: Vec::new(),
             precedes: Vec::new(),
@@ -330,6 +341,20 @@ impl TransactionSystem {
             }
         }
         out
+    }
+
+    /// The paper's hierarchical number of `a` (`a_121`), rebuilt from the
+    /// parent chain: the record stores only each action's last segment.
+    pub fn path(&self, a: ActionIdx) -> ActionPath {
+        let mut segments = Vec::with_capacity(self.action(a).depth as usize);
+        let mut cur = Some(a);
+        while let Some(c) = cur {
+            let info = self.action(c);
+            segments.push(info.ordinal);
+            cur = info.parent;
+        }
+        segments.reverse();
+        ActionPath::new(segments)
     }
 
     /// The root (top-level) ancestor of `a`.
@@ -398,7 +423,7 @@ impl TransactionSystem {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&format!(
             "{} {}.{}{}\n",
-            info.path,
+            self.path(a),
             obj,
             info.descriptor,
             if info.is_virtual { " [virtual]" } else { "" }
@@ -437,14 +462,15 @@ impl<'a> TxnBuilder<'a> {
     ) -> ActionIdx {
         let parent = self.cur();
         let parent_info = self.ts.action(parent);
-        let n = parent_info.children.len() as u32 + 1;
-        let path = parent_info.path.child(n);
+        let ordinal = parent_info.children.len() as u32 + 1;
+        let depth = parent_info.depth + 1;
         let process = process.unwrap_or(parent_info.process);
         let prev_sibling = parent_info.children.last().copied();
         let idx = self.ts.push_action(ActionInfo {
-            path,
+            ordinal,
+            depth,
             object,
-            descriptor,
+            descriptor: descriptor.into(),
             parent: Some(parent),
             children: Vec::new(),
             precedes: Vec::new(),
@@ -573,9 +599,9 @@ mod tests {
         assert_eq!(ts.top_level(), &[root]);
         let ri = ts.action(root);
         assert_eq!(ri.children.len(), 2);
-        assert_eq!(ts.action(p1).path.segments(), &[1, 1, 1]);
-        assert_eq!(ts.action(p2).path.segments(), &[1, 1, 2]);
-        assert_eq!(ts.action(s).path.segments(), &[1, 2]);
+        assert_eq!(ts.path(p1).segments(), &[1, 1, 1]);
+        assert_eq!(ts.path(p2).segments(), &[1, 1, 2]);
+        assert_eq!(ts.path(s).segments(), &[1, 2]);
         // sequential default: p1 precedes p2
         assert_eq!(ts.action(p1).precedes, vec![p2]);
         // primitives
@@ -716,8 +742,8 @@ mod tests {
         let r = ts.begin_nested(ins, page, desc("read"), true);
         let w = ts.begin_nested(ins, page, desc("write"), true);
         assert_eq!(ts.top_level(), &[root]);
-        assert_eq!(ts.action(r).path.segments(), &[1, 1, 1]);
-        assert_eq!(ts.action(w).path.segments(), &[1, 1, 2]);
+        assert_eq!(ts.path(r).segments(), &[1, 1, 1]);
+        assert_eq!(ts.path(w).segments(), &[1, 1, 2]);
         assert_eq!(ts.action(r).precedes, vec![w]);
         assert_eq!(ts.action(ins).parent, Some(root));
         assert!(ts.action(r).is_primitive());

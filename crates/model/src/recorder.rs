@@ -10,7 +10,9 @@
 //! Every `enter`/`exit` pair records a non-primitive action (a method that
 //! sends further messages); every `primitive` records a leaf action *and*
 //! appends its execution to the history in real time, realizing Axiom 1's
-//! order by construction.
+//! order by construction. Both are thin wrappers over [`TxnCtx::record`],
+//! which takes the recorder once for a whole page visit — the actions it
+//! opens plus the page primitive under them.
 //!
 //! # Concurrent recording
 //!
@@ -21,10 +23,14 @@
 //! so its contract is load-bearing:
 //!
 //! * [`Recorder`] is `Send + Sync` and cheap to clone; all clones append
-//!   into one mutex-guarded system + history. A `primitive` call is a
-//!   single atomic append, so the history position it claims *is* the
-//!   real execution order of that page access under whatever latch made
-//!   the access safe — exactly the Axiom 1 order the checkers need.
+//!   into one mutex-guarded system + history. A primitive is created
+//!   and claims its history position inside one acquisition of that
+//!   mutex, so the position *is* the real execution order of that page
+//!   access under whatever latch made the access safe — exactly the
+//!   Axiom 1 order the checkers need. Batching the enclosing `enter`s
+//!   into the same acquisition changes nothing the checkers see: a
+//!   non-primitive action has no history position, and its place in the
+//!   call tree depends only on its own transaction's cursor.
 //! * [`TxnCtx`] is `Send` but deliberately not `Sync`: a transaction is
 //!   one of the paper's Definition 9 processes, driven by exactly one
 //!   worker at a time, though it may migrate between workers across
@@ -35,7 +41,7 @@
 //! (say, by storing a non-`Send` field in a cursor) would silently
 //! re-serialize the engine behind the recorder.
 
-use oodb_core::commutativity::{ActionDescriptor, SpecRef};
+use oodb_core::commutativity::{DescriptorRef, SpecRef};
 use oodb_core::history::History;
 use oodb_core::ids::{ActionIdx, ObjectIdx};
 use oodb_core::system::TransactionSystem;
@@ -180,18 +186,47 @@ impl TxnCtx {
         self.stack.len()
     }
 
+    /// Record one visit under a single acquisition of the recorder: open
+    /// the non-primitive actions `enters` in order, each nested in the
+    /// one before (they stay open until their matching [`TxnCtx::exit`]),
+    /// then record `primitive` under the innermost and execute it in the
+    /// history. Returns the last action created.
+    ///
+    /// Call it while the latch of the page `primitive` accesses is held:
+    /// the primitive claims its history position inside the same
+    /// acquisition that creates it, so no other thread's access to that
+    /// page can fall between the latch's order and the recorded one
+    /// (Axiom 1). Panics if there is nothing to record.
+    pub fn record(
+        &mut self,
+        enters: &[(ObjectIdx, &DescriptorRef)],
+        primitive: Option<(ObjectIdx, &DescriptorRef)>,
+    ) -> ActionIdx {
+        assert!(
+            !enters.is_empty() || primitive.is_some(),
+            "record() with nothing to record"
+        );
+        let mut idx = self.current();
+        let mut guard = self.recorder.inner.lock();
+        let inner = &mut *guard;
+        for &(object, descriptor) in enters {
+            idx = inner.ts.begin_nested(idx, object, descriptor.clone(), true);
+            self.stack.push(idx);
+        }
+        if let Some((object, descriptor)) = primitive {
+            idx = inner.ts.begin_nested(idx, object, descriptor.clone(), true);
+            inner
+                .history
+                .execute(&inner.ts, idx)
+                .expect("freshly created leaf action is executable");
+        }
+        idx
+    }
+
     /// Open a non-primitive action on `object`; all actions recorded until
     /// the matching [`TxnCtx::exit`] become its children.
-    pub fn enter(&mut self, object: ObjectIdx, descriptor: ActionDescriptor) -> ActionIdx {
-        let parent = self.current();
-        let idx = self
-            .recorder
-            .inner
-            .lock()
-            .ts
-            .begin_nested(parent, object, descriptor, true);
-        self.stack.push(idx);
-        idx
+    pub fn enter(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) -> ActionIdx {
+        self.record(&[(object, &descriptor.into())], None)
     }
 
     /// Close the action opened by the matching [`TxnCtx::enter`].
@@ -200,28 +235,35 @@ impl TxnCtx {
         self.stack.pop();
     }
 
+    /// Close every action opened since the cursor was at nesting `depth`
+    /// (a value [`TxnCtx::depth`] returned earlier).
+    pub fn exit_to(&mut self, depth: usize) {
+        assert!(
+            (1..=self.stack.len()).contains(&depth),
+            "exit_to({depth}) from depth {}",
+            self.stack.len()
+        );
+        self.stack.truncate(depth);
+    }
+
     /// Record a primitive action on `object` and execute it in the
     /// history (its Axiom 1 timestamp is the moment of this call).
-    pub fn primitive(&mut self, object: ObjectIdx, descriptor: ActionDescriptor) -> ActionIdx {
-        let parent = self.current();
-        let mut guard = self.recorder.inner.lock();
-        let inner = &mut *guard;
-        let idx = inner.ts.begin_nested(parent, object, descriptor, true);
-        inner
-            .history
-            .execute(&inner.ts, idx)
-            .expect("freshly created leaf action is executable");
-        idx
+    pub fn primitive(
+        &mut self,
+        object: ObjectIdx,
+        descriptor: impl Into<DescriptorRef>,
+    ) -> ActionIdx {
+        self.record(&[], Some((object, &descriptor.into())))
     }
 
     /// Convenience: record a primitive page `read`.
     pub fn page_read(&mut self, page: ObjectIdx) -> ActionIdx {
-        self.primitive(page, ActionDescriptor::nullary("read"))
+        self.record(&[], Some((page, &DescriptorRef::read())))
     }
 
     /// Convenience: record a primitive page `write`.
     pub fn page_write(&mut self, page: ObjectIdx) -> ActionIdx {
-        self.primitive(page, ActionDescriptor::nullary("write"))
+        self.record(&[], Some((page, &DescriptorRef::write())))
     }
 }
 
@@ -244,7 +286,7 @@ impl Drop for TxnCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::commutativity::{KeyedSpec, ReadWriteSpec};
+    use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
     use oodb_core::prelude::{analyze, key, SystemSchedules};
 
     #[test]
@@ -317,14 +359,24 @@ mod tests {
     #[test]
     fn concurrent_recording_is_safe() {
         let rec = Recorder::new();
+        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
         let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let start = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let rec = rec.clone();
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     let mut t = rec.begin_txn(format!("T{i}"));
-                    for _ in 0..25 {
-                        t.page_read(page);
+                    let search: DescriptorRef =
+                        ActionDescriptor::new("search", vec![key(format!("k{i}"))]).into();
+                    let read = DescriptorRef::read();
+                    start.wait();
+                    for _ in 0..250 {
+                        // one page visit: the node action and the page
+                        // read under it, in one recorder acquisition
+                        t.record(&[(node, &search)], Some((page, &read)));
+                        t.exit();
                     }
                 })
             })
@@ -332,9 +384,25 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(rec.history_len(), 100);
+        assert_eq!(rec.history_len(), 1000);
         let (ts, h) = rec.finish();
         h.check_complete(&ts).unwrap();
+        // every visit is atomic: the node action's first child is its
+        // page read, created right behind it (consecutive arena slots —
+        // no other thread's append fell between them) and executed
+        for visit in ts.actions_on(node) {
+            let info = ts.action(visit);
+            assert_eq!(info.children, vec![ActionIdx(visit.0 + 1)]);
+            let read = ts.action(info.children[0]);
+            assert_eq!(
+                (read.object, read.descriptor.method.as_str()),
+                (page, "read")
+            );
+            assert!(h.position(info.children[0]).is_some());
+        }
+        // history order is creation order: positions were claimed inside
+        // the acquisition that created each primitive
+        assert!(h.order().windows(2).all(|w| w[0] < w[1]));
         // pure reads: serializable however interleaved
         assert!(analyze(&ts, &h).oo_decentralized.is_ok());
     }

@@ -47,7 +47,7 @@ fn main() {
             "  moved {}.{} [{}] from {} to virtual {}, {} duplicates",
             ts.object(moved.object).name,
             moved.descriptor,
-            moved.path,
+            ts.path(step.moved),
             ts.object(step.original).name,
             ts.object(step.virtual_object).name,
             step.duplicates.len()

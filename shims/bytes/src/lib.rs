@@ -5,39 +5,49 @@
 #![warn(missing_docs)]
 
 /// Read cursor over a byte source; every `get_*` consumes from the front.
+/// As in the real crate, only [`Buf::copy_to_bytes`] allocates: the
+/// fixed-width accessors copy into a stack array.
 pub trait Buf {
     /// Bytes remaining.
     fn remaining(&self) -> usize;
 
+    /// Consume the first `dst.len()` bytes into `dst`. Panics on
+    /// underflow.
+    fn copy_to_slice(&mut self, dst: &mut [u8]);
+
     /// Consume and return the first `len` bytes.
-    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8>;
+    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8> {
+        let mut out = vec![0; len];
+        self.copy_to_slice(&mut out);
+        out
+    }
 
     /// Consume one byte.
     fn get_u8(&mut self) -> u8 {
-        self.copy_to_bytes(1)[0]
+        let mut b = [0; 1];
+        self.copy_to_slice(&mut b);
+        b[0]
     }
 
     /// Consume a little-endian `u16`.
     fn get_u16_le(&mut self) -> u16 {
-        let b = self.copy_to_bytes(2);
-        u16::from_le_bytes([b[0], b[1]])
+        let mut b = [0; 2];
+        self.copy_to_slice(&mut b);
+        u16::from_le_bytes(b)
     }
 
     /// Consume a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32 {
-        let b = self.copy_to_bytes(4);
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+        let mut b = [0; 4];
+        self.copy_to_slice(&mut b);
+        u32::from_le_bytes(b)
     }
 
     /// Consume a little-endian `u64`.
     fn get_u64_le(&mut self) -> u64 {
-        let b = self.copy_to_bytes(8);
-        u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-    }
-
-    /// Skip `n` bytes.
-    fn advance(&mut self, n: usize) {
-        let _ = self.copy_to_bytes(n);
+        let mut b = [0; 8];
+        self.copy_to_slice(&mut b);
+        u64::from_le_bytes(b)
     }
 }
 
@@ -46,16 +56,16 @@ impl Buf for &[u8] {
         self.len()
     }
 
-    fn copy_to_bytes(&mut self, len: usize) -> Vec<u8> {
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(
-            len <= self.len(),
-            "buffer underflow: {len} > {}",
+            dst.len() <= self.len(),
+            "buffer underflow: {} > {}",
+            dst.len(),
             self.len()
         );
-        let (head, tail) = self.split_at(len);
-        let out = head.to_vec();
+        let (head, tail) = self.split_at(dst.len());
+        dst.copy_from_slice(head);
         *self = tail;
-        out
     }
 }
 

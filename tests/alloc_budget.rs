@@ -1,0 +1,108 @@
+//! Allocation budget of the recorded read path, by count rather than by
+//! clock: a warm `Encyclopedia::search` hit on a depth-3 tree may allocate
+//! at most [`BUDGET`] times. The count is exact and repeats, so the test
+//! is immune to the host's timing noise.
+//!
+//! This binary holds one test only: the counting allocator is global, and
+//! although it counts on the measuring thread alone, a second test would
+//! share the switch.
+
+use oodb::btree::{Encyclopedia, EncyclopediaConfig};
+use oodb::model::Recorder;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only added
+// work is a relaxed counter increment and a read of a const-initialised,
+// destructor-free thread-local, neither of which allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (including reallocations) `f` performs on this thread.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let r = f();
+    COUNTING.with(|c| c.set(false));
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
+}
+
+/// The same search, measured with this very test at the commit before the
+/// recording path was reworked.
+const PARENT: usize = 176;
+
+/// What a warm search hit may allocate now. Measured: 17 — four for the
+/// one shared `search(k)` descriptor, seven first-child lists and four
+/// sibling-precedence lists in the record, one growth of the root's child
+/// list, one for the text it returns. The slack covers a doubling of the
+/// action arena or of the history landing inside the measured call.
+const BUDGET: usize = 20;
+
+// no more than a third of what the parent spent
+const _: () = assert!(BUDGET * 3 <= PARENT);
+
+#[test]
+fn warm_search_hit_stays_inside_its_allocation_budget() {
+    let rec = Recorder::new();
+    let enc = Encyclopedia::create(
+        rec.clone(),
+        EncyclopediaConfig {
+            fanout: 4,
+            ..EncyclopediaConfig::default()
+        },
+    );
+    let mut load = rec.begin_txn("Load");
+    for i in 0..64 {
+        let i = i * 37 % 64;
+        enc.insert(&mut load, &format!("k{i:03}"), &format!("text {i}"));
+    }
+    drop(load);
+    assert_eq!(enc.tree().depth(), 3, "the budget is stated for depth 3");
+
+    let mut ctx = rec.begin_txn("Reader");
+    // warm: every object on the path is registered, the cursor's stack
+    // and the root's child list have their capacity
+    for _ in 0..8 {
+        assert!(enc.search(&mut ctx, "k021").is_some());
+    }
+    let (count, hit) = allocations_in(|| enc.search(&mut ctx, "k021"));
+    drop(ctx);
+    assert_eq!(hit.as_deref(), Some("text 21"));
+    println!("warm search hit, depth 3: {count} allocations (parent {PARENT}, budget {BUDGET})");
+    assert!(
+        count <= BUDGET,
+        "a warm search hit allocated {count} times, budget {BUDGET}"
+    );
+}
