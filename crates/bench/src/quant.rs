@@ -1357,11 +1357,6 @@ mod tests {
     /// equivalence against the from-scratch oracle is pinned separately
     /// by the deterministic `cert_differential` suite; this test pins
     /// the *point* of the tentpole: the cost collapse.
-    ///
-    /// Known flaky in the debug profile on `4 shards/Snapshot`, under
-    /// either backend (5 of 14 runs before the candidate-rooted check,
-    /// 6 of 19 with it): the sharded certifier's scope misses a cycle
-    /// the audit finds on the recorded system (ROADMAP open item).
     #[test]
     fn b13_incremental_infers_fewer_actions() {
         use oodb_engine::{CertBackend, OptimisticExec};

@@ -27,10 +27,15 @@
 //! candidate's own edges
 //! ([`check_candidate_decentralized`]),
 //! so a commit costs its delta plus what its edges reach, not the record.
+//! After every finalization it applies the cut
+//! ([`crate::retention`]): committed transactions that no retained, live
+//! or future transaction can reach leave the maintained relations, so
+//! what a commit is checked against follows the concurrency, not the
+//! length of the run.
 //! [`CertBackend::FromScratch`] restricts the record to the scope and
 //! re-runs dependency inference on every attempt — `O(inference)` per
-//! commit (experiment B4 measures it), obviously correct, and kept as
-//! the differential oracle.
+//! commit (experiment B4 measures it), obviously correct, never pruned,
+//! and kept as the differential oracle.
 //!
 //! ```
 //! use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
@@ -171,6 +176,12 @@ pub struct CertifierStats {
     /// candidate's edges, not the record: 0 for a transaction that
     /// derived no dependency.
     pub check_visited: u64,
+    /// Committed transactions the cut dropped from the maintained
+    /// relations ([`crate::retention`]).
+    pub settled: u64,
+    /// Gauge, not a counter: primitives currently held in the maintained
+    /// relations — how much history the next commit is checked against.
+    pub retained_actions: u64,
 }
 
 impl CertifierStats {
@@ -219,6 +230,15 @@ impl Certifier {
         self.feed.as_ref().map(IncrementalFeed::schedules)
     }
 
+    /// The transactions that left the maintained relations for good:
+    /// aborted, [`retire`](Self::retire)d, and the commits the cut
+    /// dropped (`None` where [`incremental`](Self::incremental) is).
+    /// For the crate's own tests.
+    #[doc(hidden)]
+    pub fn excluded(&self) -> Option<&HashSet<TxnIdx>> {
+        self.feed.as_ref().map(IncrementalFeed::excluded)
+    }
+
     fn feed_mut(&mut self) -> &mut IncrementalFeed {
         self.feed.get_or_insert_with(IncrementalFeed::new)
     }
@@ -235,6 +255,7 @@ impl Certifier {
         let feed = self.feed.get_or_insert_with(IncrementalFeed::new);
         let out = feed.feed_admitted(ts, history, |t| self.committed.contains(&t));
         self.stats.charge_feed(out);
+        self.stats.retained_actions = feed.retained_actions() as u64;
         out
     }
 
@@ -243,7 +264,7 @@ impl Certifier {
         &self.committed
     }
 
-    /// Aborted transactions so far.
+    /// Aborted transactions so far, plus those [`retire`](Self::retire)d.
     pub fn aborted(&self) -> &HashSet<TxnIdx> {
         &self.aborted
     }
@@ -370,7 +391,21 @@ impl Certifier {
             // feeding its actions and let the garbage trigger a reseed
             self.feed_mut().exclude(candidate);
         }
+        self.settle();
         outcome
+    }
+
+    /// A transaction just finalized: apply the cut, in the same round
+    /// that fed the record. No-op under the from-scratch backend, which
+    /// keeps the whole record and thereby serves as the pruned-vs-whole
+    /// decision oracle.
+    fn settle(&mut self) {
+        let Some(feed) = self.feed.as_mut() else {
+            return;
+        };
+        let committed = &self.committed;
+        self.stats.settled += feed.cut(|t| committed.contains(&t)).len() as u64;
+        self.stats.retained_actions = feed.retained_actions() as u64;
     }
 
     fn finalize_attempt(
@@ -403,6 +438,7 @@ impl Certifier {
             self.stats.aborts += 1;
             let cascade = self.live_dependents(ts, txn);
             self.feed_mut().exclude(txn);
+            self.settle();
             return cascade;
         }
         // only live dependents can cascade, so the scoped fixpoint over
@@ -452,6 +488,22 @@ impl Certifier {
             // actions the finalized transaction already recorded become
             // garbage; the next feed prunes them once they dominate
             self.feed_mut().exclude(txn);
+            self.settle();
+        }
+    }
+
+    /// `txn` is recorded outside certification — a compensation, a state
+    /// dump — and will never be a candidate: it is final as it stands,
+    /// like an aborted attempt but not counted as one. Its primitives are
+    /// never fed, so it cannot hold the cut back the way a transaction
+    /// that looks live forever would. Call it before `txn` records (or
+    /// at the latest when it has recorded its last primitive).
+    pub fn retire(&mut self, txn: TxnIdx) {
+        assert!(self.is_live(txn), "transaction {txn} already finalized");
+        self.aborted.insert(txn);
+        if self.backend == CertBackend::Incremental {
+            self.feed_mut().exclude(txn);
+            self.settle();
         }
     }
 
@@ -795,6 +847,46 @@ mod tests {
         assert_eq!(cert.stats.waits, 0);
     }
 
+    /// A transaction nobody finalizes looks live forever and freezes the
+    /// cut at its first action; retiring it — what the engine does for
+    /// compensations and the state dump — lets everything behind it go.
+    #[test]
+    fn a_retired_transaction_does_not_hold_the_cut_back() {
+        let mut ts = TransactionSystem::new();
+        let leaf = ts.add_object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let p = ts.add_object("P", Arc::new(ReadWriteSpec));
+        let mut prims = Vec::new();
+        for (n, k) in [("C", "A"), ("T1", "B"), ("T2", "C")] {
+            let mut b = ts.txn(n);
+            b.call(leaf, ActionDescriptor::new("insert", vec![key(k)]));
+            prims.push(b.leaf(p, desc("write")));
+            b.end();
+            b.finish();
+        }
+        let h = History::from_order(&ts, &prims).unwrap();
+        let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore);
+        for t in [1, 2] {
+            assert_eq!(
+                cert.try_commit(&ts, &h, TxnIdx(t)),
+                CommitOutcome::Committed
+            );
+        }
+        assert_eq!(
+            cert.stats.settled, 0,
+            "C was recorded first and is not final"
+        );
+        assert_eq!(cert.stats.retained_actions, 3);
+        cert.retire(TxnIdx(0));
+        assert_eq!(cert.stats.settled, 2);
+        assert_eq!(cert.stats.aborts, 0, "retiring is not an abort");
+        assert_eq!(cert.excluded().expect("fed").len(), 3);
+        // the next round replays nothing: the record lies below the cut
+        let out = cert.feed_record(&ts, &h);
+        assert!(out.reseeded);
+        assert_eq!(out.fed, 0);
+        assert_eq!(cert.stats.retained_actions, 0);
+    }
+
     /// Four transactions over two keys with opposing page orders inside
     /// each key pair: two independent cross cycles plus chain edges.
     fn four_txn_system() -> (TransactionSystem, History) {
@@ -824,9 +916,9 @@ mod tests {
     }
 
     /// Edge-for-edge oracle: the certifier's live incremental relations,
-    /// filtered to the non-aborted transactions, must equal a fresh
-    /// `infer_scoped` over the correspondingly restricted history — per
-    /// object, per relation, both directions.
+    /// filtered to the retained transactions (neither aborted nor dropped
+    /// by the cut), must equal a fresh `infer_scoped` over the history
+    /// restricted to them — per object, per relation, both directions.
     fn assert_incremental_matches_batch(
         cert: &Certifier,
         ts: &TransactionSystem,
@@ -834,9 +926,14 @@ mod tests {
         step: &str,
     ) {
         let inc = cert.incremental().expect("incremental backend has fed");
+        let excluded = cert.excluded().expect("incremental backend has fed");
+        assert!(
+            cert.aborted().is_subset(excluded),
+            "aborted transactions leave the feed after {step}"
+        );
         let scope: HashSet<TxnIdx> = (0..ts.top_level().len() as u32)
             .map(TxnIdx)
-            .filter(|t| !cert.aborted().contains(t))
+            .filter(|t| !excluded.contains(t))
             .collect();
         let restricted = restrict_history(ts, h, &scope);
         let batch = SystemSchedules::infer_scoped(ts, &restricted, &scope);
@@ -891,8 +988,9 @@ mod tests {
     /// order × every commit-vs-abort assignment × both certifier modes,
     /// with and without a forced reseed after each step), the
     /// incremental certifier reaches the same decision as a from-scratch
-    /// twin and its maintained relations equal fresh scoped inference
-    /// edge for edge after every step.
+    /// twin — which never prunes — and its maintained relations equal
+    /// fresh scoped inference over the retained transactions edge for
+    /// edge after every step.
     #[test]
     fn incremental_state_matches_fresh_inference_after_every_step() {
         for (ts, h) in [chain_system(), contended_system(), four_txn_system()] {

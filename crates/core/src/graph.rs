@@ -13,13 +13,14 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Multiply-rotate hasher with a fixed seed for the maps in this module.
+/// Multiply-rotate hasher with a fixed seed for the maps in this module
+/// and the per-object / per-transaction tables of [`crate::incremental`].
 /// Their keys are dense indices and interned ids the program itself
 /// hands out — never outside input — so SipHash's collision resistance
 /// buys nothing on what is the certifier's hottest path (one lookup per
 /// derived edge). No map here is iterated, so no order depends on it.
 #[derive(Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl IdHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -55,7 +56,7 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A directed graph over interned nodes of type `N`.
 ///

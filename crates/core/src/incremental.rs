@@ -17,12 +17,13 @@
 //! execution starts if tree shapes are known). The live substrates record
 //! cycles only through B-link rearrangements, which the batch path covers.
 
-use crate::graph::DiGraph;
+use crate::graph::{DiGraph, IdMap};
 use crate::history::History;
 use crate::ids::{ActionIdx, ObjectIdx, TxnIdx};
+use crate::retention::{runs, Retention};
 use crate::schedule::{ObjectSchedule, SystemSchedules};
 use crate::system::TransactionSystem;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One of the three per-object relations [`IncrementalSchedules`]
 /// maintains. Ordered the way Definition 16 checks them.
@@ -48,44 +49,52 @@ pub(crate) struct CycleStart {
     pub(crate) node: ActionIdx,
 }
 
+/// What [`IncrementalSchedules`] keeps for one object.
+#[derive(Debug, Default)]
+struct ObjectState {
+    action_deps: DiGraph<ActionIdx>,
+    txn_deps: DiGraph<ActionIdx>,
+    added_deps: DiGraph<ActionIdx>,
+    /// Executed primitives of the object, in execution order.
+    executed: Vec<ActionIdx>,
+}
+
+impl ObjectState {
+    fn relation(&self, relation: Relation) -> &DiGraph<ActionIdx> {
+        match relation {
+            Relation::Txn => &self.txn_deps,
+            Relation::Action => &self.action_deps,
+            Relation::Added => &self.added_deps,
+        }
+    }
+}
+
 /// Incrementally maintained per-object dependency relations.
 #[derive(Debug, Default)]
 pub struct IncrementalSchedules {
-    /// Per object (by index): the three relations.
-    action_deps: Vec<DiGraph<ActionIdx>>,
-    txn_deps: Vec<DiGraph<ActionIdx>>,
-    added_deps: Vec<DiGraph<ActionIdx>>,
+    /// Per-object state, created when the object's first primitive
+    /// executes: a fresh instance costs nothing per object of the
+    /// system, so a re-seed costs what it replays.
+    objects: IdMap<ObjectIdx, ObjectState>,
     added_seen: HashSet<(ActionIdx, ActionIdx)>,
-    /// Executed primitives per object, in execution order.
-    executed: Vec<Vec<ActionIdx>>,
     /// Top-level dependency graph (action deps of the system object,
     /// mirrored for cheap certifier access).
     top: DiGraph<ActionIdx>,
     /// `top` with every edge reversed, so "whom does this transaction
     /// depend on" is a successor list as well.
     top_rev: DiGraph<ActionIdx>,
-    /// Per transaction (by index): every `(object, relation, node)` where
-    /// one of its actions is the source of an edge, appended when the
-    /// node gains its first out-edge there. The candidate-rooted
-    /// Definition-16 search starts from these and nowhere else, so a
-    /// transaction that derived no edge costs nothing to certify however
-    /// many actions it has.
-    starts: Vec<Vec<CycleStart>>,
+    /// Per transaction: every `(object, relation, node)` where one of its
+    /// actions is the source of an edge, appended when the node gains its
+    /// first out-edge there. The candidate-rooted Definition-16 search
+    /// starts from these and nowhere else, so a transaction that derived
+    /// no edge costs nothing to certify however many actions it has.
+    starts: IdMap<TxnIdx, Vec<CycleStart>>,
 }
 
 impl IncrementalSchedules {
     /// Empty state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure_objects(&mut self, ts: &TransactionSystem) {
-        while self.action_deps.len() < ts.object_count() {
-            self.action_deps.push(DiGraph::new());
-            self.txn_deps.push(DiGraph::new());
-            self.added_deps.push(DiGraph::new());
-            self.executed.push(Vec::new());
-        }
     }
 
     /// Record that primitive `p` has just executed (it must be the newest
@@ -96,20 +105,23 @@ impl IncrementalSchedules {
             !has_call_path_cycle(ts, p),
             "incremental maintenance requires Definition 5 extension first"
         );
-        self.ensure_objects(ts);
         let o = ts.action(p).object;
-        let oi = o.as_usize();
         // seed: every earlier conflicting primitive on this object orders
-        // before p (Axiom 1). Index loop instead of iterating a clone:
-        // `add_action_dep` never touches `executed`, so the slice is
-        // stable, and cloning it would cost O(history) per primitive.
-        for i in 0..self.executed[oi].len() {
-            let q = self.executed[oi][i];
+        // before p (Axiom 1). The list is taken out for the loop instead
+        // of cloned or re-found per step: `add_action_dep` never touches
+        // `executed`, and cloning it would cost O(retained) per primitive.
+        let mut executed = self
+            .objects
+            .get_mut(&o)
+            .map(|s| std::mem::take(&mut s.executed))
+            .unwrap_or_default();
+        for &q in &executed {
             if ts.conflicts(q, p) {
                 self.add_action_dep(ts, o, q, p);
             }
         }
-        self.executed[oi].push(p);
+        executed.push(p);
+        self.objects.entry(o).or_default().executed = executed;
     }
 
     /// Add an action dependency and run the lift/inherit worklist.
@@ -120,8 +132,13 @@ impl IncrementalSchedules {
         from: ActionIdx,
         to: ActionIdx,
     ) {
-        self.ensure_objects(ts);
-        if !self.action_deps[o.as_usize()].add_edge(from, to) {
+        if !self
+            .objects
+            .entry(o)
+            .or_default()
+            .action_deps
+            .add_edge(from, to)
+        {
             return; // already known: nothing new can follow from it
         }
         self.note_out_edge(ts, o, Relation::Action, from);
@@ -139,7 +156,7 @@ impl IncrementalSchedules {
         if t == u {
             return;
         }
-        if !self.txn_deps[o.as_usize()].add_edge(t, u) {
+        if !self.objects.entry(o).or_default().txn_deps.add_edge(t, u) {
             return;
         }
         self.note_out_edge(ts, o, Relation::Txn, t);
@@ -150,7 +167,7 @@ impl IncrementalSchedules {
         } else if self.added_seen.insert((t, u)) {
             // Definition 15: record at both endpoint objects
             for q in [qt, qu] {
-                self.added_deps[q.as_usize()].add_edge(t, u);
+                self.objects.entry(q).or_default().added_deps.add_edge(t, u);
                 self.note_out_edge(ts, q, Relation::Added, t);
             }
         }
@@ -165,26 +182,17 @@ impl IncrementalSchedules {
         relation: Relation,
         node: ActionIdx,
     ) {
-        if self.relation(relation)[o.as_usize()].out_degree(&node) != 1 {
+        if self.objects[&o].relation(relation).out_degree(&node) != 1 {
             return;
         }
-        let t = ts.action(node).txn.as_usize();
-        if self.starts.len() <= t {
-            self.starts.resize_with(t + 1, Vec::new);
-        }
-        self.starts[t].push(CycleStart {
-            object: o,
-            relation,
-            node,
-        });
-    }
-
-    fn relation(&self, relation: Relation) -> &[DiGraph<ActionIdx>] {
-        match relation {
-            Relation::Txn => &self.txn_deps,
-            Relation::Action => &self.action_deps,
-            Relation::Added => &self.added_deps,
-        }
+        self.starts
+            .entry(ts.action(node).txn)
+            .or_default()
+            .push(CycleStart {
+                object: o,
+                relation,
+                node,
+            });
     }
 
     /// Successors of `a` in `relation` at `o` (none if either is unknown).
@@ -194,32 +202,32 @@ impl IncrementalSchedules {
         o: ObjectIdx,
         a: ActionIdx,
     ) -> impl Iterator<Item = ActionIdx> + '_ {
-        self.relation(relation)
-            .get(o.as_usize())
+        self.objects
+            .get(&o)
             .into_iter()
-            .flat_map(move |g| g.successors(&a).copied())
+            .flat_map(move |s| s.relation(relation).successors(&a).copied())
     }
 
     /// Where a cycle through `txn` could pass: its nodes that are the
     /// source of an edge, per object and relation (empty if it derived
     /// no edge).
     pub(crate) fn cycle_starts(&self, txn: TxnIdx) -> &[CycleStart] {
-        self.starts.get(txn.as_usize()).map_or(&[], Vec::as_slice)
+        self.starts.get(&txn).map_or(&[], Vec::as_slice)
     }
 
     /// The maintained action dependency relation of `o`.
     pub fn action_deps(&self, o: ObjectIdx) -> Option<&DiGraph<ActionIdx>> {
-        self.action_deps.get(o.as_usize())
+        self.objects.get(&o).map(|s| &s.action_deps)
     }
 
     /// The maintained caller (transaction) dependency relation of `o`.
     pub fn txn_deps(&self, o: ObjectIdx) -> Option<&DiGraph<ActionIdx>> {
-        self.txn_deps.get(o.as_usize())
+        self.objects.get(&o).map(|s| &s.txn_deps)
     }
 
     /// The maintained added relation of `o`.
     pub fn added_deps(&self, o: ObjectIdx) -> Option<&DiGraph<ActionIdx>> {
-        self.added_deps.get(o.as_usize())
+        self.objects.get(&o).map(|s| &s.added_deps)
     }
 
     /// Dependencies among top-level transactions, maintained inline
@@ -266,9 +274,9 @@ impl IncrementalSchedules {
         for o in ts.object_indices() {
             let b: &ObjectSchedule = batch.schedule(o);
             let empty = DiGraph::new();
-            let a_act = self.action_deps.get(o.as_usize()).unwrap_or(&empty);
-            let a_txn = self.txn_deps.get(o.as_usize()).unwrap_or(&empty);
-            let a_add = self.added_deps.get(o.as_usize()).unwrap_or(&empty);
+            let a_act = self.action_deps(o).unwrap_or(&empty);
+            let a_txn = self.txn_deps(o).unwrap_or(&empty);
+            let a_add = self.added_deps(o).unwrap_or(&empty);
             if !graph_eq(a_act, &b.action_deps)
                 || !graph_eq(a_txn, &b.txn_deps)
                 || !graph_eq(a_add, &b.added_deps)
@@ -288,10 +296,10 @@ fn graph_eq(a: &DiGraph<ActionIdx>, b: &DiGraph<ActionIdx>) -> bool {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedOutcome {
     /// Primitives folded into the schedules by this call (on a reseed,
-    /// the full replay length — the honest inference cost).
+    /// the replayed suffix above the cut — the honest inference cost).
     pub fed: usize,
-    /// Whether this call rebuilt the schedules from the restricted
-    /// history instead of appending a delta.
+    /// Whether this call rebuilt the schedules from the retained suffix
+    /// of the history instead of appending a delta.
     pub reseeded: bool,
 }
 
@@ -301,27 +309,23 @@ pub struct FeedOutcome {
 /// Each [`feed`](IncrementalFeed::feed) call folds in exactly the
 /// primitives appended since the previous call — O(new actions), not
 /// O(history). Finalized-and-irrelevant transactions (aborted victims,
-/// settled commits) are [`exclude`](IncrementalFeed::exclude)d: their
-/// primitives stop being fed, and the edges already derived from them
-/// become garbage that a later feed prunes by **reseeding** — replaying
-/// the non-excluded sub-history from scratch — once garbage outweighs
-/// the live edges. Because every derivation rule stays within one
-/// transaction pair, edges between two non-excluded transactions never
-/// depend on an excluded transaction's actions, so skipping excluded
-/// primitives is lossless and queries simply filter edges to the scope
-/// at hand.
+/// transactions recorded outside the protocol, and the commits
+/// [`cut`](IncrementalFeed::cut) drops) are
+/// [`exclude`](IncrementalFeed::exclude)d: their primitives stop being
+/// fed, and the edges already derived from them become garbage that a
+/// later feed prunes by **reseeding** — replaying the history above the
+/// cut — once garbage outweighs the live edges. Because every derivation
+/// rule stays within one transaction pair, edges between two
+/// non-excluded transactions never depend on an excluded transaction's
+/// actions, so skipping excluded primitives is lossless and queries
+/// simply filter edges to the scope at hand.
 #[derive(Debug, Default)]
 pub struct IncrementalFeed {
     inc: IncrementalSchedules,
-    /// History positions already consumed.
-    fed: usize,
-    /// Fed primitive counts per still-included transaction.
-    per_txn: HashMap<TxnIdx, usize>,
-    /// Fed primitives belonging to included transactions.
-    live_actions: usize,
+    /// Which transactions are fed, where they lie, and the cut.
+    retention: Retention,
     /// Fed primitives whose transaction was excluded afterwards.
     garbage: usize,
-    excluded: HashSet<TxnIdx>,
 }
 
 impl IncrementalFeed {
@@ -337,12 +341,18 @@ impl IncrementalFeed {
 
     /// History positions consumed so far.
     pub fn fed_len(&self) -> usize {
-        self.fed
+        self.retention.scanned()
     }
 
     /// Transactions excluded from maintenance.
     pub fn excluded(&self) -> &HashSet<TxnIdx> {
-        &self.excluded
+        self.retention.excluded()
+    }
+
+    /// Primitives currently held in the schedules: those of the retained
+    /// transactions plus the garbage the next reseed will drop.
+    pub fn retained_actions(&self) -> usize {
+        self.retention.actions() + self.garbage
     }
 
     /// Fold in everything appended since the last call, reseeding first
@@ -350,7 +360,7 @@ impl IncrementalFeed {
     /// edges (amortized: each replay is paid for by at least as many
     /// excluded primitives).
     pub fn feed(&mut self, ts: &TransactionSystem, history: &History) -> FeedOutcome {
-        if self.garbage > 0 && self.garbage * 2 > self.live_actions {
+        if self.garbage > 0 && self.garbage * 2 > self.retention.actions() {
             let fed = self.reseed(ts, history);
             return FeedOutcome {
                 fed,
@@ -366,11 +376,12 @@ impl IncrementalFeed {
 
     /// [`feed`](Self::feed) for a certifier, enforcing the precondition
     /// of the candidate-rooted Definition-16 search
-    /// ([`check_candidate_decentralized`](crate::serializability::check_candidate_decentralized)):
-    /// a transaction is admitted only after its last primitive was fed,
-    /// so no edge between two admitted transactions can surface later
-    /// and escape a search rooted at a later candidate. `admitted` is
-    /// the certifier's committed set.
+    /// ([`check_candidate_decentralized`](crate::serializability::check_candidate_decentralized))
+    /// and of [`cut`](Self::cut): a transaction is admitted only after
+    /// its last primitive was fed, so no edge between two admitted
+    /// transactions can surface later and escape a search rooted at a
+    /// later candidate, and the position a dropped one ends at never
+    /// moves. `admitted` is the certifier's committed set.
     ///
     /// # Panics
     /// If a primitive appended since the last feed belongs to a
@@ -382,11 +393,11 @@ impl IncrementalFeed {
         history: &History,
         admitted: impl Fn(TxnIdx) -> bool,
     ) -> FeedOutcome {
-        for &p in &history.order()[self.fed..] {
-            let t = ts.action(p).txn;
+        for (t, run) in runs(ts, &history.order()[self.retention.scanned()..]) {
             assert!(
-                !admitted(t) || self.excluded.contains(&t),
-                "action {p} of transaction {t} was recorded after {t} was admitted"
+                !admitted(t),
+                "action {} of transaction {t} was recorded after {t} was admitted",
+                run[0]
             );
         }
         self.feed(ts, history)
@@ -394,41 +405,36 @@ impl IncrementalFeed {
 
     /// Append the unseen history suffix without considering a reseed.
     fn feed_tail(&mut self, ts: &TransactionSystem, history: &History) -> usize {
-        let mut fed = 0;
-        for &p in &history.order()[self.fed..] {
-            let t = ts.action(p).txn;
-            if self.excluded.contains(&t) {
-                continue;
-            }
-            self.inc.on_primitive(ts, p);
-            *self.per_txn.entry(t).or_insert(0) += 1;
-            self.live_actions += 1;
-            fed += 1;
-        }
-        self.fed = history.len();
-        fed
+        let inc = &mut self.inc;
+        self.retention
+            .scan(ts, history, |p| inc.on_primitive(ts, p))
     }
 
     /// Drop `txn` from maintenance: its unseen primitives will be
     /// skipped, and those already fed are counted as garbage until the
     /// next reseed replaces the schedules.
     pub fn exclude(&mut self, txn: TxnIdx) {
-        if self.excluded.insert(txn) {
-            let dead = self.per_txn.remove(&txn).unwrap_or(0);
-            self.garbage += dead;
-            self.live_actions -= dead;
-        }
+        self.garbage += self.retention.exclude(txn);
     }
 
-    /// Rebuild the schedules from scratch over the non-excluded
-    /// sub-history (re-seed after aborts/settling). Returns the number
-    /// of primitives replayed.
+    /// Apply the cut ([`Retention::cut`]) over the fed transactions:
+    /// every committed one that no retained, live or future transaction
+    /// can reach is excluded and returned. `committed` is the caller's
+    /// committed set; every other fed transaction counts as live.
+    pub fn cut(&mut self, committed: impl Fn(TxnIdx) -> bool) -> Vec<TxnIdx> {
+        let before = self.retention.actions();
+        let dropped = self.retention.cut(committed);
+        self.garbage += before - self.retention.actions();
+        dropped
+    }
+
+    /// Rebuild the schedules from the history above the cut — everything
+    /// below it belongs to excluded transactions. Returns the number of
+    /// primitives replayed.
     pub fn reseed(&mut self, ts: &TransactionSystem, history: &History) -> usize {
         self.inc = IncrementalSchedules::new();
-        self.per_txn.clear();
-        self.live_actions = 0;
         self.garbage = 0;
-        self.fed = 0;
+        self.retention.rewind();
         self.feed_tail(ts, history)
     }
 }

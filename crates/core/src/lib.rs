@@ -61,6 +61,7 @@ pub mod graph;
 pub mod history;
 pub mod ids;
 pub mod incremental;
+pub mod retention;
 pub mod schedule;
 pub mod serializability;
 pub mod system;

@@ -686,3 +686,233 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The cut: what the certifier drops, nothing it keeps can reach, and
+// dropping it changes no decision.
+// ---------------------------------------------------------------------
+
+/// A run in which the history grows while transactions finalize: at most
+/// `window` transactions execute side by side (the next one starts when
+/// one has recorded its last primitive), and transaction `t` asks to
+/// commit `delay[t]` primitives after its own last one.
+#[derive(Debug, Clone)]
+struct OnlinePlan {
+    system: SystemPlan,
+    window: usize,
+    delay: Vec<usize>,
+}
+
+fn online_plan() -> impl Strategy<Value = OnlinePlan> {
+    (2..4usize, 2..4usize)
+        .prop_flat_map(|(n_leaves, n_pages)| {
+            (
+                Just(n_leaves),
+                Just(n_pages),
+                prop::collection::vec(
+                    prop::collection::vec(call_plan(n_leaves, n_pages), 1..3),
+                    4..11,
+                ),
+                prop::collection::vec(any::<u32>(), 32),
+                1..4usize,
+                prop::collection::vec(0..4usize, 10),
+            )
+        })
+        .prop_map(
+            |(n_leaves, n_pages, txns, shuffle, window, delay)| OnlinePlan {
+                system: SystemPlan {
+                    n_leaves,
+                    n_pages,
+                    txns,
+                    shuffle,
+                },
+                window,
+                delay,
+            },
+        )
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Record(ActionIdx),
+    Finish(TxnIdx),
+}
+
+/// The plan's run as a sequence of recorded primitives and commit
+/// requests; every transaction finishes exactly once, after its last
+/// primitive.
+fn online_steps(plan: &OnlinePlan, prims: &[Vec<ActionIdx>]) -> Vec<Step> {
+    let n = prims.len();
+    let mut steps = Vec::new();
+    let mut cursors = vec![0usize; n];
+    let mut open: Vec<usize> = (0..plan.window.min(n)).collect();
+    let mut next = open.len();
+    // (primitives still to pass, transaction), in the order they ended
+    let mut ending: Vec<(usize, usize)> = Vec::new();
+    let mut pick = 0usize;
+    while !open.is_empty() {
+        let shuffle = &plan.system.shuffle;
+        let slot = shuffle[pick % shuffle.len()] as usize % open.len();
+        pick += 1;
+        let t = open[slot];
+        steps.push(Step::Record(prims[t][cursors[t]]));
+        cursors[t] += 1;
+        for e in &mut ending {
+            e.0 = e.0.saturating_sub(1);
+        }
+        if cursors[t] == prims[t].len() {
+            open.remove(slot);
+            ending.push((plan.delay[t % plan.delay.len()], t));
+            if next < n {
+                open.push(next);
+                next += 1;
+            }
+        }
+        ending.retain(|&(left, t)| {
+            if left == 0 {
+                steps.push(Step::Finish(TxnIdx(t as u32)));
+            }
+            left > 0
+        });
+    }
+    steps.extend(ending.iter().map(|&(_, t)| Step::Finish(TxnIdx(t as u32))));
+    steps
+}
+
+fn witness(v: &Violation) -> &[ActionIdx] {
+    match v {
+        Violation::TxnDepCycle { cycle, .. }
+        | Violation::ActionDepCycle { cycle, .. }
+        | Violation::AddedDepCycle { cycle, .. }
+        | Violation::GlobalCycle { cycle }
+        | Violation::ConventionalCycle { cycle }
+        | Violation::LevelCycle { cycle, .. } => cycle,
+    }
+}
+
+/// Play the plan: grow the record primitive by primitive and hand every
+/// commit request to `finish` with the history so far and the index of
+/// the step. Returns the complete order and the number of steps.
+fn play_online(
+    plan: &OnlinePlan,
+    ts: &TransactionSystem,
+    prims: &[Vec<ActionIdx>],
+    mut finish: impl FnMut(&History, TxnIdx, usize) -> Result<(), TestCaseError>,
+) -> Result<(Vec<ActionIdx>, usize), TestCaseError> {
+    let steps = online_steps(plan, prims);
+    let mut order = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        match *step {
+            Step::Record(p) => order.push(p),
+            Step::Finish(t) => finish(&History::from_order(ts, &order).unwrap(), t, i)?,
+        }
+    }
+    Ok((order, steps.len()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// After every `try_commit`, no edge of whole-record batch inference
+    /// runs into a dropped transaction from one that was retained, live
+    /// or not yet recorded when it was dropped. Each case is a batch of
+    /// runs so the share that dropped anything can be asserted: a rule
+    /// that never drops would pass the closure check vacuously.
+    #[test]
+    fn cut_is_closed(plans in prop::collection::vec(online_plan(), 32)) {
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use std::collections::HashMap;
+
+        let mut runs_that_dropped = 0;
+        for plan in &plans {
+            let (ts, prims) = build(&plan.system);
+            let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore);
+            // the finalization step at which a transaction left for good
+            let mut dropped_at: HashMap<TxnIdx, usize> = HashMap::new();
+            let mut aborted_at: HashMap<TxnIdx, usize> = HashMap::new();
+            let (order, steps) = play_online(plan, &ts, &prims, |h, t, step| {
+                if let CommitOutcome::MustAbort(_) = cert.try_commit(&ts, h, t) {
+                    aborted_at.insert(t, step);
+                }
+                for &d in cert.excluded().expect("fed") {
+                    if cert.committed().contains(&d) {
+                        dropped_at.entry(d).or_insert(step);
+                    }
+                }
+                Ok(())
+            })?;
+            let h = History::from_order(&ts, &order).unwrap();
+            let whole = SystemSchedules::infer(&ts, &h);
+            for o in ts.object_indices() {
+                let sch = whole.schedule(o);
+                let edges = sch.action_deps.edges()
+                    .chain(sch.txn_deps.edges())
+                    .chain(sch.added_deps.edges());
+                for (f, t) in edges {
+                    let (from, to) = (ts.action(*f).txn, ts.action(*t).txn);
+                    let Some(&gone) = dropped_at.get(&to) else { continue };
+                    let left_before = |at: &HashMap<TxnIdx, usize>| {
+                        at.get(&from).is_some_and(|&s| s <= gone)
+                    };
+                    prop_assert!(
+                        from == to || left_before(&dropped_at) || left_before(&aborted_at),
+                        "{} → {} at object {}: {} was dropped at step {} while {} was still kept",
+                        f, t, o, to, gone, from
+                    );
+                }
+            }
+            // the run ends with nothing live, so every commit is dropped
+            prop_assert_eq!(dropped_at.len(), cert.committed().len());
+            prop_assert_eq!(cert.stats.settled as usize, dropped_at.len());
+            // ... but what counts is dropping while the run is under way
+            if dropped_at.values().any(|&s| s + 1 < steps) {
+                runs_that_dropped += 1;
+            }
+        }
+        prop_assert!(
+            runs_that_dropped * 4 >= plans.len() * 3,
+            "only {} of {} runs dropped a transaction before their last step",
+            runs_that_dropped, plans.len()
+        );
+    }
+
+    /// The pruned incremental certifier decides what the unpruned
+    /// from-scratch one decides, at every finalization of the same
+    /// growing record, in both modes — and whatever it rejects, it
+    /// rejects with a cycle through the candidate.
+    #[test]
+    fn pruned_decisions_match_the_whole_record(
+        plans in prop::collection::vec(online_plan(), 16),
+        global in any::<bool>(),
+    ) {
+        use oodb_core::certifier::{CertBackend, Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+
+        let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
+        for plan in &plans {
+            let (ts, prims) = build(&plan.system);
+            let mut pruned = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
+            let mut whole = Certifier::new(mode)
+                .with_wait_policy(WaitPolicy::Ignore)
+                .with_backend(CertBackend::FromScratch);
+            play_online(plan, &ts, &prims, |h, t, _| {
+                let got = pruned.try_commit(&ts, h, t);
+                let want = whole.try_commit(&ts, h, t);
+                prop_assert_eq!(
+                    std::mem::discriminant(&got),
+                    std::mem::discriminant(&want),
+                    "{} at history {}: pruned {:?} vs whole record {:?}",
+                    t, h.len(), &got, &want
+                );
+                if let CommitOutcome::MustAbort(v) = &got {
+                    prop_assert!(
+                        witness(v).iter().any(|&a| ts.action(a).txn == t),
+                        "{:?} misses candidate {}", v, t
+                    );
+                }
+                Ok(())
+            })?;
+            prop_assert_eq!(pruned.committed(), whole.committed());
+            prop_assert_eq!(pruned.aborted(), whole.aborted());
+        }
+    }
+}

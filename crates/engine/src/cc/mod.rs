@@ -176,6 +176,15 @@ pub trait ConcurrencyControl: Send + Sync {
         false
     }
 
+    /// `txn` is recorded outside the protocol — a compensation
+    /// transaction, the shutdown state dump — and will never reach
+    /// [`try_finish`](Self::try_finish) or
+    /// [`after_abort`](Self::after_abort). A certifying protocol forgets
+    /// it here; otherwise it would look live forever and pin the
+    /// certifier's retention cut (`oodb_core::retention`) at its first
+    /// action. Called when `txn` begins, before it records anything.
+    fn retire(&self, _shared: &EngineShared, _txn: TxnIdx) {}
+
     /// The sub-history the shutdown audit should verify: `None` audits
     /// the complete record (sound for strict 2PL — forward work, aborted
     /// attempts, and compensations all oo-serializable), `Some` restricts

@@ -177,6 +177,19 @@ impl OptimisticCc {
         cascade
     }
 
+    /// Mirror the certifier's retention counters — transactions the cut
+    /// dropped so far, primitives held now — into the engine metrics.
+    /// Called with the certifier's lock held wherever its cut may have
+    /// run, inside a certification round or not (an abort before the
+    /// commit point, a retired compensation), so the live engine can
+    /// always say how much history the next commit is checked against.
+    pub(super) fn publish_retention(shared: &EngineShared, stats: &CertifierStats) {
+        let m = &shared.metrics;
+        m.cert_settled.store(stats.settled, Ordering::Relaxed);
+        m.cert_retained_actions
+            .store(stats.retained_actions, Ordering::Relaxed);
+    }
+
     /// Publish one certification round's inference cost: the certifier
     /// stat deltas land in the engine counters, and incremental rounds
     /// that consumed anything additionally emit a `cert_delta` event
@@ -192,6 +205,7 @@ impl OptimisticCc {
         let fed = after.actions_inferred - before.actions_inferred;
         let reseeds = after.incremental_reseeds - before.incremental_reseeds;
         let visited = after.check_visited - before.check_visited;
+        Self::publish_retention(shared, &after);
         if visited > 0 {
             shared
                 .metrics
@@ -439,6 +453,7 @@ impl ConcurrencyControl for OptimisticCc {
             let mut cert = self.cert.lock();
             if !cert.committed().contains(&txn.txn) && !cert.aborted().contains(&txn.txn) {
                 cert.register_abort(txn.txn);
+                Self::publish_retention(shared, &cert.stats);
             }
             drop(cert);
             versions::on_abort(store, shared, txn);
@@ -511,6 +526,12 @@ impl ConcurrencyControl for OptimisticCc {
         // snapshot mode compensates inside the same critical section
         // that installed the writes, so an inverse can never fail
         self.snapshot.is_some()
+    }
+
+    fn retire(&self, shared: &EngineShared, txn: TxnIdx) {
+        let mut cert = self.cert.lock();
+        cert.retire(txn);
+        Self::publish_retention(shared, &cert.stats);
     }
 
     fn committed_projection(&self, ts: &TransactionSystem, history: &History) -> Option<History> {

@@ -52,6 +52,7 @@ use oodb_core::commutativity::ActionDescriptor;
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::incremental::IncrementalFeed;
+use oodb_core::retention::Retention;
 use oodb_core::schedule::SystemSchedules;
 use oodb_core::serializability::{
     check_candidate_decentralized, check_candidate_global, check_system_decentralized,
@@ -489,22 +490,13 @@ struct OptMeta {
     /// Shard footprint per transaction; kept for committed transactions
     /// (component computation), dropped on abort.
     touched: HashMap<TxnIdx, BTreeSet<usize>>,
-    /// Committed transactions every *currently live* transaction began
-    /// strictly after (watermark rule, see [`OptMeta::settle_sweep`]):
-    /// later transactions can never acquire an edge *into* them — all
-    /// their actions precede anything a later beginner records — so they
-    /// are pruned from every future validation scope. Without this the
-    /// preload transaction — which touches every shard — would connect
-    /// every component, and under pipelined load the components would
-    /// grow to the whole committed set.
+    /// Committed transactions the cut dropped ([`OptMeta::settle`]): no
+    /// retained, live or future transaction can acquire an edge *into*
+    /// them, so they are pruned from every future validation scope.
+    /// Without this the preload transaction — which touches every shard —
+    /// would connect every component, and under pipelined load the
+    /// components would grow to the whole committed set.
     settled: HashSet<TxnIdx>,
-    /// Monotone event counter ordering begins against commits.
-    stamp: u64,
-    /// `stamp` at which each live attempt first registered.
-    begin_stamp: HashMap<TxnIdx, u64>,
-    /// `stamp` at which each committed, not-yet-settled transaction
-    /// committed. Drained into `settled` by [`OptMeta::settle_sweep`].
-    commit_stamp: HashMap<TxnIdx, u64>,
     /// Per-shard commit epochs, bumped when a commit lands on the shard;
     /// lets lock-free validation detect that its scope went stale.
     epochs: Vec<u64>,
@@ -516,6 +508,10 @@ struct OptMeta {
     /// actions. Aborted and settled transactions are excluded so the
     /// next garbage-triggered reseed prunes their state.
     feed: IncrementalFeed,
+    /// From-scratch backend only: where each transaction lies in the
+    /// record, so the oracle settles by the same cut as the feed (which
+    /// keeps its own positions and stays empty there).
+    positions: Retention,
     stats: CertifierStats,
     /// Validation rounds repeated because a concurrent commit landed on
     /// a scope shard mid-validation.
@@ -523,28 +519,48 @@ struct OptMeta {
 }
 
 impl OptMeta {
-    /// Register the first operation of a live attempt (idempotent).
-    fn note_begin(&mut self, me: TxnIdx) {
-        if self.live.insert(me) {
-            self.begin_stamp.insert(me, self.stamp);
-            self.stamp += 1;
+    /// Finalize a live attempt. An abort additionally leaves the
+    /// incremental feed — the aborted transaction is out of every future
+    /// scope, so its actions stop feeding and its already-fed edges
+    /// become reseed garbage.
+    fn note_finalized(
+        &mut self,
+        shared: &EngineShared,
+        backend: CertBackend,
+        me: TxnIdx,
+        committed_now: bool,
+    ) {
+        self.live.remove(&me);
+        if !committed_now {
+            self.exclude(me);
         }
+        self.settle(shared, backend);
     }
 
-    /// Finalize a live attempt; `committed_now` stamps it for settling.
-    /// An abort additionally leaves the incremental feed — the aborted
-    /// transaction is out of every future scope, so its actions stop
-    /// feeding and its already-fed edges become reseed garbage.
-    fn note_finalized(&mut self, me: TxnIdx, committed_now: bool) {
-        self.live.remove(&me);
-        self.begin_stamp.remove(&me);
-        if committed_now {
-            self.commit_stamp.insert(me, self.stamp);
-            self.stamp += 1;
-        } else {
-            self.feed.exclude(me);
-        }
-        self.settle_sweep();
+    /// Stop tracking `txn` (aborted, or recorded outside the protocol).
+    fn exclude(&mut self, txn: TxnIdx) {
+        self.feed.exclude(txn);
+        self.positions.exclude(txn);
+    }
+
+    /// Apply the cut (`oodb_core::retention`) over the positions the
+    /// backend in use keeps, move what it drops into the settled set and
+    /// publish the new retention level — here, so that a cut outside a
+    /// certification round (an abort before the commit point, a retired
+    /// compensation) is counted like one inside.
+    fn settle(&mut self, shared: &EngineShared, backend: CertBackend) {
+        let committed = &self.committed;
+        let is_committed = |t: TxnIdx| committed.contains(&t);
+        let (dropped, retained) = match backend {
+            CertBackend::Incremental => (self.feed.cut(is_committed), self.feed.retained_actions()),
+            CertBackend::FromScratch => {
+                (self.positions.cut(is_committed), self.positions.actions())
+            }
+        };
+        self.stats.settled += dropped.len() as u64;
+        self.stats.retained_actions = retained as u64;
+        self.settled.extend(dropped);
+        OptimisticCc::publish_retention(shared, &self.stats);
     }
 
     /// Fold the actions recorded since the last round into the
@@ -554,6 +570,7 @@ impl OptMeta {
             .feed
             .feed_admitted(ts, history, |t| self.committed.contains(&t));
         self.stats.charge_feed(out);
+        self.stats.retained_actions = self.feed.retained_actions() as u64;
     }
 
     /// Live transactions with a top-level dependency on `me` in the
@@ -564,33 +581,6 @@ impl OptMeta {
             .top_level_dependents(ts, me)
             .filter(|d| *d != me && self.live.contains(d))
             .collect()
-    }
-
-    /// Move every committed transaction that predates the begin of every
-    /// currently live transaction into the settled set. Soundness: if
-    /// `commit_stamp(T) < begin_stamp(C)` for all live `C`, then every
-    /// action of every future transaction is recorded after all of `T`'s
-    /// actions (T stopped executing before its commit stamp; C's first
-    /// operation follows its begin stamp) — so no edge into `T` can ever
-    /// appear, and no oo-serializability cycle through a later candidate
-    /// can include `T`.
-    fn settle_sweep(&mut self) {
-        let watermark = self.begin_stamp.values().copied().min();
-        let newly: Vec<TxnIdx> = self
-            .commit_stamp
-            .iter()
-            .filter(|&(_, &cs)| watermark.is_none_or(|w| cs < w))
-            .map(|(&t, _)| t)
-            .collect();
-        for t in newly {
-            self.commit_stamp.remove(&t);
-            self.settled.insert(t);
-            // settled transactions leave every future validation / wait
-            // scope, so the incremental feed can drop them too —
-            // watermark settling prunes the maintained state the same
-            // way it prunes the components
-            self.feed.exclude(t);
-        }
     }
 }
 
@@ -621,13 +611,12 @@ struct ValidationPlan {
 /// reachable from the candidate. Every dependency edge is witnessed by a
 /// shared shard, so any cycle through the candidate lies inside its
 /// component — the last committer of a cycle always sees the whole
-/// cycle. Committed transactions that every currently live transaction
-/// began after are *settled* (watermark rule, `OptMeta::settle_sweep`)
-/// and pruned from all future scopes — no later transaction can acquire
-/// an edge into them — which keeps components at O(concurrent
-/// transactions) instead of O(everything ever committed). That is the
-/// algorithmic scaling win over the single global certifier, which
-/// re-infers dependencies over the whole growing record on every commit.
+/// cycle. Committed transactions the cut drops are *settled*
+/// (`OptMeta::settle`, the rule of `oodb_core::retention` that the
+/// single [`Certifier`](oodb_core::certifier::Certifier) applies too)
+/// and pruned from all future scopes — no retained, live or future
+/// transaction can acquire an edge into them — which keeps components at
+/// O(concurrent transactions) instead of O(everything ever committed).
 ///
 /// Validation runs outside the metadata lock; per-shard commit epochs
 /// detect a stale scope, and after `OPTIMISTIC_ROUNDS` retries the
@@ -771,8 +760,8 @@ impl ShardedOptimisticCc {
     }
 
     /// Committed transactions pruned from future validation scopes by
-    /// the watermark rule. Once the engine drains (nothing live), every
-    /// committed transaction must be settled.
+    /// the cut. Once the engine drains (nothing live), every committed
+    /// transaction must be settled.
     pub fn settled_count(&self) -> usize {
         self.meta.lock().settled.len()
     }
@@ -904,6 +893,9 @@ impl ShardedOptimisticCc {
         let me = txn.txn;
         let mut guard = self.meta.lock();
         guard.stats.attempts += 1;
+        // `me` executed before the snapshot was taken: its last action is
+        // in it, which is what the cut needs of a transaction it may drop
+        guard.positions.scan(ts, history, |_| {});
         let plan = Self::plan(&guard, me);
         let held = if hold {
             Some(guard)
@@ -958,7 +950,7 @@ impl ShardedOptimisticCc {
         }
         if ok {
             guard.committed.insert(me);
-            guard.note_finalized(me, true);
+            guard.note_finalized(shared, self.backend, me, true);
             for &s in &plan.my_shards {
                 guard.epochs[s] += 1;
                 shared.metrics.shard_commit(s);
@@ -975,7 +967,7 @@ impl ShardedOptimisticCc {
             Ok(FinishOutcome::Committed)
         } else {
             guard.aborted.insert(me);
-            guard.note_finalized(me, false);
+            guard.note_finalized(shared, self.backend, me, false);
             guard.touched.remove(&me);
             guard.stats.aborts += 1;
             // doom everyone who read our soon-compensated effects (no one,
@@ -1076,7 +1068,7 @@ impl ShardedOptimisticCc {
 
             if ok {
                 meta.committed.insert(me);
-                meta.note_finalized(me, true);
+                meta.note_finalized(shared, self.backend, me, true);
                 for &s in &plan.my_shards {
                     meta.epochs[s] += 1;
                     shared.metrics.shard_commit(s);
@@ -1099,7 +1091,7 @@ impl ShardedOptimisticCc {
                     Vec::new()
                 };
                 meta.aborted.insert(me);
-                meta.note_finalized(me, false);
+                meta.note_finalized(shared, self.backend, me, false);
                 meta.touched.remove(&me);
                 meta.stats.aborts += 1;
                 for &d in &doomed_now {
@@ -1144,7 +1136,7 @@ impl ConcurrencyControl for ShardedOptimisticCc {
         if self.snapshot.is_none() && meta.doomed.contains(&txn.txn) {
             return OpGrant::AbortVictim;
         }
-        meta.note_begin(txn.txn);
+        meta.live.insert(txn.txn);
         meta.touched
             .entry(txn.txn)
             .or_default()
@@ -1188,7 +1180,7 @@ impl ConcurrencyControl for ShardedOptimisticCc {
             let mut meta = self.meta.lock();
             if meta.live.contains(&me) {
                 meta.aborted.insert(me);
-                meta.note_finalized(me, false);
+                meta.note_finalized(shared, self.backend, me, false);
                 meta.stats.aborts += 1;
                 meta.touched.remove(&me);
             }
@@ -1212,7 +1204,7 @@ impl ConcurrencyControl for ShardedOptimisticCc {
                 let before = meta.stats;
                 meta.feed_record(ts, history);
                 meta.aborted.insert(me);
-                meta.note_finalized(me, false);
+                meta.note_finalized(shared, self.backend, me, false);
                 meta.stats.aborts += 1;
                 meta.touched.remove(&me);
                 let doomed_now = meta.live_dependents(ts, me);
@@ -1240,7 +1232,7 @@ impl ConcurrencyControl for ShardedOptimisticCc {
             // victim abort (doomed, deadline, wait-cycle break, injected
             // fault): register it and cascade to its live dependents
             meta.aborted.insert(me);
-            meta.note_finalized(me, false);
+            meta.note_finalized(shared, self.backend, me, false);
             meta.stats.aborts += 1;
             let my_shards = meta.touched.remove(&me).unwrap_or_default();
             let mut scope = HashSet::from([me]);
@@ -1310,6 +1302,12 @@ impl ConcurrencyControl for ShardedOptimisticCc {
 
     fn buffers_writes(&self) -> bool {
         self.snapshot.is_some()
+    }
+
+    fn retire(&self, shared: &EngineShared, txn: TxnIdx) {
+        let mut meta = self.meta.lock();
+        meta.exclude(txn);
+        meta.settle(shared, self.backend);
     }
 
     fn committed_projection(&self, ts: &TransactionSystem, history: &History) -> Option<History> {

@@ -294,6 +294,8 @@ impl Engine {
         let final_state = {
             let enc = self.shared.enc.lock();
             let mut ctx = self.shared.rec.begin_txn("Dump");
+            self.cc
+                .retire(&self.shared, oodb_core::ids::TxnIdx(ctx.txn_number()));
             let mut items: Vec<(String, String)> = enc
                 .read_seq(&mut ctx)
                 .into_iter()

@@ -251,6 +251,12 @@ pub struct EngineMetrics {
     /// share of certification, beside `cert_actions_inferred` for the
     /// feed's. Exactly repeatable for a given schedule.
     pub cert_check_visited: AtomicU64,
+    /// Committed transactions the certifier's cut dropped from its
+    /// maintained relations (`oodb_core::retention`).
+    pub cert_settled: AtomicU64,
+    /// Gauge: primitives the certifier currently holds in its maintained
+    /// relations — how much history the next commit is checked against.
+    pub cert_retained_actions: AtomicU64,
     /// Write-ahead-log records appended (redo/compensation payloads and
     /// lifecycle markers; zero with durability off).
     pub wal_appends: AtomicU64,
@@ -319,6 +325,8 @@ impl EngineMetrics {
             cert_actions_inferred: AtomicU64::new(0),
             cert_incremental_reseeds: AtomicU64::new(0),
             cert_check_visited: AtomicU64::new(0),
+            cert_settled: AtomicU64::new(0),
+            cert_retained_actions: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -390,6 +398,8 @@ impl EngineMetrics {
             cert_actions_inferred: self.cert_actions_inferred.load(Ordering::Relaxed),
             cert_incremental_reseeds: self.cert_incremental_reseeds.load(Ordering::Relaxed),
             cert_check_visited: self.cert_check_visited.load(Ordering::Relaxed),
+            cert_settled: self.cert_settled.load(Ordering::Relaxed),
+            cert_retained_actions: self.cert_retained_actions.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -478,6 +488,10 @@ pub struct MetricsSnapshot {
     pub cert_incremental_reseeds: u64,
     /// Nodes expanded by the candidate-rooted Definition-16 search.
     pub cert_check_visited: u64,
+    /// Committed transactions dropped from the certifier's relations.
+    pub cert_settled: u64,
+    /// Primitives the certifier held when the snapshot was taken.
+    pub cert_retained_actions: u64,
     /// Write-ahead-log records appended (zero with durability off).
     pub wal_appends: u64,
     /// Write-ahead-log bytes appended, including framing.
@@ -549,6 +563,12 @@ impl MetricsSnapshot {
             self.cert_incremental_reseeds
         );
         let _ = write!(s, "\"cert_check_visited\":{},", self.cert_check_visited);
+        let _ = write!(s, "\"cert_settled\":{},", self.cert_settled);
+        let _ = write!(
+            s,
+            "\"cert_retained_actions\":{},",
+            self.cert_retained_actions
+        );
         let _ = write!(s, "\"wal_appends\":{},", self.wal_appends);
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
         let _ = write!(s, "\"fsyncs\":{},", self.fsyncs);
@@ -654,8 +674,12 @@ impl std::fmt::Display for MetricsSnapshot {
         if self.cert_actions_inferred > 0 {
             write!(
                 f,
-                " cert-inferred {} (reseeds {}, check visited {})",
-                self.cert_actions_inferred, self.cert_incremental_reseeds, self.cert_check_visited
+                " cert-inferred {} (reseeds {}, check visited {}, settled {}, retained {})",
+                self.cert_actions_inferred,
+                self.cert_incremental_reseeds,
+                self.cert_check_visited,
+                self.cert_settled,
+                self.cert_retained_actions
             )?;
         }
         if self.wal_appends > 0 {
@@ -829,6 +853,8 @@ mod tests {
             "\"cert_actions_inferred\":",
             "\"cert_incremental_reseeds\":",
             "\"cert_check_visited\":",
+            "\"cert_settled\":",
+            "\"cert_retained_actions\":",
             "\"wal_appends\":9",
             "\"wal_bytes\":412",
             "\"fsyncs\":2",

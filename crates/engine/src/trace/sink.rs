@@ -4,12 +4,14 @@
 //! a cached `enabled` bool and never constructs an event. [`RingSink`]
 //! is a per-worker-lane, lock-free, bounded ring: writers claim a slot
 //! with one `fetch_add` on their lane's cursor and publish it with one
-//! `Release` store, so tracing never blocks a worker and never allocates
-//! after construction (beyond the event payloads themselves). When a
+//! `Release` store, so tracing never blocks a worker. A lane's slots are
+//! allocated a chunk at a time by the first writer to reach the chunk, so
+//! a sink costs what the run records, not what it could hold. When a
 //! lane fills, new events are dropped (drop-newest) and counted.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use super::event::TraceEvent;
 
@@ -73,27 +75,38 @@ struct Slot {
 // (pairing with the writer's Release store).
 unsafe impl Sync for Slot {}
 
+/// Slots per lazily allocated chunk of a lane.
+const CHUNK: usize = 1024;
+
 /// One worker's private segment of the ring.
 struct Lane {
     cursor: AtomicUsize,
     dropped: AtomicU64,
-    slots: Box<[Slot]>,
+    capacity: usize,
+    /// `capacity` slots in chunks of [`CHUNK`]; a chunk is allocated by
+    /// the first writer that claims a slot in it.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
 }
 
 impl Lane {
     fn new(capacity: usize) -> Self {
-        let slots = (0..capacity)
+        Lane {
+            cursor: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+            capacity,
+            chunks: (0..capacity.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    fn new_chunk() -> Box<[Slot]> {
+        (0..CHUNK)
             .map(|_| Slot {
                 ready: AtomicBool::new(false),
                 ev: UnsafeCell::new(None),
             })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Lane {
-            cursor: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
-        }
+            .collect()
     }
 
     fn record(&self, ev: TraceEvent) {
@@ -101,11 +114,11 @@ impl Lane {
         // though a lane normally has one writer (the external lane is
         // shared by every off-pool thread).
         let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.slots.len() {
+        if idx >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let slot = &self.slots[idx];
+        let slot = &self.chunks[idx / CHUNK].get_or_init(Self::new_chunk)[idx % CHUNK];
         // SAFETY: `idx` was handed out exactly once, so this thread is
         // the only writer of this cell, and `ready` is still false so
         // the drainer is not reading it.
@@ -116,8 +129,8 @@ impl Lane {
     }
 
     fn drain_into(&self, out: &mut Vec<TraceEvent>) -> u64 {
-        let claimed = self.cursor.load(Ordering::Acquire).min(self.slots.len());
-        for slot in &self.slots[..claimed] {
+        // every written slot lies in an allocated chunk and is `ready`
+        for slot in self.chunks.iter().filter_map(OnceLock::get).flatten() {
             if slot.ready.load(Ordering::Acquire) {
                 // SAFETY: ready == true (Acquire) pairs with the
                 // writer's Release store, and drain runs after the
@@ -221,6 +234,26 @@ mod tests {
         // Drop-newest: the first four survive.
         let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn lane_chunks_are_allocated_on_first_use() {
+        let capacity = 2 * CHUNK + 5;
+        let s = RingSink::new(1, capacity);
+        let allocated = |lane: &Lane| lane.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(s.lanes[0].chunks.len(), 3);
+        assert_eq!(allocated(&s.lanes[0]), 0, "a fresh sink holds no slots");
+        s.record(0, ev(0));
+        assert_eq!(allocated(&s.lanes[0]), 1);
+        assert_eq!(allocated(&s.lanes[1]), 0, "the unused lane stays empty");
+        // across both chunk boundaries and past the capacity
+        for i in 1..capacity as u64 + 3 {
+            s.record(0, ev(i));
+        }
+        let log = s.drain();
+        assert_eq!(log.events.len(), capacity);
+        assert_eq!(log.dropped, 3);
+        assert_eq!(log.events.last().unwrap().seq, capacity as u64 - 1);
     }
 
     #[test]

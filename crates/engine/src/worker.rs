@@ -237,6 +237,7 @@ fn mvcc_commit(
             let mut comp = shared
                 .rec
                 .begin_txn(format!("C({base}a{})", handle.attempt));
+            cc.retire(shared, TxnIdx(comp.txn_number()));
             let report = enc.abort(ctx, &mut comp);
             assert!(
                 report.failed.is_empty(),
@@ -657,6 +658,7 @@ pub(crate) fn process_job(
         } else {
             let enc = shared.enc.exclusive();
             let mut comp = shared.rec.begin_txn(format!("C({base}a{attempt})"));
+            cc.retire(shared, TxnIdx(comp.txn_number()));
             let report = enc.abort(ctx.take().expect("attempt ctx live at abort"), &mut comp);
             if cc.strict_compensation() {
                 assert!(

@@ -62,10 +62,21 @@ fn interleavings(counts: &[usize]) -> Vec<Vec<usize>> {
 /// One attempt of one logical transaction inside the virtual scheduler.
 struct Attempt {
     ops: Vec<EncOp>,
+    /// Writes granted but not applied yet: a snapshot control
+    /// ([`ConcurrencyControl::buffers_writes`]) installs them at the
+    /// commit point, as the engine's worker does.
+    buffered: Vec<EncOp>,
     cursor: usize,
     attempt: u32,
     ctx: TxnCtx,
     handle: TxnHandle,
+}
+
+impl Attempt {
+    /// The text tag its writes carry: the job number, 0 for the preload.
+    fn tag(&self) -> usize {
+        (self.handle.job as usize).wrapping_add(1)
+    }
 }
 
 /// The outcome of one fully replayed schedule, including the complete
@@ -148,6 +159,7 @@ impl VirtualScheduler {
         };
         Attempt {
             ops,
+            buffered: Vec::new(),
             cursor: 0,
             attempt: 0,
             ctx,
@@ -189,9 +201,7 @@ impl VirtualScheduler {
             OpGrant::Granted => {
                 self.decisions
                     .push(format!("t{t}a{} op{}: granted", a.attempt, a.cursor));
-                let enc = self.shared.enc.lock();
-                apply_op(&enc, &mut a.ctx, &op, t + 1);
-                drop(enc);
+                self.execute(&mut a, op);
                 a.cursor += 1;
             }
             OpGrant::AbortVictim => {
@@ -202,7 +212,7 @@ impl VirtualScheduler {
             }
         }
         if a.cursor == a.ops.len() {
-            let verdict = self.cc.try_finish(&self.shared, &a.handle);
+            let verdict = self.finish(&mut a);
             self.decisions
                 .push(format!("t{t}a{}: {verdict:?}", a.attempt));
             match verdict {
@@ -217,6 +227,27 @@ impl VirtualScheduler {
             self.active[t] = Some(a);
         }
         self.drain_pending(false);
+    }
+
+    /// Run a granted operation now, or keep a write back for the commit
+    /// point when the control buffers them.
+    fn execute(&self, a: &mut Attempt, op: EncOp) {
+        let is_write = matches!(op, EncOp::Insert(_) | EncOp::Change(_) | EncOp::Delete(_));
+        if is_write && self.cc.buffers_writes() {
+            a.buffered.push(op);
+        } else {
+            let tag = a.tag();
+            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+        }
+    }
+
+    /// The commit point: install what was buffered, then ask the control.
+    fn finish(&self, a: &mut Attempt) -> FinishOutcome {
+        let tag = a.tag();
+        for op in std::mem::take(&mut a.buffered) {
+            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+        }
+        self.cc.try_finish(&self.shared, &a.handle)
     }
 
     fn already_started(&self, t: usize) -> bool {
@@ -238,6 +269,8 @@ impl VirtualScheduler {
                 (t as u64).wrapping_add(1),
                 a.attempt
             ));
+            self.cc
+                .retire(&self.shared, oodb_core::ids::TxnIdx(comp.txn_number()));
             enc.abort(a.ctx, &mut comp);
         }
         self.cc.after_abort(&self.shared, &a.handle);
@@ -253,10 +286,10 @@ impl VirtualScheduler {
                 let Some(t) = self.pending.pop_front() else {
                     break;
                 };
-                let Some(a) = self.active[t].take() else {
+                let Some(mut a) = self.active[t].take() else {
                     continue;
                 };
-                let verdict = self.cc.try_finish(&self.shared, &a.handle);
+                let verdict = self.finish(&mut a);
                 self.decisions
                     .push(format!("drain t{t}a{}: {verdict:?}", a.attempt));
                 match verdict {
@@ -310,14 +343,7 @@ impl VirtualScheduler {
             let op = a.ops[a.cursor].clone();
             match self.cc.before_op(&self.shared, &a.handle, &op) {
                 OpGrant::Granted => {
-                    let enc = self.shared.enc.lock();
-                    apply_op(
-                        &enc,
-                        &mut a.ctx,
-                        &op,
-                        (a.handle.job as usize).wrapping_add(1),
-                    );
-                    drop(enc);
+                    self.execute(&mut a, op);
                     a.cursor += 1;
                 }
                 OpGrant::AbortVictim => {
@@ -329,7 +355,7 @@ impl VirtualScheduler {
             }
         }
         for _ in 0..64 {
-            let verdict = self.cc.try_finish(&self.shared, &a.handle);
+            let verdict = self.finish(&mut a);
             self.decisions
                 .push(format!("serial t{t}a{}: {verdict:?}", a.attempt));
             match verdict {
@@ -393,10 +419,18 @@ const COMBOS: [(&str, Option<usize>); 3] = [
     ("sharded/3", Some(3)),
 ];
 
-fn make_cc(shards: Option<usize>, backend: CertBackend) -> Arc<dyn ConcurrencyControl> {
-    match shards {
-        Some(n) => Arc::new(ShardedOptimisticCc::new(n).with_certification(backend)),
-        None => Arc::new(OptimisticCc::new().with_certification(backend)),
+/// The single certifier (`shards: None`) or the sharded one, executing
+/// in place or — `snapshot` — with buffered writes (MVCC).
+fn make_cc(
+    shards: Option<usize>,
+    backend: CertBackend,
+    snapshot: bool,
+) -> Arc<dyn ConcurrencyControl> {
+    match (shards, snapshot) {
+        (Some(n), false) => Arc::new(ShardedOptimisticCc::new(n).with_certification(backend)),
+        (Some(n), true) => Arc::new(ShardedOptimisticCc::snapshot(n).with_certification(backend)),
+        (None, false) => Arc::new(OptimisticCc::new().with_certification(backend)),
+        (None, true) => Arc::new(OptimisticCc::snapshot().with_certification(backend)),
     }
 }
 
@@ -407,7 +441,7 @@ fn replay(
     preload: &[String],
     schedule: &[usize],
 ) -> RunOutcome {
-    VirtualScheduler::new(make_cc(shards, backend), txns, preload).run(schedule)
+    VirtualScheduler::new(make_cc(shards, backend, false), txns, preload).run(schedule)
 }
 
 /// Run one schedule under both backends and require byte-identical
@@ -509,6 +543,97 @@ fn every_4txn_interleaving_decisions_agree_sharded() {
         );
         if i % 9 == 0 {
             assert_backends_agree("optimistic", None, &txns, &preload, schedule);
+        }
+    }
+}
+
+/// The snapshot (MVCC) strategies: never wait, never doom, so nothing
+/// but the certifier's own scope stands between a cycle and a commit.
+const SNAPSHOT_COMBOS: [(&str, Option<usize>); 3] = [
+    ("mvcc", None),
+    ("sharded-mvcc/1", Some(1)),
+    ("sharded-mvcc/3", Some(3)),
+];
+
+/// `X = [Search a, Change b]`, `T = [Change a]`, `R = [Search b,
+/// Search a]` over a preloaded `{a, b}`.
+fn read_only_anomaly_workload() -> (Vec<Vec<EncOp>>, Vec<String>) {
+    let [a, b, _] = three_cross_shard_keys();
+    let txns = vec![
+        vec![EncOp::Search(a.clone()), EncOp::Change(b.clone())],
+        vec![EncOp::Change(a.clone())],
+        vec![EncOp::Search(b.clone()), EncOp::Search(a.clone())],
+    ];
+    (txns, vec![a, b])
+}
+
+/// ROADMAP soundness gap (b), pinned. Steps `X, T, R, X, R`: `X` reads
+/// `a`; `T` writes `a` and commits; `R` begins and reads `b`; `X` writes
+/// `b` and commits (`X → T`); `R` reads `a` and finishes, closing
+/// `T → R → X → T`. A rule that settles `T` when `X` finalizes — `R`, the
+/// only live transaction, began after `T` committed — takes out of `R`'s
+/// scope a transaction the retained `X` still points at, and commits
+/// the read-only anomaly. The cut keeps `T` while it keeps `X`.
+#[test]
+fn read_only_anomaly_through_a_settled_writer_is_rejected() {
+    let (txns, preload) = read_only_anomaly_workload();
+    let (x, t, r) = (0, 1, 2);
+    let schedule = [x, t, r, x, r];
+    for (label, shards) in SNAPSHOT_COMBOS {
+        for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
+            let out = VirtualScheduler::new(make_cc(shards, backend, true), &txns, &preload)
+                .run(&schedule);
+            let verdicts: Vec<&str> = out
+                .decisions
+                .iter()
+                .filter_map(|d| d.strip_prefix("t2a0: "))
+                .collect();
+            assert_eq!(
+                verdicts,
+                ["Abort"],
+                "{label}/{backend:?}: R closes the cycle and must abort: {:?}",
+                out.decisions
+            );
+            assert_eq!(out.committed, 3, "{label}/{backend:?}: R's retry commits");
+            assert!(
+                out.decentralized_ok && out.global_ok,
+                "{label}/{backend:?}: audit of the committed projection"
+            );
+        }
+    }
+}
+
+/// Every op-level interleaving of the anomaly workload and of the
+/// 4-transaction workload under the snapshot strategies, both backends:
+/// whatever is committed passes the audit. The in-place enumerations
+/// above cannot show a scope that is too small — there the
+/// commit-dependency wait orders the transactions before validation.
+#[test]
+fn every_snapshot_interleaving_passes_the_audit() {
+    for (name, (txns, preload)) in [
+        ("anomaly", read_only_anomaly_workload()),
+        ("4txn", conflicting_4txn_workload()),
+    ] {
+        let counts: Vec<usize> = txns.iter().map(Vec::len).collect();
+        for (i, schedule) in interleavings(&counts).iter().enumerate() {
+            for (label, shards) in SNAPSHOT_COMBOS {
+                for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
+                    let out =
+                        VirtualScheduler::new(make_cc(shards, backend, true), &txns, &preload)
+                            .run(schedule);
+                    assert_eq!(
+                        out.committed,
+                        txns.len(),
+                        "{name} interleaving {i} ({label}/{backend:?}): all commit"
+                    );
+                    assert!(
+                        out.decentralized_ok && out.global_ok,
+                        "{name} interleaving {i} ({label}/{backend:?}) {schedule:?}: \
+                         committed projection must certify: {:?}",
+                        out.decisions
+                    );
+                }
+            }
         }
     }
 }

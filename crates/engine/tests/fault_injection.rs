@@ -10,8 +10,8 @@ use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
     audit, shard_of_key, CertBackend, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig,
-    EngineMetrics, EngineShared, ExecPath, FinishOutcome, OpGrant, ShardedOptimisticCc,
-    ShardedPessimisticCc, TxnHandle,
+    EngineMetrics, EngineShared, ExecPath, FinishOutcome, OpGrant, OptimisticCc,
+    ShardedOptimisticCc, ShardedPessimisticCc, TxnHandle,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -495,5 +495,156 @@ fn handle(ctx: &oodb_model::TxnCtx, job: u64, attempt: u32) -> TxnHandle {
         attempt,
         txn: TxnIdx(ctx.txn_number()),
         owner: OwnerId(u64::from(ctx.txn_number())),
+    }
+}
+
+/// Nothing outside the concurrency control may pin the certifier's cut.
+/// An injected mid-flight abort records a compensation transaction that
+/// no certifier round ever finalizes; the worker retires it, so a run
+/// with the fault ends holding exactly what a run without it holds, and
+/// once the engine has drained every committed transaction is settled.
+/// One worker: the runs are serial, so the gauge repeats exactly.
+#[test]
+fn an_injected_abort_does_not_pin_the_cut() {
+    let shards = 3;
+    let keys = keys_on_distinct_shards(shards);
+    for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
+        let run = |inject: bool| {
+            // in-place execution: the victim's update is public when the
+            // fault fires, so its compensation does record actions
+            let cc = Arc::new(ShardedOptimisticCc::new(shards).with_certification(backend));
+            if inject {
+                cc.inject_fault_after(1, 0, 2);
+            }
+            let config = EngineConfig {
+                workers: 1,
+                ..cfg(shards)
+            };
+            let engine = Engine::start_with(config, cc.clone());
+            engine.preload(&keys);
+            for j in 0..12 {
+                let k = |i: usize| keys[(j + i) % shards].clone();
+                engine
+                    .submit_blocking(vec![
+                        EncOp::Search(k(0)),
+                        EncOp::Change(k(1)),
+                        EncOp::Search(k(2)),
+                    ])
+                    .unwrap();
+            }
+            let out = engine.shutdown();
+            let label = backend.label();
+            assert_eq!(out.metrics.committed, 12, "{label}");
+            assert_eq!(out.metrics.retries, u64::from(inject), "{label}");
+            assert_eq!(
+                cc.live_entries(),
+                0,
+                "{label}: nothing live after the drain"
+            );
+            assert_eq!(
+                cc.settled_count(),
+                cc.committed_count(),
+                "{label}: everything is settled once the engine drains"
+            );
+            assert_eq!(out.metrics.cert_settled, 13, "{label}: 12 jobs + Setup");
+            out.metrics.cert_retained_actions
+        };
+        let (clean, faulted) = (run(false), run(true));
+        assert_eq!(
+            faulted,
+            clean,
+            "{}: actions retained after a run with an injected abort vs without",
+            backend.label()
+        );
+        if backend == CertBackend::Incremental {
+            assert!(clean > 0, "the last commit's actions await the next reseed");
+        }
+    }
+}
+
+/// The abort that unpins the cut is counted where it happens. A victim
+/// reads and stays live while two writers commit behind it — the cut
+/// retains both, their last action lies after the victim's first — and
+/// then aborts before its commit point, outside any certification
+/// round: both writers go in that step, and `cert_settled` and the
+/// `cert_retained_actions` gauge say so at once, not a round later.
+#[test]
+fn an_abort_that_unpins_the_cut_is_published() {
+    let shards = 3;
+    let keys = keys_on_distinct_shards(shards);
+    use CertBackend::{FromScratch, Incremental};
+    // the single certifier's from-scratch oracle keeps the whole record
+    let controls: Vec<(&str, Box<dyn ConcurrencyControl>)> = vec![
+        ("mvcc", Box::new(OptimisticCc::snapshot())),
+        (
+            "sharded-mvcc/incremental",
+            Box::new(ShardedOptimisticCc::snapshot(shards)),
+        ),
+        (
+            "sharded-mvcc/from-scratch",
+            Box::new(ShardedOptimisticCc::snapshot(shards).with_certification(FromScratch)),
+        ),
+        (
+            "sharded/incremental",
+            Box::new(ShardedOptimisticCc::new(shards).with_certification(Incremental)),
+        ),
+        (
+            "sharded/from-scratch",
+            Box::new(ShardedOptimisticCc::new(shards).with_certification(FromScratch)),
+        ),
+    ];
+    for (label, cc) in controls {
+        let shared = shared_with(shards);
+        // buffered writes are installed at the commit point, as the
+        // worker does; the order of recorded actions is the same here
+        let commit = |name: &str, job: u64, op: EncOp| {
+            let mut t = shared.rec.begin_txn(name);
+            let h = handle(&t, job, 0);
+            assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
+            apply_op(&shared.enc.lock(), &mut t, &op, job as usize);
+            assert_eq!(
+                cc.try_finish(&shared, &h),
+                FinishOutcome::Committed,
+                "{label}"
+            );
+            shared.enc.lock().commit(t);
+            cc.after_commit(&shared, &h);
+        };
+        for (i, k) in keys.iter().enumerate() {
+            commit(
+                &format!("Setup{i}"),
+                100 + i as u64,
+                EncOp::Insert(k.clone()),
+            );
+        }
+        let settled = || shared.metrics.snapshot().cert_settled;
+        assert_eq!(settled(), 3, "{label}: nothing live, every insert settled");
+
+        let mut victim = shared.rec.begin_txn("V");
+        let vh = handle(&victim, 1, 0);
+        let read = EncOp::Search(keys[0].clone());
+        assert_eq!(cc.before_op(&shared, &vh, &read), OpGrant::Granted);
+        apply_op(&shared.enc.lock(), &mut victim, &read, 1);
+        commit("A", 2, EncOp::Change(keys[1].clone()));
+        commit("B", 3, EncOp::Change(keys[2].clone()));
+        assert_eq!(settled(), 3, "{label}: the live victim pins A and B");
+        let pinned = shared.metrics.snapshot().cert_retained_actions;
+
+        {
+            let enc = shared.enc.lock();
+            let mut comp = shared.rec.begin_txn("C(V)");
+            cc.retire(&shared, TxnIdx(comp.txn_number()));
+            enc.abort(victim, &mut comp);
+        }
+        cc.after_abort(&shared, &vh);
+        assert_eq!(settled(), 5, "{label}: the abort let A and B go");
+        let after = shared.metrics.snapshot().cert_retained_actions;
+        if label.ends_with("from-scratch") {
+            assert_eq!(after, 0, "{label}: nothing is tracked any more");
+        } else {
+            // dropped primitives stay in the schedules, and in the gauge,
+            // until the next reseed replaces them
+            assert!(after <= pinned, "{label}: gauge {pinned} -> {after}");
+        }
     }
 }

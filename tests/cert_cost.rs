@@ -1,8 +1,10 @@
 //! Certification cost follows the candidate's own edges, not the record.
 //!
-//! Measured on a count, not a clock: `CertifierStats::check_visited` is
+//! Measured on counts, not a clock: `CertifierStats::check_visited` is
 //! the number of nodes the candidate-rooted Definition-16 search
-//! expanded, and repeats exactly for a given schedule.
+//! expanded, `CertifierStats::retained_actions` the number of executed
+//! primitives the certifier holds after the cut; both repeat exactly for
+//! a given schedule.
 
 use oodb::btree::{Encyclopedia, EncyclopediaConfig};
 use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
@@ -105,5 +107,45 @@ fn visited_per_commit_is_flat_in_history_length() {
             early, late,
             "{mode:?}: nodes visited by {PERIOD} commits from history 50 vs from history 370"
         );
+    }
+}
+
+/// What the certifier keeps does not grow with the run. A serial stream
+/// of six-operation transactions (reads and updates over a tree no
+/// operation restructures): the executed primitives held after commit
+/// 250 are those held after commit 50, give or take one transaction —
+/// at the parent commit it held every primitive ever fed.
+#[test]
+fn retained_primitives_are_flat_in_history_length() {
+    for mode in [CertifierMode::Paper, CertifierMode::Global] {
+        let mut stack = Stack::preloaded(mode);
+        let mut retained = Vec::new();
+        let mut largest_txn = 0;
+        for i in 0..260 {
+            let before = stack.rec.history_len();
+            let mut ctx = stack.rec.begin_txn(format!("J{i}"));
+            for op in 0..6 {
+                let k = key(7 * i + 3 * op);
+                if op % 3 == 2 {
+                    stack.enc.change(&mut ctx, &k, "changed");
+                } else {
+                    stack.enc.search(&mut ctx, &k);
+                }
+            }
+            largest_txn = largest_txn.max(stack.rec.history_len() - before);
+            stack.commit(ctx);
+            retained.push(stack.cert.stats.retained_actions);
+        }
+        let (early, late) = (retained[49], retained[249]);
+        assert!(
+            early.abs_diff(late) <= largest_txn as u64,
+            "{mode:?}: {early} primitives retained after commit 50, {late} after commit 250"
+        );
+        assert!(
+            late <= 2 * largest_txn as u64,
+            "{mode:?}: a serial stream leaves nothing to check against, {late} primitives kept"
+        );
+        // the preload and every transaction but possibly the last few
+        assert!(stack.cert.stats.settled >= 258, "{mode:?}");
     }
 }
