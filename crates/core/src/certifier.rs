@@ -269,8 +269,20 @@ impl Certifier {
         &self.aborted
     }
 
-    fn is_live(&self, t: TxnIdx) -> bool {
+    /// True until `t` commits, aborts or is [`retire`](Self::retire)d.
+    pub fn is_live(&self, t: TxnIdx) -> bool {
         !self.committed.contains(&t) && !self.aborted.contains(&t)
+    }
+
+    /// How many transactions the next decision can be checked against:
+    /// those the maintained relations still track after the last feed
+    /// (the commits the cut retained and everything live), or every
+    /// committed one under the from-scratch backend, which drops nothing.
+    pub fn retained_txns(&self) -> usize {
+        match &self.feed {
+            Some(feed) => feed.retained_txns(),
+            None => self.committed.len(),
+        }
     }
 
     /// Every live (unfinalized) transaction in the record, plus `also`.
@@ -515,9 +527,8 @@ impl Certifier {
 }
 
 /// The sub-history containing only primitives of transactions in `scope`,
-/// in the original order. Shared by the certifier's validation scope, the
-/// sharded certifier's component-restricted validation, and the engine's
-/// merged committed-projection audit.
+/// in the original order. Shared by the certifier's validation scope and
+/// the engine's committed-projection audit.
 pub fn restrict_history(
     ts: &TransactionSystem,
     history: &History,

@@ -349,6 +349,12 @@ impl IncrementalFeed {
         self.retention.excluded()
     }
 
+    /// Transactions currently retained: fed, and neither excluded nor
+    /// dropped by the cut.
+    pub fn retained_txns(&self) -> usize {
+        self.retention.tracked()
+    }
+
     /// Primitives currently held in the schedules: those of the retained
     /// transactions plus the garbage the next reseed will drop.
     pub fn retained_actions(&self) -> usize {

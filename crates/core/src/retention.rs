@@ -72,6 +72,11 @@ impl Retention {
         self.actions
     }
 
+    /// Transactions tracked now.
+    pub(crate) fn tracked(&self) -> usize {
+        self.spans.len()
+    }
+
     /// Transactions excluded for good.
     pub(crate) fn excluded(&self) -> &HashSet<TxnIdx> {
         &self.excluded

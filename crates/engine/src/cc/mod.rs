@@ -3,15 +3,18 @@
 //! The engine's worker loop is protocol-agnostic: it executes operations,
 //! commits, compensates, and retries. Everything protocol-specific —
 //! when an operation may run, when a transaction may commit, what happens
-//! on abort — goes through [`ConcurrencyControl`]. Two implementations
+//! on abort — goes through [`ConcurrencyControl`]. Three implementations
 //! ship:
 //!
 //! * [`PessimisticCc`] — semantic strict 2PL with deadlock detection and
 //!   compensation-based victim abort (the paper's §4–§5 protocol, the one
 //!   [`oodb_sim::threaded`] runs thread-per-transaction);
+//! * [`ShardedPessimisticCc`] — the same protocol over one lock manager
+//!   per key-hash shard, with wound-wait in place of deadlock detection;
 //! * [`OptimisticCc`] — execute first, certify at commit against
 //!   Definition 16 via [`oodb_core::certifier::Certifier`], with commit
-//!   dependencies (recoverability) and cascading aborts.
+//!   dependencies (recoverability) and cascading aborts. One certifier
+//!   at every shard count: shards are lanes of its metrics.
 
 mod optimistic;
 mod pessimistic;
@@ -20,7 +23,7 @@ pub mod versions;
 
 pub use optimistic::OptimisticCc;
 pub use pessimistic::PessimisticCc;
-pub use sharded::{shard_of_key, Shardable, ShardedCc, ShardedOptimisticCc, ShardedPessimisticCc};
+pub use sharded::{shard_of_key, ShardedPessimisticCc};
 pub use versions::VersionStore;
 
 use crate::db::ConcurrentEnc;
@@ -128,9 +131,9 @@ pub trait ConcurrencyControl: Send + Sync {
     /// locks, register the abort, doom dependents).
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle);
 
-    /// Number of independent concurrency-control shards this strategy
-    /// partitions the key space into. `1` means a single global
-    /// structure (the unsharded strategies).
+    /// Number of shards this strategy partitions the key space into —
+    /// independent lock managers under strict 2PL, metric lanes under
+    /// certification. `1` means no partition.
     fn shards(&self) -> usize {
         1
     }
@@ -145,8 +148,8 @@ pub trait ConcurrencyControl: Send + Sync {
     /// operation (`ops_done` operations of the attempt have run). `true`
     /// forces the attempt to abort mid-flight — compensating and
     /// releasing on every shard it touched — exactly as a real failure
-    /// would. The default never fires; the sharded strategies expose
-    /// test knobs that arm it.
+    /// would. The default never fires; [`ShardedPessimisticCc`] and
+    /// [`OptimisticCc`] expose test knobs that arm it.
     fn inject_abort(&self, _txn: &TxnHandle, _ops_done: usize) -> bool {
         false
     }

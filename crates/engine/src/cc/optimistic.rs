@@ -11,7 +11,17 @@
 //! * **legacy in-place** — subtransaction effects are public
 //!   immediately, so readers inherit commit dependencies and an abort
 //!   cascades through its dependents.
+//!
+//! There is one certifier at every shard count. The paper decentralizes
+//! by object (Definition 6), which the certifier's per-object schedules
+//! already do, and the cut ([`oodb_core::retention`]) keeps what a commit
+//! is checked against at a few transactions; a second scoping by hash
+//! partition bought nothing measurable (EXPERIMENTS.md "After the
+//! merge"). [`OptimisticCc::with_shards`] therefore only *accounts*:
+//! each live attempt's shard footprint feeds the per-shard lanes and the
+//! cross-shard counter of [`EngineMetrics`](crate::EngineMetrics).
 
+use super::sharded::{route_keyed, FaultPlan};
 use super::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, ShardRoute, TxnHandle};
 use crate::cc::versions::{self, VersionStore};
 use crate::trace::{CertOutcome, TraceEventKind};
@@ -25,7 +35,7 @@ use oodb_core::schedule::SystemSchedules;
 use oodb_core::system::TransactionSystem;
 use oodb_sim::EncOp;
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::Ordering;
 
 /// Backward-validation concurrency control over the shared
@@ -37,7 +47,7 @@ use std::sync::atomic::Ordering;
 /// the candidate. Because execution is uncontrolled, a transaction may
 /// read state a concurrent transaction later compensates away — the
 /// certifier's commit dependencies force readers to wait for their
-/// predecessors ([`CommitOutcome::MustWait`]), and an abort dooms its
+/// predecessors ([`FinishOutcome::Wait`]), and an abort dooms its
 /// live dependents (cascading abort), which the workers pick up via
 /// [`is_doomed`](ConcurrencyControl::is_doomed).
 ///
@@ -51,21 +61,35 @@ pub struct OptimisticCc {
     cert: Mutex<Certifier>,
     doomed: Mutex<HashSet<TxnIdx>>,
     /// Attempts currently executing under this control (registered at
-    /// their first operation, cleared at finalization). Commit
-    /// dependencies wait only on *these*: a predecessor outside the
-    /// concurrency control — a compensation transaction — is final by
-    /// definition and can never abort underneath the candidate, so
-    /// waiting on it would starve every retry that touches a
-    /// compensated key.
-    live: Mutex<HashSet<TxnIdx>>,
+    /// their first operation, cleared at finalization), each with the
+    /// shards its operations routed to. Commit dependencies wait only
+    /// on *these*: a predecessor outside the concurrency control — a
+    /// compensation transaction — is final by definition and can never
+    /// abort underneath the candidate, so waiting on it would starve
+    /// every retry that touches a compensated key. Snapshot execution on
+    /// one shard needs neither the wait scope nor a footprint and
+    /// registers nothing ([`Self::tracks_attempts`]).
+    live: Mutex<HashMap<TxnIdx, BTreeSet<usize>>>,
     /// MVCC version bookkeeping; `Some` selects snapshot execution.
     snapshot: Option<VersionStore>,
+    /// Lanes the key space is accounted over (1 = no lanes).
+    shards: usize,
     mode: CertifierMode,
     /// How certification-time dependencies are derived: maintained
     /// incrementally across attempts (the default) or re-inferred from
     /// scratch every attempt (the differential oracle).
     backend: CertBackend,
+    faults: FaultPlan,
     name: &'static str,
+}
+
+/// What one certification round decided.
+enum Round {
+    Commit,
+    Wait,
+    /// Validation failed; the live dependents to doom (none under
+    /// snapshot execution).
+    Abort(Vec<TxnIdx>),
 }
 
 impl OptimisticCc {
@@ -97,10 +121,12 @@ impl OptimisticCc {
             // transaction in the record, compensations included)
             cert: Mutex::new(Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore)),
             doomed: Mutex::new(HashSet::new()),
-            live: Mutex::new(HashSet::new()),
+            live: Mutex::new(HashMap::new()),
             snapshot: snapshot.then(VersionStore::new),
+            shards: 1,
             mode,
             backend: CertBackend::default(),
+            faults: FaultPlan::default(),
             name: match (snapshot, mode) {
                 (false, CertifierMode::Paper) => "optimistic",
                 (false, CertifierMode::Global) => "optimistic-global",
@@ -122,9 +148,13 @@ impl OptimisticCc {
         self
     }
 
-    /// The serializability check gating commits.
-    pub(super) fn mode(&self) -> CertifierMode {
-        self.mode
+    /// Account operations and commits over `shards` hash partitions of
+    /// the key space ([`shard_of_key`](super::shard_of_key)). Decisions
+    /// do not depend on it (`tests/cert_differential.rs` compares the
+    /// decision logs at 1 and 3 shards).
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
     }
 
     /// The certification backend in use.
@@ -132,46 +162,134 @@ impl OptimisticCc {
         self.backend
     }
 
-    /// Whether this control runs MVCC snapshot execution.
-    pub(super) fn is_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
     /// The MVCC version store (snapshot mode only).
     pub fn version_store(&self) -> Option<&VersionStore> {
         self.snapshot.as_ref()
     }
 
+    /// Arm a mid-flight abort: attempt `attempt` of `job` aborts once
+    /// `after_ops` of its operations have executed (test hook).
+    pub fn inject_fault_after(&self, job: u64, attempt: u32, after_ops: usize) {
+        self.faults.arm(job, attempt, after_ops);
+    }
+
+    /// Attempts begun but not finalized — zero once the engine drains,
+    /// and with it no shard footprint is left behind.
+    pub fn live_entries(&self) -> usize {
+        self.live.lock().len()
+    }
+
+    /// Committed transactions so far.
+    pub fn committed_count(&self) -> usize {
+        self.cert.lock().committed().len()
+    }
+
+    /// True when `txn` was aborted (validation failure or victim).
+    pub fn was_aborted(&self, txn: TxnIdx) -> bool {
+        self.cert.lock().aborted().contains(&txn)
+    }
+
+    /// The certifier's counters.
+    pub fn stats(&self) -> CertifierStats {
+        self.cert.lock().stats
+    }
+
+    /// Whether attempts register in [`Self::live`]: in-place execution
+    /// needs the wait scope, more than one shard needs the footprint.
+    fn tracks_attempts(&self) -> bool {
+        self.snapshot.is_none() || self.shards > 1
+    }
+
+    /// Run `f` against the record the backend certifies over: the live
+    /// record under the recorder lock when only the delta is fed
+    /// ([`oodb_model::Recorder::with_record`]), a snapshot when every
+    /// round re-infers and would hold the recorder too long. Side
+    /// effects that re-enter the recorder (version install,
+    /// compensation) stay outside `f` — lock order is always recorder →
+    /// certifier, never the inverse.
+    fn with_record<R>(
+        &self,
+        shared: &EngineShared,
+        f: impl FnOnce(&TransactionSystem, &History) -> R,
+    ) -> R {
+        match self.backend {
+            CertBackend::Incremental => shared.rec.with_record(f),
+            CertBackend::FromScratch => {
+                let (ts, history) = shared.rec.snapshot();
+                f(&ts, &history)
+            }
+        }
+    }
+
+    /// Top-level dependency edges over `scope`, inferred from scratch
+    /// and charged to the certifier's cost counter. Scoped inference
+    /// suffices for every edge between two members: no derivation rule
+    /// needs a third transaction's actions.
+    fn scoped_edges(
+        cert: &mut Certifier,
+        ts: &TransactionSystem,
+        history: &History,
+        scope: &HashSet<TxnIdx>,
+    ) -> Vec<(TxnIdx, TxnIdx)> {
+        let restricted = restrict_history(ts, history, scope);
+        cert.stats.actions_inferred += restricted.len() as u64;
+        let ss = SystemSchedules::infer_scoped(ts, &restricted, scope);
+        let top = ss.top_level_deps(ts);
+        top.edges()
+            .map(|(f, t)| (ts.action(*f).txn, ts.action(*t).txn))
+            .collect()
+    }
+
+    /// Commit dependency: a live *managed* attempt that precedes `me`, if
+    /// any. It may still abort and compensate away state `me` built on.
+    /// The incremental backend reads the maintained schedules — stale
+    /// edges of finalized transactions are filtered out by liveness,
+    /// exactly like the scoped inference excluding them.
+    fn live_predecessor(
+        &self,
+        cert: &mut Certifier,
+        ts: &TransactionSystem,
+        history: &History,
+        me: TxnIdx,
+    ) -> Option<TxnIdx> {
+        let live = self.live.lock();
+        let blocks = |pred: &TxnIdx| *pred != me && live.contains_key(pred);
+        match self.backend {
+            CertBackend::Incremental => {
+                let inc = cert.incremental().expect("fed by the caller");
+                inc.top_level_dependencies(ts, me).find(blocks)
+            }
+            CertBackend::FromScratch => {
+                let mut scope: HashSet<TxnIdx> = live.keys().copied().collect();
+                scope.insert(me);
+                Self::scoped_edges(cert, ts, history, &scope)
+                    .into_iter()
+                    .filter_map(|(pred, t)| (t == me).then_some(pred))
+                    .find(blocks)
+            }
+        }
+    }
+
     /// Live transactions that depend on `txn` (read its effects): the
-    /// cascade set of an abort. Inference is scoped to `txn` plus the
-    /// certifier-live transactions — only those can cascade, and no
-    /// dependency edge ever needs a third transaction's actions to be
-    /// derived — and deduplicated through a hash set (`top.edges()`
-    /// yields one edge per action pair, many per transaction pair).
+    /// cascade set of an abort, inferred from scratch over `txn` plus
+    /// the certifier-live transactions — only those can cascade — and
+    /// deduplicated (the edge list has one entry per action pair, many
+    /// per transaction pair).
     fn live_dependents(
-        cert: &Certifier,
+        cert: &mut Certifier,
         ts: &TransactionSystem,
         history: &History,
         txn: TxnIdx,
     ) -> Vec<TxnIdx> {
-        let is_live = |t: TxnIdx| !cert.committed().contains(&t) && !cert.aborted().contains(&t);
         let mut scope: HashSet<TxnIdx> = (0..ts.top_level().len() as u32)
             .map(TxnIdx)
-            .filter(|&t| is_live(t))
+            .filter(|&t| cert.is_live(t))
             .collect();
         scope.insert(txn);
-        let restricted = restrict_history(ts, history, &scope);
-        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
-        let top = ss.top_level_deps(ts);
-        let me = ts.top_level()[txn.as_usize()];
         let mut cascade = Vec::new();
-        let mut seen = HashSet::new();
-        for (f, t) in top.edges() {
-            if *f == me {
-                let dep = ts.action(*t).txn;
-                if dep != txn && is_live(dep) && seen.insert(dep) {
-                    cascade.push(dep);
-                }
+        for (f, dep) in Self::scoped_edges(cert, ts, history, &scope) {
+            if f == txn && dep != txn && cert.is_live(dep) && !cascade.contains(&dep) {
+                cascade.push(dep);
             }
         }
         cascade
@@ -183,7 +301,7 @@ impl OptimisticCc {
     /// run, inside a certification round or not (an abort before the
     /// commit point, a retired compensation), so the live engine can
     /// always say how much history the next commit is checked against.
-    pub(super) fn publish_retention(shared: &EngineShared, stats: &CertifierStats) {
+    fn publish_retention(shared: &EngineShared, stats: &CertifierStats) {
         let m = &shared.metrics;
         m.cert_settled.store(stats.settled, Ordering::Relaxed);
         m.cert_retained_actions
@@ -193,14 +311,14 @@ impl OptimisticCc {
     /// Publish one certification round's inference cost: the certifier
     /// stat deltas land in the engine counters, and incremental rounds
     /// that consumed anything additionally emit a `cert_delta` event
-    /// (`emit_delta` is false on the from-scratch oracle, which has no
-    /// delta to speak of — its cost is the full restricted history).
-    pub(super) fn publish_cert_round(
+    /// (the from-scratch oracle has no delta to speak of — its cost is
+    /// the full restricted history).
+    fn publish_cert_round(
+        &self,
         shared: &EngineShared,
         txn: &TxnHandle,
         before: CertifierStats,
         after: CertifierStats,
-        emit_delta: bool,
     ) {
         let fed = after.actions_inferred - before.actions_inferred;
         let reseeds = after.incremental_reseeds - before.incremental_reseeds;
@@ -224,7 +342,7 @@ impl OptimisticCc {
                 .cert_incremental_reseeds
                 .fetch_add(reseeds, Ordering::Relaxed);
         }
-        if emit_delta && (fed > 0 || reseeds > 0) {
+        if self.backend == CertBackend::Incremental && (fed > 0 || reseeds > 0) {
             shared.trace.emit_txn(txn, || TraceEventKind::CertDelta {
                 fed,
                 reseeded: reseeds > 0,
@@ -232,95 +350,92 @@ impl OptimisticCc {
         }
     }
 
-    /// The incremental twin of the from-scratch `try_finish` body: the
-    /// whole round runs against the *live* record under the recorder
-    /// lock ([`oodb_model::Recorder::with_record`]), feeding the
-    /// certifier's maintained schedules only the actions appended since
-    /// the last attempt instead of cloning and re-inferring a snapshot.
-    /// Side effects that re-enter the recorder (version install,
-    /// compensation) stay outside the closure — lock order is always
-    /// recorder → certifier, never the inverse.
-    fn try_finish_incremental(&self, shared: &EngineShared, txn: &TxnHandle) -> FinishOutcome {
-        enum Round {
-            Commit,
-            Wait,
-            Abort(Vec<TxnIdx>),
-        }
-        let round = shared.rec.with_record(|ts, history| {
-            let mut cert = self.cert.lock();
-            let before = cert.stats;
-            cert.feed_record(ts, history);
-            if self.snapshot.is_none() {
-                // commit dependency: a live *managed* predecessor must
-                // finalize first. Same liveness scope as the
-                // from-scratch path, but the edges come from the
-                // maintained schedules — stale edges of finalized
-                // transactions are filtered out here, exactly like the
-                // scoped inference excluding them.
-                let live = self.live.lock();
-                let inc = cert.incremental().expect("fed above");
-                let must_wait = inc
-                    .top_level_dependencies(ts, txn.txn)
-                    .any(|pred| pred != txn.txn && live.contains(&pred));
-                drop(live);
-                if must_wait {
-                    Self::publish_cert_round(shared, txn, before, cert.stats, true);
-                    return Round::Wait;
-                }
+    /// One certification round of `txn` over the record `with_record`
+    /// hands in: feed the delta (a no-op under from-scratch), check the
+    /// commit dependencies (in-place only), validate.
+    fn certify(
+        &self,
+        shared: &EngineShared,
+        txn: &TxnHandle,
+        ts: &TransactionSystem,
+        history: &History,
+    ) -> Round {
+        let me = txn.txn;
+        let mut cert = self.cert.lock();
+        let before = cert.stats;
+        cert.feed_record(ts, history);
+        // what the check can reach: the transactions still retained
+        // after the feed, plus the candidate
+        let component = cert.retained_txns() + 1;
+        let wait_on = match self.snapshot {
+            None => self.live_predecessor(&mut cert, ts, history, me),
+            Some(_) => None,
+        };
+        let outcome = match wait_on {
+            Some(on) => {
+                cert.stats.waits += 1;
+                CommitOutcome::MustWait { on }
             }
-            // certification scope: the committed set plus the candidate
-            let component = cert.committed().len() + 1;
-            let outcome = cert.try_commit(ts, history, txn.txn);
-            let verdict = match &outcome {
-                CommitOutcome::Committed => CertOutcome::Commit,
-                CommitOutcome::MustWait { .. } => CertOutcome::Wait,
-                CommitOutcome::MustAbort(_) => CertOutcome::Abort,
-            };
-            shared.trace.emit_txn(txn, || TraceEventKind::CertAttempt {
-                component,
-                outcome: verdict,
-            });
-            let round = match outcome {
-                CommitOutcome::Committed => Round::Commit,
-                CommitOutcome::MustWait { .. } => Round::Wait,
-                CommitOutcome::MustAbort(_) if self.snapshot.is_some() => Round::Abort(Vec::new()),
-                CommitOutcome::MustAbort(_) => {
-                    // doom everyone who read our soon-compensated
-                    // effects: live successors in the maintained edges
-                    // (the candidate itself is finalized-aborted now,
-                    // so the liveness filter skips it)
-                    Round::Abort(cert.live_dependents(ts, txn.txn))
-                }
-            };
-            Self::publish_cert_round(shared, txn, before, cert.stats, true);
-            round
+            None => cert.try_commit(ts, history, me),
+        };
+        let (verdict, round) = match outcome {
+            CommitOutcome::MustWait { .. } => (CertOutcome::Wait, Round::Wait),
+            CommitOutcome::Committed => (CertOutcome::Commit, Round::Commit),
+            // nobody saw a snapshot candidate's buffered writes; in place,
+            // doom everyone who read our soon-compensated effects (the
+            // certifier already moved the candidate to the aborted set,
+            // so the liveness filter skips it)
+            CommitOutcome::MustAbort(_) => (
+                CertOutcome::Abort,
+                Round::Abort(match (&self.snapshot, self.backend) {
+                    (Some(_), _) => Vec::new(),
+                    (None, CertBackend::Incremental) => cert.live_dependents(ts, me),
+                    (None, CertBackend::FromScratch) => {
+                        Self::live_dependents(&mut cert, ts, history, me)
+                    }
+                }),
+            ),
+        };
+        shared.trace.emit_txn(txn, || TraceEventKind::CertAttempt {
+            component,
+            outcome: verdict,
         });
-        match round {
-            Round::Commit => {
-                if let Some(store) = &self.snapshot {
-                    versions::on_commit(store, shared, txn);
-                } else {
-                    self.live.lock().remove(&txn.txn);
-                }
-                FinishOutcome::Committed
+        self.publish_cert_round(shared, txn, before, cert.stats);
+        round
+    }
+
+    /// `txn` left the live set; a commit is accounted on every lane of
+    /// its footprint.
+    fn finalize(&self, shared: &EngineShared, txn: TxnIdx, committed: bool) {
+        if !self.tracks_attempts() {
+            return;
+        }
+        let footprint = self.live.lock().remove(&txn).unwrap_or_default();
+        if committed {
+            for &s in &footprint {
+                shared.metrics.shard_commit(s);
             }
-            Round::Wait => FinishOutcome::Wait,
-            Round::Abort(_) if self.snapshot.is_some() => FinishOutcome::Abort,
-            Round::Abort(cascade) => {
-                self.live.lock().remove(&txn.txn);
-                shared
-                    .metrics
-                    .cascade_dooms
-                    .fetch_add(cascade.len() as u64, Ordering::Relaxed);
-                for d in &cascade {
-                    shared
-                        .trace
-                        .emit_txn(txn, || TraceEventKind::CascadeDoom { victim: d.0 as u64 });
-                }
-                self.doomed.lock().extend(cascade);
-                FinishOutcome::Abort
+            if footprint.len() > 1 {
+                shared.metrics.cross_shard_inc();
             }
         }
+    }
+
+    /// Doom the live dependents of the aborting `txn`.
+    fn doom(&self, shared: &EngineShared, txn: &TxnHandle, cascade: Vec<TxnIdx>) {
+        if cascade.is_empty() {
+            return;
+        }
+        shared
+            .metrics
+            .cascade_dooms
+            .fetch_add(cascade.len() as u64, Ordering::Relaxed);
+        for d in &cascade {
+            shared
+                .trace
+                .emit_txn(txn, || TraceEventKind::CascadeDoom { victim: d.0 as u64 });
+        }
+        self.doomed.lock().extend(cascade);
     }
 }
 
@@ -335,108 +450,50 @@ impl ConcurrencyControl for OptimisticCc {
         self.name
     }
 
-    fn before_op(&self, _shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
+    fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
         if let Some(store) = &self.snapshot {
             // snapshot mode: record the operation against the version
             // store (writes buffer, reads resolve in the snapshot);
             // cascades cannot doom anyone, so no doomed check
             store.note_op(txn.txn, op);
-            return OpGrant::Granted;
+        } else if self.doomed.lock().contains(&txn.txn) {
+            // no locks — but abort promptly if a cascade doomed this attempt
+            return OpGrant::AbortVictim;
         }
-        // no locks — but abort promptly if a cascade doomed this attempt
-        if self.doomed.lock().contains(&txn.txn) {
-            OpGrant::AbortVictim
-        } else {
-            self.live.lock().insert(txn.txn);
-            OpGrant::Granted
+        if self.tracks_attempts() {
+            let mut live = self.live.lock();
+            let footprint = live.entry(txn.txn).or_default();
+            if self.shards > 1 {
+                let mut note = |s: usize| {
+                    footprint.insert(s);
+                    shared.metrics.shard_op(s);
+                };
+                match route_keyed(op, self.shards) {
+                    ShardRoute::One(s) => note(s),
+                    ShardRoute::All => (0..self.shards).for_each(note),
+                }
+            }
         }
+        OpGrant::Granted
     }
 
     fn try_finish(&self, shared: &EngineShared, txn: &TxnHandle) -> FinishOutcome {
         if self.snapshot.is_none() && self.doomed.lock().contains(&txn.txn) {
             return FinishOutcome::Abort;
         }
-        if self.backend == CertBackend::Incremental {
-            return self.try_finish_incremental(shared, txn);
-        }
-        let (ts, history) = shared.rec.snapshot();
-        let mut cert = self.cert.lock();
-        if self.snapshot.is_none() {
-            // commit dependency: a *live managed* predecessor must
-            // finalize first (it may still abort and compensate away
-            // state the candidate built on). Scoped inference suffices:
-            // an edge from a live predecessor never needs a third
-            // transaction's actions to be derived. Snapshot mode skips
-            // this entirely — nothing the candidate read can be
-            // compensated away, because it only ever read committed
-            // state.
-            let live = self.live.lock();
-            let mut scope: HashSet<TxnIdx> = live.iter().copied().collect();
-            scope.insert(txn.txn);
-            let restricted = restrict_history(&ts, &history, &scope);
-            shared
-                .metrics
-                .cert_actions_inferred
-                .fetch_add(restricted.len() as u64, Ordering::Relaxed);
-            let ss = SystemSchedules::infer_scoped(&ts, &restricted, &scope);
-            let top = ss.top_level_deps(&ts);
-            let me = ts.top_level()[txn.txn.as_usize()];
-            for (f, t) in top.edges() {
-                if *t == me {
-                    let pred = ts.action(*f).txn;
-                    if pred != txn.txn && live.contains(&pred) {
-                        return FinishOutcome::Wait;
-                    }
-                }
-            }
-        }
-        // certification scope: the committed set plus the candidate
-        let component = cert.committed().len() + 1;
-        let before = cert.stats;
-        let outcome = cert.try_commit(&ts, &history, txn.txn);
-        Self::publish_cert_round(shared, txn, before, cert.stats, false);
-        let verdict = match &outcome {
-            CommitOutcome::Committed => CertOutcome::Commit,
-            CommitOutcome::MustWait { .. } => CertOutcome::Wait,
-            CommitOutcome::MustAbort(_) => CertOutcome::Abort,
-        };
-        shared.trace.emit_txn(txn, || TraceEventKind::CertAttempt {
-            component,
-            outcome: verdict,
-        });
-        match outcome {
-            CommitOutcome::Committed => {
-                drop(cert);
+        let round = self.with_record(shared, |ts, history| self.certify(shared, txn, ts, history));
+        match round {
+            Round::Commit => {
+                self.finalize(shared, txn.txn, true);
                 if let Some(store) = &self.snapshot {
                     versions::on_commit(store, shared, txn);
-                } else {
-                    self.live.lock().remove(&txn.txn);
                 }
                 FinishOutcome::Committed
             }
-            CommitOutcome::MustWait { .. } => FinishOutcome::Wait,
-            CommitOutcome::MustAbort(_) => {
-                if self.snapshot.is_some() {
-                    // nobody saw the candidate's buffered writes — the
-                    // worker compensates inside the same critical
-                    // section and no cascade exists
-                    return FinishOutcome::Abort;
-                }
-                // the certifier already moved us to the aborted set; doom
-                // everyone who read our soon-compensated effects
-                let cascade = Self::live_dependents(&cert, &ts, &history, txn.txn);
-                drop(cert);
-                self.live.lock().remove(&txn.txn);
-                shared
-                    .metrics
-                    .cascade_dooms
-                    .fetch_add(cascade.len() as u64, Ordering::Relaxed);
-                for d in &cascade {
-                    shared
-                        .trace
-                        .emit_txn(txn, || TraceEventKind::CascadeDoom { victim: d.0 as u64 });
-                }
-                self.doomed.lock().extend(cascade);
+            Round::Wait => FinishOutcome::Wait,
+            Round::Abort(cascade) => {
+                self.doom(shared, txn, cascade);
+                self.finalize(shared, txn.txn, false);
                 FinishOutcome::Abort
             }
         }
@@ -445,73 +502,58 @@ impl ConcurrencyControl for OptimisticCc {
     fn after_commit(&self, _shared: &EngineShared, _txn: &TxnHandle) {}
 
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle) {
+        let me = txn.txn;
         if let Some(store) = &self.snapshot {
             // nothing was published, so nothing can cascade; just
             // finalize the certifier bookkeeping and drop the buffered
             // writes (the attempt may have aborted before its commit
             // point: deadline, injected fault)
             let mut cert = self.cert.lock();
-            if !cert.committed().contains(&txn.txn) && !cert.aborted().contains(&txn.txn) {
-                cert.register_abort(txn.txn);
+            if cert.is_live(me) {
+                cert.register_abort(me);
                 Self::publish_retention(shared, &cert.stats);
             }
             drop(cert);
             versions::on_abort(store, shared, txn);
+            self.finalize(shared, me, false);
             return;
         }
-        let cascade = if self.backend == CertBackend::Incremental {
-            // victim abort against the live record: feed the delta,
-            // read the cascade off the maintained edges (recorder →
-            // certifier lock order, as everywhere incremental)
-            shared.rec.with_record(|ts, history| {
-                let mut cert = self.cert.lock();
-                let before = cert.stats;
-                let cascade =
-                    if !cert.committed().contains(&txn.txn) && !cert.aborted().contains(&txn.txn) {
-                        cert.abort(ts, history, txn.txn)
-                    } else {
-                        // validation failure: try_finish already doomed the
-                        // cascade
-                        Vec::new()
-                    };
-                Self::publish_cert_round(shared, txn, before, cert.stats, true);
-                cascade
-            })
-        } else {
-            let (ts, history) = shared.rec.snapshot();
+        let cascade = self.with_record(shared, |ts, history| {
             let mut cert = self.cert.lock();
             let before = cert.stats;
-            let cascade =
-                if !cert.committed().contains(&txn.txn) && !cert.aborted().contains(&txn.txn) {
-                    // victim abort (doomed, deadline, wait-cycle break):
-                    // register it with the certifier, which reports the
-                    // direct dependents
-                    cert.abort(&ts, &history, txn.txn)
-                } else {
-                    // validation failure: try_finish already doomed the cascade
-                    Vec::new()
-                };
-            Self::publish_cert_round(shared, txn, before, cert.stats, false);
+            let cascade = if cert.is_live(me) {
+                // victim abort (doomed, deadline, wait-cycle break,
+                // injected fault): register it with the certifier, which
+                // reports the direct dependents
+                cert.abort(ts, history, me)
+            } else {
+                // validation failure: try_finish already doomed the cascade
+                Vec::new()
+            };
+            self.publish_cert_round(shared, txn, before, cert.stats);
             cascade
-        };
-        self.live.lock().remove(&txn.txn);
-        shared
-            .metrics
-            .cascade_dooms
-            .fetch_add(cascade.len() as u64, Ordering::Relaxed);
-        for d in &cascade {
-            shared
-                .trace
-                .emit_txn(txn, || TraceEventKind::CascadeDoom { victim: d.0 as u64 });
-        }
-        let mut doomed = self.doomed.lock();
-        doomed.remove(&txn.txn); // this attempt is finished for good
-        doomed.extend(cascade);
+        });
+        // doom before leaving the live set: a dependent at its commit
+        // point keeps waiting on `me` until it can see its own doom
+        self.doom(shared, txn, cascade);
+        self.finalize(shared, me, false);
+        self.doomed.lock().remove(&me); // this attempt is finished for good
     }
 
-    fn route(&self, _op: &EncOp) -> ShardRoute {
-        // one global certifier: every key routes to the only shard
-        ShardRoute::One(0)
+    fn shards(&self) -> usize {
+        self.shards
+    }
+
+    fn route(&self, op: &EncOp) -> ShardRoute {
+        if self.shards == 1 {
+            ShardRoute::One(0)
+        } else {
+            route_keyed(op, self.shards)
+        }
+    }
+
+    fn inject_abort(&self, txn: &TxnHandle, ops_done: usize) -> bool {
+        self.faults.fires(txn, ops_done)
     }
 
     fn is_doomed(&self, txn: &TxnHandle) -> bool {
@@ -591,16 +633,16 @@ mod tests {
     #[test]
     fn cascade_set_on_three_txn_chain_is_exact_and_deduped() {
         let (ts, h) = chain3();
-        let cert = Certifier::new(CertifierMode::Paper);
+        let mut cert = Certifier::new(CertifierMode::Paper);
         // aborting T1 cascades to T2 exactly once (two witnessing edges,
         // one entry) and not to T3 (no direct dependency)
-        let cascade = OptimisticCc::live_dependents(&cert, &ts, &h, TxnIdx(0));
+        let cascade = OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(0));
         assert_eq!(cascade, vec![TxnIdx(1)]);
         // the doomed T2 then cascades to T3
-        let cascade = OptimisticCc::live_dependents(&cert, &ts, &h, TxnIdx(1));
+        let cascade = OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(1));
         assert_eq!(cascade, vec![TxnIdx(2)]);
         // T3 has no dependents
-        assert!(OptimisticCc::live_dependents(&cert, &ts, &h, TxnIdx(2)).is_empty());
+        assert!(OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(2)).is_empty());
     }
 
     #[test]
@@ -612,7 +654,23 @@ mod tests {
             CommitOutcome::Committed
         );
         // T2 committed first: aborting T1 has nothing live to doom
-        assert!(OptimisticCc::live_dependents(&cert, &ts, &h, TxnIdx(0)).is_empty());
+        assert!(OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(0)).is_empty());
+    }
+
+    #[test]
+    fn shards_route_by_the_key_hash_and_one_shard_routes_to_zero() {
+        let cc = OptimisticCc::snapshot().with_shards(4);
+        assert_eq!(cc.shards(), 4);
+        let alpha = EncOp::Insert("alpha".into());
+        assert_eq!(
+            cc.route(&alpha),
+            ShardRoute::One(crate::shard_of_key("alpha", 4))
+        );
+        assert_eq!(cc.route(&EncOp::ReadSeq), ShardRoute::All);
+        let one = OptimisticCc::snapshot();
+        assert_eq!(one.shards(), 1);
+        assert_eq!(one.route(&alpha), ShardRoute::One(0));
+        assert_eq!(one.route(&EncOp::ReadSeq), ShardRoute::One(0));
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl PessimisticCc {
         }
     }
 
-    /// True for the page-granularity ablation (whole-container locks).
-    pub(super) fn is_page_level(&self) -> bool {
-        self.page
-    }
-
     /// Block until the lock is granted; `false` means this owner was
     /// chosen as a deadlock victim and must abort.
     fn acquire_blocking(

@@ -49,8 +49,7 @@ pub mod worker;
 pub use audit::{audit, AuditOutput, AuditScope};
 pub use cc::{
     shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, OptimisticCc,
-    PessimisticCc, ShardRoute, Shardable, ShardedCc, ShardedOptimisticCc, ShardedPessimisticCc,
-    TxnHandle, VersionStore,
+    PessimisticCc, ShardRoute, ShardedPessimisticCc, TxnHandle, VersionStore,
 };
 pub use config::{
     CcKind, CertBackend, DurabilityMode, EngineConfig, ExecPath, OptimisticExec, TraceMode,
@@ -107,34 +106,26 @@ pub struct EngineOutput {
 
 impl Engine {
     /// Start an engine with one of the built-in strategies.
-    /// [`EngineConfig::shards`] > 1 selects the sharded variant of the
-    /// chosen strategy (per-shard lock managers / committed sets), and
-    /// [`EngineConfig::optimistic_exec`] picks MVCC snapshot execution
-    /// (the default) or legacy in-place execution for the optimistic
-    /// strategies.
+    /// [`EngineConfig::shards`] > 1 gives strict 2PL one lock manager per
+    /// shard and the optimistic strategy per-shard metric lanes over its
+    /// one certifier; [`EngineConfig::optimistic_exec`] picks MVCC
+    /// snapshot execution (the default) or legacy in-place execution for
+    /// the optimistic strategy.
     pub fn start(cfg: EngineConfig, kind: CcKind) -> Engine {
         let shards = cfg.shards.max(1);
-        let mvcc = cfg.optimistic_exec == OptimisticExec::Snapshot;
-        let cert = cfg.certification;
-        let cc: Arc<dyn ConcurrencyControl> = if shards > 1 {
-            match kind {
-                CcKind::Pessimistic => Arc::new(ShardedPessimisticCc::semantic(shards)),
-                CcKind::PessimisticPage => Arc::new(ShardedPessimisticCc::page_level(shards)),
-                CcKind::Optimistic if mvcc => {
-                    Arc::new(ShardedOptimisticCc::snapshot(shards).with_certification(cert))
-                }
-                CcKind::Optimistic => {
-                    Arc::new(ShardedOptimisticCc::new(shards).with_certification(cert))
-                }
+        let cc: Arc<dyn ConcurrencyControl> = match kind {
+            CcKind::Pessimistic if shards > 1 => Arc::new(ShardedPessimisticCc::semantic(shards)),
+            CcKind::Pessimistic => Arc::new(PessimisticCc::semantic()),
+            CcKind::PessimisticPage if shards > 1 => {
+                Arc::new(ShardedPessimisticCc::page_level(shards))
             }
-        } else {
-            match kind {
-                CcKind::Pessimistic => Arc::new(PessimisticCc::semantic()),
-                CcKind::PessimisticPage => Arc::new(PessimisticCc::page_level()),
-                CcKind::Optimistic if mvcc => {
-                    Arc::new(OptimisticCc::snapshot().with_certification(cert))
-                }
-                CcKind::Optimistic => Arc::new(OptimisticCc::new().with_certification(cert)),
+            CcKind::PessimisticPage => Arc::new(PessimisticCc::page_level()),
+            CcKind::Optimistic => {
+                let cc = match cfg.optimistic_exec {
+                    OptimisticExec::Snapshot => OptimisticCc::snapshot(),
+                    OptimisticExec::InPlace => OptimisticCc::new(),
+                };
+                Arc::new(cc.with_certification(cfg.certification).with_shards(shards))
             }
         };
         Self::start_with(cfg, cc)

@@ -178,14 +178,14 @@ impl Quantiles {
     }
 }
 
-/// Per-shard contention counters of a sharded concurrency control
-/// (empty for single-shard strategies).
+/// Per-shard counters of a concurrency control running on more than one
+/// shard (empty on one).
 #[derive(Debug, Default)]
 pub struct ShardLane {
     /// Operations routed to (and granted on) this shard.
     pub ops: AtomicU64,
-    /// Contention events on this shard: lock waits under sharded
-    /// pessimistic control, scope revalidations under sharded optimistic.
+    /// Blocked lock requests on this shard under sharded strict 2PL;
+    /// always 0 under certification, which never blocks an operation.
     pub blocked: AtomicU64,
     /// Committed transactions whose footprint included this shard.
     pub commits: AtomicU64,

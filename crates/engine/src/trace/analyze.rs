@@ -298,7 +298,7 @@ pub fn reconstruct_graph(events: &[TraceEvent]) -> DepGraph {
 
 /// The audit-side graph: restrict the audited history to the named
 /// transactions, run scoped schedule inference (the same machinery the
-/// sharded certifier validates with), and project the system-object
+/// from-scratch certifier validates with), and project the system-object
 /// action dependencies onto root names.
 pub fn audit_graph(audit: &AuditOutput, names: &BTreeSet<String>) -> DepGraph {
     let ts = &audit.ts;

@@ -47,9 +47,6 @@ pub enum CertOutcome {
     Abort,
     /// A live predecessor must finalize first; the worker polls again.
     Wait,
-    /// A concurrent commit landed on a scope shard mid-validation; the
-    /// round is repeated against a fresh plan.
-    Stale,
 }
 
 /// Why an attempt aborted.
@@ -87,7 +84,6 @@ impl CertOutcome {
             CertOutcome::Commit => "commit",
             CertOutcome::Abort => "abort",
             CertOutcome::Wait => "wait",
-            CertOutcome::Stale => "stale",
         }
     }
 }
@@ -173,8 +169,9 @@ pub enum TraceEventKind {
     },
     /// One certification round of an optimistic commit.
     CertAttempt {
-        /// Size of the validation scope: the shard-connected conflict
-        /// component (sharded) or the committed-set scope (global).
+        /// Size of the validation scope: the transactions the certifier
+        /// still retained after feeding the record, plus the candidate
+        /// (every committed one under the from-scratch backend).
         component: usize,
         /// How the round ended.
         outcome: CertOutcome,

@@ -1,0 +1,453 @@
+//! What the engine's deterministic suites share: a single-threaded
+//! virtual scheduler that drives a concurrency control through a fixed
+//! op-level schedule exactly as the worker would (buffered writes install
+//! at the commit point, compensations are retired) and logs every
+//! decision, the interleaving enumerator, and the small conflicting
+//! workloads both suites enumerate.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
+use oodb_engine::{
+    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, EngineMetrics, EngineShared, ExecPath,
+    FinishOutcome, OpGrant, TxnHandle,
+};
+use oodb_lock::OwnerId;
+use oodb_model::TxnCtx;
+use oodb_sim::exec::apply_op;
+use oodb_sim::EncOp;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// Every interleaving of streams with the given step counts: sequences
+/// over stream indices where stream `i` appears exactly `counts[i]`
+/// times, in lexicographic order (deterministic).
+pub fn interleavings(counts: &[usize]) -> Vec<Vec<usize>> {
+    fn rec(counts: &mut [usize], cur: &mut Vec<usize>, total: usize, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == total {
+            out.push(cur.clone());
+            return;
+        }
+        for i in 0..counts.len() {
+            if counts[i] > 0 {
+                counts[i] -= 1;
+                cur.push(i);
+                rec(counts, cur, total, out);
+                cur.pop();
+                counts[i] += 1;
+            }
+        }
+    }
+    let total = counts.iter().sum();
+    let mut out = Vec::new();
+    rec(&mut counts.to_vec(), &mut Vec::new(), total, &mut out);
+    out
+}
+
+/// One attempt of one logical transaction inside the virtual scheduler.
+pub struct Attempt {
+    ops: Vec<EncOp>,
+    /// Writes granted but not applied yet: a snapshot control
+    /// ([`ConcurrencyControl::buffers_writes`]) installs them at the
+    /// commit point, as the engine's worker does.
+    buffered: Vec<EncOp>,
+    cursor: usize,
+    attempt: u32,
+    ctx: TxnCtx,
+    handle: TxnHandle,
+}
+
+impl Attempt {
+    /// The text tag its writes carry: the job number, 0 for the preload.
+    fn tag(&self) -> usize {
+        (self.handle.job as usize).wrapping_add(1)
+    }
+}
+
+/// The outcome of one fully replayed schedule, including the complete
+/// ordered log of concurrency-control decisions. Two backends that make
+/// the same decisions produce byte-identical logs; any divergence in a
+/// wait check, a validation verdict, a doom, or a cascade shows up as
+/// the first differing log line.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RunOutcome {
+    pub decisions: Vec<String>,
+    pub committed: usize,
+    pub retries: u32,
+    pub decentralized_ok: bool,
+    pub global_ok: bool,
+    pub final_state: Vec<(String, String)>,
+}
+
+/// Single-threaded virtual scheduler with a decision log: executes
+/// `schedule` (a merge of the transactions' op streams) step by step
+/// against `cc`, recording every grant, finish verdict, doom, and forced
+/// wait-cycle break in order, retries aborted attempts serially after
+/// the trace, then audits the record.
+pub struct VirtualScheduler {
+    shared: EngineShared,
+    cc: Arc<dyn ConcurrencyControl>,
+    txns: Vec<Vec<EncOp>>,
+    active: Vec<Option<Attempt>>,
+    /// Attempts that reached their commit point and were told to wait.
+    pending: VecDeque<usize>,
+    /// Aborted logical transactions awaiting a serial retry.
+    retry: VecDeque<(usize, u32)>,
+    committed: usize,
+    retries: u32,
+    decisions: Vec<String>,
+}
+
+impl VirtualScheduler {
+    pub fn new(cc: Arc<dyn ConcurrencyControl>, txns: &[Vec<EncOp>], preload: &[String]) -> Self {
+        let rec = oodb_model::Recorder::new();
+        let enc = Encyclopedia::create(
+            rec.clone(),
+            EncyclopediaConfig {
+                fanout: 8,
+                pool_frames: 1024,
+                ..EncyclopediaConfig::default()
+            },
+        );
+        let shared = EngineShared {
+            rec,
+            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc), ExecPath::SingleMutex),
+            metrics: EngineMetrics::with_shards(cc.shards()),
+            trace: oodb_engine::Tracer::disabled(),
+            dur: None,
+        };
+        let mut vs = VirtualScheduler {
+            shared,
+            cc,
+            txns: txns.to_vec(),
+            active: (0..txns.len()).map(|_| None).collect(),
+            pending: VecDeque::new(),
+            retry: VecDeque::new(),
+            committed: 0,
+            retries: 0,
+            decisions: Vec::new(),
+        };
+        if !preload.is_empty() {
+            let ops: Vec<EncOp> = preload.iter().map(|k| EncOp::Insert(k.clone())).collect();
+            let setup = vs.begin(u64::MAX, "Setup".into(), ops);
+            let done = vs.run_serially(setup);
+            assert!(done, "uncontended preload must commit");
+            vs.committed -= 1; // Setup is not a workload transaction
+            vs.decisions.clear(); // preload decisions are invariant
+        }
+        vs
+    }
+
+    fn begin(&mut self, job: u64, name: String, ops: Vec<EncOp>) -> Attempt {
+        let ctx = self.shared.rec.begin_txn(name);
+        let handle = TxnHandle {
+            job,
+            attempt: 0,
+            txn: oodb_core::ids::TxnIdx(ctx.txn_number()),
+            owner: OwnerId(u64::from(ctx.txn_number())),
+        };
+        Attempt {
+            ops,
+            buffered: Vec::new(),
+            cursor: 0,
+            attempt: 0,
+            ctx,
+            handle,
+        }
+    }
+
+    fn attempt_name(job: u64, attempt: u32) -> String {
+        if attempt == 0 {
+            format!("J{}", job + 1)
+        } else {
+            format!("J{}r{attempt}", job + 1)
+        }
+    }
+
+    /// Execute one scheduled step of logical transaction `t`. Steps of
+    /// an attempt that already aborted (its retry runs after the trace)
+    /// are skipped — the schedule stays fixed, the trace just has holes.
+    fn step(&mut self, t: usize) {
+        if self.active[t].is_none() && !self.txns[t].is_empty() && !self.already_started(t) {
+            let a = self.begin(
+                t as u64,
+                Self::attempt_name(t as u64, 0),
+                self.txns[t].clone(),
+            );
+            self.active[t] = Some(a);
+        }
+        let Some(mut a) = self.active[t].take() else {
+            return;
+        };
+        if a.cursor >= a.ops.len() {
+            self.active[t] = Some(a);
+            return;
+        }
+        if self.cc.is_doomed(&a.handle) {
+            self.decisions.push(format!("t{t}a{}: doomed", a.attempt));
+            self.abort_attempt(t, a);
+            return;
+        }
+        let op = a.ops[a.cursor].clone();
+        match self.cc.before_op(&self.shared, &a.handle, &op) {
+            OpGrant::Granted => {
+                self.decisions
+                    .push(format!("t{t}a{} op{}: granted", a.attempt, a.cursor));
+                self.execute(&mut a, op);
+                a.cursor += 1;
+            }
+            OpGrant::AbortVictim => {
+                self.decisions
+                    .push(format!("t{t}a{} op{}: victim", a.attempt, a.cursor));
+                self.abort_attempt(t, a);
+                return;
+            }
+        }
+        if a.cursor == a.ops.len() {
+            let verdict = self.finish(&mut a);
+            self.decisions
+                .push(format!("t{t}a{}: {verdict:?}", a.attempt));
+            match verdict {
+                FinishOutcome::Committed => self.commit_attempt(a),
+                FinishOutcome::Wait => {
+                    self.pending.push_back(t);
+                    self.active[t] = Some(a);
+                }
+                FinishOutcome::Abort => self.abort_attempt(t, a),
+            }
+        } else {
+            self.active[t] = Some(a);
+        }
+        self.drain_pending(false);
+    }
+
+    /// Run a granted operation now, or keep a write back for the commit
+    /// point when the control buffers them.
+    fn execute(&self, a: &mut Attempt, op: EncOp) {
+        let is_write = matches!(op, EncOp::Insert(_) | EncOp::Change(_) | EncOp::Delete(_));
+        if is_write && self.cc.buffers_writes() {
+            a.buffered.push(op);
+        } else {
+            let tag = a.tag();
+            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+        }
+    }
+
+    /// The commit point: install what was buffered, then ask the control.
+    fn finish(&self, a: &mut Attempt) -> FinishOutcome {
+        let tag = a.tag();
+        for op in std::mem::take(&mut a.buffered) {
+            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+        }
+        self.cc.try_finish(&self.shared, &a.handle)
+    }
+
+    /// A retry was queued or an attempt exists — `t` already started.
+    fn already_started(&self, t: usize) -> bool {
+        self.active[t].is_some() || self.retry.iter().any(|&(r, _)| r == t)
+    }
+
+    fn commit_attempt(&mut self, a: Attempt) {
+        self.shared.enc.lock().commit(a.ctx);
+        self.cc.after_commit(&self.shared, &a.handle);
+        self.committed += 1;
+    }
+
+    fn abort_attempt(&mut self, t: usize, a: Attempt) {
+        let next = a.attempt + 1;
+        {
+            let enc = self.shared.enc.lock();
+            let mut comp = self.shared.rec.begin_txn(format!(
+                "C(J{}a{})",
+                (t as u64).wrapping_add(1),
+                a.attempt
+            ));
+            self.cc
+                .retire(&self.shared, oodb_core::ids::TxnIdx(comp.txn_number()));
+            enc.abort(a.ctx, &mut comp);
+        }
+        self.cc.after_abort(&self.shared, &a.handle);
+        self.retries += 1;
+        assert!(next <= 8, "txn {t} must not abort forever");
+        self.retry.push_back((t, next));
+    }
+
+    /// Retry pending commit-waiters in FIFO order; with `force`, break a
+    /// wait cycle deterministically (the pending attempt with the
+    /// largest transaction number aborts) whenever a full pass makes no
+    /// progress.
+    fn drain_pending(&mut self, force: bool) {
+        loop {
+            let mut progressed = false;
+            for _ in 0..self.pending.len() {
+                let Some(t) = self.pending.pop_front() else {
+                    break;
+                };
+                let Some(mut a) = self.active[t].take() else {
+                    continue;
+                };
+                let verdict = self.finish(&mut a);
+                self.decisions
+                    .push(format!("drain t{t}a{}: {verdict:?}", a.attempt));
+                match verdict {
+                    FinishOutcome::Committed => {
+                        self.commit_attempt(a);
+                        progressed = true;
+                    }
+                    FinishOutcome::Abort => {
+                        self.abort_attempt(t, a);
+                        progressed = true;
+                    }
+                    FinishOutcome::Wait => {
+                        self.active[t] = Some(a);
+                        self.pending.push_back(t);
+                    }
+                }
+            }
+            if self.pending.is_empty() {
+                return;
+            }
+            if !progressed {
+                if !force {
+                    return;
+                }
+                let (pos, _) = self
+                    .pending
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, &t)| {
+                        self.active[t].as_ref().map(|a| a.handle.txn.0).unwrap_or(0)
+                    })
+                    .expect("pending is non-empty");
+                let t = self.pending.remove(pos).unwrap();
+                self.decisions.push(format!("break t{t}"));
+                if let Some(a) = self.active[t].take() {
+                    self.abort_attempt(t, a);
+                }
+            }
+        }
+    }
+
+    /// Run one attempt start-to-finish with nothing else live (the
+    /// serial retry path). Returns false if it aborted (the caller
+    /// requeues the follow-up attempt).
+    fn run_serially(&mut self, mut a: Attempt) -> bool {
+        let t = a.handle.job as usize;
+        while a.cursor < a.ops.len() {
+            if self.cc.is_doomed(&a.handle) {
+                self.decisions
+                    .push(format!("serial t{t}a{}: doomed", a.attempt));
+                self.abort_attempt(t, a);
+                return false;
+            }
+            let op = a.ops[a.cursor].clone();
+            match self.cc.before_op(&self.shared, &a.handle, &op) {
+                OpGrant::Granted => {
+                    self.execute(&mut a, op);
+                    a.cursor += 1;
+                }
+                OpGrant::AbortVictim => {
+                    self.decisions
+                        .push(format!("serial t{t}a{}: victim", a.attempt));
+                    self.abort_attempt(t, a);
+                    return false;
+                }
+            }
+        }
+        for _ in 0..64 {
+            let verdict = self.finish(&mut a);
+            self.decisions
+                .push(format!("serial t{t}a{}: {verdict:?}", a.attempt));
+            match verdict {
+                FinishOutcome::Committed => {
+                    self.commit_attempt(a);
+                    return true;
+                }
+                FinishOutcome::Abort => {
+                    self.abort_attempt(t, a);
+                    return false;
+                }
+                FinishOutcome::Wait => continue,
+            }
+        }
+        panic!("serial attempt with no live predecessors cannot wait forever");
+    }
+
+    pub fn run(mut self, schedule: &[usize]) -> RunOutcome {
+        for &t in schedule {
+            self.step(t);
+        }
+        self.drain_pending(true);
+        // serial retries: aborted transactions re-execute with nothing
+        // else live, so each retry commits (or is doomed once more by a
+        // cascade and retried again — bounded by the per-txn attempt cap)
+        while let Some((t, attempt)) = self.retry.pop_front() {
+            let mut a = self.begin(
+                t as u64,
+                Self::attempt_name(t as u64, attempt),
+                self.txns[t].clone(),
+            );
+            a.attempt = attempt;
+            a.handle.attempt = attempt;
+            self.run_serially(a);
+        }
+        let audit_out = audit(&self.shared.rec, self.cc.as_ref());
+        let final_state = {
+            let enc = self.shared.enc.lock();
+            let mut ctx = self.shared.rec.begin_txn("Dump");
+            let mut items: Vec<(String, String)> = enc
+                .read_seq(&mut ctx)
+                .into_iter()
+                .map(|(_, k, text)| (k, text))
+                .collect();
+            items.sort();
+            items
+        };
+        RunOutcome {
+            decisions: self.decisions,
+            committed: self.committed,
+            retries: self.retries,
+            decentralized_ok: audit_out.report.oo_decentralized.is_ok(),
+            global_ok: audit_out.report.oo_global.is_ok(),
+            final_state,
+        }
+    }
+}
+
+/// Three keys guaranteed to land on three distinct shards of a 3-way
+/// partition (probed via the engine's own stable hash).
+pub fn three_cross_shard_keys() -> [String; 3] {
+    let mut found: [Option<String>; 3] = [None, None, None];
+    for i in 0.. {
+        let k = format!("k{i:06}");
+        let s = shard_of_key(&k, 3);
+        if found[s].is_none() {
+            found[s] = Some(k);
+            if found.iter().all(Option::is_some) {
+                break;
+            }
+        }
+    }
+    found.map(Option::unwrap)
+}
+
+pub fn conflicting_3txn_workload() -> (Vec<Vec<EncOp>>, Vec<String>) {
+    let [ka, kb, _] = three_cross_shard_keys();
+    let txns = vec![
+        vec![EncOp::Insert(ka.clone()), EncOp::Change(ka.clone())],
+        vec![EncOp::Change(ka.clone()), EncOp::Search(kb.clone())],
+        vec![EncOp::Change(kb.clone()), EncOp::Search(ka)],
+    ];
+    (txns, vec![kb])
+}
+
+pub fn conflicting_4txn_workload() -> (Vec<Vec<EncOp>>, Vec<String>) {
+    let [ka, kb, kc] = three_cross_shard_keys();
+    let txns = vec![
+        vec![EncOp::Change(ka.clone()), EncOp::Search(kb.clone())],
+        vec![EncOp::Change(kb.clone()), EncOp::Search(ka.clone())],
+        vec![EncOp::Insert(kc.clone()), EncOp::Search(kb.clone())],
+        vec![EncOp::Search(kc)],
+    ];
+    (txns, vec![ka, kb])
+}

@@ -1,7 +1,7 @@
-//! Differential proptest oracle: random workloads run under
-//! `ShardedCc<OptimisticCc>` and `ShardedCc<PessimisticCc>` must pass
-//! the merged audit **and** agree on the final object state with their
-//! single-shard baselines.
+//! Differential proptest oracle: random workloads run on several shards
+//! under `OptimisticCc` and `ShardedPessimisticCc` must pass the merged
+//! audit **and** agree on the final object state with their single-shard
+//! baselines.
 //!
 //! Workload discipline: every transaction *writes* only keys from its
 //! own private partition (reads and scans roam everywhere). Disjoint
@@ -132,15 +132,15 @@ proptest! {
         let pes1 = run(&w, CcKind::Pessimistic, 1, OptimisticExec::InPlace);
         let pes4 = run(&w, CcKind::Pessimistic, 4, OptimisticExec::InPlace);
         check_one(&opt1, &w, "optimistic/1")?;
-        check_one(&opt4, &w, "sharded-optimistic/4")?;
+        check_one(&opt4, &w, "optimistic/4")?;
         check_one(&pes1, &w, "pessimistic/1")?;
         check_one(&pes4, &w, "sharded-pessimistic/4")?;
-        prop_assert_eq!(opt4.cc_name, "sharded-optimistic");
+        prop_assert_eq!(opt4.cc_name, "optimistic");
         prop_assert_eq!(pes4.cc_name, "sharded-pessimistic");
         // disjoint write sets ⇒ the final state is commit-order
         // independent ⇒ all four runs must agree exactly
         prop_assert_eq!(&opt4.final_state, &opt1.final_state,
-            "sharded optimistic diverged from its single-shard baseline");
+            "4-shard optimistic diverged from its single-shard baseline");
         prop_assert_eq!(&pes4.final_state, &pes1.final_state,
             "sharded pessimistic diverged from its single-shard baseline");
         prop_assert_eq!(&opt1.final_state, &pes1.final_state,
@@ -171,7 +171,7 @@ proptest! {
         let opt3 = run(&w, CcKind::Optimistic, 3, OptimisticExec::InPlace);
         let pes3 = run(&w, CcKind::Pessimistic, 3, OptimisticExec::InPlace);
         check_one(&opt1, &w, "optimistic/1")?;
-        check_one(&opt3, &w, "sharded-optimistic/3")?;
+        check_one(&opt3, &w, "optimistic/3")?;
         check_one(&pes3, &w, "sharded-pessimistic/3")?;
         prop_assert_eq!(&opt3.final_state, &opt1.final_state);
         prop_assert_eq!(&pes3.final_state, &opt1.final_state);
@@ -190,19 +190,19 @@ proptest! {
         let legacy = run(&w, CcKind::Optimistic, 1, OptimisticExec::InPlace);
         let pess = run(&w, CcKind::Pessimistic, 1, OptimisticExec::Snapshot);
         check_one(&mvcc1, &w, "mvcc/1")?;
-        check_one(&mvcc4, &w, "sharded-mvcc/4")?;
+        check_one(&mvcc4, &w, "mvcc/4")?;
         check_one(&legacy, &w, "optimistic/1")?;
         check_one(&pess, &w, "pessimistic/1")?;
         prop_assert_eq!(mvcc1.cc_name, "mvcc");
-        prop_assert_eq!(mvcc4.cc_name, "sharded-mvcc");
+        prop_assert_eq!(mvcc4.cc_name, "mvcc");
         prop_assert_eq!(legacy.cc_name, "optimistic");
         prop_assert_eq!(&mvcc1.final_state, &pess.final_state,
             "MVCC diverged from the 2PL oracle");
         prop_assert_eq!(&mvcc4.final_state, &pess.final_state,
-            "sharded MVCC diverged from the 2PL oracle");
+            "4-shard MVCC diverged from the 2PL oracle");
         prop_assert_eq!(&mvcc1.final_state, &legacy.final_state,
             "MVCC diverged from the legacy in-place optimistic oracle");
-        for (out, label) in [(&mvcc1, "mvcc/1"), (&mvcc4, "sharded-mvcc/4")] {
+        for (out, label) in [(&mvcc1, "mvcc/1"), (&mvcc4, "mvcc/4")] {
             prop_assert_eq!(out.metrics.commit_dep_waits, 0,
                 "{}: snapshot execution must never wait on a commit dependency", label);
             prop_assert_eq!(out.metrics.cascade_dooms, 0,

@@ -1,7 +1,7 @@
 //! Cross-shard abort compensation: a transaction injected to fail
 //! mid-flight — after its footprint already spans several shards — must
 //! compensate and release on **every** shard it touched: no orphaned
-//! lock grants, no orphaned certifier entries, and a clean retry that
+//! lock grants, no attempt left in the certifier's live set, and a clean retry that
 //! commits. Exercised through the worker's `inject_abort` hook (real
 //! engine, real retry machinery) and through a deterministic
 //! direct-drive of the protocol hooks.
@@ -11,7 +11,7 @@ use oodb_core::ids::TxnIdx;
 use oodb_engine::{
     audit, shard_of_key, CertBackend, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig,
     EngineMetrics, EngineShared, ExecPath, FinishOutcome, OpGrant, OptimisticCc,
-    ShardedOptimisticCc, ShardedPessimisticCc, TxnHandle,
+    ShardedPessimisticCc, TxnHandle,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -92,15 +92,15 @@ fn pessimistic_cross_shard_abort_releases_every_shard() {
     }
 }
 
-/// The same injected cross-shard abort under the sharded certifier: the
-/// aborted attempt's per-shard footprint entries are dropped (no
-/// orphaned certifier entries), the cascade set stays consistent, and
-/// the retry commits through validation.
+/// The same injected cross-shard abort under certification at 4 shards:
+/// the aborted attempt's shard footprint goes with it (nothing stays in
+/// the live set), the cascade set stays consistent, and the retry
+/// commits through validation.
 #[test]
 fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     let shards = 4;
     let keys = keys_on_distinct_shards(shards);
-    let cc = Arc::new(ShardedOptimisticCc::new(shards));
+    let cc = Arc::new(OptimisticCc::new().with_shards(shards));
     cc.inject_fault_after(0, 0, 2);
     let engine = Engine::start_with(cfg(shards), cc.clone());
     engine.preload(&keys);
@@ -116,13 +116,12 @@ fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     assert!(out.metrics.retries >= 1, "the injected abort fired");
     assert_eq!(out.metrics.aborted, 0);
     assert_eq!(cc.live_entries(), 0, "no attempt left live after drain");
-    assert_eq!(cc.orphaned_entries(), 0, "no orphaned shard footprints");
     assert_eq!(
         cc.committed_count(),
         6,
         "5 workload transactions + the Setup preload"
     );
-    let (stats, _) = cc.stats();
+    let stats = cc.stats();
     assert!(stats.aborts >= 1, "the certifier recorded the victim abort");
     let audit_out = out.audit.expect("audit enabled");
     assert!(
@@ -232,7 +231,7 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
 fn direct_drive_optimistic_victim_abort_cleanup() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    let cc = ShardedOptimisticCc::new(shards);
+    let cc = OptimisticCc::new().with_shards(shards);
     let shared = shared_with(shards);
     let mut setup = shared.rec.begin_txn("Setup");
     let sh = handle(&setup, u64::MAX, 0);
@@ -260,11 +259,14 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
         enc.abort(t, &mut comp);
     }
     cc.after_abort(&shared, &h0);
-    assert_eq!(cc.live_entries(), 0, "victim left the live set");
-    assert_eq!(cc.orphaned_entries(), 0, "both shard footprints dropped");
+    assert_eq!(
+        cc.live_entries(),
+        0,
+        "victim and its footprint left the live set"
+    );
     assert!(cc.was_aborted(h0.txn), "registered with the certifier");
 
-    // the retry commits through component validation
+    // the retry commits through validation
     let mut r = shared.rec.begin_txn("J1r1");
     let h1 = handle(&r, 0, 1);
     for k in &keys {
@@ -275,7 +277,7 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
     shared.enc.lock().commit(r);
     cc.after_commit(&shared, &h1);
-    assert_eq!(cc.orphaned_entries(), 0);
+    assert_eq!(cc.live_entries(), 0);
     assert_eq!(cc.committed_count(), 2, "Setup + the retry");
 
     let out = audit(&shared.rec, &cc);
@@ -320,7 +322,7 @@ fn injected_abort_trace_still_matches_audit() {
             cc.inject_fault_after(0, 0, 2);
             cc
         } else {
-            let cc = Arc::new(ShardedOptimisticCc::new(shards));
+            let cc = Arc::new(OptimisticCc::new().with_shards(shards));
             cc.inject_fault_after(0, 0, 2);
             cc
         };
@@ -358,7 +360,11 @@ fn injected_abort_trace_still_matches_audit() {
 fn injected_abort_under_both_cert_backends_stays_clean() {
     let shards = 4;
     for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
-        let cc = Arc::new(ShardedOptimisticCc::new(shards).with_certification(backend));
+        let cc = Arc::new(
+            OptimisticCc::new()
+                .with_certification(backend)
+                .with_shards(shards),
+        );
         cc.inject_fault_after(0, 0, 2);
         let out = traced_abort_run(cc.clone(), shards);
         let label = backend.label();
@@ -371,8 +377,7 @@ fn injected_abort_under_both_cert_backends_stays_clean() {
             "{label}: victim's retry and the rest commit"
         );
         assert_eq!(cc.live_entries(), 0, "{label}: no attempt left live");
-        assert_eq!(cc.orphaned_entries(), 0, "{label}: no orphaned footprints");
-        let (stats, _) = cc.stats();
+        let stats = cc.stats();
         assert!(stats.aborts >= 1, "{label}: the victim abort was recorded");
         match backend {
             CertBackend::Incremental => {
@@ -418,7 +423,7 @@ fn injected_abort_under_both_cert_backends_stays_clean() {
 fn direct_drive_incremental_reseed_after_repeated_aborts() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    let cc = ShardedOptimisticCc::new(shards);
+    let cc = OptimisticCc::new().with_shards(shards);
     assert_eq!(cc.certification(), CertBackend::Incremental, "default");
     let shared = shared_with(shards);
     let mut setup = shared.rec.begin_txn("Setup");
@@ -455,9 +460,8 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
             cc.after_commit(&shared, &h);
         }
         assert_eq!(cc.live_entries(), 0, "round {j}: nothing stays live");
-        assert_eq!(cc.orphaned_entries(), 0, "round {j}: no orphans");
     }
-    let (stats, _) = cc.stats();
+    let stats = cc.stats();
     assert!(
         stats.incremental_reseeds >= 1,
         "excluded garbage from repeated aborts must trigger a re-seed \
@@ -480,7 +484,7 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     assert_eq!(cc.try_finish(&shared, &hr), FinishOutcome::Committed);
     shared.enc.lock().commit(r);
     cc.after_commit(&shared, &hr);
-    assert_eq!(cc.orphaned_entries(), 0);
+    assert_eq!(cc.live_entries(), 0);
 
     let out = audit(&shared.rec, &cc);
     assert!(
@@ -503,63 +507,54 @@ fn handle(ctx: &oodb_model::TxnCtx, job: u64, attempt: u32) -> TxnHandle {
 /// no certifier round ever finalizes; the worker retires it, so a run
 /// with the fault ends holding exactly what a run without it holds, and
 /// once the engine has drained every committed transaction is settled.
-/// One worker: the runs are serial, so the gauge repeats exactly.
+/// One worker: the runs are serial, so the gauge repeats exactly. (The
+/// incremental backend only: the from-scratch oracle keeps the whole
+/// record and has no cut to pin.)
 #[test]
 fn an_injected_abort_does_not_pin_the_cut() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
-        let run = |inject: bool| {
-            // in-place execution: the victim's update is public when the
-            // fault fires, so its compensation does record actions
-            let cc = Arc::new(ShardedOptimisticCc::new(shards).with_certification(backend));
-            if inject {
-                cc.inject_fault_after(1, 0, 2);
-            }
-            let config = EngineConfig {
-                workers: 1,
-                ..cfg(shards)
-            };
-            let engine = Engine::start_with(config, cc.clone());
-            engine.preload(&keys);
-            for j in 0..12 {
-                let k = |i: usize| keys[(j + i) % shards].clone();
-                engine
-                    .submit_blocking(vec![
-                        EncOp::Search(k(0)),
-                        EncOp::Change(k(1)),
-                        EncOp::Search(k(2)),
-                    ])
-                    .unwrap();
-            }
-            let out = engine.shutdown();
-            let label = backend.label();
-            assert_eq!(out.metrics.committed, 12, "{label}");
-            assert_eq!(out.metrics.retries, u64::from(inject), "{label}");
-            assert_eq!(
-                cc.live_entries(),
-                0,
-                "{label}: nothing live after the drain"
-            );
-            assert_eq!(
-                cc.settled_count(),
-                cc.committed_count(),
-                "{label}: everything is settled once the engine drains"
-            );
-            assert_eq!(out.metrics.cert_settled, 13, "{label}: 12 jobs + Setup");
-            out.metrics.cert_retained_actions
-        };
-        let (clean, faulted) = (run(false), run(true));
-        assert_eq!(
-            faulted,
-            clean,
-            "{}: actions retained after a run with an injected abort vs without",
-            backend.label()
-        );
-        if backend == CertBackend::Incremental {
-            assert!(clean > 0, "the last commit's actions await the next reseed");
+    let run = |inject: bool| {
+        // in-place execution: the victim's update is public when the
+        // fault fires, so its compensation does record actions
+        let cc = Arc::new(OptimisticCc::new().with_shards(shards));
+        if inject {
+            cc.inject_fault_after(1, 0, 2);
         }
-    }
+        let config = EngineConfig {
+            workers: 1,
+            ..cfg(shards)
+        };
+        let engine = Engine::start_with(config, cc.clone());
+        engine.preload(&keys);
+        for j in 0..12 {
+            let k = |i: usize| keys[(j + i) % shards].clone();
+            engine
+                .submit_blocking(vec![
+                    EncOp::Search(k(0)),
+                    EncOp::Change(k(1)),
+                    EncOp::Search(k(2)),
+                ])
+                .unwrap();
+        }
+        let out = engine.shutdown();
+        assert_eq!(out.metrics.committed, 12);
+        assert_eq!(out.metrics.retries, u64::from(inject));
+        assert_eq!(cc.live_entries(), 0, "nothing live after the drain");
+        assert_eq!(
+            cc.stats().settled as usize,
+            cc.committed_count(),
+            "everything is settled once the engine drains"
+        );
+        assert_eq!(out.metrics.cert_settled, 13, "12 jobs + Setup");
+        out.metrics.cert_retained_actions
+    };
+    let (clean, faulted) = (run(false), run(true));
+    assert_eq!(
+        faulted, clean,
+        "actions retained after a run with an injected abort vs without"
+    );
+    assert!(clean > 0, "the last commit's actions await the next reseed");
 }
 
 /// The abort that unpins the cut is counted where it happens. A victim
@@ -572,25 +567,15 @@ fn an_injected_abort_does_not_pin_the_cut() {
 fn an_abort_that_unpins_the_cut_is_published() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    use CertBackend::{FromScratch, Incremental};
-    // the single certifier's from-scratch oracle keeps the whole record
     let controls: Vec<(&str, Box<dyn ConcurrencyControl>)> = vec![
-        ("mvcc", Box::new(OptimisticCc::snapshot())),
+        ("mvcc/1", Box::new(OptimisticCc::snapshot())),
         (
-            "sharded-mvcc/incremental",
-            Box::new(ShardedOptimisticCc::snapshot(shards)),
+            "mvcc/3",
+            Box::new(OptimisticCc::snapshot().with_shards(shards)),
         ),
         (
-            "sharded-mvcc/from-scratch",
-            Box::new(ShardedOptimisticCc::snapshot(shards).with_certification(FromScratch)),
-        ),
-        (
-            "sharded/incremental",
-            Box::new(ShardedOptimisticCc::new(shards).with_certification(Incremental)),
-        ),
-        (
-            "sharded/from-scratch",
-            Box::new(ShardedOptimisticCc::new(shards).with_certification(FromScratch)),
+            "optimistic/3",
+            Box::new(OptimisticCc::new().with_shards(shards)),
         ),
     ];
     for (label, cc) in controls {
@@ -638,13 +623,9 @@ fn an_abort_that_unpins_the_cut_is_published() {
         }
         cc.after_abort(&shared, &vh);
         assert_eq!(settled(), 5, "{label}: the abort let A and B go");
+        // dropped primitives stay in the schedules, and in the gauge,
+        // until the next reseed replaces them
         let after = shared.metrics.snapshot().cert_retained_actions;
-        if label.ends_with("from-scratch") {
-            assert_eq!(after, 0, "{label}: nothing is tracked any more");
-        } else {
-            // dropped primitives stay in the schedules, and in the gauge,
-            // until the next reseed replaces them
-            assert!(after <= pinned, "{label}: gauge {pinned} -> {after}");
-        }
+        assert!(after <= pinned, "{label}: gauge {pinned} -> {after}");
     }
 }

@@ -1,6 +1,7 @@
-//! Regression pin for merged-audit semantics (the sharded certifier
-//! must stitch the per-shard commit decisions into one *committed
-//! projection* — not hand the full record to the checker).
+//! Regression pin for merged-audit semantics (the certifier must hand
+//! the checker its *committed projection*, at any shard count — not the
+//! full record), and for what a shard is under certification: a lane of
+//! the metrics.
 //!
 //! An optimistic run with a retry necessarily records actions of the
 //! aborted attempt and its compensation; those were never certified, so
@@ -11,7 +12,9 @@
 //! full record. A deterministic injected fault produces the retry in
 //! both runs, and the audited transaction names pin the scopes exactly.
 
-use oodb_engine::{AuditScope, Engine, EngineConfig, ShardedOptimisticCc, ShardedPessimisticCc};
+use oodb_engine::{
+    shard_of_key, AuditScope, CcKind, Engine, EngineConfig, OptimisticCc, ShardedPessimisticCc,
+};
 use oodb_sim::EncOp;
 use std::sync::Arc;
 
@@ -35,14 +38,14 @@ fn workload() -> (Vec<String>, Vec<Vec<EncOp>>) {
     (preload, txns)
 }
 
-/// Sharded optimistic: the audit covers exactly the merged committed
+/// Optimistic on 2 shards: the audit covers exactly the committed
 /// set — one committed attempt per job plus the preload — and never the
 /// aborted attempt or its compensation, even though both are in the
 /// record.
 #[test]
 fn sharded_optimistic_audits_only_the_merged_committed_projection() {
     let (preload, txns) = workload();
-    let cc = Arc::new(ShardedOptimisticCc::new(2));
+    let cc = Arc::new(OptimisticCc::new().with_shards(2));
     cc.inject_fault_after(0, 0, 1); // J1's first attempt dies, J1r1 commits
     let engine = Engine::start_with(cfg(2), cc.clone());
     engine.preload(&preload);
@@ -72,7 +75,7 @@ fn sharded_optimistic_audits_only_the_merged_committed_projection() {
         !names.iter().any(|n| n.starts_with("C(")),
         "compensations are never part of the committed projection: {names:?}"
     );
-    // exactly the merged per-shard commit decisions, nothing else
+    // exactly the commit decisions, nothing else
     assert_eq!(audit.audited_txns().len(), cc.committed_count());
     assert_eq!(cc.committed_count(), 4, "3 jobs + Setup");
 
@@ -143,4 +146,83 @@ fn sharded_pessimistic_audits_the_full_record() {
         })
         .count();
     assert_eq!(audit.audited_txns().len(), non_empty);
+}
+
+/// Under certification the shard count is accounting: on one worker (no
+/// retries, so every operation is counted once) the per-lane `ops` and
+/// `commits` and the cross-shard counter are exactly what
+/// [`shard_of_key`] predicts from the submitted operations — the
+/// preload included, which runs through the control like any job.
+#[test]
+fn optimistic_lanes_count_what_the_key_hash_predicts() {
+    const SHARDS: usize = 4;
+    let preload: Vec<String> = (0..8).map(|i| format!("k{i:02}")).collect();
+    let key = |i: usize| preload[i % preload.len()].clone();
+    let mut txns: Vec<Vec<EncOp>> = (0..12)
+        .map(|j| {
+            vec![
+                EncOp::Search(key(j)),
+                EncOp::Change(key(j + 3)),
+                EncOp::Insert(format!("n{j:02}")),
+            ]
+        })
+        .collect();
+    txns.push(vec![EncOp::ReadSeq]);
+    txns.push(vec![EncOp::Range(key(0), key(5)), EncOp::Delete(key(1))]);
+    txns.push(vec![EncOp::Search(key(2)), EncOp::Search(key(2))]);
+
+    let (mut ops, mut commits, mut cross) = ([0u64; SHARDS], [0u64; SHARDS], 0u64);
+    let setup: Vec<EncOp> = preload.iter().cloned().map(EncOp::Insert).collect();
+    for txn in std::iter::once(&setup).chain(&txns) {
+        let mut footprint = [false; SHARDS];
+        for op in txn {
+            let lanes = match op {
+                EncOp::Insert(k) | EncOp::Search(k) | EncOp::Change(k) | EncOp::Delete(k) => {
+                    let s = shard_of_key(k, SHARDS);
+                    s..s + 1
+                }
+                EncOp::ReadSeq | EncOp::Range(..) => 0..SHARDS,
+            };
+            for s in lanes {
+                ops[s] += 1;
+                footprint[s] = true;
+            }
+        }
+        for s in 0..SHARDS {
+            commits[s] += u64::from(footprint[s]);
+        }
+        cross += u64::from(footprint.iter().filter(|&&f| f).count() > 1);
+    }
+
+    for exec in [
+        oodb_engine::OptimisticExec::Snapshot,
+        oodb_engine::OptimisticExec::InPlace,
+    ] {
+        let config = EngineConfig {
+            workers: 1,
+            optimistic_exec: exec,
+            ..cfg(SHARDS)
+        };
+        let engine = Engine::start(config, CcKind::Optimistic);
+        engine.preload(&preload);
+        for t in &txns {
+            engine.submit_blocking(t.clone()).unwrap();
+        }
+        let out = engine.shutdown();
+        assert_eq!(out.metrics.committed as usize, txns.len(), "{exec:?}");
+        assert_eq!(out.metrics.retries, 0, "{exec:?}: serial, nothing retries");
+        let lanes = &out.metrics.shards;
+        assert_eq!(lanes.len(), SHARDS, "{exec:?}");
+        for s in 0..SHARDS {
+            assert_eq!(lanes[s].ops, ops[s], "{exec:?}: ops on lane {s}");
+            assert_eq!(
+                lanes[s].commits, commits[s],
+                "{exec:?}: commits on lane {s}"
+            );
+            assert_eq!(lanes[s].blocked, 0, "{exec:?}: certification never blocks");
+        }
+        assert_eq!(out.metrics.cross_shard, cross, "{exec:?}");
+        let audit = out.audit.expect("audit enabled");
+        assert!(audit.report.oo_decentralized.is_ok() && audit.report.oo_global.is_ok());
+    }
 }

@@ -85,11 +85,10 @@ fn stress_both_strategies_mixed_contention() {
     assert!(total >= 200, "stress must cover at least 200 transactions");
 }
 
-/// The sharded variants under the same mixed-contention stress: every
+/// The same mixed-contention stress on several shards: every
 /// transaction commits, the merged audit passes, and the audit scope
-/// matches the protocol (sharded optimistic audits only the stitched
-/// committed projection; sharded strict 2PL keeps the full record
-/// auditable).
+/// matches the protocol (optimistic audits only the committed
+/// projection; sharded strict 2PL keeps the full record auditable).
 #[test]
 fn stress_sharded_strategies_mixed_contention() {
     let cases = [
@@ -106,7 +105,11 @@ fn stress_sharded_strategies_mixed_contention() {
             "{} shards={shards} txns={txns} keys={key_space}",
             out.cc_name
         );
-        assert!(out.cc_name.starts_with("sharded-"), "{label}");
+        let expected_name = match kind {
+            CcKind::Optimistic => "mvcc",
+            _ => "sharded-pessimistic",
+        };
+        assert_eq!(out.cc_name, expected_name, "{label}");
         assert_eq!(
             out.metrics.committed as usize, txns,
             "{label}: every transaction must eventually commit \

@@ -8,7 +8,7 @@
 //! JSON to `<path>`, so ad-hoc runs feed the same tooling as the
 //! regime matrix (`bench_matrix compare` and friends).
 //!
-//! With `--trace <path>` the last run (sharded MVCC) is traced:
+//! With `--trace <path>` the last run (MVCC on 4 shards) is traced:
 //! the structured event log is written to `<path>` as JSONL and to
 //! `<path>.chrome.json` in Chrome `trace_event` format (load it at
 //! `chrome://tracing` or <https://ui.perfetto.dev>), and the dependency
@@ -73,7 +73,8 @@ fn main() {
         };
         let out = oodb::engine::run_workload(&cfg, kind, &workload);
         let audit = out.audit.expect("audit enabled");
-        println!("{:<22} {}", out.cc_name, out.metrics);
+        let label = format!("{} x{shards}", out.cc_name);
+        println!("{label:<22} {}", out.metrics);
         println!(
             "{:<22} audit ({:?}): oo-decentralized {}, oo-global {}, conventional {}\n",
             "",
@@ -110,19 +111,18 @@ fn main() {
         "Semantic locking retries only on true semantic conflicts; the\n\
          page-level ablation serializes the hot keys; optimistic\n\
          certification trades locks for validation aborts. The mvcc rows\n\
-         run the optimistic certifiers under MVCC snapshot execution:\n\
+         run the optimistic certifier under MVCC snapshot execution:\n\
          writes buffer per attempt and install atomically with\n\
          certification, so commit-dependency waits and cascading aborts\n\
          disappear (compare their dep-waits/cascades counters with the\n\
          in-place optimistic rows — run `experiments b12` for the full\n\
-         comparison). The sharded variants (shards > 1) partition the key\n\
-         space across independent lock managers / certifier shards and\n\
-         stitch the per-shard commit decisions into one merged audit. On\n\
-         a hot-key workload like this one sharding cannot help (every\n\
-         transaction's conflict component spans all shards) — run\n\
-         `experiments b10` for the disjoint-key scaling case. All runs\n\
-         are oo-serializable — the page-level run is even conventionally\n\
-         serializable, at the price of concurrency."
+         comparison). On 4 shards strict 2PL splits its lock table into\n\
+         one manager per key-hash shard; the optimistic rows keep their\n\
+         one certifier and only account per shard (shard-ops,\n\
+         cross-shard), so x1 and x4 decide alike — run `experiments b10`\n\
+         for the disjoint-key sweep. All runs are oo-serializable — the\n\
+         page-level run is even conventionally serializable, at the\n\
+         price of concurrency."
     );
 }
 

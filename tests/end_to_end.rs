@@ -134,3 +134,54 @@ fn trace_is_replayable_documentation() {
         }
     }
 }
+
+/// The engine's default strategy — optimistic certification, snapshot
+/// execution, incremental backend — at 1 and at 4 shards: every
+/// transaction commits, both checkers pass the committed projection, and
+/// the two runs end in the same state. Each transaction writes its own
+/// key and reads two neighbours' (real read-write dependencies, a final
+/// state that does not depend on the commit order).
+#[test]
+fn optimistic_engine_audits_clean_at_one_and_four_shards() {
+    use oodb::engine::{CcKind, CertBackend, Engine, EngineConfig, OptimisticExec};
+    use oodb::sim::EncOp;
+
+    const TXNS: usize = 48;
+    let own = |t: usize| format!("p{:02}", t % TXNS);
+    let preload: Vec<String> = (0..TXNS).map(own).collect();
+    let run = |shards: usize| {
+        let cfg = EngineConfig {
+            workers: 4,
+            queue_capacity: 16,
+            shards,
+            seed: 18,
+            optimistic_exec: OptimisticExec::Snapshot,
+            certification: CertBackend::Incremental,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start(cfg, CcKind::Optimistic);
+        engine.preload(&preload);
+        for t in 0..TXNS {
+            let ops = vec![
+                EncOp::Search(own(t + 1)),
+                EncOp::Change(own(t)),
+                EncOp::Search(own(t + 2)),
+            ];
+            engine.submit_blocking(ops).expect("accepts until shutdown");
+        }
+        let out = engine.shutdown();
+        assert_eq!(
+            out.cc_name, "mvcc",
+            "{shards} shards: one strategy, one name"
+        );
+        assert_eq!(out.metrics.committed as usize, TXNS, "{shards} shards");
+        assert_eq!(out.metrics.aborted, 0, "{shards} shards");
+        let audit = out.audit.expect("audit enabled by default");
+        assert!(audit.report.oo_decentralized.is_ok(), "{shards} shards");
+        assert!(audit.report.oo_global.is_ok(), "{shards} shards");
+        out.final_state
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.len(), TXNS);
+    assert_eq!(one, four, "the shard count is accounting, not behaviour");
+}
