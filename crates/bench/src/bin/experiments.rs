@@ -24,7 +24,6 @@ fn run(id: &str) -> Option<String> {
         "b9" => quant::b9(),
         "b10" => quant::b10(),
         "b11" => quant::b11(),
-        "b12" => quant::b12(),
         "b13" => quant::b13(),
         "b14" => quant::b14(),
         "b15" => matrix::b15(),
@@ -33,9 +32,9 @@ fn run(id: &str) -> Option<String> {
     })
 }
 
-const ALL: [&str; 24] = [
+const ALL: [&str; 23] = [
     "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "gap", "b1", "b2", "b3", "b4", "b5",
-    "b6", "b7", "b8", "b9", "b10", "b11", "b12", "b13", "b14", "b15", "b16",
+    "b6", "b7", "b8", "b9", "b10", "b11", "b13", "b14", "b15", "b16",
 ];
 
 fn main() {

@@ -1,6 +1,6 @@
 //! Workload regime matrix: a declarative sweep over contention regime
-//! × concurrency control × execution mode × certification backend ×
-//! sharding × durability, each cell run against the real engine.
+//! × concurrency control × sharding × durability, each cell run against
+//! the real engine.
 //!
 //! A [`Regime`] names one point in the space; [`smoke`] and [`full`]
 //! are the two curated presets (smoke = the CI matrix, seconds on one
@@ -11,9 +11,7 @@
 
 use crate::report::CellResult;
 use crate::table::{f3, Table};
-use oodb_engine::{
-    CcKind, CertBackend, DurabilityMode, EngineConfig, EngineOutput, OptimisticExec,
-};
+use oodb_engine::{CcKind, DurabilityMode, EngineConfig, EngineOutput};
 use oodb_sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
 use std::time::Duration;
 
@@ -37,10 +35,6 @@ pub struct Regime {
     pub shards: usize,
     /// Concurrency-control strategy.
     pub cc: CcKind,
-    /// Optimistic execution mode (ignored by the pessimistic kinds).
-    pub exec: OptimisticExec,
-    /// Certification backend (ignored by the pessimistic kinds).
-    pub cert: CertBackend,
     /// Commit durability mode.
     pub durability: DurabilityMode,
     /// Simulated fsync latency (only meaningful with durability on).
@@ -49,7 +43,7 @@ pub struct Regime {
 
 impl Regime {
     /// A baseline cell: the given contention regime under the given CC,
-    /// MVCC + incremental certification, no durability.
+    /// no durability.
     #[allow(clippy::too_many_arguments)]
     pub fn base(
         contention: &'static str,
@@ -70,8 +64,6 @@ impl Regime {
             ops_per_txn,
             shards,
             cc,
-            exec: OptimisticExec::Snapshot,
-            cert: CertBackend::Incremental,
             durability: DurabilityMode::Off,
             fsync_latency: Duration::ZERO,
         }
@@ -81,12 +73,10 @@ impl Regime {
     /// joined with `/`. Unique within each preset (tested).
     pub fn id(&self) -> String {
         format!(
-            "{}/{}/sh{}/{}/{}/{}",
+            "{}/{}/sh{}/{}",
             self.contention,
             self.cc.label(),
             self.shards,
-            self.exec.label(),
-            self.cert.label(),
             self.durability.label(),
         )
     }
@@ -105,8 +95,6 @@ impl Regime {
             ("ops_per_txn".into(), self.ops_per_txn.to_string()),
             ("shards".into(), self.shards.to_string()),
             ("cc".into(), self.cc.label().into()),
-            ("exec".into(), self.exec.label().into()),
-            ("cert".into(), self.cert.label().into()),
             ("durability".into(), self.durability.label()),
         ]
     }
@@ -132,8 +120,6 @@ impl Regime {
             queue_capacity: 64,
             shards: self.shards,
             seed: 42,
-            optimistic_exec: self.exec,
-            certification: self.cert,
             durability: self.durability,
             fsync_latency: self.fsync_latency,
             ..EngineConfig::default()
@@ -176,32 +162,10 @@ const ALL_CC: [CcKind; 3] = [
     CcKind::Optimistic,
 ];
 
-/// Cells beyond the base grid: execution-mode, certification-backend,
-/// and durability ablations on the regimes where they matter.
+/// Cells beyond the base grid: the durability ablations, unbatched vs
+/// group commit under a simulated 50µs fsync.
 fn ablations() -> Vec<Regime> {
     let mut v = Vec::new();
-    // legacy in-place optimistic execution, where commit-dependency
-    // waits and cascading aborts reappear
-    for contention in ["uniform-write", "zipf-write"] {
-        let (name, ks, zipf, rf, sf, ops) = *CONTENTION
-            .iter()
-            .find(|c| c.0 == contention)
-            .expect("known regime");
-        let mut r = Regime::base(name, ks, zipf, rf, sf, ops, CcKind::Optimistic, 1);
-        r.exec = OptimisticExec::InPlace;
-        v.push(r);
-    }
-    // from-scratch certification, the O(component)-per-attempt oracle
-    for contention in ["uniform-read", "zipf-write"] {
-        let (name, ks, zipf, rf, sf, ops) = *CONTENTION
-            .iter()
-            .find(|c| c.0 == contention)
-            .expect("known regime");
-        let mut r = Regime::base(name, ks, zipf, rf, sf, ops, CcKind::Optimistic, 1);
-        r.cert = CertBackend::FromScratch;
-        v.push(r);
-    }
-    // durability: unbatched vs group commit under a simulated 50µs fsync
     for durability in [
         DurabilityMode::PerCommit,
         DurabilityMode::Group {
@@ -219,7 +183,7 @@ fn ablations() -> Vec<Regime> {
 }
 
 /// The CI smoke preset: the 4 contention corners × 3 CC strategies ×
-/// {1, 4} shards (24 base cells) plus the ablation cells — 30 cells,
+/// {1, 4} shards (24 base cells) plus the ablation cells — 26 cells,
 /// seconds on a single core at smoke size.
 pub fn smoke() -> Vec<Regime> {
     let mut v = Vec::new();
@@ -323,10 +287,9 @@ pub fn b15() -> String {
     format!(
         "B15 — workload regime matrix ({} cells, {} txns each, 4 workers,\n\
          all audited). Contention corners x {{pessimistic, pessimistic-page,\n\
-         optimistic}} x {{1, 4}} shards, plus in-place-execution,\n\
-         from-scratch-certification, and durability ablations. Latencies\n\
-         are per-commit phase medians: queue wait / grant-or-cert wait /\n\
-         execution / fsync wait.\n\n{}",
+         optimistic}} x {{1, 4}} shards, plus durability ablations.\n\
+         Latencies are per-commit phase medians: queue wait / grant-or-cert\n\
+         wait / execution / fsync wait.\n\n{}",
         regimes.len(),
         size::SMOKE_TXNS,
         t.render()
@@ -354,8 +317,6 @@ mod tests {
         }
         assert!(regimes.iter().any(|r| r.shards == 4));
         assert!(regimes.iter().any(|r| r.durability != DurabilityMode::Off));
-        assert!(regimes.iter().any(|r| r.exec == OptimisticExec::InPlace));
-        assert!(regimes.iter().any(|r| r.cert == CertBackend::FromScratch));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Post-hoc serializability audit of an engine run.
 //!
-//! MVCC note: under snapshot execution (`OptimisticExec::Snapshot`)
+//! MVCC note: under snapshot execution (the optimistic control)
 //! the recorded history still reflects the *physical* primitive order
 //! — reads hit the committed tree when issued, buffered writes are
 //! recorded at install time inside the commit critical section. The

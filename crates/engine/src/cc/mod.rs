@@ -11,10 +11,13 @@
 //!   [`oodb_sim::threaded`] runs thread-per-transaction);
 //! * [`ShardedPessimisticCc`] — the same protocol over one lock manager
 //!   per key-hash shard, with wound-wait in place of deadlock detection;
-//! * [`OptimisticCc`] — execute first, certify at commit against
-//!   Definition 16 via [`oodb_core::certifier::Certifier`], with commit
-//!   dependencies (recoverability) and cascading aborts. One certifier
-//!   at every shard count: shards are lanes of its metrics.
+//! * [`OptimisticCc`] — execute against a snapshot with writes buffered,
+//!   install and certify at commit against Definition 16 via
+//!   [`oodb_core::certifier::Certifier`]. One certifier at every shard
+//!   count: shards are lanes of its metrics.
+//!
+//! All three are strict: no transaction ever observes an uncommitted
+//! effect, so a compensation cannot fail and an abort never cascades.
 
 mod optimistic;
 mod pessimistic;
@@ -98,12 +101,8 @@ pub enum ShardRoute {
 pub enum FinishOutcome {
     /// The transaction is (or may now be) committed.
     Committed,
-    /// A live predecessor must finalize first; ask again shortly. The
-    /// worker bounds the number of wait rounds and aborts to break
-    /// wait cycles.
-    Wait,
-    /// The transaction must abort (validation failure, doomed by a
-    /// cascading abort). The worker compensates and retries.
+    /// The transaction must abort (validation failure). The worker
+    /// compensates and retries.
     Abort,
 }
 
@@ -128,7 +127,7 @@ pub trait ConcurrencyControl: Send + Sync {
     fn after_commit(&self, shared: &EngineShared, txn: &TxnHandle);
 
     /// Called after the worker compensated an aborted attempt (release
-    /// locks, register the abort, doom dependents).
+    /// locks, register the abort).
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle);
 
     /// Number of shards this strategy partitions the key space into —
@@ -154,16 +153,10 @@ pub trait ConcurrencyControl: Send + Sync {
         false
     }
 
-    /// True when a cascading abort has doomed this attempt; the worker
-    /// checks between operations and aborts promptly.
+    /// True when another transaction has doomed this attempt (wounded
+    /// under wound-wait); the worker checks between operations and
+    /// aborts promptly.
     fn is_doomed(&self, _txn: &TxnHandle) -> bool {
-        false
-    }
-
-    /// True when compensations run under protection (locks still held),
-    /// in which case a failed inverse is an engine bug and the worker
-    /// asserts. Optimistic execution cannot promise this.
-    fn strict_compensation(&self) -> bool {
         false
     }
 
@@ -172,9 +165,8 @@ pub trait ConcurrencyControl: Send + Sync {
     /// installs them and certifies **atomically inside the database
     /// critical section** (compensating there too if validation fails).
     /// Uncommitted writes are therefore never visible to any other
-    /// transaction, so a buffering implementation must never answer
-    /// [`FinishOutcome::Wait`] — there is nothing unrecoverable to wait
-    /// for — and must never cascade aborts.
+    /// transaction: there is nothing unrecoverable to wait for and
+    /// nothing to cascade.
     fn buffers_writes(&self) -> bool {
         false
     }

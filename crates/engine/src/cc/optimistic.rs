@@ -1,16 +1,12 @@
 //! Optimistic certification: execute without semantic locks, validate
 //! oo-serializability at commit.
 //!
-//! Two execution modes share the certifier:
-//!
-//! * **snapshot (MVCC, the default)** — writes are buffered and
-//!   installed atomically with certification inside the database
-//!   critical section, so uncommitted effects are never public and the
-//!   recoverability machinery (commit-dependency waits, cascading
-//!   aborts) is structurally dead;
-//! * **legacy in-place** — subtransaction effects are public
-//!   immediately, so readers inherit commit dependencies and an abort
-//!   cascades through its dependents.
+//! Execution is MVCC snapshot execution: the worker buffers an attempt's
+//! writes and installs them atomically with certification inside the
+//! database critical section, so an uncommitted effect is never public.
+//! Recoverability therefore needs no apparatus of its own — no commit
+//! dependency to wait on, no abort that cascades — and what is left is
+//! the commutativity-based check of what commits.
 //!
 //! There is one certifier at every shard count. The paper decentralizes
 //! by object (Definition 6), which the certifier's per-object schedules
@@ -26,125 +22,75 @@ use super::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, ShardRoute
 use crate::cc::versions::{self, VersionStore};
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_core::certifier::{
-    restrict_history, CertBackend, Certifier, CertifierMode, CertifierStats, CommitOutcome,
-    WaitPolicy,
+    CertBackend, Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy,
 };
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
-use oodb_core::schedule::SystemSchedules;
 use oodb_core::system::TransactionSystem;
 use oodb_sim::EncOp;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 
 /// Backward-validation concurrency control over the shared
 /// [`Certifier`].
 ///
-/// In the legacy in-place mode, operations always execute immediately
-/// (the encyclopedia mutex makes each one atomic); at commit the
-/// certifier checks Definition 16 over the committed transactions plus
-/// the candidate. Because execution is uncontrolled, a transaction may
-/// read state a concurrent transaction later compensates away — the
-/// certifier's commit dependencies force readers to wait for their
-/// predecessors ([`FinishOutcome::Wait`]), and an abort dooms its
-/// live dependents (cascading abort), which the workers pick up via
-/// [`is_doomed`](ConcurrencyControl::is_doomed).
-///
-/// In snapshot mode ([`OptimisticCc::snapshot`]), writes are buffered by
-/// the worker ([`buffers_writes`](ConcurrencyControl::buffers_writes))
-/// and readers only ever observe committed state, so neither rule is
-/// needed: `try_finish` goes straight to first-committer-wins
-/// validation, never answers [`FinishOutcome::Wait`], and never dooms
-/// anyone.
+/// The worker buffers an attempt's writes
+/// ([`buffers_writes`](ConcurrencyControl::buffers_writes)) and readers
+/// only ever observe committed state; `try_finish` — called inside the
+/// critical section that installed the writes — is first-committer-wins
+/// validation against Definition 16 over the transactions the certifier
+/// still retains plus the candidate.
 pub struct OptimisticCc {
     cert: Mutex<Certifier>,
-    doomed: Mutex<HashSet<TxnIdx>>,
     /// Attempts currently executing under this control (registered at
     /// their first operation, cleared at finalization), each with the
-    /// shards its operations routed to. Commit dependencies wait only
-    /// on *these*: a predecessor outside the concurrency control — a
-    /// compensation transaction — is final by definition and can never
-    /// abort underneath the candidate, so waiting on it would starve
-    /// every retry that touches a compensated key. Snapshot execution on
-    /// one shard needs neither the wait scope nor a footprint and
-    /// registers nothing ([`Self::tracks_attempts`]).
+    /// shards its operations routed to. One shard has no footprint to
+    /// account and registers nothing ([`Self::tracks_attempts`]).
     live: Mutex<HashMap<TxnIdx, BTreeSet<usize>>>,
-    /// MVCC version bookkeeping; `Some` selects snapshot execution.
-    snapshot: Option<VersionStore>,
+    /// MVCC version bookkeeping.
+    store: VersionStore,
     /// Lanes the key space is accounted over (1 = no lanes).
     shards: usize,
-    mode: CertifierMode,
     /// How certification-time dependencies are derived: maintained
     /// incrementally across attempts (the default) or re-inferred from
-    /// scratch every attempt (the differential oracle).
+    /// scratch every attempt (the tests' reference).
     backend: CertBackend,
     faults: FaultPlan,
-    name: &'static str,
 }
 
-/// What one certification round decided.
-enum Round {
-    Commit,
-    Wait,
-    /// Validation failed; the live dependents to doom (none under
-    /// snapshot execution).
-    Abort(Vec<TxnIdx>),
+/// The certifier every control starts from: the paper's decentralized
+/// Definition 16, and no commit-dependency waits — nothing uncommitted
+/// is ever visible to wait on.
+fn certifier(backend: CertBackend) -> Certifier {
+    Certifier::new(CertifierMode::Paper)
+        .with_wait_policy(WaitPolicy::Ignore)
+        .with_backend(backend)
 }
 
 impl OptimisticCc {
-    /// Legacy in-place execution, certifying against the paper's
-    /// decentralized Definition 16.
+    /// MVCC snapshot execution certified incrementally against the
+    /// paper's Definition 16, on one shard.
     pub fn new() -> Self {
-        Self::with_mode(CertifierMode::Paper)
-    }
-
-    /// Legacy in-place execution against the chosen check.
-    pub fn with_mode(mode: CertifierMode) -> Self {
-        Self::build(mode, false)
-    }
-
-    /// MVCC snapshot execution against the paper's Definition 16.
-    pub fn snapshot() -> Self {
-        Self::snapshot_with_mode(CertifierMode::Paper)
-    }
-
-    /// MVCC snapshot execution against the chosen check.
-    pub fn snapshot_with_mode(mode: CertifierMode) -> Self {
-        Self::build(mode, true)
-    }
-
-    fn build(mode: CertifierMode, snapshot: bool) -> Self {
+        let backend = CertBackend::default();
         OptimisticCc {
-            // the wait check runs here (scoped to live managed attempts),
-            // not in the certifier (which would wait on any unfinalized
-            // transaction in the record, compensations included)
-            cert: Mutex::new(Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore)),
-            doomed: Mutex::new(HashSet::new()),
+            cert: Mutex::new(certifier(backend)),
             live: Mutex::new(HashMap::new()),
-            snapshot: snapshot.then(VersionStore::new),
+            store: VersionStore::new(),
             shards: 1,
-            mode,
-            backend: CertBackend::default(),
+            backend,
             faults: FaultPlan::default(),
-            name: match (snapshot, mode) {
-                (false, CertifierMode::Paper) => "optimistic",
-                (false, CertifierMode::Global) => "optimistic-global",
-                (true, CertifierMode::Paper) => "mvcc",
-                (true, CertifierMode::Global) => "mvcc-global",
-            },
         }
     }
 
     /// Select the certification backend ([`CertBackend::Incremental`]
     /// is the default; [`CertBackend::FromScratch`] re-infers every
-    /// attempt and serves as the differential oracle — see
-    /// `tests/cert_differential.rs`).
+    /// attempt and is the reference the tests compare it against — see
+    /// `tests/cert_differential.rs`; hand the control to
+    /// [`Engine::start_with`](crate::Engine::start_with)).
     pub fn with_certification(mut self, backend: CertBackend) -> Self {
         self.backend = backend;
-        *self.cert.get_mut() = Certifier::new(self.mode)
-            .with_wait_policy(WaitPolicy::Ignore)
-            .with_backend(backend);
+        *self.cert.get_mut() = certifier(backend);
         self
     }
 
@@ -162,9 +108,9 @@ impl OptimisticCc {
         self.backend
     }
 
-    /// The MVCC version store (snapshot mode only).
-    pub fn version_store(&self) -> Option<&VersionStore> {
-        self.snapshot.as_ref()
+    /// The MVCC version store.
+    pub fn version_store(&self) -> &VersionStore {
+        &self.store
     }
 
     /// Arm a mid-flight abort: attempt `attempt` of `job` aborts once
@@ -194,10 +140,10 @@ impl OptimisticCc {
         self.cert.lock().stats
     }
 
-    /// Whether attempts register in [`Self::live`]: in-place execution
-    /// needs the wait scope, more than one shard needs the footprint.
+    /// Whether attempts register in [`Self::live`]: only more than one
+    /// shard has a footprint to account.
     fn tracks_attempts(&self) -> bool {
-        self.snapshot.is_none() || self.shards > 1
+        self.shards > 1
     }
 
     /// Run `f` against the record the backend certifies over: the live
@@ -219,80 +165,6 @@ impl OptimisticCc {
                 f(&ts, &history)
             }
         }
-    }
-
-    /// Top-level dependency edges over `scope`, inferred from scratch
-    /// and charged to the certifier's cost counter. Scoped inference
-    /// suffices for every edge between two members: no derivation rule
-    /// needs a third transaction's actions.
-    fn scoped_edges(
-        cert: &mut Certifier,
-        ts: &TransactionSystem,
-        history: &History,
-        scope: &HashSet<TxnIdx>,
-    ) -> Vec<(TxnIdx, TxnIdx)> {
-        let restricted = restrict_history(ts, history, scope);
-        cert.stats.actions_inferred += restricted.len() as u64;
-        let ss = SystemSchedules::infer_scoped(ts, &restricted, scope);
-        let top = ss.top_level_deps(ts);
-        top.edges()
-            .map(|(f, t)| (ts.action(*f).txn, ts.action(*t).txn))
-            .collect()
-    }
-
-    /// Commit dependency: a live *managed* attempt that precedes `me`, if
-    /// any. It may still abort and compensate away state `me` built on.
-    /// The incremental backend reads the maintained schedules — stale
-    /// edges of finalized transactions are filtered out by liveness,
-    /// exactly like the scoped inference excluding them.
-    fn live_predecessor(
-        &self,
-        cert: &mut Certifier,
-        ts: &TransactionSystem,
-        history: &History,
-        me: TxnIdx,
-    ) -> Option<TxnIdx> {
-        let live = self.live.lock();
-        let blocks = |pred: &TxnIdx| *pred != me && live.contains_key(pred);
-        match self.backend {
-            CertBackend::Incremental => {
-                let inc = cert.incremental().expect("fed by the caller");
-                inc.top_level_dependencies(ts, me).find(blocks)
-            }
-            CertBackend::FromScratch => {
-                let mut scope: HashSet<TxnIdx> = live.keys().copied().collect();
-                scope.insert(me);
-                Self::scoped_edges(cert, ts, history, &scope)
-                    .into_iter()
-                    .filter_map(|(pred, t)| (t == me).then_some(pred))
-                    .find(blocks)
-            }
-        }
-    }
-
-    /// Live transactions that depend on `txn` (read its effects): the
-    /// cascade set of an abort, inferred from scratch over `txn` plus
-    /// the certifier-live transactions — only those can cascade — and
-    /// deduplicated (the edge list has one entry per action pair, many
-    /// per transaction pair).
-    fn live_dependents(
-        cert: &mut Certifier,
-        ts: &TransactionSystem,
-        history: &History,
-        txn: TxnIdx,
-    ) -> Vec<TxnIdx> {
-        let mut scope: HashSet<TxnIdx> = (0..ts.top_level().len() as u32)
-            .map(TxnIdx)
-            .filter(|&t| cert.is_live(t))
-            .collect();
-        scope.insert(txn);
-        let mut cascade = Vec::new();
-        for (f, dep) in Self::scoped_edges(cert, ts, history, &scope) {
-            if f == txn && dep != txn && cert.is_live(dep) && !cascade.contains(&dep) {
-                cascade.push(dep);
-            }
-        }
-        cascade
     }
 
     /// Mirror the certifier's retention counters — transactions the cut
@@ -351,57 +223,38 @@ impl OptimisticCc {
     }
 
     /// One certification round of `txn` over the record `with_record`
-    /// hands in: feed the delta (a no-op under from-scratch), check the
-    /// commit dependencies (in-place only), validate.
+    /// hands in: feed the delta (a no-op under from-scratch), validate.
+    /// True when `txn` committed.
     fn certify(
         &self,
         shared: &EngineShared,
         txn: &TxnHandle,
         ts: &TransactionSystem,
         history: &History,
-    ) -> Round {
-        let me = txn.txn;
+    ) -> bool {
         let mut cert = self.cert.lock();
         let before = cert.stats;
         cert.feed_record(ts, history);
         // what the check can reach: the transactions still retained
         // after the feed, plus the candidate
         let component = cert.retained_txns() + 1;
-        let wait_on = match self.snapshot {
-            None => self.live_predecessor(&mut cert, ts, history, me),
-            Some(_) => None,
-        };
-        let outcome = match wait_on {
-            Some(on) => {
-                cert.stats.waits += 1;
-                CommitOutcome::MustWait { on }
+        let committed = match cert.try_commit(ts, history, txn.txn) {
+            CommitOutcome::Committed => true,
+            CommitOutcome::MustAbort(_) => false,
+            CommitOutcome::MustWait { .. } => {
+                unreachable!("WaitPolicy::Ignore never asks a candidate to wait")
             }
-            None => cert.try_commit(ts, history, me),
-        };
-        let (verdict, round) = match outcome {
-            CommitOutcome::MustWait { .. } => (CertOutcome::Wait, Round::Wait),
-            CommitOutcome::Committed => (CertOutcome::Commit, Round::Commit),
-            // nobody saw a snapshot candidate's buffered writes; in place,
-            // doom everyone who read our soon-compensated effects (the
-            // certifier already moved the candidate to the aborted set,
-            // so the liveness filter skips it)
-            CommitOutcome::MustAbort(_) => (
-                CertOutcome::Abort,
-                Round::Abort(match (&self.snapshot, self.backend) {
-                    (Some(_), _) => Vec::new(),
-                    (None, CertBackend::Incremental) => cert.live_dependents(ts, me),
-                    (None, CertBackend::FromScratch) => {
-                        Self::live_dependents(&mut cert, ts, history, me)
-                    }
-                }),
-            ),
         };
         shared.trace.emit_txn(txn, || TraceEventKind::CertAttempt {
             component,
-            outcome: verdict,
+            outcome: if committed {
+                CertOutcome::Commit
+            } else {
+                CertOutcome::Abort
+            },
         });
         self.publish_cert_round(shared, txn, before, cert.stats);
-        round
+        committed
     }
 
     /// `txn` left the live set; a commit is accounted on every lane of
@@ -420,23 +273,6 @@ impl OptimisticCc {
             }
         }
     }
-
-    /// Doom the live dependents of the aborting `txn`.
-    fn doom(&self, shared: &EngineShared, txn: &TxnHandle, cascade: Vec<TxnIdx>) {
-        if cascade.is_empty() {
-            return;
-        }
-        shared
-            .metrics
-            .cascade_dooms
-            .fetch_add(cascade.len() as u64, Ordering::Relaxed);
-        for d in &cascade {
-            shared
-                .trace
-                .emit_txn(txn, || TraceEventKind::CascadeDoom { victim: d.0 as u64 });
-        }
-        self.doomed.lock().extend(cascade);
-    }
 }
 
 impl Default for OptimisticCc {
@@ -447,97 +283,56 @@ impl Default for OptimisticCc {
 
 impl ConcurrencyControl for OptimisticCc {
     fn name(&self) -> &'static str {
-        self.name
+        "mvcc"
     }
 
     fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
-        if let Some(store) = &self.snapshot {
-            // snapshot mode: record the operation against the version
-            // store (writes buffer, reads resolve in the snapshot);
-            // cascades cannot doom anyone, so no doomed check
-            store.note_op(txn.txn, op);
-        } else if self.doomed.lock().contains(&txn.txn) {
-            // no locks — but abort promptly if a cascade doomed this attempt
-            return OpGrant::AbortVictim;
-        }
+        // record the operation against the version store: writes buffer,
+        // reads resolve in the snapshot
+        self.store.note_op(txn.txn, op);
         if self.tracks_attempts() {
             let mut live = self.live.lock();
             let footprint = live.entry(txn.txn).or_default();
-            if self.shards > 1 {
-                let mut note = |s: usize| {
-                    footprint.insert(s);
-                    shared.metrics.shard_op(s);
-                };
-                match route_keyed(op, self.shards) {
-                    ShardRoute::One(s) => note(s),
-                    ShardRoute::All => (0..self.shards).for_each(note),
-                }
+            let mut note = |s: usize| {
+                footprint.insert(s);
+                shared.metrics.shard_op(s);
+            };
+            match route_keyed(op, self.shards) {
+                ShardRoute::One(s) => note(s),
+                ShardRoute::All => (0..self.shards).for_each(note),
             }
         }
         OpGrant::Granted
     }
 
     fn try_finish(&self, shared: &EngineShared, txn: &TxnHandle) -> FinishOutcome {
-        if self.snapshot.is_none() && self.doomed.lock().contains(&txn.txn) {
-            return FinishOutcome::Abort;
-        }
-        let round = self.with_record(shared, |ts, history| self.certify(shared, txn, ts, history));
-        match round {
-            Round::Commit => {
-                self.finalize(shared, txn.txn, true);
-                if let Some(store) = &self.snapshot {
-                    versions::on_commit(store, shared, txn);
-                }
-                FinishOutcome::Committed
-            }
-            Round::Wait => FinishOutcome::Wait,
-            Round::Abort(cascade) => {
-                self.doom(shared, txn, cascade);
-                self.finalize(shared, txn.txn, false);
-                FinishOutcome::Abort
-            }
+        let committed =
+            self.with_record(shared, |ts, history| self.certify(shared, txn, ts, history));
+        self.finalize(shared, txn.txn, committed);
+        if committed {
+            versions::on_commit(&self.store, shared, txn);
+            FinishOutcome::Committed
+        } else {
+            FinishOutcome::Abort
         }
     }
 
     fn after_commit(&self, _shared: &EngineShared, _txn: &TxnHandle) {}
 
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle) {
+        // nothing was published, so nothing can cascade; just finalize
+        // the certifier bookkeeping and drop the buffered writes (the
+        // attempt may have aborted before its commit point: deadline,
+        // injected fault)
         let me = txn.txn;
-        if let Some(store) = &self.snapshot {
-            // nothing was published, so nothing can cascade; just
-            // finalize the certifier bookkeeping and drop the buffered
-            // writes (the attempt may have aborted before its commit
-            // point: deadline, injected fault)
-            let mut cert = self.cert.lock();
-            if cert.is_live(me) {
-                cert.register_abort(me);
-                Self::publish_retention(shared, &cert.stats);
-            }
-            drop(cert);
-            versions::on_abort(store, shared, txn);
-            self.finalize(shared, me, false);
-            return;
+        let mut cert = self.cert.lock();
+        if cert.is_live(me) {
+            cert.register_abort(me);
+            Self::publish_retention(shared, &cert.stats);
         }
-        let cascade = self.with_record(shared, |ts, history| {
-            let mut cert = self.cert.lock();
-            let before = cert.stats;
-            let cascade = if cert.is_live(me) {
-                // victim abort (doomed, deadline, wait-cycle break,
-                // injected fault): register it with the certifier, which
-                // reports the direct dependents
-                cert.abort(ts, history, me)
-            } else {
-                // validation failure: try_finish already doomed the cascade
-                Vec::new()
-            };
-            self.publish_cert_round(shared, txn, before, cert.stats);
-            cascade
-        });
-        // doom before leaving the live set: a dependent at its commit
-        // point keeps waiting on `me` until it can see its own doom
-        self.doom(shared, txn, cascade);
+        drop(cert);
+        versions::on_abort(&self.store, shared, txn);
         self.finalize(shared, me, false);
-        self.doomed.lock().remove(&me); // this attempt is finished for good
     }
 
     fn shards(&self) -> usize {
@@ -556,18 +351,8 @@ impl ConcurrencyControl for OptimisticCc {
         self.faults.fires(txn, ops_done)
     }
 
-    fn is_doomed(&self, txn: &TxnHandle) -> bool {
-        self.snapshot.is_none() && self.doomed.lock().contains(&txn.txn)
-    }
-
     fn buffers_writes(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    fn strict_compensation(&self) -> bool {
-        // snapshot mode compensates inside the same critical section
-        // that installed the writes, so an inverse can never fail
-        self.snapshot.is_some()
+        true
     }
 
     fn retire(&self, shared: &EngineShared, txn: TxnIdx) {
@@ -584,82 +369,10 @@ impl ConcurrencyControl for OptimisticCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
-    use oodb_core::ids::ActionIdx;
-    use oodb_core::value::key;
-    use std::sync::Arc;
-
-    /// A 3-transaction dependency chain T1 → T2 → T3, where the T1 → T2
-    /// pair is witnessed by **two** action pairs (so the raw edge list
-    /// contains duplicates a set must collapse):
-    /// T1 inserts K1 (writing page A); T2 searches K1 twice (two reads
-    /// of page A) and inserts K2 (writing page B); T3 searches K2.
-    fn chain3() -> (TransactionSystem, History) {
-        let mut ts = TransactionSystem::new();
-        let leaf = ts.add_object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
-        let pa = ts.add_object("PageA", Arc::new(ReadWriteSpec));
-        let pb = ts.add_object("PageB", Arc::new(ReadWriteSpec));
-        let rw = |m: &str| ActionDescriptor::nullary(m);
-
-        let mut b = ts.txn("T1");
-        b.call(leaf, ActionDescriptor::new("insert", vec![key("K1")]));
-        let t1w = b.leaf(pa, rw("write"));
-        b.end();
-        b.finish();
-
-        let mut b = ts.txn("T2");
-        b.call(leaf, ActionDescriptor::new("search", vec![key("K1")]));
-        let t2r1 = b.leaf(pa, rw("read"));
-        b.end();
-        b.call(leaf, ActionDescriptor::new("search", vec![key("K1")]));
-        let t2r2 = b.leaf(pa, rw("read"));
-        b.end();
-        b.call(leaf, ActionDescriptor::new("insert", vec![key("K2")]));
-        let t2w = b.leaf(pb, rw("write"));
-        b.end();
-        b.finish();
-
-        let mut b = ts.txn("T3");
-        b.call(leaf, ActionDescriptor::new("search", vec![key("K2")]));
-        let t3r = b.leaf(pb, rw("read"));
-        b.end();
-        b.finish();
-
-        let order: Vec<ActionIdx> = vec![t1w, t2r1, t2r2, t2w, t3r];
-        let h = History::from_order(&ts, &order).unwrap();
-        (ts, h)
-    }
-
-    #[test]
-    fn cascade_set_on_three_txn_chain_is_exact_and_deduped() {
-        let (ts, h) = chain3();
-        let mut cert = Certifier::new(CertifierMode::Paper);
-        // aborting T1 cascades to T2 exactly once (two witnessing edges,
-        // one entry) and not to T3 (no direct dependency)
-        let cascade = OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(0));
-        assert_eq!(cascade, vec![TxnIdx(1)]);
-        // the doomed T2 then cascades to T3
-        let cascade = OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(1));
-        assert_eq!(cascade, vec![TxnIdx(2)]);
-        // T3 has no dependents
-        assert!(OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(2)).is_empty());
-    }
-
-    #[test]
-    fn finalized_dependents_do_not_cascade() {
-        let (ts, h) = chain3();
-        let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore);
-        assert_eq!(
-            cert.try_commit(&ts, &h, TxnIdx(1)),
-            CommitOutcome::Committed
-        );
-        // T2 committed first: aborting T1 has nothing live to doom
-        assert!(OptimisticCc::live_dependents(&mut cert, &ts, &h, TxnIdx(0)).is_empty());
-    }
 
     #[test]
     fn shards_route_by_the_key_hash_and_one_shard_routes_to_zero() {
-        let cc = OptimisticCc::snapshot().with_shards(4);
+        let cc = OptimisticCc::new().with_shards(4);
         assert_eq!(cc.shards(), 4);
         let alpha = EncOp::Insert("alpha".into());
         assert_eq!(
@@ -667,28 +380,9 @@ mod tests {
             ShardRoute::One(crate::shard_of_key("alpha", 4))
         );
         assert_eq!(cc.route(&EncOp::ReadSeq), ShardRoute::All);
-        let one = OptimisticCc::snapshot();
+        let one = OptimisticCc::new();
         assert_eq!(one.shards(), 1);
         assert_eq!(one.route(&alpha), ShardRoute::One(0));
         assert_eq!(one.route(&EncOp::ReadSeq), ShardRoute::One(0));
-    }
-
-    #[test]
-    fn snapshot_mode_flags() {
-        let legacy = OptimisticCc::new();
-        assert_eq!(legacy.name(), "optimistic");
-        assert!(!legacy.buffers_writes());
-        assert!(!legacy.strict_compensation());
-        assert!(legacy.version_store().is_none());
-
-        let mvcc = OptimisticCc::snapshot();
-        assert_eq!(mvcc.name(), "mvcc");
-        assert!(mvcc.buffers_writes());
-        assert!(mvcc.strict_compensation());
-        assert!(mvcc.version_store().is_some());
-        assert_eq!(
-            OptimisticCc::snapshot_with_mode(CertifierMode::Global).name(),
-            "mvcc-global"
-        );
     }
 }

@@ -190,8 +190,4 @@ impl ConcurrencyControl for PessimisticCc {
         // one global lock manager: every key routes to the only shard
         ShardRoute::One(0)
     }
-
-    fn strict_compensation(&self) -> bool {
-        true
-    }
 }

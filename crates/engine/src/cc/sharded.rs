@@ -447,10 +447,6 @@ impl ConcurrencyControl for ShardedPessimisticCc {
     fn inject_abort(&self, txn: &TxnHandle, ops_done: usize) -> bool {
         self.faults.fires(txn, ops_done)
     }
-
-    fn strict_compensation(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

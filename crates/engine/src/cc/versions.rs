@@ -1,10 +1,8 @@
 //! The engine-side MVCC version store: per-key committed version
 //! chains, per-transaction buffered write sets, and watermark GC.
 //!
-//! Snapshot-mode concurrency controls
-//! ([`OptimisticCc::snapshot`](crate::cc::OptimisticCc::snapshot) and
-//! its sharded sibling) keep one
-//! [`VersionStore`] next to the shared encyclopedia. The physical B-link
+//! The optimistic control ([`OptimisticCc`](crate::cc::OptimisticCc))
+//! keeps one [`VersionStore`] next to the shared encyclopedia. The physical B-link
 //! tree holds only committed state — writers buffer — so the store does
 //! not duplicate values; it tracks the *version structure*: which
 //! transaction installed which key at which commit timestamp, what each

@@ -1,7 +1,6 @@
 //! Engine configuration: worker pool sizing, admission control, retry
 //! policy, and deadlines.
 
-pub use oodb_core::certifier::CertBackend;
 use std::time::Duration;
 
 /// Which concurrency-control strategy the engine runs, and at what
@@ -18,8 +17,9 @@ pub enum CcKind {
     /// baseline the paper argues against.
     PessimisticPage,
     /// Optimistic certification: transactions execute without semantic
-    /// locks and validate at commit against Definition 16, with commit
-    /// dependencies and cascading aborts.
+    /// locks against a snapshot, buffer their writes, and at commit
+    /// install them and validate against Definition 16 in one critical
+    /// section.
     Optimistic,
 }
 
@@ -30,69 +30,6 @@ impl CcKind {
             CcKind::Pessimistic => "pessimistic",
             CcKind::PessimisticPage => "pessimistic-page",
             CcKind::Optimistic => "optimistic",
-        }
-    }
-}
-
-/// How [`CcKind::Optimistic`] transactions execute against shared state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimisticExec {
-    /// MVCC snapshot execution: writes are buffered per attempt and
-    /// installed at the commit point inside the database critical
-    /// section, atomically with certification; reads only ever observe
-    /// committed state. Uncommitted effects are never public, so
-    /// commit-dependency waits (`MustWait`) and cascading aborts are
-    /// structurally impossible.
-    #[default]
-    Snapshot,
-    /// Legacy in-place execution: subtransaction effects are public
-    /// immediately, so recoverability requires commit-dependency
-    /// tracking and aborts cascade through dependents. Kept as the
-    /// differential oracle and for the B12 ablation.
-    InPlace,
-}
-
-impl OptimisticExec {
-    /// Short lowercase label used in experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            OptimisticExec::Snapshot => "mvcc",
-            OptimisticExec::InPlace => "in-place",
-        }
-    }
-}
-
-/// How workers execute encyclopedia operations against the shared
-/// database (see [`crate::db::ConcurrentEnc`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecPath {
-    /// One global mutex around the whole encyclopedia: every operation,
-    /// commit, and abort serializes through it. The pre-latching engine,
-    /// kept as the differential oracle for the latched path.
-    SingleMutex,
-    /// Per-page latch coupling inside the B-link tree plus striped
-    /// operation sequencing: keyed operations take one stripe
-    /// (exclusive for writes, shared for reads), whole-container scans
-    /// take every stripe shared, and only MVCC install/abort tails take
-    /// every stripe exclusive. Disjoint keys execute concurrently.
-    Latched {
-        /// Number of sequencing stripes keyed by `shard_of_key`.
-        stripes: usize,
-    },
-}
-
-impl Default for ExecPath {
-    fn default() -> Self {
-        ExecPath::Latched { stripes: 16 }
-    }
-}
-
-impl ExecPath {
-    /// Short lowercase label used in metrics and experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecPath::SingleMutex => "single-mutex",
-            ExecPath::Latched { .. } => "latched",
         }
     }
 }
@@ -196,10 +133,13 @@ pub struct EngineConfig {
     pub fanout: usize,
     /// Number of concurrency-control shards the key space is partitioned
     /// into (`shard(key) = hash(key) % shards`). `1` (the default) keeps
-    /// the single global lock manager / certifier; larger values give
-    /// each strategy per-shard structures, so independent keys stop
-    /// contending on one mutex. Conflicting operations always meet on a
-    /// common shard, so the protocol guarantees are unchanged.
+    /// the single global lock manager; larger values give strict 2PL one
+    /// lock manager per shard (with wound-wait in place of deadlock
+    /// detection), so independent keys stop contending on one mutex —
+    /// conflicting operations always meet on a common shard, so the
+    /// protocol guarantees are unchanged. The optimistic strategy has one
+    /// certifier at every shard count; there the value only selects how
+    /// many lanes its per-shard metrics are accounted over.
     pub shards: usize,
     /// Record and verify the execution on shutdown: pessimistic runs
     /// audit the complete record (including aborted attempts and their
@@ -209,15 +149,6 @@ pub struct EngineConfig {
     /// default; [`TraceMode::ring`] captures events into per-worker
     /// ring buffers drained at shutdown.
     pub trace: TraceMode,
-    /// Execution mode for [`CcKind::Optimistic`]: MVCC snapshot
-    /// execution (the default) or the legacy in-place mode with
-    /// commit-dependency waits and cascading aborts.
-    pub optimistic_exec: OptimisticExec,
-    /// How the optimistic certifiers derive dependency information:
-    /// incrementally maintained schedules fed per-attempt deltas (the
-    /// default) or the legacy from-scratch re-inference, kept as the
-    /// differential oracle (see `tests/cert_differential.rs`).
-    pub certification: CertBackend,
     /// Commit durability: [`DurabilityMode::Off`] (the default) keeps
     /// commits memory-only; the other modes append redo + compensation
     /// records to a write-ahead log inside the database critical section
@@ -227,10 +158,6 @@ pub struct EngineConfig {
     /// Simulated latency of one log force (fsync). Zero by default so
     /// tests run fast; B14 raises it to make batching visible.
     pub fsync_latency: Duration,
-    /// How workers execute against the shared database: per-page latch
-    /// coupling with striped sequencing (the default) or the legacy
-    /// whole-encyclopedia mutex, kept as the differential oracle.
-    pub exec: ExecPath,
     /// Buffer-pool capacity, in frames, of the underlying encyclopedia.
     pub pool_frames: usize,
     /// Simulated latency of one buffer-pool miss (page read from disk).
@@ -252,11 +179,8 @@ impl Default for EngineConfig {
             shards: 1,
             audit: true,
             trace: TraceMode::Off,
-            optimistic_exec: OptimisticExec::Snapshot,
-            certification: CertBackend::Incremental,
             durability: DurabilityMode::Off,
             fsync_latency: Duration::ZERO,
-            exec: ExecPath::default(),
             pool_frames: 4096,
             io_latency: Duration::ZERO,
         }
@@ -281,20 +205,6 @@ mod tests {
         assert_eq!(CcKind::default(), CcKind::Pessimistic);
         assert_eq!(CcKind::Optimistic.label(), "optimistic");
         assert_eq!(
-            c.optimistic_exec,
-            OptimisticExec::Snapshot,
-            "snapshot execution is the optimistic default; in-place is the ablation"
-        );
-        assert_eq!(OptimisticExec::Snapshot.label(), "mvcc");
-        assert_eq!(OptimisticExec::InPlace.label(), "in-place");
-        assert_eq!(
-            c.certification,
-            CertBackend::Incremental,
-            "incremental certification is the default; from-scratch is the oracle"
-        );
-        assert_eq!(CertBackend::Incremental.label(), "incremental");
-        assert_eq!(CertBackend::FromScratch.label(), "from-scratch");
-        assert_eq!(
             c.durability,
             DurabilityMode::Off,
             "durability is opt-in so existing benches keep their numbers"
@@ -311,12 +221,6 @@ mod tests {
             .label(),
             "group(8)"
         );
-        assert!(
-            matches!(c.exec, ExecPath::Latched { stripes } if stripes > 0),
-            "latched execution is the default; the single mutex is the oracle"
-        );
-        assert_eq!(ExecPath::SingleMutex.label(), "single-mutex");
-        assert_eq!(ExecPath::default().label(), "latched");
         assert!(c.pool_frames >= 64);
         assert_eq!(c.io_latency, Duration::ZERO);
     }

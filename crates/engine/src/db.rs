@@ -1,15 +1,14 @@
 //! Concurrent access to the shared encyclopedia.
 //!
-//! [`ConcurrentEnc`] replaces the engine's former
-//! `Mutex<CompensatedEncyclopedia>`. Physical consistency of the tree no
-//! longer needs a global lock — `oodb-btree` latch-couples per page (see
-//! `oodb_btree::latch`) — so what remains to serialize is *sequencing*:
-//! a worker that executes an operation must claim its trace sequence
-//! number and append its WAL record in the same order the operation took
-//! effect, or the trace/audit cross-check and the log's
-//! repeating-history guarantee both break.
+//! Physical consistency of the tree needs no global lock — `oodb-btree`
+//! latch-couples per page (see `oodb_btree::latch`) — so what
+//! [`ConcurrentEnc`] serializes is *sequencing*: a worker that executes
+//! an operation must claim its trace sequence number and append its WAL
+//! record in the same order the operation took effect, or the
+//! trace/audit cross-check and the log's repeating-history guarantee
+//! both break.
 //!
-//! The latched path does this with **stripes**: an array of read/write
+//! It does this with **stripes**: an array of [`STRIPES`] read/write
 //! locks indexed by `shard_of_key`. A keyed write (insert / change /
 //! delete) holds its key's stripe exclusively across
 //! execute → inverse-capture → WAL append → seq claim; a keyed read
@@ -26,27 +25,26 @@
 //! keep every traversal physically sound even for same-stripe keys on
 //! different pages. The MVCC install/abort paths take every stripe
 //! exclusively ([`ConcurrentEnc::exclusive`]) because they replay a
-//! whole batch atomically; [`ExecPath::SingleMutex`] makes *every*
-//! section take all stripes exclusively, which reproduces the old global
-//! mutex exactly and serves as the differential oracle
-//! (`tests/latched_differential.rs`).
+//! whole batch atomically. `tests/latched_differential.rs` holds a
+//! 4-worker run to the serial run of the same workload.
 //!
 //! Lock ordering: a section acquires stripes in ascending index order,
 //! and no section acquires anything else while holding them, so stripe
 //! deadlock is impossible.
 
-use crate::config::ExecPath;
 use oodb_btree::CompensatedEncyclopedia;
 use oodb_sim::EncOp;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::Deref;
+
+/// Number of sequencing stripes keyed by `shard_of_key`.
+pub const STRIPES: usize = 16;
 
 /// The shared encyclopedia plus the stripe table that sequences access
 /// to it. See the module docs for the protocol.
 pub struct ConcurrentEnc {
     enc: CompensatedEncyclopedia,
     stripes: Vec<RwLock<()>>,
-    single: bool,
 }
 
 // guards are never read, only held until drop releases the stripes
@@ -74,17 +72,11 @@ impl Deref for EncSection<'_> {
 }
 
 impl ConcurrentEnc {
-    /// Wrap `enc` for the chosen execution path. `SingleMutex` collapses
-    /// to one stripe that every section takes exclusively.
-    pub fn new(enc: CompensatedEncyclopedia, exec: ExecPath) -> Self {
-        let (n, single) = match exec {
-            ExecPath::SingleMutex => (1, true),
-            ExecPath::Latched { stripes } => (stripes.max(1), false),
-        };
+    /// Wrap `enc` behind [`STRIPES`] free stripes.
+    pub fn new(enc: CompensatedEncyclopedia) -> Self {
         ConcurrentEnc {
             enc,
-            stripes: (0..n).map(|_| RwLock::new(())).collect(),
-            single,
+            stripes: (0..STRIPES).map(|_| RwLock::new(())).collect(),
         }
     }
 
@@ -96,17 +88,13 @@ impl ConcurrentEnc {
     }
 
     fn stripe_of(&self, key: &str) -> usize {
-        crate::cc::shard_of_key(key, self.stripes.len())
+        crate::cc::shard_of_key(key, STRIPES)
     }
 
     /// The section for one operation: its key's stripe (exclusive for
     /// mutations, shared for lookups), or every stripe shared for
-    /// whole-container scans. Under `SingleMutex`, always everything
-    /// exclusive.
+    /// whole-container scans.
     pub fn for_op(&self, op: &EncOp) -> EncSection<'_> {
-        if self.single {
-            return self.exclusive();
-        }
         let guards = match op {
             EncOp::Insert(k) | EncOp::Change(k) | EncOp::Delete(k) => {
                 Guards::Write(vec![self.stripes[self.stripe_of(k)].write()])
@@ -132,23 +120,6 @@ impl ConcurrentEnc {
             _guards: Guards::Write(self.stripes.iter().map(|s| s.write()).collect()),
         }
     }
-
-    /// Alias of [`exclusive`](Self::exclusive) so call sites that held
-    /// the old global mutex read unchanged.
-    pub fn lock(&self) -> EncSection<'_> {
-        self.exclusive()
-    }
-
-    /// The section a strict-2PL commit marker needs: the full critical
-    /// section under `SingleMutex` (the oracle's historical behaviour),
-    /// `None` under the latched path — there, the protocol's semantic
-    /// locks are still held at the commit point and only released by
-    /// `after_commit`, so any transaction that can observe this commit's
-    /// effects appends to the log strictly after its commit record; the
-    /// durable prefix stays recoverable with no stripe held.
-    pub fn commit_section(&self) -> Option<EncSection<'_>> {
-        self.single.then(|| self.exclusive())
-    }
 }
 
 #[cfg(test)]
@@ -157,29 +128,26 @@ mod tests {
     use oodb_btree::{Encyclopedia, EncyclopediaConfig};
     use oodb_model::Recorder;
 
-    fn fresh(exec: ExecPath) -> (ConcurrentEnc, Recorder) {
+    fn fresh() -> (ConcurrentEnc, Recorder) {
         let rec = Recorder::new();
         let enc = Encyclopedia::create(rec.clone(), EncyclopediaConfig::default());
-        (
-            ConcurrentEnc::new(CompensatedEncyclopedia::new(enc), exec),
-            rec,
-        )
+        (ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)), rec)
     }
 
     #[test]
-    fn disjoint_write_sections_overlap_in_latched_mode() {
-        let (db, _rec) = fresh(ExecPath::Latched { stripes: 16 });
+    fn disjoint_write_sections_overlap() {
+        let (db, _rec) = fresh();
         // find two keys on different stripes
         let a = "alpha".to_string();
         let mut b = None;
-        for i in 0..64 {
+        for i in 0..4 * STRIPES {
             let k = format!("k{i}");
             if db.stripe_of(&k) != db.stripe_of(&a) {
                 b = Some(k);
                 break;
             }
         }
-        let b = b.expect("16 stripes, 64 keys: some key maps elsewhere");
+        let b = b.expect("more keys than stripes: some key maps elsewhere");
         let s1 = db.for_op(&EncOp::Insert(a));
         let s2 = db.for_op(&EncOp::Insert(b));
         drop(s1);
@@ -187,18 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn single_mutex_mode_serializes_everything() {
-        let (db, _rec) = fresh(ExecPath::SingleMutex);
-        let held = db.for_op(&EncOp::Search("x".into()));
-        // even a read section excludes everything else in oracle mode
-        assert!(db.stripes[0].try_write().is_none());
-        drop(held);
-        assert!(db.stripes[0].try_write().is_some());
-    }
-
-    #[test]
     fn scans_take_all_stripes_shared() {
-        let (db, _rec) = fresh(ExecPath::Latched { stripes: 4 });
+        let (db, _rec) = fresh();
         let scan = db.for_op(&EncOp::ReadSeq);
         for s in &db.stripes {
             assert!(s.try_write().is_none(), "scan holds every stripe shared");
@@ -208,16 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn commit_section_exists_only_for_the_oracle() {
-        let (single, _r1) = fresh(ExecPath::SingleMutex);
-        let (latched, _r2) = fresh(ExecPath::Latched { stripes: 4 });
-        assert!(single.commit_section().is_some());
-        assert!(latched.commit_section().is_none());
-    }
-
-    #[test]
     fn sections_execute_operations_through_deref() {
-        let (db, rec) = fresh(ExecPath::Latched { stripes: 4 });
+        let (db, rec) = fresh();
         let mut ctx = rec.begin_txn("T1");
         {
             let enc = db.for_op(&EncOp::Insert("k".into()));

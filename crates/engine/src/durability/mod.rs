@@ -15,8 +15,8 @@
 //! Because every record is appended under that lock, the log is a
 //! faithful serialization of the database's entire mutation sequence:
 //! **replaying it verbatim reproduces the exact state trajectory**, for
-//! every concurrency-control family — pessimistic compensation commits,
-//! optimistic in-place, and MVCC install-certify-commit alike.
+//! every concurrency-control family — pessimistic compensation commits
+//! and MVCC install-certify-commit alike.
 //!
 //! # Group commit
 //!

@@ -51,15 +51,14 @@ pub use cc::{
     shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, OptimisticCc,
     PessimisticCc, ShardRoute, ShardedPessimisticCc, TxnHandle, VersionStore,
 };
-pub use config::{
-    CcKind, CertBackend, DurabilityMode, EngineConfig, ExecPath, OptimisticExec, TraceMode,
-};
-pub use db::{ConcurrentEnc, EncSection};
+pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
+pub use db::{ConcurrentEnc, EncSection, STRIPES};
 pub use durability::{recover, recover_traced, Durability, RecoveryOutcome, ReplayStats};
 pub use metrics::{
     EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane, ShardLaneSnapshot,
     ValueQuantiles,
 };
+pub use oodb_core::certifier::CertBackend;
 pub use queue::{Job, JobQueue};
 pub use trace::{
     cross_check, CrossCheck, DepGraph, NullSink, RingSink, TraceEvent, TraceEventKind, TraceLog,
@@ -108,9 +107,7 @@ impl Engine {
     /// Start an engine with one of the built-in strategies.
     /// [`EngineConfig::shards`] > 1 gives strict 2PL one lock manager per
     /// shard and the optimistic strategy per-shard metric lanes over its
-    /// one certifier; [`EngineConfig::optimistic_exec`] picks MVCC
-    /// snapshot execution (the default) or legacy in-place execution for
-    /// the optimistic strategy.
+    /// one certifier.
     pub fn start(cfg: EngineConfig, kind: CcKind) -> Engine {
         let shards = cfg.shards.max(1);
         let cc: Arc<dyn ConcurrencyControl> = match kind {
@@ -120,18 +117,14 @@ impl Engine {
                 Arc::new(ShardedPessimisticCc::page_level(shards))
             }
             CcKind::PessimisticPage => Arc::new(PessimisticCc::page_level()),
-            CcKind::Optimistic => {
-                let cc = match cfg.optimistic_exec {
-                    OptimisticExec::Snapshot => OptimisticCc::snapshot(),
-                    OptimisticExec::InPlace => OptimisticCc::new(),
-                };
-                Arc::new(cc.with_certification(cfg.certification).with_shards(shards))
-            }
+            CcKind::Optimistic => Arc::new(OptimisticCc::new().with_shards(shards)),
         };
         Self::start_with(cfg, cc)
     }
 
-    /// Start an engine with a custom [`ConcurrencyControl`].
+    /// Start an engine with a custom [`ConcurrencyControl`] — also how
+    /// the tests run their reference,
+    /// `OptimisticCc::new().with_certification(CertBackend::FromScratch)`.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
         let rec = oodb_model::Recorder::new();
         let enc = Encyclopedia::create(
@@ -155,7 +148,7 @@ impl Engine {
         ));
         let shared = Arc::new(EngineShared {
             rec,
-            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc), cfg.exec),
+            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
             metrics,
             trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
             dur: cfg
@@ -261,7 +254,7 @@ impl Engine {
         self.shared.dur.as_ref().map(|d| d.crash_probe())
     }
 
-    /// The strategy name (`"pessimistic"`, `"optimistic"`, ...).
+    /// The strategy name (`"pessimistic"`, `"mvcc"`, ...).
     pub fn cc_name(&self) -> &'static str {
         self.cc.name()
     }
@@ -283,7 +276,7 @@ impl Engine {
         // read the final state AFTER the audit snapshot so the read-only
         // dump transaction never pollutes the audited record
         let final_state = {
-            let enc = self.shared.enc.lock();
+            let enc = self.shared.enc.exclusive();
             let mut ctx = self.shared.rec.begin_txn("Dump");
             self.cc
                 .retire(&self.shared, oodb_core::ids::TxnIdx(ctx.txn_number()));

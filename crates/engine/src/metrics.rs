@@ -219,20 +219,13 @@ pub struct EngineMetrics {
     pub committed: AtomicU64,
     /// Jobs dropped after exhausting retries.
     pub aborted: AtomicU64,
-    /// Abort-and-retry events (deadlock victims, validation failures,
-    /// wait-cycle breaks).
+    /// Abort-and-retry events (deadlock and wound victims, validation
+    /// failures, injected faults).
     pub retries: AtomicU64,
     /// Submissions rejected by admission control (queue full).
     pub shed: AtomicU64,
     /// Jobs dropped because their deadline passed before commit.
     pub deadline_expired: AtomicU64,
-    /// Commit-dependency wait rounds (`FinishOutcome::Wait` polls) —
-    /// the recoverability tax of in-place optimistic execution. Zero
-    /// by construction under MVCC snapshot execution.
-    pub commit_dep_waits: AtomicU64,
-    /// Live transactions doomed by a cascading abort. Zero by
-    /// construction under MVCC snapshot execution.
-    pub cascade_dooms: AtomicU64,
     /// Committed versions installed by snapshot (MVCC) transactions.
     pub version_installs: AtomicU64,
     /// Versions reclaimed by watermark GC.
@@ -283,9 +276,8 @@ pub struct EngineMetrics {
     /// Phase timer: submission-to-worker-pop queue wait, recorded once
     /// per popped job (preloads bypass the queue and are not recorded).
     pub phase_queue: Histogram,
-    /// Phase timer: total grant/certification wait of the committing
-    /// attempt (the per-op waits summed, plus commit-dependency poll
-    /// rounds under in-place optimistic execution).
+    /// Phase timer: total grant wait of the committing attempt (the
+    /// per-op waits summed).
     pub phase_wait: Histogram,
     /// Phase timer: execution time of the committing attempt — attempt
     /// begin to commit decision, minus the waits counted in
@@ -318,8 +310,6 @@ impl EngineMetrics {
             retries: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            commit_dep_waits: AtomicU64::new(0),
-            cascade_dooms: AtomicU64::new(0),
             version_installs: AtomicU64::new(0),
             versions_gcd: AtomicU64::new(0),
             cert_actions_inferred: AtomicU64::new(0),
@@ -391,8 +381,6 @@ impl EngineMetrics {
             retries: self.retries.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            commit_dep_waits: self.commit_dep_waits.load(Ordering::Relaxed),
-            cascade_dooms: self.cascade_dooms.load(Ordering::Relaxed),
             version_installs: self.version_installs.load(Ordering::Relaxed),
             versions_gcd: self.versions_gcd.load(Ordering::Relaxed),
             cert_actions_inferred: self.cert_actions_inferred.load(Ordering::Relaxed),
@@ -474,10 +462,6 @@ pub struct MetricsSnapshot {
     pub shed: u64,
     /// Jobs dropped on deadline expiry.
     pub deadline_expired: u64,
-    /// Commit-dependency wait rounds (zero under MVCC).
-    pub commit_dep_waits: u64,
-    /// Cascading-abort victims doomed (zero under MVCC).
-    pub cascade_dooms: u64,
     /// Committed versions installed by snapshot transactions.
     pub version_installs: u64,
     /// Versions reclaimed by watermark GC.
@@ -548,8 +532,6 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"retries\":{},", self.retries);
         let _ = write!(s, "\"shed\":{},", self.shed);
         let _ = write!(s, "\"deadline_expired\":{},", self.deadline_expired);
-        let _ = write!(s, "\"commit_dep_waits\":{},", self.commit_dep_waits);
-        let _ = write!(s, "\"cascade_dooms\":{},", self.cascade_dooms);
         let _ = write!(s, "\"version_installs\":{},", self.version_installs);
         let _ = write!(s, "\"versions_gcd\":{},", self.versions_gcd);
         let _ = write!(
@@ -657,13 +639,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.e2e_p50,
             self.e2e_p99,
         )?;
-        if self.commit_dep_waits > 0 || self.cascade_dooms > 0 {
-            write!(
-                f,
-                " dep-waits {} cascades {}",
-                self.commit_dep_waits, self.cascade_dooms
-            )?;
-        }
         if self.version_installs > 0 {
             write!(
                 f,
@@ -846,8 +821,6 @@ mod tests {
             "\"retries\":",
             "\"shed\":",
             "\"deadline_expired\":",
-            "\"commit_dep_waits\":",
-            "\"cascade_dooms\":",
             "\"version_installs\":",
             "\"versions_gcd\":",
             "\"cert_actions_inferred\":",

@@ -45,19 +45,15 @@ pub enum CertOutcome {
     Commit,
     /// Validation failed; the transaction aborts.
     Abort,
-    /// A live predecessor must finalize first; the worker polls again.
-    Wait,
 }
 
 /// Why an attempt aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
-    /// Chosen as a deadlock/wound victim or doomed by a cascading abort.
+    /// Chosen as a deadlock or wound victim.
     Victim,
     /// Failed commit-time validation.
     Validation,
-    /// Gave up after exhausting bounded commit-dependency wait rounds.
-    WaitCycle,
     /// The job's deadline passed.
     Deadline,
     /// The fault-injection hook fired.
@@ -70,7 +66,6 @@ impl AbortReason {
         match self {
             AbortReason::Victim => "victim",
             AbortReason::Validation => "validation",
-            AbortReason::WaitCycle => "wait-cycle",
             AbortReason::Deadline => "deadline",
             AbortReason::Injected => "injected",
         }
@@ -83,7 +78,6 @@ impl CertOutcome {
         match self {
             CertOutcome::Commit => "commit",
             CertOutcome::Abort => "abort",
-            CertOutcome::Wait => "wait",
         }
     }
 }
@@ -192,17 +186,6 @@ pub enum TraceEventKind {
         /// scratch before consuming the tail.
         reseeded: bool,
     },
-    /// The worker polled the protocol and was told to wait for a live
-    /// commit-dependency predecessor.
-    CommitDepWait {
-        /// 1-based wait round of this attempt.
-        round: u32,
-    },
-    /// An abort doomed a live dependent (cascading abort).
-    CascadeDoom {
-        /// Transaction number of the doomed dependent.
-        victim: u64,
-    },
     /// A snapshot (MVCC) transaction installed its buffered writes as
     /// committed versions at its commit timestamp. Emitted from the
     /// commit point, after certification succeeded.
@@ -285,8 +268,6 @@ impl TraceEventKind {
             TraceEventKind::WoundReceived { .. } => "wound_received",
             TraceEventKind::CertAttempt { .. } => "cert_attempt",
             TraceEventKind::CertDelta { .. } => "cert_delta",
-            TraceEventKind::CommitDepWait { .. } => "commit_dep_wait",
-            TraceEventKind::CascadeDoom { .. } => "cascade_doom",
             TraceEventKind::VersionInstall { .. } => "version_install",
             TraceEventKind::VersionGc { .. } => "version_gc",
             TraceEventKind::WalAppend { .. } => "wal_append",

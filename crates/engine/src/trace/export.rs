@@ -102,8 +102,6 @@ fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
             put_u64(out, "fed", *fed);
             put_bool(out, "reseeded", *reseeded);
         }
-        TraceEventKind::CommitDepWait { round } => put_u64(out, "round", *round as u64),
-        TraceEventKind::CascadeDoom { victim } => put_u64(out, "victim", *victim),
         TraceEventKind::VersionInstall {
             versions,
             commit_ts,

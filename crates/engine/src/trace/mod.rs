@@ -198,10 +198,10 @@ mod tests {
         t.emit(0, 0, 0, || TraceEventKind::AttemptBegin { ops: 2 });
         let pinned = t.claim_seq();
         t.emit(0, 0, 0, || TraceEventKind::Committed);
-        t.emit_at(pinned, 0, 0, 0, TraceEventKind::CommitDepWait { round: 1 });
+        t.emit_at(pinned, 0, 0, 0, TraceEventKind::Compensated { ops: 1 });
         let log = t.drain().unwrap();
         let kinds: Vec<&str> = log.events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, vec!["attempt_begin", "commit_dep_wait", "committed"]);
+        assert_eq!(kinds, vec!["attempt_begin", "compensated", "committed"]);
         assert_eq!(log.dropped, 0);
     }
 

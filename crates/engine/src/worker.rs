@@ -4,6 +4,7 @@
 
 use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::config::EngineConfig;
+use crate::db::EncSection;
 use crate::durability::{comp_of, redo_of};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
@@ -17,10 +18,6 @@ use oodb_sim::EncOp;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Pause between polls of [`ConcurrencyControl::try_finish`] while the
-/// protocol asks the transaction to wait on a predecessor.
-const FINISH_POLL: Duration = Duration::from_micros(500);
 
 /// The retry delay before re-executing `job` after its `attempt`-th
 /// failed attempt: exponential in the attempt number, capped, with a
@@ -128,11 +125,12 @@ impl<'a> Wal<'a> {
     }
 
     /// Log one live-abort compensation step (the CLR analog).
-    fn log_comp(&mut self, m: &EngineMetrics, op: WalOp, applied: bool) {
+    fn log_comp(&mut self, m: &EngineMetrics, op: WalOp) {
         if !self.begun {
             return; // nothing was logged, so there is nothing to undo
         }
         let txn = self.txn;
+        let applied = true; // every control is strict: an inverse cannot fail
         self.push(m, EngineRecord::Comp { txn, op, applied });
     }
 
@@ -184,6 +182,55 @@ impl<'a> Wal<'a> {
     }
 }
 
+/// Compensate the completed operations of `ctx` in reverse order inside
+/// the critical section `enc`, as compensation transaction
+/// `C(<base>a<attempt>)`. Every inverse is logged (the CLR analog, so
+/// recovery resumes the undo exactly here) and, when tracing, returned
+/// with a seq claimed while still inside the section — the
+/// compensation's membership changes interleave with `OpGranted` events
+/// exactly where the history put them. All controls are strict (locks
+/// still held, or writes installed under this very section), so an
+/// inverse that fails is an engine bug.
+fn compensate(
+    shared: &EngineShared,
+    cc: &dyn ConcurrencyControl,
+    enc: &EncSection<'_>,
+    ctx: TxnCtx,
+    handle: &TxnHandle,
+    base: &str,
+    wal: &mut Wal<'_>,
+) -> Vec<(u64, EncOp)> {
+    let mut comp = shared
+        .rec
+        .begin_txn(format!("C({base}a{})", handle.attempt));
+    cc.retire(shared, TxnIdx(comp.txn_number()));
+    let report = enc.abort(ctx, &mut comp);
+    assert!(
+        report.failed.is_empty(),
+        "compensation under a strict control cannot fail: {:?}",
+        report.failed
+    );
+    if wal.active() {
+        for inv in &report.compensated {
+            if let Some(op) = comp_of(inv) {
+                wal.log_comp(&shared.metrics, op);
+            }
+        }
+        wal.log_abort_done(&shared.metrics);
+    }
+    if !shared.trace.enabled() {
+        return Vec::new();
+    }
+    report
+        .compensated
+        .iter()
+        .filter_map(|inv| {
+            let op = inverse_op(inv)?;
+            Some((shared.trace.claim_seq(), op))
+        })
+        .collect()
+}
+
 /// MVCC commit point: install the attempt's buffered writes, certify,
 /// and commit — or compensate — all inside ONE database critical
 /// section. Uncommitted writes are therefore never visible to any other
@@ -201,7 +248,7 @@ fn mvcc_commit(
     job: &Job,
     base: &str,
     wal: &mut Wal<'_>,
-) -> Result<Option<usize>, Vec<(u64, EncOp, bool)>> {
+) -> Result<Option<usize>, Vec<(u64, EncOp)>> {
     // the whole install + certify + commit happens under every stripe:
     // buffered writes become visible as one atomic batch
     let enc = shared.enc.exclusive();
@@ -227,47 +274,11 @@ fn mvcc_commit(
         FinishOutcome::Committed => {
             let end = wal.log_commit(&shared.metrics);
             enc.commit(ctx);
-            drop(enc);
             Ok(end)
         }
-        FinishOutcome::Wait => {
-            unreachable!("a buffering protocol must never answer Wait")
-        }
-        FinishOutcome::Abort => {
-            let mut comp = shared
-                .rec
-                .begin_txn(format!("C({base}a{})", handle.attempt));
-            cc.retire(shared, TxnIdx(comp.txn_number()));
-            let report = enc.abort(ctx, &mut comp);
-            assert!(
-                report.failed.is_empty(),
-                "compensation inside the install critical section cannot fail: {:?}",
-                report.failed
-            );
-            if wal.active() {
-                for inv in &report.compensated {
-                    if let Some(op) = comp_of(inv) {
-                        wal.log_comp(&shared.metrics, op, true);
-                    }
-                }
-                wal.log_abort_done(&shared.metrics);
-            }
-            let comp_events = if shared.trace.enabled() {
-                report
-                    .compensated
-                    .iter()
-                    .filter_map(|inv| {
-                        let op = inverse_op(inv)?;
-                        Some((shared.trace.claim_seq(), op, true))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            drop(enc);
-            Err(comp_events)
-        }
+        FinishOutcome::Abort => Err(compensate(shared, cc, &enc, ctx, handle, base, wal)),
     };
+    drop(enc);
     for (seq, op, hit) in installs {
         let shard = cc.route(&op).into();
         shared.trace.emit_at(
@@ -442,7 +453,7 @@ pub(crate) fn process_job(
         let mut buffered: Vec<EncOp> = Vec::new();
         // compensation already performed (and traced) inside the MVCC
         // commit critical section — the abort tail must not repeat it
-        let mut comp_done: Option<Vec<(u64, EncOp, bool)>> = None;
+        let mut comp_done: Option<Vec<(u64, EncOp)>> = None;
 
         let mut aborting = false;
         let mut reason = AbortReason::Victim;
@@ -525,188 +536,94 @@ pub(crate) fn process_job(
             }
         }
 
+        // `Some(end)`: committed, with the log offset the
+        // acknowledgement must be durable through
+        let mut committed: Option<Option<usize>> = None;
+        if !aborting && past(job.deadline) {
+            aborting = true;
+            reason = AbortReason::Deadline;
+        }
         if !aborting && buffering {
             // MVCC commit point: install + certify + commit (or
-            // compensate) atomically; never waits, never cascades
-            if past(job.deadline) {
-                aborting = true;
-                reason = AbortReason::Deadline;
-            } else {
-                let attempt_ctx = ctx.take().expect("attempt ctx live at commit point");
-                match mvcc_commit(
-                    shared,
-                    cc,
-                    &handle,
-                    attempt_ctx,
-                    &buffered,
-                    job,
-                    &base,
-                    &mut wal,
-                ) {
-                    Ok(commit_end) => {
-                        cc.after_commit(shared, &handle);
-                        let phases = CommitPhases {
-                            wait: wait_total,
-                            exec: attempt_start.elapsed().saturating_sub(wait_total),
-                        };
-                        ack_commit(
-                            shared,
-                            &handle,
-                            job,
-                            record_metrics,
-                            &wal,
-                            commit_end,
-                            phases,
-                        );
-                        return;
-                    }
-                    Err(comp_events) => {
-                        aborting = true;
-                        reason = AbortReason::Validation;
-                        comp_done = Some(comp_events);
-                    }
+            // compensate) atomically
+            let attempt_ctx = ctx.take().expect("attempt ctx live at commit point");
+            match mvcc_commit(
+                shared,
+                cc,
+                &handle,
+                attempt_ctx,
+                &buffered,
+                job,
+                &base,
+                &mut wal,
+            ) {
+                Ok(commit_end) => committed = Some(commit_end),
+                Err(comp_events) => {
+                    aborting = true;
+                    reason = AbortReason::Validation;
+                    comp_done = Some(comp_events);
                 }
             }
         } else if !aborting {
-            // commit point: poll the protocol, bounding wait rounds so
-            // mutual commit-dependency cycles break (the caps differ per
-            // owner, so exactly one side of a symmetric cycle gives up
-            // first)
-            let cap = 40 + (handle.owner.0 % 37) as u32;
-            let mut rounds = 0u32;
-            loop {
-                if past(job.deadline) {
-                    aborting = true;
-                    reason = AbortReason::Deadline;
-                    break;
+            match cc.try_finish(shared, &handle) {
+                FinishOutcome::Committed => {
+                    // commit marker appended with no stripe held: this
+                    // transaction still holds its strict-2PL locks
+                    // (released only by after_commit below), so any
+                    // transaction that later observes our effects appends
+                    // strictly after it — the durable prefix can never
+                    // keep an observer while losing us
+                    let commit_end = wal.log_commit(&shared.metrics);
+                    shared
+                        .enc
+                        .inner()
+                        .commit(ctx.take().expect("attempt ctx live at commit"));
+                    committed = Some(commit_end);
                 }
-                match cc.try_finish(shared, &handle) {
-                    FinishOutcome::Committed => {
-                        // commit marker appended while this transaction
-                        // still holds its strict-2PL locks (released only
-                        // by after_commit below), so any transaction that
-                        // later observes our effects appends strictly
-                        // after it — the durable prefix can never keep an
-                        // observer while losing us. The single-mutex
-                        // oracle additionally wraps this in the full
-                        // critical section, its historical behaviour.
-                        let commit_end = {
-                            let _section = shared.enc.commit_section();
-                            let end = wal.log_commit(&shared.metrics);
-                            shared
-                                .enc
-                                .inner()
-                                .commit(ctx.take().expect("attempt ctx live at commit"));
-                            end
-                        };
-                        cc.after_commit(shared, &handle);
-                        let phases = CommitPhases {
-                            wait: wait_total,
-                            exec: attempt_start.elapsed().saturating_sub(wait_total),
-                        };
-                        ack_commit(
-                            shared,
-                            &handle,
-                            job,
-                            record_metrics,
-                            &wal,
-                            commit_end,
-                            phases,
-                        );
-                        return;
-                    }
-                    FinishOutcome::Wait => {
-                        rounds += 1;
-                        // commit-dependency polls are certification
-                        // waits, not execution
-                        wait_total += FINISH_POLL;
-                        if record_metrics {
-                            shared
-                                .metrics
-                                .commit_dep_waits
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        shared
-                            .trace
-                            .emit_txn(&handle, || TraceEventKind::CommitDepWait { round: rounds });
-                        if rounds > cap {
-                            aborting = true;
-                            reason = AbortReason::WaitCycle;
-                            break;
-                        }
-                        std::thread::sleep(FINISH_POLL);
-                    }
-                    FinishOutcome::Abort => {
-                        aborting = true;
-                        reason = if cc.is_doomed(&handle) {
-                            AbortReason::Victim
-                        } else {
-                            AbortReason::Validation
-                        };
-                        break;
-                    }
+                FinishOutcome::Abort => {
+                    aborting = true;
+                    reason = if cc.is_doomed(&handle) {
+                        AbortReason::Victim
+                    } else {
+                        AbortReason::Validation
+                    };
                 }
             }
+        }
+        if let Some(commit_end) = committed {
+            cc.after_commit(shared, &handle);
+            let phases = CommitPhases {
+                wait: wait_total,
+                exec: attempt_start.elapsed().saturating_sub(wait_total),
+            };
+            ack_commit(
+                shared,
+                &handle,
+                job,
+                record_metrics,
+                &wal,
+                commit_end,
+                phases,
+            );
+            return;
         }
 
         debug_assert!(aborting);
         // compensate this attempt's completed operations in reverse
-        // order, then let the protocol release/cascade — unless the MVCC
-        // commit path already compensated under its critical section
-        let comp_events = if let Some(events) = comp_done.take() {
-            events
-        } else {
+        // order, then let the protocol release — unless the MVCC commit
+        // path already compensated under its critical section
+        let comp_events = comp_done.take().unwrap_or_else(|| {
             let enc = shared.enc.exclusive();
-            let mut comp = shared.rec.begin_txn(format!("C({base}a{attempt})"));
-            cc.retire(shared, TxnIdx(comp.txn_number()));
-            let report = enc.abort(ctx.take().expect("attempt ctx live at abort"), &mut comp);
-            if cc.strict_compensation() {
-                assert!(
-                    report.failed.is_empty(),
-                    "compensation under held locks cannot fail: {:?}",
-                    report.failed
-                );
-            }
-            if wal.active() {
-                // CLR analog: every executed (or inapplicable) inverse is
-                // logged so recovery resumes the undo exactly here
-                for inv in &report.compensated {
-                    if let Some(op) = comp_of(inv) {
-                        wal.log_comp(&shared.metrics, op, true);
-                    }
-                }
-                for inv in &report.failed {
-                    if let Some(op) = comp_of(inv) {
-                        wal.log_comp(&shared.metrics, op, false);
-                    }
-                }
-                wal.log_abort_done(&shared.metrics);
-            }
-            // seqs claimed while still inside the critical section, so
-            // the compensation's membership changes interleave with
-            // OpGranted events exactly where the history put them
-            if shared.trace.enabled() {
-                let to_event = |inv: &oodb_core::compensation::Inverse, hit: bool| {
-                    let op = inverse_op(inv)?;
-                    Some((shared.trace.claim_seq(), op, hit))
-                };
-                report
-                    .compensated
-                    .iter()
-                    .filter_map(|inv| to_event(inv, true))
-                    .chain(report.failed.iter().filter_map(|inv| to_event(inv, false)))
-                    .collect()
-            } else {
-                Vec::new()
-            }
-        };
-        for (seq, op, hit) in comp_events {
+            let ctx = ctx.take().expect("attempt ctx live at abort");
+            compensate(shared, cc, &enc, ctx, &handle, &base, &mut wal)
+        });
+        for (seq, op) in comp_events {
             shared.trace.emit_at(
                 seq,
                 handle.job,
                 handle.attempt,
                 handle.owner.0 as u32,
-                TraceEventKind::CompensationOp { op, hit },
+                TraceEventKind::CompensationOp { op, hit: true },
             );
         }
         shared
@@ -733,7 +650,13 @@ pub(crate) fn process_job(
             }
             return;
         }
-        std::thread::sleep(retry_delay(cfg, job.id, attempt));
+        // back off, but never past the deadline: the next iteration
+        // reports the expiry as soon as it is due
+        let mut delay = retry_delay(cfg, job.id, attempt);
+        if let Some(deadline) = job.deadline {
+            delay = delay.min(deadline.saturating_duration_since(Instant::now()));
+        }
+        std::thread::sleep(delay);
     }
 }
 
@@ -778,6 +701,37 @@ mod tests {
                 "attempt {attempt}: {d:?} vs {exp:?}"
             );
         }
+    }
+
+    /// The backoff never outlives the deadline: an attempt aborted with
+    /// a 250–500 ms retry delay ahead and 5 ms left is reported as
+    /// expired when the 5 ms are up, not when the backoff is.
+    #[test]
+    fn backoff_sleep_stops_at_the_deadline() {
+        use crate::{Engine, OptimisticCc};
+        let long = Duration::from_millis(500);
+        let cfg = EngineConfig {
+            workers: 1,
+            base_backoff: long,
+            max_backoff: long,
+            txn_deadline: Some(Duration::from_millis(5)),
+            ..EngineConfig::default()
+        };
+        let cc = std::sync::Arc::new(OptimisticCc::new());
+        cc.inject_fault_after(0, 0, 1);
+        let engine = Engine::start_with(cfg, cc);
+        let t0 = Instant::now();
+        engine
+            .submit_blocking(vec![EncOp::Insert("k".into())])
+            .expect("accepts until shutdown");
+        let out = engine.shutdown();
+        assert!(
+            t0.elapsed() < long / 2,
+            "shutdown waited out the backoff: {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(out.metrics.deadline_expired, 1);
+        assert_eq!(out.metrics.committed, 0);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! [`IncrementalSchedules`] across commits and feeds it only the actions
 //! appended since the last attempt; the from-scratch backend re-infers
 //! the dependency graph from the restricted history on every attempt.
-//! Both must be *observationally identical*: every commit/wait/abort
-//! decision, every victim grant, every cascade, and the final database
-//! state must agree exactly.
+//! Both must be *observationally identical*: every commit/abort
+//! decision and the final database state must agree exactly. The
+//! from-scratch backend is the reference and exists for that purpose
+//! only: no configuration selects it, the suites build
+//! `OptimisticCc::new().with_certification(CertBackend::FromScratch)`
+//! themselves.
 //!
 //! Two oracles pin this:
 //!
@@ -17,8 +20,9 @@
 //!    over every interleaving of small conflicting workloads, and
 //!    property-based over random workloads × random schedules.
 //! 2. The real multi-threaded engine runs random private-write
-//!    workloads under both backends for every strategy × shard × exec
-//!    combination and asserts equal commits, audits, and final states.
+//!    workloads under both backends at 1 and 4 shards
+//!    (`Engine::start_with`) and asserts equal commits, audits, and
+//!    final states.
 
 mod common;
 
@@ -26,23 +30,18 @@ use common::{
     conflicting_3txn_workload, conflicting_4txn_workload, interleavings, three_cross_shard_keys,
     RunOutcome, VirtualScheduler,
 };
-use oodb_engine::{
-    CcKind, CertBackend, ConcurrencyControl, EngineConfig, EngineOutput, OptimisticCc,
-    OptimisticExec,
-};
+use oodb_engine::{CertBackend, ConcurrencyControl, EngineConfig, EngineOutput, OptimisticCc};
 use oodb_sim::EncOp;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The one optimistic control, executing in place or — `snapshot` —
-/// with buffered writes (MVCC).
-fn make_cc(shards: usize, backend: CertBackend, snapshot: bool) -> Arc<dyn ConcurrencyControl> {
-    let cc = if snapshot {
-        OptimisticCc::snapshot()
-    } else {
+/// The optimistic control over the chosen certification backend.
+fn make_cc(shards: usize, backend: CertBackend) -> Arc<dyn ConcurrencyControl> {
+    Arc::new(
         OptimisticCc::new()
-    };
-    Arc::new(cc.with_certification(backend).with_shards(shards))
+            .with_certification(backend)
+            .with_shards(shards),
+    )
 }
 
 /// Run one schedule at 1 and 3 shards under both backends and require
@@ -51,13 +50,12 @@ fn make_cc(shards: usize, backend: CertBackend, snapshot: bool) -> Arc<dyn Concu
 /// that keeps everything, and the shard count is accounting only.
 fn assert_all_agree(
     label: &str,
-    snapshot: bool,
     txns: &[Vec<EncOp>],
     preload: &[String],
     schedule: &[usize],
 ) -> RunOutcome {
     let replay = |shards, backend| {
-        VirtualScheduler::new(make_cc(shards, backend, snapshot), txns, preload).run(schedule)
+        VirtualScheduler::new(make_cc(shards, backend), txns, preload).run(schedule)
     };
     let reference = replay(1, CertBackend::FromScratch);
     for (shards, backend) in [
@@ -82,15 +80,13 @@ fn check_every_interleaving(
     name: &str,
     (txns, preload): (Vec<Vec<EncOp>>, Vec<String>),
     merges: usize,
-    snapshot: bool,
 ) {
     let counts: Vec<usize> = txns.iter().map(Vec::len).collect();
     let all = interleavings(&counts);
     assert_eq!(all.len(), merges, "{name}: n!/(∏ kᵢ!) interleavings");
-    let exec = if snapshot { "mvcc" } else { "optimistic" };
     for (i, schedule) in all.iter().enumerate() {
-        let label = format!("{name} interleaving {i} ({exec})");
-        let out = assert_all_agree(&label, snapshot, &txns, &preload, schedule);
+        let label = format!("{name} interleaving {i}");
+        let out = assert_all_agree(&label, &txns, &preload, schedule);
         assert_eq!(out.committed, txns.len(), "{label}: all txns commit");
         assert!(
             out.decentralized_ok && out.global_ok,
@@ -100,20 +96,10 @@ fn check_every_interleaving(
     }
 }
 
-/// The conflicting 3-transaction workload, in place and under snapshot
-/// execution.
+/// The conflicting 3-transaction workload.
 #[test]
 fn every_3txn_interleaving_decisions_agree() {
-    for snapshot in [false, true] {
-        check_every_interleaving("3txn", conflicting_3txn_workload(), 90, snapshot);
-    }
-}
-
-/// The 4-transaction workload in place: the commit-dependency wait
-/// orders the transactions before validation.
-#[test]
-fn every_4txn_interleaving_decisions_agree() {
-    check_every_interleaving("4txn", conflicting_4txn_workload(), 630, false);
+    check_every_interleaving("3txn", conflicting_3txn_workload(), 90);
 }
 
 /// `X = [Search a, Change b]`, `T = [Change a]`, `R = [Search b,
@@ -140,7 +126,7 @@ fn read_only_anomaly_through_a_settled_writer_is_rejected() {
     let (txns, preload) = read_only_anomaly_workload();
     let (x, t, r) = (0, 1, 2);
     let schedule = [x, t, r, x, r];
-    let out = assert_all_agree("anomaly (mvcc)", true, &txns, &preload, &schedule);
+    let out = assert_all_agree("anomaly", &txns, &preload, &schedule);
     let verdicts: Vec<&str> = out
         .decisions
         .iter()
@@ -157,25 +143,21 @@ fn read_only_anomaly_through_a_settled_writer_is_rejected() {
         out.decentralized_ok && out.global_ok,
         "audit of the committed projection"
     );
-    // in place the same steps decide alike at every shard count too
-    let out = assert_all_agree("anomaly (optimistic)", false, &txns, &preload, &schedule);
-    assert_eq!(out.committed, 3);
-    assert!(out.decentralized_ok && out.global_ok);
 }
 
-/// The anomaly workload and the 4-transaction workload under snapshot
-/// execution, which never waits and never dooms: nothing but the
-/// certifier's own scope stands between a cycle and a commit, so a scope
-/// that is too small shows here and not in the in-place enumerations.
+/// The anomaly workload and the 4-transaction workload. Snapshot
+/// execution never waits and never dooms: nothing but the certifier's
+/// own scope stands between a cycle and a commit, so a scope that is too
+/// small shows here.
 #[test]
 fn every_snapshot_interleaving_passes_the_audit() {
-    check_every_interleaving("anomaly", read_only_anomaly_workload(), 30, true);
-    check_every_interleaving("4txn", conflicting_4txn_workload(), 630, true);
+    check_every_interleaving("anomaly", read_only_anomaly_workload(), 30);
+    check_every_interleaving("4txn", conflicting_4txn_workload(), 630);
 }
 
 /// Hot-key pool shared by every generated transaction (contention is
-/// the point: waits, victim aborts, and cascades are where the two
-/// backends could diverge).
+/// the point: validation failures are where the two backends could
+/// diverge).
 fn hot_key(i: usize) -> String {
     format!("h{:02}", i % 4)
 }
@@ -234,7 +216,7 @@ proptest! {
         let preload: Vec<String> = (0..4).map(hot_key).collect();
         let counts: Vec<usize> = txns.iter().map(Vec::len).collect();
         let schedule = build_schedule(&counts, &picks);
-        let out = assert_all_agree("random", false, &txns, &preload, &schedule);
+        let out = assert_all_agree("random", &txns, &preload, &schedule);
         prop_assert_eq!(out.committed, txns.len(), "all txns commit");
         prop_assert!(out.decentralized_ok && out.global_ok, "audit");
     }
@@ -272,12 +254,7 @@ struct Workload {
     seed: u64,
 }
 
-fn engine_run(
-    w: &Workload,
-    shards: usize,
-    exec: OptimisticExec,
-    backend: CertBackend,
-) -> EngineOutput {
+fn engine_run(w: &Workload, shards: usize, backend: CertBackend) -> EngineOutput {
     let mut preload: Vec<String> = (0..6).map(shared_key).collect();
     preload.extend((0..w.txns.len()).map(|t| private_key(t, 0)));
     let cfg = EngineConfig {
@@ -285,11 +262,9 @@ fn engine_run(
         queue_capacity: 16,
         shards,
         seed: w.seed,
-        optimistic_exec: exec,
-        certification: backend,
         ..EngineConfig::default()
     };
-    let engine = oodb_engine::Engine::start(cfg, CcKind::Optimistic);
+    let engine = oodb_engine::Engine::start_with(cfg, make_cc(shards, backend));
     engine.preload(&preload);
     for (t, codes) in w.txns.iter().enumerate() {
         let ops: Vec<EncOp> = codes
@@ -304,10 +279,9 @@ fn engine_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every strategy × shard × exec combination through the real
-    /// engine: incremental and from-scratch certification commit the
-    /// same transactions, pass the same audits, and agree on the final
-    /// object state.
+    /// Through the real engine at 1 and 4 shards: incremental and
+    /// from-scratch certification commit the same transactions, pass the
+    /// same audits, and agree on the final object state.
     #[test]
     fn engine_backends_agree(
         txns in prop::collection::vec(
@@ -315,15 +289,10 @@ proptest! {
         seed in 0u64..1024,
     ) {
         let w = Workload { txns, seed };
-        for (shards, exec) in [
-            (1, OptimisticExec::InPlace),
-            (4, OptimisticExec::InPlace),
-            (1, OptimisticExec::Snapshot),
-            (4, OptimisticExec::Snapshot),
-        ] {
-            let inc = engine_run(&w, shards, exec, CertBackend::Incremental);
-            let scratch = engine_run(&w, shards, exec, CertBackend::FromScratch);
-            let label = format!("{exec:?}/{shards}");
+        for shards in [1, 4] {
+            let inc = engine_run(&w, shards, CertBackend::Incremental);
+            let scratch = engine_run(&w, shards, CertBackend::FromScratch);
+            let label = format!("{shards} shards");
             for (out, backend) in [(&inc, "incremental"), (&scratch, "from-scratch")] {
                 prop_assert_eq!(
                     out.metrics.committed as usize,
@@ -341,7 +310,7 @@ proptest! {
                 &inc.final_state, &scratch.final_state,
                 "{}: final states diverged between certification backends", &label
             );
-            // the legacy oracle never touches incremental machinery
+            // the reference never touches incremental machinery
             prop_assert_eq!(scratch.metrics.cert_incremental_reseeds, 0);
             // the incremental backend actually inferred through the
             // maintained schedule (fed actions are counted there too)

@@ -9,7 +9,7 @@
 
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_engine::{
-    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, EngineMetrics, EngineShared, ExecPath,
+    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, EngineMetrics, EngineShared,
     FinishOutcome, OpGrant, TxnHandle,
 };
 use oodb_lock::OwnerId;
@@ -67,8 +67,8 @@ impl Attempt {
 /// The outcome of one fully replayed schedule, including the complete
 /// ordered log of concurrency-control decisions. Two backends that make
 /// the same decisions produce byte-identical logs; any divergence in a
-/// wait check, a validation verdict, a doom, or a cascade shows up as
-/// the first differing log line.
+/// grant, a validation verdict or a doom shows up as the first differing
+/// log line.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RunOutcome {
     pub decisions: Vec<String>,
@@ -81,16 +81,14 @@ pub struct RunOutcome {
 
 /// Single-threaded virtual scheduler with a decision log: executes
 /// `schedule` (a merge of the transactions' op streams) step by step
-/// against `cc`, recording every grant, finish verdict, doom, and forced
-/// wait-cycle break in order, retries aborted attempts serially after
-/// the trace, then audits the record.
+/// against `cc`, recording every grant, finish verdict and doom in
+/// order, retries aborted attempts serially after the trace, then audits
+/// the record.
 pub struct VirtualScheduler {
     shared: EngineShared,
     cc: Arc<dyn ConcurrencyControl>,
     txns: Vec<Vec<EncOp>>,
     active: Vec<Option<Attempt>>,
-    /// Attempts that reached their commit point and were told to wait.
-    pending: VecDeque<usize>,
     /// Aborted logical transactions awaiting a serial retry.
     retry: VecDeque<(usize, u32)>,
     committed: usize,
@@ -111,7 +109,7 @@ impl VirtualScheduler {
         );
         let shared = EngineShared {
             rec,
-            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc), ExecPath::SingleMutex),
+            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
             metrics: EngineMetrics::with_shards(cc.shards()),
             trace: oodb_engine::Tracer::disabled(),
             dur: None,
@@ -121,7 +119,6 @@ impl VirtualScheduler {
             cc,
             txns: txns.to_vec(),
             active: (0..txns.len()).map(|_| None).collect(),
-            pending: VecDeque::new(),
             retry: VecDeque::new(),
             committed: 0,
             retries: 0,
@@ -209,16 +206,11 @@ impl VirtualScheduler {
                 .push(format!("t{t}a{}: {verdict:?}", a.attempt));
             match verdict {
                 FinishOutcome::Committed => self.commit_attempt(a),
-                FinishOutcome::Wait => {
-                    self.pending.push_back(t);
-                    self.active[t] = Some(a);
-                }
                 FinishOutcome::Abort => self.abort_attempt(t, a),
             }
         } else {
             self.active[t] = Some(a);
         }
-        self.drain_pending(false);
     }
 
     /// Run a granted operation now, or keep a write back for the commit
@@ -229,7 +221,7 @@ impl VirtualScheduler {
             a.buffered.push(op);
         } else {
             let tag = a.tag();
-            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+            apply_op(&self.shared.enc.exclusive(), &mut a.ctx, &op, tag);
         }
     }
 
@@ -237,7 +229,7 @@ impl VirtualScheduler {
     fn finish(&self, a: &mut Attempt) -> FinishOutcome {
         let tag = a.tag();
         for op in std::mem::take(&mut a.buffered) {
-            apply_op(&self.shared.enc.lock(), &mut a.ctx, &op, tag);
+            apply_op(&self.shared.enc.exclusive(), &mut a.ctx, &op, tag);
         }
         self.cc.try_finish(&self.shared, &a.handle)
     }
@@ -248,7 +240,7 @@ impl VirtualScheduler {
     }
 
     fn commit_attempt(&mut self, a: Attempt) {
-        self.shared.enc.lock().commit(a.ctx);
+        self.shared.enc.exclusive().commit(a.ctx);
         self.cc.after_commit(&self.shared, &a.handle);
         self.committed += 1;
     }
@@ -256,7 +248,7 @@ impl VirtualScheduler {
     fn abort_attempt(&mut self, t: usize, a: Attempt) {
         let next = a.attempt + 1;
         {
-            let enc = self.shared.enc.lock();
+            let enc = self.shared.enc.exclusive();
             let mut comp = self.shared.rec.begin_txn(format!(
                 "C(J{}a{})",
                 (t as u64).wrapping_add(1),
@@ -270,62 +262,6 @@ impl VirtualScheduler {
         self.retries += 1;
         assert!(next <= 8, "txn {t} must not abort forever");
         self.retry.push_back((t, next));
-    }
-
-    /// Retry pending commit-waiters in FIFO order; with `force`, break a
-    /// wait cycle deterministically (the pending attempt with the
-    /// largest transaction number aborts) whenever a full pass makes no
-    /// progress.
-    fn drain_pending(&mut self, force: bool) {
-        loop {
-            let mut progressed = false;
-            for _ in 0..self.pending.len() {
-                let Some(t) = self.pending.pop_front() else {
-                    break;
-                };
-                let Some(mut a) = self.active[t].take() else {
-                    continue;
-                };
-                let verdict = self.finish(&mut a);
-                self.decisions
-                    .push(format!("drain t{t}a{}: {verdict:?}", a.attempt));
-                match verdict {
-                    FinishOutcome::Committed => {
-                        self.commit_attempt(a);
-                        progressed = true;
-                    }
-                    FinishOutcome::Abort => {
-                        self.abort_attempt(t, a);
-                        progressed = true;
-                    }
-                    FinishOutcome::Wait => {
-                        self.active[t] = Some(a);
-                        self.pending.push_back(t);
-                    }
-                }
-            }
-            if self.pending.is_empty() {
-                return;
-            }
-            if !progressed {
-                if !force {
-                    return;
-                }
-                let (pos, _) = self
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &t)| {
-                        self.active[t].as_ref().map(|a| a.handle.txn.0).unwrap_or(0)
-                    })
-                    .expect("pending is non-empty");
-                let t = self.pending.remove(pos).unwrap();
-                self.decisions.push(format!("break t{t}"));
-                if let Some(a) = self.active[t].take() {
-                    self.abort_attempt(t, a);
-                }
-            }
-        }
     }
 
     /// Run one attempt start-to-finish with nothing else live (the
@@ -354,33 +290,27 @@ impl VirtualScheduler {
                 }
             }
         }
-        for _ in 0..64 {
-            let verdict = self.finish(&mut a);
-            self.decisions
-                .push(format!("serial t{t}a{}: {verdict:?}", a.attempt));
-            match verdict {
-                FinishOutcome::Committed => {
-                    self.commit_attempt(a);
-                    return true;
-                }
-                FinishOutcome::Abort => {
-                    self.abort_attempt(t, a);
-                    return false;
-                }
-                FinishOutcome::Wait => continue,
+        let verdict = self.finish(&mut a);
+        self.decisions
+            .push(format!("serial t{t}a{}: {verdict:?}", a.attempt));
+        match verdict {
+            FinishOutcome::Committed => {
+                self.commit_attempt(a);
+                true
+            }
+            FinishOutcome::Abort => {
+                self.abort_attempt(t, a);
+                false
             }
         }
-        panic!("serial attempt with no live predecessors cannot wait forever");
     }
 
     pub fn run(mut self, schedule: &[usize]) -> RunOutcome {
         for &t in schedule {
             self.step(t);
         }
-        self.drain_pending(true);
         // serial retries: aborted transactions re-execute with nothing
-        // else live, so each retry commits (or is doomed once more by a
-        // cascade and retried again — bounded by the per-txn attempt cap)
+        // else live, so each retry commits
         while let Some((t, attempt)) = self.retry.pop_front() {
             let mut a = self.begin(
                 t as u64,
@@ -393,7 +323,7 @@ impl VirtualScheduler {
         }
         let audit_out = audit(&self.shared.rec, self.cc.as_ref());
         let final_state = {
-            let enc = self.shared.enc.lock();
+            let enc = self.shared.enc.exclusive();
             let mut ctx = self.shared.rec.begin_txn("Dump");
             let mut items: Vec<(String, String)> = enc
                 .read_seq(&mut ctx)

@@ -1,42 +1,35 @@
 //! Durability integration tests: clean-run replay equivalence and a
 //! kill-at-random-point crash harness across every concurrency-control
-//! family × shard count × execution mode, group-commit determinism, and
-//! prefix consistency under a crash at *any* byte of the log.
+//! family × shard count, group-commit determinism, and prefix
+//! consistency under a crash at *any* byte of the log.
 
 use oodb_engine::{
-    durability, CcKind, DurabilityMode, Engine, EngineConfig, OptimisticExec, RecoveryOutcome,
+    durability, CcKind, DurabilityMode, Engine, EngineConfig, RecoveryOutcome, ShardedPessimisticCc,
 };
 use oodb_sim::EncOp;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Every CC strategy × shard count × optimistic-execution mode the
-/// acceptance criteria require the crash harness to cover.
-fn combos() -> Vec<(CcKind, usize, OptimisticExec)> {
-    let mut v = Vec::new();
-    for &shards in &[1usize, 2] {
-        for &exec in &[OptimisticExec::Snapshot, OptimisticExec::InPlace] {
-            v.push((CcKind::Pessimistic, shards, exec));
-            v.push((CcKind::PessimisticPage, shards, exec));
-            v.push((CcKind::Optimistic, shards, exec));
-        }
-    }
-    // exec only matters for Optimistic: drop the duplicated pessimistic
-    // combos so each configuration runs once
-    v.dedup_by_key(|&mut (kind, shards, exec)| match kind {
-        CcKind::Optimistic => (kind, shards, Some(exec)),
-        _ => (kind, shards, None),
-    });
-    v
+/// Every CC strategy × shard count the acceptance criteria require the
+/// crash harness to cover.
+fn combos() -> Vec<(CcKind, usize)> {
+    let kinds = [
+        CcKind::Pessimistic,
+        CcKind::PessimisticPage,
+        CcKind::Optimistic,
+    ];
+    [1usize, 2]
+        .iter()
+        .flat_map(|&shards| kinds.map(|kind| (kind, shards)))
+        .collect()
 }
 
-fn cfg(kind_exec: OptimisticExec, shards: usize, durability: DurabilityMode) -> EngineConfig {
+fn cfg(shards: usize, durability: DurabilityMode) -> EngineConfig {
     EngineConfig {
         workers: 4,
         shards,
         seed: 7,
-        optimistic_exec: kind_exec,
         durability,
         ..EngineConfig::default()
     }
@@ -60,19 +53,21 @@ fn preload_keys() -> Vec<String> {
     (0..3).map(|i| format!("hot{i}")).collect()
 }
 
-fn run_engine(
-    kind: CcKind,
-    shards: usize,
-    exec: OptimisticExec,
-    durability: DurabilityMode,
-    n: u64,
-) -> oodb_engine::EngineOutput {
-    let engine = Engine::start(cfg(exec, shards, durability), kind);
+fn drive(engine: Engine, n: u64) -> oodb_engine::EngineOutput {
     engine.preload(&preload_keys());
     for ops in jobs(n) {
         engine.submit_blocking(ops).unwrap();
     }
     engine.shutdown()
+}
+
+fn run_engine(
+    kind: CcKind,
+    shards: usize,
+    durability: DurabilityMode,
+    n: u64,
+) -> oodb_engine::EngineOutput {
+    drive(Engine::start(cfg(shards, durability), kind), n)
 }
 
 fn assert_acked_survive(acked: &[u64], recovered: &RecoveryOutcome, label: &str) {
@@ -90,9 +85,9 @@ fn assert_acked_survive(acked: &[u64], recovered: &RecoveryOutcome, label: &str)
 /// and the recovered committed projection passes the audit.
 #[test]
 fn clean_run_replay_reproduces_final_state_for_every_combo() {
-    for (kind, shards, exec) in combos() {
-        let label = format!("{}/shards={shards}/{}", kind.label(), exec.label());
-        let out = run_engine(kind, shards, exec, DurabilityMode::PerCommit, 24);
+    for (kind, shards) in combos() {
+        let label = format!("{}/shards={shards}", kind.label());
+        let out = run_engine(kind, shards, DurabilityMode::PerCommit, 24);
         assert!(
             out.audit.as_ref().unwrap().report.oo_decentralized.is_ok(),
             "{label}: live audit failed"
@@ -126,8 +121,8 @@ fn clean_run_replay_reproduces_final_state_for_every_combo() {
 /// the audit and (b) no acknowledged commit is ever lost.
 #[test]
 fn crash_harness_never_loses_acked_commits() {
-    for (i, (kind, shards, exec)) in combos().into_iter().enumerate() {
-        let label = format!("{}/shards={shards}/{}", kind.label(), exec.label());
+    for (i, (kind, shards)) in combos().into_iter().enumerate() {
+        let label = format!("{}/shards={shards}", kind.label());
         let durability_mode = if i % 2 == 0 {
             DurabilityMode::Group {
                 max_batch: 4,
@@ -136,7 +131,7 @@ fn crash_harness_never_loses_acked_commits() {
         } else {
             DurabilityMode::PerCommit
         };
-        let engine = Engine::start(cfg(exec, shards, durability_mode), kind);
+        let engine = Engine::start(cfg(shards, durability_mode), kind);
         engine.preload(&preload_keys());
         for ops in jobs(64) {
             engine.submit_blocking(ops).unwrap();
@@ -217,13 +212,7 @@ fn off_mode_logs_nothing() {
 /// WAL metrics flow through to the snapshot and its JSON export.
 #[test]
 fn wal_metrics_are_reported() {
-    let out = run_engine(
-        CcKind::Pessimistic,
-        1,
-        OptimisticExec::Snapshot,
-        DurabilityMode::PerCommit,
-        8,
-    );
+    let out = run_engine(CcKind::Pessimistic, 1, DurabilityMode::PerCommit, 8);
     assert!(out.metrics.wal_appends > 0);
     assert!(out.metrics.wal_bytes > out.metrics.wal_appends);
     assert!(out.metrics.fsyncs > 0);
@@ -246,13 +235,7 @@ fn wal_metrics_are_reported() {
 /// longest valid prefix.
 #[test]
 fn corrupt_tail_recovers_the_valid_prefix() {
-    let out = run_engine(
-        CcKind::Pessimistic,
-        1,
-        OptimisticExec::Snapshot,
-        DurabilityMode::PerCommit,
-        12,
-    );
+    let out = run_engine(CcKind::Pessimistic, 1, DurabilityMode::PerCommit, 12);
     let mut image = out.wal.unwrap();
     let flip = image.len() * 3 / 4;
     image[flip] ^= 0xFF;
@@ -266,18 +249,29 @@ fn corrupt_tail_recovers_the_valid_prefix() {
 }
 
 /// One seeded contended run's full log image, shared by the proptests.
+/// Strict 2PL on 2 shards with every fourth job's first attempt killed
+/// after its two writes: those attempts logged their operations, so
+/// their aborts put compensation records in the log and a cut anywhere
+/// inside one makes recovery finish the undo.
 fn contended_image() -> &'static (Vec<u8>, RecoveryOutcome) {
     static IMAGE: OnceLock<(Vec<u8>, RecoveryOutcome)> = OnceLock::new();
     IMAGE.get_or_init(|| {
-        let out = run_engine(
-            CcKind::Optimistic,
-            2,
-            OptimisticExec::InPlace, // in-place: aborts + compensation in the log
-            DurabilityMode::PerCommit,
+        let cc = Arc::new(ShardedPessimisticCc::semantic(2));
+        for job in (0..32).step_by(4) {
+            cc.inject_fault_after(job, 0, 2);
+        }
+        let out = drive(
+            Engine::start_with(cfg(2, DurabilityMode::PerCommit), cc),
             32,
         );
+        assert_eq!(out.metrics.committed, 32, "every killed job retries");
         let image = out.wal.unwrap();
         let full = durability::recover(&image, EngineConfig::default().fanout);
+        assert!(
+            full.stats.comps >= 1,
+            "the image must hold logged compensations: {:?}",
+            full.stats
+        );
         (image, full)
     })
 }

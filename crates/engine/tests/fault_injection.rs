@@ -10,8 +10,8 @@ use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
     audit, shard_of_key, CertBackend, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig,
-    EngineMetrics, EngineShared, ExecPath, FinishOutcome, OpGrant, OptimisticCc,
-    ShardedPessimisticCc, TxnHandle,
+    EngineMetrics, EngineShared, FinishOutcome, OpGrant, OptimisticCc, ShardedPessimisticCc,
+    TxnHandle,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -94,8 +94,7 @@ fn pessimistic_cross_shard_abort_releases_every_shard() {
 
 /// The same injected cross-shard abort under certification at 4 shards:
 /// the aborted attempt's shard footprint goes with it (nothing stays in
-/// the live set), the cascade set stays consistent, and the retry
-/// commits through validation.
+/// the live set) and the retry commits through validation.
 #[test]
 fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     let shards = 4;
@@ -150,7 +149,7 @@ fn shared_with(cc_shards: usize) -> EngineShared {
     );
     EngineShared {
         rec,
-        enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc), ExecPath::SingleMutex),
+        enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
         metrics: EngineMetrics::with_shards(cc_shards),
         trace: oodb_engine::Tracer::disabled(),
         dur: None,
@@ -172,13 +171,13 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &setup_handle, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut setup, &op, 0);
+        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
     }
     assert_eq!(
         cc.try_finish(&shared, &setup_handle),
         FinishOutcome::Committed
     );
-    shared.enc.lock().commit(setup);
+    shared.enc.exclusive().commit(setup);
     cc.after_commit(&shared, &setup_handle);
 
     // attempt 0: touches all three shards, then dies mid-flight
@@ -187,7 +186,7 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut t, &op, 1);
+        apply_op(&shared.enc.exclusive(), &mut t, &op, 1);
     }
     assert_eq!(
         cc.residual_grants().iter().filter(|&&g| g > 0).count(),
@@ -197,7 +196,7 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     assert_eq!(cc.tracked_owners(), 1);
     // compensate under held locks (strict), then release everywhere
     {
-        let enc = shared.enc.lock();
+        let enc = shared.enc.exclusive();
         let mut comp = shared.rec.begin_txn("C(J1a0)");
         let report = enc.abort(t, &mut comp);
         assert!(report.failed.is_empty(), "strict compensation cannot fail");
@@ -213,10 +212,10 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut r, &op, 1);
+        apply_op(&shared.enc.exclusive(), &mut r, &op, 1);
     }
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.lock().commit(r);
+    shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &h1);
     assert_eq!(cc.residual_grants(), vec![0; shards]);
 
@@ -238,10 +237,10 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut setup, &op, 0);
+        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
     }
     assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.lock().commit(setup);
+    shared.enc.exclusive().commit(setup);
     cc.after_commit(&shared, &sh);
 
     // attempt 0: footprint on two shards, then a victim abort
@@ -250,11 +249,11 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in keys.iter().take(2) {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut t, &op, 1);
+        apply_op(&shared.enc.exclusive(), &mut t, &op, 1);
     }
     assert_eq!(cc.live_entries(), 1, "attempt registered as live");
     {
-        let enc = shared.enc.lock();
+        let enc = shared.enc.exclusive();
         let mut comp = shared.rec.begin_txn("C(J1a0)");
         enc.abort(t, &mut comp);
     }
@@ -272,10 +271,10 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut r, &op, 1);
+        apply_op(&shared.enc.exclusive(), &mut r, &op, 1);
     }
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.lock().commit(r);
+    shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &h1);
     assert_eq!(cc.live_entries(), 0);
     assert_eq!(cc.committed_count(), 2, "Setup + the retry");
@@ -285,9 +284,10 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
 }
 
 /// Run a traced, fault-injected workload: the first job deletes one key
-/// per shard and is killed after 2 operations, so compensating it
-/// **re-inserts** the deleted items as new incarnations; the remaining
-/// jobs update and scan around the churn.
+/// per shard and is killed after 2 operations, so compensating it —
+/// where the deletes executed, i.e. under locking — **re-inserts** the
+/// deleted items as new incarnations; the remaining jobs update and scan
+/// around the churn.
 fn traced_abort_run(cc: Arc<dyn ConcurrencyControl>, shards: usize) -> oodb_engine::EngineOutput {
     let keys = keys_on_distinct_shards(shards);
     let config = EngineConfig {
@@ -310,7 +310,9 @@ fn traced_abort_run(cc: Arc<dyn ConcurrencyControl>, shards: usize) -> oodb_engi
 /// mid-flight abort whose compensation re-inserts deleted items, the
 /// graph reconstructed from the trace — which must replay those
 /// compensations to keep item incarnations straight — still matches the
-/// audit edge-for-edge.
+/// audit edge-for-edge. A snapshot attempt had only buffered its
+/// deletes, so there the abort has nothing to compensate and the trace
+/// must match the audit all the same.
 #[test]
 fn injected_abort_trace_still_matches_audit() {
     use oodb_engine::trace::TraceEventKind;
@@ -330,15 +332,17 @@ fn injected_abort_trace_still_matches_audit() {
         assert!(out.metrics.retries >= 1, "the injected abort fired");
         let log = out.trace.expect("ring sink captured a trace");
         assert_eq!(log.dropped, 0);
-        let comp_ops = log
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::CompensationOp { .. }))
-            .count();
-        assert!(
-            comp_ops >= 2,
-            "both completed deletes were compensated by traced re-inserts"
-        );
+        if pessimistic {
+            let comp_ops = log
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::CompensationOp { .. }))
+                .count();
+            assert!(
+                comp_ops >= 2,
+                "both completed deletes were compensated by traced re-inserts"
+            );
+        }
         let audit_out = out.audit.expect("audit enabled");
         let check = oodb_engine::cross_check(&log.events, &audit_out);
         assert!(
@@ -355,7 +359,7 @@ fn injected_abort_trace_still_matches_audit() {
 /// certification backends: the incremental feed's re-seed/exclusion
 /// path must leave no stale dependencies behind — the trace-derived
 /// graph still matches the audit edge-for-edge, the certifier drains
-/// clean, and the legacy oracle never touches incremental machinery.
+/// clean, and the reference never touches incremental machinery.
 #[test]
 fn injected_abort_under_both_cert_backends_stays_clean() {
     let shards = 4;
@@ -393,7 +397,7 @@ fn injected_abort_under_both_cert_backends_stays_clean() {
             CertBackend::FromScratch => {
                 assert_eq!(
                     stats.incremental_reseeds, 0,
-                    "{label}: the oracle never re-seeds"
+                    "{label}: the reference never re-seeds"
                 );
                 assert_eq!(out.metrics.cert_incremental_reseeds, 0, "{label}");
             }
@@ -431,10 +435,10 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut setup, &op, 0);
+        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
     }
     assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.lock().commit(setup);
+    shared.enc.exclusive().commit(setup);
     cc.after_commit(&shared, &sh);
 
     for j in 0..16u64 {
@@ -443,12 +447,12 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
         for k in keys.iter().take(2) {
             let op = EncOp::Change(k.clone());
             assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc.lock(), &mut t, &op, (j + 1) as usize);
+            apply_op(&shared.enc.exclusive(), &mut t, &op, (j + 1) as usize);
         }
         if j % 2 == 0 {
             // mid-flight victim abort: compensate, then notify the cc
             {
-                let enc = shared.enc.lock();
+                let enc = shared.enc.exclusive();
                 let mut comp = shared.rec.begin_txn(format!("C(J{}a0)", j + 1));
                 enc.abort(t, &mut comp);
             }
@@ -456,7 +460,7 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
             assert!(cc.was_aborted(h.txn), "victim registered as aborted");
         } else {
             assert_eq!(cc.try_finish(&shared, &h), FinishOutcome::Committed);
-            shared.enc.lock().commit(t);
+            shared.enc.exclusive().commit(t);
             cc.after_commit(&shared, &h);
         }
         assert_eq!(cc.live_entries(), 0, "round {j}: nothing stays live");
@@ -479,10 +483,10 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &hr, &op), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut r, &op, 99);
+        apply_op(&shared.enc.exclusive(), &mut r, &op, 99);
     }
     assert_eq!(cc.try_finish(&shared, &hr), FinishOutcome::Committed);
-    shared.enc.lock().commit(r);
+    shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &hr);
     assert_eq!(cc.live_entries(), 0);
 
@@ -508,15 +512,15 @@ fn handle(ctx: &oodb_model::TxnCtx, job: u64, attempt: u32) -> TxnHandle {
 /// with the fault ends holding exactly what a run without it holds, and
 /// once the engine has drained every committed transaction is settled.
 /// One worker: the runs are serial, so the gauge repeats exactly. (The
-/// incremental backend only: the from-scratch oracle keeps the whole
+/// incremental backend only: the from-scratch reference keeps the whole
 /// record and has no cut to pin.)
 #[test]
 fn an_injected_abort_does_not_pin_the_cut() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let run = |inject: bool| {
-        // in-place execution: the victim's update is public when the
-        // fault fires, so its compensation does record actions
+        // the victim's update is still buffered when the fault fires:
+        // its compensation transaction begins and records nothing
         let cc = Arc::new(OptimisticCc::new().with_shards(shards));
         if inject {
             cc.inject_fault_after(1, 0, 2);
@@ -568,15 +572,8 @@ fn an_abort_that_unpins_the_cut_is_published() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let controls: Vec<(&str, Box<dyn ConcurrencyControl>)> = vec![
-        ("mvcc/1", Box::new(OptimisticCc::snapshot())),
-        (
-            "mvcc/3",
-            Box::new(OptimisticCc::snapshot().with_shards(shards)),
-        ),
-        (
-            "optimistic/3",
-            Box::new(OptimisticCc::new().with_shards(shards)),
-        ),
+        ("mvcc/1", Box::new(OptimisticCc::new())),
+        ("mvcc/3", Box::new(OptimisticCc::new().with_shards(shards))),
     ];
     for (label, cc) in controls {
         let shared = shared_with(shards);
@@ -586,13 +583,13 @@ fn an_abort_that_unpins_the_cut_is_published() {
             let mut t = shared.rec.begin_txn(name);
             let h = handle(&t, job, 0);
             assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc.lock(), &mut t, &op, job as usize);
+            apply_op(&shared.enc.exclusive(), &mut t, &op, job as usize);
             assert_eq!(
                 cc.try_finish(&shared, &h),
                 FinishOutcome::Committed,
                 "{label}"
             );
-            shared.enc.lock().commit(t);
+            shared.enc.exclusive().commit(t);
             cc.after_commit(&shared, &h);
         };
         for (i, k) in keys.iter().enumerate() {
@@ -609,14 +606,14 @@ fn an_abort_that_unpins_the_cut_is_published() {
         let vh = handle(&victim, 1, 0);
         let read = EncOp::Search(keys[0].clone());
         assert_eq!(cc.before_op(&shared, &vh, &read), OpGrant::Granted);
-        apply_op(&shared.enc.lock(), &mut victim, &read, 1);
+        apply_op(&shared.enc.exclusive(), &mut victim, &read, 1);
         commit("A", 2, EncOp::Change(keys[1].clone()));
         commit("B", 3, EncOp::Change(keys[2].clone()));
         assert_eq!(settled(), 3, "{label}: the live victim pins A and B");
         let pinned = shared.metrics.snapshot().cert_retained_actions;
 
         {
-            let enc = shared.enc.lock();
+            let enc = shared.enc.exclusive();
             let mut comp = shared.rec.begin_txn("C(V)");
             cc.retire(&shared, TxnIdx(comp.txn_number()));
             enc.abort(victim, &mut comp);

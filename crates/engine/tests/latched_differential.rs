@@ -1,14 +1,13 @@
-//! Latched-vs-single-mutex differential suite.
+//! Latched-vs-serial differential suite.
 //!
-//! The latched execution path replaces the engine's global encyclopedia
-//! mutex with per-page latch coupling plus striped commit sequencing
-//! (see `oodb_engine::db`). The legacy single-mutex path is kept behind
-//! [`ExecPath::SingleMutex`] precisely so it can serve as the oracle
-//! here: with disjoint private-write partitions the final database state
-//! is commit-order independent, so for every concurrency-control family
-//! × shard count × optimistic-execution mode the latched engine must
+//! Workers execute through per-page latch coupling plus striped
+//! operation sequencing (see `oodb_engine::db`). The reference is the
+//! serial run — the same workload at `workers: 1`, where no latch or
+//! stripe can be raced: with disjoint private-write partitions the final
+//! database state is commit-order independent, so for every
+//! concurrency-control family × shard count the 4-worker engine must
 //! commit the same transactions, pass the same audits, and agree
-//! bit-for-bit on final state with the mutex oracle.
+//! bit-for-bit on final state with it.
 //!
 //! A second test pins the rearrange/seq-claim boundary under real
 //! concurrency: a tiny fanout forces structure modifications (page
@@ -16,9 +15,7 @@
 //! the dependency graph reconstructed from the trace ring must match
 //! the shutdown audit's committed projection edge-for-edge.
 
-use oodb_engine::{
-    cross_check, CcKind, EngineConfig, EngineOutput, ExecPath, OptimisticExec, TraceMode,
-};
+use oodb_engine::{cross_check, CcKind, EngineConfig, EngineOutput, TraceMode};
 use oodb_sim::{EncOp, EncWorkload};
 use proptest::prelude::*;
 
@@ -49,22 +46,14 @@ struct Workload {
     seed: u64,
 }
 
-fn engine_run(
-    w: &Workload,
-    kind: CcKind,
-    shards: usize,
-    opt_exec: OptimisticExec,
-    exec: ExecPath,
-) -> EngineOutput {
+fn engine_run(w: &Workload, kind: CcKind, shards: usize, workers: usize) -> EngineOutput {
     let mut preload: Vec<String> = (0..6).map(shared_key).collect();
     preload.extend((0..w.txns.len()).map(|t| private_key(t, 0)));
     let cfg = EngineConfig {
-        workers: 4,
+        workers,
         queue_capacity: 16,
         shards,
         seed: w.seed,
-        optimistic_exec: opt_exec,
-        exec,
         ..EngineConfig::default()
     };
     let engine = oodb_engine::Engine::start(cfg, kind);
@@ -79,39 +68,35 @@ fn engine_run(
     engine.shutdown()
 }
 
-/// Every CC family × shard count × optimistic-exec mode exercised by
-/// the differential (optimistic exec mode is irrelevant for the 2PL
-/// families, so it is only varied for [`CcKind::Optimistic`]).
-const COMBOS: &[(CcKind, usize, OptimisticExec)] = &[
-    (CcKind::Pessimistic, 1, OptimisticExec::Snapshot),
-    (CcKind::Pessimistic, 4, OptimisticExec::Snapshot),
-    (CcKind::PessimisticPage, 1, OptimisticExec::Snapshot),
-    (CcKind::Optimistic, 1, OptimisticExec::Snapshot),
-    (CcKind::Optimistic, 4, OptimisticExec::Snapshot),
-    (CcKind::Optimistic, 4, OptimisticExec::InPlace),
+/// Every CC family × shard count exercised by the differential.
+const COMBOS: &[(CcKind, usize)] = &[
+    (CcKind::Pessimistic, 1),
+    (CcKind::Pessimistic, 4),
+    (CcKind::PessimisticPage, 1),
+    (CcKind::Optimistic, 1),
+    (CcKind::Optimistic, 4),
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random private-write workloads through the real multi-threaded
-    /// engine: the latched path must reach exactly the state the
-    /// single-mutex oracle reaches, with everything committed and both
-    /// audits clean, for every combination.
+    /// engine: four workers must reach exactly the state the serial run
+    /// reaches, with everything committed and both audits clean, for
+    /// every combination.
     #[test]
-    fn latched_matches_single_mutex_oracle(
+    fn four_workers_match_the_serial_run(
         txns in prop::collection::vec(
             prop::collection::vec((0u8..6, 0usize..8), 2..5), 3..7),
         seed in 0u64..1024,
     ) {
         let w = Workload { txns, seed };
-        for &(kind, shards, opt_exec) in COMBOS {
-            let latched = engine_run(&w, kind, shards, opt_exec,
-                ExecPath::Latched { stripes: 8 });
-            let oracle = engine_run(&w, kind, shards, opt_exec,
-                ExecPath::SingleMutex);
-            let label = format!("{kind:?}/{shards}/{}", opt_exec.label());
-            for (out, path) in [(&latched, "latched"), (&oracle, "single-mutex")] {
+        for &(kind, shards) in COMBOS {
+            let latched = engine_run(&w, kind, shards, 4);
+            let serial = engine_run(&w, kind, shards, 1);
+            prop_assert_eq!(serial.metrics.retries, 0, "one worker: nothing to retry");
+            let label = format!("{kind:?}/{shards}");
+            for (out, path) in [(&latched, "4 workers"), (&serial, "serial")] {
                 prop_assert_eq!(
                     out.metrics.committed as usize,
                     w.txns.len(),
@@ -126,8 +111,8 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                &latched.final_state, &oracle.final_state,
-                "{}: final states diverged between execution paths", &label
+                &latched.final_state, &serial.final_state,
+                "{}: 4 workers diverged from the serial run", &label
             );
         }
     }
@@ -177,7 +162,6 @@ fn split_under_concurrency_pins_rearrange_seq_boundary() {
             seed: 7,
             fanout: 4,
             trace: TraceMode::ring(),
-            exec: ExecPath::Latched { stripes: 8 },
             ..EngineConfig::default()
         };
         let out = oodb_engine::run_workload(&cfg, kind, &workload);

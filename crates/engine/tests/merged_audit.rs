@@ -194,35 +194,26 @@ fn optimistic_lanes_count_what_the_key_hash_predicts() {
         cross += u64::from(footprint.iter().filter(|&&f| f).count() > 1);
     }
 
-    for exec in [
-        oodb_engine::OptimisticExec::Snapshot,
-        oodb_engine::OptimisticExec::InPlace,
-    ] {
-        let config = EngineConfig {
-            workers: 1,
-            optimistic_exec: exec,
-            ..cfg(SHARDS)
-        };
-        let engine = Engine::start(config, CcKind::Optimistic);
-        engine.preload(&preload);
-        for t in &txns {
-            engine.submit_blocking(t.clone()).unwrap();
-        }
-        let out = engine.shutdown();
-        assert_eq!(out.metrics.committed as usize, txns.len(), "{exec:?}");
-        assert_eq!(out.metrics.retries, 0, "{exec:?}: serial, nothing retries");
-        let lanes = &out.metrics.shards;
-        assert_eq!(lanes.len(), SHARDS, "{exec:?}");
-        for s in 0..SHARDS {
-            assert_eq!(lanes[s].ops, ops[s], "{exec:?}: ops on lane {s}");
-            assert_eq!(
-                lanes[s].commits, commits[s],
-                "{exec:?}: commits on lane {s}"
-            );
-            assert_eq!(lanes[s].blocked, 0, "{exec:?}: certification never blocks");
-        }
-        assert_eq!(out.metrics.cross_shard, cross, "{exec:?}");
-        let audit = out.audit.expect("audit enabled");
-        assert!(audit.report.oo_decentralized.is_ok() && audit.report.oo_global.is_ok());
+    let config = EngineConfig {
+        workers: 1,
+        ..cfg(SHARDS)
+    };
+    let engine = Engine::start(config, CcKind::Optimistic);
+    engine.preload(&preload);
+    for t in &txns {
+        engine.submit_blocking(t.clone()).unwrap();
     }
+    let out = engine.shutdown();
+    assert_eq!(out.metrics.committed as usize, txns.len());
+    assert_eq!(out.metrics.retries, 0, "serial, nothing retries");
+    let lanes = &out.metrics.shards;
+    assert_eq!(lanes.len(), SHARDS);
+    for s in 0..SHARDS {
+        assert_eq!(lanes[s].ops, ops[s], "ops on lane {s}");
+        assert_eq!(lanes[s].commits, commits[s], "commits on lane {s}");
+        assert_eq!(lanes[s].blocked, 0, "certification never blocks");
+    }
+    assert_eq!(out.metrics.cross_shard, cross);
+    let audit = out.audit.expect("audit enabled");
+    assert!(audit.report.oo_decentralized.is_ok() && audit.report.oo_global.is_ok());
 }

@@ -6,7 +6,7 @@
 use oodb_engine::trace::export::{
     to_chrome_trace, to_jsonl, to_jsonl_canonical, validate_json, validate_jsonl,
 };
-use oodb_engine::{cross_check, CcKind, EngineConfig, OptimisticExec, TraceMode};
+use oodb_engine::{cross_check, CcKind, EngineConfig, TraceMode};
 use oodb_sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
 
 /// A moderately contended workload: a small key space forces real
@@ -58,22 +58,17 @@ fn canonical_jsonl_is_deterministic_for_single_worker_fixed_seed() {
 
 /// The tentpole invariant: the dependency graph reconstructed from
 /// trace events alone matches the shutdown audit's committed projection
-/// edge-for-edge — for every strategy, sharded and unsharded, and for
-/// both optimistic execution modes (MVCC snapshot and legacy in-place).
+/// edge-for-edge — for every strategy, sharded and unsharded.
 #[test]
 fn trace_graph_matches_audit_for_every_strategy() {
     let mut total_matched = 0usize;
-    // (strategy, optimistic execution mode — irrelevant for 2PL)
-    let combos = [
-        (CcKind::Pessimistic, OptimisticExec::Snapshot),
-        (CcKind::PessimisticPage, OptimisticExec::Snapshot),
-        (CcKind::Optimistic, OptimisticExec::Snapshot),
-        (CcKind::Optimistic, OptimisticExec::InPlace),
-    ];
-    for (kind, exec) in combos {
+    for kind in [
+        CcKind::Pessimistic,
+        CcKind::PessimisticPage,
+        CcKind::Optimistic,
+    ] {
         for shards in [1usize, 4] {
-            let mut config = cfg(3, shards, TraceMode::ring());
-            config.optimistic_exec = exec;
+            let config = cfg(3, shards, TraceMode::ring());
             let out = oodb_engine::run_workload(&config, kind, &contended_workload(17));
             let log = out.trace.expect("ring sink captured a trace");
             assert_eq!(log.dropped, 0, "default ring capacity holds the run");
@@ -81,8 +76,7 @@ fn trace_graph_matches_audit_for_every_strategy() {
             let check = cross_check(&log.events, &audit);
             assert!(
                 check.ok(),
-                "{kind:?}/{} x {shards} shards: trace/audit graphs diverge: {check}\n  trace: {}\n  audit: {}",
-                exec.label(),
+                "{kind:?} x {shards} shards: trace/audit graphs diverge: {check}\n  trace: {}\n  audit: {}",
                 check.trace,
                 check.audit
             );

@@ -1,6 +1,5 @@
 //! The transaction engine end to end: one workload, every concurrency
-//! control (including MVCC snapshot execution vs legacy in-place
-//! optimistic), live metrics, and a full serializability audit.
+//! control, live metrics, and a full serializability audit.
 //!
 //! Run with: `cargo run --example engine`
 //!
@@ -16,7 +15,7 @@
 //! audit.
 
 use oodb::engine::trace::export::{to_chrome_trace, to_jsonl};
-use oodb::engine::{CcKind, EngineConfig, OptimisticExec, TraceMode};
+use oodb::engine::{CcKind, EngineConfig, TraceMode};
 use oodb::sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
 
 fn main() {
@@ -44,15 +43,13 @@ fn main() {
 
     println!("24 update-heavy transactions on 24 hot keys, 8 workers:\n");
     let combos = [
-        (CcKind::Pessimistic, 1, OptimisticExec::Snapshot),
-        (CcKind::PessimisticPage, 1, OptimisticExec::Snapshot),
-        (CcKind::Optimistic, 1, OptimisticExec::InPlace),
-        (CcKind::Optimistic, 1, OptimisticExec::Snapshot),
-        (CcKind::Pessimistic, 4, OptimisticExec::Snapshot),
-        (CcKind::Optimistic, 4, OptimisticExec::InPlace),
-        (CcKind::Optimistic, 4, OptimisticExec::Snapshot),
+        (CcKind::Pessimistic, 1),
+        (CcKind::PessimisticPage, 1),
+        (CcKind::Optimistic, 1),
+        (CcKind::Pessimistic, 4),
+        (CcKind::Optimistic, 4),
     ];
-    for (i, (kind, shards, exec)) in combos.into_iter().enumerate() {
+    for (i, (kind, shards)) in combos.into_iter().enumerate() {
         let trace = if trace_path.is_some() && i == combos.len() - 1 {
             TraceMode::ring()
         } else {
@@ -64,7 +61,6 @@ fn main() {
             shards,
             seed: 7,
             trace,
-            optimistic_exec: exec,
             // hold every key in one leaf: the trace-side dependency
             // reconstruction assumes no node split relocates an index
             // entry mid-run (see `trace::analyze`)
@@ -113,10 +109,8 @@ fn main() {
          certification trades locks for validation aborts. The mvcc rows\n\
          run the optimistic certifier under MVCC snapshot execution:\n\
          writes buffer per attempt and install atomically with\n\
-         certification, so commit-dependency waits and cascading aborts\n\
-         disappear (compare their dep-waits/cascades counters with the\n\
-         in-place optimistic rows — run `experiments b12` for the full\n\
-         comparison). On 4 shards strict 2PL splits its lock table into\n\
+         certification, so no transaction ever sees an uncommitted\n\
+         effect. On 4 shards strict 2PL splits its lock table into\n\
          one manager per key-hash shard; the optimistic rows keep their\n\
          one certifier and only account per shard (shard-ops,\n\
          cross-shard), so x1 and x4 decide alike — run `experiments b10`\n\

@@ -135,15 +135,15 @@ fn trace_is_replayable_documentation() {
     }
 }
 
-/// The engine's default strategy — optimistic certification, snapshot
-/// execution, incremental backend — at 1 and at 4 shards: every
+/// The engine's optimistic strategy — snapshot execution, incremental
+/// certification — at 1 and at 4 shards: every
 /// transaction commits, both checkers pass the committed projection, and
 /// the two runs end in the same state. Each transaction writes its own
 /// key and reads two neighbours' (real read-write dependencies, a final
 /// state that does not depend on the commit order).
 #[test]
 fn optimistic_engine_audits_clean_at_one_and_four_shards() {
-    use oodb::engine::{CcKind, CertBackend, Engine, EngineConfig, OptimisticExec};
+    use oodb::engine::{CcKind, Engine, EngineConfig};
     use oodb::sim::EncOp;
 
     const TXNS: usize = 48;
@@ -155,8 +155,6 @@ fn optimistic_engine_audits_clean_at_one_and_four_shards() {
             queue_capacity: 16,
             shards,
             seed: 18,
-            optimistic_exec: OptimisticExec::Snapshot,
-            certification: CertBackend::Incremental,
             ..EngineConfig::default()
         };
         let engine = Engine::start(cfg, CcKind::Optimistic);
