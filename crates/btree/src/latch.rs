@@ -39,9 +39,9 @@
 //!   cycle can form.
 //! * **Recording**: every `enter`/`page_read`/`page_write` for a node is
 //!   issued while that node's latch is held — a visit's `enter` and
-//!   `page_read` as one `TxnCtx::record` call, so the read claims its
-//!   history position in the same recorder acquisition that creates it.
-//!   This keeps each node
+//!   `page_read` as one `TxnCtx::record` call, which claims the visit's
+//!   ticket — its place in the history — before it returns, under the
+//!   latch. This keeps each node
 //!   action's page accesses *block-atomic*, which is what prevents the
 //!   interleaved read-read-write-write page pattern that
 //!   `oodb-model::recorder` pins down as a leaf-level action-dependency

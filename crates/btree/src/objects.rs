@@ -68,7 +68,7 @@ impl IdTable {
     fn get(&self, index: u64, epoch: u32) -> Option<ObjectIdx> {
         let (chunk, offset) = Self::locate(index);
         // Relaxed: the word is the whole message. The object it names is
-        // only ever touched under the recorder's mutex.
+        // only ever touched under the recorder's record lock.
         let word = self.chunks.get(chunk)?.get()?[offset].load(Ordering::Relaxed);
         let id = (word as u32).checked_sub(1)?;
         ((word >> 32) as u32 == epoch).then_some(ObjectIdx(id))

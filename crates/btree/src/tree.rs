@@ -135,7 +135,7 @@ impl BLinkTree {
 
     /// Record the visit of a node whose latch the caller holds: the
     /// operation `descriptor` on the node object and the page read under
-    /// it, in one recorder acquisition. The first visit of an operation
+    /// it, in one `record` call (one ticket). The first visit of an operation
     /// (`tree_level`: the cursor is still where the operation found it)
     /// also opens the tree-level action around them. Leaves the node
     /// action (and the tree action) open.

@@ -56,6 +56,13 @@ pub struct EngineShared {
     pub dur: Option<crate::durability::Durability>,
 }
 
+impl EngineShared {
+    /// The engine's counters with the recorder's own beside them.
+    pub fn metrics_snapshot(&self) -> crate::MetricsSnapshot {
+        self.metrics.snapshot(self.rec.stats())
+    }
+}
+
 /// Identity of one transaction *attempt* (each retry gets a fresh
 /// recorded transaction, hence a fresh handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

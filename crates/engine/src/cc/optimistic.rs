@@ -147,7 +147,7 @@ impl OptimisticCc {
     }
 
     /// Run `f` against the record the backend certifies over: the live
-    /// record under the recorder lock when only the delta is fed
+    /// record under the recorder's record lock when only the delta is fed
     /// ([`oodb_model::Recorder::with_record`]), a snapshot when every
     /// round re-infers and would hold the recorder too long. Side
     /// effects that re-enter the recorder (version install,

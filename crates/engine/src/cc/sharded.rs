@@ -35,7 +35,7 @@ use oodb_sim::EncOp;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stable FNV-1a hash of `key`, reduced mod `shards`. Hand-rolled so the
 /// key→shard map is reproducible across runs and platforms (no
@@ -158,6 +158,8 @@ pub struct ShardedPessimisticCc {
     /// Shards each live owner has acquired (or started acquiring) on —
     /// the release/compensation footprint.
     touched: Mutex<HashMap<OwnerId, BTreeSet<usize>>>,
+    /// Signalled (with `touched`) whenever an owner has released.
+    owner_released: Condvar,
     descriptor: fn(&EncOp) -> ActionDescriptor,
     /// Page granularity: every op is a whole-container mode → all shards.
     route_all: bool,
@@ -198,6 +200,7 @@ impl ShardedPessimisticCc {
             wounded_by: Mutex::new(HashMap::new()),
             blocked: Mutex::new(HashSet::new()),
             touched: Mutex::new(HashMap::new()),
+            owner_released: Condvar::new(),
             descriptor,
             route_all,
             faults: FaultPlan::default(),
@@ -327,12 +330,11 @@ impl ShardedPessimisticCc {
         }
     }
 
-    /// How long a wounded job's next attempt polls for its wounder to
+    /// How long a wounded job's next attempt waits for its wounder to
     /// release before proceeding anyway (deferral is an anti-barging
     /// heuristic, not a correctness requirement — a cap keeps liveness
     /// even if the wounder is itself long-blocked).
-    const DEFER_POLL: Duration = Duration::from_micros(500);
-    const DEFER_ROUNDS: u32 = 400; // ≈200ms cap
+    const DEFER_CAP: Duration = Duration::from_millis(200);
 
     /// First gate of a fresh attempt: if the previous attempt was
     /// wounded, wait for the wounder to release its grants before
@@ -344,11 +346,14 @@ impl ShardedPessimisticCc {
         let Some(wounder) = self.wounded_by.lock().remove(&job) else {
             return;
         };
-        for _ in 0..Self::DEFER_ROUNDS {
-            if !self.touched.lock().contains_key(&wounder) {
+        let deadline = Instant::now() + Self::DEFER_CAP;
+        let mut touched = self.touched.lock();
+        while touched.contains_key(&wounder) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return;
             }
-            std::thread::sleep(Self::DEFER_POLL);
+            self.owner_released.wait_for(&mut touched, left);
         }
     }
 
@@ -360,6 +365,9 @@ impl ShardedPessimisticCc {
             drop(mgr);
             self.shards[s].released.notify_all();
         }
+        // after the grants are gone, so a deferred retry that wakes here
+        // finds them released
+        self.owner_released.notify_all();
         self.jobs.lock().remove(&owner);
         self.doomed.lock().remove(&owner);
         self.blocked.lock().remove(&owner);

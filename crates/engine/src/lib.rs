@@ -240,7 +240,7 @@ impl Engine {
 
     /// Current counters and latency percentiles.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.metrics_snapshot()
     }
 
     /// Simulate a crash while the engine is still running: the jobs
@@ -268,7 +268,7 @@ impl Engine {
         }
         // drain the trace after the pool joined: no recorder is writing
         let trace = self.shared.trace.drain();
-        let metrics = self.shared.metrics.snapshot();
+        let metrics = self.shared.metrics_snapshot();
         let audit = self
             .cfg
             .audit

@@ -1,6 +1,7 @@
 //! Lock-free engine metrics: atomic counters plus fixed-bucket latency
 //! histograms, snapshotted on demand.
 
+use oodb_model::RecorderStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -359,8 +360,9 @@ impl EngineMetrics {
         self.cross_shard.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter plus derived rates.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// A point-in-time copy of every counter plus derived rates, with
+    /// the recorder's own counts (`Recorder::stats`) beside them.
+    pub fn snapshot(&self, rec: RecorderStats) -> MetricsSnapshot {
         let elapsed = self.started_at.elapsed();
         let committed = self.committed.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -388,6 +390,8 @@ impl EngineMetrics {
             cert_check_visited: self.cert_check_visited.load(Ordering::Relaxed),
             cert_settled: self.cert_settled.load(Ordering::Relaxed),
             cert_retained_actions: self.cert_retained_actions.load(Ordering::Relaxed),
+            rec_drains: rec.drains,
+            rec_staged_peak: rec.staged_peak as u64,
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -476,6 +480,12 @@ pub struct MetricsSnapshot {
     pub cert_settled: u64,
     /// Primitives the certifier held when the snapshot was taken.
     pub cert_retained_actions: u64,
+    /// Times the recorder materialized its staged visits: one per
+    /// transaction begun, per certification round and per audit.
+    pub rec_drains: u64,
+    /// Most actions any one transaction had staged when a drain took
+    /// them (bounded by `oodb_model::recorder::STAGE_BOUND`).
+    pub rec_staged_peak: u64,
     /// Write-ahead-log records appended (zero with durability off).
     pub wal_appends: u64,
     /// Write-ahead-log bytes appended, including framing.
@@ -551,6 +561,8 @@ impl MetricsSnapshot {
             "\"cert_retained_actions\":{},",
             self.cert_retained_actions
         );
+        let _ = write!(s, "\"rec_drains\":{},", self.rec_drains);
+        let _ = write!(s, "\"rec_staged_peak\":{},", self.rec_staged_peak);
         let _ = write!(s, "\"wal_appends\":{},", self.wal_appends);
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
         let _ = write!(s, "\"fsyncs\":{},", self.fsyncs);
@@ -638,6 +650,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.lock_wait_p99,
             self.e2e_p50,
             self.e2e_p99,
+        )?;
+        write!(
+            f,
+            " rec-drains {} (staged peak {})",
+            self.rec_drains, self.rec_staged_peak
         )?;
         if self.version_installs > 0 {
             write!(
@@ -808,7 +825,11 @@ mod tests {
         m.fsyncs.fetch_add(2, Ordering::Relaxed);
         m.group_commits.fetch_add(2, Ordering::Relaxed);
         m.wal_group_size.record_value(2);
-        let json = m.snapshot().to_json();
+        let rec = RecorderStats {
+            drains: 7,
+            staged_peak: 42,
+        };
+        let json = m.snapshot(rec).to_json();
         assert!(
             crate::trace::export::validate_json(&json),
             "bad json: {json}"
@@ -828,6 +849,8 @@ mod tests {
             "\"cert_check_visited\":",
             "\"cert_settled\":",
             "\"cert_retained_actions\":",
+            "\"rec_drains\":7",
+            "\"rec_staged_peak\":42",
             "\"wal_appends\":9",
             "\"wal_bytes\":412",
             "\"fsyncs\":2",
@@ -866,7 +889,7 @@ mod tests {
         m.retries.fetch_add(2, Ordering::Relaxed);
         m.shed.fetch_add(1, Ordering::Relaxed);
         m.e2e.record(Duration::from_millis(3));
-        let s = m.snapshot();
+        let s = m.snapshot(oodb_model::Recorder::new().stats());
         assert_eq!(s.submitted, 5);
         assert_eq!(s.committed, 4);
         assert_eq!(s.retries, 2);

@@ -16,6 +16,7 @@ use oodb_recovery::engine_log::{EngineOp as WalOp, EngineRecord};
 use oodb_sim::exec::apply_op;
 use oodb_sim::EncOp;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -72,7 +73,9 @@ fn is_write(op: &EncOp) -> bool {
 struct Wal<'a> {
     dur: Option<&'a crate::durability::Durability>,
     txn: u64,
-    name: &'a str,
+    /// The attempt's recorded name until the `Begin` record takes it;
+    /// `None` from the start when durability is off.
+    name: Option<String>,
     begun: bool,
     records: u32,
     bytes: u64,
@@ -81,7 +84,7 @@ struct Wal<'a> {
 }
 
 impl<'a> Wal<'a> {
-    fn new(shared: &'a EngineShared, txn: u32, name: &'a str) -> Self {
+    fn new(shared: &'a EngineShared, txn: u32, name: Option<String>) -> Self {
         Wal {
             dur: shared.dur.as_ref(),
             txn: u64::from(txn),
@@ -105,7 +108,7 @@ impl<'a> Wal<'a> {
             let (_, bytes) = d.append(
                 &EngineRecord::Begin {
                     txn: self.txn,
-                    name: self.name.to_owned(),
+                    name: self.name.take().expect("an active log was given the name"),
                 },
                 m,
             );
@@ -182,6 +185,25 @@ impl<'a> Wal<'a> {
     }
 }
 
+/// Recorded name of `job` without its attempt: `J<id + 1>`, or `Setup`
+/// for the preload.
+fn base_name(job: &Job) -> String {
+    if job.id == u64::MAX {
+        "Setup".to_string()
+    } else {
+        format!("J{}", job.id + 1)
+    }
+}
+
+/// Recorded name of one attempt of `job`: retries append `r<attempt>`.
+fn attempt_name(job: &Job, attempt: u32) -> String {
+    let mut name = base_name(job);
+    if attempt > 0 {
+        let _ = write!(name, "r{attempt}");
+    }
+    name
+}
+
 /// Compensate the completed operations of `ctx` in reverse order inside
 /// the critical section `enc`, as compensation transaction
 /// `C(<base>a<attempt>)`. Every inverse is logged (the CLR analog, so
@@ -197,12 +219,12 @@ fn compensate(
     enc: &EncSection<'_>,
     ctx: TxnCtx,
     handle: &TxnHandle,
-    base: &str,
+    job: &Job,
     wal: &mut Wal<'_>,
 ) -> Vec<(u64, EncOp)> {
     let mut comp = shared
         .rec
-        .begin_txn(format!("C({base}a{})", handle.attempt));
+        .begin_txn(format!("C({}a{})", base_name(job), handle.attempt));
     cc.retire(shared, TxnIdx(comp.txn_number()));
     let report = enc.abort(ctx, &mut comp);
     assert!(
@@ -246,7 +268,6 @@ fn mvcc_commit(
     mut ctx: TxnCtx,
     buffered: &[EncOp],
     job: &Job,
-    base: &str,
     wal: &mut Wal<'_>,
 ) -> Result<Option<usize>, Vec<(u64, EncOp)>> {
     // the whole install + certify + commit happens under every stripe:
@@ -276,7 +297,7 @@ fn mvcc_commit(
             enc.commit(ctx);
             Ok(end)
         }
-        FinishOutcome::Abort => Err(compensate(shared, cc, &enc, ctx, handle, base, wal)),
+        FinishOutcome::Abort => Err(compensate(shared, cc, &enc, ctx, handle, job, wal)),
     };
     drop(enc);
     for (seq, op, hit) in installs {
@@ -416,17 +437,17 @@ pub(crate) fn process_job(
                 });
             return;
         }
-        let base = if job.id == u64::MAX {
-            "Setup".to_string()
-        } else {
-            format!("J{}", job.id + 1)
-        };
-        let name = if attempt == 0 {
-            base.clone()
-        } else {
-            format!("{base}r{attempt}")
-        };
-        let attempt_ctx = shared.rec.begin_txn(name.clone());
+        // phase timers: this attempt's start and its accumulated
+        // grant/certification waits, split out of execution time when
+        // (and only when) the attempt commits. The clock starts before
+        // `begin_txn`: that call materializes the record of the visits
+        // staged so far, which is execution time, not time off the books
+        let attempt_start = Instant::now();
+        // one name per attempt: the record takes it, the log gets a
+        // copy only when there is a log
+        let name = attempt_name(job, attempt);
+        let wal_name = shared.dur.is_some().then(|| name.clone());
+        let attempt_ctx = shared.rec.begin_txn(name);
         let txn_number = attempt_ctx.txn_number();
         let mut ctx = Some(attempt_ctx);
         let handle = TxnHandle {
@@ -435,16 +456,12 @@ pub(crate) fn process_job(
             txn: TxnIdx(txn_number),
             owner: OwnerId(u64::from(txn_number)),
         };
-        let mut wal = Wal::new(shared, txn_number, &name);
+        let mut wal = Wal::new(shared, txn_number, wal_name);
         shared
             .trace
             .emit_txn(&handle, || TraceEventKind::AttemptBegin {
                 ops: job.ops.len(),
             });
-        // phase timers: this attempt's start and its accumulated
-        // grant/certification waits, split out of execution time when
-        // (and only when) the attempt commits
-        let attempt_start = Instant::now();
         let mut wait_total = Duration::ZERO;
 
         // MVCC snapshot execution: writes stay in this buffer until the
@@ -547,16 +564,7 @@ pub(crate) fn process_job(
             // MVCC commit point: install + certify + commit (or
             // compensate) atomically
             let attempt_ctx = ctx.take().expect("attempt ctx live at commit point");
-            match mvcc_commit(
-                shared,
-                cc,
-                &handle,
-                attempt_ctx,
-                &buffered,
-                job,
-                &base,
-                &mut wal,
-            ) {
+            match mvcc_commit(shared, cc, &handle, attempt_ctx, &buffered, job, &mut wal) {
                 Ok(commit_end) => committed = Some(commit_end),
                 Err(comp_events) => {
                     aborting = true;
@@ -615,7 +623,7 @@ pub(crate) fn process_job(
         let comp_events = comp_done.take().unwrap_or_else(|| {
             let enc = shared.enc.exclusive();
             let ctx = ctx.take().expect("attempt ctx live at abort");
-            compensate(shared, cc, &enc, ctx, &handle, &base, &mut wal)
+            compensate(shared, cc, &enc, ctx, &handle, job, &mut wal)
         });
         for (seq, op) in comp_events {
             shared.trace.emit_at(

@@ -599,7 +599,7 @@ fn an_abort_that_unpins_the_cut_is_published() {
                 EncOp::Insert(k.clone()),
             );
         }
-        let settled = || shared.metrics.snapshot().cert_settled;
+        let settled = || shared.metrics_snapshot().cert_settled;
         assert_eq!(settled(), 3, "{label}: nothing live, every insert settled");
 
         let mut victim = shared.rec.begin_txn("V");
@@ -610,7 +610,7 @@ fn an_abort_that_unpins_the_cut_is_published() {
         commit("A", 2, EncOp::Change(keys[1].clone()));
         commit("B", 3, EncOp::Change(keys[2].clone()));
         assert_eq!(settled(), 3, "{label}: the live victim pins A and B");
-        let pinned = shared.metrics.snapshot().cert_retained_actions;
+        let pinned = shared.metrics_snapshot().cert_retained_actions;
 
         {
             let enc = shared.enc.exclusive();
@@ -622,7 +622,7 @@ fn an_abort_that_unpins_the_cut_is_published() {
         assert_eq!(settled(), 5, "{label}: the abort let A and B go");
         // dropped primitives stay in the schedules, and in the gauge,
         // until the next reseed replaces them
-        let after = shared.metrics.snapshot().cert_retained_actions;
+        let after = shared.metrics_snapshot().cert_retained_actions;
         assert!(after <= pinned, "{label}: gauge {pinned} -> {after}");
     }
 }

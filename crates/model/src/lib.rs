@@ -28,6 +28,6 @@ pub mod versions;
 pub use database::{
     method, primitive_method, Database, Instance, Method, MethodOutcome, ModelError, SnapshotId,
 };
-pub use recorder::{Recorder, TxnCtx};
+pub use recorder::{Recorder, RecorderStats, TxnCtx};
 pub use types::{ObjectType, TypeError, TypeRegistry};
 pub use versions::VersionChain;

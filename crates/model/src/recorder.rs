@@ -9,33 +9,60 @@
 //!
 //! Every `enter`/`exit` pair records a non-primitive action (a method that
 //! sends further messages); every `primitive` records a leaf action *and*
-//! appends its execution to the history in real time, realizing Axiom 1's
-//! order by construction. Both are thin wrappers over [`TxnCtx::record`],
-//! which takes the recorder once for a whole page visit — the actions it
-//! opens plus the page primitive under them.
+//! its execution in the history, realizing Axiom 1's order by
+//! construction. Both are thin wrappers over [`TxnCtx::record`], which
+//! stages a whole page visit — the actions it opens plus the page
+//! primitive under them — in the transaction's own buffer.
 //!
 //! # Concurrent recording
 //!
 //! The engine's latched execution path drives many transactions through
 //! the encyclopedia *simultaneously* — page latches, not a global
-//! database mutex, order the physical accesses. The recorder is the one
-//! piece of shared state every worker still touches on every primitive,
-//! so its contract is load-bearing:
+//! database mutex, order the physical accesses. Only *conflicting*
+//! primitives need an order (Axiom 1), so a page visit takes no
+//! process-wide lock: it is **staged** under a ticket and the record is
+//! **materialized** later, a transaction's worth at a time.
 //!
-//! * [`Recorder`] is `Send + Sync` and cheap to clone; all clones append
-//!   into one mutex-guarded system + history. A primitive is created
-//!   and claims its history position inside one acquisition of that
-//!   mutex, so the position *is* the real execution order of that page
-//!   access under whatever latch made the access safe — exactly the
-//!   Axiom 1 order the checkers need. Batching the enclosing `enter`s
-//!   into the same acquisition changes nothing the checkers see: a
-//!   non-primitive action has no history position, and its place in the
-//!   call tree depends only on its own transaction's cursor.
-//! * [`TxnCtx`] is `Send` but deliberately not `Sync`: a transaction is
-//!   one of the paper's Definition 9 processes, driven by exactly one
-//!   worker at a time, though it may migrate between workers across
-//!   retries. Each cursor keeps its own call-stack, so two transactions
-//!   recording interleaved nested actions never see each other's frames.
+//! * **Ticket under the stage lock, while the latch is held.**
+//!   [`TxnCtx::record`] locks the transaction's own stage (contended only
+//!   by a drain, for the length of a buffer swap), claims the next value
+//!   of one process-wide `AtomicU64` and pushes the visit. The caller
+//!   still holds the latch of the page the primitive accesses, so for two
+//!   accesses the latch ordered, the earlier one's claim happens-before
+//!   the later one's and draws the smaller ticket: ticket order *is*
+//!   latch order wherever the checkers need one.
+//! * **The cut, under all stage locks.** A drain locks every registered
+//!   stage together, takes what they hold and releases them. A ticket is
+//!   only ever claimed inside a stage lock, so at that moment no claim is
+//!   in flight: every ticket drawn so far is in the taken set and every
+//!   later one is larger. The taken set is a prefix of the ticket order.
+//! * **Drains are serialized by the record lock** and materialize by
+//!   merging the taken buffers in ticket order through the same
+//!   [`TransactionSystem::begin_nested`] / [`History::execute`] calls a
+//!   lock-per-visit recorder would make — a visit's actions in
+//!   consecutive arena slots, its primitive at the next history position.
+//!   The record is append-only and ticket-ordered. Each transaction's
+//!   stack of open actions lives beside the record, where only drains
+//!   touch it; a staged action carries the depth it was recorded at, so
+//!   [`TxnCtx::exit`] stages nothing.
+//! * **Every reader drains first** ([`Recorder::with_record`],
+//!   [`Recorder::snapshot`], [`Recorder::finish`],
+//!   [`Recorder::history_len`]), so certifier, audit and recovery see
+//!   exactly the record they would see had every visit been appended the
+//!   moment it was made. [`Recorder::begin_txn`] drains *before* it
+//!   creates the root: the root takes the arena slot after every visit
+//!   ticketed before the transaction began, which keeps the arena of a
+//!   single-threaded script equal to its program order. It is also the
+//!   one acquisition of the record lock a transaction makes. A stage that
+//!   reaches [`STAGE_BOUND`] entries drains itself, so a long loop on one
+//!   cursor stages a bounded amount and nothing is deferred past the run.
+//! * **Lock order is record → stage.** A cursor never takes the record
+//!   lock while it holds its stage: `record` releases the stage before a
+//!   bound-triggered drain.
+//! * [`Recorder`] is `Send + Sync` and cheap to clone. [`TxnCtx`] is
+//!   `Send` but deliberately not `Sync`: a transaction is one of the
+//!   paper's Definition 9 processes, driven by exactly one worker at a
+//!   time, though it may migrate between workers across retries.
 //!
 //! The compile-time assertions below pin both bounds; losing either
 //! (say, by storing a non-`Send` field in a cursor) would silently
@@ -45,12 +72,106 @@ use oodb_core::commutativity::{DescriptorRef, SpecRef};
 use oodb_core::history::History;
 use oodb_core::ids::{ActionIdx, ObjectIdx};
 use oodb_core::system::TransactionSystem;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-struct Inner {
+/// Entries a stage may hold: the visit that reaches this many drains
+/// the recorder before it returns.
+pub const STAGE_BOUND: usize = 1024;
+
+/// One recorded action waiting to be materialized. The actions of one
+/// visit share a ticket and sit next to each other in their stage.
+struct Staged {
+    ticket: u64,
+    /// Open actions of the transaction (root included) when this one was
+    /// recorded: its parent is the `depth`-th of them, anything the
+    /// cursor opened deeper has been exited since.
+    depth: u32,
+    primitive: bool,
+    object: ObjectIdx,
+    descriptor: DescriptorRef,
+}
+
+type Stage = Arc<Mutex<Vec<Staged>>>;
+
+/// A registered stage and, beside the record, what only drains touch.
+struct Slot {
+    stage: Stage,
+    /// The transaction's open actions as of its last materialized visit,
+    /// root at the bottom.
+    open: Vec<ActionIdx>,
+}
+
+struct Record {
     ts: TransactionSystem,
     history: History,
+    slots: Vec<Slot>,
+    /// Taken entries with their slot, reused from drain to drain.
+    batch: Vec<(u32, Staged)>,
+}
+
+/// Counters behind [`Recorder::stats`]. Written under the record lock,
+/// read without it (a metrics poll must not queue behind a drain, nor a
+/// drain behind the poll): `Relaxed`, they publish nothing.
+#[derive(Default)]
+struct Counters {
+    drains: AtomicU64,
+    staged_peak: AtomicUsize,
+}
+
+impl Record {
+    /// Materialize everything recorded so far (module docs, "the cut").
+    fn drain(&mut self, counters: &Counters) {
+        counters.drains.fetch_add(1, Ordering::Relaxed);
+        let mut stages: Vec<_> = self.slots.iter().map(|s| s.stage.lock()).collect();
+        for (i, staged) in stages.iter_mut().enumerate() {
+            counters
+                .staged_peak
+                .fetch_max(staged.len(), Ordering::Relaxed);
+            self.batch.extend(staged.drain(..).map(|s| (i as u32, s)));
+        }
+        drop(stages);
+        // each stage's entries are in ticket order already: the stable
+        // sort is the k-way merge, and keeps a visit's actions together
+        self.batch.sort_by_key(|(_, s)| s.ticket);
+        for (i, s) in self.batch.drain(..) {
+            let open = &mut self.slots[i as usize].open;
+            open.truncate(s.depth as usize);
+            let parent = *open.last().expect("a transaction's root never closes");
+            let idx = self.ts.begin_nested(parent, s.object, s.descriptor, true);
+            if s.primitive {
+                self.history
+                    .execute(&self.ts, idx)
+                    .expect("freshly created leaf action is executable");
+            } else {
+                open.push(idx);
+            }
+        }
+        // The cursor holds the only other handle of its stage and never
+        // hands it on: a count of one means the cursor is gone and every
+        // entry it staged is in the stage, so an empty stage stays empty.
+        self.slots
+            .retain(|s| Arc::strong_count(&s.stage) > 1 || !s.stage.lock().is_empty());
+    }
+}
+
+struct Shared {
+    /// The process-wide record lock: taken once per transaction (by
+    /// [`Recorder::begin_txn`]) and by readers, never per visit.
+    record: Mutex<Record>,
+    /// Next ticket; only ever claimed inside a stage lock.
+    tickets: AtomicU64,
+    counters: Counters,
+}
+
+impl Shared {
+    /// Take the record lock and materialize what is staged.
+    fn drained(&self) -> MutexGuard<'_, Record> {
+        let mut record = self.record.lock();
+        record.drain(&self.counters);
+        record
+    }
 }
 
 // The latched engine hands recorder clones to every worker thread and
@@ -63,10 +184,20 @@ const _: () = {
     assert_send::<TxnCtx>();
 };
 
+/// How often the recorder materialized and how much a stage ever held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecorderStats {
+    /// Drains so far: one per [`Recorder::begin_txn`], one per reader
+    /// call, one per stage that reached [`STAGE_BOUND`].
+    pub drains: u64,
+    /// Most entries any drain found in one stage.
+    pub staged_peak: usize,
+}
+
 /// Shared, thread-safe recorder. Cheap to clone.
 #[derive(Clone)]
 pub struct Recorder {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
 }
 
 impl Default for Recorder {
@@ -79,78 +210,98 @@ impl Recorder {
     /// A recorder with an empty system and history.
     pub fn new() -> Self {
         Recorder {
-            inner: Arc::new(Mutex::new(Inner {
-                ts: TransactionSystem::new(),
-                history: History::new(),
-            })),
+            shared: Arc::new(Shared {
+                record: Mutex::new(Record {
+                    ts: TransactionSystem::new(),
+                    history: History::new(),
+                    slots: Vec::new(),
+                    batch: Vec::new(),
+                }),
+                tickets: AtomicU64::new(0),
+                counters: Counters::default(),
+            }),
         }
     }
 
     /// Get or register the object `name` with commutativity spec `spec`.
     /// If the object already exists, its original spec is kept.
     pub fn object(&self, name: &str, spec: SpecRef) -> ObjectIdx {
-        let mut inner = self.inner.lock();
-        if let Some(o) = inner.ts.object_by_name(name) {
+        let mut record = self.shared.record.lock();
+        if let Some(o) = record.ts.object_by_name(name) {
             return o;
         }
-        inner.ts.add_object(name, spec)
+        record.ts.add_object(name, spec)
     }
 
     /// Look up an already registered object.
     pub fn find_object(&self, name: &str) -> Option<ObjectIdx> {
-        self.inner.lock().ts.object_by_name(name)
+        self.shared.record.lock().ts.object_by_name(name)
     }
 
-    /// Begin a new top-level transaction.
+    /// Begin a new top-level transaction. Drains first, so the root
+    /// follows every visit made before this call (module docs).
     pub fn begin_txn(&self, name: impl Into<String>) -> TxnCtx {
-        let mut inner = self.inner.lock();
-        let root = inner.ts.begin_top(name);
-        let number = inner.ts.action(root).txn.0;
-        drop(inner);
+        let stage = Stage::default();
+        let mut record = self.shared.drained();
+        let root = record.ts.begin_top(name);
+        let number = record.ts.action(root).txn.0;
+        record.slots.push(Slot {
+            stage: stage.clone(),
+            open: vec![root],
+        });
+        drop(record);
         TxnCtx {
             recorder: self.clone(),
+            stage,
             root,
             number,
-            stack: vec![root],
+            depth: 1,
         }
     }
 
     /// Clone out the recorded system and history for analysis.
     pub fn snapshot(&self) -> (TransactionSystem, History) {
-        let inner = self.inner.lock();
-        (inner.ts.clone(), inner.history.clone())
+        self.with_record(|ts, history| (ts.clone(), history.clone()))
     }
 
-    /// Run `f` against the live record under the recorder lock, without
+    /// Run `f` against the live record under the record lock, without
     /// cloning anything. This is the delta-extraction entry point for
     /// incremental certification: the history is append-only, so a
     /// caller tracking its last-seen position reads exactly the suffix
     /// appended since — O(new actions) instead of the O(history) clone
-    /// of [`Recorder::snapshot`]. Keep `f` short: recording blocks while
-    /// it runs, and it must not call back into this recorder.
+    /// of [`Recorder::snapshot`]. Keep `f` short: transactions cannot
+    /// begin while it runs, and it must not call back into this recorder.
     pub fn with_record<R>(&self, f: impl FnOnce(&TransactionSystem, &History) -> R) -> R {
-        let inner = self.inner.lock();
-        f(&inner.ts, &inner.history)
+        let record = self.shared.drained();
+        f(&record.ts, &record.history)
     }
 
     /// Consume the recorder (if this is the last handle) or clone,
     /// returning the recorded system and history.
     pub fn finish(self) -> (TransactionSystem, History) {
-        match Arc::try_unwrap(self.inner) {
-            Ok(m) => {
-                let inner = m.into_inner();
-                (inner.ts, inner.history)
+        match Arc::try_unwrap(self.shared) {
+            Ok(shared) => {
+                let mut record = shared.record.into_inner();
+                record.drain(&shared.counters);
+                (record.ts, record.history)
             }
-            Err(arc) => {
-                let inner = arc.lock();
-                (inner.ts.clone(), inner.history.clone())
-            }
+            Err(shared) => Recorder { shared }.snapshot(),
         }
     }
 
     /// Number of primitive executions recorded so far.
     pub fn history_len(&self) -> usize {
-        self.inner.lock().history.len()
+        self.with_record(|_, history| history.len())
+    }
+
+    /// Drain count and staging high-water mark, as of the last drain.
+    /// Takes no lock.
+    pub fn stats(&self) -> RecorderStats {
+        let counters = &self.shared.counters;
+        RecorderStats {
+            drains: counters.drains.load(Ordering::Relaxed),
+            staged_peak: counters.staged_peak.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -159,9 +310,11 @@ impl Recorder {
 /// Definition 9 sense).
 pub struct TxnCtx {
     recorder: Recorder,
+    stage: Stage,
     root: ActionIdx,
     number: u32,
-    stack: Vec<ActionIdx>,
+    /// Open actions, the root included.
+    depth: u32,
 }
 
 impl TxnCtx {
@@ -176,93 +329,92 @@ impl TxnCtx {
         self.number
     }
 
-    /// The action currently being recorded into.
-    pub fn current(&self) -> ActionIdx {
-        *self.stack.last().expect("txn cursor stack never empty")
-    }
-
     /// Current nesting depth (1 = recording directly under the root).
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.depth as usize
     }
 
-    /// Record one visit under a single acquisition of the recorder: open
-    /// the non-primitive actions `enters` in order, each nested in the
-    /// one before (they stay open until their matching [`TxnCtx::exit`]),
-    /// then record `primitive` under the innermost and execute it in the
-    /// history. Returns the last action created.
+    /// Record one visit under one ticket: open the non-primitive actions
+    /// `enters` in order, each nested in the one before (they stay open
+    /// until their matching [`TxnCtx::exit`]), then record `primitive`
+    /// under the innermost and execute it in the history.
     ///
     /// Call it while the latch of the page `primitive` accesses is held:
-    /// the primitive claims its history position inside the same
-    /// acquisition that creates it, so no other thread's access to that
-    /// page can fall between the latch's order and the recorded one
-    /// (Axiom 1). Panics if there is nothing to record.
+    /// the ticket is claimed before this returns, so no other thread's
+    /// access to that page can fall between the latch's order and the
+    /// recorded one (Axiom 1). Panics if there is nothing to record.
     pub fn record(
         &mut self,
         enters: &[(ObjectIdx, &DescriptorRef)],
         primitive: Option<(ObjectIdx, &DescriptorRef)>,
-    ) -> ActionIdx {
+    ) {
         assert!(
             !enters.is_empty() || primitive.is_some(),
             "record() with nothing to record"
         );
-        let mut idx = self.current();
-        let mut guard = self.recorder.inner.lock();
-        let inner = &mut *guard;
-        for &(object, descriptor) in enters {
-            idx = inner.ts.begin_nested(idx, object, descriptor.clone(), true);
-            self.stack.push(idx);
+        let full = {
+            let mut stage = self.stage.lock();
+            // Relaxed: the ticket publishes nothing (the stage lock
+            // publishes the entry); its order comes from the counter's
+            // modification order, which follows happens-before.
+            let ticket = self.recorder.shared.tickets.fetch_add(1, Ordering::Relaxed);
+            let enters = enters.iter().map(|enter| (false, enter));
+            let actions = enters.chain(primitive.iter().map(|primitive| (true, primitive)));
+            for (primitive, &(object, descriptor)) in actions {
+                stage.push(Staged {
+                    ticket,
+                    depth: self.depth,
+                    primitive,
+                    object,
+                    descriptor: descriptor.clone(),
+                });
+                // an entered action stays open: what follows nests in it
+                self.depth += u32::from(!primitive);
+            }
+            stage.len() >= STAGE_BOUND
+        };
+        // lock order is record → stage: the stage is released by now
+        if full {
+            self.recorder.shared.drained();
         }
-        if let Some((object, descriptor)) = primitive {
-            idx = inner.ts.begin_nested(idx, object, descriptor.clone(), true);
-            inner
-                .history
-                .execute(&inner.ts, idx)
-                .expect("freshly created leaf action is executable");
-        }
-        idx
     }
 
     /// Open a non-primitive action on `object`; all actions recorded until
     /// the matching [`TxnCtx::exit`] become its children.
-    pub fn enter(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) -> ActionIdx {
+    pub fn enter(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) {
         self.record(&[(object, &descriptor.into())], None)
     }
 
     /// Close the action opened by the matching [`TxnCtx::enter`].
     pub fn exit(&mut self) {
-        assert!(self.stack.len() > 1, "exit() without matching enter()");
-        self.stack.pop();
+        assert!(self.depth > 1, "exit() without matching enter()");
+        self.depth -= 1;
     }
 
     /// Close every action opened since the cursor was at nesting `depth`
     /// (a value [`TxnCtx::depth`] returned earlier).
     pub fn exit_to(&mut self, depth: usize) {
         assert!(
-            (1..=self.stack.len()).contains(&depth),
+            (1..=self.depth()).contains(&depth),
             "exit_to({depth}) from depth {}",
-            self.stack.len()
+            self.depth
         );
-        self.stack.truncate(depth);
+        self.depth = depth as u32;
     }
 
     /// Record a primitive action on `object` and execute it in the
     /// history (its Axiom 1 timestamp is the moment of this call).
-    pub fn primitive(
-        &mut self,
-        object: ObjectIdx,
-        descriptor: impl Into<DescriptorRef>,
-    ) -> ActionIdx {
+    pub fn primitive(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) {
         self.record(&[], Some((object, &descriptor.into())))
     }
 
     /// Convenience: record a primitive page `read`.
-    pub fn page_read(&mut self, page: ObjectIdx) -> ActionIdx {
+    pub fn page_read(&mut self, page: ObjectIdx) {
         self.record(&[], Some((page, &DescriptorRef::read())))
     }
 
     /// Convenience: record a primitive page `write`.
-    pub fn page_write(&mut self, page: ObjectIdx) -> ActionIdx {
+    pub fn page_write(&mut self, page: ObjectIdx) {
         self.record(&[], Some((page, &DescriptorRef::write())))
     }
 }
@@ -274,10 +426,10 @@ impl Drop for TxnCtx {
         // the happy path.
         if !std::thread::panicking() {
             debug_assert_eq!(
-                self.stack.len(),
+                self.depth,
                 1,
                 "transaction dropped with {} unclosed enter()s",
-                self.stack.len() - 1
+                self.depth - 1
             );
         }
     }
@@ -288,6 +440,7 @@ mod tests {
     use super::*;
     use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
     use oodb_core::prelude::{analyze, key, SystemSchedules};
+    use oodb_core::value::Value;
 
     #[test]
     fn records_example1_shape() {
@@ -374,7 +527,7 @@ mod tests {
                     start.wait();
                     for _ in 0..250 {
                         // one page visit: the node action and the page
-                        // read under it, in one recorder acquisition
+                        // read under it, under one ticket
                         t.record(&[(node, &search)], Some((page, &read)));
                         t.exit();
                     }
@@ -405,6 +558,209 @@ mod tests {
         assert!(h.order().windows(2).all(|w| w[0] < w[1]));
         // pure reads: serializable however interleaved
         assert!(analyze(&ts, &h).oo_decentralized.is_ok());
+    }
+
+    /// The counter value a test smuggled into a visit's `enter`.
+    fn stamp(ts: &TransactionSystem, visit: ActionIdx) -> u64 {
+        match &ts.action(visit).descriptor.args[..] {
+            [Value::Int(n)] => *n as u64,
+            other => panic!("visit without a stamp: {other:?}"),
+        }
+    }
+
+    /// Record one visit of `page` through `node` under `latch`, stamped
+    /// with the latch's counter: a read on even stamps, a write on odd.
+    fn stamped_visit(
+        t: &mut TxnCtx,
+        latch: &std::sync::Mutex<u64>,
+        node: ObjectIdx,
+        page: ObjectIdx,
+    ) {
+        let mut counter = latch.lock().unwrap();
+        let visit: DescriptorRef =
+            ActionDescriptor::new("visit", vec![Value::Int(*counter as i64)]).into();
+        let access = if counter.is_multiple_of(2) {
+            DescriptorRef::read()
+        } else {
+            DescriptorRef::write()
+        };
+        t.record(&[(node, &visit)], Some((page, &access)));
+        *counter += 1;
+        drop(counter);
+        t.exit();
+    }
+
+    /// What every observer must find, at any moment: the history is the
+    /// latch order without a gap (stamps 0, 1, 2, …), and each primitive
+    /// sits in the arena slot right behind the visit that made it.
+    fn assert_latch_ordered_prefix(ts: &TransactionSystem, h: &History) -> usize {
+        for (pos, &p) in h.order().iter().enumerate() {
+            let visit = ts.action(p).parent.expect("a primitive has a parent");
+            assert_eq!(visit.0 + 1, p.0, "visit and primitive in consecutive slots");
+            assert_eq!(
+                stamp(ts, visit),
+                pos as u64,
+                "history position = latch order"
+            );
+            let method = if pos.is_multiple_of(2) {
+                "read"
+            } else {
+                "write"
+            };
+            assert_eq!(ts.action(p).descriptor.method, method);
+            assert_eq!(ts.action(visit).txn, ts.action(p).txn);
+        }
+        h.len()
+    }
+
+    /// Four writers visiting one page under one real latch, each through
+    /// `txns` transactions of `visits` visits, so drains (one per
+    /// `begin_txn`) run while the others record. The writers' first
+    /// cursors are registered `spacing` idle cursors apart (returned, to
+    /// be kept alive): a drain's pass over the stages then takes long
+    /// enough for visits to land in the middle of it.
+    fn latched_writers(
+        rec: &Recorder,
+        spacing: usize,
+        txns: usize,
+        visits: usize,
+    ) -> (Vec<std::thread::JoinHandle<()>>, Vec<TxnCtx>) {
+        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
+        let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let latch = Arc::new(std::sync::Mutex::new(0u64));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let mut idle = Vec::new();
+        let writers = (0..4)
+            .map(|i| {
+                let mut t = rec.begin_txn(format!("T{i}.0"));
+                idle.extend((0..spacing).map(|_| rec.begin_txn("Idle")));
+                let (rec, latch, start) = (rec.clone(), latch.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for n in 1..=txns {
+                        for _ in 0..visits {
+                            stamped_visit(&mut t, &latch, node, page);
+                        }
+                        if n < txns {
+                            t = rec.begin_txn(format!("T{i}.{n}"));
+                        }
+                    }
+                })
+            })
+            .collect();
+        (writers, idle)
+    }
+
+    #[test]
+    fn history_order_is_latch_order() {
+        let rec = Recorder::new();
+        let (writers, idle) = latched_writers(&rec, 0, 25, 40);
+        for h in writers {
+            h.join().unwrap();
+        }
+        drop(idle);
+        let (ts, h) = rec.finish();
+        assert_eq!(assert_latch_ordered_prefix(&ts, &h), 4 * 25 * 40);
+        h.check_complete(&ts).unwrap();
+    }
+
+    #[test]
+    fn every_cut_is_a_prefix_of_the_latch_order() {
+        let rec = Recorder::new();
+        let (writers, idle) = latched_writers(&rec, 64, 2, 2000);
+        let mut seen = 0;
+        let mut looks = 0;
+        while seen < 4 * 2 * 2000 {
+            let len = rec.with_record(assert_latch_ordered_prefix);
+            assert!(len >= seen, "the record is append-only");
+            seen = len;
+            looks += 1;
+        }
+        for h in writers {
+            h.join().unwrap();
+        }
+        drop(idle);
+        assert!(looks > 1, "the reader ran beside the writers");
+    }
+
+    #[test]
+    fn one_cursor_never_stages_more_than_the_bound() {
+        let rec = Recorder::new();
+        let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let mut t = rec.begin_txn("Loop");
+        for _ in 0..100_000 {
+            t.page_read(page);
+        }
+        drop(t);
+        assert_eq!(rec.history_len(), 100_000);
+        let stats = rec.stats();
+        assert_eq!(stats.staged_peak, STAGE_BOUND);
+        // begin_txn, one per full stage, history_len
+        assert_eq!(stats.drains, 2 + 100_000 / STAGE_BOUND as u64);
+    }
+
+    /// Two cursors interleaved on one thread, a third begun between
+    /// their visits: the arena and the history are what the
+    /// lock-per-visit recorder of the parent commit produced for the
+    /// same calls (the literal lists below are its output).
+    #[test]
+    fn arena_order_is_call_order() {
+        let rec = Recorder::new();
+        let leaf = rec.object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let page = rec.object("Page", Arc::new(ReadWriteSpec));
+        let ins =
+            |k: &str| -> DescriptorRef { ActionDescriptor::new("insert", vec![key(k)]).into() };
+        let read = DescriptorRef::read();
+
+        let mut t1 = rec.begin_txn("T1");
+        t1.record(&[(leaf, &ins("a"))], Some((page, &read)));
+        let mut t2 = rec.begin_txn("T2");
+        t2.record(&[(leaf, &ins("b"))], Some((page, &read)));
+        t1.page_write(page);
+        t1.exit();
+        let mut t3 = rec.begin_txn("T3");
+        t2.page_write(page);
+        t2.exit();
+        t1.page_read(page);
+        t3.enter(leaf, ActionDescriptor::new("insert", vec![key("c")]));
+        t3.page_read(page);
+        t3.exit();
+        assert_eq!(
+            (t1.root(), t2.root(), t3.root()),
+            (ActionIdx(0), ActionIdx(3), ActionIdx(7))
+        );
+        drop((t1, t2, t3));
+
+        let (ts, h) = rec.finish();
+        let arena: Vec<(Option<u32>, String)> = ts
+            .action_indices()
+            .map(|a| {
+                let info = ts.action(a);
+                (info.parent.map(|p| p.0), info.descriptor.to_string())
+            })
+            .collect();
+        let expected = [
+            (None, "T1()"),
+            (Some(0), "insert(a)"),
+            (Some(1), "read()"),
+            (None, "T2()"),
+            (Some(3), "insert(b)"),
+            (Some(4), "read()"),
+            (Some(1), "write()"),
+            (None, "T3()"),
+            (Some(4), "write()"),
+            (Some(0), "read()"),
+            (Some(7), "insert(c)"),
+            (Some(10), "read()"),
+        ];
+        assert_eq!(
+            arena,
+            expected.map(|(parent, d)| (parent, d.to_string())).to_vec()
+        );
+        let order: Vec<u32> = h.order().iter().map(|a| a.0).collect();
+        assert_eq!(order, [2, 5, 6, 8, 9, 11]);
+        // sequential siblings: T1's first visit precedes its later read
+        assert_eq!(ts.action(ActionIdx(1)).precedes, vec![ActionIdx(9)]);
     }
 
     #[test]
