@@ -9,7 +9,7 @@ use crate::table::{f1, Table};
 use oodb_btree::{Encyclopedia, EncyclopediaConfig};
 use oodb_core::prelude::*;
 use oodb_core::schedule::Derivation;
-use oodb_model::{Database, Recorder};
+use oodb_model::Recorder;
 use oodb_sim::paper;
 use oodb_sim::workloads::{banking_workload, BankOp, BankWorkloadConfig};
 use std::sync::Arc;
@@ -72,54 +72,55 @@ fn render_trace(ts: &TransactionSystem, ss: &SystemSchedules) -> String {
 }
 
 /// **Figure 1** — the conventional-vs-object-oriented contrast, measured
-/// on this implementation: a banking workload against the object model
-/// and an encyclopedia workload against the real B⁺-tree database.
+/// on this implementation: a banking workload recorded as its call
+/// trees and an encyclopedia workload against the real B⁺-tree database.
 pub fn fig1() -> String {
     // --- banking side: small objects, short flat transactions ---------
+    // Account methods touch only the receiver's balance (primitives);
+    // Bank.transfer sends a withdraw and a deposit.
     let rec = Recorder::new();
-    let mut db = Database::new(banking_schema(), rec.clone());
-    db.create("bank", "Bank").unwrap();
-    let accounts = 16;
-    for i in 0..accounts {
-        db.create(format!("acc{i}"), "Account").unwrap();
-    }
+    let bank = rec.object("bank", Arc::new(ReadWriteSpec));
+    let accounts: Vec<_> = (0..16)
+        .map(|i| rec.object(&format!("acc{i}"), Arc::new(EscrowSpec::unbounded())))
+        .collect();
     let w = banking_workload(&BankWorkloadConfig {
         txns: 8,
         ops_per_txn: 4,
-        accounts,
+        accounts: accounts.len(),
         read_fraction: 0.25,
         seed: 3,
     });
+    let call = |method: &str, amount: i64| ActionDescriptor::new(method, vec![Value::Int(amount)]);
     for (t, ops) in w.iter().enumerate() {
         let mut ctx = rec.begin_txn(format!("B{t}"));
         for op in ops {
-            let _ = match op {
-                BankOp::Deposit { acc, amount } => db.send(
-                    &mut ctx,
-                    &format!("acc{acc}"),
-                    "deposit",
-                    vec![Value::Int(*amount)],
-                ),
-                BankOp::Withdraw { acc, amount } => db.send(
-                    &mut ctx,
-                    &format!("acc{acc}"),
-                    "withdraw",
-                    vec![Value::Int(*amount)],
-                ),
-                BankOp::Transfer { from, to, amount } => db.send(
-                    &mut ctx,
-                    "bank",
-                    "transfer",
-                    vec![
-                        Value::Str(format!("acc{from}")),
-                        Value::Str(format!("acc{to}")),
-                        Value::Int(*amount),
-                    ],
-                ),
-                BankOp::Balance { acc } => {
-                    db.send(&mut ctx, &format!("acc{acc}"), "balance", vec![])
+            match *op {
+                BankOp::Deposit { acc, amount } => {
+                    ctx.primitive(accounts[acc], call("deposit", amount))
                 }
-            };
+                BankOp::Withdraw { acc, amount } => {
+                    ctx.primitive(accounts[acc], call("withdraw", amount))
+                }
+                BankOp::Transfer { from, to, amount } => {
+                    ctx.enter(
+                        bank,
+                        ActionDescriptor::new(
+                            "transfer",
+                            vec![
+                                Value::Str(format!("acc{from}")),
+                                Value::Str(format!("acc{to}")),
+                                Value::Int(amount),
+                            ],
+                        ),
+                    );
+                    ctx.primitive(accounts[from], call("withdraw", amount));
+                    ctx.primitive(accounts[to], call("deposit", amount));
+                    ctx.exit();
+                }
+                BankOp::Balance { acc } => {
+                    ctx.primitive(accounts[acc], ActionDescriptor::nullary("balance"))
+                }
+            }
         }
         drop(ctx);
     }
@@ -208,61 +209,6 @@ fn txn_shape_stats(ts: &TransactionSystem, history: &History, skip: usize) -> Sh
         prims_per_txn: prims as f64 / n,
         max_depth,
     }
-}
-
-fn banking_schema() -> oodb_model::TypeRegistry {
-    use oodb_model::{method, primitive_method, MethodOutcome, ObjectType, TypeRegistry};
-    let mut reg = TypeRegistry::new();
-    reg.register(
-        ObjectType::new("Account")
-            .with_spec(Arc::new(EscrowSpec::unbounded()))
-            .method(
-                "deposit",
-                primitive_method(|db, _ctx, this, args| {
-                    let amount = args[0].as_int().unwrap_or(0);
-                    let bal = db.get_prop_or(this, "balance", Value::Int(0));
-                    db.set_prop(this, "balance", Value::Int(bal.as_int().unwrap() + amount))?;
-                    Ok(MethodOutcome::unit())
-                }),
-            )
-            .method(
-                "withdraw",
-                primitive_method(|db, _ctx, this, args| {
-                    let amount = args[0].as_int().unwrap_or(0);
-                    let bal = db.get_prop_or(this, "balance", Value::Int(0));
-                    db.set_prop(this, "balance", Value::Int(bal.as_int().unwrap() - amount))?;
-                    Ok(MethodOutcome::unit())
-                }),
-            )
-            .method(
-                "balance",
-                primitive_method(|db, _ctx, this, _| {
-                    Ok(MethodOutcome::of(db.get_prop_or(
-                        this,
-                        "balance",
-                        Value::Int(0),
-                    )))
-                }),
-            ),
-    )
-    .unwrap();
-    reg.register(
-        ObjectType::new("Bank")
-            .with_spec(Arc::new(ReadWriteSpec))
-            .method(
-                "transfer",
-                method(|db, ctx, _this, args| {
-                    let from = args[0].as_str().unwrap().to_owned();
-                    let to = args[1].as_str().unwrap().to_owned();
-                    let amount = args[2].clone();
-                    db.send(ctx, &from, "withdraw", vec![amount.clone()])?;
-                    db.send(ctx, &to, "deposit", vec![amount])?;
-                    Ok(oodb_model::MethodOutcome::unit())
-                }),
-            ),
-    )
-    .unwrap();
-    reg
 }
 
 /// **Figure 2** — the encyclopedia's object structure, dumped from a live
@@ -446,6 +392,16 @@ mod tests {
         assert!(s.contains("banking"));
         assert!(s.contains("encyclopedia"));
         assert!(s.contains("max call depth"));
+        // the banking column is deterministic (seed 3): objects, actions
+        // and primitive accesses per transaction, then the call depth
+        let banking: Vec<&str> = s
+            .lines()
+            .skip_while(|l| !l.starts_with("---"))
+            .skip(1)
+            .filter_map(|l| l.split("  ").filter(|c| !c.is_empty()).nth(1))
+            .map(str::trim)
+            .collect();
+        assert_eq!(banking, ["5.6", "5.8", "4.4", "3"], "{s}");
     }
 
     #[test]

@@ -477,18 +477,17 @@ pub fn b8() -> String {
     )
 }
 
-/// **B9** — the worker-pool engine vs thread-per-transaction, and
-/// semantic vs page-level locking vs optimistic certification, across
-/// worker counts. The operational trade-offs of the paper's protocol in
-/// one table: semantic locking retries only on true semantic conflicts,
+/// **B9** — the worker-pool engine: semantic vs page-level locking vs
+/// optimistic certification, across worker counts. The operational
+/// trade-offs of the paper's protocol in one table: semantic locking
+/// retries only on true semantic conflicts,
 /// the page-level ablation serializes the hot key space, and optimistic
 /// certification trades lock waits for validation work and commit
 /// dependencies. Every run is audited for oo-serializability.
 pub fn b9() -> String {
     use oodb_engine::{CcKind, EngineConfig};
-    use oodb_sim::run_threaded;
 
-    let wcfg = EncWorkloadConfig {
+    let w = encyclopedia_workload(&EncWorkloadConfig {
         txns: 24,
         ops_per_txn: 4,
         key_space: 24,
@@ -496,8 +495,7 @@ pub fn b9() -> String {
         mix: EncMix::update_heavy(),
         skew: Skew::Zipf(0.8),
         seed: 31,
-    };
-    let w = encyclopedia_workload(&wcfg);
+    });
 
     let mut t = Table::new(&[
         "executor",
@@ -537,26 +535,10 @@ pub fn b9() -> String {
         }
     }
 
-    // baseline: one OS thread per transaction (no pool, no admission)
-    let start = Instant::now();
-    let threaded = run_threaded(&w, 8);
-    let elapsed = start.elapsed();
-    t.row(vec![
-        "thread-per-txn".into(),
-        wcfg.txns.to_string(),
-        threaded.committed.to_string(),
-        threaded.aborts.to_string(),
-        f3(threaded.committed as f64 / elapsed.as_secs_f64().max(1e-9)),
-        "-".into(),
-        "-".into(),
-        threaded.report.oo_decentralized.is_ok().to_string(),
-    ]);
-
     format!(
-        "B9 — worker-pool engine vs thread-per-transaction; semantic vs\n\
-         page-level 2PL vs optimistic certification, across worker counts\n\
-         (one contended update-heavy workload; every run audited; the\n\
-         thread-per-txn timing includes its built-in verification pass)\n\n{}",
+        "B9 — worker-pool engine: semantic vs page-level 2PL vs optimistic\n\
+         certification, across worker counts\n\
+         (one contended update-heavy workload; every run audited)\n\n{}",
         t.render()
     )
 }
@@ -1106,7 +1088,6 @@ mod tests {
             "engine/pessimistic",
             "engine/pessimistic-page",
             "engine/mvcc",
-            "thread-per-txn",
         ] {
             assert!(s.contains(exec), "missing {exec}: {s}");
         }

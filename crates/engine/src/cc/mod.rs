@@ -7,8 +7,7 @@
 //! ship:
 //!
 //! * [`PessimisticCc`] — semantic strict 2PL with deadlock detection and
-//!   compensation-based victim abort (the paper's §4–§5 protocol, the one
-//!   [`oodb_sim::threaded`] runs thread-per-transaction);
+//!   compensation-based victim abort (the paper's §4–§5 protocol);
 //! * [`ShardedPessimisticCc`] — the same protocol over one lock manager
 //!   per key-hash shard, with wound-wait in place of deadlock detection;
 //! * [`OptimisticCc`] — execute against a snapshot with writes buffered,

@@ -6,8 +6,7 @@
 //! certification against Definition 16 ([`OptimisticCc`]) — plus the
 //! page-granularity ablation — behind one [`ConcurrencyControl`] trait.
 //!
-//! The engine adds the operational shell the thread-per-transaction
-//! executor ([`oodb_sim::threaded`]) lacks:
+//! Around that loop sits the operational shell:
 //!
 //! * a **bounded admission queue** — [`Engine::submit`] sheds when full,
 //!   [`Engine::submit_blocking`] applies backpressure;

@@ -2,8 +2,8 @@
 //!
 //! The checker side of the reproduction ([`oodb_core`]) works on a
 //! *recorded* [`TransactionSystem`] plus [`History`]. This module is the
-//! bridge from live code — the B⁺ tree, the object-model dispatcher, the
-//! concurrency simulator — to that record: a thread-safe [`Recorder`]
+//! bridge from live code — the B⁺ tree, the engine's workers, the
+//! replay executors — to that record: a thread-safe [`Recorder`]
 //! owning the system and history, and per-transaction [`TxnCtx`] cursors
 //! that executors thread through their call stacks.
 //!
@@ -438,7 +438,7 @@ impl Drop for TxnCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+    use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, KeyedSpec, ReadWriteSpec};
     use oodb_core::prelude::{analyze, key, SystemSchedules};
     use oodb_core::value::Value;
 
@@ -497,6 +497,36 @@ mod tests {
         // and the commuting inserts leave the top level unordered
         let ss = SystemSchedules::infer(&ts, &h);
         assert_eq!(ss.schedule(ts.system_object()).action_deps.edge_count(), 0);
+    }
+
+    /// A method that touches only its receiver's state is recorded as a
+    /// primitive on that object: the object's own specification, not a
+    /// page's read/write, decides what orders two transactions.
+    #[test]
+    fn primitives_on_an_escrow_object_follow_its_specification() {
+        let deposit = |n| ActionDescriptor::new("deposit", vec![Value::Int(n)]);
+        let run = |between: ActionDescriptor| {
+            let rec = Recorder::new();
+            let acc = rec.object("acc", Arc::new(EscrowSpec::unbounded()));
+            let mut t1 = rec.begin_txn("T1");
+            let mut t2 = rec.begin_txn("T2");
+            t1.primitive(acc, deposit(10));
+            t2.primitive(acc, between);
+            t1.primitive(acc, deposit(1));
+            drop(t1);
+            drop(t2);
+            rec.finish()
+        };
+
+        // deposits commute: interleaving them orders nothing at the top
+        let (ts, h) = run(deposit(20));
+        assert!(analyze(&ts, &h).oo_decentralized.is_ok());
+        let ss = SystemSchedules::infer(&ts, &h);
+        assert_eq!(ss.schedule(ts.system_object()).action_deps.edge_count(), 0);
+
+        // a balance read between T1's two deposits: T1 -> T2 and T2 -> T1
+        let (ts, h) = run(ActionDescriptor::nullary("balance"));
+        assert!(analyze(&ts, &h).oo_decentralized.is_err());
     }
 
     #[test]

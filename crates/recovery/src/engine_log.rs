@@ -11,8 +11,8 @@
 //! losers without any page images at all.
 //!
 //! Records are self-contained plain data (keys and texts, no engine
-//! types), encoded with the same little-endian tag+fields idiom as
-//! [`crate::wal::LogRecord`] and framed per record by [`crate::framing`].
+//! types), encoded as a little-endian tag followed by its fields and
+//! framed per record by [`crate::framing`].
 //!
 //! [`Op`]: EngineRecord::Op
 

@@ -1,12 +1,10 @@
 //! Byte-level log framing with per-record CRC32 and torn-write
 //! detection.
 //!
-//! The page-level [`crate::wal`] models durability at *record*
-//! granularity (a record is either durably present or gone). The engine
-//! durability subsystem needs the harsher byte-level model a real log
-//! device presents: a crash can cut the log anywhere, including in the
-//! middle of a record, and a torn write must be detected — not replayed
-//! as garbage. [`FramedLog`] stores records as
+//! The engine durability subsystem works against the byte-level model
+//! a real log device presents: a crash can cut the log anywhere,
+//! including in the middle of a record, and a torn write must be
+//! detected — not replayed as garbage. [`FramedLog`] stores records as
 //!
 //! ```text
 //! [payload_len: u32 le][crc32(payload): u32 le][payload bytes]
@@ -131,9 +129,9 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
 ///
 /// Appends land in the volatile tail; [`force_to`](FramedLog::force_to)
 /// advances the watermark (the fsync); [`crash`](FramedLog::crash)
-/// returns what a restart would read. Unlike [`crate::wal::Wal`] the
-/// boundary is in *bytes*, so tests can cut a record in half and drive
-/// the torn-tail path end to end.
+/// returns what a restart would read. The boundary is in *bytes*, so
+/// tests can cut a record in half and drive the torn-tail path end to
+/// end.
 #[derive(Debug, Default)]
 pub struct FramedLog {
     bytes: Vec<u8>,

@@ -1,20 +1,12 @@
-//! # oodb-recovery — WAL and crash recovery for the page substrate
+//! # oodb-recovery — the engine log's on-disk representation
 //!
 //! The paper's transaction concept promises execution "reliably — as if
-//! there were no failures". This crate supplies the physical half of that
-//! promise for the simulated storage engine:
-//!
-//! * [`wal`] — an append-only log with full page before/after images, a
-//!   durable-prefix/volatile-tail split for crash simulation, and CLRs;
-//! * [`store`] — a steal/no-force page store over the buffer pool with
-//!   ARIES-lite restart (analysis, repeating-history redo, loser undo).
-//!
-//! The *semantic* half — aborting an open nested transaction whose
-//! subtransactions already released their effects — is compensation
-//! (`oodb_core::compensation`); from this layer's perspective a
-//! compensation transaction is just another logged transaction. The
-//! engine durability subsystem (`oodb_engine::durability`) logs at that
-//! semantic level, and this crate supplies its on-log representation:
+//! there were no failures". Its transactions are *open nested*: page
+//! effects are released at subtransaction commit, so an enclosing abort
+//! — live or at restart — can only be undone by semantic compensation
+//! (`oodb_core::compensation`), never by restoring page before-images.
+//! The engine durability subsystem (`oodb_engine::durability`) logs at
+//! that semantic level, and this crate supplies what it writes:
 //!
 //! * [`framing`] — byte-level record framing with per-record CRC32,
 //!   a durable byte watermark, and torn-tail detection;
@@ -25,10 +17,6 @@
 
 pub mod engine_log;
 pub mod framing;
-pub mod store;
-pub mod wal;
 
 pub use engine_log::{EngineOp, EngineRecord};
 pub use framing::{crc32, frame, scan, FramedLog, ScanOutcome, TornTail};
-pub use store::{CrashImage, RecoverableStore, RecoveryStats};
-pub use wal::{LogRecord, Lsn, RecTxnId, Wal};

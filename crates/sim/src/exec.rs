@@ -1,8 +1,8 @@
 //! Reusable building blocks for executing encyclopedia operations under
 //! semantic locking.
 //!
-//! [`threaded`](crate::threaded) (thread-per-transaction) and the
-//! `oodb-engine` worker pool share the same three primitives:
+//! The `oodb-engine` worker pool and the repo benchmark's replays share
+//! the same three primitives:
 //!
 //! * [`op_descriptor`] — map an [`EncOp`] to the semantic
 //!   [`ActionDescriptor`] used as its lock mode;

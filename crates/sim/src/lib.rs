@@ -1,4 +1,4 @@
-//! # oodb-sim — workloads, executors, and experiment measurements
+//! # oodb-sim — workloads, the logical simulator, and paper replays
 //!
 //! The quantitative side of the reproduction:
 //!
@@ -23,7 +23,6 @@ pub mod exec;
 pub mod logical;
 pub mod paper;
 pub mod replay;
-pub mod threaded;
 pub mod workloads;
 
 pub use acceptance::{acceptance_rates, AcceptanceConfig, AcceptanceRates};
@@ -38,7 +37,6 @@ pub use paper::{
     added_relation_gap, example1_commuting, example1_conflicting, example2_tree, example4,
 };
 pub use replay::{replay_encyclopedia, replay_workload, ReplayOutput};
-pub use threaded::{run_threaded, ThreadedOutput};
 pub use workloads::{
     banking_workload, editing_workload, encyclopedia_workload, BankOp, BankWorkloadConfig,
     EditStep, EditWorkloadConfig, EncMix, EncOp, EncWorkload, EncWorkloadConfig, Skew,

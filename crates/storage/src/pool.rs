@@ -242,41 +242,9 @@ impl BufferPool {
 
     /// Snapshot the simulated disk as it is **now** — resident dirty pages
     /// are NOT included (that is the point: a crash loses the buffer
-    /// pool). Used by the recovery substrate to model media state.
+    /// pool). The evict-before-flush test reads media state through it.
     pub fn disk_snapshot(&self) -> HashMap<PageId, Vec<u8>> {
         self.inner.disk.lock().clone()
-    }
-
-    /// Rebuild a pool from a disk snapshot (restart after a crash). Page
-    /// allocation continues above the highest snapshot id.
-    pub fn from_disk(disk: HashMap<PageId, Vec<u8>>, capacity: usize, page_size: usize) -> Self {
-        let next = disk.keys().map(|p| p.0 as u64 + 1).max().unwrap_or(0);
-        let pool = Self::new(capacity, page_size);
-        *pool.inner.disk.lock() = disk;
-        pool.inner.next_page.store(next, Ordering::Relaxed);
-        pool
-    }
-
-    /// Overwrite a page directly on the simulated disk AND in the cache if
-    /// resident (recovery redo/undo path; unpinned use only).
-    pub fn write_through(&self, id: PageId, bytes: Vec<u8>) {
-        if let Some(frame) = self.inner.frames.lock().get(&id) {
-            *frame.page.write() = Page::from_bytes(bytes.clone());
-            frame.dirty.store(0, Ordering::Release);
-        }
-        self.inner.disk.lock().insert(id, bytes);
-    }
-
-    /// Write every dirty resident page back to the disk sim.
-    pub fn flush_all(&self) {
-        let frames = self.inner.frames.lock();
-        let mut disk = self.inner.disk.lock();
-        for (id, frame) in frames.iter() {
-            if frame.dirty.swap(0, Ordering::AcqRel) == 1 {
-                disk.insert(*id, frame.page.read().as_bytes().to_vec());
-                self.inner.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     fn pin_frame(&self, id: PageId, frame: Arc<Frame>) -> PinnedPage {
@@ -452,22 +420,6 @@ mod tests {
         let (hits, misses, _, _, _) = pool.stats().snapshot();
         assert!(hits >= 1);
         assert!(misses >= 1);
-    }
-
-    #[test]
-    fn flush_all_writes_dirty_pages() {
-        let pool = BufferPool::new(4, 256);
-        let p = pool.allocate().unwrap();
-        p.write(|pg| pg.insert(b"x").unwrap());
-        let id = p.id();
-        drop(p);
-        pool.flush_all();
-        // drop from residence by filling the pool
-        for _ in 0..4 {
-            let _ = pool.allocate().unwrap();
-        }
-        let p = pool.fetch(id).unwrap();
-        assert_eq!(p.read(|pg| pg.read(0).unwrap().to_vec()), b"x");
     }
 
     #[test]

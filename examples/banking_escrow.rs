@@ -11,112 +11,60 @@
 
 use oodb::core::prelude::*;
 use oodb::lock::{EscrowAccount, EscrowError};
-use oodb::model::{
-    method, primitive_method, Database, MethodOutcome, ObjectType, Recorder, TypeRegistry,
-};
+use oodb::model::{Recorder, TxnCtx};
 use std::sync::Arc;
 
-fn schema() -> TypeRegistry {
-    let mut reg = TypeRegistry::new();
-    reg.register(
-        ObjectType::new("Account")
-            .with_spec(Arc::new(EscrowSpec::unbounded()))
-            .method(
-                "deposit",
-                primitive_method(|db, _ctx, this, args| {
-                    let amount = args[0].as_int().unwrap_or(0);
-                    let bal = db.get_prop_or(this, "balance", Value::Int(0));
-                    db.set_prop(this, "balance", Value::Int(bal.as_int().unwrap() + amount))?;
-                    Ok(MethodOutcome::unit())
-                }),
-            )
-            .method(
-                "withdraw",
-                primitive_method(|db, _ctx, this, args| {
-                    let amount = args[0].as_int().unwrap_or(0);
-                    let bal = db.get_prop_or(this, "balance", Value::Int(0));
-                    db.set_prop(this, "balance", Value::Int(bal.as_int().unwrap() - amount))?;
-                    Ok(MethodOutcome::unit())
-                }),
-            )
-            .method(
-                "balance",
-                primitive_method(|db, _ctx, this, _| {
-                    Ok(MethodOutcome::of(db.get_prop_or(
-                        this,
-                        "balance",
-                        Value::Int(0),
-                    )))
-                }),
-            ),
-    )
-    .unwrap();
-    reg.register(
-        ObjectType::new("Bank")
-            .with_spec(Arc::new(ReadWriteSpec))
-            .method(
-                "transfer",
-                method(|db, ctx, _this, args| {
-                    let from = args[0].as_str().unwrap().to_owned();
-                    let to = args[1].as_str().unwrap().to_owned();
-                    let amount = args[2].clone();
-                    db.send(ctx, &from, "withdraw", vec![amount.clone()])?;
-                    db.send(ctx, &to, "deposit", vec![amount])?;
-                    Ok(MethodOutcome::unit())
-                }),
-            ),
-    )
-    .unwrap();
-    reg
-}
+const ALICE: usize = 0;
+const BOB: usize = 1;
 
 fn main() {
     // ---- part 1: interleaved transfers commute -------------------------
     let rec = Recorder::new();
-    let mut db = Database::new(schema(), rec.clone());
-    db.create("bank", "Bank").unwrap();
-    db.create("alice", "Account").unwrap();
-    db.create("bob", "Account").unwrap();
+    let bank = rec.object("bank", Arc::new(ReadWriteSpec));
+    let names = ["alice", "bob"];
+    let accounts = names.map(|name| rec.object(name, Arc::new(EscrowSpec::unbounded())));
+    let mut balance = [0i64; 2];
+
+    // an Account method touches only the receiver's own balance: sending
+    // it is one primitive action (`delta` is signed, a withdraw negative)
+    let mut send = |ctx: &mut TxnCtx, acc: usize, method: &str, delta: i64| {
+        ctx.primitive(
+            accounts[acc],
+            ActionDescriptor::new(method, vec![Value::Int(delta.abs())]),
+        );
+        balance[acc] += delta;
+    };
 
     let mut seed = rec.begin_txn("Seed");
-    db.send(&mut seed, "alice", "deposit", vec![Value::Int(100)])
-        .unwrap();
-    db.send(&mut seed, "bob", "deposit", vec![Value::Int(100)])
-        .unwrap();
+    send(&mut seed, ALICE, "deposit", 100);
+    send(&mut seed, BOB, "deposit", 100);
     drop(seed);
+
+    // `Bank.transfer` sends a withdraw and a deposit: a non-primitive
+    // action whose children are what its body sends
+    let mut transfer = |ctx: &mut TxnCtx, from: usize, to: usize, amount: i64| {
+        ctx.enter(
+            bank,
+            ActionDescriptor::new(
+                "transfer",
+                vec![names[from].into(), names[to].into(), Value::Int(amount)],
+            ),
+        );
+        send(ctx, from, "withdraw", -amount);
+        send(ctx, to, "deposit", amount);
+        ctx.exit();
+    };
 
     let mut t1 = rec.begin_txn("T1");
     let mut t2 = rec.begin_txn("T2");
     // interleave two opposing transfers
-    db.send(
-        &mut t1,
-        "bank",
-        "transfer",
-        vec!["alice".into(), "bob".into(), Value::Int(30)],
-    )
-    .unwrap();
-    db.send(
-        &mut t2,
-        "bank",
-        "transfer",
-        vec!["bob".into(), "alice".into(), Value::Int(10)],
-    )
-    .unwrap();
-    db.send(
-        &mut t1,
-        "bank",
-        "transfer",
-        vec!["alice".into(), "bob".into(), Value::Int(5)],
-    )
-    .unwrap();
+    transfer(&mut t1, ALICE, BOB, 30);
+    transfer(&mut t2, BOB, ALICE, 10);
+    transfer(&mut t1, ALICE, BOB, 5);
     drop(t1);
     drop(t2);
 
-    println!(
-        "alice = {}, bob = {}",
-        db.get_prop("alice", "balance").unwrap(),
-        db.get_prop("bob", "balance").unwrap()
-    );
+    println!("alice = {}, bob = {}", balance[ALICE], balance[BOB]);
 
     let (ts, h) = rec.finish();
     let report = analyze(&ts, &h);

@@ -1,59 +1,15 @@
-//! The two halves of "reliably": physical crash recovery (WAL, redo/undo
-//! with CLRs) for the page substrate, and the same discipline one level
-//! up — the engine's write-ahead log with group commit and
+//! "Reliably — as if there were no failures", for open nested
+//! transactions: the engine's write-ahead log with group commit and
 //! compensation-based recovery, demonstrated with a real workload that
 //! gets killed mid-run.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
 use oodb::engine::{durability, CcKind, DurabilityMode, Engine, EngineConfig};
-use oodb::recovery::RecoverableStore;
 use oodb::sim::EncOp;
 use std::time::Duration;
 
 fn main() {
-    // ----- physical: a crash with a committed and an in-flight txn -----
-    let mut store = RecoverableStore::new(4, 256);
-
-    store.begin(1);
-    let ledger = store.allocate(1);
-    store.write_page(1, ledger, |p| {
-        p.insert(b"balance=100").unwrap();
-    });
-    store.commit(1);
-    println!("txn 1 committed: balance=100");
-
-    store.begin(2);
-    store.write_page(2, ledger, |p| {
-        p.update(0, b"balance=999").unwrap();
-    });
-    println!("txn 2 wrote balance=999 (uncommitted) … crash!");
-
-    let image = store.crash();
-    println!(
-        "crash image: {} durable log records survive",
-        image.wal.durable_len()
-    );
-    let (store, stats) = image.recover();
-    println!(
-        "recovery: scanned {} records, redid {}, rolled back {} loser(s) with {} CLR(s)",
-        stats.scanned, stats.redone, stats.losers, stats.clrs
-    );
-
-    let value = store.read_page(ledger, |p| {
-        String::from_utf8_lossy(p.read(0).unwrap()).into_owned()
-    });
-    println!("after restart: {value}");
-    assert_eq!(value, "balance=100");
-
-    // crash/recover again: nothing changes (idempotence)
-    let (store, stats2) = store.crash().recover();
-    assert_eq!(stats2.clrs, 0);
-    let value = store.read_page(ledger, |p| {
-        String::from_utf8_lossy(p.read(0).unwrap()).into_owned()
-    });
-    println!("after a second restart (idempotent): {value}");
-
     // ----- the engine path: run a workload, kill it, recover, audit ----
     //
     // Open nested transactions release page effects at subtransaction
@@ -61,7 +17,7 @@ fn main() {
     // must be *semantic compensation*. The engine's WAL logs exactly
     // that: every executed mutation carries its redo and its inverse,
     // and a commit is acknowledged only once its record is durable.
-    println!("\n--- engine: workload → kill → recover → audit ---");
+    println!("--- engine: workload → kill → recover → audit ---");
     let engine = Engine::start(
         EngineConfig {
             workers: 4,

@@ -7,14 +7,14 @@
 //!   commutativity, per-object schedules, dependency inheritance,
 //!   oo-serializability checkers (plus conventional and multi-level
 //!   baselines);
-//! * [`model`] — a VODAK-like encapsulated object model with method
-//!   dispatch recording the call trees;
+//! * [`model`] — the recorder: live execution staged into the call
+//!   trees and histories the checkers read;
 //! * [`storage`] — simulated slotted pages behind a buffer pool;
 //! * [`btree`] — the encyclopedia substrate: B-link tree + item list;
 //! * [`lock`] — semantic lock manager, open/closed nesting, escrow;
-//! * [`recovery`] — write-ahead logging and ARIES-lite crash recovery
-//!   for the page substrate;
-//! * [`sim`] — workloads, executors, and the experiment measurements;
+//! * [`recovery`] — the engine log's on-disk representation: CRC-framed
+//!   records carrying semantic redo + compensation payloads;
+//! * [`sim`] — workloads, the logical lock simulator, paper replays;
 //! * [`engine`] — a worker-pool transaction engine with pluggable
 //!   concurrency control (semantic 2PL or optimistic certification),
 //!   admission control, retries, and metrics.
