@@ -198,7 +198,7 @@ fn txn_shape_stats(ts: &TransactionSystem, history: &History, skip: usize) -> Sh
             if info.is_primitive() && history.position(a).is_some() {
                 prims += 1;
             }
-            stack.extend(info.children.iter().copied());
+            stack.extend(ts.children(a));
         }
         objects += objs.len();
     }

@@ -17,7 +17,7 @@
 //! [`crate::schedule::SystemSchedules::infer`].
 
 use crate::ids::{ActionIdx, ObjectIdx};
-use crate::system::{ActionInfo, TransactionSystem};
+use crate::system::TransactionSystem;
 
 /// What one application of Definition 5 did to the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,19 +90,9 @@ pub fn extend_virtual_objects(ts: &mut TransactionSystem) -> ExtensionReport {
         // duplicate the others onto the virtual object
         let mut duplicates = Vec::with_capacity(others.len());
         for b in others {
-            let parent_info = ts.action(b).clone();
-            let dup = ts.push_action(ActionInfo {
-                ordinal: parent_info.children.len() as u32 + 1,
-                depth: parent_info.depth + 1,
-                object: virtual_object,
-                descriptor: parent_info.descriptor.clone(),
-                parent: Some(b),
-                children: Vec::new(),
-                precedes: Vec::new(),
-                txn: parent_info.txn,
-                process: parent_info.process,
-                is_virtual: true,
-            });
+            let mut dup = ts.child_of(b, virtual_object, ts.action(b).descriptor.clone());
+            dup.is_virtual = true;
+            let dup = ts.push_action(dup, false);
             duplicates.push((b, dup));
         }
         report.steps.push(ExtensionStep {
@@ -152,9 +142,9 @@ mod tests {
         b.end();
         b.end();
         let root = b.finish();
-        let insert_node = ts.action(root).children[0];
-        let leaf_insert = ts.action(insert_node).children[1];
-        let rearrange = ts.action(leaf_insert).children[1];
+        let insert_node = ts.children(root).next().unwrap();
+        let leaf_insert = ts.children(insert_node).nth(1).unwrap();
+        let rearrange = ts.children(leaf_insert).nth(1).unwrap();
         (ts, insert_node, rearrange, prims)
     }
 

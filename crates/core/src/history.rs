@@ -95,6 +95,14 @@ impl History {
         Ok(())
     }
 
+    /// Make room for `executions` more primitives out of an arena that
+    /// will hold `actions` actions.
+    pub fn reserve(&mut self, executions: usize, actions: usize) {
+        self.order.reserve(executions);
+        self.position
+            .reserve(actions.saturating_sub(self.position.len()));
+    }
+
     /// The executed primitives in order.
     pub fn order(&self) -> &[ActionIdx] {
         &self.order
@@ -160,7 +168,7 @@ impl History {
     /// `b`'s. Returns the first violated pair, or `Ok`.
     pub fn check_conform(&self, ts: &TransactionSystem) -> Result<(), (ActionIdx, ActionIdx)> {
         for a in ts.action_indices() {
-            for &b in &ts.action(a).precedes {
+            for b in ts.precedes(a) {
                 if let (Some((_, hi_a)), Some((lo_b, _))) =
                     (self.footprint(ts, a), self.footprint(ts, b))
                 {
@@ -267,7 +275,7 @@ mod tests {
         b.leaf(page, desc("read"));
         b.end();
         let root = b.finish();
-        let composite = ts.action(root).children[0];
+        let composite = ts.children(root).next().unwrap();
         let mut h = History::new();
         assert_eq!(
             h.execute(&ts, composite),

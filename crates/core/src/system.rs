@@ -36,8 +36,39 @@ impl std::fmt::Debug for ObjectInfo {
     }
 }
 
+/// An optional arena index in four bytes: the tree links of an
+/// [`ActionInfo`] are three of these instead of two heap-allocated lists.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Link(u32);
+
+impl Link {
+    const NONE: Link = Link(u32::MAX);
+
+    fn get(self) -> Option<ActionIdx> {
+        (self != Link::NONE).then_some(ActionIdx(self.0))
+    }
+}
+
+impl From<ActionIdx> for Link {
+    fn from(a: ActionIdx) -> Self {
+        debug_assert_ne!(a.0, u32::MAX, "arena index collides with the sentinel");
+        Link(a.0)
+    }
+}
+
+impl std::fmt::Debug for Link {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// One node of a transaction tree (Definition 2): a numbered message on an
-/// object, with its call children and programmed sibling precedence.
+/// object. Its call children are a list threaded through the arena
+/// (`first_child` / `last_child` here, `next_sibling` in each child) and
+/// its programmed sibling precedence is one bit for the edge to the next
+/// sibling — the only edge a recorded action ever has — plus, for
+/// [`TxnBuilder::precede`], a side table on the system. Read both through
+/// [`TransactionSystem::children`] and [`TransactionSystem::precedes`].
 #[derive(Debug, Clone)]
 pub struct ActionInfo {
     /// Last segment of the paper's hierarchical number (`a_121`): the
@@ -56,12 +87,9 @@ pub struct ActionInfo {
     pub descriptor: DescriptorRef,
     /// Calling action; `None` for top-level transactions.
     pub parent: Option<ActionIdx>,
-    /// Called actions, in creation order.
-    pub children: Vec<ActionIdx>,
-    /// Programmed precedence edges to *sibling* actions (the partial order
-    /// `≺` of Definition 2). An empty relation means the siblings may run
-    /// in parallel.
-    pub precedes: Vec<ActionIdx>,
+    first_child: Link,
+    last_child: Link,
+    next_sibling: Link,
     /// Top-level transaction this action belongs to.
     pub txn: TxnIdx,
     /// Process identifier (Definition 9): actions of the same process are
@@ -70,13 +98,25 @@ pub struct ActionInfo {
     /// True for virtual duplicates added by the Definition 5 extension;
     /// they never execute and are ordered by their original's footprint.
     pub is_virtual: bool,
+    /// Programmed precedence `self ≺ next_sibling` (Definition 2).
+    precedes_next: bool,
 }
 
 impl ActionInfo {
     /// True iff the action calls no other action (Definition 3). Virtual
     /// duplicates are *not* primitive: they have no execution of their own.
     pub fn is_primitive(&self) -> bool {
-        self.children.is_empty() && !self.is_virtual
+        self.first_child == Link::NONE && !self.is_virtual
+    }
+
+    /// The first action this one called, if any.
+    fn first_child(&self) -> Option<ActionIdx> {
+        self.first_child.get()
+    }
+
+    /// The action its parent called right after this one, if any.
+    fn next_sibling(&self) -> Option<ActionIdx> {
+        self.next_sibling.get()
     }
 }
 
@@ -89,6 +129,10 @@ pub struct TransactionSystem {
     actions: Vec<ActionInfo>,
     /// Root actions of the top-level transactions, in creation order.
     tops: Vec<ActionIdx>,
+    /// Programmed precedence edges other than "to the next sibling":
+    /// only [`TxnBuilder::precede`] makes them, so the table is empty for
+    /// every recorded system.
+    explicit_precedes: HashMap<ActionIdx, Vec<ActionIdx>>,
     system_object: ObjectIdx,
     next_process: u32,
 }
@@ -107,6 +151,7 @@ impl TransactionSystem {
             by_name: HashMap::new(),
             actions: Vec::new(),
             tops: Vec::new(),
+            explicit_precedes: HashMap::new(),
             system_object: ObjectIdx(0),
             next_process: 0,
         };
@@ -209,55 +254,60 @@ impl TransactionSystem {
         &self.tops
     }
 
+    /// The actions `a` called, in creation order.
+    pub fn children(&self, a: ActionIdx) -> impl Iterator<Item = ActionIdx> + '_ {
+        std::iter::successors(self.action(a).first_child(), |&c| {
+            self.action(c).next_sibling()
+        })
+    }
+
+    /// The siblings `a` is programmed to precede (the partial order `≺` of
+    /// Definition 2). Empty for every child of an action whose children
+    /// may run in parallel.
+    pub fn precedes(&self, a: ActionIdx) -> impl Iterator<Item = ActionIdx> + '_ {
+        let info = self.action(a);
+        let next = info.next_sibling().filter(|_| info.precedes_next);
+        let explicit = self.explicit_precedes.get(&a).into_iter().flatten();
+        next.into_iter().chain(explicit.copied())
+    }
+
     /// Begin building a new top-level transaction named `name`. The root
     /// action accesses the system object `S` (Definition 4). The whole
     /// transaction runs as a single process unless
     /// [`TxnBuilder::fork_process`] is used.
     pub fn txn(&mut self, name: impl Into<String>) -> TxnBuilder<'_> {
-        let txn = TxnIdx(self.tops.len() as u32);
-        let process = self.next_process;
-        self.next_process += 1;
-        let root = self.push_action(ActionInfo {
-            ordinal: txn.0 + 1,
-            depth: 1,
-            object: self.system_object,
-            descriptor: ActionDescriptor::nullary(name.into()).into(),
-            parent: None,
-            children: Vec::new(),
-            precedes: Vec::new(),
-            txn,
-            process,
-            is_virtual: false,
-        });
-        self.tops.push(root);
+        let root = self.begin_top(ActionDescriptor::nullary(name.into()));
         TxnBuilder {
             ts: self,
-            txn,
             stack: vec![root],
             sequential: vec![true],
         }
     }
 
-    /// Incremental recording API: start a new top-level transaction and
+    /// Incremental recording API: start a new top-level transaction
+    /// described by `descriptor` (its name, as a nullary method) and
     /// return its root action. Unlike [`TransactionSystem::txn`] this does
     /// not borrow the system for the transaction's lifetime, so live
     /// executors (the B⁺-tree, the simulator) can interleave recording
     /// across many in-flight transactions.
-    pub fn begin_top(&mut self, name: impl Into<String>) -> ActionIdx {
+    pub fn begin_top(&mut self, descriptor: impl Into<DescriptorRef>) -> ActionIdx {
         let txn = TxnIdx(self.tops.len() as u32);
         let process = self.fresh_process();
-        let root = self.push_action(ActionInfo {
+        let info = ActionInfo {
             ordinal: txn.0 + 1,
             depth: 1,
             object: self.system_object,
-            descriptor: ActionDescriptor::nullary(name.into()).into(),
+            descriptor: descriptor.into(),
             parent: None,
-            children: Vec::new(),
-            precedes: Vec::new(),
+            first_child: Link::NONE,
+            last_child: Link::NONE,
+            next_sibling: Link::NONE,
             txn,
             process,
             is_virtual: false,
-        });
+            precedes_next: false,
+        };
+        let root = self.push_action(info, false);
         self.tops.push(root);
         root
     }
@@ -272,39 +322,59 @@ impl TransactionSystem {
         descriptor: impl Into<DescriptorRef>,
         sequential: bool,
     ) -> ActionIdx {
-        let parent_info = self.action(parent);
-        let ordinal = parent_info.children.len() as u32 + 1;
-        let depth = parent_info.depth + 1;
-        let txn = parent_info.txn;
-        let process = parent_info.process;
-        let prev_sibling = parent_info.children.last().copied();
-        let idx = self.push_action(ActionInfo {
-            ordinal,
-            depth,
-            object,
-            descriptor: descriptor.into(),
-            parent: Some(parent),
-            children: Vec::new(),
-            precedes: Vec::new(),
-            txn,
-            process,
-            is_virtual: false,
-        });
-        if sequential {
-            if let Some(prev) = prev_sibling {
-                self.action_mut(prev).precedes.push(idx);
-            }
-        }
-        idx
+        let info = self.child_of(parent, object, descriptor.into());
+        self.push_action(info, sequential)
     }
 
-    pub(crate) fn push_action(&mut self, info: ActionInfo) -> ActionIdx {
+    /// What the next child of `parent` starts as: the ordinal after the
+    /// last child's, the parent's transaction and process, no links yet.
+    pub(crate) fn child_of(
+        &self,
+        parent: ActionIdx,
+        object: ObjectIdx,
+        descriptor: DescriptorRef,
+    ) -> ActionInfo {
+        let parent_info = self.action(parent);
+        let last = parent_info.last_child.get();
+        ActionInfo {
+            ordinal: last.map_or(1, |c| self.action(c).ordinal + 1),
+            depth: parent_info.depth + 1,
+            object,
+            descriptor,
+            parent: Some(parent),
+            first_child: Link::NONE,
+            last_child: Link::NONE,
+            next_sibling: Link::NONE,
+            txn: parent_info.txn,
+            process: parent_info.process,
+            is_virtual: false,
+            precedes_next: false,
+        }
+    }
+
+    /// Append `info` to the arena and to the end of its parent's child
+    /// list; `sequential` programs `previous sibling ≺ info`.
+    pub(crate) fn push_action(&mut self, info: ActionInfo, sequential: bool) -> ActionIdx {
         let idx = ActionIdx(self.actions.len() as u32);
         if let Some(p) = info.parent {
-            self.actions[p.as_usize()].children.push(idx);
+            let parent = &mut self.actions[p.as_usize()];
+            let previous = std::mem::replace(&mut parent.last_child, idx.into());
+            match previous.get() {
+                None => parent.first_child = idx.into(),
+                Some(prev) => {
+                    let prev = &mut self.actions[prev.as_usize()];
+                    prev.next_sibling = idx.into();
+                    prev.precedes_next = sequential;
+                }
+            }
         }
         self.actions.push(info);
         idx
+    }
+
+    /// Make room for `additional` more actions.
+    pub fn reserve_actions(&mut self, additional: usize) {
+        self.actions.reserve(additional);
     }
 
     pub(crate) fn fresh_process(&mut self) -> u32 {
@@ -396,18 +466,30 @@ impl TransactionSystem {
     /// primitive), in tree order.
     pub fn primitive_descendants(&self, a: ActionIdx) -> Vec<ActionIdx> {
         let mut out = Vec::new();
-        let mut stack = vec![a];
-        while let Some(v) = stack.pop() {
-            let info = self.action(v);
+        let mut cur = a;
+        loop {
+            let info = self.action(cur);
             if info.is_primitive() {
-                out.push(v);
+                out.push(cur);
             }
-            // push in reverse so that children are visited left-to-right
-            for &c in info.children.iter().rev() {
-                stack.push(c);
+            if let Some(child) = info.first_child() {
+                cur = child;
+                continue;
+            }
+            // done below `cur`: on to the nearest next sibling at or
+            // above it, never leaving the subtree of `a`
+            loop {
+                if cur == a {
+                    return out;
+                }
+                let info = self.action(cur);
+                if let Some(sibling) = info.next_sibling() {
+                    cur = sibling;
+                    break;
+                }
+                cur = info.parent.expect("a descendant of `a` has a parent");
             }
         }
-        out
     }
 
     /// Pretty-print the call tree of a transaction, one action per line.
@@ -428,7 +510,7 @@ impl TransactionSystem {
             info.descriptor,
             if info.is_virtual { " [virtual]" } else { "" }
         ));
-        for &c in &info.children {
+        for c in self.children(a) {
             self.render_tree_rec(c, depth + 1, out);
         }
     }
@@ -442,7 +524,6 @@ impl TransactionSystem {
 /// current action's children to unordered.
 pub struct TxnBuilder<'a> {
     ts: &'a mut TransactionSystem,
-    txn: TxnIdx,
     /// Innermost element = the action whose children we are creating.
     stack: Vec<ActionIdx>,
     /// Parallel flag per stack level: `true` = sequential children.
@@ -460,30 +541,12 @@ impl<'a> TxnBuilder<'a> {
         descriptor: ActionDescriptor,
         process: Option<u32>,
     ) -> ActionIdx {
-        let parent = self.cur();
-        let parent_info = self.ts.action(parent);
-        let ordinal = parent_info.children.len() as u32 + 1;
-        let depth = parent_info.depth + 1;
-        let process = process.unwrap_or(parent_info.process);
-        let prev_sibling = parent_info.children.last().copied();
-        let idx = self.ts.push_action(ActionInfo {
-            ordinal,
-            depth,
-            object,
-            descriptor: descriptor.into(),
-            parent: Some(parent),
-            children: Vec::new(),
-            precedes: Vec::new(),
-            txn: self.txn,
-            process,
-            is_virtual: false,
-        });
-        if *self.sequential.last().unwrap() {
-            if let Some(prev) = prev_sibling {
-                self.ts.action_mut(prev).precedes.push(idx);
-            }
+        let mut info = self.ts.child_of(self.cur(), object, descriptor.into());
+        if let Some(process) = process {
+            info.process = process;
         }
-        idx
+        let sequential = *self.sequential.last().expect("builder stack never empty");
+        self.ts.push_action(info, sequential)
     }
 
     /// Open a non-primitive action on `object`; subsequent children attach
@@ -523,10 +586,12 @@ impl<'a> TxnBuilder<'a> {
     pub fn parallel(&mut self) -> &mut Self {
         *self.sequential.last_mut().unwrap() = false;
         // remove precedence edges already added between existing children
-        let cur = self.cur();
-        let children = self.ts.action(cur).children.clone();
-        for &c in &children {
-            self.ts.action_mut(c).precedes.clear();
+        let mut child = self.ts.action(self.cur()).first_child();
+        while let Some(c) = child {
+            self.ts.explicit_precedes.remove(&c);
+            let info = self.ts.action_mut(c);
+            info.precedes_next = false;
+            child = info.next_sibling();
         }
         self
     }
@@ -539,8 +604,13 @@ impl<'a> TxnBuilder<'a> {
             self.ts.action(after).parent,
             "precedence is defined between siblings only"
         );
-        if !self.ts.action(before).precedes.contains(&after) {
-            self.ts.action_mut(before).precedes.push(after);
+        if self.ts.action(before).next_sibling() == Some(after) {
+            self.ts.action_mut(before).precedes_next = true;
+        } else {
+            let explicit = self.ts.explicit_precedes.entry(before).or_default();
+            if !explicit.contains(&after) {
+                explicit.push(after);
+            }
         }
         self
     }
@@ -597,16 +667,17 @@ mod tests {
         let root = b.finish();
 
         assert_eq!(ts.top_level(), &[root]);
-        let ri = ts.action(root);
-        assert_eq!(ri.children.len(), 2);
+        let called: Vec<ActionIdx> = ts.children(root).collect();
+        assert_eq!(called.len(), 2);
         assert_eq!(ts.path(p1).segments(), &[1, 1, 1]);
         assert_eq!(ts.path(p2).segments(), &[1, 1, 2]);
         assert_eq!(ts.path(s).segments(), &[1, 2]);
         // sequential default: p1 precedes p2
-        assert_eq!(ts.action(p1).precedes, vec![p2]);
+        assert_eq!(ts.precedes(p1).collect::<Vec<_>>(), [p2]);
+        assert_eq!(ts.precedes(called[0]).collect::<Vec<_>>(), [s]);
         // primitives
         assert!(ts.action(p1).is_primitive());
-        assert!(!ts.action(ri.children[0]).is_primitive());
+        assert!(!ts.action(called[0]).is_primitive());
         assert_eq!(ts.primitives(), vec![p1, p2, s]);
     }
 
@@ -684,8 +755,16 @@ mod tests {
         let a = b.leaf(page, desc("read"));
         let c = b.leaf(page, desc("read"));
         b.finish();
-        assert!(ts.action(a).precedes.is_empty());
-        assert!(ts.action(c).precedes.is_empty());
+        assert_eq!(ts.precedes(a).count(), 0);
+        assert_eq!(ts.precedes(c).count(), 0);
+    }
+
+    /// The record's cost per action is this struct and nothing else: the
+    /// child list and the precedence are links inside it, not heap blocks
+    /// beside it.
+    #[test]
+    fn an_action_fits_one_cache_line() {
+        assert!(std::mem::size_of::<ActionInfo>() <= 64);
     }
 
     #[test]
@@ -732,7 +811,7 @@ mod tests {
     #[test]
     fn incremental_api_matches_builder_shape() {
         let (mut ts, leaf, page) = two_object_system();
-        let root = ts.begin_top("T1");
+        let root = ts.begin_top(desc("T1"));
         let ins = ts.begin_nested(
             root,
             leaf,
@@ -744,15 +823,15 @@ mod tests {
         assert_eq!(ts.top_level(), &[root]);
         assert_eq!(ts.path(r).segments(), &[1, 1, 1]);
         assert_eq!(ts.path(w).segments(), &[1, 1, 2]);
-        assert_eq!(ts.action(r).precedes, vec![w]);
+        assert_eq!(ts.precedes(r).collect::<Vec<_>>(), [w]);
         assert_eq!(ts.action(ins).parent, Some(root));
         assert!(ts.action(r).is_primitive());
         // non-sequential children get no precedence edge
-        let root2 = ts.begin_top("T2");
+        let root2 = ts.begin_top(desc("T2"));
         let a = ts.begin_nested(root2, page, desc("read"), false);
         let b = ts.begin_nested(root2, page, desc("read"), false);
-        assert!(ts.action(a).precedes.is_empty());
-        assert!(ts.action(b).precedes.is_empty());
+        assert_eq!(ts.precedes(a).count(), 0);
+        assert_eq!(ts.precedes(b).count(), 0);
     }
 
     #[test]

@@ -916,3 +916,211 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The call tree's arena links against a list-per-action reference
+// ---------------------------------------------------------------------
+
+/// One `TxnBuilder` call: `kind` picks among `call` / `leaf` /
+/// `fork_process` / `end` / `parallel` / `precede`; `a` and `b` pick the
+/// object, or the two siblings an explicit precedence joins.
+type BuilderStep = (u8, u8, u8);
+
+fn builder_scripts() -> impl Strategy<Value = (Vec<Vec<BuilderStep>>, Vec<u32>)> {
+    (
+        prop::collection::vec(
+            prop::collection::vec((0..8u8, any::<u8>(), any::<u8>()), 0..24),
+            1..4,
+        ),
+        prop::collection::vec(any::<u32>(), 32),
+    )
+}
+
+/// The tree as `ActionInfo` used to hold it: every action owns the list
+/// of its children and the list of siblings it precedes.
+#[derive(Debug, Default)]
+struct ReferenceTree {
+    parent: Vec<Option<usize>>,
+    ordinal: Vec<u32>,
+    process: Vec<u32>,
+    children: Vec<Vec<usize>>,
+    precedes: Vec<Vec<usize>>,
+}
+
+impl ReferenceTree {
+    fn push(&mut self, parent: Option<usize>, ordinal: u32, process: u32) -> usize {
+        let idx = self.parent.len();
+        self.parent.push(parent);
+        self.ordinal.push(ordinal);
+        self.process.push(process);
+        self.children.push(Vec::new());
+        self.precedes.push(Vec::new());
+        if let Some(p) = parent {
+            self.children[p].push(idx);
+        }
+        idx
+    }
+
+    fn add_child(&mut self, parent: usize, process: u32, sequential: bool) -> usize {
+        let previous = self.children[parent].last().copied();
+        let ordinal = self.children[parent].len() as u32 + 1;
+        let idx = self.push(Some(parent), ordinal, process);
+        if let (true, Some(prev)) = (sequential, previous) {
+            self.precedes[prev].push(idx);
+        }
+        idx
+    }
+
+    fn path(&self, a: usize) -> Vec<u32> {
+        let mut segments = vec![self.ordinal[a]];
+        let mut cur = a;
+        while let Some(p) = self.parent[cur] {
+            segments.push(self.ordinal[p]);
+            cur = p;
+        }
+        segments.reverse();
+        segments
+    }
+
+    /// Childless descendants of `a`, `a` included, left to right.
+    fn leaves(&self, a: usize, out: &mut Vec<usize>) {
+        if self.children[a].is_empty() {
+            out.push(a);
+        }
+        for &c in &self.children[a] {
+            self.leaves(c, out);
+        }
+    }
+
+    /// Definition 7 over `position` (indexed by action).
+    fn conforms(&self, position: &[usize]) -> bool {
+        let span = |a: usize| {
+            let mut leaves = Vec::new();
+            self.leaves(a, &mut leaves);
+            let at = leaves.iter().map(|&l| position[l]);
+            (at.clone().min().unwrap(), at.max().unwrap())
+        };
+        (0..self.parent.len()).all(|a| self.precedes[a].iter().all(|&b| span(a).1 < span(b).0))
+    }
+}
+
+/// Run the scripts through `TxnBuilder` and, call for call, through the
+/// reference. Arena indices and reference indices coincide.
+fn build_both(scripts: &[Vec<BuilderStep>]) -> (TransactionSystem, ReferenceTree) {
+    let mut ts = TransactionSystem::new();
+    let objects: Vec<ObjectIdx> = (0..3)
+        .map(|i| ts.add_object(format!("O{i}"), Arc::new(ReadWriteSpec)))
+        .collect();
+    let mut reference = ReferenceTree::default();
+    let mut next_process = 0;
+    for (t, script) in scripts.iter().enumerate() {
+        let mut b = ts.txn(format!("T{}", t + 1));
+        let root = reference.push(None, t as u32 + 1, next_process);
+        next_process += 1;
+        // the reference's builder state: open actions, and whether the
+        // children of each are sequential
+        let mut open = vec![(root, true)];
+        for &(kind, x, y) in script {
+            let (cur, sequential) = *open.last().unwrap();
+            let object = objects[x as usize % objects.len()];
+            let descriptor = ActionDescriptor::nullary(if y % 2 == 0 { "read" } else { "write" });
+            match kind {
+                0 | 1 => {
+                    b.call(object, descriptor);
+                    let process = reference.process[cur];
+                    open.push((reference.add_child(cur, process, sequential), true));
+                }
+                2 | 3 => {
+                    let leaf = b.leaf(object, descriptor);
+                    let process = reference.process[cur];
+                    assert_eq!(
+                        leaf.as_usize(),
+                        reference.add_child(cur, process, sequential)
+                    );
+                }
+                4 => {
+                    b.fork_process(object, descriptor);
+                    open.push((reference.add_child(cur, next_process, sequential), true));
+                    next_process += 1;
+                }
+                5 if open.len() > 1 => {
+                    b.end();
+                    open.pop();
+                }
+                6 => {
+                    b.parallel();
+                    open.last_mut().unwrap().1 = false;
+                    for c in reference.children[cur].clone() {
+                        reference.precedes[c].clear();
+                    }
+                }
+                7 if reference.children[cur].len() > 1 => {
+                    let siblings = &reference.children[cur];
+                    let before = siblings[x as usize % siblings.len()];
+                    let after = siblings[y as usize % siblings.len()];
+                    if before != after {
+                        b.precede(ActionIdx(before as u32), ActionIdx(after as u32));
+                        if !reference.precedes[before].contains(&after) {
+                            reference.precedes[before].push(after);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        for _ in 1..open.len() {
+            b.end();
+        }
+        b.finish();
+    }
+    (ts, reference)
+}
+
+proptest! {
+    /// Whatever a builder script does, the arena-linked tree reads back
+    /// as the list-per-action tree: same children in the same order, same
+    /// programmed precedence, same hierarchical numbers, same processes,
+    /// same primitives in the same tree order, and the same Definition-7
+    /// verdict on a random execution order.
+    #[test]
+    fn arena_links_match_the_list_built_reference(scripts in builder_scripts()) {
+        let (scripts, shuffle) = scripts;
+        let (ts, reference) = build_both(&scripts);
+        prop_assert_eq!(ts.action_count(), reference.parent.len());
+        let as_idx = |v: &[usize]| v.iter().map(|&i| ActionIdx(i as u32)).collect::<Vec<_>>();
+        for a in ts.action_indices() {
+            let r = a.as_usize();
+            prop_assert_eq!(ts.action(a).parent, reference.parent[r].map(|p| ActionIdx(p as u32)));
+            prop_assert_eq!(ts.children(a).collect::<Vec<_>>(), as_idx(&reference.children[r]));
+            let mut precedes: Vec<ActionIdx> = ts.precedes(a).collect();
+            precedes.sort();
+            let mut expected = as_idx(&reference.precedes[r]);
+            expected.sort();
+            prop_assert_eq!(precedes, expected, "precedes of {}", a);
+            prop_assert_eq!(ts.path(a).segments(), &reference.path(r)[..]);
+            prop_assert_eq!(ts.action(a).process, reference.process[r]);
+            prop_assert_eq!(ts.action(a).is_primitive(), reference.children[r].is_empty());
+            let mut leaves = Vec::new();
+            reference.leaves(r, &mut leaves);
+            prop_assert_eq!(ts.primitive_descendants(a), as_idx(&leaves));
+        }
+
+        // execute every primitive, in an order the shuffle words pick
+        let mut order = ts.primitives();
+        for i in (1..order.len()).rev() {
+            order.swap(i, shuffle[i % shuffle.len()] as usize % (i + 1));
+        }
+        let h = History::from_order(&ts, &order).unwrap();
+        let mut position = vec![usize::MAX; ts.action_count()];
+        for (pos, a) in order.iter().enumerate() {
+            position[a.as_usize()] = pos;
+        }
+        match h.check_conform(&ts) {
+            Ok(()) => prop_assert!(reference.conforms(&position)),
+            Err((a, b)) => {
+                prop_assert!(!reference.conforms(&position));
+                prop_assert!(reference.precedes[a.as_usize()].contains(&b.as_usize()));
+            }
+        }
+    }
+}

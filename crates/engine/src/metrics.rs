@@ -288,6 +288,11 @@ pub struct EngineMetrics {
     /// write-ahead-log flush (group-commit leader or follower wait).
     /// Empty with durability off.
     pub phase_fsync: Histogram,
+    /// Phase timer: the worker's opportunistic drain of the recorder
+    /// after the commit was acknowledged — off the transaction's own
+    /// latency, on the worker's time: what one worker spends per commit
+    /// is [`phase_exec`](EngineMetrics::phase_exec) plus this.
+    pub phase_drain: Histogram,
 }
 
 impl EngineMetrics {
@@ -330,6 +335,7 @@ impl EngineMetrics {
             phase_wait: Histogram::default(),
             phase_exec: Histogram::default(),
             phase_fsync: Histogram::default(),
+            phase_drain: Histogram::default(),
         }
     }
 
@@ -391,6 +397,8 @@ impl EngineMetrics {
             cert_settled: self.cert_settled.load(Ordering::Relaxed),
             cert_retained_actions: self.cert_retained_actions.load(Ordering::Relaxed),
             rec_drains: rec.drains,
+            rec_drains_skipped: rec.drains_skipped,
+            rec_drain_hold_ns: rec.drain_hold_ns,
             rec_staged_peak: rec.staged_peak as u64,
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
@@ -411,6 +419,7 @@ impl EngineMetrics {
             phase_wait: self.phase_wait.quantiles(),
             phase_exec: self.phase_exec.quantiles(),
             phase_fsync: self.phase_fsync.quantiles(),
+            phase_drain: self.phase_drain.quantiles(),
         }
     }
 }
@@ -481,8 +490,16 @@ pub struct MetricsSnapshot {
     /// Primitives the certifier held when the snapshot was taken.
     pub cert_retained_actions: u64,
     /// Times the recorder materialized its staged visits: one per
-    /// transaction begun, per certification round and per audit.
+    /// transaction finished (the worker's opportunistic drain, when it
+    /// found the record lock free), per certification round and per
+    /// audit.
     pub rec_drains: u64,
+    /// Opportunistic drains that found the record lock held and left
+    /// their entries to the holder or the next drain.
+    pub rec_drains_skipped: u64,
+    /// Time the recorder's drains held the record lock, summed;
+    /// divided by `rec_drains`, what materializing one transaction costs.
+    pub rec_drain_hold_ns: u64,
     /// Most actions any one transaction had staged when a drain took
     /// them (bounded by `oodb_model::recorder::STAGE_BOUND`).
     pub rec_staged_peak: u64,
@@ -528,6 +545,9 @@ pub struct MetricsSnapshot {
     /// Per-commit phase breakdown: write-ahead-log flush wait (all
     /// zero with durability off).
     pub phase_fsync: Quantiles,
+    /// Per-commit phase breakdown: the worker's drain of the recorder
+    /// after the acknowledgement.
+    pub phase_drain: Quantiles,
 }
 
 impl MetricsSnapshot {
@@ -562,6 +582,8 @@ impl MetricsSnapshot {
             self.cert_retained_actions
         );
         let _ = write!(s, "\"rec_drains\":{},", self.rec_drains);
+        let _ = write!(s, "\"rec_drains_skipped\":{},", self.rec_drains_skipped);
+        let _ = write!(s, "\"rec_drain_hold_ns\":{},", self.rec_drain_hold_ns);
         let _ = write!(s, "\"rec_staged_peak\":{},", self.rec_staged_peak);
         let _ = write!(s, "\"wal_appends\":{},", self.wal_appends);
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
@@ -606,6 +628,7 @@ impl MetricsSnapshot {
             ("wait", &self.phase_wait),
             ("exec", &self.phase_exec),
             ("fsync", &self.phase_fsync),
+            ("drain", &self.phase_drain),
         ]
         .into_iter()
         .enumerate()
@@ -653,8 +676,11 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         write!(
             f,
-            " rec-drains {} (staged peak {})",
-            self.rec_drains, self.rec_staged_peak
+            " rec-drains {} (skipped {}, hold {:?}, staged peak {})",
+            self.rec_drains,
+            self.rec_drains_skipped,
+            Duration::from_nanos(self.rec_drain_hold_ns / self.rec_drains.max(1)),
+            self.rec_staged_peak
         )?;
         if self.version_installs > 0 {
             write!(
@@ -827,6 +853,8 @@ mod tests {
         m.wal_group_size.record_value(2);
         let rec = RecorderStats {
             drains: 7,
+            drains_skipped: 3,
+            drain_hold_ns: 9000,
             staged_peak: 42,
         };
         let json = m.snapshot(rec).to_json();
@@ -850,6 +878,8 @@ mod tests {
             "\"cert_settled\":",
             "\"cert_retained_actions\":",
             "\"rec_drains\":7",
+            "\"rec_drains_skipped\":3",
+            "\"rec_drain_hold_ns\":9000",
             "\"rec_staged_peak\":42",
             "\"wal_appends\":9",
             "\"wal_bytes\":412",
@@ -872,6 +902,7 @@ mod tests {
             "\"wait\":{\"p50_ns\":",
             "\"exec\":{\"p50_ns\":",
             "\"fsync\":{\"p50_ns\":",
+            "\"drain\":{\"p50_ns\":",
             "\"p999_ns\":",
             "\"cross_shard\":",
             "\"shards\":[",

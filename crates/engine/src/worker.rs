@@ -389,6 +389,20 @@ fn ack_commit(
     shared.trace.emit_txn(handle, || TraceEventKind::Committed);
 }
 
+/// Build the record of what this attempt (and anybody else) staged, if
+/// no other thread is doing so. Called once the attempt is over — the
+/// commit acknowledged or the abort's locks released — so the work is
+/// on the worker's time and nobody waits behind it. `as_phase` times it
+/// into `phase_drain` (a per-commit timer like its siblings), which
+/// with `phase_exec` is what the worker spent on the commit.
+fn drain_record(shared: &EngineShared, as_phase: bool) {
+    let t0 = Instant::now();
+    shared.rec.drain_if_free();
+    if as_phase {
+        shared.metrics.phase_drain.record(t0.elapsed());
+    }
+}
+
 /// Worker body: drain the queue until it is closed and empty.
 pub(crate) fn run_worker(
     index: u32,
@@ -440,8 +454,9 @@ pub(crate) fn process_job(
         // phase timers: this attempt's start and its accumulated
         // grant/certification waits, split out of execution time when
         // (and only when) the attempt commits. The clock starts before
-        // `begin_txn`: that call materializes the record of the visits
-        // staged so far, which is execution time, not time off the books
+        // `begin_txn`, which stages the root and is execution time; the
+        // record of what the attempt stages is built after the
+        // acknowledgement, on `phase_drain`'s clock (`drain_record`)
         let attempt_start = Instant::now();
         // one name per attempt: the record takes it, the log gets a
         // copy only when there is a log
@@ -613,6 +628,7 @@ pub(crate) fn process_job(
                 commit_end,
                 phases,
             );
+            drain_record(shared, record_metrics);
             return;
         }
 
@@ -644,6 +660,7 @@ pub(crate) fn process_job(
                 .emit_txn(&handle, || TraceEventKind::WalAppend { records, bytes });
         }
         cc.after_abort(shared, &handle);
+        drain_record(shared, false);
         if record_metrics {
             shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
         }

@@ -19,9 +19,10 @@
 //! The engine's latched execution path drives many transactions through
 //! the encyclopedia *simultaneously* — page latches, not a global
 //! database mutex, order the physical accesses. Only *conflicting*
-//! primitives need an order (Axiom 1), so a page visit takes no
-//! process-wide lock: it is **staged** under a ticket and the record is
-//! **materialized** later, a transaction's worth at a time.
+//! primitives need an order (Axiom 1), so neither a page visit nor the
+//! beginning of a transaction takes a process-wide lock: both are
+//! **staged** under a ticket and the record is **materialized** later,
+//! off the path of whoever staged.
 //!
 //! * **Ticket under the stage lock, while the latch is held.**
 //!   [`TxnCtx::record`] locks the transaction's own stage (contended only
@@ -31,11 +32,28 @@
 //!   accesses the latch ordered, the earlier one's claim happens-before
 //!   the later one's and draws the smaller ticket: ticket order *is*
 //!   latch order wherever the checkers need one.
-//! * **The cut, under all stage locks.** A drain locks every registered
-//!   stage together, takes what they hold and releases them. A ticket is
-//!   only ever claimed inside a stage lock, so at that moment no claim is
-//!   in flight: every ticket drawn so far is in the taken set and every
-//!   later one is larger. The taken set is a prefix of the ticket order.
+//! * **A root is a staged entry too.** [`Recorder::begin_txn`] builds the
+//!   root's descriptor and its stage outside any lock, then under the
+//!   short *registry* mutex claims the transaction number and a ticket
+//!   together, pushes the root as the stage's first entry and registers
+//!   the stage. Numbers and root tickets rise together, so roots
+//!   materialize in number order — [`TxnCtx::txn_number`] is the root's
+//!   position in [`TransactionSystem::top_level`] before the root exists
+//!   (the drain asserts it) — and a root lands in the arena after every
+//!   visit ticketed before the transaction began: the arena of a
+//!   single-threaded script is its program order.
+//! * **The cut is a ticket bound.** A drain, under the registry mutex,
+//!   adopts the stages registered since the last cut and claims a ticket
+//!   of its own, the *bound*; then it visits the stages one at a time and
+//!   takes from each the entries ticketed below the bound (a stage is in
+//!   ticket order, so that is a prefix; nearly always all of it, and then
+//!   the buffer is swapped, not copied). Nothing below the bound can be
+//!   missed: a claim is made inside the stage lock (or the registry
+//!   mutex), so a claim the drain did not find in a stage comes after the
+//!   drain's visit of that lock and therefore after the bound. The taken
+//!   set is exactly the tickets below the bound not taken before — a
+//!   prefix of the ticket order — and no two stage locks are ever held
+//!   together.
 //! * **Drains are serialized by the record lock** and materialize by
 //!   merging the taken buffers in ticket order through the same
 //!   [`TransactionSystem::begin_nested`] / [`History::execute`] calls a
@@ -45,20 +63,22 @@
 //!   stack of open actions lives beside the record, where only drains
 //!   touch it; a staged action carries the depth it was recorded at, so
 //!   [`TxnCtx::exit`] stages nothing.
-//! * **Every reader drains first** ([`Recorder::with_record`],
-//!   [`Recorder::snapshot`], [`Recorder::finish`],
-//!   [`Recorder::history_len`]), so certifier, audit and recovery see
-//!   exactly the record they would see had every visit been appended the
-//!   moment it was made. [`Recorder::begin_txn`] drains *before* it
-//!   creates the root: the root takes the arena slot after every visit
-//!   ticketed before the transaction began, which keeps the arena of a
-//!   single-threaded script equal to its program order. It is also the
-//!   one acquisition of the record lock a transaction makes. A stage that
-//!   reaches [`STAGE_BOUND`] entries drains itself, so a long loop on one
-//!   cursor stages a bounded amount and nothing is deferred past the run.
-//! * **Lock order is record → stage.** A cursor never takes the record
-//!   lock while it holds its stage: `record` releases the stage before a
-//!   bound-triggered drain.
+//! * **Who drains.** Every reader, blocking, before it looks
+//!   ([`Recorder::with_record`], [`Recorder::snapshot`],
+//!   [`Recorder::finish`], [`Recorder::history_len`]), so certifier,
+//!   audit and recovery see exactly the record they would see had every
+//!   visit been appended the moment it was made. A cursor whose stage
+//!   reaches [`STAGE_BOUND`] entries and a `begin_txn` that is the
+//!   [`SLOT_BOUND`]-th since the last cut, blocking, so what is staged
+//!   and registered stays bounded with no reader at all. And whoever
+//!   calls [`Recorder::drain_if_free`] — the engine's workers, after a
+//!   transaction is acknowledged and its locks are released: it drains if
+//!   the record lock is free and returns at once if another thread is
+//!   draining (that drain, or the next caller, takes the rest).
+//! * **Lock order is record → registry → stage**, the registry and a
+//!   stage together only in `begin_txn` (its own, not yet visible
+//!   stage). A cursor never takes the record lock while it holds its
+//!   stage: `record` releases the stage before a bound-triggered drain.
 //! * [`Recorder`] is `Send + Sync` and cheap to clone. [`TxnCtx`] is
 //!   `Send` but deliberately not `Sync`: a transaction is one of the
 //!   paper's Definition 9 processes, driven by exactly one worker at a
@@ -68,17 +88,27 @@
 //! (say, by storing a non-`Send` field in a cursor) would silently
 //! re-serialize the engine behind the recorder.
 
-use oodb_core::commutativity::{DescriptorRef, SpecRef};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, SpecRef};
 use oodb_core::history::History;
 use oodb_core::ids::{ActionIdx, ObjectIdx};
 use oodb_core::system::TransactionSystem;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Entries a stage may hold: the visit that reaches this many drains
 /// the recorder before it returns.
 pub const STAGE_BOUND: usize = 1024;
+
+/// Transactions that may begin between two cuts: the `begin_txn` that
+/// registers this many drains the recorder before it returns, so a loop
+/// that begins transactions and never reads keeps a bounded registry.
+pub const SLOT_BOUND: usize = 64;
+
+/// Entries a fresh stage has room for, allocated before the registry
+/// mutex is taken so that pushing the root under it cannot allocate.
+const STAGE_START: usize = 32;
 
 /// One recorded action waiting to be materialized. The actions of one
 /// visit share a ticket and sit next to each other in their stage.
@@ -86,7 +116,8 @@ struct Staged {
     ticket: u64,
     /// Open actions of the transaction (root included) when this one was
     /// recorded: its parent is the `depth`-th of them, anything the
-    /// cursor opened deeper has been exited since.
+    /// cursor opened deeper has been exited since. Zero for the root
+    /// itself.
     depth: u32,
     primitive: bool,
     object: ObjectIdx,
@@ -98,9 +129,22 @@ type Stage = Arc<Mutex<Vec<Staged>>>;
 /// A registered stage and, beside the record, what only drains touch.
 struct Slot {
     stage: Stage,
+    /// The number `begin_txn` handed out: the root's place in
+    /// `top_level()`.
+    number: u32,
     /// The transaction's open actions as of its last materialized visit,
     /// root at the bottom.
     open: Vec<ActionIdx>,
+    /// Set by the cut that found the cursor gone and took all it staged.
+    finished: bool,
+}
+
+/// What `begin_txn` and a drain's cut agree on, under one short mutex.
+#[derive(Default)]
+struct Registry {
+    /// Stages registered since the last cut.
+    pending: Vec<Slot>,
+    next_txn: u32,
 }
 
 struct Record {
@@ -109,67 +153,116 @@ struct Record {
     slots: Vec<Slot>,
     /// Taken entries with their slot, reused from drain to drain.
     batch: Vec<(u32, Staged)>,
+    /// The empty buffer a stage is swapped against, reused likewise.
+    spare: Vec<Staged>,
 }
 
-/// Counters behind [`Recorder::stats`]. Written under the record lock,
-/// read without it (a metrics poll must not queue behind a drain, nor a
-/// drain behind the poll): `Relaxed`, they publish nothing.
+/// Counters behind [`Recorder::stats`]. Read without any lock (a metrics
+/// poll must not queue behind a drain, nor a drain behind the poll):
+/// `Relaxed`, they publish nothing.
 #[derive(Default)]
 struct Counters {
     drains: AtomicU64,
+    drains_skipped: AtomicU64,
+    drain_hold_ns: AtomicU64,
     staged_peak: AtomicUsize,
 }
 
 impl Record {
-    /// Materialize everything recorded so far (module docs, "the cut").
-    fn drain(&mut self, counters: &Counters) {
-        counters.drains.fetch_add(1, Ordering::Relaxed);
-        let mut stages: Vec<_> = self.slots.iter().map(|s| s.stage.lock()).collect();
-        for (i, staged) in stages.iter_mut().enumerate() {
-            counters
-                .staged_peak
-                .fetch_max(staged.len(), Ordering::Relaxed);
-            self.batch.extend(staged.drain(..).map(|s| (i as u32, s)));
+    /// Materialize everything ticketed so far (module docs, "the cut").
+    fn drain(&mut self, shared: &Shared) {
+        let started = Instant::now();
+        let Record {
+            ts,
+            history,
+            slots,
+            batch,
+            spare,
+        } = self;
+        let bound = {
+            let mut registry = shared.registry.lock();
+            slots.append(&mut registry.pending);
+            shared.tickets.fetch_add(1, Ordering::Relaxed)
+        };
+        let mut peak = 0;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            // The cursor holds the only other handle of its stage and
+            // never hands it on: a count of one, read before the stage is
+            // looked at, means every entry it will ever stage is in there.
+            let cursor_gone = Arc::strong_count(&slot.stage) == 1;
+            let mut staged = slot.stage.lock();
+            peak = peak.max(staged.len());
+            let below = staged.partition_point(|s| s.ticket < bound);
+            if below == staged.len() {
+                std::mem::swap(&mut *staged, spare);
+                slot.finished = cursor_gone;
+            } else {
+                spare.extend(staged.drain(..below));
+            }
+            drop(staged);
+            batch.extend(spare.drain(..).map(|s| (i as u32, s)));
         }
-        drop(stages);
         // each stage's entries are in ticket order already: the stable
-        // sort is the k-way merge, and keeps a visit's actions together
-        self.batch.sort_by_key(|(_, s)| s.ticket);
-        for (i, s) in self.batch.drain(..) {
-            let open = &mut self.slots[i as usize].open;
-            open.truncate(s.depth as usize);
-            let parent = *open.last().expect("a transaction's root never closes");
-            let idx = self.ts.begin_nested(parent, s.object, s.descriptor, true);
+        // sort is the k-way merge, and keeps a visit's actions together.
+        // One stage's worth — a worker draining its own transaction — is
+        // merged as it stands, and the sort would allocate its scratch
+        if !batch.windows(2).all(|w| w[0].1.ticket <= w[1].1.ticket) {
+            batch.sort_by_key(|(_, s)| s.ticket);
+        }
+        ts.reserve_actions(batch.len());
+        history.reserve(batch.len(), ts.action_count() + batch.len());
+        for (i, s) in batch.drain(..) {
+            let slot = &mut slots[i as usize];
+            slot.open.truncate(s.depth as usize);
+            let idx = match slot.open.last() {
+                Some(&parent) => ts.begin_nested(parent, s.object, s.descriptor, true),
+                None => {
+                    let root = ts.begin_top(s.descriptor);
+                    assert_eq!(
+                        ts.action(root).txn.0,
+                        slot.number,
+                        "roots materialize in the order their numbers were claimed"
+                    );
+                    root
+                }
+            };
             if s.primitive {
-                self.history
-                    .execute(&self.ts, idx)
+                history
+                    .execute(ts, idx)
                     .expect("freshly created leaf action is executable");
             } else {
-                open.push(idx);
+                slot.open.push(idx);
             }
         }
-        // The cursor holds the only other handle of its stage and never
-        // hands it on: a count of one means the cursor is gone and every
-        // entry it staged is in the stage, so an empty stage stays empty.
-        self.slots
-            .retain(|s| Arc::strong_count(&s.stage) > 1 || !s.stage.lock().is_empty());
+        slots.retain(|slot| !slot.finished);
+        let counters = &shared.counters;
+        counters.drains.fetch_add(1, Ordering::Relaxed);
+        counters.staged_peak.fetch_max(peak, Ordering::Relaxed);
+        counters
+            .drain_hold_ns
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
 struct Shared {
-    /// The process-wide record lock: taken once per transaction (by
-    /// [`Recorder::begin_txn`]) and by readers, never per visit.
+    /// The process-wide record lock: taken by readers, by the bounds and
+    /// by [`Recorder::drain_if_free`] — never by a visit, never by
+    /// [`Recorder::begin_txn`] short of [`SLOT_BOUND`].
     record: Mutex<Record>,
-    /// Next ticket; only ever claimed inside a stage lock.
+    registry: Mutex<Registry>,
+    /// Next ticket; only ever claimed inside a stage lock or the registry
+    /// mutex.
     tickets: AtomicU64,
     counters: Counters,
+    /// The object every root is an action on.
+    system_object: ObjectIdx,
 }
 
 impl Shared {
     /// Take the record lock and materialize what is staged.
     fn drained(&self) -> MutexGuard<'_, Record> {
         let mut record = self.record.lock();
-        record.drain(&self.counters);
+        record.drain(self);
         record
     }
 }
@@ -184,12 +277,20 @@ const _: () = {
     assert_send::<TxnCtx>();
 };
 
-/// How often the recorder materialized and how much a stage ever held.
+/// How often the recorder materialized, how long that held the record
+/// lock and how much a stage ever held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderStats {
-    /// Drains so far: one per [`Recorder::begin_txn`], one per reader
-    /// call, one per stage that reached [`STAGE_BOUND`].
+    /// Drains so far: one per reader call, per [`Recorder::drain_if_free`]
+    /// that found the record lock free, per stage that reached
+    /// [`STAGE_BOUND`] and per [`SLOT_BOUND`] transactions begun without
+    /// any of those.
     pub drains: u64,
+    /// [`Recorder::drain_if_free`] calls that found the record lock held
+    /// and left their entries to the holder or the next caller.
+    pub drains_skipped: u64,
+    /// Time the drains spent, summed — all of it under the record lock.
+    pub drain_hold_ns: u64,
     /// Most entries any drain found in one stage.
     pub staged_peak: usize,
 }
@@ -209,14 +310,18 @@ impl Default for Recorder {
 impl Recorder {
     /// A recorder with an empty system and history.
     pub fn new() -> Self {
+        let ts = TransactionSystem::new();
         Recorder {
             shared: Arc::new(Shared {
+                system_object: ts.system_object(),
                 record: Mutex::new(Record {
-                    ts: TransactionSystem::new(),
+                    ts,
                     history: History::new(),
                     slots: Vec::new(),
                     batch: Vec::new(),
+                    spare: Vec::new(),
                 }),
+                registry: Mutex::default(),
                 tickets: AtomicU64::new(0),
                 counters: Counters::default(),
             }),
@@ -238,22 +343,42 @@ impl Recorder {
         self.shared.record.lock().ts.object_by_name(name)
     }
 
-    /// Begin a new top-level transaction. Drains first, so the root
-    /// follows every visit made before this call (module docs).
+    /// Begin a new top-level transaction. The root is staged under a
+    /// ticket like a visit, so it follows every visit made before this
+    /// call; the record lock is not taken (module docs).
     pub fn begin_txn(&self, name: impl Into<String>) -> TxnCtx {
-        let stage = Stage::default();
-        let mut record = self.shared.drained();
-        let root = record.ts.begin_top(name);
-        let number = record.ts.action(root).txn.0;
-        record.slots.push(Slot {
-            stage: stage.clone(),
-            open: vec![root],
-        });
-        drop(record);
+        let shared = &self.shared;
+        let descriptor = ActionDescriptor::nullary(name.into()).into();
+        let stage = Stage::new(Mutex::new(Vec::with_capacity(STAGE_START)));
+        let registered = stage.clone();
+        let (number, crowded) = {
+            let mut registry = shared.registry.lock();
+            let number = registry.next_txn;
+            registry.next_txn += 1;
+            stage.lock().push(Staged {
+                // Relaxed, as in `record`; the registry mutex orders this
+                // claim against the number's and against a cut's bound
+                ticket: shared.tickets.fetch_add(1, Ordering::Relaxed),
+                depth: 0,
+                primitive: false,
+                object: shared.system_object,
+                descriptor,
+            });
+            registry.pending.push(Slot {
+                stage: registered,
+                number,
+                open: Vec::new(),
+                finished: false,
+            });
+            (number, registry.pending.len() >= SLOT_BOUND)
+        };
+        // lock order is record → registry: the registry is released by now
+        if crowded {
+            shared.drained();
+        }
         TxnCtx {
             recorder: self.clone(),
             stage,
-            root,
             number,
             depth: 1,
         }
@@ -269,8 +394,9 @@ impl Recorder {
     /// incremental certification: the history is append-only, so a
     /// caller tracking its last-seen position reads exactly the suffix
     /// appended since — O(new actions) instead of the O(history) clone
-    /// of [`Recorder::snapshot`]. Keep `f` short: transactions cannot
-    /// begin while it runs, and it must not call back into this recorder.
+    /// of [`Recorder::snapshot`]. Keep `f` short: nothing is materialized
+    /// while it runs (transactions do begin and visit), and it must not
+    /// call back into this recorder's readers.
     pub fn with_record<R>(&self, f: impl FnOnce(&TransactionSystem, &History) -> R) -> R {
         let record = self.shared.drained();
         f(&record.ts, &record.history)
@@ -281,8 +407,8 @@ impl Recorder {
     pub fn finish(self) -> (TransactionSystem, History) {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
-                let mut record = shared.record.into_inner();
-                record.drain(&shared.counters);
+                drop(shared.drained());
+                let record = shared.record.into_inner();
                 (record.ts, record.history)
             }
             Err(shared) => Recorder { shared }.snapshot(),
@@ -294,12 +420,29 @@ impl Recorder {
         self.with_record(|_, history| history.len())
     }
 
-    /// Drain count and staging high-water mark, as of the last drain.
-    /// Takes no lock.
+    /// Materialize what is staged if nobody else is: returns at once,
+    /// having drained or having found the record lock held. For callers
+    /// with nothing to read who are off every critical path — a worker
+    /// between two transactions — so that the record is built inside the
+    /// run without anybody waiting for it.
+    pub fn drain_if_free(&self) {
+        match self.shared.record.try_lock() {
+            Some(mut record) => record.drain(&self.shared),
+            None => {
+                let skipped = &self.shared.counters.drains_skipped;
+                skipped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Drain counts, hold time and staging high-water mark, as of the
+    /// last drain. Takes no lock.
     pub fn stats(&self) -> RecorderStats {
         let counters = &self.shared.counters;
         RecorderStats {
             drains: counters.drains.load(Ordering::Relaxed),
+            drains_skipped: counters.drains_skipped.load(Ordering::Relaxed),
+            drain_hold_ns: counters.drain_hold_ns.load(Ordering::Relaxed),
             staged_peak: counters.staged_peak.load(Ordering::Relaxed),
         }
     }
@@ -311,20 +454,15 @@ impl Recorder {
 pub struct TxnCtx {
     recorder: Recorder,
     stage: Stage,
-    root: ActionIdx,
     number: u32,
     /// Open actions, the root included.
     depth: u32,
 }
 
 impl TxnCtx {
-    /// The root action (the transaction itself).
-    pub fn root(&self) -> ActionIdx {
-        self.root
-    }
-
-    /// Zero-based number of this top-level transaction (stable key for
-    /// compensation logs and schedulers).
+    /// Zero-based number of this top-level transaction: the position of
+    /// its root in `top_level()` once the root is materialized (stable
+    /// key for compensation logs and schedulers).
     pub fn txn_number(&self) -> u32 {
         self.number
     }
@@ -441,6 +579,7 @@ mod tests {
     use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, KeyedSpec, ReadWriteSpec};
     use oodb_core::prelude::{analyze, key, SystemSchedules};
     use oodb_core::value::Value;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn records_example1_shape() {
@@ -574,14 +713,14 @@ mod tests {
         // page read, created right behind it (consecutive arena slots —
         // no other thread's append fell between them) and executed
         for visit in ts.actions_on(node) {
-            let info = ts.action(visit);
-            assert_eq!(info.children, vec![ActionIdx(visit.0 + 1)]);
-            let read = ts.action(info.children[0]);
+            let children: Vec<ActionIdx> = ts.children(visit).collect();
+            assert_eq!(children, [ActionIdx(visit.0 + 1)]);
+            let read = ts.action(children[0]);
             assert_eq!(
                 (read.object, read.descriptor.method.as_str()),
                 (page, "read")
             );
-            assert!(h.position(info.children[0]).is_some());
+            assert!(h.position(children[0]).is_some());
         }
         // history order is creation order: positions were claimed inside
         // the acquisition that created each primitive
@@ -644,11 +783,12 @@ mod tests {
     }
 
     /// Four writers visiting one page under one real latch, each through
-    /// `txns` transactions of `visits` visits, so drains (one per
-    /// `begin_txn`) run while the others record. The writers' first
-    /// cursors are registered `spacing` idle cursors apart (returned, to
-    /// be kept alive): a drain's pass over the stages then takes long
-    /// enough for visits to land in the middle of it.
+    /// `txns` transactions of `visits` visits and, like an engine worker,
+    /// an opportunistic drain after each, so drains run while the others
+    /// record. The writers' first cursors are registered `spacing` idle
+    /// cursors apart (returned, to be kept alive): a drain's pass over
+    /// the stages then takes long enough for visits to land in the middle
+    /// of it.
     fn latched_writers(
         rec: &Recorder,
         spacing: usize,
@@ -674,6 +814,7 @@ mod tests {
                         if n < txns {
                             t = rec.begin_txn(format!("T{i}.{n}"));
                         }
+                        rec.drain_if_free();
                     }
                 })
             })
@@ -681,22 +822,61 @@ mod tests {
         (writers, idle)
     }
 
+    /// A thread that keeps beginning (and dropping) transactions until
+    /// told to stop, so cursors register while cuts are being made.
+    /// Returns the number and name of each.
+    fn registrar(
+        rec: &Recorder,
+        who: usize,
+        stop: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<Vec<(u32, String)>> {
+        let (rec, stop) = (rec.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut begun = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let name = format!("R{who}.{}", begun.len());
+                begun.push((rec.begin_txn(name.clone()).txn_number(), name));
+            }
+            begun
+        })
+    }
+
+    /// Every transaction in `begun` has its root where its number said.
+    fn assert_numbers_are_positions(ts: &TransactionSystem, begun: &[(u32, String)]) {
+        for (number, name) in begun {
+            let root = ts.top_level()[*number as usize];
+            assert_eq!(&ts.action(root).descriptor.method, name);
+            assert_eq!(ts.action(root).txn.0, *number);
+        }
+    }
+
     #[test]
     fn history_order_is_latch_order() {
         let rec = Recorder::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let registrar = registrar(&rec, 0, &stop);
         let (writers, idle) = latched_writers(&rec, 0, 25, 40);
         for h in writers {
             h.join().unwrap();
         }
+        stop.store(true, Ordering::Relaxed);
+        let begun = registrar.join().unwrap();
         drop(idle);
         let (ts, h) = rec.finish();
         assert_eq!(assert_latch_ordered_prefix(&ts, &h), 4 * 25 * 40);
-        h.check_complete(&ts).unwrap();
+        // complete, but for the registrar's childless roots
+        for p in ts.primitives() {
+            assert!(h.position(p).is_some() || ts.action(p).parent.is_none());
+        }
+        assert_eq!(ts.top_level().len(), 4 * 25 + begun.len());
+        assert_numbers_are_positions(&ts, &begun);
     }
 
     #[test]
     fn every_cut_is_a_prefix_of_the_latch_order() {
         let rec = Recorder::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let registrar = registrar(&rec, 0, &stop);
         let (writers, idle) = latched_writers(&rec, 64, 2, 2000);
         let mut seen = 0;
         let mut looks = 0;
@@ -709,8 +889,125 @@ mod tests {
         for h in writers {
             h.join().unwrap();
         }
+        stop.store(true, Ordering::Relaxed);
+        let begun = registrar.join().unwrap();
         drop(idle);
         assert!(looks > 1, "the reader ran beside the writers");
+        rec.with_record(|ts, _| assert_numbers_are_positions(ts, &begun));
+    }
+
+    /// `begin_txn` and a visit complete while another thread holds the
+    /// record lock: neither takes it.
+    #[test]
+    fn a_transaction_begins_and_visits_under_a_held_record_lock() {
+        let rec = Recorder::new();
+        let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let drains = rec.stats().drains;
+        let number = rec.with_record(|ts, _| {
+            assert!(ts.top_level().is_empty());
+            std::thread::scope(|s| {
+                let begin = s.spawn(|| {
+                    let mut t = rec.begin_txn("T");
+                    t.page_read(page);
+                    t.txn_number()
+                });
+                begin.join().unwrap()
+            })
+        });
+        assert_eq!(rec.stats().drains, drains + 1, "the reader's, no other");
+        let (ts, h) = rec.finish();
+        assert_eq!(ts.top_level(), [ActionIdx(number)]);
+        assert_eq!(h.len(), 1);
+    }
+
+    /// Four threads begin transactions (one visit each) while two cursors
+    /// visit and a reader cuts: no root and no visit is lost, and every
+    /// number is its root's position.
+    #[test]
+    fn concurrent_begins_keep_their_numbers() {
+        const BEGINS: usize = 500;
+        let rec = Recorder::new();
+        let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(7));
+        let visitors: Vec<_> = (0..2)
+            .map(|i| {
+                let (rec, stop, start) = (rec.clone(), stop.clone(), start.clone());
+                std::thread::spawn(move || {
+                    let mut t = rec.begin_txn(format!("V{i}"));
+                    let mut visits = 0usize;
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        t.page_read(page);
+                        visits += 1;
+                    }
+                    (t.txn_number(), format!("V{i}"), visits)
+                })
+            })
+            .collect();
+        let beginners: Vec<_> = (0..4)
+            .map(|i| {
+                let (rec, start) = (rec.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..BEGINS)
+                        .map(|n| {
+                            let name = format!("B{i}.{n}");
+                            let mut t = rec.begin_txn(name.clone());
+                            t.page_read(page);
+                            rec.drain_if_free();
+                            (t.txn_number(), name)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        start.wait();
+        let mut begun = Vec::new();
+        // cut for as long as they run (how often is the scheduler's call)
+        while beginners.iter().any(|b| !b.is_finished()) {
+            rec.with_record(|ts, h| {
+                for (position, &root) in ts.top_level().iter().enumerate() {
+                    assert_eq!(ts.action(root).txn.0 as usize, position);
+                }
+                assert!(h.order().windows(2).all(|w| w[0] < w[1]));
+            });
+        }
+        for b in beginners {
+            begun.extend(b.join().unwrap());
+        }
+        stop.store(true, Ordering::Relaxed);
+        let mut visits = 0;
+        for v in visitors {
+            let (number, name, n) = v.join().unwrap();
+            begun.push((number, name));
+            visits += n;
+        }
+        let (ts, h) = rec.finish();
+        assert_eq!(ts.top_level().len(), 4 * BEGINS + 2);
+        assert_eq!(h.len(), 4 * BEGINS + visits);
+        h.check_complete(&ts).unwrap();
+        assert_numbers_are_positions(&ts, &begun);
+    }
+
+    /// Stages registered, adopted by a cut or not yet.
+    fn registered(rec: &Recorder) -> usize {
+        let record = rec.shared.record.lock();
+        let registry = rec.shared.registry.lock();
+        record.slots.len() + registry.pending.len()
+    }
+
+    #[test]
+    fn a_loop_of_begins_stays_under_the_slot_bound() {
+        let rec = Recorder::new();
+        for _ in 0..100_000 {
+            drop(rec.begin_txn("T"));
+            // the drain the bound triggers still sees its own cursor alive
+            assert!(registered(&rec) <= SLOT_BOUND);
+        }
+        assert_eq!(rec.stats().drains, 100_000 / SLOT_BOUND as u64);
+        let (ts, _) = rec.finish();
+        assert_eq!(ts.top_level().len(), 100_000);
     }
 
     #[test]
@@ -725,8 +1022,8 @@ mod tests {
         assert_eq!(rec.history_len(), 100_000);
         let stats = rec.stats();
         assert_eq!(stats.staged_peak, STAGE_BOUND);
-        // begin_txn, one per full stage, history_len
-        assert_eq!(stats.drains, 2 + 100_000 / STAGE_BOUND as u64);
+        // one per full stage (the root is an entry too), history_len
+        assert_eq!(stats.drains, 1 + 100_001 / STAGE_BOUND as u64);
     }
 
     /// Two cursors interleaved on one thread, a third begun between
@@ -756,12 +1053,13 @@ mod tests {
         t3.page_read(page);
         t3.exit();
         assert_eq!(
-            (t1.root(), t2.root(), t3.root()),
-            (ActionIdx(0), ActionIdx(3), ActionIdx(7))
+            (t1.txn_number(), t2.txn_number(), t3.txn_number()),
+            (0, 1, 2)
         );
         drop((t1, t2, t3));
 
         let (ts, h) = rec.finish();
+        assert_eq!(ts.top_level(), [ActionIdx(0), ActionIdx(3), ActionIdx(7)]);
         let arena: Vec<(Option<u32>, String)> = ts
             .action_indices()
             .map(|a| {
@@ -790,7 +1088,10 @@ mod tests {
         let order: Vec<u32> = h.order().iter().map(|a| a.0).collect();
         assert_eq!(order, [2, 5, 6, 8, 9, 11]);
         // sequential siblings: T1's first visit precedes its later read
-        assert_eq!(ts.action(ActionIdx(1)).precedes, vec![ActionIdx(9)]);
+        assert_eq!(
+            ts.precedes(ActionIdx(1)).collect::<Vec<_>>(),
+            [ActionIdx(9)]
+        );
     }
 
     #[test]

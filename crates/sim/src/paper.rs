@@ -331,8 +331,7 @@ mod tests {
         assert!(rendered.contains("O2.n(y)"));
         assert!(rendered.contains("O1.m2(x)"));
         // paths follow the paper's numbering
-        let info = ts.action(root);
-        assert_eq!(info.children.len(), 2);
+        assert_eq!(ts.children(root).count(), 2);
     }
 
     #[test]

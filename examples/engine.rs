@@ -71,6 +71,12 @@ fn main() {
         let audit = out.audit.expect("audit enabled");
         let label = format!("{} x{shards}", out.cc_name);
         println!("{label:<22} {}", out.metrics);
+        // the record is built after the acknowledgement, on the worker's
+        // time: `drain` is off the transaction's latency, `exec` is on it
+        println!(
+            "{:<22} per commit: exec p50 {:?}, then drain p50 {:?}",
+            "", out.metrics.phase_exec.p50, out.metrics.phase_drain.p50
+        );
         println!(
             "{:<22} audit ({:?}): oo-decentralized {}, oo-global {}, conventional {}\n",
             "",

@@ -51,6 +51,16 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard { inner: Some(guard) }
     }
 
+    /// Acquire the lock without blocking; `None` if it is held.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(guard) })
+    }
+
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
@@ -257,6 +267,28 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Arc::new(Mutex::new(0));
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        // from another thread too: std's try_lock on the owning thread
+        // could also be refusing re-entry
+        let m2 = m.clone();
+        let seen = std::thread::spawn(move || m2.try_lock().is_none());
+        assert!(seen.join().unwrap());
+        drop(held);
+        *m.try_lock().expect("free again") += 1;
+
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison");
+        })
+        .join();
+        assert_eq!(*m.try_lock().expect("poisoned is not held"), 1);
     }
 
     #[test]
