@@ -1,8 +1,13 @@
 //! Latch-coupling (crabbing) protocol for the concurrent B-link tree.
 //!
 //! The tree's pages are latched through `oodb-storage`'s
-//! [`BufferManager`], which guarantees *latched ⇒ pinned* — a latched
-//! page can never be evicted under a traversal. This module supplies the
+//! [`BufferManager`]: a page guard is the read or write guard of the
+//! frame's own lock, and eviction takes a frame only with `try_write`, so
+//! *latched ⇒ unevictable* — a page cannot leave the pool under a
+//! traversal. Guards borrow the pool, hence the lifetimes on
+//! [`PageShared`], [`PageExclusive`] and `Retained`. The frame lock
+//! prefers writers, so no thread may latch a page it already holds (none
+//! does: every acquisition goes down or right). This module supplies the
 //! protocol layer on top: typed helpers that read a node under its latch
 //! — in place for readers, decoded for writers — and the
 //! retained-ancestor stack that makes multi-level splits atomic with
@@ -66,19 +71,19 @@ pub(crate) fn node_record(page: &Page) -> &[u8] {
     page.read(0).expect("node record present")
 }
 
-/// S-latch `page` and pin it.
-pub(crate) fn read_latched(mgr: &BufferManager, page: PageId) -> PageShared {
+/// S-latch `page`.
+pub(crate) fn read_latched(mgr: &BufferManager, page: PageId) -> PageShared<'_> {
     mgr.read_page(page).expect("tree pages exist")
 }
 
 /// Run `f` on the node of a shared-latched page, in place: readers never
 /// decode.
-pub(crate) fn with_encoded<R>(page: &PageShared, f: impl FnOnce(EncodedNode<'_>) -> R) -> R {
+pub(crate) fn with_encoded<R>(page: &PageShared<'_>, f: impl FnOnce(EncodedNode<'_>) -> R) -> R {
     page.read(|p| f(EncodedNode::parse(node_record(p))))
 }
 
-/// X-latch `page`, pin it, and decode its node.
-pub(crate) fn write_latched(mgr: &BufferManager, page: PageId) -> (PageExclusive, Node) {
+/// X-latch `page` and decode its node.
+pub(crate) fn write_latched(mgr: &BufferManager, page: PageId) -> (PageExclusive<'_>, Node) {
     let guard = mgr.write_page(page).expect("tree pages exist");
     let node = guard.read(|p| Node::decode(node_record(p)));
     (guard, node)
@@ -86,7 +91,7 @@ pub(crate) fn write_latched(mgr: &BufferManager, page: PageId) -> (PageExclusive
 
 /// Encode `node` into record 0 of an exclusively latched page,
 /// compacting on fragmentation.
-pub(crate) fn write_node(page: &PageExclusive, node: &Node) {
+pub(crate) fn write_node(page: &PageExclusive<'_>, node: &Node) {
     let bytes = node.encode();
     page.write(|p| {
         let result = if p.slot_count() == 0 {
@@ -114,24 +119,23 @@ pub(crate) fn write_node(page: &PageExclusive, node: &Node) {
 /// a split keeps it latched until the split's writes complete, and
 /// [`release_all`](Self::release_all) drops the whole suffix the moment a
 /// safe child proves no split can propagate this high.
-#[derive(Default)]
-pub(crate) struct Retained {
-    stack: Vec<(PageExclusive, Node)>,
+pub(crate) struct Retained<'a> {
+    stack: Vec<(PageExclusive<'a>, Node)>,
 }
 
-impl Retained {
+impl<'a> Retained<'a> {
     pub(crate) fn new() -> Self {
-        Retained::default()
+        Retained { stack: Vec::new() }
     }
 
     /// Retain `page` (still exclusively latched) while descending below
     /// it.
-    pub(crate) fn push(&mut self, page: PageExclusive, node: Node) {
+    pub(crate) fn push(&mut self, page: PageExclusive<'a>, node: Node) {
         self.stack.push((page, node));
     }
 
     /// Hand the deepest retained ancestor to a propagating split.
-    pub(crate) fn pop(&mut self) -> Option<(PageExclusive, Node)> {
+    pub(crate) fn pop(&mut self) -> Option<(PageExclusive<'a>, Node)> {
         self.stack.pop()
     }
 

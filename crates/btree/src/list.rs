@@ -204,7 +204,10 @@ impl ItemList {
 
     fn store_content(&self, state: &mut ListState, bytes: &[u8]) -> (PageId, u16) {
         loop {
-            let pin = self.pool.fetch(state.item_page).expect("item page exists");
+            let pin = self
+                .pool
+                .write_page(state.item_page)
+                .expect("item page exists");
             let res = pin.write(|p| p.insert(bytes));
             match res {
                 Ok(slot) => return (state.item_page, slot),
@@ -227,7 +230,7 @@ impl ItemList {
         let tail = *state.chain.last().expect("chain never empty");
         let tail_obj = self.page_object(tail);
         ctx.page_read(tail_obj);
-        let pin = self.pool.fetch(tail).expect("chain page exists");
+        let pin = self.pool.write_page(tail).expect("chain page exists");
         let res = pin.write(|p| p.insert(&entry.encode()));
         match res {
             Ok(slot) => {
@@ -244,7 +247,7 @@ impl ItemList {
                 });
                 let slot = fresh.write(|p| p.insert(&entry.encode()).expect("fresh page fits"));
                 drop(fresh);
-                let old_pin = self.pool.fetch(tail).expect("chain page exists");
+                let old_pin = self.pool.write_page(tail).expect("chain page exists");
                 old_pin.write(|p| {
                     p.update(CHAIN_HEADER_SLOT, &(new_tail.0 + 1).to_le_bytes())
                         .expect("chain header update");
@@ -268,7 +271,7 @@ impl ItemList {
         descriptor: &DescriptorRef,
     ) -> Option<Location> {
         let &(dir_page, dir_slot) = state.directory.get(&id)?;
-        let pin = self.pool.fetch(dir_page).expect("dir page exists");
+        let pin = self.pool.read_page(dir_page).expect("dir page exists");
         pin.read(|p| {
             let entry = DirEntry::decode(p.read(dir_slot).expect("directory record present"));
             debug_assert_eq!(descriptor.key(), Some(entry.key));
@@ -283,7 +286,7 @@ impl ItemList {
 
     /// Rewrite the directory record at `loc` through `change`.
     fn rewrite_entry(&self, loc: Location, change: impl FnOnce(&mut DirEntry<'_>)) {
-        let pin = self.pool.fetch(loc.dir_page).expect("dir page exists");
+        let pin = self.pool.write_page(loc.dir_page).expect("dir page exists");
         pin.write(|p| {
             let bytes = {
                 let record = p.read(loc.dir_slot).expect("directory record present");
@@ -323,7 +326,7 @@ impl ItemList {
     }
 
     fn read_text(&self, item_page: PageId, item_slot: u16) -> Option<String> {
-        let pin = self.pool.fetch(item_page).expect("item page exists");
+        let pin = self.pool.read_page(item_page).expect("item page exists");
         pin.read(|p| {
             p.read(item_slot)
                 .ok()
@@ -352,7 +355,10 @@ impl ItemList {
             &[(self.list_obj, descriptor), (self.item_object(id), &write)],
             Some((self.page_object(loc.item_page), &DescriptorRef::read())),
         );
-        let pin = self.pool.fetch(loc.item_page).expect("item page exists");
+        let pin = self
+            .pool
+            .write_page(loc.item_page)
+            .expect("item page exists");
         let updated = pin.write(|p| p.update(loc.item_slot, text.as_bytes()).is_ok());
         drop(pin);
         if updated {
@@ -387,7 +393,10 @@ impl ItemList {
         self.rewrite_entry(loc, |entry| entry.alive = false);
         ctx.page_write(dir_obj);
         // delete content
-        let item_pin = self.pool.fetch(loc.item_page).expect("item page exists");
+        let item_pin = self
+            .pool
+            .write_page(loc.item_page)
+            .expect("item page exists");
         item_pin.write(|p| {
             let _ = p.delete(loc.item_slot);
         });
@@ -428,7 +437,7 @@ impl ItemList {
 
     /// The live directory records of one chain page, in slot order.
     fn live_entries(&self, page: PageId) -> Vec<(ItemId, String, PageId, u16)> {
-        let pin = self.pool.fetch(page).expect("dir page exists");
+        let pin = self.pool.read_page(page).expect("dir page exists");
         pin.read(|p| {
             p.records()
                 .filter(|(s, _)| *s != CHAIN_HEADER_SLOT)

@@ -21,9 +21,10 @@ use crate::list::ItemId;
 use oodb_core::commutativity::{RangeSpec, ReadWriteSpec, SpecRef};
 use oodb_core::ids::ObjectIdx;
 use oodb_model::Recorder;
+use oodb_storage::chunked::Chunked;
 use oodb_storage::PageId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What an object of the substrate is, in the integers its owner holds.
 #[derive(Debug, Clone, Copy)]
@@ -38,56 +39,27 @@ pub(crate) enum ObjectKey {
     Item(ItemId),
 }
 
-/// Chunk `c` holds the indices `32·(2^c − 1) ..< 32·(2^(c+1) − 1)`:
-/// sizes double, so ids allocated densely from zero (pages, items) cost
-/// at most two words per id, and 28 chunks span every `u32` index.
-const CHUNKS: usize = 28;
-const FIRST_CHUNK: u64 = 32;
-
 /// Grow-only table from a dense integer to `(epoch, object id)`, read
 /// without a lock: every worker resolves two or three ids per page
 /// visit, and a reader count would be a cache line they all write.
-struct IdTable {
-    chunks: [OnceLock<Box<[AtomicU64]>>; CHUNKS],
-}
+#[derive(Default)]
+struct IdTable(Chunked<AtomicU64>);
 
 impl IdTable {
-    fn new() -> Self {
-        IdTable {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// `(chunk, offset within it)` of `index`.
-    fn locate(index: u64) -> (usize, usize) {
-        let n = index + FIRST_CHUNK;
-        let chunk = (n.ilog2() - FIRST_CHUNK.ilog2()) as usize;
-        (chunk, (n - (FIRST_CHUNK << chunk)) as usize)
-    }
-
     fn get(&self, index: u64, epoch: u32) -> Option<ObjectIdx> {
-        let (chunk, offset) = Self::locate(index);
         // Relaxed: the word is the whole message. The object it names is
         // only ever touched under the recorder's record lock.
-        let word = self.chunks.get(chunk)?.get()?[offset].load(Ordering::Relaxed);
+        let word = self.0.get(index)?.load(Ordering::Relaxed);
         let id = (word as u32).checked_sub(1)?;
         ((word >> 32) as u32 == epoch).then_some(ObjectIdx(id))
     }
 
     /// Remember `id` for `(index, epoch)`, replacing an older epoch's.
     fn set(&self, index: u64, epoch: u32, id: ObjectIdx) {
-        let (chunk, offset) = Self::locate(index);
-        let slots = self
-            .chunks
-            .get(chunk)
-            .expect("object ids are allocated densely from zero")
-            .get_or_init(|| {
-                (0..FIRST_CHUNK << chunk)
-                    .map(|_| AtomicU64::new(0))
-                    .collect()
-            });
         let word = u64::from(epoch) << 32 | u64::from(id.0 + 1);
-        slots[offset].store(word, Ordering::Relaxed);
+        self.0
+            .get_or_alloc(index, AtomicU64::default)
+            .store(word, Ordering::Relaxed);
     }
 }
 
@@ -109,9 +81,9 @@ impl ObjectIds {
         ObjectIds {
             rec,
             owner: owner.to_owned(),
-            nodes: IdTable::new(),
-            pages: IdTable::new(),
-            items: IdTable::new(),
+            nodes: IdTable::default(),
+            pages: IdTable::default(),
+            items: IdTable::default(),
         }
     }
 
@@ -150,20 +122,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_locates_every_index_in_exactly_one_slot() {
-        assert_eq!(IdTable::locate(0), (0, 0));
-        assert_eq!(IdTable::locate(31), (0, 31));
-        assert_eq!(IdTable::locate(32), (1, 0));
-        assert_eq!(IdTable::locate(95), (1, 63));
-        assert_eq!(IdTable::locate(96), (2, 0));
-        let (chunk, offset) = IdTable::locate(u64::from(u32::MAX));
-        assert!(chunk < CHUNKS && offset < (FIRST_CHUNK as usize) << chunk);
-        let t = IdTable::new();
+    fn table_keys_on_index_and_epoch() {
+        let t = IdTable::default();
         assert_eq!(t.get(5000, 0), None, "unallocated chunk");
-        for i in [0u64, 31, 32, 95, 96, 5000] {
+        for i in [0u64, 31, 32, 5000] {
             t.set(i, 0, ObjectIdx(i as u32));
         }
-        for i in [0u64, 31, 32, 95, 96, 5000] {
+        for i in [0u64, 31, 32, 5000] {
             assert_eq!(t.get(i, 0), Some(ObjectIdx(i as u32)));
         }
         assert_eq!(t.get(33, 0), None, "allocated chunk, empty slot");

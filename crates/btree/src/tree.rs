@@ -156,11 +156,10 @@ impl BLinkTree {
         }
     }
 
-    /// Unlatched node read for single-threaded diagnostics
-    /// (depth/integrity/dump).
+    /// One node, decoded under its own S latch and nothing else: for the
+    /// single-threaded diagnostics (depth/integrity/dump).
     fn read_node_raw(&self, page: PageId) -> Node {
-        let pin = self.mgr.pool().fetch(page).expect("tree pages exist");
-        pin.read(|p| Node::decode(node_record(p)))
+        read_latched(&self.mgr, page).read(|p| Node::decode(node_record(p)))
     }
 
     /// Insert `key → value`. Overwrites silently on duplicate key and
@@ -235,8 +234,8 @@ impl BLinkTree {
     fn split(
         &self,
         ctx: &mut TxnCtx,
-        retained: &mut Retained,
-        page: PageExclusive,
+        retained: &mut Retained<'_>,
+        page: PageExclusive<'_>,
         mut node: Node,
     ) {
         if page.id() == self.root {
@@ -270,7 +269,7 @@ impl BLinkTree {
     fn rearrange(
         &self,
         ctx: &mut TxnCtx,
-        retained: &mut Retained,
+        retained: &mut Retained<'_>,
         separator: String,
         child: PageId,
     ) {
@@ -305,7 +304,12 @@ impl BLinkTree {
     /// a call-path cycle whose Definition 5 extension duplicates every
     /// *other* transaction's traversal onto the virtual object, turning
     /// read-only descents into phantom node-level conflicts.
-    fn split_root_in_place(&self, ctx: &mut TxnCtx, root_page: &PageExclusive, node: &mut Node) {
+    fn split_root_in_place(
+        &self,
+        ctx: &mut TxnCtx,
+        root_page: &PageExclusive<'_>,
+        node: &mut Node,
+    ) {
         let (sep, right) = node.split();
         // safe to bump before the writes: we hold the root's exclusive
         // latch, so no concurrent descent can observe the half-made epoch
@@ -338,7 +342,7 @@ impl BLinkTree {
         ctx: &mut TxnCtx,
         key: &str,
         descriptor: &DescriptorRef,
-    ) -> (PageShared, Option<u64>) {
+    ) -> (PageShared<'_>, Option<u64>) {
         let base = ctx.depth();
         let mut page = read_latched(&self.mgr, self.root);
         loop {
@@ -481,7 +485,7 @@ impl BLinkTree {
     fn walk_chain(
         &self,
         ctx: &mut TxnCtx,
-        leaf: PageShared,
+        leaf: PageShared<'_>,
         descriptor: &DescriptorRef,
         keep: impl Fn(&str) -> bool,
         past: impl Fn(&str) -> bool,

@@ -56,9 +56,15 @@ pub struct EngineShared {
 }
 
 impl EngineShared {
-    /// The engine's counters with the recorder's own beside them.
+    /// The engine's counters with the recorder's and the buffer pool's
+    /// own beside them, all read now.
     pub fn metrics_snapshot(&self) -> crate::MetricsSnapshot {
-        self.metrics.snapshot(self.rec.stats())
+        self.metrics.snapshot(self.rec.stats(), self.pool_stats())
+    }
+
+    /// The buffer pool's counters (a pass over its frames).
+    pub(crate) fn pool_stats(&self) -> oodb_storage::PoolStats {
+        self.enc.inner().inner().pool().stats()
     }
 }
 

@@ -2,6 +2,7 @@
 //! histograms, snapshotted on demand.
 
 use oodb_model::RecorderStats;
+use oodb_storage::PoolStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -367,8 +368,9 @@ impl EngineMetrics {
     }
 
     /// A point-in-time copy of every counter plus derived rates, with
-    /// the recorder's own counts (`Recorder::stats`) beside them.
-    pub fn snapshot(&self, rec: RecorderStats) -> MetricsSnapshot {
+    /// the recorder's own counts (`Recorder::stats`) and the buffer
+    /// pool's (`BufferPool::stats`) beside them.
+    pub fn snapshot(&self, rec: RecorderStats, pool: PoolStats) -> MetricsSnapshot {
         let elapsed = self.started_at.elapsed();
         let committed = self.committed.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -400,6 +402,11 @@ impl EngineMetrics {
             rec_drains_skipped: rec.drains_skipped,
             rec_drain_hold_ns: rec.drain_hold_ns,
             rec_staged_peak: rec.staged_peak as u64,
+            pool_hits: pool.hits,
+            pool_misses: pool.misses,
+            pool_evictions: pool.evictions,
+            pool_writebacks: pool.writebacks,
+            pool_latch_waits: pool.latch_waits,
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
@@ -503,6 +510,17 @@ pub struct MetricsSnapshot {
     /// Most actions any one transaction had staged when a drain took
     /// them (bounded by `oodb_model::recorder::STAGE_BOUND`).
     pub rec_staged_peak: u64,
+    /// Page requests the buffer pool served from a resident frame.
+    pub pool_hits: u64,
+    /// Page requests that loaded the page from the disk sim.
+    pub pool_misses: u64,
+    /// Frames the pool evicted to make room.
+    pub pool_evictions: u64,
+    /// Dirty pages eviction wrote back to the disk sim.
+    pub pool_writebacks: u64,
+    /// Page-latch acquisitions that found the latch held in a
+    /// conflicting mode and blocked: two traversals met on a page.
+    pub pool_latch_waits: u64,
     /// Write-ahead-log records appended (zero with durability off).
     pub wal_appends: u64,
     /// Write-ahead-log bytes appended, including framing.
@@ -585,6 +603,11 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"rec_drains_skipped\":{},", self.rec_drains_skipped);
         let _ = write!(s, "\"rec_drain_hold_ns\":{},", self.rec_drain_hold_ns);
         let _ = write!(s, "\"rec_staged_peak\":{},", self.rec_staged_peak);
+        let _ = write!(s, "\"pool_hits\":{},", self.pool_hits);
+        let _ = write!(s, "\"pool_misses\":{},", self.pool_misses);
+        let _ = write!(s, "\"pool_evictions\":{},", self.pool_evictions);
+        let _ = write!(s, "\"pool_writebacks\":{},", self.pool_writebacks);
+        let _ = write!(s, "\"pool_latch_waits\":{},", self.pool_latch_waits);
         let _ = write!(s, "\"wal_appends\":{},", self.wal_appends);
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
         let _ = write!(s, "\"fsyncs\":{},", self.fsyncs);
@@ -681,6 +704,15 @@ impl std::fmt::Display for MetricsSnapshot {
             self.rec_drains_skipped,
             Duration::from_nanos(self.rec_drain_hold_ns / self.rec_drains.max(1)),
             self.rec_staged_peak
+        )?;
+        write!(
+            f,
+            " pool hits {} misses {} (evicted {}, written back {}) latch-waits {}",
+            self.pool_hits,
+            self.pool_misses,
+            self.pool_evictions,
+            self.pool_writebacks,
+            self.pool_latch_waits
         )?;
         if self.version_installs > 0 {
             write!(
@@ -857,7 +889,15 @@ mod tests {
             drain_hold_ns: 9000,
             staged_peak: 42,
         };
-        let json = m.snapshot(rec).to_json();
+        let pool = PoolStats {
+            hits: 70,
+            misses: 6,
+            evictions: 5,
+            writebacks: 4,
+            allocations: 3,
+            latch_waits: 2,
+        };
+        let json = m.snapshot(rec, pool).to_json();
         assert!(
             crate::trace::export::validate_json(&json),
             "bad json: {json}"
@@ -881,6 +921,11 @@ mod tests {
             "\"rec_drains_skipped\":3",
             "\"rec_drain_hold_ns\":9000",
             "\"rec_staged_peak\":42",
+            "\"pool_hits\":70",
+            "\"pool_misses\":6",
+            "\"pool_evictions\":5",
+            "\"pool_writebacks\":4",
+            "\"pool_latch_waits\":2",
             "\"wal_appends\":9",
             "\"wal_bytes\":412",
             "\"fsyncs\":2",
@@ -920,7 +965,7 @@ mod tests {
         m.retries.fetch_add(2, Ordering::Relaxed);
         m.shed.fetch_add(1, Ordering::Relaxed);
         m.e2e.record(Duration::from_millis(3));
-        let s = m.snapshot(oodb_model::Recorder::new().stats());
+        let s = m.snapshot(oodb_model::Recorder::new().stats(), PoolStats::default());
         assert_eq!(s.submitted, 5);
         assert_eq!(s.committed, 4);
         assert_eq!(s.retries, 2);

@@ -1,9 +1,10 @@
 //! # oodb-storage — simulated page storage
 //!
 //! The zero-level substrate of the reproduction: fixed-size slotted
-//! [`page::Page`]s behind a [`pool::BufferPool`] with pin/unpin, LRU
-//! eviction, dirty write-back and per-page latches, over an in-memory
-//! simulated disk.
+//! [`page::Page`]s behind a [`pool::BufferPool`] — one table of frames
+//! whose read / write guards are the page latches, CLOCK eviction that
+//! cannot take a latched frame, dirty write-back gated on the durable
+//! watermark — over an in-memory simulated disk.
 //!
 //! The paper needs pages only as the universal *primitive* object type
 //! whose `read`/`write` actions obey Axiom 1 (conflicting primitives have
@@ -13,10 +14,9 @@
 
 #![warn(missing_docs)]
 
-pub mod bufferpool;
+pub mod chunked;
 pub mod page;
 pub mod pool;
 
-pub use bufferpool::{BufferManager, PageExclusive, PageShared, RwLatch};
 pub use page::{Page, PageError, PageId, DEFAULT_PAGE_SIZE};
-pub use pool::{BufferPool, PinnedPage, PoolError, PoolStats};
+pub use pool::{BufferManager, BufferPool, PageExclusive, PageShared, PoolError, PoolStats};

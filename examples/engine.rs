@@ -77,6 +77,15 @@ fn main() {
             "{:<22} per commit: exec p50 {:?}, then drain p50 {:?}",
             "", out.metrics.phase_exec.p50, out.metrics.phase_drain.p50
         );
+        // what the buffer pool saw: a latch wait is two traversals
+        // meeting on one page in conflicting modes
+        println!(
+            "{:<22} pool: {:.1} page visits per commit, {} of them waited for a latch",
+            "",
+            (out.metrics.pool_hits + out.metrics.pool_misses) as f64
+                / out.metrics.committed.max(1) as f64,
+            out.metrics.pool_latch_waits
+        );
         println!(
             "{:<22} audit ({:?}): oo-decentralized {}, oo-global {}, conventional {}\n",
             "",

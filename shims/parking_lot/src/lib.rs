@@ -160,6 +160,16 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
+impl<'a, T: ?Sized> RwLockWriteGuard<'a, T> {
+    /// Turn the exclusive guard into a shared one without releasing the
+    /// lock in between: no writer can get in before the read guard exists.
+    pub fn downgrade(guard: Self) -> RwLockReadGuard<'a, T> {
+        RwLockReadGuard {
+            inner: sync::RwLockWriteGuard::downgrade(guard.inner),
+        }
+    }
+}
+
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -250,6 +260,19 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn downgrade_keeps_writers_out_and_lets_readers_in() {
+        let l = RwLock::new(1);
+        let mut w = l.write();
+        *w = 2;
+        let r = RwLockWriteGuard::downgrade(w);
+        assert_eq!(*r, 2);
+        assert!(l.try_write().is_none(), "still held");
+        assert_eq!(*l.try_read().expect("shared with the downgraded guard"), 2);
+        drop(r);
+        assert!(l.try_write().is_some());
     }
 
     #[test]

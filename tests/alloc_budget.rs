@@ -2,7 +2,8 @@
 //! clock: a warm `Encyclopedia::search` hit on a depth-3 tree, and the
 //! drain that materializes what it staged, may allocate at most
 //! [`BUDGET`] times between them. The count is exact and repeats, so the
-//! test is immune to the host's timing noise.
+//! test is immune to the host's timing noise. A warm page visit — latch
+//! the page in the pool, drop the guard — may not allocate at all.
 //!
 //! This binary holds one test only: the counting allocator is global, and
 //! although it counts on the measuring thread alone, a second test would
@@ -110,6 +111,11 @@ fn warm_search_hit_stays_inside_its_allocation_budget() {
     let (staging, hit) = allocations_in(|| enc.search(&mut ctx, "k021"));
     let (materializing, _) = allocations_in(|| rec.history_len());
     drop(ctx);
+    // the pool's share of a visit: the guard is the frame's lock guard,
+    // not an `Arc` clone per table it used to go through
+    let root = enc.tree().root_page();
+    let (visit, _) = allocations_in(|| drop(enc.pool().read_page(root).expect("resident")));
+    assert_eq!(visit, 0, "a warm read_page + drop allocated {visit} times");
     assert_eq!(hit.as_deref(), Some("text 21"));
     let count = staging + materializing;
     println!(

@@ -49,6 +49,18 @@ fn every_control_commits_audits_and_recovers() {
                     "{label}: committed writers install versions"
                 );
             }
+            // the buffer pool's counters reach the engine's report: every
+            // operation visits pages, and 16 keys never leave 1024 frames
+            let m = &out.metrics;
+            assert!(m.pool_hits >= (TXNS * 4) as u64, "{label}: {m}");
+            assert_eq!(
+                (m.pool_misses, m.pool_evictions, m.pool_writebacks),
+                (0, 0, 0),
+                "{label}"
+            );
+            assert!(m
+                .to_json()
+                .contains(&format!("\"pool_hits\":{}", m.pool_hits)));
             let audit = out.audit.expect("audit enabled by default");
             assert!(audit.report.oo_decentralized.is_ok(), "{label}");
             assert!(audit.report.oo_global.is_ok(), "{label}");
