@@ -875,9 +875,10 @@ pub fn b14_run(mode: oodb_engine::DurabilityMode, txns: usize) -> oodb_engine::E
 /// **B14** — group commit amortizes the fsync. Every commit is
 /// acknowledged only once its write-ahead-log commit record is durable;
 /// the per-commit baseline forces the device once per logged commit,
-/// while the leader/follower batcher lets one fsync cover a whole batch
-/// of concurrent committers. With a 200µs device, fsyncs-per-commit
-/// must fall strictly as the batch bound grows — and `off` must stay
+/// while under group commit the log flusher lets one fsync cover every
+/// commit parked with it — and no worker waits for either. With a 200µs
+/// device, fsyncs-per-commit must fall strictly as `max_batch` grows —
+/// and `off` must stay
 /// the exact pre-durability engine (zero WAL work). Every durable run's
 /// log is replayed through crash recovery and its committed projection
 /// re-audited.
@@ -893,6 +894,8 @@ pub fn b14() -> String {
         "fsyncs",
         "fsyncs/commit",
         "group-mean",
+        "ends f/d/i",
+        "parked-peak",
         "throughput/s",
         "recovered",
     ]);
@@ -925,6 +928,13 @@ pub fn b14() -> String {
             out.metrics.fsyncs.to_string(),
             format!("{:.3}", out.metrics.fsyncs as f64 / commits as f64),
             format!("{:.1}", out.metrics.wal_group_mean),
+            format!(
+                "{}/{}/{}",
+                out.metrics.wal_flush_full,
+                out.metrics.wal_flush_deadline,
+                out.metrics.wal_flush_idle
+            ),
+            out.metrics.wal_parked_peak.to_string(),
             f3(out.metrics.throughput_per_sec),
             recovered,
         ]);
@@ -932,8 +942,10 @@ pub fn b14() -> String {
     format!(
         "B14 — group commit amortizes the fsync ({TXNS} update-heavy\n\
          uncontended transactions, 8 workers, simulated 200µs fsync;\n\
-         fsyncs/commit is the amortization ratio, group-mean the average\n\
-         commits per device flush; `recovered` replays the run's WAL\n\
+         acknowledgements park with the log flusher, no worker waits for\n\
+         the device; fsyncs/commit is the amortization ratio, group-mean\n\
+         the average commits per device flush, ends full/deadline/idle\n\
+         what ended each gather; `recovered` replays the run's WAL\n\
          through crash recovery and checks state equality plus the\n\
          committed-projection audit; `off` is the memory-only baseline)\n\
          \n{}",

@@ -34,8 +34,10 @@ impl CcKind {
     }
 }
 
-/// When (and whether) commits wait for the write-ahead log (see
-/// [`crate::durability`]).
+/// Whether commits go through the write-ahead log, and when the log
+/// flusher forces it (see [`crate::durability`]). No worker ever waits
+/// for the device: a commit's *acknowledgement* does, parked with the
+/// flusher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
     /// No logging at all: commits are memory-only, exactly the
@@ -43,20 +45,19 @@ pub enum DurabilityMode {
     /// measure durability keep their numbers.
     #[default]
     Off,
-    /// Every committing transaction forces the log itself before it is
-    /// acknowledged — exactly one fsync per logged commit, serialized on
-    /// the device. The unbatched baseline experiment B14 measures group
-    /// commit against.
+    /// The flusher forces the log once per logged commit — exactly one
+    /// fsync per acknowledgement, serialized on the device. The
+    /// unbatched baseline experiment B14 measures group commit against.
     PerCommit,
-    /// Leader/follower group commit: the first committer to reach the
-    /// log becomes the leader and waits for up to `max_batch - 1`
-    /// followers (or `max_wait`, whichever first) before issuing one
-    /// fsync for the whole batch.
+    /// Group commit: the flusher gathers parked commits and issues one
+    /// fsync for all of them once `max_batch` are parked, or `max_wait`
+    /// has passed, or nothing admitted could still join (no job queued,
+    /// none executing), whichever first.
     Group {
-        /// Flush once this many commits are parked (including the
-        /// leader).
+        /// Flush once this many commits are parked.
         max_batch: usize,
-        /// Flush after this long even if the batch is short.
+        /// Flush once the oldest parked commit has waited this long,
+        /// even if the batch is short.
         max_wait: Duration,
     },
 }
@@ -152,8 +153,9 @@ pub struct EngineConfig {
     /// Commit durability: [`DurabilityMode::Off`] (the default) keeps
     /// commits memory-only; the other modes append redo + compensation
     /// records to a write-ahead log inside the database critical section
-    /// and acknowledge a commit only once its commit record is durable
-    /// (see [`crate::durability`]).
+    /// and acknowledge a commit — count it, trace it — only once its
+    /// commit record is durable; the worker parks the acknowledgement
+    /// with the log flusher and moves on (see [`crate::durability`]).
     pub durability: DurabilityMode,
     /// Simulated latency of one log force (fsync). Zero by default so
     /// tests run fast; B14 raises it to make batching visible.

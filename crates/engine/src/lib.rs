@@ -90,6 +90,8 @@ pub struct Engine {
     cc: Arc<dyn ConcurrencyControl>,
     cfg: EngineConfig,
     workers: Vec<JoinHandle<()>>,
+    /// The log flusher (see [`durability`]); `None` with durability off.
+    flusher: Option<JoinHandle<()>>,
     /// The buffer pool's counters as last read by [`Engine::metrics`],
     /// and when.
     pool_sample: Mutex<(Instant, PoolStats)>,
@@ -156,19 +158,19 @@ impl Engine {
             enc.pool().gate_evictions();
         }
         let metrics = EngineMetrics::with_shards(cc.shards());
+        let queue_depth = metrics.queue_depth.clone();
         let queue = Arc::new(JobQueue::with_depth_gauge(
             cfg.queue_capacity,
-            metrics.queue_depth.clone(),
+            queue_depth.clone(),
         ));
         let shared = Arc::new(EngineShared {
             rec,
             enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
             metrics,
             trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
-            dur: cfg
-                .durability
-                .is_on()
-                .then(|| durability::Durability::new(cfg.durability, cfg.fsync_latency)),
+            dur: cfg.durability.is_on().then(|| {
+                durability::Durability::new(cfg.durability, cfg.fsync_latency, queue_depth)
+            }),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -182,6 +184,13 @@ impl Engine {
                     .expect("spawn engine worker")
             })
             .collect();
+        let flusher = shared.dur.is_some().then(|| {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("oodb-flusher".into())
+                .spawn(move || durability::run_flusher(&shared))
+                .expect("spawn log flusher")
+        });
         let pool_sample = Mutex::new((Instant::now(), shared.pool_stats()));
         Engine {
             shared,
@@ -189,13 +198,16 @@ impl Engine {
             cc,
             cfg,
             workers,
+            flusher,
             pool_sample,
         }
     }
 
     /// Populate the database before the workload, running the inserts as
     /// one regular (certified/locked, but uncontended) transaction on
-    /// the calling thread. Not counted in the metrics.
+    /// the calling thread. Not counted in the metrics. Under durability
+    /// its acknowledgement is parked like any commit's: the caller does
+    /// not wait for the fsync.
     pub fn preload(&self, keys: &[String]) {
         if keys.is_empty() {
             return;
@@ -284,13 +296,19 @@ impl Engine {
     }
 
     /// Stop admitting work, drain everything already admitted, join the
-    /// workers, and (optionally) audit the recorded execution.
+    /// workers, then the log flusher — once it has flushed and
+    /// acknowledged everything parked — and (optionally) audit the
+    /// recorded execution.
     pub fn shutdown(self) -> EngineOutput {
         self.queue.close();
         for h in self.workers {
             h.join().expect("engine worker must not panic");
         }
-        // drain the trace after the pool joined: no recorder is writing
+        if let (Some(dur), Some(h)) = (self.shared.dur.as_ref(), self.flusher) {
+            dur.close();
+            h.join().expect("log flusher must not panic");
+        }
+        // drain the trace after the threads joined: no recorder is writing
         let trace = self.shared.trace.drain();
         let metrics = self.shared.metrics_snapshot();
         let audit = self

@@ -1,6 +1,7 @@
 //! Lock-free engine metrics: atomic counters plus fixed-bucket latency
 //! histograms, snapshotted on demand.
 
+use crate::durability::FlushReason;
 use oodb_model::RecorderStats;
 use oodb_storage::PoolStats;
 use std::fmt::Write as _;
@@ -257,11 +258,16 @@ pub struct EngineMetrics {
     pub wal_appends: AtomicU64,
     /// Write-ahead-log bytes appended, including framing overhead.
     pub wal_bytes: AtomicU64,
-    /// Log forces (simulated fsyncs) issued by the group-commit batcher.
+    /// Log forces (simulated fsyncs) issued by the log flusher.
     pub fsyncs: AtomicU64,
     /// Flushes that made at least one commit record durable (each one
     /// also records its commit count in `wal_group_size`).
     pub group_commits: AtomicU64,
+    /// Flushes by what ended their gather, indexed by [`FlushReason`].
+    pub wal_flush_reasons: [AtomicU64; 3],
+    /// Most acknowledgements ever parked at once (bounded by
+    /// [`PARK_BOUND`](crate::durability::PARK_BOUND) batches).
+    pub wal_parked_peak: AtomicU64,
     /// Distribution of commits acknowledged per log flush — the
     /// group-commit amortization made visible (recorded via
     /// [`Histogram::record_value`]; buckets are counts, not ns).
@@ -285,9 +291,10 @@ pub struct EngineMetrics {
     /// begin to commit decision, minus the waits counted in
     /// [`phase_wait`](EngineMetrics::phase_wait).
     pub phase_exec: Histogram,
-    /// Phase timer: time the committing attempt spent blocked on the
-    /// write-ahead-log flush (group-commit leader or follower wait).
-    /// Empty with durability off.
+    /// Phase timer: a logged commit's append of its commit record to its
+    /// acknowledgement by the log flusher (gather, fsync, and the turn
+    /// in the batch). Nobody is blocked for it. Empty with durability
+    /// off.
     pub phase_fsync: Histogram,
     /// Phase timer: the worker's opportunistic drain of the recorder
     /// after the commit was acknowledged — off the transaction's own
@@ -328,6 +335,8 @@ impl EngineMetrics {
             wal_bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             group_commits: AtomicU64::new(0),
+            wal_flush_reasons: Default::default(),
+            wal_parked_peak: AtomicU64::new(0),
             wal_group_size: Histogram::default(),
             queue_depth: Arc::new(AtomicUsize::new(0)),
             lock_wait: Histogram::default(),
@@ -373,6 +382,8 @@ impl EngineMetrics {
     pub fn snapshot(&self, rec: RecorderStats, pool: PoolStats) -> MetricsSnapshot {
         let elapsed = self.started_at.elapsed();
         let committed = self.committed.load(Ordering::Relaxed);
+        let flushes =
+            |why: FlushReason| self.wal_flush_reasons[why as usize].load(Ordering::Relaxed);
         MetricsSnapshot {
             elapsed,
             shards: self
@@ -411,6 +422,11 @@ impl EngineMetrics {
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             group_commits: self.group_commits.load(Ordering::Relaxed),
+            wal_flush_full: flushes(FlushReason::Full),
+            wal_flush_deadline: flushes(FlushReason::Deadline),
+            wal_flush_idle: flushes(FlushReason::Idle),
+            wal_parked_peak: self.wal_parked_peak.load(Ordering::Relaxed),
+            wal_commits_acked: self.phase_fsync.len(),
             wal_group_mean: self.wal_group_size.mean(),
             wal_group_buckets: self.wal_group_size.bucket_counts(),
             wal_group: value_quantiles(&self.wal_group_size),
@@ -529,6 +545,19 @@ pub struct MetricsSnapshot {
     pub fsyncs: u64,
     /// Flushes that made at least one commit record durable.
     pub group_commits: u64,
+    /// Flushes whose gather ended because `max_batch` commits were
+    /// parked.
+    pub wal_flush_full: u64,
+    /// Flushes whose gather ended on `max_wait`.
+    pub wal_flush_deadline: u64,
+    /// Flushes whose gather ended because nothing admitted could still
+    /// join (no job queued, none executing).
+    pub wal_flush_idle: u64,
+    /// Most commit acknowledgements ever parked at once.
+    pub wal_parked_peak: u64,
+    /// Logged commits the flusher acknowledged (the samples of
+    /// `phase_fsync`; the preload is not metered).
+    pub wal_commits_acked: u64,
     /// Mean commits acknowledged per such flush (0.0 when none).
     pub wal_group_mean: f64,
     /// Log₂-bucket counts of commits per flush (`buckets[i]` = flushes
@@ -560,8 +589,8 @@ pub struct MetricsSnapshot {
     /// Per-commit phase breakdown: execution time of the committing
     /// attempt (waits excluded).
     pub phase_exec: Quantiles,
-    /// Per-commit phase breakdown: write-ahead-log flush wait (all
-    /// zero with durability off).
+    /// Per-commit phase breakdown: commit-record append to
+    /// acknowledgement (all zero with durability off).
     pub phase_fsync: Quantiles,
     /// Per-commit phase breakdown: the worker's drain of the recorder
     /// after the acknowledgement.
@@ -612,6 +641,13 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"wal_bytes\":{},", self.wal_bytes);
         let _ = write!(s, "\"fsyncs\":{},", self.fsyncs);
         let _ = write!(s, "\"group_commits\":{},", self.group_commits);
+        let _ = write!(
+            s,
+            "\"wal_flush_full\":{},\"wal_flush_deadline\":{},\"wal_flush_idle\":{},",
+            self.wal_flush_full, self.wal_flush_deadline, self.wal_flush_idle
+        );
+        let _ = write!(s, "\"wal_parked_peak\":{},", self.wal_parked_peak);
+        let _ = write!(s, "\"wal_commits_acked\":{},", self.wal_commits_acked);
         let _ = write!(s, "\"wal_group_mean\":{:.3},", self.wal_group_mean);
         // Trailing zero buckets carry no information; emit the prefix up
         // to the last non-empty one so the array stays readable.
@@ -735,8 +771,16 @@ impl std::fmt::Display for MetricsSnapshot {
         if self.wal_appends > 0 {
             write!(
                 f,
-                " wal {} recs/{} B fsyncs {} group-mean {:.1}",
-                self.wal_appends, self.wal_bytes, self.fsyncs, self.wal_group_mean
+                " wal {} recs/{} B fsyncs {} (full {}, deadline {}, idle {}) \
+                 group-mean {:.1} parked-peak {}",
+                self.wal_appends,
+                self.wal_bytes,
+                self.fsyncs,
+                self.wal_flush_full,
+                self.wal_flush_deadline,
+                self.wal_flush_idle,
+                self.wal_group_mean,
+                self.wal_parked_peak
             )?;
         }
         if !self.shards.is_empty() {
@@ -882,6 +926,10 @@ mod tests {
         m.wal_bytes.fetch_add(412, Ordering::Relaxed);
         m.fsyncs.fetch_add(2, Ordering::Relaxed);
         m.group_commits.fetch_add(2, Ordering::Relaxed);
+        m.wal_flush_reasons[FlushReason::Deadline as usize].fetch_add(1, Ordering::Relaxed);
+        m.wal_flush_reasons[FlushReason::Idle as usize].fetch_add(1, Ordering::Relaxed);
+        m.wal_parked_peak.fetch_max(5, Ordering::Relaxed);
+        m.phase_fsync.record(Duration::from_micros(300));
         m.wal_group_size.record_value(2);
         let rec = RecorderStats {
             drains: 7,
@@ -930,6 +978,11 @@ mod tests {
             "\"wal_bytes\":412",
             "\"fsyncs\":2",
             "\"group_commits\":2",
+            "\"wal_flush_full\":0",
+            "\"wal_flush_deadline\":1",
+            "\"wal_flush_idle\":1",
+            "\"wal_parked_peak\":5",
+            "\"wal_commits_acked\":1",
             "\"wal_group_mean\":",
             "\"wal_group_buckets\":[0,1]",
             "\"wal_group_p50\":",

@@ -25,6 +25,8 @@ pub struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Producers waiting on `not_full`: only then is it signalled.
+    blocked_producers: usize,
 }
 
 /// A bounded multi-producer multi-consumer queue.
@@ -32,7 +34,10 @@ struct QueueState {
 /// * [`try_push`](JobQueue::try_push) sheds when full (admission
 ///   control);
 /// * [`push_blocking`](JobQueue::push_blocking) waits for space
-///   (backpressure);
+///   (backpressure) and is woken when the queue has drained to half its
+///   capacity, not at every pop: a producer that shares its CPUs with
+///   the consumers then refills half a queue per wake-up instead of
+///   preempting a consumer once per job;
 /// * [`pop`](JobQueue::pop) blocks until work arrives or the queue is
 ///   closed **and drained** — closing stops admission but lets workers
 ///   finish everything already accepted.
@@ -63,6 +68,7 @@ impl JobQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
+                blocked_producers: 0,
             }),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
@@ -120,8 +126,9 @@ impl JobQueue {
     ) -> Result<u64, Vec<EncOp>> {
         let mut st = self.state.lock();
         while !st.closed && st.jobs.len() >= self.capacity {
-            self.not_full
-                .wait_for(&mut st, std::time::Duration::from_millis(5));
+            st.blocked_producers += 1;
+            self.not_full.wait(&mut st);
+            st.blocked_producers -= 1;
         }
         if st.closed {
             return Err(ops);
@@ -130,8 +137,14 @@ impl JobQueue {
         let id = job.id;
         st.jobs.push_back(job);
         self.depth_gauge.store(st.jobs.len(), Ordering::Relaxed);
+        // one signal per half queue: whoever leaves room passes it on, so
+        // blocked producers cannot strand one another
+        let pass_on = st.blocked_producers > 0 && st.jobs.len() < self.capacity;
         drop(st);
         self.not_empty.notify_one();
+        if pass_on {
+            self.not_full.notify_one();
+        }
         Ok(id)
     }
 
@@ -141,9 +154,14 @@ impl JobQueue {
         let mut st = self.state.lock();
         loop {
             if let Some(job) = st.jobs.pop_front() {
-                self.depth_gauge.store(st.jobs.len(), Ordering::Relaxed);
+                let depth = st.jobs.len();
+                self.depth_gauge.store(depth, Ordering::Relaxed);
+                // low-water wake-up (capacity 1 or 2: every pop)
+                let wake = st.blocked_producers > 0 && depth <= self.capacity / 2;
                 drop(st);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Some(job);
             }
             if st.closed {
@@ -226,6 +244,41 @@ mod tests {
             2,
             "a shed refreshes the gauge to the observed full depth"
         );
+    }
+
+    /// Capacity 4, three producers blocked on the full queue: the
+    /// consumer signals once per half queue and the producers pass the
+    /// signal on, so popping what was queued admits all three — a lost
+    /// wake-up hangs a producer (nothing else would ever wake it).
+    #[test]
+    fn low_water_wakeup_strands_no_producer() {
+        let q = Arc::new(JobQueue::new(4));
+        for _ in 0..4 {
+            q.try_push(ops(), None).unwrap();
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let (q, done_tx) = (q.clone(), done_tx.clone());
+            std::thread::spawn(move || done_tx.send(q.push_blocking(ops(), None).is_ok()));
+        }
+        while q.state.lock().blocked_producers < 3 {
+            std::thread::yield_now();
+        }
+        // 4 -> 3 is above the low-water mark: nobody is woken for it
+        assert!(q.pop().is_some());
+        assert_eq!(q.depth(), 3);
+        for _ in 0..3 {
+            assert!(q.pop().is_some());
+        }
+        for _ in 0..3 {
+            let admitted = done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a blocked producer was never woken");
+            assert!(admitted);
+        }
+        assert_eq!(q.depth(), 3);
+        assert!(q.try_push(ops(), None).is_ok(), "room for a fourth");
+        assert!(q.try_push(ops(), None).is_err(), "and shedding beyond it");
     }
 
     #[test]

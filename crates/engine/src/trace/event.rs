@@ -214,14 +214,15 @@ pub enum TraceEventKind {
         /// Bytes appended, including framing overhead.
         bytes: u64,
     },
-    /// The group-commit batcher forced the log (one simulated fsync).
-    /// Emitted by whichever committing worker led the flush.
+    /// The log flusher forced the log (one simulated fsync). Emitted by
+    /// the flusher thread, stamped with the oldest commit of the group.
     GroupFlush {
-        /// Commit records made durable by this flush (0 = the flush
-        /// covered only op/abort records).
+        /// Commits this flush acknowledges.
         commits: usize,
         /// The durable byte watermark after the flush.
         durable_bytes: u64,
+        /// What ended the gather.
+        reason: crate::durability::FlushReason,
     },
     /// Restart replayed one logged transaction (emitted by
     /// [`crate::durability::recover_traced`], stamped with the replay

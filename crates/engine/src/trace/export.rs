@@ -123,9 +123,11 @@ fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
         TraceEventKind::GroupFlush {
             commits,
             durable_bytes,
+            reason,
         } => {
             put_u64(out, "commits", *commits as u64);
             put_u64(out, "durable_bytes", *durable_bytes);
+            put_str(out, "reason", reason.label());
         }
         TraceEventKind::RecoveryReplay { ops, comps, loser } => {
             put_u64(out, "ops", *ops as u64);

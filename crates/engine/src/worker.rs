@@ -5,7 +5,7 @@
 use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::config::EngineConfig;
 use crate::db::EncSection;
-use crate::durability::{comp_of, redo_of};
+use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
 use crate::trace::{AbortReason, TraceEventKind, TXN_NONE};
@@ -71,7 +71,7 @@ fn is_write(op: &EncOp) -> bool {
 /// performed the change** — the callers uphold this; it is what makes
 /// log order equal history order.
 struct Wal<'a> {
-    dur: Option<&'a crate::durability::Durability>,
+    dur: Option<&'a Durability>,
     txn: u64,
     /// The attempt's recorded name until the `Begin` record takes it;
     /// `None` from the start when durability is off.
@@ -137,9 +137,9 @@ impl<'a> Wal<'a> {
         self.push(m, EngineRecord::Comp { txn, op, applied });
     }
 
-    /// Log the commit marker; returns the offset a commit must be durable
-    /// through before acknowledgement, or `None` when the attempt logged
-    /// nothing (read-only: nothing to make durable).
+    /// Log the commit marker; returns the offset the log must be durable
+    /// through before the acknowledgement, or `None` when the attempt
+    /// logged nothing (read-only: nothing to make durable).
     fn log_commit(&mut self, m: &EngineMetrics) -> Option<usize> {
         if !self.active() || !self.begun {
             return None;
@@ -318,83 +318,13 @@ fn mvcc_commit(
     result
 }
 
-/// The committing attempt's phase breakdown, accumulated by
-/// [`process_job`] and recorded into the phase histograms at
-/// acknowledgement time (fsync wait is measured inside [`ack_commit`]
-/// itself, around the durability wait).
-#[derive(Clone, Copy)]
-struct CommitPhases {
-    /// Total grant/certification wait of the committing attempt.
-    wait: Duration,
-    /// Attempt begin to commit decision, minus `wait`.
-    exec: Duration,
-}
-
-/// Commit acknowledgement: when durability is on, block until the log
-/// is durable through the attempt's commit record (group-batching with
-/// concurrent committers), and only then count and trace the commit —
-/// an acknowledged commit can never be lost to a crash. Read-only
-/// attempts (`commit_end` = `None`) have nothing to force and skip the
-/// wait. Called after the protocol released its locks; waiting here
-/// cannot deadlock because flush leadership needs no engine lock.
-fn ack_commit(
-    shared: &EngineShared,
-    handle: &TxnHandle,
-    job: &Job,
-    record_metrics: bool,
-    wal: &Wal<'_>,
-    commit_end: Option<usize>,
-    phases: CommitPhases,
-) {
-    if let Some(dur) = shared.dur.as_ref() {
-        if let Some(end) = commit_end {
-            let t0 = Instant::now();
-            // every data-page write this commit performed is stamped with
-            // an LSN ≤ the pool clock read here, and its log record sits
-            // at or before `end` — once the log is durable through `end`,
-            // those pages are redo-covered and safe to evict
-            let mark = shared.enc.inner().inner().pool().current_lsn();
-            dur.wait_durable(
-                end,
-                &shared.metrics,
-                &shared.trace,
-                handle.job,
-                handle.attempt,
-                handle.owner.0 as u32,
-            );
-            shared
-                .enc
-                .inner()
-                .inner()
-                .pool()
-                .advance_durable_floor(mark);
-            if record_metrics {
-                shared.metrics.phase_fsync.record(t0.elapsed());
-            }
-        }
-        dur.note_acked(job.id);
-    }
-    if wal.records > 0 {
-        let (records, bytes) = (wal.records, wal.bytes);
-        shared
-            .trace
-            .emit_txn(handle, || TraceEventKind::WalAppend { records, bytes });
-    }
-    if record_metrics {
-        shared.metrics.committed.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.e2e.record(job.submitted_at.elapsed());
-        shared.metrics.phase_wait.record(phases.wait);
-        shared.metrics.phase_exec.record(phases.exec);
-    }
-    shared.trace.emit_txn(handle, || TraceEventKind::Committed);
-}
-
 /// Build the record of what this attempt (and anybody else) staged, if
 /// no other thread is doing so. Called once the attempt is over — the
-/// commit acknowledged or the abort's locks released — so the work is
-/// on the worker's time and nobody waits behind it. `as_phase` times it
-/// into `phase_drain` (a per-commit timer like its siblings), which
-/// with `phase_exec` is what the worker spent on the commit.
+/// commit's acknowledgement made or parked, or the abort's locks
+/// released — so the work is on the worker's time and nobody waits
+/// behind it. `as_phase` times it into `phase_drain` (a per-commit
+/// timer like its siblings), which with `phase_exec` is what the worker
+/// spent on the commit.
 fn drain_record(shared: &EngineShared, as_phase: bool) {
     let t0 = Instant::now();
     shared.rec.drain_if_free();
@@ -435,6 +365,9 @@ pub(crate) fn process_job(
     job: &Job,
     record_metrics: bool,
 ) {
+    // until this job parks its acknowledgement or is over, a gathering
+    // flusher may still be joined by it
+    let executing = shared.dur.as_ref().map(Durability::enter);
     for attempt in 0..=cfg.max_retries {
         if past(job.deadline) {
             if record_metrics {
@@ -455,8 +388,8 @@ pub(crate) fn process_job(
         // grant/certification waits, split out of execution time when
         // (and only when) the attempt commits. The clock starts before
         // `begin_txn`, which stages the root and is execution time; the
-        // record of what the attempt stages is built after the
-        // acknowledgement, on `phase_drain`'s clock (`drain_record`)
+        // record of what the attempt stages is built after the commit,
+        // on `phase_drain`'s clock (`drain_record`)
         let attempt_start = Instant::now();
         // one name per attempt: the record takes it, the log gets a
         // copy only when there is a log
@@ -614,20 +547,31 @@ pub(crate) fn process_job(
             }
         }
         if let Some(commit_end) = committed {
+            let appended_at = Instant::now();
             cc.after_commit(shared, &handle);
-            let phases = CommitPhases {
+            let ack = Ack {
+                handle,
+                submitted_at: job.submitted_at,
+                record_metrics,
                 wait: wait_total,
                 exec: attempt_start.elapsed().saturating_sub(wait_total),
+                wal_records: wal.records,
+                wal_bytes: wal.bytes,
+                logged: commit_end.map(|end| Logged {
+                    end,
+                    mark: shared.enc.inner().inner().pool().current_lsn(),
+                    appended_at,
+                }),
             };
-            ack_commit(
-                shared,
-                &handle,
-                job,
-                record_metrics,
-                &wal,
-                commit_end,
-                phases,
-            );
+            // the locks are gone and the commit record is in the log
+            // before anything that observed this transaction (the prefix
+            // property), so nothing in the database waits for the fsync
+            // — and neither does this worker
+            match executing {
+                Some(executing) if ack.logged.is_some() => executing.park(ack, &shared.metrics),
+                // nothing to force: read-only, or durability off
+                _ => acknowledge(shared, &ack),
+            }
             drain_record(shared, record_metrics);
             return;
         }

@@ -1,7 +1,9 @@
 //! Durability integration tests: clean-run replay equivalence and a
 //! kill-at-random-point crash harness across every concurrency-control
-//! family × shard count, group-commit determinism, and prefix
-//! consistency under a crash at *any* byte of the log.
+//! family × shard count, group-commit determinism, the log flusher's
+//! contract (acknowledgement strictly after the force, the idle rule,
+//! shutdown, the bound on what is parked, progress on a gated pool), and
+//! prefix consistency under a crash at *any* byte of the log.
 
 use oodb_engine::{
     durability, CcKind, DurabilityMode, Engine, EngineConfig, RecoveryOutcome, ShardedPessimisticCc,
@@ -9,7 +11,7 @@ use oodb_engine::{
 use oodb_sim::EncOp;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Every CC strategy × shard count the acceptance criteria require the
 /// crash harness to cover.
@@ -150,6 +152,181 @@ fn crash_harness_never_loses_acked_commits() {
         assert_eq!(recovered.final_state, again.final_state, "{label}");
         assert_eq!(recovered.stats, again.stats, "{label}");
     }
+}
+
+/// Flusher contract (a): a parked commit is acknowledged strictly after
+/// the force that covers its commit record. While the flusher sleeps its
+/// 200 ms fsync the job is in neither `metrics().committed` nor the
+/// acked set; whenever it is in either, its key is in the durable image.
+#[test]
+fn acknowledgement_comes_strictly_after_the_force() {
+    let engine = Engine::start(
+        EngineConfig {
+            fsync_latency: Duration::from_millis(200),
+            ..cfg(1, DurabilityMode::PerCommit)
+        },
+        CcKind::Pessimistic,
+    );
+    let job = engine
+        .submit_blocking(vec![EncOp::Insert("uq0000".into())])
+        .unwrap();
+    let durable = |image: &[u8]| {
+        let recovered = durability::recover(image, EngineConfig::default().fanout);
+        recovered.final_state.iter().any(|(k, _)| k == "uq0000")
+    };
+    let mut seen_parked_unacked = false;
+    loop {
+        let m = engine.metrics();
+        let (acked, image) = engine.crash_probe().unwrap();
+        if m.committed == 1 || acked.contains(&job) {
+            assert!(
+                durable(&image),
+                "acknowledged before its commit record was forced"
+            );
+        }
+        if m.committed == 1 && acked.contains(&job) {
+            break;
+        }
+        if m.wal_parked_peak == 1 && m.committed == 0 && !acked.contains(&job) {
+            seen_parked_unacked = true;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        seen_parked_unacked,
+        "a 200 ms fsync leaves time to see the commit parked and unacknowledged"
+    );
+    let out = engine.shutdown();
+    assert_eq!((out.metrics.committed, out.metrics.fsyncs), (1, 1));
+}
+
+/// Flusher contract (b): a lone commit does not wait `max_wait` for
+/// followers that cannot exist — with nothing queued and nothing
+/// executing the gather ends at once.
+#[test]
+fn a_lone_commit_does_not_wait_for_followers() {
+    let mode = DurabilityMode::Group {
+        max_batch: 8,
+        max_wait: Duration::from_secs(5),
+    };
+    let engine = Engine::start(cfg(1, mode), CcKind::Pessimistic);
+    let t0 = Instant::now();
+    engine
+        .submit_blocking(vec![EncOp::Insert("uq0000".into())])
+        .unwrap();
+    while engine.metrics().committed < 1 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "acknowledged after {:?}: the gather waited for max_wait",
+        t0.elapsed()
+    );
+    let m = engine.shutdown().metrics;
+    assert_eq!((m.wal_flush_idle, m.wal_flush_deadline), (1, 0));
+}
+
+/// Flusher contract (c): `shutdown()` with commits parked behind a slow
+/// device and a 5 s `max_wait` flushes and acknowledges all of them
+/// promptly, and the log it returns recovers to the final state.
+#[test]
+fn shutdown_flushes_and_acknowledges_what_is_parked() {
+    let mode = DurabilityMode::Group {
+        max_batch: 64,
+        max_wait: Duration::from_secs(5),
+    };
+    let engine = Engine::start(
+        EngineConfig {
+            fsync_latency: Duration::from_millis(20),
+            ..cfg(2, mode)
+        },
+        CcKind::Pessimistic,
+    );
+    engine.preload(&preload_keys());
+    for ops in jobs(24) {
+        engine.submit_blocking(ops).unwrap();
+    }
+    let t0 = Instant::now();
+    let out = engine.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        t0.elapsed()
+    );
+    let m = &out.metrics;
+    assert_eq!(m.submitted, 24);
+    assert_eq!(m.submitted, m.committed + m.aborted + m.deadline_expired);
+    assert_eq!(m.committed, 24);
+    assert!(m.wal_parked_peak >= 1 && m.fsyncs >= 1);
+    let recovered = durability::recover(out.wal.as_ref().unwrap(), EngineConfig::default().fanout);
+    assert!(recovered.consistent());
+    assert_eq!(recovered.final_state, out.final_state);
+}
+
+/// Flusher contract (d): what is parked is bounded. Eight workers
+/// commit far faster than a 2 ms device takes them one at a time; they
+/// wait for the flusher rather than park without limit, and every job
+/// still commits with one fsync each.
+#[test]
+fn the_parked_list_is_bounded() {
+    let engine = Engine::start(
+        EngineConfig {
+            workers: 8,
+            fsync_latency: Duration::from_millis(2),
+            ..cfg(1, DurabilityMode::PerCommit)
+        },
+        CcKind::Pessimistic,
+    );
+    for j in 0..48u64 {
+        engine
+            .submit_blocking(vec![EncOp::Insert(format!("uq{j:04}"))])
+            .unwrap();
+    }
+    let m = engine.shutdown().metrics;
+    assert_eq!(m.committed, 48);
+    assert_eq!(m.fsyncs, 48, "per-commit: one force per logged commit");
+    assert!(
+        (2..=durability::PARK_BOUND as u64).contains(&m.wal_parked_peak),
+        "parked peak {} (bound {})",
+        m.wal_parked_peak,
+        durability::PARK_BOUND
+    );
+}
+
+/// Flusher contract (e): a durable run whose pool is smaller than what
+/// it dirties makes progress. Dirty frames are gated until the log
+/// covers them, and no worker waits for the log any more: a miss that
+/// finds every frame gated is released by the flusher's
+/// `advance_durable_floor`.
+#[test]
+fn a_gated_pool_smaller_than_the_dirty_set_makes_progress() {
+    let mode = DurabilityMode::Group {
+        max_batch: 4,
+        max_wait: Duration::from_millis(1),
+    };
+    let engine = Engine::start(
+        EngineConfig {
+            workers: 2,
+            pool_frames: 32,
+            ..cfg(1, mode)
+        },
+        CcKind::Pessimistic,
+    );
+    for j in 0..400u64 {
+        // scattered keys: the inserts dirty leaves all over the tree
+        let key = format!("uq{:04}", (j * 7919) % 10_000);
+        engine.submit_blocking(vec![EncOp::Insert(key)]).unwrap();
+    }
+    let out = engine.shutdown();
+    assert_eq!(out.metrics.committed, 400);
+    assert!(
+        out.metrics.pool_evictions > 0 && out.metrics.pool_writebacks > 0,
+        "the run must outgrow its pool: {}",
+        out.metrics
+    );
+    let recovered = durability::recover(out.wal.as_ref().unwrap(), EngineConfig::default().fanout);
+    assert!(recovered.consistent());
+    assert_eq!(recovered.final_state, out.final_state);
 }
 
 /// Seeded determinism: a single-worker engine is a deterministic

@@ -15,7 +15,7 @@
 //! audit.
 
 use oodb::engine::trace::export::{to_chrome_trace, to_jsonl};
-use oodb::engine::{CcKind, EngineConfig, TraceMode};
+use oodb::engine::{CcKind, DurabilityMode, EngineConfig, TraceMode};
 use oodb::sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
 
 fn main() {
@@ -42,14 +42,16 @@ fn main() {
     });
 
     println!("24 update-heavy transactions on 24 hot keys, 8 workers:\n");
+    // the third field: run through the write-ahead log with group commit
     let combos = [
-        (CcKind::Pessimistic, 1),
-        (CcKind::PessimisticPage, 1),
-        (CcKind::Optimistic, 1),
-        (CcKind::Pessimistic, 4),
-        (CcKind::Optimistic, 4),
+        (CcKind::Pessimistic, 1, false),
+        (CcKind::PessimisticPage, 1, false),
+        (CcKind::Optimistic, 1, false),
+        (CcKind::Pessimistic, 4, false),
+        (CcKind::Pessimistic, 4, true),
+        (CcKind::Optimistic, 4, false),
     ];
-    for (i, (kind, shards)) in combos.into_iter().enumerate() {
+    for (i, (kind, shards, durable)) in combos.into_iter().enumerate() {
         let trace = if trace_path.is_some() && i == combos.len() - 1 {
             TraceMode::ring()
         } else {
@@ -65,12 +67,41 @@ fn main() {
             // reconstruction assumes no node split relocates an index
             // entry mid-run (see `trace::analyze`)
             fanout: 64,
+            durability: if durable {
+                DurabilityMode::Group {
+                    max_batch: 4,
+                    max_wait: std::time::Duration::from_micros(200),
+                }
+            } else {
+                DurabilityMode::Off
+            },
+            fsync_latency: std::time::Duration::from_micros(if durable { 50 } else { 0 }),
             ..EngineConfig::default()
         };
         let out = oodb::engine::run_workload(&cfg, kind, &workload);
         let audit = out.audit.expect("audit enabled");
-        let label = format!("{} x{shards}", out.cc_name);
+        let mut label = format!("{} x{shards}", out.cc_name);
+        if durable {
+            label.push_str(" +wal");
+        }
         println!("{label:<22} {}", out.metrics);
+        if durable {
+            // no worker waits for the device: acknowledgements park with
+            // the log flusher, which says why each gather ended
+            let m = &out.metrics;
+            println!(
+                "{:<22} log: {} fsyncs for {} logged commits (gathers ended full {}, \
+                 deadline {}, idle {}), at most {} parked, append to ack p50 {:?}",
+                "",
+                m.fsyncs,
+                m.wal_commits_acked,
+                m.wal_flush_full,
+                m.wal_flush_deadline,
+                m.wal_flush_idle,
+                m.wal_parked_peak,
+                m.phase_fsync.p50
+            );
+        }
         // the record is built after the acknowledgement, on the worker's
         // time: `drain` is off the transaction's latency, `exec` is on it
         println!(

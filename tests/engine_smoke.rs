@@ -68,6 +68,23 @@ fn every_control_commits_audits_and_recovers() {
             let wal = out.wal.expect("durability on: the run keeps its log");
             let recovered = recover(&wal, cfg.fanout);
             assert!(recovered.consistent(), "{label}: recovery audit");
+            // every logged commit (the unmetered preload aside) was parked
+            // and then acknowledged by the flusher, once; every force has
+            // its reason
+            assert_eq!(
+                m.wal_commits_acked + 1,
+                recovered.stats.committed as u64,
+                "{label}: {m}"
+            );
+            assert!(m.wal_parked_peak >= 1, "{label}: {m}");
+            assert_eq!(
+                m.fsyncs,
+                m.wal_flush_full + m.wal_flush_deadline + m.wal_flush_idle,
+                "{label}: {m}"
+            );
+            assert!(m
+                .to_json()
+                .contains(&format!("\"wal_parked_peak\":{}", m.wal_parked_peak)));
             assert_eq!(
                 recovered.final_state, out.final_state,
                 "{label}: replaying the log reproduces the final state"
