@@ -599,9 +599,9 @@ pub fn b10_run(kind: oodb_engine::CcKind, shards: usize, txns: usize) -> oodb_en
 /// strategy keeps one certifier at every shard count (shards only feed
 /// its metric lanes), and its candidate-rooted Definition-16 search
 /// follows the candidate's edges over the few transactions the cut
-/// retains, so the optimistic rows sit level by construction. Sharded
-/// strict 2PL splits the lock-manager mutex `n` ways; on a box where
-/// execution cannot parallelize that buys nothing either.
+/// retains, so the optimistic rows sit level by construction. Strict
+/// 2PL keeps its one striped lock table at every shard count too, so
+/// its rows differ only in the metric lanes.
 /// Every run is audited (committed projection, Definition 16).
 pub fn b10() -> String {
     use oodb_engine::CcKind;

@@ -509,8 +509,8 @@ pub fn compare(old: &Json, new: &Json, tol: Tolerances) -> Comparison {
 }
 
 /// [`compare`], additionally reporting the movement of every cell whose
-/// `id` contains `focus` (e.g. `"pessimistic/sh"` for the sharded-2PL
-/// cells the latched encyclopedia is supposed to unblock).
+/// `id` contains `focus` (e.g. `"pessimistic/sh"` for the 2PL cells
+/// run with several metric lanes).
 pub fn compare_focused(old: &Json, new: &Json, tol: Tolerances, focus: Option<&str>) -> Comparison {
     let mut out = Comparison::default();
     let empty: Vec<Json> = Vec::new();
@@ -604,6 +604,8 @@ mod tests {
             "committed",
             "aborted",
             "retries",
+            "lock_blocks",
+            "deadlock_victims",
             "shed",
             "deadline_expired",
             "wal_appends",

@@ -1,0 +1,438 @@
+//! Semantic strict 2PL over one lock table striped by key hash (the
+//! sequencing sections' `shard_of_key(key, STRIPES)`), with deadlocks
+//! broken when they close: the paper's open-nested protocol as a
+//! worker-pool concurrency control. DESIGN.md §7 "Strict 2PL: one
+//! striped lock table" argues why the stripes are as strong as one table,
+//! why nobody starves, why no wake-up is lost, and the lock order.
+
+use super::{
+    bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
+    ShardRoute, TxnHandle,
+};
+use crate::db::STRIPES;
+use crate::trace::TraceEventKind;
+use oodb_core::commutativity::ActionDescriptor;
+use oodb_core::graph::find_cycle_from;
+use oodb_lock::{LockManager, LockOutcome, OwnerId};
+use oodb_sim::exec::{enc_lock_manager, op_descriptor, page_descriptor, ENC_RESOURCE};
+use oodb_sim::EncOp;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
+
+// an attempt's stripes are one bit each of its footprint
+const _: () = assert!(STRIPES <= u64::BITS as usize);
+
+/// Trace a [`TraceEventKind::Conflict`] of `txn`'s request `ours` with
+/// each other party on the stripe. Blocked, the parties are the
+/// `holders`, whose grants do not commute with ours: the dependency is
+/// inherited to the top level (Definition 11). Granted (`None`), they are
+/// the coexisting grants where one side writes: a page-level conflict
+/// whose inheritance stopped at the commuting method.
+fn trace_conflicts(
+    shared: &EngineShared,
+    txn: &TxnHandle,
+    locks: &LockManager,
+    ours: &ActionDescriptor,
+    holders: Option<&[OwnerId]>,
+) {
+    if !shared.trace.enabled() {
+        return;
+    }
+    // the update-class methods; two readers never page-conflict
+    let writes = |d: &ActionDescriptor| !matches!(&*d.method, "search" | "rangeScan" | "readSeq");
+    let grants = locks.grants_on(ENC_RESOURCE);
+    let parties: Vec<OwnerId> = match holders {
+        Some(holders) => holders.to_vec(),
+        None => grants
+            .iter()
+            .filter(|(_, d)| writes(ours) || writes(d))
+            .map(|(o, _)| *o)
+            .collect(),
+    };
+    for with in parties.into_iter().filter(|&o| o != txn.owner) {
+        let theirs = grants
+            .iter()
+            .find(|(o, _)| *o == with)
+            .map(|(_, d)| d.to_string());
+        shared.trace.emit_txn(txn, || TraceEventKind::Conflict {
+            with: with.0,
+            ours: ours.to_string(),
+            theirs: theirs.unwrap_or_default(),
+            inherited: holders.is_some(),
+        });
+    }
+}
+
+struct Stripe {
+    table: Mutex<Table>,
+    /// Notified by a release that finds a request parked, and by a
+    /// verdict against one.
+    released: Condvar,
+}
+
+struct Table {
+    locks: LockManager,
+    /// Requests parked on `released`; a release with none skips the
+    /// notify (a syscall).
+    parked: usize,
+}
+
+/// A blocked request in the waits-for map.
+struct Waiter {
+    job: u64,
+    /// Where it parks, and so where a verdict wakes it.
+    stripe: usize,
+    /// The holders it waits for.
+    on: Vec<OwnerId>,
+    /// A deadlock victim; it aborts when it next looks.
+    doomed: bool,
+}
+
+/// A waits-for cycle reachable from `me`, if there is one. Doomed
+/// waiters are about to leave the map, so no cycle runs through them.
+fn cycle_from(waits: &HashMap<OwnerId, Waiter>, me: OwnerId) -> Option<Vec<OwnerId>> {
+    let on = |o: &OwnerId| {
+        waits
+            .get(o)
+            .filter(|w| !w.doomed)
+            .map_or(&[][..], |w| &w.on)
+    };
+    find_cycle_from([me], |o, out| out.extend(on(o)), &mut 0)
+}
+
+/// Strict 2PL: an operation locks its key's stripe, a scan every stripe
+/// in ascending order, the page-level ablation stripe 0, before it runs;
+/// locks are held to commit, or through compensation on abort. A blocked
+/// request parks on its stripe until a release there or a verdict.
+pub struct LockingCc {
+    stripes: Vec<Stripe>,
+    /// Blocked requests, by owner; only the blocking path touches it.
+    waits: Mutex<HashMap<OwnerId, Waiter>>,
+    /// Page granularity: every mode is container-wide, on stripe 0.
+    page: bool,
+    descriptor: fn(&EncOp) -> ActionDescriptor,
+    /// Metric lanes (see [`with_shards`](LockingCc::with_shards)).
+    lanes: usize,
+    faults: FaultPlan,
+}
+
+impl LockingCc {
+    /// Semantic locking: the paper's per-operation commutativity
+    /// descriptors, so commuting operations coexist.
+    pub fn semantic() -> Self {
+        Self::build(false)
+    }
+
+    /// Page-granularity ablation: every operation is a whole-container
+    /// read or write, so any two updates conflict.
+    pub fn page_level() -> Self {
+        Self::build(true)
+    }
+
+    fn build(page: bool) -> Self {
+        // one spec shared by every stripe's manager
+        let locks = enc_lock_manager();
+        let stripe = || Stripe {
+            table: Mutex::new(Table {
+                locks: locks.clone(),
+                parked: 0,
+            }),
+            released: Condvar::new(),
+        };
+        LockingCc {
+            stripes: (0..STRIPES).map(|_| stripe()).collect(),
+            waits: Mutex::new(HashMap::new()),
+            page,
+            descriptor: if page { page_descriptor } else { op_descriptor },
+            lanes: 1,
+            faults: FaultPlan::default(),
+        }
+    }
+
+    /// Account operations and commits over `lanes` metric lanes: lane
+    /// `l` is the stripes `s ≡ l (mod lanes)`, the key hash mod `lanes`
+    /// whenever `lanes` divides [`STRIPES`]. No decision depends on it.
+    pub fn with_shards(mut self, lanes: usize) -> Self {
+        self.lanes = lanes.max(1);
+        self
+    }
+
+    /// Arm a mid-flight abort: attempt `attempt` of `job` aborts once
+    /// `after_ops` of its operations have executed (test hook).
+    pub fn inject_fault_after(&self, job: u64, attempt: u32, after_ops: usize) {
+        self.faults.arm(job, attempt, after_ops);
+    }
+
+    /// Grants still held per stripe — zero everywhere once all
+    /// transactions finalized (no orphaned locks).
+    pub fn residual_grants(&self) -> Vec<usize> {
+        let grants = |s: &Stripe| s.table.lock().locks.total_grants();
+        self.stripes.iter().map(grants).collect()
+    }
+
+    /// Owners holding a grant on some stripe (live transactions).
+    pub fn tracked_owners(&self) -> usize {
+        let owners = |s: &Stripe| s.table.lock().locks.grants_on(ENC_RESOURCE);
+        let all = self.stripes.iter().flat_map(owners);
+        all.map(|(o, _)| o).collect::<HashSet<_>>().len()
+    }
+
+    /// Owners parked in the waits-for map.
+    pub fn waiting_owners(&self) -> usize {
+        self.waits.lock().len()
+    }
+
+    /// The stripe(s) `op` locks.
+    fn stripes_of(&self, op: &EncOp) -> ShardRoute {
+        if self.page {
+            ShardRoute::One(0)
+        } else {
+            route_keyed(op, STRIPES)
+        }
+    }
+
+    /// Block until `txn` holds `ours` on stripe `s`; `false` means it is
+    /// a deadlock victim and must abort.
+    fn acquire(
+        &self,
+        shared: &EngineShared,
+        txn: &TxnHandle,
+        s: usize,
+        ours: &ActionDescriptor,
+    ) -> bool {
+        let stripe = &self.stripes[s];
+        let mut table = stripe.table.lock();
+        let mut blocked = false;
+        loop {
+            let holders = match table.locks.acquire(txn.owner, &[], ENC_RESOURCE, ours) {
+                LockOutcome::Granted => {
+                    trace_conflicts(shared, txn, &table.locks, ours, None);
+                    if blocked {
+                        // still under the stripe: no cycle ever runs
+                        // through the edge of a granted request
+                        self.waits.lock().remove(&txn.owner);
+                    }
+                    txn.footprint.set(txn.footprint.get() | 1 << s);
+                    return true;
+                }
+                LockOutcome::Blocked { holders } => holders,
+            };
+            if !blocked {
+                blocked = true;
+                shared.metrics.lock_blocks.fetch_add(1, Ordering::Relaxed);
+                trace_conflicts(shared, txn, &table.locks, ours, Some(&holders));
+            }
+            let (victim, wake) = self.block(shared, txn, s, holders);
+            if !wake.is_empty() {
+                // one stripe mutex at a time: let ours go to wake the
+                // doomed, then look again — a release may have come in
+                drop(table);
+                for &v in &wake {
+                    let _parked = self.stripes[v].table.lock();
+                    self.stripes[v].released.notify_all();
+                }
+                table = stripe.table.lock();
+            } else if !victim {
+                // the doom check in `block` ran under this mutex, which
+                // the wait releases atomically: no verdict is missed
+                table.parked += 1;
+                stripe.released.wait(&mut table);
+                table.parked -= 1;
+            }
+            if victim {
+                table.locks.clear_waiting(txn.owner);
+                return false;
+            }
+        }
+    }
+
+    /// Record that `txn`, about to park on stripe `s`, waits for
+    /// `holders`, and break every cycle that now runs through it (called
+    /// under stripe `s`'s mutex). Returns whether `txn` is a victim, and
+    /// the stripes where the other victims park.
+    fn block(
+        &self,
+        shared: &EngineShared,
+        txn: &TxnHandle,
+        s: usize,
+        holders: Vec<OwnerId>,
+    ) -> (bool, Vec<usize>) {
+        let me = txn.owner;
+        let mut waits = self.waits.lock();
+        if waits.get(&me).is_some_and(|w| w.doomed) {
+            waits.remove(&me);
+            return (true, Vec::new());
+        }
+        let waiter = Waiter {
+            job: txn.job,
+            stripe: s,
+            on: holders,
+            doomed: false,
+        };
+        waits.insert(me, waiter);
+        let mut wake = Vec::new();
+        while let Some(cycle) = cycle_from(&waits, me) {
+            let job = |o: &OwnerId| waits[o].job;
+            let victim = *cycle
+                .iter()
+                .max_by_key(|o| job(o))
+                .expect("a cycle has members");
+            let m = &shared.metrics;
+            m.deadlock_victims.fetch_add(1, Ordering::Relaxed);
+            shared
+                .trace
+                .emit_txn(txn, || TraceEventKind::DeadlockVictim {
+                    victim_job: job(&victim),
+                    cycle_jobs: cycle.iter().map(job).collect(),
+                });
+            if victim == me {
+                waits.remove(&me);
+                return (true, wake);
+            }
+            let w = waits.get_mut(&victim).expect("cycle members wait");
+            w.doomed = true;
+            wake.push(w.stripe);
+        }
+        (false, wake)
+    }
+
+    /// Drop every grant of `txn` on the stripes it holds, waking what is
+    /// parked there; returns those stripes.
+    fn release(&self, txn: &TxnHandle) -> u64 {
+        let held = txn.footprint.take();
+        for s in bits(held) {
+            let mut table = self.stripes[s].table.lock();
+            table.locks.release_all(txn.owner);
+            if table.parked > 0 {
+                self.stripes[s].released.notify_all();
+            }
+        }
+        held
+    }
+}
+
+impl ConcurrencyControl for LockingCc {
+    fn name(&self) -> &'static str {
+        if self.page {
+            "pessimistic-page"
+        } else {
+            "pessimistic"
+        }
+    }
+
+    fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
+        let ours = (self.descriptor)(op);
+        let granted = match self.stripes_of(op) {
+            ShardRoute::One(s) => self.acquire(shared, txn, s, &ours),
+            ShardRoute::All => (0..STRIPES).all(|s| self.acquire(shared, txn, s, &ours)),
+        };
+        if !granted {
+            return OpGrant::AbortVictim;
+        }
+        match self.route(op) {
+            ShardRoute::One(l) => shared.metrics.shard_op(l),
+            ShardRoute::All => (0..self.lanes).for_each(|l| shared.metrics.shard_op(l)),
+        }
+        OpGrant::Granted
+    }
+
+    fn try_finish(&self, _shared: &EngineShared, _txn: &TxnHandle) -> FinishOutcome {
+        // strict 2PL: reaching the commit point with all locks held IS
+        // the commit ticket
+        FinishOutcome::Committed
+    }
+
+    fn after_commit(&self, shared: &EngineShared, txn: &TxnHandle) {
+        let held = self.release(txn);
+        if self.lanes > 1 {
+            let lanes = bits(held).fold(0, |m, s| m | 1 << (s % self.lanes));
+            shared.metrics.commit_lanes(bits(lanes));
+        }
+    }
+
+    fn after_abort(&self, _shared: &EngineShared, txn: &TxnHandle) {
+        // locks were still held while the worker compensated — nobody
+        // observed uncommitted semantic state — release them now
+        self.release(txn);
+    }
+
+    fn shards(&self) -> usize {
+        self.lanes
+    }
+
+    fn route(&self, op: &EncOp) -> ShardRoute {
+        match self.stripes_of(op) {
+            ShardRoute::One(s) => ShardRoute::One(s % self.lanes),
+            ShardRoute::All if self.lanes == 1 => ShardRoute::One(0),
+            ShardRoute::All => ShardRoute::All,
+        }
+    }
+
+    fn inject_abort(&self, txn: &TxnHandle, ops_done: usize) -> bool {
+        self.faults.fires(txn, ops_done)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::shard_of_key;
+
+    #[test]
+    fn keyed_ops_lock_their_stripe_scans_every_stripe_pages_stripe_zero() {
+        let cc = LockingCc::semantic();
+        let alpha = EncOp::Insert("alpha".into());
+        let s = shard_of_key("alpha", STRIPES);
+        assert_eq!(cc.stripes_of(&alpha), ShardRoute::One(s));
+        assert_eq!(
+            cc.stripes_of(&EncOp::Delete("alpha".into())),
+            ShardRoute::One(s),
+            "same key, same stripe — conflicts always meet"
+        );
+        assert_eq!(cc.stripes_of(&EncOp::ReadSeq), ShardRoute::All);
+        let page = LockingCc::page_level();
+        assert_eq!(page.name(), "pessimistic-page");
+        assert_eq!(page.stripes_of(&alpha), ShardRoute::One(0));
+        assert_eq!(page.stripes_of(&EncOp::ReadSeq), ShardRoute::One(0));
+    }
+
+    #[test]
+    fn lanes_fold_the_stripes_and_one_lane_routes_to_zero() {
+        let one = LockingCc::semantic();
+        assert_eq!(one.shards(), 1);
+        assert_eq!(one.route(&EncOp::ReadSeq), ShardRoute::One(0));
+        let four = LockingCc::semantic().with_shards(4);
+        assert_eq!(four.shards(), 4);
+        assert_eq!(four.route(&EncOp::ReadSeq), ShardRoute::All);
+        // 4 divides STRIPES: the lane is the key hash mod 4
+        for i in 0..32 {
+            let k = format!("k{i}");
+            assert_eq!(
+                four.route(&EncOp::Search(k.clone())),
+                ShardRoute::One(shard_of_key(&k, 4))
+            );
+        }
+    }
+
+    #[test]
+    fn a_cycle_is_found_from_the_requester_and_skips_the_doomed() {
+        let w = |job, on: &[u64], doomed| Waiter {
+            job,
+            stripe: 0,
+            on: on.iter().map(|&o| OwnerId(o)).collect(),
+            doomed,
+        };
+        let mut waits = HashMap::new();
+        waits.insert(OwnerId(1), w(10, &[2], false));
+        waits.insert(OwnerId(2), w(20, &[3, 1], false));
+        waits.insert(OwnerId(3), w(30, &[4], false)); // 4 runs: no edge
+        assert_eq!(
+            cycle_from(&waits, OwnerId(1)),
+            Some(vec![OwnerId(1), OwnerId(2)])
+        );
+        assert_eq!(cycle_from(&waits, OwnerId(3)), None, "4 waits for nobody");
+        waits.get_mut(&OwnerId(2)).unwrap().doomed = true;
+        assert_eq!(cycle_from(&waits, OwnerId(1)), None);
+    }
+}

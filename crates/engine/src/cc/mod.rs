@@ -3,29 +3,27 @@
 //! The engine's worker loop is protocol-agnostic: it executes operations,
 //! commits, compensates, and retries. Everything protocol-specific —
 //! when an operation may run, when a transaction may commit, what happens
-//! on abort — goes through [`ConcurrencyControl`]. Three implementations
+//! on abort — goes through [`ConcurrencyControl`]. Two implementations
 //! ship:
 //!
-//! * [`PessimisticCc`] — semantic strict 2PL with deadlock detection and
-//!   compensation-based victim abort (the paper's §4–§5 protocol);
-//! * [`ShardedPessimisticCc`] — the same protocol over one lock manager
-//!   per key-hash shard, with wound-wait in place of deadlock detection;
+//! * [`LockingCc`] — semantic strict 2PL over one lock table striped by
+//!   key hash, with deadlock detection and compensation-based victim
+//!   abort (the paper's §4–§5 protocol);
 //! * [`OptimisticCc`] — execute against a snapshot with writes buffered,
 //!   install and certify at commit against Definition 16 via
-//!   [`oodb_core::certifier::Certifier`]. One certifier at every shard
-//!   count: shards are lanes of its metrics.
+//!   [`oodb_core::certifier::Certifier`].
 //!
-//! All three are strict: no transaction ever observes an uncommitted
-//! effect, so a compensation cannot fail and an abort never cascades.
+//! Neither decides anything by shard: at every shard count there is one
+//! lock table and one certifier, and a shard is a lane of the metrics.
+//! Both are strict: no transaction ever observes an uncommitted effect,
+//! so a compensation cannot fail and an abort never cascades.
 
+mod locking;
 mod optimistic;
-mod pessimistic;
-mod sharded;
 pub mod versions;
 
+pub use locking::LockingCc;
 pub use optimistic::OptimisticCc;
-pub use pessimistic::PessimisticCc;
-pub use sharded::{shard_of_key, ShardedPessimisticCc};
 pub use versions::VersionStore;
 
 use crate::db::ConcurrentEnc;
@@ -37,6 +35,10 @@ use oodb_core::system::TransactionSystem;
 use oodb_lock::OwnerId;
 use oodb_model::Recorder;
 use oodb_sim::EncOp;
+use parking_lot::Mutex;
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execution environment shared by every worker and the concurrency
 /// control: the recorder, the database, and the metrics sink.
@@ -70,7 +72,7 @@ impl EngineShared {
 
 /// Identity of one transaction *attempt* (each retry gets a fresh
 /// recorded transaction, hence a fresh handle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TxnHandle {
     /// The logical job this attempt executes.
     pub job: u64,
@@ -80,6 +82,94 @@ pub struct TxnHandle {
     pub txn: TxnIdx,
     /// Lock-owner identity of this attempt.
     pub owner: OwnerId,
+    /// The partitions of the key space this attempt touched, one bit
+    /// each, as its control partitions them: the lock stripes it holds
+    /// under [`LockingCc`] (a release visits exactly these), the metric
+    /// lanes its operations routed to under [`OptimisticCc`]. It lives in
+    /// the attempt's own handle, so no control keeps a shared map of it.
+    footprint: Cell<u64>,
+}
+
+impl TxnHandle {
+    /// The handle of attempt `attempt` of `job`, recorded as `txn` and
+    /// locking as `owner`; it holds nothing yet.
+    pub fn new(job: u64, attempt: u32, txn: TxnIdx, owner: OwnerId) -> Self {
+        TxnHandle {
+            job,
+            attempt,
+            txn,
+            owner,
+            footprint: Cell::new(0),
+        }
+    }
+}
+
+/// The bits set in `mask`, ascending.
+fn bits(mask: u64) -> impl Iterator<Item = usize> {
+    (0..u64::BITS as usize).filter(move |b| mask >> b & 1 != 0)
+}
+
+/// Stable FNV-1a hash of `key`, reduced mod `shards`. Hand-rolled so the
+/// key→shard map is reproducible across runs and platforms (no
+/// `RandomState`). With `shards` = [`STRIPES`](crate::STRIPES) it is the
+/// map of the sequencing sections and of the lock table.
+pub fn shard_of_key(key: &str, shards: usize) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in key.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % shards.max(1) as u64) as usize
+}
+
+/// The footprint of `op` under key-hash partitioning into `shards`:
+/// keyed operations land on one shard; sequential *and range* scans span
+/// all of them (hash partitioning scatters the interval `[lo, hi]` across
+/// every shard, so a range's conflicts can surface anywhere).
+pub(crate) fn route_keyed(op: &EncOp, shards: usize) -> ShardRoute {
+    match op {
+        EncOp::Insert(k) | EncOp::Search(k) | EncOp::Change(k) | EncOp::Delete(k) => {
+            ShardRoute::One(shard_of_key(k, shards))
+        }
+        EncOp::ReadSeq | EncOp::Range(..) => ShardRoute::All,
+    }
+}
+
+/// Armed mid-flight aborts for the
+/// [`inject_abort`](ConcurrencyControl::inject_abort) hook:
+/// `(job, attempt) → abort once this many ops have executed`.
+#[derive(Default)]
+pub(crate) struct FaultPlan {
+    armed: Mutex<HashMap<(u64, u32), usize>>,
+    /// Entries in `armed`, so the per-operation check of an engine with
+    /// nothing armed — every engine outside the fault suites — takes no
+    /// lock. Stored (Release) under the `armed` lock, loaded (Acquire)
+    /// before taking it: a check that reads 0 is ordered before the
+    /// arming it missed.
+    pending: AtomicUsize,
+}
+
+impl FaultPlan {
+    pub(crate) fn arm(&self, job: u64, attempt: u32, after_ops: usize) {
+        let mut armed = self.armed.lock();
+        armed.insert((job, attempt), after_ops);
+        self.pending.store(armed.len(), Ordering::Release);
+    }
+
+    pub(crate) fn fires(&self, txn: &TxnHandle, ops_done: usize) -> bool {
+        if self.pending.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        let mut armed = self.armed.lock();
+        match armed.get(&(txn.job, txn.attempt)) {
+            Some(&n) if ops_done >= n => {
+                armed.remove(&(txn.job, txn.attempt));
+                self.pending.store(armed.len(), Ordering::Release);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Decision for one operation, returned by
@@ -93,17 +183,15 @@ pub enum OpGrant {
     AbortVictim,
 }
 
-/// Where one operation's concurrency bookkeeping routes when the key
-/// space is partitioned across shards (see
-/// [`route`](ConcurrencyControl::route)).
+/// Where one operation's footprint falls when the key space is
+/// partitioned by key hash — into metric lanes (see
+/// [`route`](ConcurrencyControl::route)) or into lock stripes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRoute {
-    /// The operation's footprint is a single key; all bookkeeping lives
-    /// on one shard.
+    /// The operation's footprint is a single key: one partition.
     One(usize),
     /// The operation's footprint spans the whole container (sequential
-    /// and range scans under hash partitioning): it must be visible on
-    /// every shard.
+    /// and range scans under hash partitioning): every partition.
     All,
 }
 
@@ -142,33 +230,26 @@ pub trait ConcurrencyControl: Send + Sync {
     /// locks, register the abort).
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle);
 
-    /// Number of shards this strategy partitions the key space into —
-    /// independent lock managers under strict 2PL, metric lanes under
-    /// certification. `1` means no partition.
+    /// Number of metric lanes this strategy accounts its operations and
+    /// commits over (the per-shard lanes and the cross-shard counter of
+    /// [`EngineMetrics`]). Decisions never depend on it. `1` means no
+    /// lanes.
     fn shards(&self) -> usize {
         1
     }
 
-    /// Which shard(s) `op`'s bookkeeping routes to:
-    /// `shard(key) = hash(key) % shards()` for keyed operations, every
-    /// shard for container-wide scans. Single-shard strategies route
-    /// everything to shard 0.
+    /// Which lane(s) `op`'s accounting routes to: one lane for a keyed
+    /// operation, every lane for a container-wide scan. With one lane
+    /// everything routes to lane 0.
     fn route(&self, op: &EncOp) -> ShardRoute;
 
     /// Fault-injection hook, consulted by the worker after each executed
     /// operation (`ops_done` operations of the attempt have run). `true`
     /// forces the attempt to abort mid-flight — compensating and
-    /// releasing on every shard it touched — exactly as a real failure
-    /// would. The default never fires; [`ShardedPessimisticCc`] and
-    /// [`OptimisticCc`] expose test knobs that arm it.
+    /// releasing every lock it holds — exactly as a real failure would.
+    /// The default never fires; [`LockingCc`] and [`OptimisticCc`] expose
+    /// test knobs that arm it.
     fn inject_abort(&self, _txn: &TxnHandle, _ops_done: usize) -> bool {
-        false
-    }
-
-    /// True when another transaction has doomed this attempt (wounded
-    /// under wound-wait); the worker checks between operations and
-    /// aborts promptly.
-    fn is_doomed(&self, _txn: &TxnHandle) -> bool {
         false
     }
 
@@ -199,5 +280,58 @@ pub trait ConcurrencyControl: Send + Sync {
     /// under optimistic certification).
     fn committed_projection(&self, _ts: &TransactionSystem, _history: &History) -> Option<History> {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn key_hash_is_stable_and_in_range() {
+        for n in [1usize, 2, 4, 8] {
+            for i in 0..64 {
+                let k = format!("k{i:06}");
+                let s = shard_of_key(&k, n);
+                assert!(s < n);
+                assert_eq!(s, shard_of_key(&k, n), "deterministic");
+            }
+        }
+        // the hash actually spreads keys
+        let hits: HashSet<usize> = (0..64)
+            .map(|i| shard_of_key(&format!("k{i:06}"), 8))
+            .collect();
+        assert!(hits.len() >= 4, "64 keys must reach ≥4 of 8 shards");
+    }
+
+    #[test]
+    fn keyed_ops_route_to_one_shard_scans_to_all() {
+        match route_keyed(&EncOp::Insert("alpha".into()), 4) {
+            ShardRoute::One(s) => assert!(s < 4),
+            ShardRoute::All => panic!("keyed op must route to one shard"),
+        }
+        assert_eq!(route_keyed(&EncOp::ReadSeq, 4), ShardRoute::All);
+        assert_eq!(
+            route_keyed(&EncOp::Range("a".into(), "z".into()), 4),
+            ShardRoute::All
+        );
+        // same key, same shard — conflicts always meet
+        assert_eq!(
+            route_keyed(&EncOp::Change("alpha".into()), 4),
+            route_keyed(&EncOp::Delete("alpha".into()), 4)
+        );
+    }
+
+    #[test]
+    fn fault_plan_fires_once_at_threshold() {
+        let plan = FaultPlan::default();
+        plan.arm(3, 0, 2);
+        let txn = TxnHandle::new(3, 0, TxnIdx(7), OwnerId(7));
+        assert!(!plan.fires(&txn, 1), "below threshold");
+        assert!(plan.fires(&txn, 2), "at threshold");
+        assert!(!plan.fires(&txn, 3), "disarmed after firing");
+        let retry = TxnHandle::new(3, 1, TxnIdx(8), OwnerId(8));
+        assert!(!plan.fires(&retry, 2), "other attempts unaffected");
     }
 }

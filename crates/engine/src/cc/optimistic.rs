@@ -14,11 +14,14 @@
 //! is checked against at a few transactions; a second scoping by hash
 //! partition bought nothing measurable (EXPERIMENTS.md "After the
 //! merge"). [`OptimisticCc::with_shards`] therefore only *accounts*:
-//! each live attempt's shard footprint feeds the per-shard lanes and the
-//! cross-shard counter of [`EngineMetrics`](crate::EngineMetrics).
+//! the lanes an attempt's operations routed to, kept in its own handle,
+//! feed the per-shard lanes and the cross-shard counter of
+//! [`EngineMetrics`](crate::EngineMetrics).
 
-use super::sharded::{route_keyed, FaultPlan};
-use super::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, ShardRoute, TxnHandle};
+use super::{
+    bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
+    ShardRoute, TxnHandle,
+};
 use crate::cc::versions::{self, VersionStore};
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_core::certifier::{
@@ -29,7 +32,6 @@ use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
 use oodb_sim::EncOp;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 
 /// Backward-validation concurrency control over the shared
@@ -43,11 +45,6 @@ use std::sync::atomic::Ordering;
 /// still retains plus the candidate.
 pub struct OptimisticCc {
     cert: Mutex<Certifier>,
-    /// Attempts currently executing under this control (registered at
-    /// their first operation, cleared at finalization), each with the
-    /// shards its operations routed to. One shard has no footprint to
-    /// account and registers nothing ([`Self::tracks_attempts`]).
-    live: Mutex<HashMap<TxnIdx, BTreeSet<usize>>>,
     /// MVCC version bookkeeping.
     store: VersionStore,
     /// Lanes the key space is accounted over (1 = no lanes).
@@ -75,7 +72,6 @@ impl OptimisticCc {
         let backend = CertBackend::default();
         OptimisticCc {
             cert: Mutex::new(certifier(backend)),
-            live: Mutex::new(HashMap::new()),
             store: VersionStore::new(),
             shards: 1,
             backend,
@@ -94,12 +90,12 @@ impl OptimisticCc {
         self
     }
 
-    /// Account operations and commits over `shards` hash partitions of
-    /// the key space ([`shard_of_key`](super::shard_of_key)). Decisions
-    /// do not depend on it (`tests/cert_differential.rs` compares the
-    /// decision logs at 1 and 3 shards).
+    /// Account operations and commits over `shards` (at most 64) hash
+    /// partitions of the key space ([`shard_of_key`](super::shard_of_key)).
+    /// Decisions do not depend on it (`tests/cert_differential.rs`
+    /// compares the decision logs at 1 and 3 shards).
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards.clamp(1, u64::BITS as usize);
         self
     }
 
@@ -119,12 +115,6 @@ impl OptimisticCc {
         self.faults.arm(job, attempt, after_ops);
     }
 
-    /// Attempts begun but not finalized — zero once the engine drains,
-    /// and with it no shard footprint is left behind.
-    pub fn live_entries(&self) -> usize {
-        self.live.lock().len()
-    }
-
     /// Committed transactions so far.
     pub fn committed_count(&self) -> usize {
         self.cert.lock().committed().len()
@@ -138,12 +128,6 @@ impl OptimisticCc {
     /// The certifier's counters.
     pub fn stats(&self) -> CertifierStats {
         self.cert.lock().stats
-    }
-
-    /// Whether attempts register in [`Self::live`]: only more than one
-    /// shard has a footprint to account.
-    fn tracks_attempts(&self) -> bool {
-        self.shards > 1
     }
 
     /// Run `f` against the record the backend certifies over: the live
@@ -256,23 +240,6 @@ impl OptimisticCc {
         self.publish_cert_round(shared, txn, before, cert.stats);
         committed
     }
-
-    /// `txn` left the live set; a commit is accounted on every lane of
-    /// its footprint.
-    fn finalize(&self, shared: &EngineShared, txn: TxnIdx, committed: bool) {
-        if !self.tracks_attempts() {
-            return;
-        }
-        let footprint = self.live.lock().remove(&txn).unwrap_or_default();
-        if committed {
-            for &s in &footprint {
-                shared.metrics.shard_commit(s);
-            }
-            if footprint.len() > 1 {
-                shared.metrics.cross_shard_inc();
-            }
-        }
-    }
 }
 
 impl Default for OptimisticCc {
@@ -290,17 +257,13 @@ impl ConcurrencyControl for OptimisticCc {
         // record the operation against the version store: writes buffer,
         // reads resolve in the snapshot
         self.store.note_op(txn.txn, op);
-        if self.tracks_attempts() {
-            let mut live = self.live.lock();
-            let footprint = live.entry(txn.txn).or_default();
-            let mut note = |s: usize| {
-                footprint.insert(s);
-                shared.metrics.shard_op(s);
+        if self.shards > 1 {
+            let lanes = match route_keyed(op, self.shards) {
+                ShardRoute::One(s) => 1 << s,
+                ShardRoute::All => u64::MAX >> (u64::BITS as usize - self.shards),
             };
-            match route_keyed(op, self.shards) {
-                ShardRoute::One(s) => note(s),
-                ShardRoute::All => (0..self.shards).for_each(note),
-            }
+            txn.footprint.set(txn.footprint.get() | lanes);
+            bits(lanes).for_each(|l| shared.metrics.shard_op(l));
         }
         OpGrant::Granted
     }
@@ -308,8 +271,8 @@ impl ConcurrencyControl for OptimisticCc {
     fn try_finish(&self, shared: &EngineShared, txn: &TxnHandle) -> FinishOutcome {
         let committed =
             self.with_record(shared, |ts, history| self.certify(shared, txn, ts, history));
-        self.finalize(shared, txn.txn, committed);
         if committed {
+            shared.metrics.commit_lanes(bits(txn.footprint.get()));
             versions::on_commit(&self.store, shared, txn);
             FinishOutcome::Committed
         } else {
@@ -332,7 +295,6 @@ impl ConcurrencyControl for OptimisticCc {
         }
         drop(cert);
         versions::on_abort(&self.store, shared, txn);
-        self.finalize(shared, me, false);
     }
 
     fn shards(&self) -> usize {

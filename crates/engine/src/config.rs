@@ -132,15 +132,12 @@ pub struct EngineConfig {
     pub seed: u64,
     /// B-link tree fanout of the underlying encyclopedia.
     pub fanout: usize,
-    /// Number of concurrency-control shards the key space is partitioned
-    /// into (`shard(key) = hash(key) % shards`). `1` (the default) keeps
-    /// the single global lock manager; larger values give strict 2PL one
-    /// lock manager per shard (with wound-wait in place of deadlock
-    /// detection), so independent keys stop contending on one mutex —
-    /// conflicting operations always meet on a common shard, so the
-    /// protocol guarantees are unchanged. The optimistic strategy has one
-    /// certifier at every shard count; there the value only selects how
-    /// many lanes its per-shard metrics are accounted over.
+    /// Number of metric lanes the key space is accounted over (per-lane
+    /// operations, blocks and commits, and the cross-shard counter). No
+    /// decision depends on it: strict 2PL has one lock table striped by
+    /// key hash ([`STRIPES`](crate::STRIPES) stripes) and the optimistic
+    /// strategy one certifier, at every value. `1` (the default) keeps no
+    /// lanes; the optimistic strategy keeps at most 64.
     pub shards: usize,
     /// Record and verify the execution on shutdown: pessimistic runs
     /// audit the complete record (including aborted attempts and their
@@ -199,7 +196,7 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.queue_capacity >= c.workers);
         assert!(c.base_backoff <= c.max_backoff);
-        assert_eq!(c.shards, 1, "sharding is opt-in");
+        assert_eq!(c.shards, 1, "metric lanes are opt-in");
         assert_eq!(c.trace, TraceMode::Off, "tracing is opt-in");
         assert!(
             matches!(TraceMode::ring(), TraceMode::Ring { capacity_per_lane } if capacity_per_lane > 0)

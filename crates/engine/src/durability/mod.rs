@@ -489,12 +489,7 @@ mod tests {
         let (end, bytes) = dur.append(&EngineRecord::Commit { txn: job }, &shared.metrics);
         assert!(bytes > FRAME_HEADER);
         Ack {
-            handle: TxnHandle {
-                job,
-                attempt: 0,
-                txn: TxnIdx(job as u32),
-                owner: OwnerId(job),
-            },
+            handle: TxnHandle::new(job, 0, TxnIdx(job as u32), OwnerId(job)),
             submitted_at: Instant::now(),
             record_metrics: true,
             wait: Duration::ZERO,

@@ -2,7 +2,7 @@
 //!
 //! A multi-worker transaction engine over the encyclopedia database,
 //! with **pluggable concurrency control**: the same worker loop runs the
-//! paper's semantic strict 2PL ([`PessimisticCc`]) or optimistic
+//! paper's semantic strict 2PL ([`LockingCc`]) or optimistic
 //! certification against Definition 16 ([`OptimisticCc`]) — plus the
 //! page-granularity ablation — behind one [`ConcurrencyControl`] trait.
 //!
@@ -47,8 +47,8 @@ pub mod worker;
 
 pub use audit::{audit, AuditOutput, AuditScope};
 pub use cc::{
-    shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, OptimisticCc,
-    PessimisticCc, ShardRoute, ShardedPessimisticCc, TxnHandle, VersionStore,
+    shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant,
+    OptimisticCc, ShardRoute, TxnHandle, VersionStore,
 };
 pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
 pub use db::{ConcurrentEnc, EncSection, STRIPES};
@@ -121,18 +121,14 @@ pub struct EngineOutput {
 
 impl Engine {
     /// Start an engine with one of the built-in strategies.
-    /// [`EngineConfig::shards`] > 1 gives strict 2PL one lock manager per
-    /// shard and the optimistic strategy per-shard metric lanes over its
-    /// one certifier.
+    /// [`EngineConfig::shards`] only selects the metric lanes: strict 2PL
+    /// keeps its one striped lock table and the optimistic strategy its
+    /// one certifier at every value.
     pub fn start(cfg: EngineConfig, kind: CcKind) -> Engine {
         let shards = cfg.shards.max(1);
         let cc: Arc<dyn ConcurrencyControl> = match kind {
-            CcKind::Pessimistic if shards > 1 => Arc::new(ShardedPessimisticCc::semantic(shards)),
-            CcKind::Pessimistic => Arc::new(PessimisticCc::semantic()),
-            CcKind::PessimisticPage if shards > 1 => {
-                Arc::new(ShardedPessimisticCc::page_level(shards))
-            }
-            CcKind::PessimisticPage => Arc::new(PessimisticCc::page_level()),
+            CcKind::Pessimistic => Arc::new(LockingCc::semantic().with_shards(shards)),
+            CcKind::PessimisticPage => Arc::new(LockingCc::page_level().with_shards(shards)),
             CcKind::Optimistic => Arc::new(OptimisticCc::new().with_shards(shards)),
         };
         Self::start_with(cfg, cc)

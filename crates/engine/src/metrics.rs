@@ -181,27 +181,22 @@ impl Quantiles {
     }
 }
 
-/// Per-shard counters of a concurrency control running on more than one
-/// shard (empty on one).
+/// Per-lane counters of a concurrency control accounting over more than
+/// one lane (empty on one).
 #[derive(Debug, Default)]
 pub struct ShardLane {
-    /// Operations routed to (and granted on) this shard.
+    /// Operations routed to (and granted on) this lane.
     pub ops: AtomicU64,
-    /// Blocked lock requests on this shard under sharded strict 2PL;
-    /// always 0 under certification, which never blocks an operation.
-    pub blocked: AtomicU64,
-    /// Committed transactions whose footprint included this shard.
+    /// Committed transactions whose footprint included this lane.
     pub commits: AtomicU64,
 }
 
 /// Frozen view of one [`ShardLane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLaneSnapshot {
-    /// Operations routed to this shard.
+    /// Operations routed to this lane.
     pub ops: u64,
-    /// Contention events on this shard.
-    pub blocked: u64,
-    /// Commits whose footprint included this shard.
+    /// Commits whose footprint included this lane.
     pub commits: u64,
 }
 
@@ -222,9 +217,13 @@ pub struct EngineMetrics {
     pub committed: AtomicU64,
     /// Jobs dropped after exhausting retries.
     pub aborted: AtomicU64,
-    /// Abort-and-retry events (deadlock and wound victims, validation
-    /// failures, injected faults).
+    /// Abort-and-retry events (deadlock victims, validation failures,
+    /// injected faults).
     pub retries: AtomicU64,
+    /// Lock acquisitions that blocked at least once under strict 2PL.
+    pub lock_blocks: AtomicU64,
+    /// Deadlock cycles broken, one victim each, under strict 2PL.
+    pub deadlock_victims: AtomicU64,
     /// Submissions rejected by admission control (queue full).
     pub shed: AtomicU64,
     /// Jobs dropped because their deadline passed before commit.
@@ -322,6 +321,8 @@ impl EngineMetrics {
             committed: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             retries: AtomicU64::new(0),
+            lock_blocks: AtomicU64::new(0),
+            deadlock_victims: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
             version_installs: AtomicU64::new(0),
@@ -356,24 +357,19 @@ impl EngineMetrics {
         }
     }
 
-    /// Count one contention event on shard `s` (no-op without lanes).
-    pub fn shard_block(&self, s: usize) {
-        if let Some(lane) = self.shard_lanes.get(s) {
-            lane.blocked.fetch_add(1, Ordering::Relaxed);
+    /// Count one commit on every lane of its footprint `lanes` (no-op
+    /// without lanes), and as cross-shard when there is more than one.
+    pub fn commit_lanes(&self, lanes: impl IntoIterator<Item = usize>) {
+        let mut n = 0;
+        for l in lanes {
+            n += 1;
+            if let Some(lane) = self.shard_lanes.get(l) {
+                lane.commits.fetch_add(1, Ordering::Relaxed);
+            }
         }
-    }
-
-    /// Count one commit whose footprint included shard `s` (no-op
-    /// without lanes).
-    pub fn shard_commit(&self, s: usize) {
-        if let Some(lane) = self.shard_lanes.get(s) {
-            lane.commits.fetch_add(1, Ordering::Relaxed);
+        if n > 1 {
+            self.cross_shard.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Count one committed cross-shard transaction.
-    pub fn cross_shard_inc(&self) {
-        self.cross_shard.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every counter plus derived rates, with
@@ -391,7 +387,6 @@ impl EngineMetrics {
                 .iter()
                 .map(|l| ShardLaneSnapshot {
                     ops: l.ops.load(Ordering::Relaxed),
-                    blocked: l.blocked.load(Ordering::Relaxed),
                     commits: l.commits.load(Ordering::Relaxed),
                 })
                 .collect(),
@@ -400,6 +395,8 @@ impl EngineMetrics {
             committed,
             aborted: self.aborted.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
+            lock_blocks: self.lock_blocks.load(Ordering::Relaxed),
+            deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             version_installs: self.version_installs.load(Ordering::Relaxed),
@@ -494,6 +491,10 @@ pub struct MetricsSnapshot {
     pub aborted: u64,
     /// Abort-and-retry events.
     pub retries: u64,
+    /// Lock acquisitions that blocked at least once (strict 2PL).
+    pub lock_blocks: u64,
+    /// Deadlock cycles broken by a victim (strict 2PL).
+    pub deadlock_victims: u64,
     /// Submissions shed by admission control.
     pub shed: u64,
     /// Jobs dropped on deadline expiry.
@@ -607,6 +608,8 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"committed\":{},", self.committed);
         let _ = write!(s, "\"aborted\":{},", self.aborted);
         let _ = write!(s, "\"retries\":{},", self.retries);
+        let _ = write!(s, "\"lock_blocks\":{},", self.lock_blocks);
+        let _ = write!(s, "\"deadlock_victims\":{},", self.deadlock_victims);
         let _ = write!(s, "\"shed\":{},", self.shed);
         let _ = write!(s, "\"deadline_expired\":{},", self.deadline_expired);
         let _ = write!(s, "\"version_installs\":{},", self.version_installs);
@@ -704,11 +707,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(
-                s,
-                "{{\"ops\":{},\"blocked\":{},\"commits\":{}}}",
-                lane.ops, lane.blocked, lane.commits
-            );
+            let _ = write!(s, "{{\"ops\":{},\"commits\":{}}}", lane.ops, lane.commits);
         }
         s.push_str("]}");
         s
@@ -720,7 +719,7 @@ impl std::fmt::Display for MetricsSnapshot {
         write!(
             f,
             "committed {} ({:.0}/s) aborted {} retries {} shed {} expired {} depth {} \
-             lock-wait p50/p99 {:?}/{:?} e2e p50/p99 {:?}/{:?}",
+             lock-blocks {} deadlock-victims {} lock-wait p50/p99 {:?}/{:?} e2e p50/p99 {:?}/{:?}",
             self.committed,
             self.throughput_per_sec,
             self.aborted,
@@ -728,6 +727,8 @@ impl std::fmt::Display for MetricsSnapshot {
             self.shed,
             self.deadline_expired,
             self.queue_depth,
+            self.lock_blocks,
+            self.deadlock_victims,
             self.lock_wait_p50,
             self.lock_wait_p99,
             self.e2e_p50,
@@ -920,6 +921,8 @@ mod tests {
     fn snapshot_json_shape() {
         let m = EngineMetrics::with_shards(2);
         m.committed.fetch_add(3, Ordering::Relaxed);
+        m.lock_blocks.fetch_add(4, Ordering::Relaxed);
+        m.deadlock_victims.fetch_add(1, Ordering::Relaxed);
         m.shard_op(0);
         m.e2e.record(Duration::from_millis(1));
         m.wal_appends.fetch_add(9, Ordering::Relaxed);
@@ -956,6 +959,8 @@ mod tests {
             "\"committed\":3",
             "\"aborted\":",
             "\"retries\":",
+            "\"lock_blocks\":4",
+            "\"deadlock_victims\":1",
             "\"shed\":",
             "\"deadline_expired\":",
             "\"version_installs\":",

@@ -50,7 +50,7 @@ pub enum CertOutcome {
 /// Why an attempt aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
-    /// Chosen as a deadlock or wound victim.
+    /// Chosen as a deadlock victim.
     Victim,
     /// Failed commit-time validation.
     Validation,
@@ -149,17 +149,15 @@ pub enum TraceEventKind {
         /// inherited); false when it stopped at a commuting caller.
         inherited: bool,
     },
-    /// Wound-wait: this (older) attempt doomed a younger lock holder.
-    WoundIssued {
-        /// Job id of the wounded holder.
+    /// This attempt's blocked request closed a waits-for cycle, and the
+    /// detector chose the cycle member with the largest job id to abort
+    /// (possibly this attempt itself).
+    DeadlockVictim {
+        /// Job id of the victim.
         victim_job: u64,
-        /// Lock-owner id of the wounded holder.
-        victim: u64,
-    },
-    /// This attempt noticed it was wounded and aborts.
-    WoundReceived {
-        /// Lock-owner id of the wounder, when known (0 if unknown).
-        by: u64,
+        /// Job ids of the cycle, starting with this attempt's, in
+        /// waits-for order.
+        cycle_jobs: Vec<u64>,
     },
     /// One certification round of an optimistic commit.
     CertAttempt {
@@ -265,8 +263,7 @@ impl TraceEventKind {
             TraceEventKind::OpGranted { .. } => "op_granted",
             TraceEventKind::CompensationOp { .. } => "compensation_op",
             TraceEventKind::Conflict { .. } => "conflict",
-            TraceEventKind::WoundIssued { .. } => "wound_issued",
-            TraceEventKind::WoundReceived { .. } => "wound_received",
+            TraceEventKind::DeadlockVictim { .. } => "deadlock_victim",
             TraceEventKind::CertAttempt { .. } => "cert_attempt",
             TraceEventKind::CertDelta { .. } => "cert_delta",
             TraceEventKind::VersionInstall { .. } => "version_install",

@@ -89,11 +89,20 @@ fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
             put_str(out, "theirs", theirs);
             put_bool(out, "inherited", *inherited);
         }
-        TraceEventKind::WoundIssued { victim_job, victim } => {
+        TraceEventKind::DeadlockVictim {
+            victim_job,
+            cycle_jobs,
+        } => {
             put_u64(out, "victim_job", *victim_job);
-            put_u64(out, "victim", *victim);
+            out.push_str("\"cycle_jobs\":[");
+            for (i, job) in cycle_jobs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{job}");
+            }
+            out.push_str("],");
         }
-        TraceEventKind::WoundReceived { by } => put_u64(out, "by", *by),
         TraceEventKind::CertAttempt { component, outcome } => {
             put_u64(out, "component", *component as u64);
             put_str(out, "outcome", outcome.label());
@@ -500,6 +509,22 @@ mod tests {
         assert!(s.contains("\"ph\":\"X\""));
         assert!(s.contains("\"ph\":\"i\""));
         assert!(s.contains("\"dropped\":1"));
+    }
+
+    #[test]
+    fn deadlock_victim_carries_its_cycle_in_both_exports() {
+        let mut l = log();
+        l.events[2].kind = TraceEventKind::DeadlockVictim {
+            victim_job: 5,
+            cycle_jobs: vec![0, 5, 3],
+        };
+        let s = to_jsonl(&l);
+        assert!(validate_jsonl(&s), "invalid jsonl: {s}");
+        assert!(s.contains("\"kind\":\"deadlock_victim\""));
+        assert!(s.contains("\"victim_job\":5,\"cycle_jobs\":[0,5,3]"));
+        let chrome = to_chrome_trace(&l);
+        assert!(validate_json(&chrome), "invalid chrome trace: {chrome}");
+        assert!(chrome.contains("\"cycle_jobs\":[0,5,3]"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Structured transaction tracing.
 //!
 //! The engine stamps every lifecycle transition — admission, shedding,
-//! attempt start, operation grants, conflicts, wounds, certification
-//! rounds, commit-dependency waits, compensation, commit/abort — with
+//! attempt start, operation grants, conflicts, deadlock victims,
+//! certification rounds, compensation, commit/abort — with
 //! `(job, attempt, txn, worker, seq)` and hands it to a pluggable
 //! [`TraceSink`]. With the default [`NullSink`] the whole subsystem
 //! costs one branch per would-be event; with the ring sink

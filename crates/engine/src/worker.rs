@@ -398,12 +398,12 @@ pub(crate) fn process_job(
         let attempt_ctx = shared.rec.begin_txn(name);
         let txn_number = attempt_ctx.txn_number();
         let mut ctx = Some(attempt_ctx);
-        let handle = TxnHandle {
-            job: job.id,
+        let handle = TxnHandle::new(
+            job.id,
             attempt,
-            txn: TxnIdx(txn_number),
-            owner: OwnerId(u64::from(txn_number)),
-        };
+            TxnIdx(txn_number),
+            OwnerId(u64::from(txn_number)),
+        );
         let mut wal = Wal::new(shared, txn_number, wal_name);
         shared
             .trace
@@ -424,11 +424,6 @@ pub(crate) fn process_job(
         let mut reason = AbortReason::Victim;
         let mut ops_done = 0usize;
         for op in &job.ops {
-            if cc.is_doomed(&handle) {
-                aborting = true;
-                reason = AbortReason::Victim;
-                break;
-            }
             let t0 = Instant::now();
             let grant = cc.before_op(shared, &handle, op);
             let waited = t0.elapsed();
@@ -538,11 +533,7 @@ pub(crate) fn process_job(
                 }
                 FinishOutcome::Abort => {
                     aborting = true;
-                    reason = if cc.is_doomed(&handle) {
-                        AbortReason::Victim
-                    } else {
-                        AbortReason::Validation
-                    };
+                    reason = AbortReason::Validation;
                 }
             }
         }

@@ -67,8 +67,8 @@ impl Attempt {
 /// The outcome of one fully replayed schedule, including the complete
 /// ordered log of concurrency-control decisions. Two backends that make
 /// the same decisions produce byte-identical logs; any divergence in a
-/// grant, a validation verdict or a doom shows up as the first differing
-/// log line.
+/// grant or a validation verdict shows up as the first differing log
+/// line.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RunOutcome {
     pub decisions: Vec<String>,
@@ -81,8 +81,7 @@ pub struct RunOutcome {
 
 /// Single-threaded virtual scheduler with a decision log: executes
 /// `schedule` (a merge of the transactions' op streams) step by step
-/// against `cc`, recording every grant, finish verdict and doom in
-/// order, retries aborted attempts serially after the trace, then audits
+/// against `cc`, recording every grant and finish verdict in order, retries aborted attempts serially after the trace, then audits
 /// the record.
 pub struct VirtualScheduler {
     shared: EngineShared,
@@ -137,12 +136,12 @@ impl VirtualScheduler {
 
     fn begin(&mut self, job: u64, name: String, ops: Vec<EncOp>) -> Attempt {
         let ctx = self.shared.rec.begin_txn(name);
-        let handle = TxnHandle {
+        let handle = TxnHandle::new(
             job,
-            attempt: 0,
-            txn: oodb_core::ids::TxnIdx(ctx.txn_number()),
-            owner: OwnerId(u64::from(ctx.txn_number())),
-        };
+            0,
+            oodb_core::ids::TxnIdx(ctx.txn_number()),
+            OwnerId(u64::from(ctx.txn_number())),
+        );
         Attempt {
             ops,
             buffered: Vec::new(),
@@ -178,11 +177,6 @@ impl VirtualScheduler {
         };
         if a.cursor >= a.ops.len() {
             self.active[t] = Some(a);
-            return;
-        }
-        if self.cc.is_doomed(&a.handle) {
-            self.decisions.push(format!("t{t}a{}: doomed", a.attempt));
-            self.abort_attempt(t, a);
             return;
         }
         let op = a.ops[a.cursor].clone();
@@ -270,12 +264,6 @@ impl VirtualScheduler {
     fn run_serially(&mut self, mut a: Attempt) -> bool {
         let t = a.handle.job as usize;
         while a.cursor < a.ops.len() {
-            if self.cc.is_doomed(&a.handle) {
-                self.decisions
-                    .push(format!("serial t{t}a{}: doomed", a.attempt));
-                self.abort_attempt(t, a);
-                return false;
-            }
             let op = a.ops[a.cursor].clone();
             match self.cc.before_op(&self.shared, &a.handle, &op) {
                 OpGrant::Granted => {

@@ -1,6 +1,6 @@
-//! Differential proptest oracle: random workloads run on several shards
-//! under `OptimisticCc` and `ShardedPessimisticCc` must pass the merged
-//! audit **and** agree on the final object state with their single-shard
+//! Differential proptest oracle: random workloads run on several metric
+//! lanes under `OptimisticCc` and `LockingCc` must pass the merged audit
+//! **and** agree on the final object state with their single-lane
 //! baselines.
 //!
 //! Workload discipline: every transaction *writes* only keys from its
@@ -132,16 +132,17 @@ proptest! {
         check_one(&opt1, &w, "mvcc/1")?;
         check_one(&opt4, &w, "mvcc/4")?;
         check_one(&pes1, &w, "pessimistic/1")?;
-        check_one(&pes4, &w, "sharded-pessimistic/4")?;
+        check_one(&pes4, &w, "pessimistic/4")?;
         prop_assert_eq!(opt1.cc_name, "mvcc");
         prop_assert_eq!(opt4.cc_name, "mvcc");
-        prop_assert_eq!(pes4.cc_name, "sharded-pessimistic");
+        prop_assert_eq!(pes1.cc_name, "pessimistic");
+        prop_assert_eq!(pes4.cc_name, "pessimistic", "one strict-2PL control at every shard count");
         // disjoint write sets ⇒ the final state is commit-order
         // independent ⇒ all four runs must agree exactly
         prop_assert_eq!(&opt4.final_state, &opt1.final_state,
             "4-shard MVCC diverged from its single-shard baseline");
         prop_assert_eq!(&pes4.final_state, &pes1.final_state,
-            "sharded pessimistic diverged from its single-shard baseline");
+            "4-lane pessimistic diverged from its single-lane baseline");
         prop_assert_eq!(&opt1.final_state, &pes1.final_state,
             "MVCC diverged from the 2PL reference");
         // audit scope matches the protocol's guarantee in all variants
@@ -171,7 +172,7 @@ proptest! {
         let pes3 = run(&w, CcKind::Pessimistic, 3);
         check_one(&opt1, &w, "mvcc/1")?;
         check_one(&opt3, &w, "mvcc/3")?;
-        check_one(&pes3, &w, "sharded-pessimistic/3")?;
+        check_one(&pes3, &w, "pessimistic/3")?;
         prop_assert_eq!(&opt3.final_state, &opt1.final_state);
         prop_assert_eq!(&pes3.final_state, &opt1.final_state);
     }

@@ -6,7 +6,7 @@
 //! prefix consistency under a crash at *any* byte of the log.
 
 use oodb_engine::{
-    durability, CcKind, DurabilityMode, Engine, EngineConfig, RecoveryOutcome, ShardedPessimisticCc,
+    durability, CcKind, DurabilityMode, Engine, EngineConfig, LockingCc, RecoveryOutcome,
 };
 use oodb_sim::EncOp;
 use proptest::prelude::*;
@@ -433,7 +433,7 @@ fn corrupt_tail_recovers_the_valid_prefix() {
 fn contended_image() -> &'static (Vec<u8>, RecoveryOutcome) {
     static IMAGE: OnceLock<(Vec<u8>, RecoveryOutcome)> = OnceLock::new();
     IMAGE.get_or_init(|| {
-        let cc = Arc::new(ShardedPessimisticCc::semantic(2));
+        let cc = Arc::new(LockingCc::semantic().with_shards(2));
         for job in (0..32).step_by(4) {
             cc.inject_fault_after(job, 0, 2);
         }

@@ -1,8 +1,8 @@
-//! Cross-shard abort compensation: a transaction injected to fail
-//! mid-flight — after its footprint already spans several shards — must
-//! compensate and release on **every** shard it touched: no orphaned
-//! lock grants, no attempt left in the certifier's live set, and a clean retry that
-//! commits. Exercised through the worker's `inject_abort` hook (real
+//! Cross-stripe abort compensation: a transaction injected to fail
+//! mid-flight — after its footprint already spans several lock stripes
+//! or metric lanes — must compensate and release **everything** it
+//! touched: no orphaned lock grants, no attempt left in the certifier's
+//! live set, and a clean retry that commits. Exercised through the worker's `inject_abort` hook (real
 //! engine, real retry machinery) and through a deterministic
 //! direct-drive of the protocol hooks.
 
@@ -10,8 +10,8 @@ use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
     audit, shard_of_key, CertBackend, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig,
-    EngineMetrics, EngineShared, FinishOutcome, OpGrant, OptimisticCc, ShardedPessimisticCc,
-    TxnHandle,
+    EngineMetrics, EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle,
+    STRIPES,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -45,15 +45,16 @@ fn cfg(shards: usize) -> EngineConfig {
     }
 }
 
-/// Fault-injected cross-shard abort under sharded strict 2PL: the
-/// victim's locks are released on every shard it had acquired, the
-/// retry commits, and nothing is left behind in the lock tables or the
-/// waits-for registry.
+/// Fault-injected cross-stripe abort under strict 2PL: the victim's
+/// locks are released on every stripe it had acquired, the retry
+/// commits, and nothing is left behind in the lock table or the
+/// waits-for map.
 #[test]
-fn pessimistic_cross_shard_abort_releases_every_shard() {
+fn pessimistic_cross_stripe_abort_releases_every_stripe() {
     let shards = 4;
+    // distinct mod 4 ⇒ distinct mod STRIPES: one key per stripe
     let keys = keys_on_distinct_shards(shards);
-    let cc = Arc::new(ShardedPessimisticCc::semantic(shards));
+    let cc = Arc::new(LockingCc::semantic().with_shards(shards));
     // job 0, first attempt: dies after 2 of its 4 cross-shard ops
     cc.inject_fault_after(0, 0, 2);
     let engine = Engine::start_with(cfg(shards), cc.clone());
@@ -72,9 +73,9 @@ fn pessimistic_cross_shard_abort_releases_every_shard() {
     );
     assert_eq!(out.metrics.retries, 1, "exactly the injected abort");
     assert_eq!(out.metrics.aborted, 0);
-    // no orphaned state on any shard
-    assert_eq!(cc.residual_grants(), vec![0; shards], "no orphaned locks");
-    assert_eq!(cc.tracked_owners(), 0, "no orphaned footprints");
+    // no orphaned state on any stripe
+    assert_eq!(cc.residual_grants(), vec![0; STRIPES], "no orphaned locks");
+    assert_eq!(cc.tracked_owners(), 0, "no orphaned grants");
     assert_eq!(cc.waiting_owners(), 0, "no orphaned waits-for entries");
     let audit_out = out.audit.expect("audit enabled");
     assert!(
@@ -114,7 +115,6 @@ fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     assert_eq!(out.metrics.committed, 5);
     assert!(out.metrics.retries >= 1, "the injected abort fired");
     assert_eq!(out.metrics.aborted, 0);
-    assert_eq!(cc.live_entries(), 0, "no attempt left live after drain");
     assert_eq!(
         cc.committed_count(),
         6,
@@ -157,13 +157,16 @@ fn shared_with(cc_shards: usize) -> EngineShared {
 }
 
 /// Deterministic direct-drive of the pessimistic hooks: acquire on three
-/// shards, abort mid-flight while the locks are still held, and verify
-/// shard-by-shard cleanup before a fresh attempt commits.
+/// stripes, abort mid-flight while the locks are still held, and verify
+/// stripe-by-stripe cleanup before a fresh attempt commits.
 #[test]
 fn direct_drive_pessimistic_partial_acquisition_cleanup() {
-    let shards = 3;
-    let keys = keys_on_distinct_shards(shards);
-    let cc = ShardedPessimisticCc::semantic(shards);
+    let stripes = 3;
+    let keys: Vec<String> = keys_on_distinct_shards(STRIPES)
+        .into_iter()
+        .take(stripes)
+        .collect();
+    let cc = LockingCc::semantic().with_shards(3);
     let shared = shared_with(cc.shards());
     // preload through the protocol so the audit sees a clean record
     let mut setup = shared.rec.begin_txn("Setup");
@@ -190,8 +193,8 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     }
     assert_eq!(
         cc.residual_grants().iter().filter(|&&g| g > 0).count(),
-        shards,
-        "locks held on every shard mid-flight"
+        stripes,
+        "locks held on every stripe mid-flight"
     );
     assert_eq!(cc.tracked_owners(), 1);
     // compensate under held locks (strict), then release everywhere
@@ -202,7 +205,11 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
         assert!(report.failed.is_empty(), "strict compensation cannot fail");
     }
     cc.after_abort(&shared, &h0);
-    assert_eq!(cc.residual_grants(), vec![0; shards], "all shards released");
+    assert_eq!(
+        cc.residual_grants(),
+        vec![0; STRIPES],
+        "all stripes released"
+    );
     assert_eq!(cc.tracked_owners(), 0);
     assert_eq!(cc.waiting_owners(), 0);
 
@@ -217,15 +224,16 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
     shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &h1);
-    assert_eq!(cc.residual_grants(), vec![0; shards]);
+    assert_eq!(cc.residual_grants(), vec![0; STRIPES]);
 
     let out = audit(&shared.rec, &cc);
     assert!(out.report.oo_decentralized.is_ok() && out.report.oo_global.is_ok());
 }
 
 /// Deterministic direct-drive of the certifier hooks: a victim abort
-/// after registering a footprint on two shards drops both entries, and
-/// the retry validates cleanly against the merged committed set.
+/// after a footprint on two shards is accounted on no lane, and the
+/// retry validates cleanly against the merged committed set and is
+/// accounted on every lane it touched.
 #[test]
 fn direct_drive_optimistic_victim_abort_cleanup() {
     let shards = 3;
@@ -242,6 +250,14 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
     shared.enc.exclusive().commit(setup);
     cc.after_commit(&shared, &sh);
+    let commits = || {
+        let m = shared.metrics_snapshot();
+        (
+            m.shards.iter().map(|l| l.commits).collect::<Vec<_>>(),
+            m.cross_shard,
+        )
+    };
+    assert_eq!(commits(), (vec![1; shards], 1), "Setup touched every lane");
 
     // attempt 0: footprint on two shards, then a victim abort
     let mut t = shared.rec.begin_txn("J1");
@@ -251,18 +267,13 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
         assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
         apply_op(&shared.enc.exclusive(), &mut t, &op, 1);
     }
-    assert_eq!(cc.live_entries(), 1, "attempt registered as live");
     {
         let enc = shared.enc.exclusive();
         let mut comp = shared.rec.begin_txn("C(J1a0)");
         enc.abort(t, &mut comp);
     }
     cc.after_abort(&shared, &h0);
-    assert_eq!(
-        cc.live_entries(),
-        0,
-        "victim and its footprint left the live set"
-    );
+    assert_eq!(commits(), (vec![1; shards], 1), "the victim counts nowhere");
     assert!(cc.was_aborted(h0.txn), "registered with the certifier");
 
     // the retry commits through validation
@@ -276,7 +287,7 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
     shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &h1);
-    assert_eq!(cc.live_entries(), 0);
+    assert_eq!(commits(), (vec![2; shards], 2), "the retry on every lane");
     assert_eq!(cc.committed_count(), 2, "Setup + the retry");
 
     let out = audit(&shared.rec, &cc);
@@ -320,7 +331,7 @@ fn injected_abort_trace_still_matches_audit() {
     let shards = 4;
     for pessimistic in [true, false] {
         let cc: Arc<dyn ConcurrencyControl> = if pessimistic {
-            let cc = Arc::new(ShardedPessimisticCc::semantic(shards));
+            let cc = Arc::new(LockingCc::semantic().with_shards(shards));
             cc.inject_fault_after(0, 0, 2);
             cc
         } else {
@@ -380,7 +391,6 @@ fn injected_abort_under_both_cert_backends_stays_clean() {
             out.metrics.committed, 5,
             "{label}: victim's retry and the rest commit"
         );
-        assert_eq!(cc.live_entries(), 0, "{label}: no attempt left live");
         let stats = cc.stats();
         assert!(stats.aborts >= 1, "{label}: the victim abort was recorded");
         match backend {
@@ -463,7 +473,6 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
             shared.enc.exclusive().commit(t);
             cc.after_commit(&shared, &h);
         }
-        assert_eq!(cc.live_entries(), 0, "round {j}: nothing stays live");
     }
     let stats = cc.stats();
     assert!(
@@ -488,7 +497,6 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     assert_eq!(cc.try_finish(&shared, &hr), FinishOutcome::Committed);
     shared.enc.exclusive().commit(r);
     cc.after_commit(&shared, &hr);
-    assert_eq!(cc.live_entries(), 0);
 
     let out = audit(&shared.rec, &cc);
     assert!(
@@ -498,12 +506,12 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
 }
 
 fn handle(ctx: &oodb_model::TxnCtx, job: u64, attempt: u32) -> TxnHandle {
-    TxnHandle {
+    TxnHandle::new(
         job,
         attempt,
-        txn: TxnIdx(ctx.txn_number()),
-        owner: OwnerId(u64::from(ctx.txn_number())),
-    }
+        TxnIdx(ctx.txn_number()),
+        OwnerId(u64::from(ctx.txn_number())),
+    )
 }
 
 /// Nothing outside the concurrency control may pin the certifier's cut.
@@ -544,7 +552,6 @@ fn an_injected_abort_does_not_pin_the_cut() {
         let out = engine.shutdown();
         assert_eq!(out.metrics.committed, 12);
         assert_eq!(out.metrics.retries, u64::from(inject));
-        assert_eq!(cc.live_entries(), 0, "nothing live after the drain");
         assert_eq!(
             cc.stats().settled as usize,
             cc.committed_count(),

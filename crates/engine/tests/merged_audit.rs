@@ -13,7 +13,7 @@
 //! both runs, and the audited transaction names pin the scopes exactly.
 
 use oodb_engine::{
-    shard_of_key, AuditScope, CcKind, Engine, EngineConfig, OptimisticCc, ShardedPessimisticCc,
+    shard_of_key, AuditScope, CcKind, Engine, EngineConfig, LockingCc, OptimisticCc,
 };
 use oodb_sim::EncOp;
 use std::sync::Arc;
@@ -97,13 +97,13 @@ fn sharded_optimistic_audits_only_the_merged_committed_projection() {
     );
 }
 
-/// Sharded strict 2PL: the audit keeps the full record — aborted
+/// Strict 2PL on 2 lanes: the audit keeps the full record — aborted
 /// attempt and compensation included — and it still passes, because
 /// compensation ran under the held locks.
 #[test]
 fn sharded_pessimistic_audits_the_full_record() {
     let (preload, txns) = workload();
-    let cc = Arc::new(ShardedPessimisticCc::semantic(2));
+    let cc = Arc::new(LockingCc::semantic().with_shards(2));
     cc.inject_fault_after(0, 0, 1);
     let engine = Engine::start_with(cfg(2), cc.clone());
     engine.preload(&preload);
@@ -127,7 +127,7 @@ fn sharded_pessimistic_audits_the_full_record() {
         "and the compensation: {names:?}"
     );
     // full record: every top-level transaction that recorded a primitive
-    // is in the audited history. (A wounded attempt can abort before its
+    // is in the audited history. (A deadlock victim can abort at its
     // first operation — that transaction is empty, and no primitive-keyed
     // history can contain it, so the comparison skips it. Virtual
     // primitives added by the Definition 5 extension don't count: they
@@ -211,7 +211,6 @@ fn optimistic_lanes_count_what_the_key_hash_predicts() {
     for s in 0..SHARDS {
         assert_eq!(lanes[s].ops, ops[s], "ops on lane {s}");
         assert_eq!(lanes[s].commits, commits[s], "commits on lane {s}");
-        assert_eq!(lanes[s].blocked, 0, "certification never blocks");
     }
     assert_eq!(out.metrics.cross_shard, cross);
     let audit = out.audit.expect("audit enabled");

@@ -85,15 +85,15 @@ fn stress_both_strategies_mixed_contention() {
     assert!(total >= 200, "stress must cover at least 200 transactions");
 }
 
-/// The same mixed-contention stress on several shards: every
+/// The same mixed-contention stress on several metric lanes: every
 /// transaction commits, the merged audit passes, and the audit scope
 /// matches the protocol (optimistic audits only the committed
-/// projection; sharded strict 2PL keeps the full record auditable).
+/// projection; strict 2PL keeps the full record auditable).
 #[test]
 fn stress_sharded_strategies_mixed_contention() {
     let cases = [
         (CcKind::Pessimistic, 4, 96, 96, 21u64), // low contention
-        (CcKind::Pessimistic, 4, 48, 8, 22),     // hot keys: cross-shard deadlocks
+        (CcKind::Pessimistic, 4, 48, 8, 22),     // hot keys: cross-stripe deadlocks
         (CcKind::Optimistic, 4, 36, 96, 23),     // low contention
         (CcKind::Optimistic, 4, 24, 12, 24),     // hot keys: validation aborts
         (CcKind::Optimistic, 8, 48, 64, 25),     // wide sharding
@@ -107,7 +107,7 @@ fn stress_sharded_strategies_mixed_contention() {
         );
         let expected_name = match kind {
             CcKind::Optimistic => "mvcc",
-            _ => "sharded-pessimistic",
+            _ => "pessimistic",
         };
         assert_eq!(out.cc_name, expected_name, "{label}");
         assert_eq!(

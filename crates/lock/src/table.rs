@@ -58,7 +58,7 @@ struct Grant {
 }
 
 /// A semantic lock manager over abstract resources.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct LockManager {
     grants: HashMap<ResourceId, Vec<Grant>>,
     specs: HashMap<ResourceId, SpecRef>,
@@ -114,11 +114,11 @@ impl LockManager {
         descriptor: &ActionDescriptor,
     ) -> LockOutcome {
         self.stats.requests += 1;
+        // borrowed, not cloned: `specs` and `grants` are disjoint fields
         let spec = self
             .specs
             .get(&resource)
-            .unwrap_or_else(|| panic!("resource {resource:?} not registered"))
-            .clone();
+            .unwrap_or_else(|| panic!("resource {resource:?} not registered"));
         let grants = self.grants.entry(resource).or_default();
         let mut holders: Vec<OwnerId> = Vec::new();
         for g in grants.iter() {

@@ -102,6 +102,18 @@ fn main() {
                 m.phase_fsync.p50
             );
         }
+        // under strict 2PL a wait ends at a release or a verdict: how
+        // many acquisitions blocked, and how many deadlocks were broken
+        // (each victim is the youngest job of its cycle and retries)
+        if out.metrics.lock_blocks > 0 {
+            println!(
+                "{:<22} locks: {} acquisitions blocked, {} deadlock victims, lock-wait p99 {:?}",
+                "",
+                out.metrics.lock_blocks,
+                out.metrics.deadlock_victims,
+                out.metrics.lock_wait_p99
+            );
+        }
         // the record is built after the acknowledgement, on the worker's
         // time: `drain` is off the transaction's latency, `exec` is on it
         println!(
@@ -156,10 +168,10 @@ fn main() {
          run the optimistic certifier under MVCC snapshot execution:\n\
          writes buffer per attempt and install atomically with\n\
          certification, so no transaction ever sees an uncommitted\n\
-         effect. On 4 shards strict 2PL splits its lock table into\n\
-         one manager per key-hash shard; the optimistic rows keep their\n\
-         one certifier and only account per shard (shard-ops,\n\
-         cross-shard), so x1 and x4 decide alike — run `experiments b10`\n\
+         effect. Strict 2PL keeps one lock table striped by key hash\n\
+         and the optimistic rows one certifier at every shard count;\n\
+         x4 only accounts per shard (shard-ops, cross-shard), so x1 and\n\
+         x4 decide alike — run `experiments b10`\n\
          for the disjoint-key sweep. All runs are oo-serializable — the\n\
          page-level run is even conventionally serializable, at the\n\
          price of concurrency."
