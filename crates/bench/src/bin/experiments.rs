@@ -1,7 +1,7 @@
 //! Experiment driver: regenerate the paper's figures and the quantitative
 //! tables. Usage: `experiments [fig1|fig2|fig4|fig5|fig6|fig7|fig8|gap|b1|b2|b3|b4|b5|…|b16|all]…`
 
-use oodb_bench::{figures, matrix, quant};
+use oodb_bench::{figures, quant};
 
 fn run(id: &str) -> Option<String> {
     Some(match id {
@@ -26,15 +26,14 @@ fn run(id: &str) -> Option<String> {
         "b11" => quant::b11(),
         "b13" => quant::b13(),
         "b14" => quant::b14(),
-        "b15" => matrix::b15(),
         "b16" => quant::b16(),
         _ => return None,
     })
 }
 
-const ALL: [&str; 23] = [
+const ALL: [&str; 22] = [
     "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "gap", "b1", "b2", "b3", "b4", "b5",
-    "b6", "b7", "b8", "b9", "b10", "b11", "b13", "b14", "b15", "b16",
+    "b6", "b7", "b8", "b9", "b10", "b11", "b13", "b14", "b16",
 ];
 
 fn main() {

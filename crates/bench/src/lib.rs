@@ -1,21 +1,16 @@
-//! # oodb-bench — experiment harness and benchmarks
+//! # oodb-bench — the paper's figures and experiment tables
 //!
 //! Regenerates every figure of the paper ([`figures`]: FIG1–FIG8 plus the
 //! added-relation GAP witness) and runs the quantitative experiments
-//! ([`quant`]: B1–B8). The `experiments` binary prints any of them:
+//! ([`quant`]: B1–B16). The `experiments` binary prints any of them:
 //!
 //! ```text
 //! cargo run -p oodb-bench --bin experiments -- fig8
 //! cargo run -p oodb-bench --bin experiments -- all
 //! ```
-//!
-//! Criterion benches under `benches/` reuse the same code paths.
 
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod matrix;
-pub mod openloop;
 pub mod quant;
-pub mod report;
 pub mod table;

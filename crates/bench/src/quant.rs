@@ -594,14 +594,14 @@ pub fn b10_run(kind: oodb_engine::CcKind, shards: usize, txns: usize) -> oodb_en
     b10_engine_run(kind, shards, txns, oodb_engine::TraceMode::Off)
 }
 
-/// **B10** — committed-transaction throughput vs shard count, both
-/// protocols, on a low-contention disjoint-key workload. The optimistic
-/// strategy keeps one certifier at every shard count (shards only feed
-/// its metric lanes), and its candidate-rooted Definition-16 search
-/// follows the candidate's edges over the few transactions the cut
-/// retains, so the optimistic rows sit level by construction. Strict
-/// 2PL keeps its one striped lock table at every shard count too, so
-/// its rows differ only in the metric lanes.
+/// **B10** — metric-lane accounting: committed-transaction throughput at
+/// 1, 2, 4 and 8 lanes (`shards`), both protocols, on a low-contention
+/// disjoint-key workload. The optimistic strategy keeps one certifier at
+/// every shard count (shards only feed its metric lanes), and its
+/// candidate-rooted Definition-16 search follows the candidate's edges
+/// over the few transactions the cut retains, so the optimistic rows sit
+/// level by construction. Strict 2PL keeps its one striped lock table at
+/// every shard count too, so its rows differ only in the metric lanes.
 /// Every run is audited (committed projection, Definition 16).
 pub fn b10() -> String {
     use oodb_engine::CcKind;
@@ -637,10 +637,12 @@ pub fn b10() -> String {
         }
     }
     format!(
-        "B10 — sharded concurrency control scaling: committed-txn\n\
-         throughput vs shard count ({TXNS} disjoint-key transactions,\n\
-         8 workers; speedup is relative to the same protocol at 1 shard;\n\
-         every run audited)\n\n{}",
+        "B10 — metric-lane accounting at 1–8 lanes: committed-txn\n\
+         throughput vs `shards` ({TXNS} disjoint-key transactions,\n\
+         8 workers). `shards` selects metric lanes only — one lock table\n\
+         and one certifier at every count — so the rows are level by\n\
+         construction; speedup is relative to the same protocol at 1 lane;\n\
+         every run audited\n\n{}",
         t.render()
     )
 }

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --example engine`
 //!
 //! With `--json <path>` the final run's `MetricsSnapshot` is dumped as
-//! JSON to `<path>`, so ad-hoc runs feed the same tooling as the
-//! regime matrix (`bench_matrix compare` and friends).
+//! JSON to `<path>` (`MetricsSnapshot::to_json`) for ad-hoc runs;
+//! measured runs belong to the repo benchmark in `benchmark/`.
 //!
 //! With `--trace <path>` the last run (MVCC on 4 shards) is traced:
 //! the structured event log is written to `<path>` as JSONL and to
