@@ -24,16 +24,15 @@ fn run(id: &str) -> Option<String> {
         "b9" => quant::b9(),
         "b10" => quant::b10(),
         "b11" => quant::b11(),
-        "b13" => quant::b13(),
         "b14" => quant::b14(),
         "b16" => quant::b16(),
         _ => return None,
     })
 }
 
-const ALL: [&str; 22] = [
+const ALL: [&str; 21] = [
     "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "gap", "b1", "b2", "b3", "b4", "b5",
-    "b6", "b7", "b8", "b9", "b10", "b11", "b13", "b14", "b16",
+    "b6", "b7", "b8", "b9", "b10", "b11", "b14", "b16",
 ];
 
 fn main() {

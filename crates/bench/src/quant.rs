@@ -734,108 +734,6 @@ pub fn b11() -> String {
     )
 }
 
-/// One B13 run: a read-mostly contended workload (Zipf 0.9 on 10 hot
-/// keys) under a chosen certification backend and shard count. The
-/// workload maximizes re-certification — hot keys keep every commit's
-/// scope connected — which is exactly where maintaining schedules across
-/// commits should beat re-inferring them. The from-scratch backend is
-/// the tests' reference, so the control is built here and handed to
-/// `Engine::start_with`.
-pub fn b13_run(
-    backend: oodb_engine::CertBackend,
-    shards: usize,
-    txns: usize,
-) -> oodb_engine::EngineOutput {
-    use oodb_engine::{EngineConfig, OptimisticCc};
-    let w = encyclopedia_workload(&EncWorkloadConfig {
-        txns,
-        ops_per_txn: 4,
-        key_space: 10,
-        preload: 8,
-        mix: EncMix::read_mostly(),
-        skew: Skew::Zipf(0.9),
-        seed: 1213,
-    });
-    let cfg = EngineConfig {
-        workers: 8,
-        queue_capacity: 64,
-        shards,
-        seed: 1213,
-        ..EngineConfig::default()
-    };
-    let cc = OptimisticCc::new()
-        .with_certification(backend)
-        .with_shards(shards);
-    let engine = oodb_engine::Engine::start_with(cfg, std::sync::Arc::new(cc));
-    engine.preload(&w.preload_keys);
-    for ops in &w.txn_ops {
-        engine
-            .submit_blocking(ops.clone())
-            .expect("engine accepts work until shutdown");
-    }
-    engine.shutdown()
-}
-
-/// **B13** — incremental certification vs from-scratch re-inference on
-/// a contended read-mostly workload. The from-scratch backend restricts the
-/// record and re-runs dependency inference on every commit attempt, so
-/// its total inference work grows O(n²) across a run (each of n commits
-/// re-reads the O(n) actions of the committed set, which it never
-/// prunes). The
-/// incremental backend maintains one live set of schedules and feeds it
-/// only the actions appended since the last attempt — every action is
-/// inferred once, plus bounded reseed replays when aborted/settled
-/// garbage outgrows the live state — so `cert-inferred` collapses to
-/// O(new actions) while every decision stays identical (the
-/// `cert_differential` suite pins that equivalence per decision).
-pub fn b13() -> String {
-    use oodb_engine::CertBackend;
-
-    const TXNS: usize = 64;
-    let mut t = Table::new(&[
-        "certification",
-        "shards",
-        "committed",
-        "cert-inferred",
-        "reseeds",
-        "throughput/s",
-        "oo-serializable",
-    ]);
-    for &shards in &[1usize, 4] {
-        let mut base = None;
-        for backend in [CertBackend::FromScratch, CertBackend::Incremental] {
-            let out = b13_run(backend, shards, TXNS);
-            let audit = out.audit.as_ref().expect("audit enabled");
-            let inferred = out.metrics.cert_actions_inferred;
-            let base_inferred = *base.get_or_insert(inferred.max(1));
-            t.row(vec![
-                backend.label().to_string(),
-                shards.to_string(),
-                out.metrics.committed.to_string(),
-                format!(
-                    "{} ({:.2}x)",
-                    inferred,
-                    inferred as f64 / base_inferred as f64
-                ),
-                out.metrics.cert_incremental_reseeds.to_string(),
-                f3(out.metrics.throughput_per_sec),
-                audit.report.oo_decentralized.is_ok().to_string(),
-            ]);
-        }
-    }
-    format!(
-        "B13 — incremental certification vs from-scratch re-inference\n\
-         ({TXNS} read-mostly transactions on 10 hot keys, Zipf 0.9,\n\
-         8 workers; cert-inferred counts actions fed to dependency\n\
-         inference across all certification decisions — restricted-\n\
-         history lengths for from-scratch, per-commit deltas plus reseed\n\
-         replays for incremental; the multiplier is relative to\n\
-         from-scratch at the same shard count; every run audited\n\
-         over the committed projection)\n\n{}",
-        t.render()
-    )
-}
-
 /// One B14 run: an uncontended update-heavy workload (so all 8 workers
 /// reach their commit points concurrently) under a chosen durability
 /// mode, with a simulated 200µs fsync. Uncontended on purpose: B14
@@ -1089,12 +987,12 @@ mod tests {
         assert!(s.contains("~1/16"));
     }
 
-    /// Known flaky on the `engine/mvcc` rows: both certifier backends
-    /// validate the recorded system as is, the audit its Definition-5
-    /// extension, and after a B-link split the two can disagree (ROADMAP
-    /// open item). 100 alternating runs of the three mvcc rows on a
-    /// 2-CPU box: 30 with a failing audit under the incremental backend,
-    /// 28 under the from-scratch one, which runs no rooted search.
+    /// Known flaky on the `engine/mvcc` rows: the certifier validates
+    /// the recorded system as is, the audit its Definition-5 extension,
+    /// and after a B-link split the two can disagree (ROADMAP open
+    /// item). 100 alternating runs of the three mvcc rows on a 2-CPU
+    /// box: 30 with a failing audit under the incremental certifier, 28
+    /// under a from-scratch one that ran no rooted search.
     #[test]
     fn b9_engine_rows_are_sound_and_complete() {
         let s = b9();
@@ -1165,51 +1063,6 @@ mod tests {
                 "{shards} shards: the cut must keep the retained set near the \
                  in-flight window, got {largest} of {TXNS} transactions"
             );
-        }
-    }
-
-    /// The B13 acceptance floor: on the contended read-mostly workload,
-    /// incremental certification must feed **strictly fewer** actions to
-    /// dependency inference than from-scratch re-inference — at every
-    /// shard count — while both backends' committed projections certify
-    /// under both checks. Decision-for-decision equivalence against the
-    /// from-scratch reference is pinned separately
-    /// by the deterministic `cert_differential` suite; this test pins
-    /// the *point* of the tentpole: the cost collapse.
-    #[test]
-    fn b13_incremental_infers_fewer_actions() {
-        use oodb_engine::CertBackend;
-        const TXNS: usize = 64;
-        for shards in [1usize, 4] {
-            let scratch = b13_run(CertBackend::FromScratch, shards, TXNS);
-            let inc = b13_run(CertBackend::Incremental, shards, TXNS);
-            let label = format!("{shards} shards");
-            assert!(
-                inc.metrics.cert_actions_inferred < scratch.metrics.cert_actions_inferred,
-                "{label}: incremental must infer strictly fewer actions \
-                 ({} vs {})",
-                inc.metrics.cert_actions_inferred,
-                scratch.metrics.cert_actions_inferred
-            );
-            assert!(
-                inc.metrics.cert_actions_inferred > 0,
-                "{label}: the incremental feed must actually run"
-            );
-            assert_eq!(
-                scratch.metrics.cert_incremental_reseeds, 0,
-                "{label}: from-scratch never reseeds"
-            );
-            for (backend, out) in [("from-scratch", &scratch), ("incremental", &inc)] {
-                assert!(
-                    out.metrics.committed > 0,
-                    "{label}/{backend}: some transactions must commit"
-                );
-                let audit = out.audit.as_ref().expect("audit enabled");
-                assert!(
-                    audit.report.oo_decentralized.is_ok() && audit.report.oo_global.is_ok(),
-                    "{label}/{backend}: committed projection must certify"
-                );
-            }
         }
     }
 

@@ -21,10 +21,9 @@
 //! Validation asks whether admitting the candidate to the committed
 //! transactions keeps Definition 16 — mode-selectable between the
 //! paper's decentralized check and the strengthened whole-system check.
-//! The default [`CertBackend::Incremental`] maintains one set of
-//! dependency relations across attempts, feeds it only the actions
-//! appended since the last attempt, and searches for a cycle from the
-//! candidate's own edges
+//! The certifier maintains one set of dependency relations across
+//! attempts, feeds it only the actions appended since the last attempt,
+//! and searches for a cycle from the candidate's own edges
 //! ([`check_candidate_decentralized`]),
 //! so a commit costs its delta plus what its edges reach, not the record.
 //! After every finalization it applies the cut
@@ -32,10 +31,11 @@
 //! or future transaction can reach leave the maintained relations, so
 //! what a commit is checked against follows the concurrency, not the
 //! length of the run.
-//! [`CertBackend::FromScratch`] restricts the record to the scope and
-//! re-runs dependency inference on every attempt — `O(inference)` per
-//! commit (experiment B4 measures it), obviously correct, never pruned,
-//! and kept as the differential oracle.
+//! Its oracle lives in the tests: a from-scratch replay that re-decides
+//! each decision over the final record restricted to the committed
+//! transactions plus the candidate, with a fresh
+//! [`SystemSchedules::infer_scoped`](crate::schedule::SystemSchedules::infer_scoped)
+//! and [`check_system_decentralized`](crate::serializability::check_system_decentralized).
 //!
 //! ```
 //! use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
@@ -64,11 +64,7 @@
 use crate::history::History;
 use crate::ids::{ActionIdx, TxnIdx};
 use crate::incremental::{FeedOutcome, IncrementalFeed, IncrementalSchedules};
-use crate::schedule::SystemSchedules;
-use crate::serializability::{
-    check_candidate_decentralized, check_candidate_global, check_system_decentralized,
-    check_system_global, Violation,
-};
+use crate::serializability::{check_candidate_decentralized, check_candidate_global, Violation};
 use crate::system::TransactionSystem;
 use std::collections::HashSet;
 
@@ -95,31 +91,6 @@ pub enum WaitPolicy {
     Ignore,
 }
 
-/// How the certifier derives the dependency information behind each
-/// decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertBackend {
-    /// Maintain one live [`IncrementalSchedules`] across attempts and
-    /// feed it only the actions appended since the last attempt —
-    /// per-attempt inference cost O(new actions). The default.
-    #[default]
-    Incremental,
-    /// Re-run `SystemSchedules::infer_scoped` from a fresh restricted
-    /// history on every attempt — O(component) per attempt. Kept as the
-    /// differential oracle for the incremental path.
-    FromScratch,
-}
-
-impl CertBackend {
-    /// Short label for experiment tables and config dumps.
-    pub fn label(self) -> &'static str {
-        match self {
-            CertBackend::Incremental => "incremental",
-            CertBackend::FromScratch => "from-scratch",
-        }
-    }
-}
-
 /// Result of a commit attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitOutcome {
@@ -141,10 +112,8 @@ pub enum CommitOutcome {
 pub struct Certifier {
     mode: CertifierMode,
     wait_policy: WaitPolicy,
-    backend: CertBackend,
-    /// Live incremental schedules (lazily created on the first attempt
-    /// when the backend is [`CertBackend::Incremental`]).
-    feed: Option<IncrementalFeed>,
+    /// The maintained dependency relations and the cut.
+    feed: IncrementalFeed,
     committed: HashSet<TxnIdx>,
     aborted: HashSet<TxnIdx>,
     /// Monotone counters.
@@ -163,15 +132,13 @@ pub struct CertifierStats {
     /// Attempts answered with `MustWait`.
     pub waits: u64,
     /// Actions fed to dependency inference, summed over every decision:
-    /// restricted-history lengths for the from-scratch backend, delta
-    /// lengths (plus full replay lengths on reseeds) for the incremental
-    /// one. The B13 cost measure.
+    /// delta lengths, plus full replay lengths on reseeds.
     pub actions_inferred: u64,
-    /// Times the incremental backend rebuilt its schedules from the
+    /// Times the certifier rebuilt its schedules from the
     /// restricted history (garbage from excluded transactions outgrew
     /// the live edges).
     pub incremental_reseeds: u64,
-    /// Nodes expanded by the incremental backend's candidate-rooted
+    /// Nodes expanded by the candidate-rooted
     /// Definition-16 search, summed over every validation. Follows the
     /// candidate's edges, not the record: 0 for a transaction that
     /// derived no dependency.
@@ -210,52 +177,30 @@ impl Certifier {
         self
     }
 
-    /// Override the inference backend (defaults to
-    /// [`CertBackend::Incremental`]).
-    pub fn with_backend(mut self, backend: CertBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The inference backend in use.
-    pub fn backend(&self) -> CertBackend {
-        self.backend
-    }
-
-    /// The live incremental schedules (`None` under the from-scratch
-    /// backend, or before the first incremental decision). Engine-side
-    /// callers query these for their own scoped wait/cascade checks
-    /// instead of re-inferring.
-    pub fn incremental(&self) -> Option<&IncrementalSchedules> {
-        self.feed.as_ref().map(IncrementalFeed::schedules)
+    /// The live incremental schedules. Engine-side callers query these
+    /// for their own scoped wait/cascade checks instead of re-inferring.
+    pub fn incremental(&self) -> &IncrementalSchedules {
+        self.feed.schedules()
     }
 
     /// The transactions that left the maintained relations for good:
     /// aborted, [`retire`](Self::retire)d, and the commits the cut
-    /// dropped (`None` where [`incremental`](Self::incremental) is).
-    /// For the crate's own tests.
+    /// dropped. For the crate's own tests.
     #[doc(hidden)]
-    pub fn excluded(&self) -> Option<&HashSet<TxnIdx>> {
-        self.feed.as_ref().map(IncrementalFeed::excluded)
-    }
-
-    fn feed_mut(&mut self) -> &mut IncrementalFeed {
-        self.feed.get_or_insert_with(IncrementalFeed::new)
+    pub fn excluded(&self) -> &HashSet<TxnIdx> {
+        self.feed.excluded()
     }
 
     /// Fold the actions appended since the last attempt into the live
-    /// incremental schedules (no-op under the from-scratch backend).
-    /// Reseeds first when the garbage from excluded transactions has
-    /// outgrown the live edges; both costs land in
-    /// [`CertifierStats::actions_inferred`].
+    /// incremental schedules. Reseeds first when the garbage from
+    /// excluded transactions has outgrown the live edges; both costs
+    /// land in [`CertifierStats::actions_inferred`].
     pub fn feed_record(&mut self, ts: &TransactionSystem, history: &History) -> FeedOutcome {
-        if self.backend != CertBackend::Incremental {
-            return FeedOutcome::default();
-        }
-        let feed = self.feed.get_or_insert_with(IncrementalFeed::new);
-        let out = feed.feed_admitted(ts, history, |t| self.committed.contains(&t));
+        let out = self
+            .feed
+            .feed_admitted(ts, history, |t| self.committed.contains(&t));
         self.stats.charge_feed(out);
-        self.stats.retained_actions = feed.retained_actions() as u64;
+        self.stats.retained_actions = self.feed.retained_actions() as u64;
         out
     }
 
@@ -276,28 +221,9 @@ impl Certifier {
 
     /// How many transactions the next decision can be checked against:
     /// those the maintained relations still track after the last feed
-    /// (the commits the cut retained and everything live), or every
-    /// committed one under the from-scratch backend, which drops nothing.
+    /// (the commits the cut retained and everything live).
     pub fn retained_txns(&self) -> usize {
-        match &self.feed {
-            Some(feed) => feed.retained_txns(),
-            None => self.committed.len(),
-        }
-    }
-
-    /// Every live (unfinalized) transaction in the record, plus `also`.
-    /// Dependency inference never derives an edge between two
-    /// transactions from a third one's actions (every derivation rule
-    /// stays within one pair), so this scope captures **all** edges
-    /// incident to `also` that involve a live transaction — exactly
-    /// what the wait check and the abort cascade need.
-    fn live_scope(&self, ts: &TransactionSystem, also: TxnIdx) -> HashSet<TxnIdx> {
-        let mut scope: HashSet<TxnIdx> = (0..ts.top_level().len() as u32)
-            .map(TxnIdx)
-            .filter(|&t| self.is_live(t))
-            .collect();
-        scope.insert(also);
-        scope
+        self.feed.retained_txns()
     }
 
     /// Attempt to commit `candidate`. `ts`/`history` are the full record
@@ -313,70 +239,13 @@ impl Certifier {
             "transaction {candidate} already finalized"
         );
         self.stats.attempts += 1;
-        match self.backend {
-            CertBackend::FromScratch => self.try_commit_from_scratch(ts, history, candidate),
-            CertBackend::Incremental => self.try_commit_incremental(ts, history, candidate),
-        }
-    }
-
-    fn try_commit_from_scratch(
-        &mut self,
-        ts: &TransactionSystem,
-        history: &History,
-        candidate: TxnIdx,
-    ) -> CommitOutcome {
-        if self.wait_policy == WaitPolicy::Require {
-            // commit dependency: any live predecessor blocks the commit.
-            // Scoped to live transactions — finalized ones cannot block,
-            // and an edge from a live one needs no third party's actions
-            // to be derived (see `live_scope`), so the scoped fixpoint
-            // finds the same predecessors as whole-record inference at a
-            // fraction of the cost.
-            let scope = self.live_scope(ts, candidate);
-            let restricted = restrict_history(ts, history, &scope);
-            self.stats.actions_inferred += restricted.len() as u64;
-            let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
-            let top = ss.top_level_deps(ts);
-            let me = ts.top_level()[candidate.as_usize()];
-            for (f, t) in top.edges() {
-                if *t == me {
-                    let pred = ts.action(*f).txn;
-                    if pred != candidate && self.is_live(pred) {
-                        self.stats.waits += 1;
-                        return CommitOutcome::MustWait { on: pred };
-                    }
-                }
-            }
-        }
-
-        let mut scope: HashSet<TxnIdx> = self.committed.clone();
-        scope.insert(candidate);
-        let restricted = restrict_history(ts, history, &scope);
-        self.stats.actions_inferred += restricted.len() as u64;
-        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
-        let verdict = match self.mode {
-            CertifierMode::Paper => check_system_decentralized(ts, &ss),
-            CertifierMode::Global => check_system_global(ts, &ss),
-        };
-        self.finalize_attempt(candidate, verdict)
-    }
-
-    /// The incremental twin of [`Self::try_commit_from_scratch`]: same
-    /// decisions, but every query reads the live schedules filtered to
-    /// the relevant scope instead of re-inferring a restricted history.
-    fn try_commit_incremental(
-        &mut self,
-        ts: &TransactionSystem,
-        history: &History,
-        candidate: TxnIdx,
-    ) -> CommitOutcome {
         self.feed_record(ts, history);
         if self.wait_policy == WaitPolicy::Require {
             // edges involving a finalized predecessor may linger until
-            // the next reseed; the liveness filter makes them inert,
-            // exactly like the scoped inference excluding them
-            let inc = self.feed.as_ref().expect("fed above").schedules();
-            let wait_on = inc
+            // the next reseed; the liveness filter makes them inert
+            let wait_on = self
+                .feed
+                .schedules()
                 .top_level_dependencies(ts, candidate)
                 .find(|&pred| pred != candidate && self.is_live(pred));
             if let Some(on) = wait_on {
@@ -388,7 +257,7 @@ impl Certifier {
         // the rooted search needs every primitive of the candidate, and of
         // each committed transaction when it was the candidate, fed by now:
         // `feed_record` above consumed the record and rejects late arrivals
-        let inc = self.feed.as_ref().expect("fed above").schedules();
+        let inc = self.feed.schedules();
         let in_scope = |t: TxnIdx| t == candidate || self.committed.contains(&t);
         let visited = &mut self.stats.check_visited;
         let verdict = match self.mode {
@@ -401,23 +270,18 @@ impl Certifier {
         if matches!(outcome, CommitOutcome::MustAbort(_)) {
             // the aborted candidate leaves every future scope: stop
             // feeding its actions and let the garbage trigger a reseed
-            self.feed_mut().exclude(candidate);
+            self.feed.exclude(candidate);
         }
         self.settle();
         outcome
     }
 
     /// A transaction just finalized: apply the cut, in the same round
-    /// that fed the record. No-op under the from-scratch backend, which
-    /// keeps the whole record and thereby serves as the pruned-vs-whole
-    /// decision oracle.
+    /// that fed the record.
     fn settle(&mut self) {
-        let Some(feed) = self.feed.as_mut() else {
-            return;
-        };
         let committed = &self.committed;
-        self.stats.settled += feed.cut(|t| committed.contains(&t)).len() as u64;
-        self.stats.retained_actions = feed.retained_actions() as u64;
+        self.stats.settled += self.feed.cut(|t| committed.contains(&t)).len() as u64;
+        self.stats.retained_actions = self.feed.retained_actions() as u64;
     }
 
     fn finalize_attempt(
@@ -444,46 +308,21 @@ impl Certifier {
     /// cascade (the caller aborts and compensates them too).
     pub fn abort(&mut self, ts: &TransactionSystem, history: &History, txn: TxnIdx) -> Vec<TxnIdx> {
         assert!(self.is_live(txn), "transaction {txn} already finalized");
-        if self.backend == CertBackend::Incremental {
-            self.feed_record(ts, history);
-            self.aborted.insert(txn);
-            self.stats.aborts += 1;
-            let cascade = self.live_dependents(ts, txn);
-            self.feed_mut().exclude(txn);
-            self.settle();
-            return cascade;
-        }
-        // only live dependents can cascade, so the scoped fixpoint over
-        // {txn} ∪ live sees every relevant edge (see `live_scope`)
-        let scope = self.live_scope(ts, txn);
+        self.feed_record(ts, history);
         self.aborted.insert(txn);
         self.stats.aborts += 1;
-        let restricted = restrict_history(ts, history, &scope);
-        self.stats.actions_inferred += restricted.len() as u64;
-        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
-        let top = ss.top_level_deps(ts);
-        let me = ts.top_level()[txn.as_usize()];
-        let mut cascade = Vec::new();
-        let mut seen = HashSet::new();
-        for (f, t) in top.edges() {
-            if *f == me {
-                let dep = ts.action(*t).txn;
-                if self.is_live(dep) && seen.insert(dep) {
-                    cascade.push(dep);
-                }
-            }
-        }
+        let cascade = self.live_dependents(ts, txn);
+        self.feed.exclude(txn);
+        self.settle();
         cascade
     }
 
     /// Live transactions with a top-level dependency on the finalized
     /// `txn` in the maintained schedules — the cascade set of its abort.
-    /// Empty under the from-scratch backend or before the first feed.
     pub fn live_dependents(&self, ts: &TransactionSystem, txn: TxnIdx) -> Vec<TxnIdx> {
-        let Some(inc) = self.incremental() else {
-            return Vec::new();
-        };
-        inc.top_level_dependents(ts, txn)
+        self.feed
+            .schedules()
+            .top_level_dependents(ts, txn)
             .filter(|&dep| self.is_live(dep))
             .collect()
     }
@@ -496,12 +335,10 @@ impl Certifier {
         assert!(self.is_live(txn), "transaction {txn} already finalized");
         self.aborted.insert(txn);
         self.stats.aborts += 1;
-        if self.backend == CertBackend::Incremental {
-            // actions the finalized transaction already recorded become
-            // garbage; the next feed prunes them once they dominate
-            self.feed_mut().exclude(txn);
-            self.settle();
-        }
+        // actions the finalized transaction already recorded become
+        // garbage; the next feed prunes them once they dominate
+        self.feed.exclude(txn);
+        self.settle();
     }
 
     /// `txn` is recorded outside certification — a compensation, a state
@@ -513,10 +350,8 @@ impl Certifier {
     pub fn retire(&mut self, txn: TxnIdx) {
         assert!(self.is_live(txn), "transaction {txn} already finalized");
         self.aborted.insert(txn);
-        if self.backend == CertBackend::Incremental {
-            self.feed_mut().exclude(txn);
-            self.settle();
-        }
+        self.feed.exclude(txn);
+        self.settle();
     }
 
     /// The sub-history of committed transactions — the durable execution
@@ -547,8 +382,105 @@ pub fn restrict_history(
 mod tests {
     use super::*;
     use crate::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+    use crate::schedule::SystemSchedules;
+    use crate::serializability::{check_system_decentralized, check_system_global};
     use crate::value::key;
     use std::sync::Arc;
+
+    /// The certifier's oracle: every decision restricts the record to its
+    /// scope and infers from nothing, and nothing is ever pruned. Dependency
+    /// inference never derives an edge between two transactions from a
+    /// third one's actions, so the live transactions plus the candidate
+    /// are the whole scope of the wait check and of the abort cascade.
+    #[derive(Default)]
+    struct FromScratch {
+        mode: CertifierMode,
+        committed: HashSet<TxnIdx>,
+        aborted: HashSet<TxnIdx>,
+        /// Restricted-history lengths summed over every inference.
+        inferred: u64,
+    }
+
+    impl FromScratch {
+        fn new(mode: CertifierMode) -> Self {
+            FromScratch {
+                mode,
+                ..Default::default()
+            }
+        }
+
+        fn infer(
+            &mut self,
+            ts: &TransactionSystem,
+            h: &History,
+            scope: &HashSet<TxnIdx>,
+        ) -> SystemSchedules {
+            let restricted = restrict_history(ts, h, scope);
+            self.inferred += restricted.len() as u64;
+            SystemSchedules::infer_scoped(ts, &restricted, scope)
+        }
+
+        fn is_live(&self, t: TxnIdx) -> bool {
+            !self.committed.contains(&t) && !self.aborted.contains(&t)
+        }
+
+        /// Top-level dependencies `(from, to)` among the live transactions
+        /// and `also`.
+        fn live_edges(
+            &mut self,
+            ts: &TransactionSystem,
+            h: &History,
+            also: TxnIdx,
+        ) -> Vec<(TxnIdx, TxnIdx)> {
+            let mut scope: HashSet<TxnIdx> = (0..ts.top_level().len() as u32)
+                .map(TxnIdx)
+                .filter(|&t| self.is_live(t))
+                .collect();
+            scope.insert(also);
+            let top = self.infer(ts, h, &scope).top_level_deps(ts);
+            top.edges()
+                .map(|(f, t)| (ts.action(*f).txn, ts.action(*t).txn))
+                .collect()
+        }
+
+        fn try_commit(&mut self, ts: &TransactionSystem, h: &History, t: TxnIdx) -> CommitOutcome {
+            let wait_on = self
+                .live_edges(ts, h, t)
+                .into_iter()
+                .find(|&(f, to)| to == t && f != t && self.is_live(f));
+            if let Some((on, _)) = wait_on {
+                return CommitOutcome::MustWait { on };
+            }
+            let mut scope = self.committed.clone();
+            scope.insert(t);
+            let ss = self.infer(ts, h, &scope);
+            let verdict = match self.mode {
+                CertifierMode::Paper => check_system_decentralized(ts, &ss),
+                CertifierMode::Global => check_system_global(ts, &ss),
+            };
+            match verdict {
+                Ok(()) => {
+                    self.committed.insert(t);
+                    CommitOutcome::Committed
+                }
+                Err(v) => {
+                    self.aborted.insert(t);
+                    CommitOutcome::MustAbort(v)
+                }
+            }
+        }
+
+        /// Abort `t`; its live direct dependents must cascade.
+        fn abort(&mut self, ts: &TransactionSystem, h: &History, t: TxnIdx) -> HashSet<TxnIdx> {
+            let edges = self.live_edges(ts, h, t);
+            self.aborted.insert(t);
+            edges
+                .into_iter()
+                .filter(|&(f, to)| f == t && self.is_live(to))
+                .map(|(_, to)| to)
+                .collect()
+        }
+    }
 
     fn desc(m: &str) -> ActionDescriptor {
         ActionDescriptor::nullary(m)
@@ -890,7 +822,7 @@ mod tests {
         cert.retire(TxnIdx(0));
         assert_eq!(cert.stats.settled, 2);
         assert_eq!(cert.stats.aborts, 0, "retiring is not an abort");
-        assert_eq!(cert.excluded().expect("fed").len(), 3);
+        assert_eq!(cert.excluded().len(), 3);
         // the next round replays nothing: the record lies below the cut
         let out = cert.feed_record(&ts, &h);
         assert!(out.reseeded);
@@ -936,8 +868,8 @@ mod tests {
         h: &History,
         step: &str,
     ) {
-        let inc = cert.incremental().expect("incremental backend has fed");
-        let excluded = cert.excluded().expect("incremental backend has fed");
+        let inc = cert.incremental();
+        let excluded = cert.excluded();
         assert!(
             cert.aborted().is_subset(excluded),
             "aborted transactions leave the feed after {step}"
@@ -998,10 +930,10 @@ mod tests {
     /// interleaving of 2/3/4-transaction systems (every finalization
     /// order × every commit-vs-abort assignment × both certifier modes,
     /// with and without a forced reseed after each step), the
-    /// incremental certifier reaches the same decision as a from-scratch
-    /// twin — which never prunes — and its maintained relations equal
-    /// fresh scoped inference over the retained transactions edge for
-    /// edge after every step.
+    /// certifier reaches the same decision and cascade as the
+    /// [`FromScratch`] replay — which never prunes — and its maintained
+    /// relations equal fresh scoped inference over the retained
+    /// transactions edge for edge after every step.
     #[test]
     fn incremental_state_matches_fresh_inference_after_every_step() {
         for (ts, h) in [chain_system(), contended_system(), four_txn_system()] {
@@ -1011,8 +943,7 @@ mod tests {
                     for mode in [CertifierMode::Paper, CertifierMode::Global] {
                         for force_reseed in [false, true] {
                             let mut cert = Certifier::new(mode);
-                            let mut oracle =
-                                Certifier::new(mode).with_backend(CertBackend::FromScratch);
+                            let mut oracle = FromScratch::new(mode);
                             for (step, &t) in perm.iter().enumerate() {
                                 let txn = TxnIdx(t as u32);
                                 let commit = mask & (1 << t) != 0;
@@ -1032,8 +963,7 @@ mod tests {
                                 } else {
                                     let got: HashSet<TxnIdx> =
                                         cert.abort(&ts, &h, txn).into_iter().collect();
-                                    let want: HashSet<TxnIdx> =
-                                        oracle.abort(&ts, &h, txn).into_iter().collect();
+                                    let want = oracle.abort(&ts, &h, txn);
                                     assert_eq!(
                                         got, want,
                                         "cascade diverged at step {step} \
@@ -1041,7 +971,7 @@ mod tests {
                                     );
                                 }
                                 if force_reseed {
-                                    let replayed = cert.feed.as_mut().expect("fed").reseed(&ts, &h);
+                                    let replayed = cert.feed.reseed(&ts, &h);
                                     cert.stats.actions_inferred += replayed as u64;
                                     cert.stats.incremental_reseeds += 1;
                                 }
@@ -1052,12 +982,12 @@ mod tests {
                                 assert_incremental_matches_batch(&cert, &ts, &h, &label);
                                 assert_eq!(
                                     cert.committed(),
-                                    oracle.committed(),
+                                    &oracle.committed,
                                     "committed sets diverged after {label}"
                                 );
                                 assert_eq!(
                                     cert.aborted(),
-                                    oracle.aborted(),
+                                    &oracle.aborted,
                                     "aborted sets diverged after {label}"
                                 );
                             }
@@ -1124,7 +1054,7 @@ mod tests {
         candidate: TxnIdx,
         violation: &Violation,
     ) {
-        let inc = cert.incremental().expect("incremental backend has fed");
+        let inc = cert.incremental();
         let has = |g: Option<&crate::graph::DiGraph<ActionIdx>>, f: ActionIdx, t: ActionIdx| {
             g.is_some_and(|g| g.has_edge(&f, &t))
         };
@@ -1197,43 +1127,50 @@ mod tests {
         );
     }
 
-    /// The incremental backend's cost accounting: feeding is charged per
-    /// appended action (not per attempt × history), and an exclusion-heavy
-    /// run eventually reseeds.
+    /// The certifier's cost accounting: feeding is charged per appended
+    /// action (not per attempt × history), and an exclusion-heavy run
+    /// eventually reseeds.
     #[test]
     fn incremental_accounting_charges_deltas_and_reseeds() {
         let (ts, h) = contended_system();
-        let mut inc = Certifier::new(CertifierMode::Paper);
-        let mut batch = Certifier::new(CertifierMode::Paper).with_backend(CertBackend::FromScratch);
-        // same decision sequence on both backends: wait, wait, abort+cascade,
+        let mut cert = Certifier::new(CertifierMode::Paper);
+        let mut batch = FromScratch::new(CertifierMode::Paper);
+        // the same decision sequence on both: wait, wait, abort+cascade,
         // then commit the survivor
-        for cert in [&mut inc, &mut batch] {
+        for t in [0, 2] {
             assert!(matches!(
-                cert.try_commit(&ts, &h, TxnIdx(0)),
+                cert.try_commit(&ts, &h, TxnIdx(t)),
                 CommitOutcome::MustWait { .. }
             ));
             assert!(matches!(
-                cert.try_commit(&ts, &h, TxnIdx(2)),
+                batch.try_commit(&ts, &h, TxnIdx(t)),
                 CommitOutcome::MustWait { .. }
             ));
-            for t in cert.abort(&ts, &h, TxnIdx(2)) {
-                cert.register_abort(t);
-            }
-            assert_eq!(
-                cert.try_commit(&ts, &h, TxnIdx(1)),
-                CommitOutcome::Committed
-            );
         }
-        // the incremental backend consumed each recorded action at most
-        // once plus reseed replays; from-scratch re-restricted the record
-        // on every attempt and must have inferred strictly more
-        assert!(
-            inc.stats.actions_inferred < batch.stats.actions_inferred,
-            "incremental {} vs from-scratch {}",
-            inc.stats.actions_inferred,
-            batch.stats.actions_inferred
+        let cascade: HashSet<TxnIdx> = cert.abort(&ts, &h, TxnIdx(2)).into_iter().collect();
+        assert_eq!(cascade, batch.abort(&ts, &h, TxnIdx(2)));
+        for t in cascade {
+            cert.register_abort(t);
+            batch.aborted.insert(t);
+        }
+        assert_eq!(
+            cert.try_commit(&ts, &h, TxnIdx(1)),
+            CommitOutcome::Committed
         );
-        assert_eq!(inc.stats.commits, batch.stats.commits);
-        assert_eq!(inc.stats.aborts, batch.stats.aborts);
+        assert_eq!(
+            batch.try_commit(&ts, &h, TxnIdx(1)),
+            CommitOutcome::Committed
+        );
+        // the certifier consumed each recorded action at most once plus
+        // reseed replays; from scratch re-restricts the record on every
+        // attempt and must have inferred strictly more
+        assert!(
+            cert.stats.actions_inferred < batch.inferred,
+            "incremental {} vs from-scratch {}",
+            cert.stats.actions_inferred,
+            batch.inferred
+        );
+        assert_eq!(&batch.committed, cert.committed());
+        assert_eq!(&batch.aborted, cert.aborted());
     }
 }

@@ -622,11 +622,12 @@ fn whole_scope_check(
 
 proptest! {
     /// Random small systems × random histories × random finalization
-    /// orders × {Paper, Global} × forced reseeds: the rooted verdict, the
-    /// from-scratch verdict and the old whole-scope filter agree at every
-    /// step — both through the public check functions over a hand-driven
-    /// feed (reseeded after every step when forced, so the start lists
-    /// are rebuilt too) and through the production `Certifier`.
+    /// orders × {Paper, Global} × forced reseeds: the rooted verdict and
+    /// the old whole-scope filter agree at every step — both through the
+    /// public check functions over a hand-driven feed (reseeded after
+    /// every step when forced, so the start lists are rebuilt too) and
+    /// through the production `Certifier` — and the from-scratch replay
+    /// reproduces every decision.
     #[test]
     fn rooted_check_matches_from_scratch_and_whole_scope(
         plan in system_plan(),
@@ -634,7 +635,7 @@ proptest! {
         global in any::<bool>(),
         force_reseed in any::<bool>(),
     ) {
-        use oodb_core::certifier::{CertBackend, Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
         use oodb_core::incremental::IncrementalFeed;
         use oodb_core::serializability::{check_candidate_decentralized, check_candidate_global};
         use std::collections::HashSet;
@@ -647,9 +648,7 @@ proptest! {
         let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
         // validation only: the wait check is not what changed
         let mut cert = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
-        let mut oracle = Certifier::new(mode)
-            .with_wait_policy(WaitPolicy::Ignore)
-            .with_backend(CertBackend::FromScratch);
+        let mut decisions = Vec::new();
         let mut feed = IncrementalFeed::new();
         let mut committed: HashSet<TxnIdx> = HashSet::new();
         let mut visited = 0u64;
@@ -668,9 +667,8 @@ proptest! {
             }
             .is_ok();
             let whole = whole_scope_check(&ts, feed.schedules(), &scope, global);
-            let scratch = oracle.try_commit(&ts, &h, t) == CommitOutcome::Committed;
             let production = cert.try_commit(&ts, &h, t) == CommitOutcome::Committed;
-            prop_assert_eq!(rooted, scratch, "rooted vs from-scratch at {}", t);
+            decisions.push((t, rooted));
             prop_assert_eq!(rooted, whole, "rooted vs whole-scope at {}", t);
             prop_assert_eq!(rooted, production, "rooted vs Certifier at {}", t);
             if rooted {
@@ -679,7 +677,8 @@ proptest! {
                 feed.exclude(t);
             }
         }
-        prop_assert_eq!(cert.committed(), oracle.committed());
+        let diverged = replay_from_scratch(&ts, &h, global, &decisions);
+        prop_assert_eq!(diverged, None, "from scratch differs: {:?}", &decisions);
         if !force_reseed {
             // same feed, same searches, same count
             prop_assert_eq!(cert.stats.check_visited, visited);
@@ -779,6 +778,38 @@ fn online_steps(plan: &OnlinePlan, prims: &[Vec<ActionIdx>]) -> Vec<Step> {
     steps
 }
 
+/// The certifier's oracle, offline: re-decide each `(candidate,
+/// admitted)` of a run in order, from scratch, over the final record —
+/// Definition 16 over the record restricted to the transactions admitted
+/// so far plus the candidate. Every primitive of a candidate is recorded
+/// before its decision and restriction keeps order, so the restriction of
+/// the final record is the history the decision saw. Returns the index
+/// of the first decision it does not reproduce.
+fn replay_from_scratch(
+    ts: &TransactionSystem,
+    h: &History,
+    global: bool,
+    decisions: &[(TxnIdx, bool)],
+) -> Option<usize> {
+    use oodb_core::certifier::restrict_history;
+    let mut committed = std::collections::HashSet::new();
+    decisions.iter().position(|&(t, admitted)| {
+        let mut scope = committed.clone();
+        scope.insert(t);
+        let restricted = restrict_history(ts, h, &scope);
+        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
+        let check = if global {
+            check_system_global
+        } else {
+            check_system_decentralized
+        };
+        if admitted {
+            committed.insert(t);
+        }
+        check(ts, &ss).is_ok() != admitted
+    })
+}
+
 fn witness(v: &Violation) -> &[ActionIdx] {
     match v {
         Violation::TxnDepCycle { cycle, .. }
@@ -834,7 +865,7 @@ proptest! {
                 if let CommitOutcome::MustAbort(_) = cert.try_commit(&ts, h, t) {
                     aborted_at.insert(t, step);
                 }
-                for &d in cert.excluded().expect("fed") {
+                for &d in cert.excluded() {
                     if cert.committed().contains(&d) {
                         dropped_at.entry(d).or_insert(step);
                     }
@@ -877,42 +908,38 @@ proptest! {
     }
 
     /// The pruned incremental certifier decides what the unpruned
-    /// from-scratch one decides, at every finalization of the same
-    /// growing record, in both modes — and whatever it rejects, it
-    /// rejects with a cycle through the candidate.
+    /// from-scratch replay decides over the final record, at every
+    /// finalization of the growing record, in both modes — and whatever
+    /// it rejects, it rejects with a cycle through the candidate.
     #[test]
     fn pruned_decisions_match_the_whole_record(
         plans in prop::collection::vec(online_plan(), 16),
         global in any::<bool>(),
     ) {
-        use oodb_core::certifier::{CertBackend, Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
 
         let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
         for plan in &plans {
             let (ts, prims) = build(&plan.system);
             let mut pruned = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
-            let mut whole = Certifier::new(mode)
-                .with_wait_policy(WaitPolicy::Ignore)
-                .with_backend(CertBackend::FromScratch);
-            play_online(plan, &ts, &prims, |h, t, _| {
+            let mut decisions = Vec::new();
+            let (order, _) = play_online(plan, &ts, &prims, |h, t, _| {
                 let got = pruned.try_commit(&ts, h, t);
-                let want = whole.try_commit(&ts, h, t);
-                prop_assert_eq!(
-                    std::mem::discriminant(&got),
-                    std::mem::discriminant(&want),
-                    "{} at history {}: pruned {:?} vs whole record {:?}",
-                    t, h.len(), &got, &want
-                );
                 if let CommitOutcome::MustAbort(v) = &got {
                     prop_assert!(
                         witness(v).iter().any(|&a| ts.action(a).txn == t),
                         "{:?} misses candidate {}", v, t
                     );
                 }
+                decisions.push((t, got == CommitOutcome::Committed));
                 Ok(())
             })?;
-            prop_assert_eq!(pruned.committed(), whole.committed());
-            prop_assert_eq!(pruned.aborted(), whole.aborted());
+            let record = History::from_order(&ts, &order).unwrap();
+            let diverged = replay_from_scratch(&ts, &record, global, &decisions);
+            prop_assert_eq!(
+                diverged, None,
+                "pruned vs whole record: {:?} (history {})", &decisions, record.len()
+            );
         }
     }
 }

@@ -6,7 +6,10 @@
 //! database critical section, so an uncommitted effect is never public.
 //! Recoverability therefore needs no apparatus of its own — no commit
 //! dependency to wait on, no abort that cascades — and what is left is
-//! the commutativity-based check of what commits.
+//! the commutativity-based check of what commits: the certifier keeps
+//! the dependency relations incrementally, and each round feeds it the
+//! actions recorded since the last one under the recorder's record lock
+//! and checks Definition 16 from the candidate's own edges.
 //!
 //! There is one certifier at every shard count. The paper decentralizes
 //! by object (Definition 6), which the certifier's per-object schedules
@@ -24,9 +27,7 @@ use super::{
 };
 use crate::cc::versions::{self, VersionStore};
 use crate::trace::{CertOutcome, TraceEventKind};
-use oodb_core::certifier::{
-    CertBackend, Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy,
-};
+use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
@@ -49,45 +50,23 @@ pub struct OptimisticCc {
     store: VersionStore,
     /// Lanes the key space is accounted over (1 = no lanes).
     shards: usize,
-    /// How certification-time dependencies are derived: maintained
-    /// incrementally across attempts (the default) or re-inferred from
-    /// scratch every attempt (the tests' reference).
-    backend: CertBackend,
     faults: FaultPlan,
-}
-
-/// The certifier every control starts from: the paper's decentralized
-/// Definition 16, and no commit-dependency waits — nothing uncommitted
-/// is ever visible to wait on.
-fn certifier(backend: CertBackend) -> Certifier {
-    Certifier::new(CertifierMode::Paper)
-        .with_wait_policy(WaitPolicy::Ignore)
-        .with_backend(backend)
 }
 
 impl OptimisticCc {
     /// MVCC snapshot execution certified incrementally against the
-    /// paper's Definition 16, on one shard.
+    /// paper's decentralized Definition 16, on one shard. The certifier
+    /// never makes a commit wait: nothing uncommitted is ever visible to
+    /// wait on.
     pub fn new() -> Self {
-        let backend = CertBackend::default();
         OptimisticCc {
-            cert: Mutex::new(certifier(backend)),
+            cert: Mutex::new(
+                Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore),
+            ),
             store: VersionStore::new(),
             shards: 1,
-            backend,
             faults: FaultPlan::default(),
         }
-    }
-
-    /// Select the certification backend ([`CertBackend::Incremental`]
-    /// is the default; [`CertBackend::FromScratch`] re-infers every
-    /// attempt and is the reference the tests compare it against — see
-    /// `tests/cert_differential.rs`; hand the control to
-    /// [`Engine::start_with`](crate::Engine::start_with)).
-    pub fn with_certification(mut self, backend: CertBackend) -> Self {
-        self.backend = backend;
-        *self.cert.get_mut() = certifier(backend);
-        self
     }
 
     /// Account operations and commits over `shards` (at most 64) hash
@@ -97,11 +76,6 @@ impl OptimisticCc {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, u64::BITS as usize);
         self
-    }
-
-    /// The certification backend in use.
-    pub fn certification(&self) -> CertBackend {
-        self.backend
     }
 
     /// The MVCC version store.
@@ -130,27 +104,6 @@ impl OptimisticCc {
         self.cert.lock().stats
     }
 
-    /// Run `f` against the record the backend certifies over: the live
-    /// record under the recorder's record lock when only the delta is fed
-    /// ([`oodb_model::Recorder::with_record`]), a snapshot when every
-    /// round re-infers and would hold the recorder too long. Side
-    /// effects that re-enter the recorder (version install,
-    /// compensation) stay outside `f` — lock order is always recorder →
-    /// certifier, never the inverse.
-    fn with_record<R>(
-        &self,
-        shared: &EngineShared,
-        f: impl FnOnce(&TransactionSystem, &History) -> R,
-    ) -> R {
-        match self.backend {
-            CertBackend::Incremental => shared.rec.with_record(f),
-            CertBackend::FromScratch => {
-                let (ts, history) = shared.rec.snapshot();
-                f(&ts, &history)
-            }
-        }
-    }
-
     /// Mirror the certifier's retention counters — transactions the cut
     /// dropped so far, primitives held now — into the engine metrics.
     /// Called with the certifier's lock held wherever its cut may have
@@ -165,12 +118,9 @@ impl OptimisticCc {
     }
 
     /// Publish one certification round's inference cost: the certifier
-    /// stat deltas land in the engine counters, and incremental rounds
-    /// that consumed anything additionally emit a `cert_delta` event
-    /// (the from-scratch oracle has no delta to speak of — its cost is
-    /// the full restricted history).
+    /// stat deltas land in the engine counters, and a round that
+    /// consumed anything additionally emits a `cert_delta` event.
     fn publish_cert_round(
-        &self,
         shared: &EngineShared,
         txn: &TxnHandle,
         before: CertifierStats,
@@ -198,7 +148,7 @@ impl OptimisticCc {
                 .cert_incremental_reseeds
                 .fetch_add(reseeds, Ordering::Relaxed);
         }
-        if self.backend == CertBackend::Incremental && (fed > 0 || reseeds > 0) {
+        if fed > 0 || reseeds > 0 {
             shared.trace.emit_txn(txn, || TraceEventKind::CertDelta {
                 fed,
                 reseeded: reseeds > 0,
@@ -206,9 +156,11 @@ impl OptimisticCc {
         }
     }
 
-    /// One certification round of `txn` over the record `with_record`
-    /// hands in: feed the delta (a no-op under from-scratch), validate.
-    /// True when `txn` committed.
+    /// One certification round of `txn` over the live record
+    /// ([`oodb_model::Recorder::with_record`]): feed the delta, validate.
+    /// True when `txn` committed. Side effects that re-enter the recorder
+    /// (version install, compensation) stay outside the round — lock
+    /// order is always recorder → certifier, never the inverse.
     fn certify(
         &self,
         shared: &EngineShared,
@@ -237,7 +189,7 @@ impl OptimisticCc {
                 CertOutcome::Abort
             },
         });
-        self.publish_cert_round(shared, txn, before, cert.stats);
+        Self::publish_cert_round(shared, txn, before, cert.stats);
         committed
     }
 }
@@ -269,8 +221,9 @@ impl ConcurrencyControl for OptimisticCc {
     }
 
     fn try_finish(&self, shared: &EngineShared, txn: &TxnHandle) -> FinishOutcome {
-        let committed =
-            self.with_record(shared, |ts, history| self.certify(shared, txn, ts, history));
+        let committed = shared
+            .rec
+            .with_record(|ts, history| self.certify(shared, txn, ts, history));
         if committed {
             shared.metrics.commit_lanes(bits(txn.footprint.get()));
             versions::on_commit(&self.store, shared, txn);

@@ -57,7 +57,6 @@ pub use metrics::{
     EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane, ShardLaneSnapshot,
     ValueQuantiles,
 };
-pub use oodb_core::certifier::CertBackend;
 pub use queue::{Job, JobQueue};
 pub use trace::{
     cross_check, CrossCheck, DepGraph, NullSink, RingSink, TraceEvent, TraceEventKind, TraceLog,
@@ -134,9 +133,9 @@ impl Engine {
         Self::start_with(cfg, cc)
     }
 
-    /// Start an engine with a custom [`ConcurrencyControl`] — also how
-    /// the tests run their reference,
-    /// `OptimisticCc::new().with_certification(CertBackend::FromScratch)`.
+    /// Start an engine with a custom [`ConcurrencyControl`]: one a test
+    /// keeps a handle to, to arm faults
+    /// ([`OptimisticCc::inject_fault_after`]) or read its counters.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
         let rec = oodb_model::Recorder::new();
         let enc = Encyclopedia::create(

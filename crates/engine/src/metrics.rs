@@ -152,8 +152,7 @@ impl Histogram {
 }
 
 /// The p50 / p99 / p999 of one latency histogram, frozen as durations.
-/// `p999` exists because tail behaviour under load is exactly what the
-/// open-loop harness measures; the log-linear interpolation in
+/// `p999` reports the tail under load; the log-linear interpolation in
 /// [`Histogram::quantile`] keeps it distinct from p99 even inside one
 /// power-of-two bucket. Always ordered `p50 <= p99 <= p999`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,15 +232,13 @@ pub struct EngineMetrics {
     /// Versions reclaimed by watermark GC.
     pub versions_gcd: AtomicU64,
     /// Actions fed to certification-time dependency inference, summed
-    /// over every decision: restricted-history lengths under the
-    /// from-scratch backend, per-attempt deltas (plus reseed replays)
-    /// under the incremental one. The B13 cost measure.
+    /// over every decision: per-attempt deltas plus reseed replays.
     pub cert_actions_inferred: AtomicU64,
-    /// Times an incremental certifier rebuilt its live schedules from
-    /// the restricted history (garbage from excluded transactions
-    /// outgrew the live edges).
+    /// Times the certifier rebuilt its live schedules from the
+    /// restricted history (garbage from excluded transactions outgrew
+    /// the live edges).
     pub cert_incremental_reseeds: AtomicU64,
-    /// Nodes expanded by the incremental certifiers' candidate-rooted
+    /// Nodes expanded by the certifier's candidate-rooted
     /// Definition-16 search, summed over every validation — the check's
     /// share of certification, beside `cert_actions_inferred` for the
     /// feed's. Exactly repeatable for a given schedule.

@@ -298,8 +298,8 @@ pub fn reconstruct_graph(events: &[TraceEvent]) -> DepGraph {
 
 /// The audit-side graph: restrict the audited history to the named
 /// transactions, run scoped schedule inference (the same machinery the
-/// from-scratch certifier validates with), and project the system-object
-/// action dependencies onto root names.
+/// tests' from-scratch replay of the certifier uses), and project the
+/// system-object action dependencies onto root names.
 pub fn audit_graph(audit: &AuditOutput, names: &BTreeSet<String>) -> DepGraph {
     let ts = &audit.ts;
     let mut scope: HashSet<TxnIdx> = HashSet::new();

@@ -162,20 +162,17 @@ pub enum TraceEventKind {
     /// One certification round of an optimistic commit.
     CertAttempt {
         /// Size of the validation scope: the transactions the certifier
-        /// still retained after feeding the record, plus the candidate
-        /// (every committed one under the from-scratch backend).
+        /// still retained after feeding the record, plus the candidate.
         component: usize,
         /// How the round ended.
         outcome: CertOutcome,
     },
-    /// The incremental certifier consumed the recorder delta appended
-    /// since its last attempt — the per-commit inference cost made
-    /// visible. `fed` counts primitive executions fed to the schedule
-    /// maintenance this round (O(new actions), versus the from-scratch
-    /// backend re-inferring the whole restricted history every attempt);
-    /// `reseeded` marks the rounds that first rebuilt the live schedules
-    /// because garbage from excluded (aborted/settled) transactions
-    /// outgrew the live state.
+    /// The certifier consumed the recorder delta appended since its
+    /// last attempt — the per-commit inference cost made visible. `fed`
+    /// counts primitive executions fed to the schedule maintenance this
+    /// round (O(new actions), not the record); `reseeded` marks the
+    /// rounds that first rebuilt the live schedules because garbage from
+    /// excluded (aborted/settled) transactions outgrew the live state.
     CertDelta {
         /// Primitive executions fed this round (including a reseed's
         /// full replay when `reseeded` is set).

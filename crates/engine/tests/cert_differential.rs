@@ -1,81 +1,79 @@
-//! Incremental-vs-batch certification differential suite.
+//! Certification differential suite: the incremental certifier against
+//! its from-scratch replay.
 //!
-//! The incremental certification backend maintains one live
-//! [`IncrementalSchedules`] across commits and feeds it only the actions
-//! appended since the last attempt; the from-scratch backend re-infers
-//! the dependency graph from the restricted history on every attempt.
-//! Both must be *observationally identical*: every commit/abort
-//! decision and the final database state must agree exactly. The
-//! from-scratch backend is the reference and exists for that purpose
-//! only: no configuration selects it, the suites build
-//! `OptimisticCc::new().with_certification(CertBackend::FromScratch)`
-//! themselves.
+//! The optimistic control's certifier maintains one set of dependency
+//! relations across commits, feeds it only the actions appended since
+//! the last attempt, and drops what nothing can reach any more. Its
+//! oracle re-decides every verdict offline, from scratch, over the final
+//! record (`common::replay_from_scratch`): restrict to the transactions
+//! committed so far plus the candidate, infer, check Definition 16.
 //!
 //! Two oracles pin this:
 //!
 //! 1. The deterministic single-threaded virtual scheduler of
-//!    `common/mod.rs` replays identical op-level schedules under both
-//!    backends — and at 1 and 3 shards, which are accounting only — and
-//!    asserts the *full decision trajectories* are equal: exhaustively
-//!    over every interleaving of small conflicting workloads, and
-//!    property-based over random workloads × random schedules.
+//!    `common/mod.rs` replays identical op-level schedules at 1 and 3
+//!    lanes — accounting only, so the *full decision trajectories* must
+//!    be equal — and every verdict must be what the from-scratch replay
+//!    decides: exhaustively over every interleaving of small conflicting
+//!    workloads, and property-based over random workloads × random
+//!    schedules.
 //! 2. The real multi-threaded engine runs random private-write
-//!    workloads under both backends at 1 and 4 shards
-//!    (`Engine::start_with`) and asserts equal commits, audits, and
-//!    final states.
+//!    workloads on 4 workers and on 1 at 1 and 4 lanes and asserts equal
+//!    commits, audits, and final states.
 
 mod common;
 
 use common::{
-    conflicting_3txn_workload, conflicting_4txn_workload, interleavings, three_cross_shard_keys,
-    RunOutcome, VirtualScheduler,
+    conflicting_3txn_workload, conflicting_4txn_workload, interleavings, replay_from_scratch,
+    three_cross_shard_keys, RunOutcome, VirtualScheduler,
 };
-use oodb_engine::{CertBackend, ConcurrencyControl, EngineConfig, EngineOutput, OptimisticCc};
+use oodb_engine::{ConcurrencyControl, EngineConfig, EngineOutput, OptimisticCc};
 use oodb_sim::EncOp;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The optimistic control over the chosen certification backend.
-fn make_cc(shards: usize, backend: CertBackend) -> Arc<dyn ConcurrencyControl> {
-    Arc::new(
-        OptimisticCc::new()
-            .with_certification(backend)
-            .with_shards(shards),
-    )
+/// The optimistic control, accounted over `shards` lanes.
+fn make_cc(shards: usize) -> Arc<dyn ConcurrencyControl> {
+    Arc::new(OptimisticCc::new().with_shards(shards))
 }
 
-/// Run one schedule at 1 and 3 shards under both backends and require
-/// byte-identical decision trajectories and outcomes from all four: the
-/// pruned incremental certifier decides like the from-scratch oracle
-/// that keeps everything, and the shard count is accounting only.
+/// Run one schedule at 1 and 3 lanes and require byte-identical
+/// decision trajectories and outcomes — the lane count is accounting
+/// only — and every verdict to be the one the from-scratch replay
+/// reaches over the final record: the pruned incremental certifier
+/// decides like an oracle that keeps everything.
 fn assert_all_agree(
     label: &str,
     txns: &[Vec<EncOp>],
     preload: &[String],
     schedule: &[usize],
 ) -> RunOutcome {
-    let replay = |shards, backend| {
-        VirtualScheduler::new(make_cc(shards, backend), txns, preload).run(schedule)
+    let replay = |shards| {
+        let vs = VirtualScheduler::new(make_cc(shards), txns, preload);
+        let rec = vs.recorder();
+        let out = vs.run(schedule);
+        let (ts, history) = rec.snapshot();
+        if let Some(i) = replay_from_scratch(&ts, &history, &out.verdicts) {
+            panic!(
+                "{label}: verdict {i} at {shards} lanes differs from the from-scratch \
+                 replay on schedule {schedule:?}: {:?}",
+                out.verdicts
+            );
+        }
+        out
     };
-    let reference = replay(1, CertBackend::FromScratch);
-    for (shards, backend) in [
-        (1, CertBackend::Incremental),
-        (3, CertBackend::FromScratch),
-        (3, CertBackend::Incremental),
-    ] {
-        assert_eq!(
-            replay(shards, backend),
-            reference,
-            "{label}: {backend:?} at {shards} shards diverged from the from-scratch \
-             1-shard run on schedule {schedule:?}"
-        );
-    }
+    let reference = replay(1);
+    assert_eq!(
+        replay(3),
+        reference,
+        "{label}: 3 lanes diverged from 1 lane on schedule {schedule:?}"
+    );
     reference
 }
 
 /// Every op-level interleaving of one workload: one decision trajectory
-/// whatever the backend and the shard count, and the shared sanity bar
-/// (all commit, audit clean) holds.
+/// whatever the lane count, each verdict the from-scratch one, and the
+/// shared sanity bar (all commit, audit clean) holds.
 fn check_every_interleaving(
     name: &str,
     (txns, preload): (Vec<Vec<EncOp>>, Vec<String>),
@@ -156,8 +154,8 @@ fn every_snapshot_interleaving_passes_the_audit() {
 }
 
 /// Hot-key pool shared by every generated transaction (contention is
-/// the point: validation failures are where the two backends could
-/// diverge).
+/// the point: validation failures are where the pruned certifier and
+/// its replay could diverge).
 fn hot_key(i: usize) -> String {
     format!("h{:02}", i % 4)
 }
@@ -200,8 +198,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random contended workloads × random op-level schedules: the
-    /// decision trajectories of the incremental and from-scratch
-    /// backends must be identical at every shard count.
+    /// decision trajectories are identical at every lane count, and each
+    /// verdict is the from-scratch replay's.
     #[test]
     fn random_schedules_decisions_agree(
         codes in prop::collection::vec(
@@ -225,8 +223,9 @@ proptest! {
 // ---------------------------------------------------------------------
 // Real-engine differential: multi-threaded runs cannot pin per-decision
 // equality (thread timing differs), but with disjoint write partitions
-// the final state is commit-order independent — so both backends must
-// commit everything, audit clean, and agree bit-for-bit on final state.
+// the final state is commit-order independent — so 4 workers and 1 must
+// both commit everything, audit clean, and agree bit-for-bit on final
+// state.
 // ---------------------------------------------------------------------
 
 fn shared_key(i: usize) -> String {
@@ -254,17 +253,17 @@ struct Workload {
     seed: u64,
 }
 
-fn engine_run(w: &Workload, shards: usize, backend: CertBackend) -> EngineOutput {
+fn engine_run(w: &Workload, shards: usize, workers: usize) -> EngineOutput {
     let mut preload: Vec<String> = (0..6).map(shared_key).collect();
     preload.extend((0..w.txns.len()).map(|t| private_key(t, 0)));
     let cfg = EngineConfig {
-        workers: 4,
+        workers,
         queue_capacity: 16,
         shards,
         seed: w.seed,
         ..EngineConfig::default()
     };
-    let engine = oodb_engine::Engine::start_with(cfg, make_cc(shards, backend));
+    let engine = oodb_engine::Engine::start_with(cfg, make_cc(shards));
     engine.preload(&preload);
     for (t, codes) in w.txns.iter().enumerate() {
         let ops: Vec<EncOp> = codes
@@ -279,42 +278,39 @@ fn engine_run(w: &Workload, shards: usize, backend: CertBackend) -> EngineOutput
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Through the real engine at 1 and 4 shards: incremental and
-    /// from-scratch certification commit the same transactions, pass the
-    /// same audits, and agree on the final object state.
+    /// Through the real engine at 1 and 4 lanes: 4 workers and 1 commit
+    /// every transaction, pass both audits, and agree on the final
+    /// object state.
     #[test]
-    fn engine_backends_agree(
+    fn engine_four_workers_agree_with_one(
         txns in prop::collection::vec(
             prop::collection::vec((0u8..6, 0usize..8), 2..5), 3..7),
         seed in 0u64..1024,
     ) {
         let w = Workload { txns, seed };
         for shards in [1, 4] {
-            let inc = engine_run(&w, shards, CertBackend::Incremental);
-            let scratch = engine_run(&w, shards, CertBackend::FromScratch);
-            let label = format!("{shards} shards");
-            for (out, backend) in [(&inc, "incremental"), (&scratch, "from-scratch")] {
+            let four = engine_run(&w, shards, 4);
+            let one = engine_run(&w, shards, 1);
+            let label = format!("{shards} lanes");
+            for (out, workers) in [(&four, "4 workers"), (&one, "1 worker")] {
                 prop_assert_eq!(
                     out.metrics.committed as usize,
                     w.txns.len(),
                     "{}/{}: every transaction commits (aborted {})",
-                    &label, backend, out.metrics.aborted
+                    &label, workers, out.metrics.aborted
                 );
                 let audit = out.audit.as_ref().expect("audit enabled");
                 prop_assert!(
                     audit.report.oo_decentralized.is_ok() && audit.report.oo_global.is_ok(),
-                    "{}/{}: merged audit must pass", &label, backend
+                    "{}/{}: merged audit must pass", &label, workers
                 );
+                // certification went through the maintained schedules
+                prop_assert!(out.metrics.cert_actions_inferred > 0);
             }
             prop_assert_eq!(
-                &inc.final_state, &scratch.final_state,
-                "{}: final states diverged between certification backends", &label
+                &four.final_state, &one.final_state,
+                "{}: final states diverged between 4 workers and 1", &label
             );
-            // the reference never touches incremental machinery
-            prop_assert_eq!(scratch.metrics.cert_incremental_reseeds, 0);
-            // the incremental backend actually inferred through the
-            // maintained schedule (fed actions are counted there too)
-            prop_assert!(inc.metrics.cert_actions_inferred > 0);
         }
     }
 }

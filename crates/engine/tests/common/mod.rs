@@ -2,21 +2,28 @@
 //! virtual scheduler that drives a concurrency control through a fixed
 //! op-level schedule exactly as the worker would (buffered writes install
 //! at the commit point, compensations are retired) and logs every
-//! decision, the interleaving enumerator, and the small conflicting
-//! workloads both suites enumerate.
+//! decision, the certifier's from-scratch replay over the final record,
+//! the interleaving enumerator, and the small conflicting workloads both
+//! suites enumerate.
 
 #![allow(dead_code)] // each suite uses its own subset
 
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
+use oodb_core::certifier::restrict_history;
+use oodb_core::history::History;
+use oodb_core::ids::TxnIdx;
+use oodb_core::schedule::SystemSchedules;
+use oodb_core::serializability::check_system_decentralized;
+use oodb_core::system::TransactionSystem;
 use oodb_engine::{
     audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, EngineMetrics, EngineShared,
     FinishOutcome, OpGrant, TxnHandle,
 };
 use oodb_lock::OwnerId;
-use oodb_model::TxnCtx;
+use oodb_model::{Recorder, TxnCtx};
 use oodb_sim::exec::apply_op;
 use oodb_sim::EncOp;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Every interleaving of streams with the given step counts: sequences
@@ -44,6 +51,32 @@ pub fn interleavings(counts: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
+/// The optimistic control's certifier, re-run offline: re-decide each
+/// `(candidate, verdict)` in order, from scratch — Definition 16 over the
+/// final record restricted to the transactions committed so far plus the
+/// candidate, inferred from nothing. Every primitive of a candidate is
+/// recorded before its verdict and restriction keeps order, so that
+/// restriction is the history the verdict was reached on. Returns the
+/// index of the first verdict it does not reproduce.
+pub fn replay_from_scratch(
+    ts: &TransactionSystem,
+    history: &History,
+    verdicts: &[(TxnIdx, FinishOutcome)],
+) -> Option<usize> {
+    let mut committed = HashSet::new();
+    verdicts.iter().position(|&(t, verdict)| {
+        let mut scope = committed.clone();
+        scope.insert(t);
+        let restricted = restrict_history(ts, history, &scope);
+        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
+        let admits = check_system_decentralized(ts, &ss).is_ok();
+        if verdict == FinishOutcome::Committed {
+            committed.insert(t);
+        }
+        admits != (verdict == FinishOutcome::Committed)
+    })
+}
+
 /// One attempt of one logical transaction inside the virtual scheduler.
 pub struct Attempt {
     ops: Vec<EncOp>,
@@ -65,13 +98,14 @@ impl Attempt {
 }
 
 /// The outcome of one fully replayed schedule, including the complete
-/// ordered log of concurrency-control decisions. Two backends that make
-/// the same decisions produce byte-identical logs; any divergence in a
-/// grant or a validation verdict shows up as the first differing log
-/// line.
+/// ordered log of concurrency-control decisions. Two runs that make the
+/// same decisions produce byte-identical logs; any divergence in a grant
+/// or a validation verdict shows up as the first differing log line.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RunOutcome {
     pub decisions: Vec<String>,
+    /// Every finish verdict in order, the preload's included.
+    pub verdicts: Vec<(TxnIdx, FinishOutcome)>,
     pub committed: usize,
     pub retries: u32,
     pub decentralized_ok: bool,
@@ -93,6 +127,7 @@ pub struct VirtualScheduler {
     committed: usize,
     retries: u32,
     decisions: Vec<String>,
+    verdicts: Vec<(TxnIdx, FinishOutcome)>,
 }
 
 impl VirtualScheduler {
@@ -122,6 +157,7 @@ impl VirtualScheduler {
             committed: 0,
             retries: 0,
             decisions: Vec::new(),
+            verdicts: Vec::new(),
         };
         if !preload.is_empty() {
             let ops: Vec<EncOp> = preload.iter().map(|k| EncOp::Insert(k.clone())).collect();
@@ -129,7 +165,10 @@ impl VirtualScheduler {
             let done = vs.run_serially(setup);
             assert!(done, "uncontended preload must commit");
             vs.committed -= 1; // Setup is not a workload transaction
-            vs.decisions.clear(); // preload decisions are invariant
+
+            // preload decisions are invariant; its verdict stays, as the
+            // later ones are checked against it
+            vs.decisions.clear();
         }
         vs
     }
@@ -139,7 +178,7 @@ impl VirtualScheduler {
         let handle = TxnHandle::new(
             job,
             0,
-            oodb_core::ids::TxnIdx(ctx.txn_number()),
+            TxnIdx(ctx.txn_number()),
             OwnerId(u64::from(ctx.txn_number())),
         );
         Attempt {
@@ -220,12 +259,14 @@ impl VirtualScheduler {
     }
 
     /// The commit point: install what was buffered, then ask the control.
-    fn finish(&self, a: &mut Attempt) -> FinishOutcome {
+    fn finish(&mut self, a: &mut Attempt) -> FinishOutcome {
         let tag = a.tag();
         for op in std::mem::take(&mut a.buffered) {
             apply_op(&self.shared.enc.exclusive(), &mut a.ctx, &op, tag);
         }
-        self.cc.try_finish(&self.shared, &a.handle)
+        let verdict = self.cc.try_finish(&self.shared, &a.handle);
+        self.verdicts.push((a.handle.txn, verdict));
+        verdict
     }
 
     /// A retry was queued or an attempt exists — `t` already started.
@@ -248,8 +289,7 @@ impl VirtualScheduler {
                 (t as u64).wrapping_add(1),
                 a.attempt
             ));
-            self.cc
-                .retire(&self.shared, oodb_core::ids::TxnIdx(comp.txn_number()));
+            self.cc.retire(&self.shared, TxnIdx(comp.txn_number()));
             enc.abort(a.ctx, &mut comp);
         }
         self.cc.after_abort(&self.shared, &a.handle);
@@ -293,6 +333,12 @@ impl VirtualScheduler {
         }
     }
 
+    /// The record the run writes to — keep a handle before [`Self::run`]
+    /// to read the final record afterwards.
+    pub fn recorder(&self) -> Recorder {
+        self.shared.rec.clone()
+    }
+
     pub fn run(mut self, schedule: &[usize]) -> RunOutcome {
         for &t in schedule {
             self.step(t);
@@ -323,6 +369,7 @@ impl VirtualScheduler {
         };
         RunOutcome {
             decisions: self.decisions,
+            verdicts: self.verdicts,
             committed: self.committed,
             retries: self.retries,
             decentralized_ok: audit_out.report.oo_decentralized.is_ok(),

@@ -9,9 +9,8 @@
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
-    audit, shard_of_key, CertBackend, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig,
-    EngineMetrics, EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle,
-    STRIPES,
+    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig, EngineMetrics,
+    EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle, STRIPES,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -366,65 +365,44 @@ fn injected_abort_trace_still_matches_audit() {
     }
 }
 
-/// The injected mid-flight abort, replayed explicitly under both
-/// certification backends: the incremental feed's re-seed/exclusion
-/// path must leave no stale dependencies behind — the trace-derived
-/// graph still matches the audit edge-for-edge, the certifier drains
-/// clean, and the reference never touches incremental machinery.
+/// The injected mid-flight abort under certification: the incremental
+/// feed's re-seed/exclusion path must leave no stale dependencies
+/// behind — the trace-derived graph still matches the audit
+/// edge-for-edge, and the engine metrics mirror the certifier's
+/// accounting.
 #[test]
-fn injected_abort_under_both_cert_backends_stays_clean() {
+fn injected_abort_under_certification_stays_clean() {
     let shards = 4;
-    for backend in [CertBackend::Incremental, CertBackend::FromScratch] {
-        let cc = Arc::new(
-            OptimisticCc::new()
-                .with_certification(backend)
-                .with_shards(shards),
-        );
-        cc.inject_fault_after(0, 0, 2);
-        let out = traced_abort_run(cc.clone(), shards);
-        let label = backend.label();
-        assert!(
-            out.metrics.retries >= 1,
-            "{label}: the injected abort fired"
-        );
-        assert_eq!(
-            out.metrics.committed, 5,
-            "{label}: victim's retry and the rest commit"
-        );
-        let stats = cc.stats();
-        assert!(stats.aborts >= 1, "{label}: the victim abort was recorded");
-        match backend {
-            CertBackend::Incremental => {
-                assert!(
-                    stats.actions_inferred > 0,
-                    "{label}: inference went through the maintained schedule"
-                );
-                assert_eq!(
-                    out.metrics.cert_actions_inferred, stats.actions_inferred,
-                    "{label}: engine metrics mirror the certifier's accounting"
-                );
-            }
-            CertBackend::FromScratch => {
-                assert_eq!(
-                    stats.incremental_reseeds, 0,
-                    "{label}: the reference never re-seeds"
-                );
-                assert_eq!(out.metrics.cert_incremental_reseeds, 0, "{label}");
-            }
-        }
-        let log = out.trace.expect("ring sink captured a trace");
-        assert_eq!(log.dropped, 0);
-        let audit_out = out.audit.expect("audit enabled");
-        let check = oodb_engine::cross_check(&log.events, &audit_out);
-        assert!(
-            check.ok(),
-            "{label}: trace/audit graphs diverge after injected abort: {check}"
-        );
-        assert!(
-            audit_out.report.oo_decentralized.is_ok() && audit_out.report.oo_global.is_ok(),
-            "{label}: merged committed projection stays oo-serializable"
-        );
-    }
+    let cc = Arc::new(OptimisticCc::new().with_shards(shards));
+    cc.inject_fault_after(0, 0, 2);
+    let out = traced_abort_run(cc.clone(), shards);
+    assert!(out.metrics.retries >= 1, "the injected abort fired");
+    assert_eq!(
+        out.metrics.committed, 5,
+        "victim's retry and the rest commit"
+    );
+    let stats = cc.stats();
+    assert!(stats.aborts >= 1, "the victim abort was recorded");
+    assert!(
+        stats.actions_inferred > 0,
+        "inference went through the maintained schedule"
+    );
+    assert_eq!(
+        out.metrics.cert_actions_inferred, stats.actions_inferred,
+        "engine metrics mirror the certifier's accounting"
+    );
+    let log = out.trace.expect("ring sink captured a trace");
+    assert_eq!(log.dropped, 0);
+    let audit_out = out.audit.expect("audit enabled");
+    let check = oodb_engine::cross_check(&log.events, &audit_out);
+    assert!(
+        check.ok(),
+        "trace/audit graphs diverge after injected abort: {check}"
+    );
+    assert!(
+        audit_out.report.oo_decentralized.is_ok() && audit_out.report.oo_global.is_ok(),
+        "merged committed projection stays oo-serializable"
+    );
 }
 
 /// Direct-drive of the incremental feed's garbage path: repeated
@@ -438,7 +416,6 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let cc = OptimisticCc::new().with_shards(shards);
-    assert_eq!(cc.certification(), CertBackend::Incremental, "default");
     let shared = shared_with(shards);
     let mut setup = shared.rec.begin_txn("Setup");
     let sh = handle(&setup, u64::MAX, 0);
