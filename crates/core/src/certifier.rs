@@ -327,10 +327,10 @@ impl Certifier {
             .collect()
     }
 
-    /// Record an abort without computing the cascade set. For snapshot
-    /// (MVCC) execution: buffered writers publish nothing before their
-    /// commit point, so no other transaction can depend on an aborting
-    /// one and the cascade is empty by construction.
+    /// Record an abort without computing the cascade set. For writes
+    /// deferred to the commit point: writers publish nothing before it,
+    /// so no other transaction can depend on an aborting one and the
+    /// cascade is empty by construction.
     pub fn register_abort(&mut self, txn: TxnIdx) {
         assert!(self.is_live(txn), "transaction {txn} already finalized");
         self.aborted.insert(txn);

@@ -1,11 +1,12 @@
 //! Post-hoc serializability audit of an engine run.
 //!
-//! MVCC note: under snapshot execution (the optimistic control)
-//! the recorded history still reflects the *physical* primitive order
-//! — reads hit the committed tree when issued, buffered writes are
-//! recorded at install time inside the commit critical section. The
-//! audit therefore needs no version awareness: version chains change
-//! *when* primitives execute, never what the record means.
+//! Deferred-writes note: under the optimistic control writes are
+//! deferred to the commit point; reads see committed state when issued.
+//! The recorded history is that *physical* primitive order: a read is
+//! recorded when it hits the committed tree, a deferred write when it
+//! is installed inside the commit critical section. The audit therefore
+//! needs nothing strategy-specific: deferral changes *when* primitives
+//! execute, never what the record means.
 
 use crate::cc::ConcurrencyControl;
 use oodb_core::history::History;

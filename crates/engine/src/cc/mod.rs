@@ -9,8 +9,9 @@
 //! * [`LockingCc`] — semantic strict 2PL over one lock table striped by
 //!   key hash, with deadlock detection and compensation-based victim
 //!   abort (the paper's §4–§5 protocol);
-//! * [`OptimisticCc`] — execute against a snapshot with writes buffered,
-//!   install and certify at commit against Definition 16 via
+//! * [`OptimisticCc`] — writes deferred to the commit point; reads see
+//!   committed state when issued. The deferred writes are installed and
+//!   certified at commit against Definition 16 via
 //!   [`oodb_core::certifier::Certifier`].
 //!
 //! Neither decides anything by shard: at every shard count there is one
@@ -20,11 +21,9 @@
 
 mod locking;
 mod optimistic;
-pub mod versions;
 
 pub use locking::LockingCc;
 pub use optimistic::OptimisticCc;
-pub use versions::VersionStore;
 
 use crate::db::ConcurrentEnc;
 use crate::metrics::EngineMetrics;
@@ -253,13 +252,13 @@ pub trait ConcurrencyControl: Send + Sync {
         false
     }
 
-    /// True when this protocol runs MVCC snapshot execution: the worker
-    /// defers the attempt's write operations and, at the commit point,
-    /// installs them and certifies **atomically inside the database
-    /// critical section** (compensating there too if validation fails).
-    /// Uncommitted writes are therefore never visible to any other
-    /// transaction: there is nothing unrecoverable to wait for and
-    /// nothing to cascade.
+    /// True when this protocol defers writes to the commit point; reads
+    /// see committed state when issued. The worker keeps the attempt's
+    /// write operations and, at the commit point, installs them and
+    /// certifies **atomically inside the database critical section**
+    /// (compensating there too if validation fails). Uncommitted writes
+    /// are therefore never visible to any other transaction: there is
+    /// nothing unrecoverable to wait for and nothing to cascade.
     fn buffers_writes(&self) -> bool {
         false
     }

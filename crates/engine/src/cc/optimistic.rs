@@ -1,9 +1,11 @@
 //! Optimistic certification: execute without semantic locks, validate
 //! oo-serializability at commit.
 //!
-//! Execution is MVCC snapshot execution: the worker buffers an attempt's
-//! writes and installs them atomically with certification inside the
-//! database critical section, so an uncommitted effect is never public.
+//! Writes are deferred to the commit point; reads see committed state
+//! when issued. The worker keeps an attempt's writes in its own buffer
+//! and installs them atomically with certification inside the database
+//! critical section, so an uncommitted effect is never public — and an
+//! attempt's read does not see its own deferred write either.
 //! Recoverability therefore needs no apparatus of its own — no commit
 //! dependency to wait on, no abort that cascades — and what is left is
 //! the commutativity-based check of what commits: the certifier keeps
@@ -25,7 +27,6 @@ use super::{
     bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
     ShardRoute, TxnHandle,
 };
-use crate::cc::versions::{self, VersionStore};
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy};
 use oodb_core::history::History;
@@ -46,24 +47,21 @@ use std::sync::atomic::Ordering;
 /// still retains plus the candidate.
 pub struct OptimisticCc {
     cert: Mutex<Certifier>,
-    /// MVCC version bookkeeping.
-    store: VersionStore,
     /// Lanes the key space is accounted over (1 = no lanes).
     shards: usize,
     faults: FaultPlan,
 }
 
 impl OptimisticCc {
-    /// MVCC snapshot execution certified incrementally against the
-    /// paper's decentralized Definition 16, on one shard. The certifier
-    /// never makes a commit wait: nothing uncommitted is ever visible to
-    /// wait on.
+    /// Writes deferred to the commit point, reads of committed state when
+    /// issued, certified incrementally against the paper's decentralized
+    /// Definition 16, on one shard. The certifier never makes a commit
+    /// wait: nothing uncommitted is ever visible to wait on.
     pub fn new() -> Self {
         OptimisticCc {
             cert: Mutex::new(
                 Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore),
             ),
-            store: VersionStore::new(),
             shards: 1,
             faults: FaultPlan::default(),
         }
@@ -76,11 +74,6 @@ impl OptimisticCc {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, u64::BITS as usize);
         self
-    }
-
-    /// The MVCC version store.
-    pub fn version_store(&self) -> &VersionStore {
-        &self.store
     }
 
     /// Arm a mid-flight abort: attempt `attempt` of `job` aborts once
@@ -159,8 +152,8 @@ impl OptimisticCc {
     /// One certification round of `txn` over the live record
     /// ([`oodb_model::Recorder::with_record`]): feed the delta, validate.
     /// True when `txn` committed. Side effects that re-enter the recorder
-    /// (version install, compensation) stay outside the round — lock
-    /// order is always recorder → certifier, never the inverse.
+    /// (compensation) stay outside the round — lock order is always
+    /// recorder → certifier, never the inverse.
     fn certify(
         &self,
         shared: &EngineShared,
@@ -206,9 +199,6 @@ impl ConcurrencyControl for OptimisticCc {
     }
 
     fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
-        // record the operation against the version store: writes buffer,
-        // reads resolve in the snapshot
-        self.store.note_op(txn.txn, op);
         if self.shards > 1 {
             let lanes = match route_keyed(op, self.shards) {
                 ShardRoute::One(s) => 1 << s,
@@ -226,7 +216,6 @@ impl ConcurrencyControl for OptimisticCc {
             .with_record(|ts, history| self.certify(shared, txn, ts, history));
         if committed {
             shared.metrics.commit_lanes(bits(txn.footprint.get()));
-            versions::on_commit(&self.store, shared, txn);
             FinishOutcome::Committed
         } else {
             FinishOutcome::Abort
@@ -237,17 +226,14 @@ impl ConcurrencyControl for OptimisticCc {
 
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle) {
         // nothing was published, so nothing can cascade; just finalize
-        // the certifier bookkeeping and drop the buffered writes (the
-        // attempt may have aborted before its commit point: deadline,
-        // injected fault)
+        // the certifier bookkeeping (the attempt may have aborted before
+        // its commit point: deadline, injected fault)
         let me = txn.txn;
         let mut cert = self.cert.lock();
         if cert.is_live(me) {
             cert.register_abort(me);
             Self::publish_retention(shared, &cert.stats);
         }
-        drop(cert);
-        versions::on_abort(&self.store, shared, txn);
     }
 
     fn shards(&self) -> usize {

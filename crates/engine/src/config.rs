@@ -17,8 +17,9 @@ pub enum CcKind {
     /// baseline the paper argues against.
     PessimisticPage,
     /// Optimistic certification: transactions execute without semantic
-    /// locks against a snapshot, buffer their writes, and at commit
-    /// install them and validate against Definition 16 in one critical
+    /// locks, with writes deferred to the commit point; reads see
+    /// committed state when issued. At commit the deferred writes are
+    /// installed and validated against Definition 16 in one critical
     /// section.
     Optimistic,
 }

@@ -23,9 +23,10 @@
 //!
 //! Stripes order *sections*, not the data: the tree's own page latches
 //! keep every traversal physically sound even for same-stripe keys on
-//! different pages. The MVCC install/abort paths take every stripe
-//! exclusively ([`ConcurrentEnc::exclusive`]) because they replay a
-//! whole batch atomically. `tests/latched_differential.rs` holds a
+//! different pages. The optimistic commit point, where deferred writes
+//! install, and the abort paths take every stripe exclusively
+//! ([`ConcurrentEnc::exclusive`]) because they apply a whole batch
+//! atomically. `tests/latched_differential.rs` holds a
 //! 4-worker run to the serial run of the same workload.
 //!
 //! Lock ordering: a section acquires stripes in ascending index order,
@@ -112,8 +113,8 @@ impl ConcurrentEnc {
     }
 
     /// Every stripe exclusively: a whole-database critical section. Used
-    /// by the MVCC install/certify/commit point, live-abort compensation
-    /// tails, and the shutdown state dump.
+    /// by the optimistic install/certify/commit point of deferred writes,
+    /// live-abort compensation tails, and the shutdown state dump.
     pub fn exclusive(&self) -> EncSection<'_> {
         EncSection {
             enc: &self.enc,

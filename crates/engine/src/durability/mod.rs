@@ -16,7 +16,7 @@
 //! faithful serialization of the database's entire mutation sequence:
 //! **replaying it verbatim reproduces the exact state trajectory**, for
 //! every concurrency-control family — pessimistic compensation commits
-//! and MVCC install-certify-commit alike.
+//! and the optimistic install-certify-commit of deferred writes alike.
 //!
 //! # Group commit
 //!

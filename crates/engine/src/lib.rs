@@ -48,7 +48,7 @@ pub mod worker;
 pub use audit::{audit, AuditOutput, AuditScope};
 pub use cc::{
     shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant,
-    OptimisticCc, ShardRoute, TxnHandle, VersionStore,
+    OptimisticCc, ShardRoute, TxnHandle,
 };
 pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
 pub use db::{ConcurrentEnc, EncSection, STRIPES};

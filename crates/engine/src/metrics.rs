@@ -227,10 +227,6 @@ pub struct EngineMetrics {
     pub shed: AtomicU64,
     /// Jobs dropped because their deadline passed before commit.
     pub deadline_expired: AtomicU64,
-    /// Committed versions installed by snapshot (MVCC) transactions.
-    pub version_installs: AtomicU64,
-    /// Versions reclaimed by watermark GC.
-    pub versions_gcd: AtomicU64,
     /// Actions fed to certification-time dependency inference, summed
     /// over every decision: per-attempt deltas plus reseed replays.
     pub cert_actions_inferred: AtomicU64,
@@ -322,8 +318,6 @@ impl EngineMetrics {
             deadlock_victims: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            version_installs: AtomicU64::new(0),
-            versions_gcd: AtomicU64::new(0),
             cert_actions_inferred: AtomicU64::new(0),
             cert_incremental_reseeds: AtomicU64::new(0),
             cert_check_visited: AtomicU64::new(0),
@@ -396,8 +390,6 @@ impl EngineMetrics {
             deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            version_installs: self.version_installs.load(Ordering::Relaxed),
-            versions_gcd: self.versions_gcd.load(Ordering::Relaxed),
             cert_actions_inferred: self.cert_actions_inferred.load(Ordering::Relaxed),
             cert_incremental_reseeds: self.cert_incremental_reseeds.load(Ordering::Relaxed),
             cert_check_visited: self.cert_check_visited.load(Ordering::Relaxed),
@@ -496,10 +488,6 @@ pub struct MetricsSnapshot {
     pub shed: u64,
     /// Jobs dropped on deadline expiry.
     pub deadline_expired: u64,
-    /// Committed versions installed by snapshot transactions.
-    pub version_installs: u64,
-    /// Versions reclaimed by watermark GC.
-    pub versions_gcd: u64,
     /// Actions fed to certification-time dependency inference.
     pub cert_actions_inferred: u64,
     /// Incremental-certifier reseeds (schedule rebuilds).
@@ -609,8 +597,6 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"deadlock_victims\":{},", self.deadlock_victims);
         let _ = write!(s, "\"shed\":{},", self.shed);
         let _ = write!(s, "\"deadline_expired\":{},", self.deadline_expired);
-        let _ = write!(s, "\"version_installs\":{},", self.version_installs);
-        let _ = write!(s, "\"versions_gcd\":{},", self.versions_gcd);
         let _ = write!(
             s,
             "\"cert_actions_inferred\":{},",
@@ -748,13 +734,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool_writebacks,
             self.pool_latch_waits
         )?;
-        if self.version_installs > 0 {
-            write!(
-                f,
-                " versions {} (gc'd {})",
-                self.version_installs, self.versions_gcd
-            )?;
-        }
         if self.cert_actions_inferred > 0 {
             write!(
                 f,
@@ -960,8 +939,6 @@ mod tests {
             "\"deadlock_victims\":1",
             "\"shed\":",
             "\"deadline_expired\":",
-            "\"version_installs\":",
-            "\"versions_gcd\":",
             "\"cert_actions_inferred\":",
             "\"cert_incremental_reseeds\":",
             "\"cert_check_visited\":",

@@ -64,12 +64,11 @@
 //! workload that outgrows it makes [`cross_check`] report the
 //! (spurious) extra trace edges rather than silently diverging.
 //!
-//! MVCC runs need no special handling: buffered writes emit their
-//! `OpGranted` events with seqs claimed inside the commit critical
-//! section (exactly like compensations), so the seq order *is* the
-//! physical install order, and the `VersionInstall` / `VersionGc`
-//! bookkeeping events carry no dependency information — the analyzer
-//! ignores them.
+//! Optimistic runs need no special handling. Their writes are deferred
+//! to the commit point and their reads see committed state when issued:
+//! a read's `OpGranted` seq is claimed where it executes, and a
+//! deferred write's inside the commit critical section (exactly like
+//! compensations), so the seq order *is* the physical execution order.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 

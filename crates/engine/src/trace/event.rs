@@ -181,24 +181,6 @@ pub enum TraceEventKind {
         /// scratch before consuming the tail.
         reseeded: bool,
     },
-    /// A snapshot (MVCC) transaction installed its buffered writes as
-    /// committed versions at its commit timestamp. Emitted from the
-    /// commit point, after certification succeeded.
-    VersionInstall {
-        /// Number of versions installed (one per buffered write key).
-        versions: usize,
-        /// The commit timestamp the versions were stamped with.
-        commit_ts: u64,
-    },
-    /// Watermark-driven version garbage collection ran when a snapshot
-    /// transaction finalized.
-    VersionGc {
-        /// Versions reclaimed in this pass (0 passes are not emitted).
-        collected: usize,
-        /// The watermark: the oldest begin timestamp any live snapshot
-        /// still holds.
-        watermark: u64,
-    },
     /// The attempt's write-ahead-log records were appended (emitted once
     /// per attempt when its last lifecycle record — `Commit` or
     /// `AbortDone` — went to the log; zero-write attempts log nothing
@@ -263,8 +245,6 @@ impl TraceEventKind {
             TraceEventKind::DeadlockVictim { .. } => "deadlock_victim",
             TraceEventKind::CertAttempt { .. } => "cert_attempt",
             TraceEventKind::CertDelta { .. } => "cert_delta",
-            TraceEventKind::VersionInstall { .. } => "version_install",
-            TraceEventKind::VersionGc { .. } => "version_gc",
             TraceEventKind::WalAppend { .. } => "wal_append",
             TraceEventKind::GroupFlush { .. } => "group_flush",
             TraceEventKind::RecoveryReplay { .. } => "recovery_replay",
@@ -344,22 +324,6 @@ mod tests {
             }
             .name(),
             "op_granted"
-        );
-        assert_eq!(
-            TraceEventKind::VersionInstall {
-                versions: 2,
-                commit_ts: 7,
-            }
-            .name(),
-            "version_install"
-        );
-        assert_eq!(
-            TraceEventKind::VersionGc {
-                collected: 1,
-                watermark: 7,
-            }
-            .name(),
-            "version_gc"
         );
         assert_eq!(
             TraceEventKind::CertDelta {

@@ -111,20 +111,6 @@ fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
             put_u64(out, "fed", *fed);
             put_bool(out, "reseeded", *reseeded);
         }
-        TraceEventKind::VersionInstall {
-            versions,
-            commit_ts,
-        } => {
-            put_u64(out, "versions", *versions as u64);
-            put_u64(out, "commit_ts", *commit_ts);
-        }
-        TraceEventKind::VersionGc {
-            collected,
-            watermark,
-        } => {
-            put_u64(out, "collected", *collected as u64);
-            put_u64(out, "watermark", *watermark);
-        }
         TraceEventKind::WalAppend { records, bytes } => {
             put_u64(out, "records", *records as u64);
             put_u64(out, "bytes", *bytes);

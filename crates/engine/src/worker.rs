@@ -57,8 +57,9 @@ fn inverse_op(inv: &oodb_core::compensation::Inverse) -> Option<EncOp> {
     }
 }
 
-/// True for operations that mutate the encyclopedia — the ones MVCC
-/// snapshot execution defers to the commit point.
+/// True for operations that mutate the encyclopedia — the ones the
+/// optimistic control defers to the commit point (its reads see
+/// committed state when issued).
 fn is_write(op: &EncOp) -> bool {
     matches!(op, EncOp::Insert(_) | EncOp::Change(_) | EncOp::Delete(_))
 }
@@ -253,15 +254,17 @@ fn compensate(
         .collect()
 }
 
-/// MVCC commit point: install the attempt's buffered writes, certify,
-/// and commit — or compensate — all inside ONE database critical
-/// section. Uncommitted writes are therefore never visible to any other
-/// transaction: there is nothing unrecoverable to wait for (no commit
-/// dependencies) and nothing to cascade. `Err` carries the compensation
-/// trace events — the writes were already rolled back under the same
-/// lock, so the abort tail must not compensate again.
+/// Commit point of a control whose writes are deferred to it: install
+/// the attempt's deferred writes, certify, and commit — or compensate —
+/// all inside ONE database critical section. Its reads already ran on
+/// committed state when issued. Uncommitted writes are therefore never
+/// visible to any other transaction: there is nothing unrecoverable to
+/// wait for (no commit dependencies) and nothing to cascade. `Err`
+/// carries the compensation trace events — the writes were already
+/// rolled back under the same lock, so the abort tail must not
+/// compensate again.
 #[allow(clippy::too_many_arguments)]
-fn mvcc_commit(
+fn deferred_commit(
     shared: &EngineShared,
     cc: &dyn ConcurrencyControl,
     handle: &TxnHandle,
@@ -412,12 +415,13 @@ pub(crate) fn process_job(
             });
         let mut wait_total = Duration::ZERO;
 
-        // MVCC snapshot execution: writes stay in this buffer until the
-        // commit point instead of executing in place
+        // writes deferred to the commit point stay in this buffer instead
+        // of executing in place; reads see committed state when issued
+        // (not this buffer)
         let buffering = cc.buffers_writes();
         let mut buffered: Vec<EncOp> = Vec::new();
-        // compensation already performed (and traced) inside the MVCC
-        // commit critical section — the abort tail must not repeat it
+        // compensation already performed (and traced) inside the deferred
+        // commit's critical section — the abort tail must not repeat it
         let mut comp_done: Option<Vec<(u64, EncOp)>> = None;
 
         let mut aborting = false;
@@ -504,10 +508,10 @@ pub(crate) fn process_job(
             reason = AbortReason::Deadline;
         }
         if !aborting && buffering {
-            // MVCC commit point: install + certify + commit (or
-            // compensate) atomically
+            // commit point of the deferred writes: install + certify +
+            // commit (or compensate) atomically
             let attempt_ctx = ctx.take().expect("attempt ctx live at commit point");
-            match mvcc_commit(shared, cc, &handle, attempt_ctx, &buffered, job, &mut wal) {
+            match deferred_commit(shared, cc, &handle, attempt_ctx, &buffered, job, &mut wal) {
                 Ok(commit_end) => committed = Some(commit_end),
                 Err(comp_events) => {
                     aborting = true;
@@ -569,8 +573,8 @@ pub(crate) fn process_job(
 
         debug_assert!(aborting);
         // compensate this attempt's completed operations in reverse
-        // order, then let the protocol release — unless the MVCC commit
-        // path already compensated under its critical section
+        // order, then let the protocol release — unless the deferred
+        // commit already compensated under its critical section
         let comp_events = comp_done.take().unwrap_or_else(|| {
             let enc = shared.enc.exclusive();
             let ctx = ctx.take().expect("attempt ctx live at abort");

@@ -143,10 +143,10 @@ fn read_only_anomaly_through_a_settled_writer_is_rejected() {
     );
 }
 
-/// The anomaly workload and the 4-transaction workload. Snapshot
-/// execution never waits and never dooms: nothing but the certifier's
-/// own scope stands between a cycle and a commit, so a scope that is too
-/// small shows here.
+/// The anomaly workload and the 4-transaction workload. With writes
+/// deferred to the commit point nothing waits and nothing is doomed:
+/// nothing but the certifier's own scope stands between a cycle and a
+/// commit, so a scope that is too small shows here.
 #[test]
 fn every_snapshot_interleaving_passes_the_audit() {
     check_every_interleaving("anomaly", read_only_anomaly_workload(), 30);

@@ -11,10 +11,10 @@
 //! states no matter how their retries, victim choices, and shard
 //! routings differ. Any divergence is a lost update, an orphaned
 //! compensation, or a routing hole. Strict 2PL is the reference the
-//! MVCC runs are held to. (That snapshot execution never waits on a
-//! commit dependency and never cascades an abort used to be asserted
-//! here on counters; it is now a fact of the types — the trait has no
-//! such outcome.)
+//! optimistic runs are held to. (That deferring writes to the commit
+//! point never waits on a commit dependency and never cascades an abort
+//! used to be asserted here on counters; it is now a fact of the types —
+//! the trait has no such outcome.)
 
 use oodb_engine::{AuditScope, CcKind, EngineConfig, EngineOutput};
 use oodb_sim::EncOp;

@@ -89,6 +89,62 @@ fn trace_graph_matches_audit_for_every_strategy() {
     );
 }
 
+/// What a read observes when writes are deferred to the commit point:
+/// one job `[Insert("k"), Search("k")]` on an empty tree. The optimistic
+/// control's search runs in place on committed state when it is issued,
+/// so it misses its own attempt's insert, and its `OpGranted` seq
+/// precedes the insert's, which executes at the commit point — the
+/// order the certifier checks. Under strict 2PL the insert runs first,
+/// in place, and the search hits it.
+#[test]
+fn a_read_sees_committed_state_when_writes_are_deferred() {
+    use oodb_engine::{Engine, TraceEventKind};
+    use oodb_sim::EncOp;
+    let granted = |kind: CcKind| {
+        let engine = Engine::start(cfg(1, 1, TraceMode::ring()), kind);
+        engine
+            .submit_blocking(vec![EncOp::Insert("k".into()), EncOp::Search("k".into())])
+            .expect("accepts until shutdown");
+        let out = engine.shutdown();
+        assert_eq!(out.metrics.committed, 1, "{kind:?}");
+        let log = out.trace.expect("ring sink captured a trace");
+        let of = |want: &EncOp| {
+            log.events
+                .iter()
+                .find_map(|e| match &e.kind {
+                    TraceEventKind::OpGranted { op, hit, .. } if op == want => Some((e.seq, *hit)),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{kind:?}: no OpGranted for {want:?}"))
+        };
+        (
+            of(&EncOp::Insert("k".into())),
+            of(&EncOp::Search("k".into())),
+        )
+    };
+
+    let ((insert_seq, insert_hit), (search_seq, search_hit)) = granted(CcKind::Optimistic);
+    assert!(
+        insert_hit,
+        "the deferred insert installs at the commit point"
+    );
+    assert!(
+        !search_hit,
+        "the search saw committed state, not the buffer"
+    );
+    assert!(
+        search_seq < insert_seq,
+        "the search executed before the deferred insert: {search_seq} vs {insert_seq}"
+    );
+
+    let ((insert_seq, insert_hit), (search_seq, search_hit)) = granted(CcKind::Pessimistic);
+    assert!(
+        insert_hit && search_hit,
+        "in place, the search hits the insert"
+    );
+    assert!(insert_seq < search_seq);
+}
+
 /// An undersized ring drops the newest events (counted, never blocking
 /// the workers) and still drains to a seq-sorted, exportable log.
 #[test]

@@ -7,7 +7,7 @@
 //! JSON to `<path>` (`MetricsSnapshot::to_json`) for ad-hoc runs;
 //! measured runs belong to the repo benchmark in `benchmark/`.
 //!
-//! With `--trace <path>` the last run (MVCC on 4 shards) is traced:
+//! With `--trace <path>` the last run (optimistic on 4 shards) is traced:
 //! the structured event log is written to `<path>` as JSONL and to
 //! `<path>.chrome.json` in Chrome `trace_event` format (load it at
 //! `chrome://tracing` or <https://ui.perfetto.dev>), and the dependency
@@ -165,11 +165,12 @@ fn main() {
         "Semantic locking retries only on true semantic conflicts; the\n\
          page-level ablation serializes the hot keys; optimistic\n\
          certification trades locks for validation aborts. The mvcc rows\n\
-         run the optimistic certifier under MVCC snapshot execution:\n\
-         writes buffer per attempt and install atomically with\n\
-         certification, so no transaction ever sees an uncommitted\n\
-         effect. Strict 2PL keeps one lock table striped by key hash\n\
-         and the optimistic rows one certifier at every shard count;\n\
+         run the optimistic certifier with writes deferred to the commit\n\
+         point; reads see committed state when issued. The deferred\n\
+         writes install atomically with certification, so no\n\
+         transaction ever sees an uncommitted effect. Strict 2PL keeps\n\
+         one lock table striped by key hash and the optimistic rows one\n\
+         certifier at every shard count;\n\
          x4 only accounts per shard (shard-ops, cross-shard), so x1 and\n\
          x4 decide alike — run `experiments b10`\n\
          for the disjoint-key sweep. All runs are oo-serializable — the\n\

@@ -135,7 +135,8 @@ fn trace_is_replayable_documentation() {
     }
 }
 
-/// The engine's optimistic strategy — snapshot execution, incremental
+/// The engine's optimistic strategy — writes deferred to the commit
+/// point, reads of committed state when issued, incremental
 /// certification — at 1 and at 4 shards: every
 /// transaction commits, both checkers pass the committed projection, and
 /// the two runs end in the same state. Each transaction writes its own

@@ -72,8 +72,8 @@ fn every_control_commits_audits_and_recovers() {
                 assert_eq!(out.metrics.aborted, 0, "{label}");
                 if kind == CcKind::Optimistic {
                     assert!(
-                        out.metrics.version_installs > 0,
-                        "{label}: committed writers install versions"
+                        out.metrics.cert_actions_inferred > 0,
+                        "{label}: every commit is certified over a fed delta"
                     );
                 }
                 // the buffer pool's counters reach the engine's report: every
