@@ -10,8 +10,9 @@
 //! Concurrency: one list-wide reader-writer lock that *owns* the list's
 //! bookkeeping (directory cache, page chain) — mutations hold it
 //! exclusively, reads shared, so readers overlap all the way through
-//! while the (already stripe-serialized at the engine level) mutators
-//! stay simple. All recording happens under that lock, keeping each
+//! while the mutators — of different keys too, which the engine's
+//! controls let run side by side — stay simple. All recording happens
+//! under that lock, keeping each
 //! list/item action's page accesses block-atomic.
 //!
 //! The keyed operations take the descriptor of the list-level action from

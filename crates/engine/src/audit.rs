@@ -4,7 +4,7 @@
 //! deferred to the commit point; reads see committed state when issued.
 //! The recorded history is that *physical* primitive order: a read is
 //! recorded when it hits the committed tree, a deferred write when it
-//! is installed inside the commit critical section. The audit therefore
+//! is installed at the commit point, under the install gate. The audit therefore
 //! needs nothing strategy-specific: deferral changes *when* primitives
 //! execute, never what the record means.
 

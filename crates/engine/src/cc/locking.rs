@@ -1,15 +1,19 @@
-//! Semantic strict 2PL over one lock table striped by key hash (the
-//! sequencing sections' `shard_of_key(key, STRIPES)`), with deadlocks
-//! broken when they close: the paper's open-nested protocol as a
-//! worker-pool concurrency control. DESIGN.md §7 "Strict 2PL: one
-//! striped lock table" argues why the stripes are as strong as one table,
-//! why nobody starves, why no wake-up is lost, and the lock order.
+//! Semantic strict 2PL over one lock table striped by key hash
+//! (`shard_of_key(key, STRIPES)`), with deadlocks broken when they
+//! close: the paper's open-nested protocol as a worker-pool concurrency
+//! control. DESIGN.md §7 "Strict 2PL: one striped lock table" argues why
+//! the stripes are as strong as one table, why nobody starves, why no
+//! wake-up is lost, and the lock order. The locks are also what orders
+//! the log and the trace: every pair of operations whose order the WAL,
+//! recovery and `trace::analyze` need conflicts under the lock spec
+//! (`every_overlapping_pair_with_a_writer_conflicts`), so an operation
+//! claims its trace seq, executes and appends its log record while its
+//! lock orders it against every such operation.
 
 use super::{
     bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
     ShardRoute, TxnHandle,
 };
-use crate::db::STRIPES;
 use crate::trace::TraceEventKind;
 use oodb_core::commutativity::ActionDescriptor;
 use oodb_core::graph::find_cycle_from;
@@ -19,6 +23,9 @@ use oodb_sim::EncOp;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
+
+/// Number of lock-table stripes, keyed by `shard_of_key`.
+pub const STRIPES: usize = 16;
 
 // an attempt's stripes are one bit each of its footprint
 const _: () = assert!(STRIPES <= u64::BITS as usize);
@@ -395,6 +402,69 @@ mod tests {
         assert_eq!(page.name(), "pessimistic-page");
         assert_eq!(page.stripes_of(&alpha), ShardRoute::One(0));
         assert_eq!(page.stripes_of(&EncOp::ReadSeq), ShardRoute::One(0));
+    }
+
+    /// The argument that lets the lock table order the log and the
+    /// trace: every pair of operations with a writer whose keys overlap
+    /// — the same key, or a scan or range covering the writer's key —
+    /// conflicts under the lock spec, semantic and page-level alike, so
+    /// strict 2PL never lets one run while the other holds its lock.
+    /// Those are the pairs whose order the WAL, recovery and
+    /// `trace::analyze` rebuild from.
+    #[test]
+    fn every_overlapping_pair_with_a_writer_conflicts() {
+        let mut ops = vec![
+            EncOp::ReadSeq,
+            EncOp::Range("a".into(), "a0".into()), // covers a, not b
+            EncOp::Range("0".into(), "z".into()),  // covers both
+            EncOp::Range("c".into(), "d".into()),  // covers neither
+        ];
+        for k in ["a", "b"] {
+            ops.push(EncOp::Insert(k.into()));
+            ops.push(EncOp::Search(k.into()));
+            ops.push(EncOp::Change(k.into()));
+            ops.push(EncOp::Delete(k.into()));
+        }
+        let written = |op: &EncOp| match op {
+            EncOp::Insert(k) | EncOp::Change(k) | EncOp::Delete(k) => Some(k.clone()),
+            _ => None,
+        };
+        let covers = |op: &EncOp, key: &str| match op {
+            EncOp::Insert(k) | EncOp::Search(k) | EncOp::Change(k) | EncOp::Delete(k) => k == key,
+            EncOp::ReadSeq => true,
+            EncOp::Range(lo, hi) => lo.as_str() <= key && key <= hi.as_str(),
+        };
+        let conflict = |descriptor: fn(&EncOp) -> ActionDescriptor, x: &EncOp, y: &EncOp| {
+            let mut locks = enc_lock_manager();
+            let first = locks.acquire(OwnerId(1), &[], ENC_RESOURCE, &descriptor(x));
+            assert!(matches!(first, LockOutcome::Granted));
+            let second = locks.acquire(OwnerId(2), &[], ENC_RESOURCE, &descriptor(y));
+            matches!(second, LockOutcome::Blocked { .. })
+        };
+        let mut pairs = 0;
+        for x in &ops {
+            for y in &ops {
+                let overlap = written(x).is_some_and(|k| covers(y, &k))
+                    || written(y).is_some_and(|k| covers(x, &k));
+                if !overlap {
+                    continue;
+                }
+                pairs += 1;
+                for (name, descriptor) in [
+                    ("semantic", op_descriptor as fn(&EncOp) -> ActionDescriptor),
+                    ("page", page_descriptor),
+                ] {
+                    assert!(
+                        conflict(descriptor, x, y),
+                        "{name}: {x:?} then {y:?} overlap with a writer but both were granted"
+                    );
+                }
+            }
+        }
+        assert!(
+            pairs > 40,
+            "the enumeration reaches the overlapping pairs ({pairs})"
+        );
     }
 
     #[test]

@@ -22,19 +22,19 @@
 mod locking;
 mod optimistic;
 
-pub use locking::LockingCc;
+pub use locking::{LockingCc, STRIPES};
 pub use optimistic::OptimisticCc;
 
-use crate::db::ConcurrentEnc;
 use crate::metrics::EngineMetrics;
 use crate::trace::Tracer;
+use oodb_btree::CompensatedEncyclopedia;
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
 use oodb_lock::OwnerId;
 use oodb_model::Recorder;
 use oodb_sim::EncOp;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,9 +44,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct EngineShared {
     /// Recorder underlying all transactions (call trees + history).
     pub rec: Recorder,
-    /// The shared compensated encyclopedia all transactions touch,
-    /// behind the latched/striped access layer (see [`crate::db`]).
-    pub enc: ConcurrentEnc,
+    /// The shared compensated encyclopedia all transactions touch. Its
+    /// pages latch themselves; what orders conflicting operations is the
+    /// control — strict 2PL's locks, or [`gate`](Self::gate) under
+    /// deferred writes.
+    pub enc: CompensatedEncyclopedia,
+    /// The install gate of a control that defers writes
+    /// ([`ConcurrencyControl::buffers_writes`]): a read holds it shared
+    /// while it executes, the commit point exclusive while it installs,
+    /// certifies and commits or compensates — so readers see a batch of
+    /// deferred writes whole or not at all, and seq and log order agree
+    /// with the recorded history. Strict 2PL never takes it.
+    pub gate: RwLock<()>,
     /// Atomic counters and latency histograms.
     pub metrics: EngineMetrics,
     /// Structured lifecycle tracing (the disabled tracer by default).
@@ -65,7 +74,7 @@ impl EngineShared {
 
     /// The buffer pool's counters (a pass over its frames).
     pub(crate) fn pool_stats(&self) -> oodb_storage::PoolStats {
-        self.enc.inner().inner().pool().stats()
+        self.enc.inner().pool().stats()
     }
 }
 
@@ -110,8 +119,8 @@ fn bits(mask: u64) -> impl Iterator<Item = usize> {
 
 /// Stable FNV-1a hash of `key`, reduced mod `shards`. Hand-rolled so the
 /// key→shard map is reproducible across runs and platforms (no
-/// `RandomState`). With `shards` = [`STRIPES`](crate::STRIPES) it is the
-/// map of the sequencing sections and of the lock table.
+/// `RandomState`). With `shards` = [`STRIPES`] it is the lock table's
+/// stripe map.
 pub fn shard_of_key(key: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.as_bytes() {
@@ -255,8 +264,9 @@ pub trait ConcurrencyControl: Send + Sync {
     /// True when this protocol defers writes to the commit point; reads
     /// see committed state when issued. The worker keeps the attempt's
     /// write operations and, at the commit point, installs them and
-    /// certifies **atomically inside the database critical section**
-    /// (compensating there too if validation fails). Uncommitted writes
+    /// certifies **atomically under the install gate**
+    /// ([`EngineShared::gate`]; compensating there too if validation
+    /// fails), which its reads hold shared. Uncommitted writes
     /// are therefore never visible to any other transaction: there is
     /// nothing unrecoverable to wait for and nothing to cascade.
     fn buffers_writes(&self) -> bool {

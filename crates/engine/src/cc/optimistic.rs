@@ -3,8 +3,9 @@
 //!
 //! Writes are deferred to the commit point; reads see committed state
 //! when issued. The worker keeps an attempt's writes in its own buffer
-//! and installs them atomically with certification inside the database
-//! critical section, so an uncommitted effect is never public — and an
+//! and installs them atomically with certification under the install
+//! gate, which reads hold shared, so an uncommitted effect is never
+//! public — and an
 //! attempt's read does not see its own deferred write either.
 //! Recoverability therefore needs no apparatus of its own — no commit
 //! dependency to wait on, no abort that cascades — and what is left is
@@ -41,8 +42,8 @@ use std::sync::atomic::Ordering;
 ///
 /// The worker buffers an attempt's writes
 /// ([`buffers_writes`](ConcurrencyControl::buffers_writes)) and readers
-/// only ever observe committed state; `try_finish` — called inside the
-/// critical section that installed the writes — is first-committer-wins
+/// only ever observe committed state; `try_finish` — called under the
+/// install gate that installed the writes — is first-committer-wins
 /// validation against Definition 16 over the transactions the certifier
 /// still retains plus the candidate.
 pub struct OptimisticCc {

@@ -150,8 +150,8 @@ pub struct EngineConfig {
     pub trace: TraceMode,
     /// Commit durability: [`DurabilityMode::Off`] (the default) keeps
     /// commits memory-only; the other modes append redo + compensation
-    /// records to a write-ahead log inside the database critical section
-    /// and acknowledge a commit — count it, trace it — only once its
+    /// records to a write-ahead log while the operation's lock (or the
+    /// install gate) still orders it, and acknowledge a commit — count it, trace it — only once its
     /// commit record is durable; the worker parks the acknowledgement
     /// with the log flusher and moves on (see [`crate::durability`]).
     pub durability: DurabilityMode,

@@ -5,16 +5,18 @@
 //!
 //! Every executed encyclopedia **mutation** appends one
 //! [`EngineRecord::Op`] carrying both the forward operation (redo) and
-//! the inverse the compensation machinery captured for it — *inside the
-//! database critical section that executed it*, so the log order equals
-//! the recorded history order (the same in-lock seq-claiming contract
-//! the trace analyzer relies on). Live aborts append one
-//! [`EngineRecord::Comp`] per executed inverse (again inside the
-//! critical section) and close with `AbortDone`; commits append
-//! `Commit` before the database commit releases the critical section.
-//! Because every record is appended under that lock, the log is a
-//! faithful serialization of the database's entire mutation sequence:
-//! **replaying it verbatim reproduces the exact state trajectory**, for
+//! the inverse the compensation machinery captured for it — *while what
+//! orders the operation is still held*: its strict-2PL lock, or the
+//! install gate of deferred writes. Every two operations that conflict
+//! are ordered by one of those, so over them the log order equals the
+//! recorded history order (the same contract the trace analyzer's seq
+//! claims rely on); operations that commute may land in either order.
+//! Live aborts append one [`EngineRecord::Comp`] per executed inverse
+//! (still under the attempt's locks or the gate) and close with
+//! `AbortDone`; commits append `Commit` before the protocol releases the
+//! locks. The log is therefore a faithful serialization of the
+//! database's mutation sequence up to the order of commuting operations:
+//! **replaying it verbatim reproduces the state of every key**, for
 //! every concurrency-control family — pessimistic compensation commits
 //! and the optimistic install-certify-commit of deferred writes alike.
 //!
@@ -51,7 +53,7 @@
 
 mod recover;
 
-pub use recover::{recover, recover_traced, RecoveryOutcome, ReplayStats};
+pub use recover::{recover, RecoveryOutcome, ReplayStats};
 
 use crate::cc::{EngineShared, TxnHandle};
 use crate::config::DurabilityMode;
@@ -143,7 +145,7 @@ pub(crate) fn acknowledge(shared: &EngineShared, ack: &Ack) {
     let m = &shared.metrics;
     if let Some(dur) = shared.dur.as_ref() {
         if let Some(logged) = &ack.logged {
-            let pool = shared.enc.inner().inner().pool();
+            let pool = shared.enc.inner().pool();
             pool.advance_durable_floor(logged.mark);
             if ack.record_metrics {
                 m.phase_fsync.record(logged.appended_at.elapsed());
@@ -271,9 +273,10 @@ impl Durability {
         }
     }
 
-    /// Append one record to the volatile tail. **Call only inside the
-    /// database critical section that performed the recorded change** —
-    /// that lock is what makes log order equal history order. Returns
+    /// Append one record to the volatile tail. **Call only while what
+    /// ordered the recorded change is still held** — the strict-2PL lock
+    /// or the install gate; that is what makes log order equal history
+    /// order over conflicting operations. Returns
     /// `(end_offset, framed_bytes)`; the record is durable once a flush
     /// reaches `end_offset`.
     pub fn append(&self, rec: &EngineRecord, m: &EngineMetrics) -> (usize, usize) {

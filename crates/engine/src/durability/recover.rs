@@ -21,7 +21,6 @@
 //!    serializability checker. A recovered state is only reported
 //!    consistent if the checkers accept it.
 
-use crate::trace::{TraceEventKind, Tracer};
 use oodb_btree::{Encyclopedia, EncyclopediaConfig};
 use oodb_core::certifier::restrict_history;
 use oodb_core::ids::TxnIdx;
@@ -111,33 +110,11 @@ fn apply(enc: &Encyclopedia, ctx: &mut TxnCtx, op: &EngineOp) -> bool {
     }
 }
 
-/// Map a logged transaction name back to the `(job, attempt)` identity
-/// the live engine traced under: `"Setup"` is the preload pseudo-job,
-/// `"J{n}"` is job `n-1` attempt 0, `"J{n}r{a}"` is its retry `a`.
-fn parse_identity(name: &str) -> (u64, u32) {
-    if let Some(rest) = name.strip_prefix('J') {
-        let (job, attempt) = match rest.split_once('r') {
-            Some((j, a)) => (j.parse::<u64>().ok(), a.parse::<u32>().unwrap_or(0)),
-            None => (rest.parse::<u64>().ok(), 0),
-        };
-        if let Some(j) = job {
-            return (j.saturating_sub(1), attempt);
-        }
-    }
-    (u64::MAX, 0)
-}
-
 /// Recover a crashed (or cleanly shut down) engine's log image into a
 /// fresh database. `fanout` should match the crashed engine's
 /// [`EngineConfig::fanout`](crate::EngineConfig::fanout) so the replayed
 /// page-level record has the same shape.
 pub fn recover(image: &[u8], fanout: usize) -> RecoveryOutcome {
-    recover_traced(image, fanout, &Tracer::disabled())
-}
-
-/// [`recover`], emitting one `recovery_replay` trace event per logged
-/// transaction into `trace`.
-pub fn recover_traced(image: &[u8], fanout: usize, trace: &Tracer) -> RecoveryOutcome {
     let scanned = scan(image);
     let records: Vec<EngineRecord> = scanned
         .payloads
@@ -162,14 +139,12 @@ pub fn recover_traced(image: &[u8], fanout: usize, trace: &Tracer) -> RecoveryOu
     );
 
     let mut txns: HashMap<u64, ReplayTxn> = HashMap::new();
-    let mut begin_order: Vec<u64> = Vec::new();
 
     // Redo phase: repeat history in log order.
     for (idx, r) in records.iter().enumerate() {
         match r {
             EngineRecord::Begin { txn, name } => {
                 let ctx = rec.begin_txn(name.clone());
-                begin_order.push(*txn);
                 txns.insert(
                     *txn,
                     ReplayTxn {
@@ -245,21 +220,6 @@ pub fn recover_traced(image: &[u8], fanout: usize, trace: &Tracer) -> RecoveryOu
     for t in txns.values_mut() {
         t.ctx = None;
         t.comp_ctx = None;
-    }
-
-    if trace.enabled() {
-        for id in &begin_order {
-            let t = &txns[id];
-            let (job, attempt) = parse_identity(&t.name);
-            let ops = t.comps.len();
-            let comps = t.comps_seen;
-            let loser = !t.finished;
-            trace.emit(job, attempt, t.number, || TraceEventKind::RecoveryReplay {
-                ops,
-                comps,
-                loser,
-            });
-        }
     }
 
     // Audit: every checker over the committed projection of the replay.
@@ -430,12 +390,5 @@ mod tests {
         assert_eq!(a.final_state, b.final_state);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.committed, b.committed);
-    }
-
-    #[test]
-    fn identity_parse_roundtrip() {
-        assert_eq!(parse_identity("Setup"), (u64::MAX, 0));
-        assert_eq!(parse_identity("J1"), (0, 0));
-        assert_eq!(parse_identity("J12r3"), (11, 3));
     }
 }

@@ -38,7 +38,6 @@
 pub mod audit;
 pub mod cc;
 pub mod config;
-pub mod db;
 pub mod durability;
 pub mod metrics;
 pub mod queue;
@@ -48,11 +47,10 @@ pub mod worker;
 pub use audit::{audit, AuditOutput, AuditScope};
 pub use cc::{
     shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant,
-    OptimisticCc, ShardRoute, TxnHandle,
+    OptimisticCc, ShardRoute, TxnHandle, STRIPES,
 };
 pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
-pub use db::{ConcurrentEnc, EncSection, STRIPES};
-pub use durability::{recover, recover_traced, Durability, RecoveryOutcome, ReplayStats};
+pub use durability::{recover, Durability, RecoveryOutcome, ReplayStats};
 pub use metrics::{
     EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane, ShardLaneSnapshot,
     ValueQuantiles,
@@ -67,7 +65,7 @@ pub use worker::retry_delay;
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_sim::{EncOp, EncWorkload};
 use oodb_storage::PoolStats;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -160,7 +158,8 @@ impl Engine {
         ));
         let shared = Arc::new(EngineShared {
             rec,
-            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
+            enc: CompensatedEncyclopedia::new(enc),
+            gate: RwLock::new(()),
             metrics,
             trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
             dur: cfg.durability.is_on().then(|| {
@@ -311,13 +310,15 @@ impl Engine {
             .audit
             .then(|| audit::audit(&self.shared.rec, self.cc.as_ref()));
         // read the final state AFTER the audit snapshot so the read-only
-        // dump transaction never pollutes the audited record
+        // dump transaction never pollutes the audited record; the
+        // workers are joined, so nothing runs beside it
         let final_state = {
-            let enc = self.shared.enc.exclusive();
             let mut ctx = self.shared.rec.begin_txn("Dump");
             self.cc
                 .retire(&self.shared, oodb_core::ids::TxnIdx(ctx.txn_number()));
-            let mut items: Vec<(String, String)> = enc
+            let mut items: Vec<(String, String)> = self
+                .shared
+                .enc
                 .read_seq(&mut ctx)
                 .into_iter()
                 .map(|(_, k, text)| (k, text))

@@ -4,10 +4,13 @@
 //!
 //! The reconstruction rests on two facts the tracer guarantees:
 //!
-//! 1. `OpGranted` and `CompensationOp` events claim their `seq`
-//!    **inside the database critical section**, so sorting them by
-//!    `seq` reproduces the exact primitive interleaving the recorder
-//!    saw; and
+//! 1. `OpGranted` and `CompensationOp` events claim their `seq` while
+//!    the operation is **ordered against every operation it conflicts
+//!    with** — under strict 2PL by the lock it holds (every pair the
+//!    rules below relate conflicts under the lock spec), under deferred
+//!    writes by the install gate — so sorting them by `seq` reproduces
+//!    the primitive interleaving the recorder saw over every pair that
+//!    can make an edge; and
 //! 2. the audit's top-level dependencies are exactly the Definition
 //!    10/11 inheritance chains: a page-level conflict lifts to the
 //!    roots only while every pair of callers on the way up conflicts
@@ -66,9 +69,10 @@
 //!
 //! Optimistic runs need no special handling. Their writes are deferred
 //! to the commit point and their reads see committed state when issued:
-//! a read's `OpGranted` seq is claimed where it executes, and a
-//! deferred write's inside the commit critical section (exactly like
-//! compensations), so the seq order *is* the physical execution order.
+//! a read's `OpGranted` seq is claimed where it executes, holding the
+//! install gate shared, and a deferred write's at the commit point,
+//! holding it exclusive (exactly like compensations), so the seq order
+//! *is* the physical execution order between reads and installs.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 

@@ -3,9 +3,10 @@
 //! Every event carries the full identity stamp `(job, attempt, txn,
 //! worker, seq)` plus a monotonic engine-relative timestamp. The `seq`
 //! numbers come from one global counter and — crucially — **operation
-//! events claim their number inside the database critical section**, so
-//! sorting a drained trace by `seq` reproduces the exact order in which
-//! the recorded history interleaved the transactions' operations. That
+//! events claim their number while the operation holds its lock (or the
+//! install gate)**, so sorting a drained trace by `seq` reproduces the
+//! order in which the recorded history interleaved every two
+//! conflicting operations. That
 //! is what lets [`crate::trace::analyze`] rebuild the dependency graph
 //! from the trace alone.
 
@@ -201,19 +202,6 @@ pub enum TraceEventKind {
         /// What ended the gather.
         reason: crate::durability::FlushReason,
     },
-    /// Restart replayed one logged transaction (emitted by
-    /// [`crate::durability::recover_traced`], stamped with the replay
-    /// transaction's identity).
-    RecoveryReplay {
-        /// Forward operations replayed.
-        ops: usize,
-        /// Compensations applied (durable `Comp` records plus the
-        /// restart-driven undo of a loser's remainder).
-        comps: usize,
-        /// True when the transaction was a loser (no terminator on the
-        /// durable log) and restart finished its undo.
-        loser: bool,
-    },
     /// The worker compensated this attempt's completed operations.
     Compensated {
         /// How many forward operations had completed.
@@ -247,7 +235,6 @@ impl TraceEventKind {
             TraceEventKind::CertDelta { .. } => "cert_delta",
             TraceEventKind::WalAppend { .. } => "wal_append",
             TraceEventKind::GroupFlush { .. } => "group_flush",
-            TraceEventKind::RecoveryReplay { .. } => "recovery_replay",
             TraceEventKind::Compensated { .. } => "compensated",
             TraceEventKind::Committed => "committed",
             TraceEventKind::Aborted { .. } => "aborted",

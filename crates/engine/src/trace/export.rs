@@ -124,11 +124,6 @@ fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
             put_u64(out, "durable_bytes", *durable_bytes);
             put_str(out, "reason", reason.label());
         }
-        TraceEventKind::RecoveryReplay { ops, comps, loser } => {
-            put_u64(out, "ops", *ops as u64);
-            put_u64(out, "comps", *comps as u64);
-            put_bool(out, "loser", *loser);
-        }
         TraceEventKind::Compensated { ops } => put_u64(out, "ops", *ops as u64),
         TraceEventKind::Committed => {}
         TraceEventKind::Aborted { reason, last } => {

@@ -110,8 +110,10 @@ impl Tracer {
 
     /// Claim the next global sequence number. Use together with
     /// [`Tracer::emit_at`] to pin an event's position in the trace order
-    /// to a point inside a critical section (the operation events do
-    /// this so `seq` order equals history order). Only meaningful when
+    /// to a point where the operation is ordered against every operation
+    /// it conflicts with — under its lock or the install gate (the
+    /// operation events do this so `seq` order equals history order over
+    /// conflicting operations). Only meaningful when
     /// enabled.
     #[inline]
     pub fn claim_seq(&self) -> u64 {

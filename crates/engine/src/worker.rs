@@ -4,7 +4,6 @@
 
 use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::config::EngineConfig;
-use crate::db::EncSection;
 use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
@@ -68,9 +67,10 @@ fn is_write(op: &EncOp) -> bool {
 /// effectful operation (read-only attempts leave no trace in the log),
 /// then one `Op` record per executed mutation, `Comp` records for
 /// live-abort compensation, and a `Commit`/`AbortDone` terminator.
-/// **Every append must happen inside the database critical section that
-/// performed the change** — the callers uphold this; it is what makes
-/// log order equal history order.
+/// **Every append must happen while what ordered the change is still
+/// held** — the attempt's strict-2PL locks, or the install gate — the
+/// callers uphold this; it is what makes log order equal history order
+/// over every pair of conflicting operations.
 struct Wal<'a> {
     dur: Option<&'a Durability>,
     txn: u64,
@@ -161,8 +161,8 @@ impl<'a> Wal<'a> {
 
     /// After the executed `op` (with `hit` = engaged its target), pair
     /// the redo with the inverse the compensation log just captured and
-    /// append the `Op` record. Call inside the same critical section
-    /// that executed `op`.
+    /// append the `Op` record. Call while what ordered `op`'s execution
+    /// is still held.
     fn log_executed(
         &mut self,
         m: &EngineMetrics,
@@ -205,19 +205,64 @@ fn attempt_name(job: &Job, attempt: u32) -> String {
     name
 }
 
-/// Compensate the completed operations of `ctx` in reverse order inside
-/// the critical section `enc`, as compensation transaction
-/// `C(<base>a<attempt>)`. Every inverse is logged (the CLR analog, so
-/// recovery resumes the undo exactly here) and, when tracing, returned
-/// with a seq claimed while still inside the section — the
+/// Execute `op` for the attempt: claim its trace seq, run it, and log
+/// it. The caller holds what orders `op` against every operation it
+/// conflicts with — its strict-2PL lock, or the install gate — so seq
+/// order and log order over conflicting operations equal the recorded
+/// history order, the invariant `trace::analyze` and recovery rebuild
+/// from. Returns the seq (when tracing) and whether `op` engaged its
+/// target.
+fn execute(
+    shared: &EngineShared,
+    ctx: &mut TxnCtx,
+    op: &EncOp,
+    job: &Job,
+    wal: &mut Wal<'_>,
+) -> (Option<u64>, bool) {
+    let tag = job.id.wrapping_add(1) as usize;
+    let seq = shared.trace.enabled().then(|| shared.trace.claim_seq());
+    let hit = apply_op(&shared.enc, ctx, op, tag);
+    wal.log_executed(&shared.metrics, &shared.enc, ctx, op, tag, hit);
+    (seq, hit)
+}
+
+/// Emit the `OpGranted` event of an operation executed at `seq`.
+fn trace_granted(
+    shared: &EngineShared,
+    cc: &dyn ConcurrencyControl,
+    handle: &TxnHandle,
+    seq: u64,
+    op: EncOp,
+    wait_ns: u64,
+    hit: bool,
+) {
+    let shard = cc.route(&op).into();
+    shared.trace.emit_at(
+        seq,
+        handle.job,
+        handle.attempt,
+        handle.owner.0 as u32,
+        TraceEventKind::OpGranted {
+            op,
+            shard,
+            wait_ns,
+            hit,
+        },
+    );
+}
+
+/// Compensate the completed operations of `ctx` in reverse order, as
+/// compensation transaction `C(<base>a<attempt>)`, while what ordered
+/// them is still held: the attempt's strict-2PL locks, or the install
+/// gate its deferred writes went in under. Every inverse is logged (the
+/// CLR analog, so recovery resumes the undo exactly here) and, when
+/// tracing, returned with a seq claimed under the same order — the
 /// compensation's membership changes interleave with `OpGranted` events
-/// exactly where the history put them. All controls are strict (locks
-/// still held, or writes installed under this very section), so an
+/// exactly where the history put them. All controls are strict, so an
 /// inverse that fails is an engine bug.
 fn compensate(
     shared: &EngineShared,
     cc: &dyn ConcurrencyControl,
-    enc: &EncSection<'_>,
     ctx: TxnCtx,
     handle: &TxnHandle,
     job: &Job,
@@ -227,7 +272,7 @@ fn compensate(
         .rec
         .begin_txn(format!("C({}a{})", base_name(job), handle.attempt));
     cc.retire(shared, TxnIdx(comp.txn_number()));
-    let report = enc.abort(ctx, &mut comp);
+    let report = shared.enc.abort(ctx, &mut comp);
     assert!(
         report.failed.is_empty(),
         "compensation under a strict control cannot fail: {:?}",
@@ -254,42 +299,31 @@ fn compensate(
         .collect()
 }
 
-/// Commit point of a control whose writes are deferred to it: install
-/// the attempt's deferred writes, certify, and commit — or compensate —
-/// all inside ONE database critical section. Its reads already ran on
-/// committed state when issued. Uncommitted writes are therefore never
-/// visible to any other transaction: there is nothing unrecoverable to
-/// wait for (no commit dependencies) and nothing to cascade. `Err`
-/// carries the compensation trace events — the writes were already
-/// rolled back under the same lock, so the abort tail must not
-/// compensate again.
-#[allow(clippy::too_many_arguments)]
-fn deferred_commit(
+/// The commit point of both controls: install the attempt's deferred
+/// writes, ask the control, then log the commit and commit — or
+/// compensate. A control that defers writes does all of it under the
+/// install gate held exclusive, so its readers, which hold the gate
+/// shared, see the batch whole or not at all; its reads already ran on
+/// committed state, so nothing uncommitted was ever visible — no commit
+/// dependency to wait for, nothing to cascade. Under strict 2PL nothing
+/// is deferred and the attempt's locks, still held, order all of it; they
+/// are released only after the commit record is appended, so whoever
+/// observes this transaction logs after it (the durable prefix never
+/// keeps an observer while losing it). `Err` carries the compensation
+/// trace events: the abort tail must not compensate again.
+fn commit_point(
     shared: &EngineShared,
     cc: &dyn ConcurrencyControl,
     handle: &TxnHandle,
     mut ctx: TxnCtx,
-    buffered: &[EncOp],
+    deferred: &[EncOp],
     job: &Job,
     wal: &mut Wal<'_>,
 ) -> Result<Option<usize>, Vec<(u64, EncOp)>> {
-    // the whole install + certify + commit happens under every stripe:
-    // buffered writes become visible as one atomic batch
-    let enc = shared.enc.exclusive();
-    // install: seqs claimed inside the critical section, so OpGranted
-    // order still equals recorded history order (the trace invariant)
+    let gate = cc.buffers_writes().then(|| shared.gate.write());
     let mut installs = Vec::new();
-    for op in buffered {
-        let seq = shared.trace.enabled().then(|| shared.trace.claim_seq());
-        let hit = apply_op(&enc, &mut ctx, op, job.id.wrapping_add(1) as usize);
-        wal.log_executed(
-            &shared.metrics,
-            &enc,
-            &ctx,
-            op,
-            job.id.wrapping_add(1) as usize,
-            hit,
-        );
+    for op in deferred {
+        let (seq, hit) = execute(shared, &mut ctx, op, job, wal);
         if let Some(seq) = seq {
             installs.push((seq, op.clone(), hit));
         }
@@ -297,26 +331,14 @@ fn deferred_commit(
     let result = match cc.try_finish(shared, handle) {
         FinishOutcome::Committed => {
             let end = wal.log_commit(&shared.metrics);
-            enc.commit(ctx);
+            shared.enc.commit(ctx);
             Ok(end)
         }
-        FinishOutcome::Abort => Err(compensate(shared, cc, &enc, ctx, handle, job, wal)),
+        FinishOutcome::Abort => Err(compensate(shared, cc, ctx, handle, job, wal)),
     };
-    drop(enc);
+    drop(gate);
     for (seq, op, hit) in installs {
-        let shard = cc.route(&op).into();
-        shared.trace.emit_at(
-            seq,
-            handle.job,
-            handle.attempt,
-            handle.owner.0 as u32,
-            TraceEventKind::OpGranted {
-                op,
-                shard,
-                wait_ns: 0,
-                hit,
-            },
-        );
+        trace_granted(shared, cc, handle, seq, op, 0, hit);
     }
     result
 }
@@ -398,9 +420,8 @@ pub(crate) fn process_job(
         // copy only when there is a log
         let name = attempt_name(job, attempt);
         let wal_name = shared.dur.is_some().then(|| name.clone());
-        let attempt_ctx = shared.rec.begin_txn(name);
-        let txn_number = attempt_ctx.txn_number();
-        let mut ctx = Some(attempt_ctx);
+        let mut ctx = shared.rec.begin_txn(name);
+        let txn_number = ctx.txn_number();
         let handle = TxnHandle::new(
             job.id,
             attempt,
@@ -420,9 +441,6 @@ pub(crate) fn process_job(
         // (not this buffer)
         let buffering = cc.buffers_writes();
         let mut buffered: Vec<EncOp> = Vec::new();
-        // compensation already performed (and traced) inside the deferred
-        // commit's critical section — the abort tail must not repeat it
-        let mut comp_done: Option<Vec<(u64, EncOp)>> = None;
 
         let mut aborting = false;
         let mut reason = AbortReason::Victim;
@@ -436,52 +454,21 @@ pub(crate) fn process_job(
                 shared.metrics.lock_wait.record(waited);
             }
             match grant {
+                OpGrant::Granted if buffering && is_write(op) => {
+                    // deferred: installs at the commit point, under the
+                    // same gate as certification
+                    buffered.push(op.clone());
+                }
                 OpGrant::Granted => {
-                    if buffering && is_write(op) {
-                        // deferred: installs at the commit point, inside
-                        // the same critical section as certification
-                        buffered.push(op.clone());
-                    } else {
-                        // the op's trace seq is claimed INSIDE the op's
-                        // sequencing section (its key's stripe, or all
-                        // stripes shared for scans), so seq order over
-                        // conflicting OpGranted events equals the
-                        // recorded history order — the invariant
-                        // trace::analyze rebuilds the dependency graph
-                        // from; disjoint-key sections overlap freely
-                        let (seq, hit) = {
-                            let enc = shared.enc.for_op(op);
-                            let seq = shared.trace.enabled().then(|| shared.trace.claim_seq());
-                            let hit = apply_op(
-                                &enc,
-                                ctx.as_mut().expect("attempt ctx live during ops"),
-                                op,
-                                job.id.wrapping_add(1) as usize,
-                            );
-                            wal.log_executed(
-                                &shared.metrics,
-                                &enc,
-                                ctx.as_ref().expect("attempt ctx live during ops"),
-                                op,
-                                job.id.wrapping_add(1) as usize,
-                                hit,
-                            );
-                            (seq, hit)
-                        };
-                        if let Some(seq) = seq {
-                            shared.trace.emit_at(
-                                seq,
-                                handle.job,
-                                handle.attempt,
-                                handle.owner.0 as u32,
-                                TraceEventKind::OpGranted {
-                                    op: op.clone(),
-                                    shard: cc.route(op).into(),
-                                    wait_ns: waited.as_nanos() as u64,
-                                    hit,
-                                },
-                            );
-                        }
+                    // under strict 2PL the granted lock orders the op;
+                    // under deferred writes it is a read, ordered
+                    // against every commit point by the gate held shared
+                    let gate = buffering.then(|| shared.gate.read());
+                    let (seq, hit) = execute(shared, &mut ctx, op, job, &mut wal);
+                    drop(gate);
+                    if let Some(seq) = seq {
+                        let wait_ns = waited.as_nanos() as u64;
+                        trace_granted(shared, cc, &handle, seq, op.clone(), wait_ns, hit);
                     }
                 }
                 OpGrant::AbortVictim => {
@@ -500,86 +487,57 @@ pub(crate) fn process_job(
             }
         }
 
-        // `Some(end)`: committed, with the log offset the
-        // acknowledgement must be durable through
-        let mut committed: Option<Option<usize>> = None;
         if !aborting && past(job.deadline) {
             aborting = true;
             reason = AbortReason::Deadline;
         }
-        if !aborting && buffering {
-            // commit point of the deferred writes: install + certify +
-            // commit (or compensate) atomically
-            let attempt_ctx = ctx.take().expect("attempt ctx live at commit point");
-            match deferred_commit(shared, cc, &handle, attempt_ctx, &buffered, job, &mut wal) {
-                Ok(commit_end) => committed = Some(commit_end),
-                Err(comp_events) => {
-                    aborting = true;
+        // `Ok(end)`: committed, with the log offset the acknowledgement
+        // must be durable through; `Err`: compensated, with the trace
+        // events of the compensation. An attempt that aborts before its
+        // commit point compensates here, under the locks it still holds
+        // (its deferred writes, if any, were never installed)
+        let outcome = if aborting {
+            Err(compensate(shared, cc, ctx, &handle, job, &mut wal))
+        } else {
+            commit_point(shared, cc, &handle, ctx, &buffered, job, &mut wal)
+        };
+        let comp_events = match outcome {
+            Ok(commit_end) => {
+                let appended_at = Instant::now();
+                cc.after_commit(shared, &handle);
+                let ack = Ack {
+                    handle,
+                    submitted_at: job.submitted_at,
+                    record_metrics,
+                    wait: wait_total,
+                    exec: attempt_start.elapsed().saturating_sub(wait_total),
+                    wal_records: wal.records,
+                    wal_bytes: wal.bytes,
+                    logged: commit_end.map(|end| Logged {
+                        end,
+                        mark: shared.enc.inner().pool().current_lsn(),
+                        appended_at,
+                    }),
+                };
+                // the locks are gone and the commit record is in the log
+                // before anything that observed this transaction (the
+                // prefix property), so nothing in the database waits for
+                // the fsync — and neither does this worker
+                match executing {
+                    Some(executing) if ack.logged.is_some() => executing.park(ack, &shared.metrics),
+                    // nothing to force: read-only, or durability off
+                    _ => acknowledge(shared, &ack),
+                }
+                drain_record(shared, record_metrics);
+                return;
+            }
+            Err(comp_events) => {
+                if !aborting {
                     reason = AbortReason::Validation;
-                    comp_done = Some(comp_events);
                 }
+                comp_events
             }
-        } else if !aborting {
-            match cc.try_finish(shared, &handle) {
-                FinishOutcome::Committed => {
-                    // commit marker appended with no stripe held: this
-                    // transaction still holds its strict-2PL locks
-                    // (released only by after_commit below), so any
-                    // transaction that later observes our effects appends
-                    // strictly after it — the durable prefix can never
-                    // keep an observer while losing us
-                    let commit_end = wal.log_commit(&shared.metrics);
-                    shared
-                        .enc
-                        .inner()
-                        .commit(ctx.take().expect("attempt ctx live at commit"));
-                    committed = Some(commit_end);
-                }
-                FinishOutcome::Abort => {
-                    aborting = true;
-                    reason = AbortReason::Validation;
-                }
-            }
-        }
-        if let Some(commit_end) = committed {
-            let appended_at = Instant::now();
-            cc.after_commit(shared, &handle);
-            let ack = Ack {
-                handle,
-                submitted_at: job.submitted_at,
-                record_metrics,
-                wait: wait_total,
-                exec: attempt_start.elapsed().saturating_sub(wait_total),
-                wal_records: wal.records,
-                wal_bytes: wal.bytes,
-                logged: commit_end.map(|end| Logged {
-                    end,
-                    mark: shared.enc.inner().inner().pool().current_lsn(),
-                    appended_at,
-                }),
-            };
-            // the locks are gone and the commit record is in the log
-            // before anything that observed this transaction (the prefix
-            // property), so nothing in the database waits for the fsync
-            // — and neither does this worker
-            match executing {
-                Some(executing) if ack.logged.is_some() => executing.park(ack, &shared.metrics),
-                // nothing to force: read-only, or durability off
-                _ => acknowledge(shared, &ack),
-            }
-            drain_record(shared, record_metrics);
-            return;
-        }
-
-        debug_assert!(aborting);
-        // compensate this attempt's completed operations in reverse
-        // order, then let the protocol release — unless the deferred
-        // commit already compensated under its critical section
-        let comp_events = comp_done.take().unwrap_or_else(|| {
-            let enc = shared.enc.exclusive();
-            let ctx = ctx.take().expect("attempt ctx live at abort");
-            compensate(shared, cc, &enc, ctx, &handle, job, &mut wal)
-        });
+        };
         for (seq, op) in comp_events {
             shared.trace.emit_at(
                 seq,

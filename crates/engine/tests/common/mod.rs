@@ -16,8 +16,8 @@ use oodb_core::schedule::SystemSchedules;
 use oodb_core::serializability::check_system_decentralized;
 use oodb_core::system::TransactionSystem;
 use oodb_engine::{
-    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, EngineMetrics, EngineShared,
-    FinishOutcome, OpGrant, TxnHandle,
+    audit, shard_of_key, ConcurrencyControl, EngineMetrics, EngineShared, FinishOutcome, OpGrant,
+    TxnHandle,
 };
 use oodb_lock::OwnerId;
 use oodb_model::{Recorder, TxnCtx};
@@ -143,7 +143,8 @@ impl VirtualScheduler {
         );
         let shared = EngineShared {
             rec,
-            enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
+            enc: CompensatedEncyclopedia::new(enc),
+            gate: Default::default(),
             metrics: EngineMetrics::with_shards(cc.shards()),
             trace: oodb_engine::Tracer::disabled(),
             dur: None,
@@ -254,7 +255,7 @@ impl VirtualScheduler {
             a.buffered.push(op);
         } else {
             let tag = a.tag();
-            apply_op(&self.shared.enc.exclusive(), &mut a.ctx, &op, tag);
+            apply_op(&self.shared.enc, &mut a.ctx, &op, tag);
         }
     }
 
@@ -262,7 +263,7 @@ impl VirtualScheduler {
     fn finish(&mut self, a: &mut Attempt) -> FinishOutcome {
         let tag = a.tag();
         for op in std::mem::take(&mut a.buffered) {
-            apply_op(&self.shared.enc.exclusive(), &mut a.ctx, &op, tag);
+            apply_op(&self.shared.enc, &mut a.ctx, &op, tag);
         }
         let verdict = self.cc.try_finish(&self.shared, &a.handle);
         self.verdicts.push((a.handle.txn, verdict));
@@ -275,7 +276,7 @@ impl VirtualScheduler {
     }
 
     fn commit_attempt(&mut self, a: Attempt) {
-        self.shared.enc.exclusive().commit(a.ctx);
+        self.shared.enc.commit(a.ctx);
         self.cc.after_commit(&self.shared, &a.handle);
         self.committed += 1;
     }
@@ -283,14 +284,13 @@ impl VirtualScheduler {
     fn abort_attempt(&mut self, t: usize, a: Attempt) {
         let next = a.attempt + 1;
         {
-            let enc = self.shared.enc.exclusive();
             let mut comp = self.shared.rec.begin_txn(format!(
                 "C(J{}a{})",
                 (t as u64).wrapping_add(1),
                 a.attempt
             ));
             self.cc.retire(&self.shared, TxnIdx(comp.txn_number()));
-            enc.abort(a.ctx, &mut comp);
+            self.shared.enc.abort(a.ctx, &mut comp);
         }
         self.cc.after_abort(&self.shared, &a.handle);
         self.retries += 1;
@@ -357,9 +357,10 @@ impl VirtualScheduler {
         }
         let audit_out = audit(&self.shared.rec, self.cc.as_ref());
         let final_state = {
-            let enc = self.shared.enc.exclusive();
             let mut ctx = self.shared.rec.begin_txn("Dump");
-            let mut items: Vec<(String, String)> = enc
+            let mut items: Vec<(String, String)> = self
+                .shared
+                .enc
                 .read_seq(&mut ctx)
                 .into_iter()
                 .map(|(_, k, text)| (k, text))

@@ -9,8 +9,8 @@ use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::trace::TraceEventKind;
 use oodb_engine::{
-    shard_of_key, CcKind, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig, EngineMetrics,
-    EngineShared, LockingCc, OpGrant, TraceMode, Tracer, TxnHandle, STRIPES,
+    shard_of_key, CcKind, ConcurrencyControl, Engine, EngineConfig, EngineMetrics, EngineShared,
+    LockingCc, OpGrant, TraceMode, Tracer, TxnHandle, STRIPES,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkloadConfig, Skew};
@@ -57,7 +57,8 @@ fn shared() -> EngineShared {
     );
     EngineShared {
         rec,
-        enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
+        enc: CompensatedEncyclopedia::new(enc),
+        gate: Default::default(),
         metrics: EngineMetrics::new(),
         trace: Tracer::from_mode(&TraceMode::ring(), 1),
         dur: None,

@@ -9,8 +9,8 @@
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
-    audit, shard_of_key, ConcurrencyControl, ConcurrentEnc, Engine, EngineConfig, EngineMetrics,
-    EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle, STRIPES,
+    audit, shard_of_key, ConcurrencyControl, Engine, EngineConfig, EngineMetrics, EngineShared,
+    FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle, STRIPES,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::exec::apply_op;
@@ -148,7 +148,8 @@ fn shared_with(cc_shards: usize) -> EngineShared {
     );
     EngineShared {
         rec,
-        enc: ConcurrentEnc::new(CompensatedEncyclopedia::new(enc)),
+        enc: CompensatedEncyclopedia::new(enc),
+        gate: Default::default(),
         metrics: EngineMetrics::with_shards(cc_shards),
         trace: oodb_engine::Tracer::disabled(),
         dur: None,
@@ -173,13 +174,13 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &setup_handle, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
+        apply_op(&shared.enc, &mut setup, &op, 0);
     }
     assert_eq!(
         cc.try_finish(&shared, &setup_handle),
         FinishOutcome::Committed
     );
-    shared.enc.exclusive().commit(setup);
+    shared.enc.commit(setup);
     cc.after_commit(&shared, &setup_handle);
 
     // attempt 0: touches all three shards, then dies mid-flight
@@ -188,7 +189,7 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut t, &op, 1);
+        apply_op(&shared.enc, &mut t, &op, 1);
     }
     assert_eq!(
         cc.residual_grants().iter().filter(|&&g| g > 0).count(),
@@ -198,9 +199,8 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     assert_eq!(cc.tracked_owners(), 1);
     // compensate under held locks (strict), then release everywhere
     {
-        let enc = shared.enc.exclusive();
         let mut comp = shared.rec.begin_txn("C(J1a0)");
-        let report = enc.abort(t, &mut comp);
+        let report = shared.enc.abort(t, &mut comp);
         assert!(report.failed.is_empty(), "strict compensation cannot fail");
     }
     cc.after_abort(&shared, &h0);
@@ -218,10 +218,10 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut r, &op, 1);
+        apply_op(&shared.enc, &mut r, &op, 1);
     }
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.exclusive().commit(r);
+    shared.enc.commit(r);
     cc.after_commit(&shared, &h1);
     assert_eq!(cc.residual_grants(), vec![0; STRIPES]);
 
@@ -244,10 +244,10 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
+        apply_op(&shared.enc, &mut setup, &op, 0);
     }
     assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.exclusive().commit(setup);
+    shared.enc.commit(setup);
     cc.after_commit(&shared, &sh);
     let commits = || {
         let m = shared.metrics_snapshot();
@@ -264,12 +264,11 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in keys.iter().take(2) {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut t, &op, 1);
+        apply_op(&shared.enc, &mut t, &op, 1);
     }
     {
-        let enc = shared.enc.exclusive();
         let mut comp = shared.rec.begin_txn("C(J1a0)");
-        enc.abort(t, &mut comp);
+        shared.enc.abort(t, &mut comp);
     }
     cc.after_abort(&shared, &h0);
     assert_eq!(commits(), (vec![1; shards], 1), "the victim counts nowhere");
@@ -281,10 +280,10 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut r, &op, 1);
+        apply_op(&shared.enc, &mut r, &op, 1);
     }
     assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.exclusive().commit(r);
+    shared.enc.commit(r);
     cc.after_commit(&shared, &h1);
     assert_eq!(commits(), (vec![2; shards], 2), "the retry on every lane");
     assert_eq!(cc.committed_count(), 2, "Setup + the retry");
@@ -422,10 +421,10 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     for k in &keys {
         let op = EncOp::Insert(k.clone());
         assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut setup, &op, 0);
+        apply_op(&shared.enc, &mut setup, &op, 0);
     }
     assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.exclusive().commit(setup);
+    shared.enc.commit(setup);
     cc.after_commit(&shared, &sh);
 
     for j in 0..16u64 {
@@ -434,20 +433,19 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
         for k in keys.iter().take(2) {
             let op = EncOp::Change(k.clone());
             assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc.exclusive(), &mut t, &op, (j + 1) as usize);
+            apply_op(&shared.enc, &mut t, &op, (j + 1) as usize);
         }
         if j % 2 == 0 {
             // mid-flight victim abort: compensate, then notify the cc
             {
-                let enc = shared.enc.exclusive();
                 let mut comp = shared.rec.begin_txn(format!("C(J{}a0)", j + 1));
-                enc.abort(t, &mut comp);
+                shared.enc.abort(t, &mut comp);
             }
             cc.after_abort(&shared, &h);
             assert!(cc.was_aborted(h.txn), "victim registered as aborted");
         } else {
             assert_eq!(cc.try_finish(&shared, &h), FinishOutcome::Committed);
-            shared.enc.exclusive().commit(t);
+            shared.enc.commit(t);
             cc.after_commit(&shared, &h);
         }
     }
@@ -469,10 +467,10 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     for k in &keys {
         let op = EncOp::Change(k.clone());
         assert_eq!(cc.before_op(&shared, &hr, &op), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut r, &op, 99);
+        apply_op(&shared.enc, &mut r, &op, 99);
     }
     assert_eq!(cc.try_finish(&shared, &hr), FinishOutcome::Committed);
-    shared.enc.exclusive().commit(r);
+    shared.enc.commit(r);
     cc.after_commit(&shared, &hr);
 
     let out = audit(&shared.rec, &cc);
@@ -567,13 +565,13 @@ fn an_abort_that_unpins_the_cut_is_published() {
             let mut t = shared.rec.begin_txn(name);
             let h = handle(&t, job, 0);
             assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc.exclusive(), &mut t, &op, job as usize);
+            apply_op(&shared.enc, &mut t, &op, job as usize);
             assert_eq!(
                 cc.try_finish(&shared, &h),
                 FinishOutcome::Committed,
                 "{label}"
             );
-            shared.enc.exclusive().commit(t);
+            shared.enc.commit(t);
             cc.after_commit(&shared, &h);
         };
         for (i, k) in keys.iter().enumerate() {
@@ -590,17 +588,16 @@ fn an_abort_that_unpins_the_cut_is_published() {
         let vh = handle(&victim, 1, 0);
         let read = EncOp::Search(keys[0].clone());
         assert_eq!(cc.before_op(&shared, &vh, &read), OpGrant::Granted);
-        apply_op(&shared.enc.exclusive(), &mut victim, &read, 1);
+        apply_op(&shared.enc, &mut victim, &read, 1);
         commit("A", 2, EncOp::Change(keys[1].clone()));
         commit("B", 3, EncOp::Change(keys[2].clone()));
         assert_eq!(settled(), 3, "{label}: the live victim pins A and B");
         let pinned = shared.metrics_snapshot().cert_retained_actions;
 
         {
-            let enc = shared.enc.exclusive();
             let mut comp = shared.rec.begin_txn("C(V)");
             cc.retire(&shared, TxnIdx(comp.txn_number()));
-            enc.abort(victim, &mut comp);
+            shared.enc.abort(victim, &mut comp);
         }
         cc.after_abort(&shared, &vh);
         assert_eq!(settled(), 5, "{label}: the abort let A and B go");

@@ -1,13 +1,14 @@
 //! Latched-vs-serial differential suite.
 //!
-//! Workers execute through per-page latch coupling plus striped
-//! operation sequencing (see `oodb_engine::db`). The reference is the
-//! serial run — the same workload at `workers: 1`, where no latch or
-//! stripe can be raced: with disjoint private-write partitions the final
-//! database state is commit-order independent, so for every
-//! concurrency-control family × shard count the 4-worker engine must
-//! commit the same transactions, pass the same audits, and agree
-//! bit-for-bit on final state with it.
+//! Workers execute through per-page latch coupling, ordered by the
+//! concurrency control alone: strict 2PL's locks, or the optimistic
+//! control's install gate. The reference is the serial run — the same
+//! workload at `workers: 1`, where no latch or lock can be raced: with
+//! disjoint private-write partitions the final database state is
+//! commit-order independent, so for every concurrency-control family ×
+//! shard count the 4-worker engine must commit the same transactions,
+//! pass the same audits, and agree bit-for-bit on final state with it —
+//! on spread keys, and on keys that all share one lock stripe.
 //!
 //! A second test pins the rearrange/seq-claim boundary under real
 //! concurrency: a tiny fanout forces structure modifications (page
@@ -15,28 +16,52 @@
 //! the dependency graph reconstructed from the trace ring must match
 //! the shutdown audit's committed projection edge-for-edge.
 
-use oodb_engine::{cross_check, CcKind, EngineConfig, EngineOutput, TraceMode};
+use oodb_engine::{
+    cross_check, shard_of_key, CcKind, EngineConfig, EngineOutput, TraceMode, STRIPES,
+};
 use oodb_sim::{EncOp, EncWorkload};
 use proptest::prelude::*;
 
-fn shared_key(i: usize) -> String {
-    format!("s{:02}", i % 6)
+/// Where the workload's keys fall in the lock table.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Wherever their hash puts them.
+    Spread,
+    /// Every key on stripe 0: pairs of different keys that one stripe
+    /// used to serialize, and that now run side by side.
+    OneStripe,
 }
 
-fn private_key(t: usize, slot: usize) -> String {
-    format!("p{t:02}x{slot}")
-}
+impl Layout {
+    fn key(self, base: String) -> String {
+        match self {
+            Layout::Spread => base,
+            Layout::OneStripe => (0..)
+                .map(|n| format!("{base}n{n}"))
+                .find(|k| shard_of_key(k, STRIPES) == 0)
+                .expect("some suffix hashes to stripe 0"),
+        }
+    }
 
-/// Decode a `(code, roam)` pair into an op whose writes stay inside
-/// transaction `t`'s private partition; reads roam everywhere.
-fn decode_private(t: usize, code: u8, roam: usize) -> EncOp {
-    match code {
-        0 => EncOp::Change(private_key(t, 0)),
-        1 => EncOp::Insert(private_key(t, 1)),
-        2 => EncOp::Delete(private_key(t, 0)),
-        3 => EncOp::Search(shared_key(roam)),
-        4 => EncOp::Search(private_key(roam % 8, 0)),
-        _ => EncOp::ReadSeq,
+    fn shared_key(self, i: usize) -> String {
+        self.key(format!("s{:02}", i % 6))
+    }
+
+    fn private_key(self, t: usize, slot: usize) -> String {
+        self.key(format!("p{t:02}x{slot}"))
+    }
+
+    /// Decode a `(code, roam)` pair into an op whose writes stay inside
+    /// transaction `t`'s private partition; reads roam everywhere.
+    fn decode_private(self, t: usize, code: u8, roam: usize) -> EncOp {
+        match code {
+            0 => EncOp::Change(self.private_key(t, 0)),
+            1 => EncOp::Insert(self.private_key(t, 1)),
+            2 => EncOp::Delete(self.private_key(t, 0)),
+            3 => EncOp::Search(self.shared_key(roam)),
+            4 => EncOp::Search(self.private_key(roam % 8, 0)),
+            _ => EncOp::ReadSeq,
+        }
     }
 }
 
@@ -46,9 +71,15 @@ struct Workload {
     seed: u64,
 }
 
-fn engine_run(w: &Workload, kind: CcKind, shards: usize, workers: usize) -> EngineOutput {
-    let mut preload: Vec<String> = (0..6).map(shared_key).collect();
-    preload.extend((0..w.txns.len()).map(|t| private_key(t, 0)));
+fn engine_run(
+    w: &Workload,
+    layout: Layout,
+    kind: CcKind,
+    shards: usize,
+    workers: usize,
+) -> EngineOutput {
+    let mut preload: Vec<String> = (0..6).map(|i| layout.shared_key(i)).collect();
+    preload.extend((0..w.txns.len()).map(|t| layout.private_key(t, 0)));
     let cfg = EngineConfig {
         workers,
         queue_capacity: 16,
@@ -61,7 +92,7 @@ fn engine_run(w: &Workload, kind: CcKind, shards: usize, workers: usize) -> Engi
     for (t, codes) in w.txns.iter().enumerate() {
         let ops: Vec<EncOp> = codes
             .iter()
-            .map(|&(code, roam)| decode_private(t, code, roam))
+            .map(|&(code, roam)| layout.decode_private(t, code, roam))
             .collect();
         engine.submit_blocking(ops).expect("accepts until shutdown");
     }
@@ -83,7 +114,7 @@ proptest! {
     /// Random private-write workloads through the real multi-threaded
     /// engine: four workers must reach exactly the state the serial run
     /// reaches, with everything committed and both audits clean, for
-    /// every combination.
+    /// every combination and both key layouts.
     #[test]
     fn four_workers_match_the_serial_run(
         txns in prop::collection::vec(
@@ -91,11 +122,14 @@ proptest! {
         seed in 0u64..1024,
     ) {
         let w = Workload { txns, seed };
-        for &(kind, shards) in COMBOS {
-            let latched = engine_run(&w, kind, shards, 4);
-            let serial = engine_run(&w, kind, shards, 1);
+        let runs = [Layout::Spread, Layout::OneStripe]
+            .into_iter()
+            .flat_map(|layout| COMBOS.iter().map(move |&(kind, shards)| (layout, kind, shards)));
+        for (layout, kind, shards) in runs {
+            let latched = engine_run(&w, layout, kind, shards, 4);
+            let serial = engine_run(&w, layout, kind, shards, 1);
             prop_assert_eq!(serial.metrics.retries, 0, "one worker: nothing to retry");
-            let label = format!("{kind:?}/{shards}");
+            let label = format!("{layout:?}/{kind:?}/{shards}");
             for (out, path) in [(&latched, "4 workers"), (&serial, "serial")] {
                 prop_assert_eq!(
                     out.metrics.committed as usize,
@@ -122,9 +156,10 @@ proptest! {
 /// agreement: a fanout of 4 forces repeated structure modifications —
 /// including in-place root splits, whose `rearrange` is recorded on a
 /// fresh root-epoch object — while 8 workers interleave. The seq claim
-/// happens inside the same striped section as the WAL append, so the
-/// dependency graph reconstructed from trace events alone must equal
-/// the audit's committed projection edge-for-edge.
+/// and the WAL append happen while the operation's lock (or the install
+/// gate) is held, so the dependency graph reconstructed from trace
+/// events alone must equal the audit's committed projection
+/// edge-for-edge.
 ///
 /// `trace::analyze`'s index rule assumes no split relocates a key's
 /// leaf entry between two accesses of different transactions, so the
