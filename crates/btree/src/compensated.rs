@@ -13,9 +13,9 @@
 
 use crate::encyclopedia::Encyclopedia;
 use crate::list::ItemId;
-use oodb_core::commutativity::ActionDescriptor;
+use oodb_core::commutativity::{ActionDescriptor, Method};
 use oodb_core::compensation::{CompensationLog, Inverse, InverseRegistry};
-use oodb_core::value::{key, Value};
+use oodb_core::value::Value;
 use oodb_model::TxnCtx;
 use parking_lot::Mutex;
 
@@ -74,7 +74,7 @@ impl CompensatedEncyclopedia {
         let id = self.enc.insert(ctx, k, text)?;
         let inverse = self
             .registry
-            .invert(&ActionDescriptor::new("insert", vec![key(k)]), None)
+            .invert(&ActionDescriptor::keyed(Method::Insert, k), None)
             .expect("insert is invertible");
         self.log
             .lock()
@@ -95,7 +95,7 @@ impl CompensatedEncyclopedia {
         let inverse = self
             .registry
             .invert(
-                &ActionDescriptor::new("update", vec![key(k)]),
+                &ActionDescriptor::keyed(Method::Update, k),
                 Some(&Value::Str(old)),
             )
             .expect("update is invertible");
@@ -116,7 +116,7 @@ impl CompensatedEncyclopedia {
         let inverse = self
             .registry
             .invert(
-                &ActionDescriptor::new("delete", vec![key(k)]),
+                &ActionDescriptor::keyed(Method::Delete, k),
                 Some(&Value::Str(old)),
             )
             .expect("delete is invertible");
@@ -154,32 +154,14 @@ impl CompensatedEncyclopedia {
             failed: Vec::new(),
         };
         for inv in plan {
-            let ok = match inv.descriptor.method.as_str() {
-                "delete" => {
-                    let k = inv.descriptor.args[0].as_key().expect("keyed inverse");
-                    self.enc.delete(comp_ctx, k)
-                }
-                "insert" => {
-                    let k = inv.descriptor.args[0].as_key().expect("keyed inverse");
-                    let text = inv
-                        .descriptor
-                        .args
-                        .get(1)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("");
-                    self.enc.insert(comp_ctx, k, text).is_some()
-                }
-                "update" => {
-                    let k = inv.descriptor.args[0].as_key().expect("keyed inverse");
-                    let text = inv
-                        .descriptor
-                        .args
-                        .get(1)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("");
-                    self.enc.change(comp_ctx, k, text)
-                }
-                other => panic!("no executor for inverse method {other}"),
+            let d = &inv.descriptor;
+            let k = d.key().expect("keyed inverse");
+            let text = || d.args.get(1).and_then(Value::as_str).unwrap_or("");
+            let ok = match d.method {
+                Method::Delete => self.enc.delete(comp_ctx, k),
+                Method::Insert => self.enc.insert(comp_ctx, k, text()).is_some(),
+                Method::Update => self.enc.change(comp_ctx, k, text()),
+                ref other => panic!("no executor for inverse method {other}"),
             };
             if ok {
                 report.compensated.push(inv);
@@ -319,7 +301,7 @@ mod tests {
         drop(comp);
         assert_eq!(report.compensated.len(), 0);
         assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.failed[0].descriptor.method, "delete");
+        assert_eq!(report.failed[0].descriptor.method, Method::Delete);
     }
 
     #[test]

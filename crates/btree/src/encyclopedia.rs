@@ -9,9 +9,8 @@
 
 use crate::list::{ItemId, ItemList};
 use crate::tree::{keyed, required_page_size, BLinkTree};
-use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, RangeSpec};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpec};
 use oodb_core::ids::ObjectIdx;
-use oodb_core::value::key as keyval;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::{BufferManager, BufferPool};
 use std::sync::Arc;
@@ -115,7 +114,7 @@ impl Encyclopedia {
     /// the key already exists (no overwrite at the encyclopedia level).
     pub fn insert(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> Option<ItemId> {
         // one `insert(key)` for Enc, LinkedList, BpTree and its nodes
-        let insert = keyed("insert", key);
+        let insert = keyed(Method::Insert, key);
         ctx.enter(self.enc_obj, insert.clone());
         let result = if self.tree.search(ctx, key).is_some() {
             None
@@ -130,7 +129,7 @@ impl Encyclopedia {
 
     /// Look up the item text stored under `key`.
     pub fn search(&self, ctx: &mut TxnCtx, key: &str) -> Option<String> {
-        let search = keyed("search", key);
+        let search = keyed(Method::Search, key);
         ctx.enter(self.enc_obj, search.clone());
         let result = self
             .tree
@@ -142,7 +141,7 @@ impl Encyclopedia {
 
     /// Change the text of the item under `key` (Example 4's `T2`).
     pub fn change(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> bool {
-        let update = keyed("update", key);
+        let update = keyed(Method::Update, key);
         ctx.enter(self.enc_obj, update.clone());
         let changed = match self.tree.search(ctx, key) {
             Some(id) => self.list.update_item(ctx, id, text, &update),
@@ -154,7 +153,7 @@ impl Encyclopedia {
 
     /// Delete the item under `key`.
     pub fn delete(&self, ctx: &mut TxnCtx, key: &str) -> bool {
-        let delete = keyed("delete", key);
+        let delete = keyed(Method::Delete, key);
         ctx.enter(self.enc_obj, delete.clone());
         let deleted = match self.tree.delete_as(ctx, key, &delete) {
             Some(id) => self.list.remove(ctx, id, &delete),
@@ -166,7 +165,7 @@ impl Encyclopedia {
 
     /// Read all items sequentially (Example 4's `T4`).
     pub fn read_seq(&self, ctx: &mut TxnCtx) -> Vec<(ItemId, String, String)> {
-        ctx.enter(self.enc_obj, ActionDescriptor::nullary("readSeq"));
+        ctx.enter(self.enc_obj, ActionDescriptor::nullary(Method::ReadSeq));
         let items = self.list.read_seq(ctx);
         ctx.exit();
         items
@@ -177,14 +176,13 @@ impl Encyclopedia {
     /// protection for exactly the scanned interval (§1's anomaly list),
     /// without conflicting with inserts outside it.
     pub fn range(&self, ctx: &mut TxnCtx, lo: &str, hi: &str) -> Vec<(String, String)> {
-        let scan: DescriptorRef =
-            ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]).into();
+        let scan: DescriptorRef = ActionDescriptor::range(Method::RangeScan, lo, hi).into();
         ctx.enter(self.enc_obj, scan.clone());
         let hits = self.tree.range_as(ctx, lo, hi, &scan);
         let out = hits
             .into_iter()
             .filter_map(|(k, id)| {
-                let text = self.list.read_item(ctx, id, &keyed("search", &k))?;
+                let text = self.list.read_item(ctx, id, &keyed(Method::Search, &k))?;
                 Some((k, text))
             })
             .collect();

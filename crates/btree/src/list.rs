@@ -22,7 +22,7 @@
 
 use crate::objects::{ObjectIds, ObjectKey};
 use bytes::{Buf, BufMut};
-use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, KeyedSpec};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, KeyedSpec, Method};
 use oodb_core::ids::ObjectIdx;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::{BufferPool, PageError, PageId};
@@ -417,7 +417,7 @@ impl ItemList {
     /// paper's `readSeq`. Each item is read through its item object.
     pub fn read_seq(&self, ctx: &mut TxnCtx) -> Vec<(ItemId, String, String)> {
         let state = self.state.read();
-        ctx.enter(self.list_obj, ActionDescriptor::nullary("readSeq"));
+        ctx.enter(self.list_obj, ActionDescriptor::nullary(Method::ReadSeq));
         let read = DescriptorRef::read();
         let mut out = Vec::new();
         for &page in &state.chain {
@@ -467,19 +467,25 @@ mod tests {
     fn insert_read_roundtrip() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let a = l.insert(&mut ctx, "DBS", "database systems", &keyed("insert", "DBS"));
+        let a = l.insert(
+            &mut ctx,
+            "DBS",
+            "database systems",
+            &keyed(Method::Insert, "DBS"),
+        );
         let b = l.insert(
             &mut ctx,
             "DBMS",
             "management systems",
-            &keyed("insert", "DBMS"),
+            &keyed(Method::Insert, "DBMS"),
         );
         assert_eq!(
-            l.read_item(&mut ctx, a, &keyed("search", "DBS")).as_deref(),
+            l.read_item(&mut ctx, a, &keyed(Method::Search, "DBS"))
+                .as_deref(),
             Some("database systems")
         );
         assert_eq!(
-            l.read_item(&mut ctx, b, &keyed("search", "DBMS"))
+            l.read_item(&mut ctx, b, &keyed(Method::Search, "DBMS"))
                 .as_deref(),
             Some("management systems")
         );
@@ -491,13 +497,13 @@ mod tests {
     fn update_changes_text_even_across_relocation() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let id = l.insert(&mut ctx, "DBMS", "v1", &keyed("insert", "DBMS"));
-        assert!(l.update_item(&mut ctx, id, "v2", &keyed("update", "DBMS")));
-        let search = keyed("search", "DBMS");
+        let id = l.insert(&mut ctx, "DBMS", "v1", &keyed(Method::Insert, "DBMS"));
+        assert!(l.update_item(&mut ctx, id, "v2", &keyed(Method::Update, "DBMS")));
+        let search = keyed(Method::Search, "DBMS");
         assert_eq!(l.read_item(&mut ctx, id, &search).as_deref(), Some("v2"));
         // force relocation with a much larger payload
         let long = "x".repeat(180);
-        assert!(l.update_item(&mut ctx, id, &long, &keyed("update", "DBMS")));
+        assert!(l.update_item(&mut ctx, id, &long, &keyed(Method::Update, "DBMS")));
         assert_eq!(
             l.read_item(&mut ctx, id, &search).as_deref(),
             Some(long.as_str())
@@ -509,10 +515,13 @@ mod tests {
     fn remove_hides_item() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
-        let id = l.insert(&mut ctx, "DBS", "text", &keyed("insert", "DBS"));
-        assert!(l.remove(&mut ctx, id, &keyed("delete", "DBS")));
-        assert!(!l.remove(&mut ctx, id, &keyed("delete", "DBS")));
-        assert_eq!(l.read_item(&mut ctx, id, &keyed("search", "DBS")), None);
+        let id = l.insert(&mut ctx, "DBS", "text", &keyed(Method::Insert, "DBS"));
+        assert!(l.remove(&mut ctx, id, &keyed(Method::Delete, "DBS")));
+        assert!(!l.remove(&mut ctx, id, &keyed(Method::Delete, "DBS")));
+        assert_eq!(
+            l.read_item(&mut ctx, id, &keyed(Method::Search, "DBS")),
+            None
+        );
         assert!(l.is_empty());
         drop(ctx);
     }
@@ -524,7 +533,12 @@ mod tests {
         let n = 40; // enough to overflow 256-byte directory pages
         for i in 0..n {
             let key = format!("k{i:02}");
-            l.insert(&mut ctx, &key, &format!("text{i}"), &keyed("insert", &key));
+            l.insert(
+                &mut ctx,
+                &key,
+                &format!("text{i}"),
+                &keyed(Method::Insert, &key),
+            );
         }
         let seq = l.read_seq(&mut ctx);
         assert_eq!(seq.len(), n);
@@ -546,14 +560,14 @@ mod tests {
         // depend on each other when interleaved around the same item
         let (l, rec) = list();
         let mut setup = rec.begin_txn("Setup");
-        let id = l.insert(&mut setup, "DBMS", "v1", &keyed("insert", "DBMS"));
+        let id = l.insert(&mut setup, "DBMS", "v1", &keyed(Method::Insert, "DBMS"));
         drop(setup);
         let mut t2 = rec.begin_txn("T2");
         let mut t4 = rec.begin_txn("T4");
         // T4 scans, then T2 updates, then T4 scans again: T4 sees both
         // versions — non-serializable
         l.read_seq(&mut t4);
-        l.update_item(&mut t2, id, "v2", &keyed("update", "DBMS"));
+        l.update_item(&mut t2, id, "v2", &keyed(Method::Update, "DBMS"));
         l.read_seq(&mut t4);
         drop(t2);
         drop(t4);
@@ -566,11 +580,11 @@ mod tests {
     fn single_scan_and_update_is_serializable() {
         let (l, rec) = list();
         let mut setup = rec.begin_txn("Setup");
-        let id = l.insert(&mut setup, "DBMS", "v1", &keyed("insert", "DBMS"));
+        let id = l.insert(&mut setup, "DBMS", "v1", &keyed(Method::Insert, "DBMS"));
         drop(setup);
         let mut t2 = rec.begin_txn("T2");
         let mut t4 = rec.begin_txn("T4");
-        l.update_item(&mut t2, id, "v2", &keyed("update", "DBMS"));
+        l.update_item(&mut t2, id, "v2", &keyed(Method::Update, "DBMS"));
         l.read_seq(&mut t4);
         drop(t2);
         drop(t4);

@@ -28,9 +28,8 @@ use crate::latch::{
 };
 use crate::node::{Node, Probe, MAX_KEY_LEN};
 use crate::objects::{ObjectIds, ObjectKey};
-use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, RangeSpec};
+use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpec};
 use oodb_core::ids::ObjectIdx;
-use oodb_core::value::key as keyval;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::{BufferManager, PageExclusive, PageId, PageShared};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -45,9 +44,9 @@ pub fn required_page_size(fanout: usize) -> usize {
 }
 
 /// The descriptor of a keyed operation, built once per operation and
-/// shared by every level that records it.
-pub(crate) fn keyed(method: &str, key: &str) -> DescriptorRef {
-    ActionDescriptor::new(method, vec![keyval(key)]).into()
+/// shared by every level that records it: one allocation, the handle's.
+pub(crate) fn keyed(method: Method, key: &str) -> DescriptorRef {
+    ActionDescriptor::keyed(method, key).into()
 }
 
 /// A recorded, latch-coupled B-link tree.
@@ -165,7 +164,7 @@ impl BLinkTree {
     /// Insert `key → value`. Overwrites silently on duplicate key and
     /// returns `false` in that case.
     pub fn insert(&self, ctx: &mut TxnCtx, key: &str, value: u64) -> bool {
-        self.insert_as(ctx, key, value, &keyed("insert", key))
+        self.insert_as(ctx, key, value, &keyed(Method::Insert, key))
     }
 
     /// [`insert`](Self::insert) recording the caller's `insert(key)`
@@ -276,7 +275,7 @@ impl BLinkTree {
         let (page, mut node) = retained
             .pop()
             .expect("a splitting node's father is always retained");
-        self.record_visit(ctx, page.id(), &keyed("rearrange", &separator), false);
+        self.record_visit(ctx, page.id(), &keyed(Method::Rearrange, &separator), false);
         node.upsert(&separator, child.0 as u64);
         if node.entries.len() > self.fanout {
             // the father's father is rearranged from within this
@@ -314,7 +313,10 @@ impl BLinkTree {
         // safe to bump before the writes: we hold the root's exclusive
         // latch, so no concurrent descent can observe the half-made epoch
         self.root_epoch.fetch_add(1, Ordering::AcqRel);
-        ctx.enter(self.node_object(root_page.id()), keyed("rearrange", &sep));
+        ctx.enter(
+            self.node_object(root_page.id()),
+            keyed(Method::Rearrange, &sep),
+        );
         let left_pin = self.mgr.allocate().expect("allocating root left half");
         let right_pin = self.mgr.allocate().expect("allocating root right half");
         // left half keeps chaining to the right half; the right half
@@ -362,7 +364,7 @@ impl BLinkTree {
 
     /// Exact-match lookup. S-latch-coupled descent.
     pub fn search(&self, ctx: &mut TxnCtx, key: &str) -> Option<u64> {
-        self.search_as(ctx, key, &keyed("search", key))
+        self.search_as(ctx, key, &keyed(Method::Search, key))
     }
 
     /// [`search`](Self::search) recording the caller's `search(key)`
@@ -383,7 +385,7 @@ impl BLinkTree {
     /// Remove `key`; returns its value if present. Lazy: leaves are never
     /// merged, so the X-latch-coupled descent retains nothing.
     pub fn delete(&self, ctx: &mut TxnCtx, key: &str) -> Option<u64> {
-        self.delete_as(ctx, key, &keyed("delete", key))
+        self.delete_as(ctx, key, &keyed(Method::Delete, key))
     }
 
     /// [`delete`](Self::delete) recording the caller's `delete(key)`
@@ -428,7 +430,7 @@ impl BLinkTree {
     /// chain (each leaf's sibling is latched before the leaf is
     /// released).
     pub fn scan(&self, ctx: &mut TxnCtx) -> Vec<(String, u64)> {
-        let scan: DescriptorRef = ActionDescriptor::nullary("readSeq").into();
+        let scan: DescriptorRef = ActionDescriptor::nullary(Method::ReadSeq).into();
         // descend the leftmost spine
         let base = ctx.depth();
         let mut page = read_latched(&self.mgr, self.root);
@@ -452,7 +454,7 @@ impl BLinkTree {
     /// the updates whose key falls inside the interval: semantic phantom
     /// protection (§1 of the paper lists phantoms among the anomalies).
     pub fn range(&self, ctx: &mut TxnCtx, lo: &str, hi: &str) -> Vec<(String, u64)> {
-        let scan = ActionDescriptor::new("rangeScan", vec![keyval(lo), keyval(hi)]).into();
+        let scan = ActionDescriptor::range(Method::RangeScan, lo, hi).into();
         self.range_as(ctx, lo, hi, &scan)
     }
 

@@ -25,13 +25,12 @@
 //!
 //! ```
 //! use oodb_core::compensation::{CompensationLog, Inverse, InverseRegistry};
-//! use oodb_core::commutativity::ActionDescriptor;
-//! use oodb_core::value::key;
+//! use oodb_core::commutativity::{ActionDescriptor, Method};
 //!
 //! let reg = InverseRegistry::new();
-//! let fwd = ActionDescriptor::new("insert", vec![key("DBS")]);
+//! let fwd = ActionDescriptor::keyed(Method::Insert, "DBS");
 //! let inv = reg.invert(&fwd, None).unwrap();
-//! assert_eq!(inv.method, "delete");
+//! assert_eq!(inv.method, Method::Delete);
 //!
 //! let mut log = CompensationLog::new();
 //! log.push(1, Inverse::new("Enc", inv));
@@ -39,40 +38,34 @@
 //! assert_eq!(plan.len(), 1);
 //! ```
 
-use crate::commutativity::ActionDescriptor;
+use crate::commutativity::{ActionDescriptor, Args, Method};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Signature of a custom inverse builder: forward descriptor + saved
 /// state → inverse descriptor (or `None` = not invertible).
 pub type InverseFn = fn(&ActionDescriptor, Option<&Value>) -> Option<ActionDescriptor>;
 
-/// A compensating action: the descriptor to apply on some object, plus
-/// the payload needed to rebuild state (e.g. the overwritten item text).
+/// A compensating action: the descriptor to apply on some object. State
+/// the inverse needs to rebuild (the overwritten item text, the removed
+/// payload) travels in the descriptor's arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inverse {
-    /// Name of the object the compensation targets.
-    pub object: String,
+    /// Name of the object the compensation targets; a literal name
+    /// (`"Enc"`) is borrowed, not copied.
+    pub object: Cow<'static, str>,
     /// The inverse operation.
     pub descriptor: ActionDescriptor,
-    /// Saved state the inverse needs (previous value, removed payload…).
-    pub payload: Option<Value>,
 }
 
 impl Inverse {
     /// Build an inverse.
-    pub fn new(object: impl Into<String>, descriptor: ActionDescriptor) -> Self {
+    pub fn new(object: impl Into<Cow<'static, str>>, descriptor: ActionDescriptor) -> Self {
         Inverse {
             object: object.into(),
             descriptor,
-            payload: None,
         }
-    }
-
-    /// Attach saved state.
-    pub fn with_payload(mut self, payload: Value) -> Self {
-        self.payload = Some(payload);
-        self
     }
 }
 
@@ -124,10 +117,10 @@ impl CompensationLog {
 }
 
 /// Derives inverses for the standard method families. Custom executors
-/// can register additional rules by method name.
+/// can register additional rules per method.
 #[derive(Debug, Default)]
 pub struct InverseRegistry {
-    custom: HashMap<String, InverseFn>,
+    custom: HashMap<Method, InverseFn>,
 }
 
 impl InverseRegistry {
@@ -137,7 +130,7 @@ impl InverseRegistry {
     }
 
     /// Register a custom inverse builder for `method`.
-    pub fn register(&mut self, method: impl Into<String>, f: InverseFn) {
+    pub fn register(&mut self, method: impl Into<Method>, f: InverseFn) {
         self.custom.insert(method.into(), f);
     }
 
@@ -150,38 +143,25 @@ impl InverseRegistry {
         if let Some(f) = self.custom.get(&d.method) {
             return f(d, saved);
         }
-        match d.method.as_str() {
+        // the forward arguments, then the saved state the inverse rebuilds
+        let with_saved = || d.args.iter().chain(saved).cloned().collect::<Args>();
+        match d.method {
             // keyed containers
-            "insert" => Some(ActionDescriptor::new("delete", d.args.clone())),
-            "delete" => {
-                // need the removed payload to reinsert
-                let mut args = d.args.clone();
-                if let Some(v) = saved {
-                    args.push(v.clone());
-                }
-                Some(ActionDescriptor::new("insert", args))
-            }
-            "update" => {
-                // rewrite the previous value
-                let mut args = d.args.clone();
-                if let Some(v) = saved {
-                    args.push(v.clone());
-                }
-                Some(ActionDescriptor::new("update", args))
-            }
+            Method::Insert => Some(ActionDescriptor::new(Method::Delete, d.args.clone())),
+            Method::Delete => Some(ActionDescriptor::new(Method::Insert, with_saved())),
+            Method::Update => Some(ActionDescriptor::new(Method::Update, with_saved())),
             // escrow counters
-            "deposit" => Some(ActionDescriptor::new("withdraw", d.args.clone())),
-            "withdraw" => Some(ActionDescriptor::new("deposit", d.args.clone())),
+            Method::Deposit => Some(ActionDescriptor::new(Method::Withdraw, d.args.clone())),
+            Method::Withdraw => Some(ActionDescriptor::new(Method::Deposit, d.args.clone())),
             // reads need no compensation
-            "read" | "search" | "balance" | "readSeq" => None,
             _ => None,
         }
     }
 
     /// True iff the method has a known inverse or needs none.
     pub fn is_compensable(&self, d: &ActionDescriptor) -> bool {
-        match d.method.as_str() {
-            "read" | "search" | "balance" | "readSeq" => true,
+        match d.method {
+            Method::Read | Method::Search | Method::Balance | Method::ReadSeq => true,
             _ => self.invert(d, Some(&Value::Unit)).is_some(),
         }
     }
@@ -201,8 +181,8 @@ mod tests {
         assert_eq!(log.pending(1), 2);
         let plan = log.abort_plan(1);
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].descriptor.method, "x2");
-        assert_eq!(plan[1].descriptor.method, "x1");
+        assert_eq!(plan[0].descriptor.method.as_str(), "x2");
+        assert_eq!(plan[1].descriptor.method.as_str(), "x1");
         assert_eq!(log.pending(1), 0);
         // txn 2 unaffected
         assert_eq!(log.pending(2), 1);
@@ -223,12 +203,12 @@ mod tests {
         let inv = reg
             .invert(&del, Some(&Value::Str("old text".into())))
             .unwrap();
-        assert_eq!(inv.method, "insert");
+        assert_eq!(inv.method, Method::Insert);
         assert_eq!(inv.args.len(), 2);
         let dep = ActionDescriptor::new("deposit", vec![Value::Int(5)]);
-        assert_eq!(reg.invert(&dep, None).unwrap().method, "withdraw");
+        assert_eq!(reg.invert(&dep, None).unwrap().method, Method::Withdraw);
         let wd = ActionDescriptor::new("withdraw", vec![Value::Int(5)]);
-        assert_eq!(reg.invert(&wd, None).unwrap().method, "deposit");
+        assert_eq!(reg.invert(&wd, None).unwrap().method, Method::Deposit);
     }
 
     #[test]
@@ -258,7 +238,8 @@ mod tests {
         assert_eq!(
             reg.invert(&ActionDescriptor::nullary("frobnicate"), None)
                 .unwrap()
-                .method,
+                .method
+                .as_str(),
             "defrobnicate"
         );
         assert!(reg.is_compensable(&ActionDescriptor::nullary("frobnicate")));
@@ -269,7 +250,7 @@ mod tests {
         let reg = InverseRegistry::new();
         let upd = ActionDescriptor::new("update", vec![key("DBMS")]);
         let inv = reg.invert(&upd, Some(&Value::Str("v1".into()))).unwrap();
-        assert_eq!(inv.method, "update");
+        assert_eq!(inv.method, Method::Update);
         assert_eq!(inv.args[1], Value::Str("v1".into()));
     }
 }

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use crate::commutativity::{
         ActionDescriptor, AllCommute, AllConflict, CommutativitySpec, EscrowSpec, KeyedSpec,
-        MatrixSpec, RangeSpec, ReadWriteSpec, SameKeyRule, SpecRef,
+        MatrixSpec, Method, RangeSpec, ReadWriteSpec, SpecRef,
     };
     pub use crate::compensation::{CompensationLog, Inverse, InverseRegistry};
     pub use crate::extension::{extend_virtual_objects, ExtensionReport};

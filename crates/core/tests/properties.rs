@@ -1,7 +1,6 @@
 //! Property-based tests for the core oo-serializability machinery.
 //!
-//! The central properties:
-//! * every built-in commutativity spec is symmetric;
+//! The central properties (the specs' symmetry is `spec_oracle.rs`'s):
 //! * serial histories pass every checker (soundness floor);
 //! * conventional conflict serializability implies oo-serializability
 //!   (the paper's inclusion claim, Definition 16 vs the flat baseline);
@@ -131,49 +130,7 @@ fn interleave(prims: &[Vec<ActionIdx>], shuffle: &[u32]) -> Vec<ActionIdx> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Commutativity specs
-// ---------------------------------------------------------------------
-
-fn descriptor() -> impl Strategy<Value = ActionDescriptor> {
-    (
-        prop::sample::select(vec![
-            "read", "write", "insert", "delete", "search", "update", "readSeq", "deposit",
-            "withdraw", "balance", "mystery",
-        ]),
-        prop::option::of(prop::sample::select(KEYS.to_vec())),
-    )
-        .prop_map(|(m, k)| {
-            let args = match k {
-                Some(k) => vec![key(k)],
-                None => vec![],
-            };
-            ActionDescriptor::new(m, args)
-        })
-}
-
 proptest! {
-    #[test]
-    fn specs_are_symmetric(a in descriptor(), b in descriptor()) {
-        let specs: Vec<SpecRef> = vec![
-            Arc::new(ReadWriteSpec),
-            Arc::new(KeyedSpec::search_structure("s")),
-            Arc::new(EscrowSpec::unbounded()),
-            Arc::new(EscrowSpec::bounded()),
-            Arc::new(MatrixSpec::new("m").commuting("read", "read")),
-            Arc::new(RangeSpec::ordered_container("r")),
-            Arc::new(AllCommute),
-            Arc::new(AllConflict),
-        ];
-        for s in &specs {
-            prop_assert_eq!(
-                s.commutes(&a, &b),
-                s.commutes(&b, &a),
-                "spec {} asymmetric on {} / {}", s.name(), &a, &b
-            );
-        }
-    }
-
     #[test]
     fn serial_histories_pass_all_checkers(plan in system_plan()) {
         let (ts, _) = build(&plan);

@@ -62,7 +62,7 @@ impl AuditOutput {
             .iter()
             .map(|t| {
                 let root = self.ts.top_level()[t.as_usize()];
-                self.ts.action(root).descriptor.method.clone()
+                self.ts.action(root).descriptor.method.to_string()
             })
             .collect()
     }

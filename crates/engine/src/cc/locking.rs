@@ -15,7 +15,7 @@ use super::{
     ShardRoute, TxnHandle,
 };
 use crate::trace::TraceEventKind;
-use oodb_core::commutativity::ActionDescriptor;
+use oodb_core::commutativity::{ActionDescriptor, Method};
 use oodb_core::graph::find_cycle_from;
 use oodb_lock::{LockManager, LockOutcome, OwnerId};
 use oodb_sim::exec::{enc_lock_manager, op_descriptor, page_descriptor, ENC_RESOURCE};
@@ -47,7 +47,12 @@ fn trace_conflicts(
         return;
     }
     // the update-class methods; two readers never page-conflict
-    let writes = |d: &ActionDescriptor| !matches!(&*d.method, "search" | "rangeScan" | "readSeq");
+    let writes = |d: &ActionDescriptor| {
+        !matches!(
+            d.method,
+            Method::Search | Method::RangeScan | Method::ReadSeq
+        )
+    };
     let grants = locks.grants_on(ENC_RESOURCE);
     let parties: Vec<OwnerId> = match holders {
         Some(holders) => holders.to_vec(),

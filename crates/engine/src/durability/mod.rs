@@ -59,7 +59,9 @@ use crate::cc::{EngineShared, TxnHandle};
 use crate::config::DurabilityMode;
 use crate::metrics::EngineMetrics;
 use crate::trace::TraceEventKind;
+use oodb_core::commutativity::Method;
 use oodb_core::compensation::Inverse;
+use oodb_core::value::Value;
 use oodb_recovery::engine_log::{EngineOp, EngineRecord};
 use oodb_recovery::framing::{FramedLog, FRAME_HEADER};
 use oodb_sim::exec::write_text;
@@ -450,19 +452,19 @@ pub(crate) fn redo_of(op: &EncOp, tag: usize) -> Option<EngineOp> {
 
 /// The loggable form of a captured compensation inverse.
 pub(crate) fn comp_of(inv: &Inverse) -> Option<EngineOp> {
-    let key = inv.descriptor.args.first()?.as_key()?.to_owned();
+    let d = &inv.descriptor;
+    let key = d.key()?.to_owned();
     let text = || {
-        inv.descriptor
-            .args
+        d.args
             .get(1)
-            .and_then(|v| v.as_str())
+            .and_then(Value::as_str)
             .unwrap_or("")
             .to_owned()
     };
-    match inv.descriptor.method.as_str() {
-        "insert" => Some(EngineOp::Insert { key, text: text() }),
-        "update" => Some(EngineOp::Change { key, text: text() }),
-        "delete" => Some(EngineOp::Delete { key }),
+    match d.method {
+        Method::Insert => Some(EngineOp::Insert { key, text: text() }),
+        Method::Update => Some(EngineOp::Change { key, text: text() }),
+        Method::Delete => Some(EngineOp::Delete { key }),
         _ => None,
     }
 }

@@ -309,7 +309,7 @@ pub fn audit_graph(audit: &AuditOutput, names: &BTreeSet<String>) -> DepGraph {
     let mut name_of: BTreeMap<TxnIdx, String> = BTreeMap::new();
     for (t, &root) in ts.top_level().iter().enumerate() {
         let t = TxnIdx(t as u32);
-        let name = ts.action(root).descriptor.method.clone();
+        let name = ts.action(root).descriptor.method.to_string();
         if names.contains(&name) {
             scope.insert(t);
             name_of.insert(t, name);

@@ -8,6 +8,7 @@ use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
 use crate::trace::{AbortReason, TraceEventKind, TXN_NONE};
+use oodb_core::commutativity::Method;
 use oodb_core::ids::TxnIdx;
 use oodb_lock::OwnerId;
 use oodb_model::TxnCtx;
@@ -47,11 +48,11 @@ fn past(deadline: Option<Instant>) -> bool {
 /// The encyclopedia operation a compensation inverse executed — the
 /// trace's membership-replay form of the abort report.
 fn inverse_op(inv: &oodb_core::compensation::Inverse) -> Option<EncOp> {
-    let k = inv.descriptor.args.first()?.as_key()?.to_owned();
-    match inv.descriptor.method.as_str() {
-        "insert" => Some(EncOp::Insert(k)),
-        "update" => Some(EncOp::Change(k)),
-        "delete" => Some(EncOp::Delete(k)),
+    let k = inv.descriptor.key()?.to_owned();
+    match inv.descriptor.method {
+        Method::Insert => Some(EncOp::Insert(k)),
+        Method::Update => Some(EncOp::Change(k)),
+        Method::Delete => Some(EncOp::Delete(k)),
         _ => None,
     }
 }

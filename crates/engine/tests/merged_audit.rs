@@ -87,7 +87,7 @@ fn sharded_optimistic_audits_only_the_merged_committed_projection() {
                 .action(audit.ts.top_level()[t])
                 .descriptor
                 .method
-                .clone()
+                .to_string()
         })
         .collect();
     assert!(all_names.contains("J1"), "aborted attempt is in the record");

@@ -124,6 +124,10 @@ struct Staged {
     descriptor: DescriptorRef,
 }
 
+// a visit's actions sit in their stage until a drain: 32 bytes each, the
+// descriptor an 8-byte handle
+const _: () = assert!(std::mem::size_of::<Staged>() <= 32);
+
 type Stage = Arc<Mutex<Vec<Staged>>>;
 
 /// A registered stage and, beside the record, what only drains touch.
@@ -776,7 +780,7 @@ mod tests {
             } else {
                 "write"
             };
-            assert_eq!(ts.action(p).descriptor.method, method);
+            assert_eq!(ts.action(p).descriptor.method.as_str(), method);
             assert_eq!(ts.action(visit).txn, ts.action(p).txn);
         }
         h.len()
@@ -845,7 +849,7 @@ mod tests {
     fn assert_numbers_are_positions(ts: &TransactionSystem, begun: &[(u32, String)]) {
         for (number, name) in begun {
             let root = ts.top_level()[*number as usize];
-            assert_eq!(&ts.action(root).descriptor.method, name);
+            assert_eq!(ts.action(root).descriptor.method.as_str(), name);
             assert_eq!(ts.action(root).txn.0, *number);
         }
     }

@@ -16,8 +16,7 @@
 
 use crate::workloads::EncOp;
 use oodb_btree::CompensatedEncyclopedia;
-use oodb_core::commutativity::{ActionDescriptor, RangeSpec};
-use oodb_core::value::key;
+use oodb_core::commutativity::{ActionDescriptor, Method, RangeSpec};
 use oodb_lock::{LockManager, ResourceId};
 use oodb_model::TxnCtx;
 use std::sync::Arc;
@@ -36,17 +35,16 @@ pub fn enc_lock_manager() -> LockManager {
 
 /// The semantic lock mode of `op`: the paper's per-operation
 /// [`ActionDescriptor`], so commuting operations (e.g. inserts of
-/// different keys, or any two searches) coexist.
+/// different keys, or any two searches) coexist. Allocation-free: the
+/// kind is a constant and the keys are stored inline.
 pub fn op_descriptor(op: &EncOp) -> ActionDescriptor {
     match op {
-        EncOp::Insert(k) => ActionDescriptor::new("insert", vec![key(k.clone())]),
-        EncOp::Search(k) => ActionDescriptor::new("search", vec![key(k.clone())]),
-        EncOp::Change(k) => ActionDescriptor::new("update", vec![key(k.clone())]),
-        EncOp::Delete(k) => ActionDescriptor::new("delete", vec![key(k.clone())]),
-        EncOp::ReadSeq => ActionDescriptor::nullary("readSeq"),
-        EncOp::Range(lo, hi) => {
-            ActionDescriptor::new("rangeScan", vec![key(lo.clone()), key(hi.clone())])
-        }
+        EncOp::Insert(k) => ActionDescriptor::keyed(Method::Insert, k),
+        EncOp::Search(k) => ActionDescriptor::keyed(Method::Search, k),
+        EncOp::Change(k) => ActionDescriptor::keyed(Method::Update, k),
+        EncOp::Delete(k) => ActionDescriptor::keyed(Method::Delete, k),
+        EncOp::ReadSeq => ActionDescriptor::nullary(Method::ReadSeq),
+        EncOp::Range(lo, hi) => ActionDescriptor::range(Method::RangeScan, lo, hi),
     }
 }
 
@@ -57,12 +55,12 @@ pub fn op_descriptor(op: &EncOp) -> ActionDescriptor {
 pub fn page_descriptor(op: &EncOp) -> ActionDescriptor {
     match op {
         EncOp::Search(_) | EncOp::ReadSeq | EncOp::Range(..) => {
-            ActionDescriptor::nullary("readSeq")
+            ActionDescriptor::nullary(Method::ReadSeq)
         }
         EncOp::Insert(_) | EncOp::Change(_) | EncOp::Delete(_) => {
             // `modifySeq` conflicts with everything including itself under
             // the ordered-container spec — the exclusive-write ablation.
-            ActionDescriptor::nullary("modifySeq")
+            ActionDescriptor::nullary(Method::ModifySeq)
         }
     }
 }
@@ -108,7 +106,7 @@ mod tests {
     fn semantic_descriptors_discriminate_by_key() {
         let a = op_descriptor(&EncOp::Insert("alpha".into()));
         let b = op_descriptor(&EncOp::Insert("beta".into()));
-        assert_eq!(a.method, "insert");
+        assert_eq!(a.method, Method::Insert);
         assert_ne!(a.args, b.args);
     }
 
