@@ -22,8 +22,9 @@
 //! backoff), or the deadlock-free wound-wait / wait-die preemption
 //! schemes. Victims release everything and restart.
 
-use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, RangeSpec, ReadWriteSpec, SpecRef};
-use oodb_core::value::key as keyval;
+use oodb_core::commutativity::{
+    ActionDescriptor, KeyedSpec, Method, RangeSpec, ReadWriteSpec, SpecRef,
+};
 use oodb_lock::{LockManager, LockOutcome, OwnerId, ResourceId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -525,8 +526,8 @@ pub fn compile_encyclopedia(
             % cfg.key_space
     };
 
-    let rd = || ActionDescriptor::nullary("read");
-    let wr = || ActionDescriptor::nullary("write");
+    let rd = || ActionDescriptor::nullary(Method::Read);
+    let wr = || ActionDescriptor::nullary(Method::Write);
 
     let compiled_txns = txns
         .iter()
@@ -614,11 +615,11 @@ pub fn compile_encyclopedia(
                                     let ki = key_index(k);
                                     let l = leaf_of(ki, cfg);
                                     let m = if matches!(op2, EncOp::Insert(_)) {
-                                        "insert"
+                                        Method::Insert
                                     } else {
-                                        "delete"
+                                        Method::Delete
                                     };
-                                    let kd = ActionDescriptor::new(m, vec![keyval(k.clone())]);
+                                    let kd = ActionDescriptor::keyed(m, k);
                                     add(
                                         vec![
                                             need2(R_ENC, kd.clone(), HoldUntil::TxnEnd),
@@ -642,17 +643,13 @@ pub fn compile_encyclopedia(
                                 EncOp::Change(k) => {
                                     let ki = key_index(k);
                                     let l = leaf_of(ki, cfg);
-                                    let kd =
-                                        ActionDescriptor::new("update", vec![keyval(k.clone())]);
+                                    let kd = ActionDescriptor::keyed(Method::Update, k);
                                     add(
                                         vec![
                                             need2(R_ENC, kd.clone(), HoldUntil::TxnEnd),
                                             need2(
                                                 R_TREE,
-                                                ActionDescriptor::new(
-                                                    "search",
-                                                    vec![keyval(k.clone())],
-                                                ),
+                                                ActionDescriptor::keyed(Method::Search, k),
                                                 HoldUntil::TxnEnd,
                                             ),
                                             need(R_ROOT_PAGE, rd(), page_hold),
@@ -663,10 +660,7 @@ pub fn compile_encyclopedia(
                                         vec![
                                             need2(
                                                 R_LEAF_BASE + l,
-                                                ActionDescriptor::new(
-                                                    "search",
-                                                    vec![keyval(k.clone())],
-                                                ),
+                                                ActionDescriptor::keyed(Method::Search, k),
                                                 leaf_hold,
                                             ),
                                             need(R_LEAF_PAGE_BASE + l, rd(), page_hold),
@@ -684,8 +678,7 @@ pub fn compile_encyclopedia(
                                 EncOp::Search(k) => {
                                     let ki = key_index(k);
                                     let l = leaf_of(ki, cfg);
-                                    let kd =
-                                        ActionDescriptor::new("search", vec![keyval(k.clone())]);
+                                    let kd = ActionDescriptor::keyed(Method::Search, k);
                                     add(
                                         vec![
                                             need2(R_ENC, kd.clone(), HoldUntil::TxnEnd),
@@ -708,7 +701,7 @@ pub fn compile_encyclopedia(
                                     add(
                                         vec![need2(
                                             R_ENC,
-                                            ActionDescriptor::nullary("readSeq"),
+                                            ActionDescriptor::nullary(Method::ReadSeq),
                                             HoldUntil::TxnEnd,
                                         )],
                                         1,
@@ -723,10 +716,7 @@ pub fn compile_encyclopedia(
                                 EncOp::Range(lo, hi) => {
                                     // one semantic interval lock to commit;
                                     // short page reads per touched leaf
-                                    let kd = ActionDescriptor::new(
-                                        "rangeScan",
-                                        vec![keyval(lo.clone()), keyval(hi.clone())],
-                                    );
+                                    let kd = ActionDescriptor::range(Method::RangeScan, lo, hi);
                                     add(
                                         vec![
                                             need2(R_ENC, kd.clone(), HoldUntil::TxnEnd),
@@ -823,7 +813,7 @@ pub fn compile_editing(
     //    the page only for the short write;
     //  * closed nesting keeps both to session end.
     const WRITE_TICKS: u32 = 2;
-    let wr = || ActionDescriptor::nullary("write");
+    let wr = || ActionDescriptor::nullary(Method::Write);
     let txns = authors
         .iter()
         .map(|steps| {
@@ -919,32 +909,24 @@ pub fn compile_banking(
     }
 
     let page_of = |acc: usize| R_ACCOUNT_PAGE_BASE + (acc / cfg.accounts_per_page) as u64;
-    let rd = || ActionDescriptor::nullary("read");
-    let wr = || ActionDescriptor::nullary("write");
+    let rd = || ActionDescriptor::nullary(Method::Read);
+    let wr = || ActionDescriptor::nullary(Method::Write);
 
-    let account_step = |acc: usize, method: &str, amount: i64| -> LogicalStep {
-        let semantic = ActionDescriptor::new(method, vec![Value::Int(amount)]);
+    let account_step = |acc: usize, method: Method, amount: i64| -> LogicalStep {
+        let page_mode = || match method {
+            Method::Balance => rd(),
+            _ => wr(),
+        };
+        let semantic = ActionDescriptor::new(method.clone(), vec![Value::Int(amount)]);
         let locks = match protocol {
-            Protocol::PageTwoPhase => vec![need(
-                page_of(acc),
-                if method == "balance" { rd() } else { wr() },
-                HoldUntil::TxnEnd,
-            )],
+            Protocol::PageTwoPhase => vec![need(page_of(acc), page_mode(), HoldUntil::TxnEnd)],
             Protocol::OpenNested => vec![
                 need(R_ACCOUNT_BASE + acc as u64, semantic, HoldUntil::TxnEnd),
-                need(
-                    page_of(acc),
-                    if method == "balance" { rd() } else { wr() },
-                    HoldUntil::StepEnd,
-                ),
+                need(page_of(acc), page_mode(), HoldUntil::StepEnd),
             ],
             Protocol::ClosedNested => vec![
                 need(R_ACCOUNT_BASE + acc as u64, semantic, HoldUntil::TxnEnd),
-                need(
-                    page_of(acc),
-                    if method == "balance" { rd() } else { wr() },
-                    HoldUntil::TxnEnd,
-                ),
+                need(page_of(acc), page_mode(), HoldUntil::TxnEnd),
             ],
         };
         LogicalStep {
@@ -960,16 +942,16 @@ pub fn compile_banking(
                 .map(|op| {
                     let steps = match op {
                         BankOp::Deposit { acc, amount } => {
-                            vec![account_step(*acc, "deposit", *amount)]
+                            vec![account_step(*acc, Method::Deposit, *amount)]
                         }
                         BankOp::Withdraw { acc, amount } => {
-                            vec![account_step(*acc, "withdraw", *amount)]
+                            vec![account_step(*acc, Method::Withdraw, *amount)]
                         }
                         BankOp::Transfer { from, to, amount } => vec![
-                            account_step(*from, "withdraw", *amount),
-                            account_step(*to, "deposit", *amount),
+                            account_step(*from, Method::Withdraw, *amount),
+                            account_step(*to, Method::Deposit, *amount),
                         ],
-                        BankOp::Balance { acc } => vec![account_step(*acc, "balance", 0)],
+                        BankOp::Balance { acc } => vec![account_step(*acc, Method::Balance, 0)],
                     };
                     LogicalOp { steps }
                 })
