@@ -384,6 +384,11 @@ impl ConcurrencyControl for LockingCc {
     fn inject_abort(&self, txn: &TxnHandle, ops_done: usize) -> bool {
         self.faults.fires(txn, ops_done)
     }
+
+    fn reads_record(&self) -> bool {
+        // the lock table decides everything; only the audit reads the record
+        false
+    }
 }
 
 #[cfg(test)]

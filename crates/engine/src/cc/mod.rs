@@ -282,6 +282,14 @@ pub trait ConcurrencyControl: Send + Sync {
     /// action. Called when `txn` begins, before it records anything.
     fn retire(&self, _shared: &EngineShared, _txn: TxnIdx) {}
 
+    /// True when this protocol reads the recorded execution while the
+    /// engine runs, as a certifier does. With the audit off, a protocol
+    /// that does not leaves nobody to read the record, and the engine
+    /// records nothing ([`oodb_model::Recorder::disabled`]).
+    fn reads_record(&self) -> bool {
+        true
+    }
+
     /// The sub-history the shutdown audit should verify: `None` audits
     /// the complete record (sound for strict 2PL — forward work, aborted
     /// attempts, and compensations all oo-serializable), `Some` restricts

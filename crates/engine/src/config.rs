@@ -143,6 +143,8 @@ pub struct EngineConfig {
     /// Record and verify the execution on shutdown: pessimistic runs
     /// audit the complete record (including aborted attempts and their
     /// compensations), optimistic runs audit the committed projection.
+    /// Off, strict 2PL records nothing at all — nobody would read it —
+    /// while the optimistic control still records, for its certifier.
     pub audit: bool,
     /// Structured lifecycle tracing (see [`crate::trace`]). Off by
     /// default; [`TraceMode::ring`] captures events into per-worker

@@ -18,7 +18,9 @@
 //!   queue depth, and lock-wait / end-to-end latency percentiles from
 //!   fixed-bucket histograms;
 //! * an optional shutdown **audit** running every serializability
-//!   checker over the recorded execution.
+//!   checker over the recorded execution. Without it, strict 2PL records
+//!   nothing: no checker would read the record
+//!   ([`ConcurrencyControl::reads_record`]).
 //!
 //! ```
 //! use oodb_engine::{CcKind, Engine, EngineConfig};
@@ -135,7 +137,13 @@ impl Engine {
     /// keeps a handle to, to arm faults
     /// ([`OptimisticCc::inject_fault_after`]) or read its counters.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
-        let rec = oodb_model::Recorder::new();
+        // a record nobody reads is not kept: no audit, and a control that
+        // decides without it (strict 2PL)
+        let rec = if cfg.audit || cc.reads_record() {
+            oodb_model::Recorder::new()
+        } else {
+            oodb_model::Recorder::disabled()
+        };
         let enc = Encyclopedia::create(
             rec.clone(),
             EncyclopediaConfig {

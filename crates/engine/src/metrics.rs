@@ -395,6 +395,7 @@ impl EngineMetrics {
             cert_check_visited: self.cert_check_visited.load(Ordering::Relaxed),
             cert_settled: self.cert_settled.load(Ordering::Relaxed),
             cert_retained_actions: self.cert_retained_actions.load(Ordering::Relaxed),
+            recording: rec.enabled,
             rec_drains: rec.drains,
             rec_drains_skipped: rec.drains_skipped,
             rec_drain_hold_ns: rec.drain_hold_ns,
@@ -498,6 +499,9 @@ pub struct MetricsSnapshot {
     pub cert_settled: u64,
     /// Primitives the certifier held when the snapshot was taken.
     pub cert_retained_actions: u64,
+    /// False when the engine records nothing (the audit off under strict
+    /// 2PL); the `rec_*` counts are then 0.
+    pub recording: bool,
     /// Times the recorder materialized its staged visits: one per
     /// transaction finished (the worker's opportunistic drain, when it
     /// found the record lock free), per certification round and per
@@ -614,6 +618,7 @@ impl MetricsSnapshot {
             "\"cert_retained_actions\":{},",
             self.cert_retained_actions
         );
+        let _ = write!(s, "\"recording\":{},", self.recording);
         let _ = write!(s, "\"rec_drains\":{},", self.rec_drains);
         let _ = write!(s, "\"rec_drains_skipped\":{},", self.rec_drains_skipped);
         let _ = write!(s, "\"rec_drain_hold_ns\":{},", self.rec_drain_hold_ns);
@@ -717,14 +722,18 @@ impl std::fmt::Display for MetricsSnapshot {
             self.e2e_p50,
             self.e2e_p99,
         )?;
-        write!(
-            f,
-            " rec-drains {} (skipped {}, hold {:?}, staged peak {})",
-            self.rec_drains,
-            self.rec_drains_skipped,
-            Duration::from_nanos(self.rec_drain_hold_ns / self.rec_drains.max(1)),
-            self.rec_staged_peak
-        )?;
+        if self.recording {
+            write!(
+                f,
+                " rec-drains {} (skipped {}, hold {:?}, staged peak {})",
+                self.rec_drains,
+                self.rec_drains_skipped,
+                Duration::from_nanos(self.rec_drain_hold_ns / self.rec_drains.max(1)),
+                self.rec_staged_peak
+            )?;
+        } else {
+            f.write_str(" record off")?;
+        }
         write!(
             f,
             " pool hits {} misses {} (evicted {}, written back {}) latch-waits {}",
@@ -911,6 +920,7 @@ mod tests {
         m.phase_fsync.record(Duration::from_micros(300));
         m.wal_group_size.record_value(2);
         let rec = RecorderStats {
+            enabled: true,
             drains: 7,
             drains_skipped: 3,
             drain_hold_ns: 9000,
@@ -944,6 +954,7 @@ mod tests {
             "\"cert_check_visited\":",
             "\"cert_settled\":",
             "\"cert_retained_actions\":",
+            "\"recording\":true",
             "\"rec_drains\":7",
             "\"rec_drains_skipped\":3",
             "\"rec_drain_hold_ns\":9000",

@@ -269,9 +269,12 @@ fn compensate(
     job: &Job,
     wal: &mut Wal<'_>,
 ) -> Vec<(u64, EncOp)> {
-    let mut comp = shared
-        .rec
-        .begin_txn(format!("C({}a{})", base_name(job), handle.attempt));
+    let name = if shared.rec.is_enabled() {
+        format!("C({}a{})", base_name(job), handle.attempt)
+    } else {
+        String::new()
+    };
+    let mut comp = shared.rec.begin_txn(name);
     cc.retire(shared, TxnIdx(comp.txn_number()));
     let report = shared.enc.abort(ctx, &mut comp);
     assert!(
@@ -350,8 +353,11 @@ fn commit_point(
 /// released — so the work is on the worker's time and nobody waits
 /// behind it. `as_phase` times it into `phase_drain` (a per-commit
 /// timer like its siblings), which with `phase_exec` is what the worker
-/// spent on the commit.
+/// spent on the commit. Nothing to do when nothing is recorded.
 fn drain_record(shared: &EngineShared, as_phase: bool) {
+    if !shared.rec.is_enabled() {
+        return;
+    }
     let t0 = Instant::now();
     shared.rec.drain_if_free();
     if as_phase {
@@ -417,9 +423,13 @@ pub(crate) fn process_job(
         // record of what the attempt stages is built after the commit,
         // on `phase_drain`'s clock (`drain_record`)
         let attempt_start = Instant::now();
-        // one name per attempt: the record takes it, the log gets a
-        // copy only when there is a log
-        let name = attempt_name(job, attempt);
+        // one name per attempt, formatted only when the record or the log
+        // reads it: the record takes it, the log gets a copy
+        let name = if shared.rec.is_enabled() || shared.dur.is_some() {
+            attempt_name(job, attempt)
+        } else {
+            String::new()
+        };
         let wal_name = shared.dur.is_some().then(|| name.clone());
         let mut ctx = shared.rec.begin_txn(name);
         let txn_number = ctx.txn_number();

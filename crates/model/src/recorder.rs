@@ -87,6 +87,19 @@
 //! The compile-time assertions below pin both bounds; losing either
 //! (say, by storing a non-`Send` field in a cursor) would silently
 //! re-serialize the engine behind the recorder.
+//!
+//! # A recorder that records nothing
+//!
+//! [`Recorder::disabled`] keeps the interface and drops the record: for a
+//! run nobody will read — strict 2PL with the audit off, where the locks
+//! decide everything and no checker runs. [`Recorder::begin_txn`] still
+//! hands out numbers in the same sequence (they name lock owners and
+//! compensation logs), a cursor still counts its nesting depth, so the
+//! executors' `enter` / `exit` discipline is checked the same way; but a
+//! cursor has no stage, a visit claims no ticket and stages nothing, and
+//! nothing is ever drained. Objects are still registered (an executor
+//! needs their ids), so readers see the objects and an empty system and
+//! history.
 
 use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, SpecRef};
 use oodb_core::history::History;
@@ -249,6 +262,8 @@ impl Record {
 }
 
 struct Shared {
+    /// False for [`Recorder::disabled`]: nothing is staged or drained.
+    enabled: bool,
     /// The process-wide record lock: taken by readers, by the bounds and
     /// by [`Recorder::drain_if_free`] — never by a visit, never by
     /// [`Recorder::begin_txn`] short of [`SLOT_BOUND`].
@@ -266,7 +281,9 @@ impl Shared {
     /// Take the record lock and materialize what is staged.
     fn drained(&self) -> MutexGuard<'_, Record> {
         let mut record = self.record.lock();
-        record.drain(self);
+        if self.enabled {
+            record.drain(self);
+        }
         record
     }
 }
@@ -285,6 +302,8 @@ const _: () = {
 /// lock and how much a stage ever held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderStats {
+    /// False for a [`Recorder::disabled`] recorder, whose counts stay 0.
+    pub enabled: bool,
     /// Drains so far: one per reader call, per [`Recorder::drain_if_free`]
     /// that found the record lock free, per stage that reached
     /// [`STAGE_BOUND`] and per [`SLOT_BOUND`] transactions begun without
@@ -314,9 +333,21 @@ impl Default for Recorder {
 impl Recorder {
     /// A recorder with an empty system and history.
     pub fn new() -> Self {
+        Self::build(true)
+    }
+
+    /// A recorder that records nothing (module docs, "A recorder that
+    /// records nothing"): transactions are numbered, objects registered,
+    /// and every visit is dropped.
+    pub fn disabled() -> Self {
+        Self::build(false)
+    }
+
+    fn build(enabled: bool) -> Self {
         let ts = TransactionSystem::new();
         Recorder {
             shared: Arc::new(Shared {
+                enabled,
                 system_object: ts.system_object(),
                 record: Mutex::new(Record {
                     ts,
@@ -342,6 +373,11 @@ impl Recorder {
         record.ts.add_object(name, spec)
     }
 
+    /// False for a [`Recorder::disabled`] recorder.
+    pub fn is_enabled(&self) -> bool {
+        self.shared.enabled
+    }
+
     /// Look up an already registered object.
     pub fn find_object(&self, name: &str) -> Option<ObjectIdx> {
         self.shared.record.lock().ts.object_by_name(name)
@@ -349,9 +385,22 @@ impl Recorder {
 
     /// Begin a new top-level transaction. The root is staged under a
     /// ticket like a visit, so it follows every visit made before this
-    /// call; the record lock is not taken (module docs).
+    /// call; the record lock is not taken (module docs). A disabled
+    /// recorder only numbers the transaction and drops `name`.
     pub fn begin_txn(&self, name: impl Into<String>) -> TxnCtx {
         let shared = &self.shared;
+        if !shared.enabled {
+            let mut registry = shared.registry.lock();
+            let number = registry.next_txn;
+            registry.next_txn += 1;
+            drop(registry);
+            return TxnCtx {
+                recorder: self.clone(),
+                stage: None,
+                number,
+                depth: 1,
+            };
+        }
         let descriptor = ActionDescriptor::nullary(name.into()).into();
         let stage = Stage::new(Mutex::new(Vec::with_capacity(STAGE_START)));
         let registered = stage.clone();
@@ -382,7 +431,7 @@ impl Recorder {
         }
         TxnCtx {
             recorder: self.clone(),
-            stage,
+            stage: Some(stage),
             number,
             depth: 1,
         }
@@ -428,8 +477,12 @@ impl Recorder {
     /// having drained or having found the record lock held. For callers
     /// with nothing to read who are off every critical path — a worker
     /// between two transactions — so that the record is built inside the
-    /// run without anybody waiting for it.
+    /// run without anybody waiting for it. A disabled recorder returns at
+    /// once.
     pub fn drain_if_free(&self) {
+        if !self.shared.enabled {
+            return;
+        }
         match self.shared.record.try_lock() {
             Some(mut record) => record.drain(&self.shared),
             None => {
@@ -444,6 +497,7 @@ impl Recorder {
     pub fn stats(&self) -> RecorderStats {
         let counters = &self.shared.counters;
         RecorderStats {
+            enabled: self.shared.enabled,
             drains: counters.drains.load(Ordering::Relaxed),
             drains_skipped: counters.drains_skipped.load(Ordering::Relaxed),
             drain_hold_ns: counters.drain_hold_ns.load(Ordering::Relaxed),
@@ -457,7 +511,8 @@ impl Recorder {
 /// Definition 9 sense).
 pub struct TxnCtx {
     recorder: Recorder,
-    stage: Stage,
+    /// `None` when the recorder is disabled.
+    stage: Option<Stage>,
     number: u32,
     /// Open actions, the root included.
     depth: u32,
@@ -494,8 +549,12 @@ impl TxnCtx {
             !enters.is_empty() || primitive.is_some(),
             "record() with nothing to record"
         );
+        let Some(stage) = &self.stage else {
+            self.depth += enters.len() as u32;
+            return;
+        };
         let full = {
-            let mut stage = self.stage.lock();
+            let mut stage = stage.lock();
             // Relaxed: the ticket publishes nothing (the stage lock
             // publishes the entry); its order comes from the counter's
             // modification order, which follows happens-before.
@@ -524,6 +583,11 @@ impl TxnCtx {
     /// Open a non-primitive action on `object`; all actions recorded until
     /// the matching [`TxnCtx::exit`] become its children.
     pub fn enter(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) {
+        if self.stage.is_none() {
+            // not even the handle: a descriptor given by value stays unboxed
+            self.depth += 1;
+            return;
+        }
         self.record(&[(object, &descriptor.into())], None)
     }
 
@@ -547,7 +611,9 @@ impl TxnCtx {
     /// Record a primitive action on `object` and execute it in the
     /// history (its Axiom 1 timestamp is the moment of this call).
     pub fn primitive(&mut self, object: ObjectIdx, descriptor: impl Into<DescriptorRef>) {
-        self.record(&[], Some((object, &descriptor.into())))
+        if self.stage.is_some() {
+            self.record(&[], Some((object, &descriptor.into())))
+        }
     }
 
     /// Convenience: record a primitive page `read`.
@@ -1096,6 +1162,51 @@ mod tests {
             ts.precedes(ActionIdx(1)).collect::<Vec<_>>(),
             [ActionIdx(9)]
         );
+    }
+
+    /// A disabled recorder numbers transactions like an enabled one and
+    /// checks their nesting, but stages, drains and keeps nothing.
+    #[test]
+    fn a_disabled_recorder_numbers_and_keeps_nothing() {
+        let rec = Recorder::disabled();
+        assert!(!rec.is_enabled());
+        let leaf = rec.object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let page = rec.object("Page", Arc::new(ReadWriteSpec));
+        let search: DescriptorRef = ActionDescriptor::new("search", vec![key("k")]).into();
+        let mut cursors: Vec<TxnCtx> = (0..3).map(|i| rec.begin_txn(format!("T{i}"))).collect();
+        let numbers: Vec<u32> = cursors.iter().map(TxnCtx::txn_number).collect();
+        assert_eq!(numbers, [0, 1, 2]);
+        for t in &mut cursors {
+            t.record(&[(leaf, &search)], Some((page, &DescriptorRef::read())));
+            t.enter(leaf, ActionDescriptor::new("insert", vec![key("k")]));
+            assert_eq!(t.depth(), 3);
+            t.page_write(page);
+            t.exit_to(1);
+        }
+        drop(cursors);
+        rec.drain_if_free();
+        assert_eq!(rec.history_len(), 0);
+        assert_eq!(
+            rec.stats(),
+            RecorderStats {
+                enabled: false,
+                drains: 0,
+                drains_skipped: 0,
+                drain_hold_ns: 0,
+                staged_peak: 0,
+            }
+        );
+        let (ts, h) = rec.finish();
+        assert_eq!((ts.action_count(), h.len()), (0, 0));
+        assert_eq!(ts.object_by_name("Page"), Some(page));
+        assert!(Recorder::new().stats().enabled);
+    }
+
+    #[test]
+    #[should_panic(expected = "exit() without matching enter()")]
+    fn a_disabled_recorder_still_checks_the_nesting() {
+        let mut t = Recorder::disabled().begin_txn("T");
+        t.exit();
     }
 
     #[test]
