@@ -654,14 +654,13 @@ pub fn b11_run(trace: oodb_engine::TraceMode, txns: usize) -> oodb_engine::Engin
     b10_engine_run(oodb_engine::CcKind::Optimistic, 4, txns, trace)
 }
 
-/// **B11** — tracing overhead and trace fidelity. Three passes over the
-/// B10 disjoint-key workload: trace off (the `NullSink` fast path — one
-/// relaxed atomic load per would-be event), the per-worker ring sink,
-/// and the ring sink plus a full JSONL + Chrome export pass. Each traced
-/// pass is cross-checked: the dependency graph reconstructed from the
-/// drained events must match the shutdown audit edge-for-edge. Also
-/// emits each pass's `MetricsSnapshot::to_json()` line so runs can be
-/// diffed by machine.
+/// **B11** — tracing overhead. Three passes over the B10 disjoint-key
+/// workload: trace off (no sink — one branch per would-be event), the
+/// per-worker ring sink, and the ring sink plus a full JSONL + Chrome
+/// export pass. That the traced run's dependency graph matches the audit
+/// is asserted by the engine's trace test, not here. Also emits each
+/// pass's `MetricsSnapshot::to_json()` line so runs can be diffed by
+/// machine.
 pub fn b11() -> String {
     use oodb_engine::trace::export::{to_chrome_trace, to_jsonl};
     use oodb_engine::TraceMode;
@@ -675,7 +674,6 @@ pub fn b11() -> String {
         "events",
         "dropped",
         "export-ms",
-        "graph=audit",
     ]);
     let mut json_lines = Vec::new();
 
@@ -690,14 +688,12 @@ pub fn b11() -> String {
         "-".into(),
         "-".into(),
         "-".into(),
-        "-".into(),
     ]);
     json_lines.push(format!("  off:  {}", off.metrics.to_json()));
 
     for (label, export) in [("ring", false), ("ring+export", true)] {
         let out = b11_run(TraceMode::ring(), TXNS);
         let log = out.trace.as_ref().expect("ring sink captured a trace");
-        let check = oodb_engine::cross_check(&log.events, out.audit.as_ref().expect("audited"));
         let export_ms = if export {
             let t0 = std::time::Instant::now();
             let jsonl = to_jsonl(log);
@@ -717,7 +713,6 @@ pub fn b11() -> String {
             log.events.len().to_string(),
             log.dropped.to_string(),
             export_ms,
-            check.ok().to_string(),
         ]);
         json_lines.push(format!("  {label}: {}", out.metrics.to_json()));
     }
@@ -725,9 +720,7 @@ pub fn b11() -> String {
     format!(
         "B11 — tracing overhead on the B10 disjoint-key workload\n\
          ({TXNS} transactions, 8 workers, 4 shards, optimistic; `vs off`\n\
-         is throughput relative to the disabled-sink pass; `graph=audit`\n\
-         is the edge-for-edge cross-check of the trace-reconstructed\n\
-         dependency graph against the shutdown audit)\n\n{}\n\n\
+         is throughput relative to the untraced pass)\n\n{}\n\n\
          metrics (machine-readable, one JSON object per pass):\n{}",
         t.render(),
         json_lines.join("\n")
@@ -987,10 +980,10 @@ mod tests {
         assert!(s.contains("~1/16"));
     }
 
-    /// Known flaky on the `engine/mvcc` rows: the certifier validates
+    /// Known flaky on the `engine/optimistic` rows: the certifier validates
     /// the recorded system as is, the audit its Definition-5 extension,
     /// and after a B-link split the two can disagree (ROADMAP open
-    /// item). 100 alternating runs of the three mvcc rows on a 2-CPU
+    /// item). 100 alternating runs of the three optimistic rows on a 2-CPU
     /// box: 30 with a failing audit under the incremental certifier, 28
     /// under a from-scratch one that ran no rooted search.
     #[test]
@@ -999,7 +992,7 @@ mod tests {
         for exec in [
             "engine/pessimistic",
             "engine/pessimistic-page",
-            "engine/mvcc",
+            "engine/optimistic",
         ] {
             assert!(s.contains(exec), "missing {exec}: {s}");
         }
@@ -1067,15 +1060,13 @@ mod tests {
     }
 
     #[test]
-    fn b11_traced_run_is_faithful_and_disabled_sink_is_cheap() {
+    fn b11_ring_tracing_keeps_half_the_throughput() {
         use oodb_engine::TraceMode;
         let off = b11_run(TraceMode::Off, 96);
         assert!(off.trace.is_none(), "off mode captures nothing");
         let ring = b11_run(TraceMode::ring(), 96);
         let log = ring.trace.as_ref().expect("ring sink captured a trace");
         assert_eq!(log.dropped, 0, "default ring capacity holds the run");
-        let check = oodb_engine::cross_check(&log.events, ring.audit.as_ref().unwrap());
-        assert!(check.ok(), "trace/audit graphs diverge: {check}");
         // loose CI-safe bound: even the *enabled* ring sink must not
         // halve throughput, so the disabled fast path is far below the
         // ~5% budget the design targets (B11 reports the measured ratio)

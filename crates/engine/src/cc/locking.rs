@@ -5,10 +5,10 @@
 //! the stripes are as strong as one table, why nobody starves, why no
 //! wake-up is lost, and the lock order. The locks are also what orders
 //! the log and the trace: every pair of operations whose order the WAL,
-//! recovery and `trace::analyze` need conflicts under the lock spec
-//! (`every_overlapping_pair_with_a_writer_conflicts`), so an operation
-//! claims its trace seq, executes and appends its log record while its
-//! lock orders it against every such operation.
+//! recovery and the trace's dependency graph need conflicts under the
+//! lock spec (`every_overlapping_pair_with_a_writer_conflicts`), so an
+//! operation claims its trace seq, executes and appends its log record
+//! while its lock orders it against every such operation.
 
 use super::{
     bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
@@ -419,8 +419,8 @@ mod tests {
     /// — the same key, or a scan or range covering the writer's key —
     /// conflicts under the lock spec, semantic and page-level alike, so
     /// strict 2PL never lets one run while the other holds its lock.
-    /// Those are the pairs whose order the WAL, recovery and
-    /// `trace::analyze` rebuild from.
+    /// Those are the pairs whose order the WAL, recovery and the trace's
+    /// dependency graph rebuild from.
     #[test]
     fn every_overlapping_pair_with_a_writer_conflicts() {
         let mut ops = vec![

@@ -196,7 +196,7 @@ impl Default for OptimisticCc {
 
 impl ConcurrencyControl for OptimisticCc {
     fn name(&self) -> &'static str {
-        "mvcc"
+        "optimistic"
     }
 
     fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {

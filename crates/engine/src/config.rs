@@ -24,17 +24,6 @@ pub enum CcKind {
     Optimistic,
 }
 
-impl CcKind {
-    /// Short lowercase label used in metrics and experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            CcKind::Pessimistic => "pessimistic",
-            CcKind::PessimisticPage => "pessimistic-page",
-            CcKind::Optimistic => "optimistic",
-        }
-    }
-}
-
 /// Whether commits go through the write-ahead log, and when the log
 /// flusher forces it (see [`crate::durability`]). No worker ever waits
 /// for the device: a commit's *acknowledgement* does, parked with the
@@ -205,7 +194,6 @@ mod tests {
             matches!(TraceMode::ring(), TraceMode::Ring { capacity_per_lane } if capacity_per_lane > 0)
         );
         assert_eq!(CcKind::default(), CcKind::Pessimistic);
-        assert_eq!(CcKind::Optimistic.label(), "optimistic");
         assert_eq!(
             c.durability,
             DurabilityMode::Off,

@@ -58,10 +58,7 @@ pub use metrics::{
     ValueQuantiles,
 };
 pub use queue::{Job, JobQueue};
-pub use trace::{
-    cross_check, CrossCheck, DepGraph, NullSink, RingSink, TraceEvent, TraceEventKind, TraceLog,
-    TraceSink, Tracer,
-};
+pub use trace::{RingSink, TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use worker::retry_delay;
 
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
@@ -292,7 +289,8 @@ impl Engine {
         self.shared.dur.as_ref().map(|d| d.crash_probe())
     }
 
-    /// The strategy name (`"pessimistic"`, `"mvcc"`, ...).
+    /// The strategy name (`"pessimistic"`, `"pessimistic-page"` or
+    /// `"optimistic"`).
     pub fn cc_name(&self) -> &'static str {
         self.cc.name()
     }

@@ -935,10 +935,6 @@ mod tests {
             latch_waits: 2,
         };
         let json = m.snapshot(rec, pool).to_json();
-        assert!(
-            crate::trace::export::validate_json(&json),
-            "bad json: {json}"
-        );
         for key in [
             "\"elapsed_ns\":",
             "\"submitted\":",

@@ -7,8 +7,10 @@
 //! install gate)**, so sorting a drained trace by `seq` reproduces the
 //! order in which the recorded history interleaved every two
 //! conflicting operations. That
-//! is what lets [`crate::trace::analyze`] rebuild the dependency graph
-//! from the trace alone.
+//! is what lets an offline analysis rebuild the dependency graph from
+//! the trace alone.
+
+use std::fmt::Write as _;
 
 use crate::cc::ShardRoute;
 use oodb_sim::EncOp;
@@ -20,24 +22,6 @@ pub const WORKER_EXTERNAL: u32 = u32::MAX;
 /// Sentinel txn number for events emitted before a recorded transaction
 /// exists for the attempt (e.g. a deadline expiring in the queue).
 pub const TXN_NONE: u32 = u32::MAX;
-
-/// Which shard(s) an operation's bookkeeping routed to, in trace form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceShard {
-    /// A single shard.
-    One(u32),
-    /// Every shard (container-wide scans, page-granularity modes).
-    All,
-}
-
-impl From<ShardRoute> for TraceShard {
-    fn from(r: ShardRoute) -> Self {
-        match r {
-            ShardRoute::One(s) => TraceShard::One(s as u32),
-            ShardRoute::All => TraceShard::All,
-        }
-    }
-}
 
 /// Outcome of one certification (validation) attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +93,7 @@ pub enum TraceEventKind {
         /// The executed operation.
         op: EncOp,
         /// Where its bookkeeping routed.
-        shard: TraceShard,
+        shard: ShardRoute,
         /// Time spent waiting for the grant, in nanoseconds.
         wait_ns: u64,
         /// Whether the operation engaged its target item(s): a write
@@ -263,28 +247,20 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-impl TraceEvent {
-    /// The root transaction name this engine records for the event's
-    /// attempt: `"Setup"` for the preload job, else `"J<job+1>"` with an
-    /// `r<attempt>` suffix for retries — e.g. job 2, attempt 1 → `"J3r1"`.
-    pub fn attempt_name(&self) -> String {
-        attempt_name(self.job, self.attempt)
-    }
-}
-
-/// [`TraceEvent::attempt_name`] as a free function (used by the analyzer
-/// when grouping events it has already taken apart).
+/// The root transaction name the engine records for attempt `attempt`
+/// of job `job`: `"Setup"` for the preload job (`u64::MAX`), else
+/// `"J<job+1>"` with an `r<attempt>` suffix for retries — e.g. job 2,
+/// attempt 1 → `"J3r1"`. Events carry the same name.
 pub fn attempt_name(job: u64, attempt: u32) -> String {
-    let base = if job == u64::MAX {
+    let mut name = if job == u64::MAX {
         "Setup".to_string()
     } else {
         format!("J{}", job + 1)
     };
-    if attempt == 0 {
-        base
-    } else {
-        format!("{base}r{attempt}")
+    if attempt > 0 {
+        let _ = write!(name, "r{attempt}");
     }
+    name
 }
 
 #[cfg(test)]
@@ -305,7 +281,7 @@ mod tests {
         assert_eq!(
             TraceEventKind::OpGranted {
                 op: EncOp::ReadSeq,
-                shard: TraceShard::All,
+                shard: ShardRoute::All,
                 wait_ns: 0,
                 hit: true,
             }
@@ -320,11 +296,5 @@ mod tests {
             .name(),
             "cert_delta"
         );
-    }
-
-    #[test]
-    fn shard_route_converts() {
-        assert_eq!(TraceShard::from(ShardRoute::One(3)), TraceShard::One(3));
-        assert_eq!(TraceShard::from(ShardRoute::All), TraceShard::All);
     }
 }

@@ -12,8 +12,9 @@ use std::fmt::Write as _;
 
 use oodb_sim::exec::op_descriptor;
 
-use super::event::{TraceEvent, TraceEventKind, TraceShard, TXN_NONE, WORKER_EXTERNAL};
+use super::event::{attempt_name, TraceEvent, TraceEventKind, TXN_NONE, WORKER_EXTERNAL};
 use super::sink::TraceLog;
+use crate::cc::ShardRoute;
 
 /// Escape a string for a JSON string literal (without the quotes).
 fn esc(s: &str, out: &mut String) {
@@ -47,10 +48,10 @@ fn put_bool(out: &mut String, key: &str, val: bool) {
     let _ = write!(out, "\"{key}\":{val},");
 }
 
-fn shard_str(s: TraceShard) -> String {
+fn shard_str(s: ShardRoute) -> String {
     match s {
-        TraceShard::One(i) => i.to_string(),
-        TraceShard::All => "all".to_string(),
+        ShardRoute::One(i) => i.to_string(),
+        ShardRoute::All => "all".to_string(),
     }
 }
 
@@ -152,7 +153,7 @@ fn event_line(out: &mut String, ev: &TraceEvent, timing: bool, seq: u64) {
         if ev.txn != TXN_NONE {
             put_u64(out, "txn", ev.txn as u64);
         }
-        put_str(out, "name", &ev.attempt_name());
+        put_str(out, "name", &attempt_name(ev.job, ev.attempt));
     }
     if ev.worker == WORKER_EXTERNAL {
         put_str(out, "worker", "ext");
@@ -235,7 +236,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
                     let _ = write!(
                         out,
                         "{{\"name\":\"{}\",\"cat\":\"txn\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"outcome\":\"{}\"}}}}",
-                        ev.attempt_name(),
+                        attempt_name(ev.job, ev.attempt),
                         t0 / 1000,
                         dur_us.max(1),
                         slice_tid,
@@ -249,7 +250,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
         let mut args = String::from("{");
         put_u64(&mut args, "seq", ev.seq);
         if !matches!(ev.kind, TraceEventKind::JobShed { .. }) {
-            put_str(&mut args, "name", &ev.attempt_name());
+            put_str(&mut args, "name", &attempt_name(ev.job, ev.attempt));
         }
         payload(&mut args, &ev.kind, true);
         args.pop();
@@ -270,249 +271,4 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
         log.dropped
     );
     out
-}
-
-/// Minimal recursive-descent JSON well-formedness check (tests and the
-/// CI smoke step use it; not a general-purpose parser).
-pub fn validate_json(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0;
-    fn ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-    fn value(b: &[u8], i: &mut usize) -> bool {
-        ws(b, i);
-        if *i >= b.len() {
-            return false;
-        }
-        match b[*i] {
-            b'{' => {
-                *i += 1;
-                ws(b, i);
-                if *i < b.len() && b[*i] == b'}' {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    ws(b, i);
-                    if !string(b, i) {
-                        return false;
-                    }
-                    ws(b, i);
-                    if *i >= b.len() || b[*i] != b':' {
-                        return false;
-                    }
-                    *i += 1;
-                    if !value(b, i) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            b'[' => {
-                *i += 1;
-                ws(b, i);
-                if *i < b.len() && b[*i] == b']' {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    if !value(b, i) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            b'"' => string(b, i),
-            b't' => lit(b, i, b"true"),
-            b'f' => lit(b, i, b"false"),
-            b'n' => lit(b, i, b"null"),
-            _ => number(b, i),
-        }
-    }
-    fn string(b: &[u8], i: &mut usize) -> bool {
-        if *i >= b.len() || b[*i] != b'"' {
-            return false;
-        }
-        *i += 1;
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return true;
-                }
-                b'\\' => *i += 2,
-                _ => *i += 1,
-            }
-        }
-        false
-    }
-    fn lit(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
-        if b.len() - *i >= lit.len() && &b[*i..*i + lit.len()] == lit {
-            *i += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-    fn number(b: &[u8], i: &mut usize) -> bool {
-        let start = *i;
-        if *i < b.len() && b[*i] == b'-' {
-            *i += 1;
-        }
-        while *i < b.len()
-            && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *i += 1;
-        }
-        *i > start
-    }
-    if !value(b, &mut i) {
-        return false;
-    }
-    ws(b, &mut i);
-    i == b.len()
-}
-
-/// Validate a JSONL document: every non-empty line is valid JSON.
-pub fn validate_jsonl(s: &str) -> bool {
-    s.lines()
-        .filter(|l| !l.trim().is_empty())
-        .all(validate_json)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::event::{AbortReason, TraceEvent};
-    use super::*;
-    use oodb_sim::EncOp;
-
-    fn log() -> TraceLog {
-        let mk = |seq, kind| TraceEvent {
-            seq,
-            t_ns: seq * 1500,
-            job: 0,
-            attempt: 0,
-            txn: 1,
-            worker: 0,
-            kind,
-        };
-        TraceLog {
-            events: vec![
-                mk(0, TraceEventKind::AttemptBegin { ops: 2 }),
-                mk(
-                    1,
-                    TraceEventKind::OpGranted {
-                        op: EncOp::Insert("k\"1".into()),
-                        shard: TraceShard::One(0),
-                        wait_ns: 42,
-                        hit: true,
-                    },
-                ),
-                mk(
-                    2,
-                    TraceEventKind::Conflict {
-                        with: 2,
-                        ours: "insert(k1)".into(),
-                        theirs: "delete(k1)".into(),
-                        inherited: true,
-                    },
-                ),
-                mk(
-                    3,
-                    TraceEventKind::Aborted {
-                        reason: AbortReason::Victim,
-                        last: false,
-                    },
-                ),
-            ],
-            dropped: 1,
-        }
-    }
-
-    #[test]
-    fn jsonl_lines_are_valid_json() {
-        let s = to_jsonl(&log());
-        assert_eq!(s.lines().count(), 4);
-        assert!(validate_jsonl(&s), "invalid jsonl: {s}");
-        assert!(s.contains("\"kind\":\"conflict\""));
-        assert!(s.contains("\"inherited\":true"));
-        // The quote in the key is escaped.
-        assert!(s.contains("insert(k\\\"1)"));
-    }
-
-    #[test]
-    fn canonical_jsonl_omits_timing_and_admission_events() {
-        let mut l = log();
-        l.events.insert(
-            0,
-            TraceEvent {
-                seq: 0,
-                t_ns: 7,
-                job: 5,
-                attempt: 0,
-                txn: TXN_NONE,
-                worker: WORKER_EXTERNAL,
-                kind: TraceEventKind::JobAdmitted { depth: 1 },
-            },
-        );
-        let s = to_jsonl_canonical(&l);
-        assert!(!s.contains("t_ns"));
-        assert!(!s.contains("wait_ns"));
-        assert!(!s.contains("job_admitted"), "admission events are racy");
-        assert_eq!(s.lines().count(), 4, "renumbered over the remainder");
-        assert!(s.starts_with("{\"seq\":0,"), "seq renumbered densely");
-        assert!(validate_jsonl(&s));
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_slices() {
-        let s = to_chrome_trace(&log());
-        assert!(validate_json(&s), "invalid chrome trace: {s}");
-        assert!(s.contains("\"ph\":\"X\""));
-        assert!(s.contains("\"ph\":\"i\""));
-        assert!(s.contains("\"dropped\":1"));
-    }
-
-    #[test]
-    fn deadlock_victim_carries_its_cycle_in_both_exports() {
-        let mut l = log();
-        l.events[2].kind = TraceEventKind::DeadlockVictim {
-            victim_job: 5,
-            cycle_jobs: vec![0, 5, 3],
-        };
-        let s = to_jsonl(&l);
-        assert!(validate_jsonl(&s), "invalid jsonl: {s}");
-        assert!(s.contains("\"kind\":\"deadlock_victim\""));
-        assert!(s.contains("\"victim_job\":5,\"cycle_jobs\":[0,5,3]"));
-        let chrome = to_chrome_trace(&l);
-        assert!(validate_json(&chrome), "invalid chrome trace: {chrome}");
-        assert!(chrome.contains("\"cycle_jobs\":[0,5,3]"));
-    }
-
-    #[test]
-    fn validator_rejects_garbage() {
-        assert!(!validate_json("{\"a\":}"));
-        assert!(!validate_json("{"));
-        assert!(!validate_json("[1,2,"));
-        assert!(validate_json(" {\"a\": [1, -2.5e3, true, null, \"x\"]} "));
-    }
 }

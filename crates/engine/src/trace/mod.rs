@@ -3,18 +3,16 @@
 //! The engine stamps every lifecycle transition — admission, shedding,
 //! attempt start, operation grants, conflicts, deadlock victims,
 //! certification rounds, compensation, commit/abort — with
-//! `(job, attempt, txn, worker, seq)` and hands it to a pluggable
-//! [`TraceSink`]. With the default [`NullSink`] the whole subsystem
-//! costs one branch per would-be event; with the ring sink
-//! ([`RingSink`]) events land in per-worker lock-free lanes and are
-//! drained at shutdown into a [`TraceLog`].
+//! `(job, attempt, txn, worker, seq)` and hands it to the ring sink
+//! ([`RingSink`]): events land in per-worker lock-free lanes and are
+//! drained at shutdown into a [`TraceLog`]. With tracing off there is no
+//! sink, and the whole subsystem costs one branch per would-be event.
 //!
 //! Two exporters ([`export::to_jsonl`], [`export::to_chrome_trace`])
-//! turn a log into files, and [`analyze`] reconstructs the transaction
-//! dependency graph from the trace alone and cross-checks it against
-//! the shutdown serializability audit.
+//! turn a log into files. Operation events are ordered so that the
+//! transaction dependency graph can be rebuilt from the trace alone; the
+//! engine's tests do that and compare it with the shutdown audit.
 
-pub mod analyze;
 pub mod event;
 pub mod export;
 pub mod sink;
@@ -24,12 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use analyze::{cross_check, reconstruct_graph, CrossCheck, DepGraph};
 pub use event::{
-    attempt_name, AbortReason, CertOutcome, TraceEvent, TraceEventKind, TraceShard, TXN_NONE,
-    WORKER_EXTERNAL,
+    attempt_name, AbortReason, CertOutcome, TraceEvent, TraceEventKind, TXN_NONE, WORKER_EXTERNAL,
 };
-pub use sink::{NullSink, RingSink, TraceLog, TraceSink};
+pub use sink::{RingSink, TraceLog};
 
 use crate::cc::TxnHandle;
 use crate::config::TraceMode;
@@ -51,16 +47,15 @@ pub fn current_worker_id() -> u32 {
     WORKER_ID.with(|w| w.get())
 }
 
-/// The engine's tracing front end: owns the sink, the global sequence
-/// counter, and the epoch all timestamps are relative to.
+/// The engine's tracing front end: owns the sink (none when tracing is
+/// off), the global sequence counter, and the epoch all timestamps are
+/// relative to.
 ///
-/// Cloning is cheap (one `Arc` bump); every clone shares the same
-/// counter and sink.
+/// Cloning is cheap (`Arc` bumps); every clone shares the same counter
+/// and sink.
 #[derive(Clone)]
 pub struct Tracer {
-    sink: Arc<dyn TraceSink>,
-    /// `sink.enabled()`, cached so the hot path is a plain bool load.
-    enabled: bool,
+    sink: Option<Arc<RingSink>>,
     seq: Arc<AtomicU64>,
     epoch: Instant,
 }
@@ -68,36 +63,30 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.enabled())
             .field("seq", &self.seq.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Tracer {
-    /// A tracer over an explicit sink.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        let enabled = sink.enabled();
-        Tracer {
-            sink,
-            enabled,
-            seq: Arc::new(AtomicU64::new(0)),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// The no-op tracer ([`NullSink`]).
+    /// The tracer that captures nothing.
     pub fn disabled() -> Self {
-        Tracer::new(Arc::new(NullSink))
+        Tracer::from_mode(&TraceMode::Off, 0)
     }
 
     /// Build the tracer an [`crate::EngineConfig`] asks for.
     pub fn from_mode(mode: &TraceMode, workers: usize) -> Self {
-        match mode {
-            TraceMode::Off => Tracer::disabled(),
+        let sink = match mode {
+            TraceMode::Off => None,
             TraceMode::Ring { capacity_per_lane } => {
-                Tracer::new(Arc::new(RingSink::new(workers, *capacity_per_lane)))
+                Some(Arc::new(RingSink::new(workers, *capacity_per_lane)))
             }
+        };
+        Tracer {
+            sink,
+            seq: Arc::new(AtomicU64::new(0)),
+            epoch: Instant::now(),
         }
     }
 
@@ -105,7 +94,7 @@ impl Tracer {
     /// without evaluating the payload closure.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// Claim the next global sequence number. Use together with
@@ -127,7 +116,7 @@ impl Tracer {
     where
         F: FnOnce() -> TraceEventKind,
     {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         let seq = self.claim_seq();
@@ -146,9 +135,9 @@ impl Tracer {
     /// Emit an event at a pre-claimed sequence number (see
     /// [`Tracer::claim_seq`]). No-op when disabled.
     pub fn emit_at(&self, seq: u64, job: u64, attempt: u32, txn: u32, kind: TraceEventKind) {
-        if !self.enabled {
+        let Some(sink) = &self.sink else {
             return;
-        }
+        };
         let worker = current_worker_id();
         let ev = TraceEvent {
             seq,
@@ -159,16 +148,13 @@ impl Tracer {
             worker,
             kind,
         };
-        self.sink.record(worker as usize, ev);
+        sink.record(worker as usize, ev);
     }
 
     /// Drain the sink. Returns `None` for the disabled tracer so callers
     /// can skip export entirely.
     pub fn drain(&self) -> Option<TraceLog> {
-        if !self.enabled {
-            return None;
-        }
-        Some(self.sink.drain())
+        self.sink.as_ref().map(|sink| sink.drain())
     }
 }
 
@@ -181,6 +167,10 @@ impl Default for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ring(workers: usize, capacity_per_lane: usize) -> Tracer {
+        Tracer::from_mode(&TraceMode::Ring { capacity_per_lane }, workers)
+    }
 
     #[test]
     fn disabled_tracer_skips_payload_closure() {
@@ -196,7 +186,7 @@ mod tests {
 
     #[test]
     fn ring_tracer_captures_in_seq_order() {
-        let t = Tracer::new(Arc::new(RingSink::new(1, 16)));
+        let t = ring(1, 16);
         t.emit(0, 0, 0, || TraceEventKind::AttemptBegin { ops: 2 });
         let pinned = t.claim_seq();
         t.emit(0, 0, 0, || TraceEventKind::Committed);
@@ -209,7 +199,7 @@ mod tests {
 
     #[test]
     fn external_thread_stamps_sentinel_worker() {
-        let t = Tracer::new(Arc::new(RingSink::new(2, 4)));
+        let t = ring(2, 4);
         t.emit(7, 0, TXN_NONE, || TraceEventKind::JobAdmitted { depth: 1 });
         let log = t.drain().unwrap();
         assert_eq!(log.events[0].worker, WORKER_EXTERNAL);

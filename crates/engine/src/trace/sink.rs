@@ -1,13 +1,11 @@
-//! Trace sinks: where emitted events go.
-//!
-//! [`NullSink`] is the default — the hot path pays exactly one branch on
-//! a cached `enabled` bool and never constructs an event. [`RingSink`]
-//! is a per-worker-lane, lock-free, bounded ring: writers claim a slot
-//! with one `fetch_add` on their lane's cursor and publish it with one
-//! `Release` store, so tracing never blocks a worker. A lane's slots are
-//! allocated a chunk at a time by the first writer to reach the chunk, so
-//! a sink costs what the run records, not what it could hold. When a
-//! lane fills, new events are dropped (drop-newest) and counted.
+//! The trace sink: a per-worker-lane, lock-free, bounded ring. Writers
+//! claim a slot with one `fetch_add` on their lane's cursor and publish
+//! it with one `Release` store, so tracing never blocks a worker. A
+//! lane's slots are allocated a chunk at a time by the first writer to
+//! reach the chunk, so a sink costs what the run records, not what it
+//! could hold. When a lane fills, new events are dropped (drop-newest)
+//! and counted. With tracing off there is no sink at all (see
+//! [`super::Tracer`]).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -22,42 +20,6 @@ pub struct TraceLog {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring overflow (drop-newest).
     pub dropped: u64,
-}
-
-/// A destination for trace events. Implementations must be safe to call
-/// from every worker thread concurrently.
-pub trait TraceSink: Send + Sync {
-    /// Whether this sink wants events at all. The [`super::Tracer`]
-    /// caches this at construction; a `false` here means `record` is
-    /// never called and the engine pays a single predictable branch.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accept one event. `lane` is the emitting worker's index (or the
-    /// external lane for off-pool threads); sinks may use it to avoid
-    /// cross-thread contention.
-    fn record(&self, lane: usize, ev: TraceEvent);
-
-    /// Take every captured event. Called once, after the worker pool has
-    /// joined, so implementations may assume no concurrent `record`.
-    fn drain(&self) -> TraceLog;
-}
-
-/// The disabled sink: drops everything, reports `enabled() == false`.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _lane: usize, _ev: TraceEvent) {}
-
-    fn drain(&self) -> TraceLog {
-        TraceLog::default()
-    }
 }
 
 /// One ring slot. `ready` is the publication flag: the writer fills the
@@ -161,16 +123,18 @@ impl RingSink {
             .into_boxed_slice();
         RingSink { lanes }
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&self, lane: usize, ev: TraceEvent) {
-        // Out-of-range lanes (external threads) share the last lane.
+    /// Accept one event into lane `lane`: the emitting worker's index,
+    /// or any larger value for off-pool threads, which share the last
+    /// lane. Safe to call from every thread concurrently.
+    pub fn record(&self, lane: usize, ev: TraceEvent) {
         let lane = lane.min(self.lanes.len() - 1);
         self.lanes[lane].record(ev);
     }
 
-    fn drain(&self) -> TraceLog {
+    /// Take every captured event, sorted by `seq`. Called once, after
+    /// the worker pool has joined, so no `record` runs beside it.
+    pub fn drain(&self) -> TraceLog {
         let mut events = Vec::new();
         let mut dropped = 0;
         for lane in self.lanes.iter() {
@@ -197,16 +161,6 @@ mod tests {
             worker: 0,
             kind: TraceEventKind::Committed,
         }
-    }
-
-    #[test]
-    fn null_sink_is_disabled_and_empty() {
-        let s = NullSink;
-        assert!(!s.enabled());
-        s.record(0, ev(1));
-        let log = s.drain();
-        assert!(log.events.is_empty());
-        assert_eq!(log.dropped, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::config::EngineConfig;
 use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
-use crate::trace::{AbortReason, TraceEventKind, TXN_NONE};
+use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
 use oodb_core::commutativity::Method;
 use oodb_core::ids::TxnIdx;
 use oodb_lock::OwnerId;
@@ -16,7 +16,6 @@ use oodb_recovery::engine_log::{EngineOp as WalOp, EngineRecord};
 use oodb_sim::exec::apply_op;
 use oodb_sim::EncOp;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -187,32 +186,13 @@ impl<'a> Wal<'a> {
     }
 }
 
-/// Recorded name of `job` without its attempt: `J<id + 1>`, or `Setup`
-/// for the preload.
-fn base_name(job: &Job) -> String {
-    if job.id == u64::MAX {
-        "Setup".to_string()
-    } else {
-        format!("J{}", job.id + 1)
-    }
-}
-
-/// Recorded name of one attempt of `job`: retries append `r<attempt>`.
-fn attempt_name(job: &Job, attempt: u32) -> String {
-    let mut name = base_name(job);
-    if attempt > 0 {
-        let _ = write!(name, "r{attempt}");
-    }
-    name
-}
-
 /// Execute `op` for the attempt: claim its trace seq, run it, and log
 /// it. The caller holds what orders `op` against every operation it
 /// conflicts with — its strict-2PL lock, or the install gate — so seq
 /// order and log order over conflicting operations equal the recorded
-/// history order, the invariant `trace::analyze` and recovery rebuild
-/// from. Returns the seq (when tracing) and whether `op` engaged its
-/// target.
+/// history order, the invariant recovery and the trace's dependency
+/// graph rebuild from. Returns the seq (when tracing) and whether `op`
+/// engaged its target.
 fn execute(
     shared: &EngineShared,
     ctx: &mut TxnCtx,
@@ -237,15 +217,14 @@ fn trace_granted(
     wait_ns: u64,
     hit: bool,
 ) {
-    let shard = cc.route(&op).into();
     shared.trace.emit_at(
         seq,
         handle.job,
         handle.attempt,
         handle.owner.0 as u32,
         TraceEventKind::OpGranted {
+            shard: cc.route(&op),
             op,
-            shard,
             wait_ns,
             hit,
         },
@@ -270,7 +249,7 @@ fn compensate(
     wal: &mut Wal<'_>,
 ) -> Vec<(u64, EncOp)> {
     let name = if shared.rec.is_enabled() {
-        format!("C({}a{})", base_name(job), handle.attempt)
+        format!("C({}a{})", attempt_name(job.id, 0), handle.attempt)
     } else {
         String::new()
     };
@@ -426,7 +405,7 @@ pub(crate) fn process_job(
         // one name per attempt, formatted only when the record or the log
         // reads it: the record takes it, the log gets a copy
         let name = if shared.rec.is_enabled() || shared.dur.is_some() {
-            attempt_name(job, attempt)
+            attempt_name(job.id, attempt)
         } else {
             String::new()
         };

@@ -1,12 +1,16 @@
-//! What the engine's deterministic suites share: a single-threaded
-//! virtual scheduler that drives a concurrency control through a fixed
-//! op-level schedule exactly as the worker would (buffered writes install
-//! at the commit point, compensations are retired) and logs every
-//! decision, the certifier's from-scratch replay over the final record,
-//! the interleaving enumerator, and the small conflicting workloads both
-//! suites enumerate.
+//! What the engine's suites share: a single-threaded virtual scheduler
+//! that drives a concurrency control through a fixed op-level schedule
+//! exactly as the worker would (buffered writes install at the commit
+//! point, compensations are retired) and logs every decision, the
+//! certifier's from-scratch replay over the final record, the
+//! interleaving enumerator, the small conflicting workloads the
+//! deterministic suites enumerate, the trace analyzer ([`analyze`]) and
+//! a JSON well-formedness check ([`json`]).
 
 #![allow(dead_code)] // each suite uses its own subset
+
+pub mod analyze;
+pub mod json;
 
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::certifier::restrict_history;
@@ -15,6 +19,7 @@ use oodb_core::ids::TxnIdx;
 use oodb_core::schedule::SystemSchedules;
 use oodb_core::serializability::check_system_decentralized;
 use oodb_core::system::TransactionSystem;
+use oodb_engine::trace::attempt_name;
 use oodb_engine::{
     audit, shard_of_key, ConcurrencyControl, EngineMetrics, EngineShared, FinishOutcome, OpGrant,
     TxnHandle,
@@ -67,14 +72,23 @@ pub fn replay_from_scratch(
     verdicts.iter().position(|&(t, verdict)| {
         let mut scope = committed.clone();
         scope.insert(t);
-        let restricted = restrict_history(ts, history, &scope);
-        let ss = SystemSchedules::infer_scoped(ts, &restricted, &scope);
-        let admits = check_system_decentralized(ts, &ss).is_ok();
+        let admits = check_system_decentralized(ts, &infer_restricted(ts, history, &scope)).is_ok();
         if verdict == FinishOutcome::Committed {
             committed.insert(t);
         }
         admits != (verdict == FinishOutcome::Committed)
     })
+}
+
+/// The schedules of `history` restricted to `scope`, inferred from
+/// nothing: what Definition 16 is checked on when only `scope` counts.
+pub fn infer_restricted(
+    ts: &TransactionSystem,
+    history: &History,
+    scope: &HashSet<TxnIdx>,
+) -> SystemSchedules {
+    let restricted = restrict_history(ts, history, scope);
+    SystemSchedules::infer_scoped(ts, &restricted, scope)
 }
 
 /// One attempt of one logical transaction inside the virtual scheduler.
@@ -192,24 +206,12 @@ impl VirtualScheduler {
         }
     }
 
-    fn attempt_name(job: u64, attempt: u32) -> String {
-        if attempt == 0 {
-            format!("J{}", job + 1)
-        } else {
-            format!("J{}r{attempt}", job + 1)
-        }
-    }
-
     /// Execute one scheduled step of logical transaction `t`. Steps of
     /// an attempt that already aborted (its retry runs after the trace)
     /// are skipped — the schedule stays fixed, the trace just has holes.
     fn step(&mut self, t: usize) {
         if self.active[t].is_none() && !self.txns[t].is_empty() && !self.already_started(t) {
-            let a = self.begin(
-                t as u64,
-                Self::attempt_name(t as u64, 0),
-                self.txns[t].clone(),
-            );
+            let a = self.begin(t as u64, attempt_name(t as u64, 0), self.txns[t].clone());
             self.active[t] = Some(a);
         }
         let Some(mut a) = self.active[t].take() else {
@@ -348,7 +350,7 @@ impl VirtualScheduler {
         while let Some((t, attempt)) = self.retry.pop_front() {
             let mut a = self.begin(
                 t as u64,
-                Self::attempt_name(t as u64, attempt),
+                attempt_name(t as u64, attempt),
                 self.txns[t].clone(),
             );
             a.attempt = attempt;

@@ -124,17 +124,17 @@ proptest! {
     /// all commit everything, all pass the merged audit, and all agree
     /// on the final object state.
     #[test]
-    fn mvcc_and_2pl_agree_at_one_and_four_shards(w in workload()) {
+    fn optimistic_and_2pl_agree_at_one_and_four_shards(w in workload()) {
         let opt1 = run(&w, CcKind::Optimistic, 1);
         let opt4 = run(&w, CcKind::Optimistic, 4);
         let pes1 = run(&w, CcKind::Pessimistic, 1);
         let pes4 = run(&w, CcKind::Pessimistic, 4);
-        check_one(&opt1, &w, "mvcc/1")?;
-        check_one(&opt4, &w, "mvcc/4")?;
+        check_one(&opt1, &w, "optimistic/1")?;
+        check_one(&opt4, &w, "optimistic/4")?;
         check_one(&pes1, &w, "pessimistic/1")?;
         check_one(&pes4, &w, "pessimistic/4")?;
-        prop_assert_eq!(opt1.cc_name, "mvcc");
-        prop_assert_eq!(opt4.cc_name, "mvcc");
+        prop_assert_eq!(opt1.cc_name, "optimistic");
+        prop_assert_eq!(opt4.cc_name, "optimistic");
         prop_assert_eq!(pes1.cc_name, "pessimistic");
         prop_assert_eq!(pes4.cc_name, "pessimistic", "one strict-2PL control at every shard count");
         // disjoint write sets ⇒ the final state is commit-order
@@ -170,8 +170,8 @@ proptest! {
         let opt1 = run(&w, CcKind::Optimistic, 1);
         let opt3 = run(&w, CcKind::Optimistic, 3);
         let pes3 = run(&w, CcKind::Pessimistic, 3);
-        check_one(&opt1, &w, "mvcc/1")?;
-        check_one(&opt3, &w, "mvcc/3")?;
+        check_one(&opt1, &w, "optimistic/1")?;
+        check_one(&opt3, &w, "optimistic/3")?;
         check_one(&pes3, &w, "pessimistic/3")?;
         prop_assert_eq!(&opt3.final_state, &opt1.final_state);
         prop_assert_eq!(&pes3.final_state, &opt1.final_state);

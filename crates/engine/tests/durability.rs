@@ -88,7 +88,7 @@ fn assert_acked_survive(acked: &[u64], recovered: &RecoveryOutcome, label: &str)
 #[test]
 fn clean_run_replay_reproduces_final_state_for_every_combo() {
     for (kind, shards) in combos() {
-        let label = format!("{}/shards={shards}", kind.label());
+        let label = format!("{kind:?}/shards={shards}");
         let out = run_engine(kind, shards, DurabilityMode::PerCommit, 24);
         assert!(
             out.audit.as_ref().unwrap().report.oo_decentralized.is_ok(),
@@ -124,7 +124,7 @@ fn clean_run_replay_reproduces_final_state_for_every_combo() {
 #[test]
 fn crash_harness_never_loses_acked_commits() {
     for (i, (kind, shards)) in combos().into_iter().enumerate() {
-        let label = format!("{}/shards={shards}", kind.label());
+        let label = format!("{kind:?}/shards={shards}");
         let durability_mode = if i % 2 == 0 {
             DurabilityMode::Group {
                 max_batch: 4,

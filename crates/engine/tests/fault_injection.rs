@@ -6,6 +6,9 @@
 //! engine, real retry machinery) and through a deterministic
 //! direct-drive of the protocol hooks.
 
+mod common;
+
+use common::analyze::cross_check;
 use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::{
@@ -353,7 +356,7 @@ fn injected_abort_trace_still_matches_audit() {
             );
         }
         let audit_out = out.audit.expect("audit enabled");
-        let check = oodb_engine::cross_check(&log.events, &audit_out);
+        let check = cross_check(&log.events, &audit_out);
         assert!(
             check.ok(),
             "pessimistic={pessimistic}: trace/audit graphs diverge: {check}\n  trace: {}\n  audit: {}",
@@ -393,7 +396,7 @@ fn injected_abort_under_certification_stays_clean() {
     let log = out.trace.expect("ring sink captured a trace");
     assert_eq!(log.dropped, 0);
     let audit_out = out.audit.expect("audit enabled");
-    let check = oodb_engine::cross_check(&log.events, &audit_out);
+    let check = cross_check(&log.events, &audit_out);
     assert!(
         check.ok(),
         "trace/audit graphs diverge after injected abort: {check}"
@@ -554,8 +557,11 @@ fn an_abort_that_unpins_the_cut_is_published() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let controls: Vec<(&str, Box<dyn ConcurrencyControl>)> = vec![
-        ("mvcc/1", Box::new(OptimisticCc::new())),
-        ("mvcc/3", Box::new(OptimisticCc::new().with_shards(shards))),
+        ("optimistic/1", Box::new(OptimisticCc::new())),
+        (
+            "optimistic/3",
+            Box::new(OptimisticCc::new().with_shards(shards)),
+        ),
     ];
     for (label, cc) in controls {
         let shared = shared_with(shards);

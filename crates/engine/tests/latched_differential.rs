@@ -16,9 +16,10 @@
 //! the dependency graph reconstructed from the trace ring must match
 //! the shutdown audit's committed projection edge-for-edge.
 
-use oodb_engine::{
-    cross_check, shard_of_key, CcKind, EngineConfig, EngineOutput, TraceMode, STRIPES,
-};
+mod common;
+
+use common::analyze::cross_check;
+use oodb_engine::{shard_of_key, CcKind, EngineConfig, EngineOutput, TraceMode, STRIPES};
 use oodb_sim::{EncOp, EncWorkload};
 use proptest::prelude::*;
 
@@ -161,11 +162,12 @@ proptest! {
 /// events alone must equal the audit's committed projection
 /// edge-for-edge.
 ///
-/// `trace::analyze`'s index rule assumes no split relocates a key's
-/// leaf entry between two accesses of different transactions, so the
-/// workload keeps every key inside one transaction's private partition:
-/// inserts grow the tree past several root splits, searches and delete
-/// probes of *other* partitions miss (pure index reads). Both graphs
+/// The trace analyzer's (`common::analyze`) index rule assumes no split
+/// relocates a key's leaf entry between two accesses of different
+/// transactions, so the workload keeps every key inside one
+/// transaction's private partition: inserts grow the tree past several
+/// root splits, searches and delete probes of *other* partitions miss
+/// (pure index reads). Both graphs
 /// must then be empty — a `rearrange` recorded on a traversed object
 /// (instead of the fresh root-epoch object) would manufacture
 /// Definition-5 virtual-object conflicts between the probing

@@ -106,7 +106,7 @@ fn stress_sharded_strategies_mixed_contention() {
             out.cc_name
         );
         let expected_name = match kind {
-            CcKind::Optimistic => "mvcc",
+            CcKind::Optimistic => "optimistic",
             _ => "pessimistic",
         };
         assert_eq!(out.cc_name, expected_name, "{label}");

@@ -73,8 +73,9 @@ pub fn page_descriptor(op: &EncOp) -> ActionDescriptor {
 /// write that succeeded (insert of a fresh key, change/delete of an
 /// existing one) or a read that found something. A failed write and a
 /// search miss both execute as read-only probes of the key's index
-/// entry — the trace analyzer relies on this flag to reconstruct each
-/// operation's *effective* conflict footprint exactly.
+/// entry — a trace's `hit` flag carries it, so the dependency graph
+/// rebuilt from a trace gets each operation's *effective* conflict
+/// footprint exactly.
 pub fn apply_op(enc: &CompensatedEncyclopedia, ctx: &mut TxnCtx, op: &EncOp, tag: usize) -> bool {
     match op {
         EncOp::Insert(k) => enc.insert(ctx, k, &write_text(op, tag).unwrap()).is_some(),

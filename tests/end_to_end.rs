@@ -170,7 +170,7 @@ fn optimistic_engine_audits_clean_at_one_and_four_shards() {
         }
         let out = engine.shutdown();
         assert_eq!(
-            out.cc_name, "mvcc",
+            out.cc_name, "optimistic",
             "{shards} shards: one strategy, one name"
         );
         assert_eq!(out.metrics.committed as usize, TXNS, "{shards} shards");
