@@ -767,7 +767,7 @@ pub fn b14_run(mode: oodb_engine::DurabilityMode, txns: usize) -> oodb_engine::E
 
 /// **B14** — group commit amortizes the fsync. Every commit is
 /// acknowledged only once its write-ahead-log commit record is durable;
-/// the per-commit baseline forces the device once per logged commit,
+/// the group(1) baseline forces the device once per logged commit,
 /// while under group commit the log flusher lets one fsync cover every
 /// commit parked with it — and no worker waits for either. With a 200µs
 /// device, fsyncs-per-commit must fall strictly as `max_batch` grows —
@@ -794,7 +794,10 @@ pub fn b14() -> String {
     ]);
     for mode in [
         DurabilityMode::Off,
-        DurabilityMode::PerCommit,
+        DurabilityMode::Group {
+            max_batch: 1,
+            max_wait: std::time::Duration::ZERO,
+        },
         DurabilityMode::Group {
             max_batch: 4,
             max_wait: std::time::Duration::from_millis(5),
@@ -1096,7 +1099,10 @@ mod tests {
             assert_eq!(r.final_state, out.final_state, "replay must match");
             out.metrics.fsyncs as f64 / out.metrics.committed as f64
         };
-        let per_commit = ratio(DurabilityMode::PerCommit);
+        let group1 = ratio(DurabilityMode::Group {
+            max_batch: 1,
+            max_wait: std::time::Duration::ZERO,
+        });
         let group4 = ratio(DurabilityMode::Group {
             max_batch: 4,
             max_wait: std::time::Duration::from_millis(5),
@@ -1106,9 +1112,9 @@ mod tests {
             max_wait: std::time::Duration::from_millis(5),
         });
         assert!(
-            per_commit > group4 && group4 > group16,
+            group1 > group4 && group4 > group16,
             "fsyncs/commit must strictly decrease with batch size: \
-             per-commit {per_commit:.3} vs group(4) {group4:.3} vs group(16) {group16:.3}"
+             group(1) {group1:.3} vs group(4) {group4:.3} vs group(16) {group16:.3}"
         );
     }
 

@@ -25,9 +25,11 @@ mod optimistic;
 pub use locking::{LockingCc, STRIPES};
 pub use optimistic::OptimisticCc;
 
+use crate::config::EngineConfig;
+use crate::durability::Durability;
 use crate::metrics::EngineMetrics;
 use crate::trace::Tracer;
-use oodb_btree::CompensatedEncyclopedia;
+use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
@@ -66,6 +68,64 @@ pub struct EngineShared {
 }
 
 impl EngineShared {
+    /// The shared state of an engine that runs `cc` under `cfg`; the
+    /// only way to build one. A record nobody reads is not kept: with no
+    /// audit, a control that decides without it (strict 2PL) runs on
+    /// [`Recorder::disabled`]. With durability on, the buffer pool may
+    /// evict a dirty page only once the log covers its redo
+    /// (`advance_durable_floor`).
+    pub fn new(cfg: &EngineConfig, cc: &dyn ConcurrencyControl) -> Self {
+        let rec = if cfg.audit || cc.reads_record() {
+            Recorder::new()
+        } else {
+            Recorder::disabled()
+        };
+        let enc = Encyclopedia::create(
+            rec.clone(),
+            EncyclopediaConfig {
+                fanout: cfg.fanout,
+                pool_frames: cfg.pool_frames,
+                io_latency: cfg.io_latency,
+                ..EncyclopediaConfig::default()
+            },
+        );
+        if cfg.durability.is_on() {
+            enc.pool().gate_evictions();
+        }
+        let metrics = EngineMetrics::with_shards(cc.shards());
+        let dur = cfg.durability.is_on().then(|| {
+            Durability::new(
+                cfg.durability,
+                cfg.fsync_latency,
+                metrics.queue_depth.clone(),
+            )
+        });
+        EngineShared {
+            rec,
+            enc: CompensatedEncyclopedia::new(enc),
+            gate: RwLock::new(()),
+            metrics,
+            trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
+            dur,
+        }
+    }
+
+    /// Every `(key, text)` pair in the database, in key order, read by
+    /// one transaction the control retires at once. Call with nothing
+    /// running beside it, after any audit: the read lands in the record.
+    pub fn final_state(&self, cc: &dyn ConcurrencyControl) -> Vec<(String, String)> {
+        let mut ctx = self.rec.begin_txn("Dump");
+        cc.retire(self, TxnIdx(ctx.txn_number()));
+        let mut items: Vec<(String, String)> = self
+            .enc
+            .read_seq(&mut ctx)
+            .into_iter()
+            .map(|(_, k, text)| (k, text))
+            .collect();
+        items.sort();
+        items
+    }
+
     /// The engine's counters with the recorder's and the buffer pool's
     /// own beside them, all read now.
     pub fn metrics_snapshot(&self) -> crate::MetricsSnapshot {

@@ -35,14 +35,12 @@ pub enum DurabilityMode {
     /// measure durability keep their numbers.
     #[default]
     Off,
-    /// The flusher forces the log once per logged commit — exactly one
-    /// fsync per acknowledgement, serialized on the device. The
-    /// unbatched baseline experiment B14 measures group commit against.
-    PerCommit,
     /// Group commit: the flusher gathers parked commits and issues one
     /// fsync for all of them once `max_batch` are parked, or `max_wait`
     /// has passed, or nothing admitted could still join (no job queued,
-    /// none executing), whichever first.
+    /// none executing), whichever first. A group of one (`max_batch: 1`)
+    /// forces once per logged commit — the unbatched baseline experiment
+    /// B14 measures group commit against.
     Group {
         /// Flush once this many commits are parked.
         max_batch: usize,
@@ -57,7 +55,6 @@ impl DurabilityMode {
     pub fn label(self) -> String {
         match self {
             DurabilityMode::Off => "off".to_string(),
-            DurabilityMode::PerCommit => "per-commit".to_string(),
             DurabilityMode::Group { max_batch, .. } => format!("group({max_batch})"),
         }
     }
@@ -140,11 +137,12 @@ pub struct EngineConfig {
     /// ring buffers drained at shutdown.
     pub trace: TraceMode,
     /// Commit durability: [`DurabilityMode::Off`] (the default) keeps
-    /// commits memory-only; the other modes append redo + compensation
-    /// records to a write-ahead log while the operation's lock (or the
-    /// install gate) still orders it, and acknowledge a commit — count it, trace it — only once its
-    /// commit record is durable; the worker parks the acknowledgement
-    /// with the log flusher and moves on (see [`crate::durability`]).
+    /// commits memory-only; [`DurabilityMode::Group`] appends redo +
+    /// compensation records to a write-ahead log while the operation's
+    /// lock (or the install gate) still orders it, and acknowledges a
+    /// commit — counts it, traces it — only once its commit record is
+    /// durable; the worker parks the acknowledgement with the log flusher
+    /// and moves on (see [`crate::durability`]).
     pub durability: DurabilityMode,
     /// Simulated latency of one log force (fsync). Zero by default so
     /// tests run fast; B14 raises it to make batching visible.
@@ -201,8 +199,12 @@ mod tests {
         );
         assert_eq!(c.fsync_latency, Duration::ZERO);
         assert!(!DurabilityMode::Off.is_on());
-        assert!(DurabilityMode::PerCommit.is_on());
-        assert_eq!(DurabilityMode::PerCommit.label(), "per-commit");
+        let one = DurabilityMode::Group {
+            max_batch: 1,
+            max_wait: Duration::ZERO,
+        };
+        assert!(one.is_on());
+        assert_eq!(one.label(), "group(1)");
         assert_eq!(
             DurabilityMode::Group {
                 max_batch: 8,

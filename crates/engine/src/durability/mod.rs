@@ -33,8 +33,8 @@
 //! join (no job queued and none executing — a lone commit does not wait
 //! for followers that cannot exist). Then it sleeps the simulated fsync
 //! with no lock held, forces the log, and acknowledges every commit it
-//! gathered. Per-commit mode is the same loop taking one parked commit
-//! per force. Read-only transactions log nothing and are acknowledged
+//! gathered. A group of one (`max_batch: 1`) takes one parked commit per
+//! force. Read-only transactions log nothing and are acknowledged
 //! inline by their worker, through the same function.
 //!
 //! The parked list is bounded ([`PARK_BOUND`] batches): a worker that
@@ -186,7 +186,7 @@ struct Parked {
 /// by the engine when [`DurabilityMode`] is not `Off`, together with
 /// the flusher thread (`run_flusher`).
 pub struct Durability {
-    /// Parked commits that end a gather (1: strict per-commit).
+    /// Parked commits that end a gather (1: one force per commit).
     batch: usize,
     max_wait: Duration,
     fsync_latency: Duration,
@@ -254,15 +254,15 @@ impl Durability {
         fsync_latency: Duration,
         queue_depth: Arc<AtomicUsize>,
     ) -> Self {
-        let (batch, max_wait) = match mode {
-            DurabilityMode::Group {
-                max_batch,
-                max_wait,
-            } => (max_batch.max(1), max_wait),
-            DurabilityMode::PerCommit | DurabilityMode::Off => (1, Duration::ZERO),
+        let DurabilityMode::Group {
+            max_batch,
+            max_wait,
+        } = mode
+        else {
+            unreachable!("durability off keeps no log");
         };
         Durability {
-            batch,
+            batch: max_batch.max(1),
             max_wait,
             fsync_latency,
             device: Mutex::new(FramedLog::default()),
@@ -340,8 +340,8 @@ impl Durability {
             }
             self.arrived.wait_for(&mut p, left);
         };
-        // the strict per-commit baseline forces once per logged commit;
-        // a group takes everything parked, whatever ended the gather
+        // a group of one forces once per logged commit; a larger group
+        // takes everything parked, whatever ended the gather
         let take = if self.batch == 1 { 1 } else { p.acks.len() };
         batch.extend(p.acks.drain(..take));
         self.room.notify_all();
@@ -478,6 +478,12 @@ mod tests {
     use oodb_recovery::framing::scan;
     use std::sync::Barrier;
 
+    /// One force per logged commit.
+    const GROUP_OF_ONE: DurabilityMode = DurabilityMode::Group {
+        max_batch: 1,
+        max_wait: Duration::ZERO,
+    };
+
     fn engine(durability: DurabilityMode) -> Engine {
         let cfg = EngineConfig {
             workers: 1,
@@ -517,7 +523,7 @@ mod tests {
 
     #[test]
     fn a_parked_commit_is_forced_then_acknowledged() {
-        let engine = engine(DurabilityMode::PerCommit);
+        let engine = engine(GROUP_OF_ONE);
         let (shared, dur) = (&engine.shared, engine.shared.dur.as_ref().unwrap());
         let executing = dur.enter();
         let ack = logged_commit(shared, 9);
@@ -533,7 +539,7 @@ mod tests {
         assert_eq!(scan(&image).payloads.len(), 1);
         let m = engine.shutdown().metrics;
         assert_eq!((m.fsyncs, m.wal_appends, m.wal_parked_peak), (1, 1, 1));
-        assert_eq!(m.wal_flush_full, 1, "per-commit: every gather is full");
+        assert_eq!(m.wal_flush_full, 1, "a group of one: every gather is full");
     }
 
     #[test]
@@ -580,7 +586,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "log flusher must not panic")]
     fn a_dead_flusher_strands_no_worker_and_fails_the_shutdown() {
-        let engine = engine(DurabilityMode::PerCommit);
+        let engine = engine(GROUP_OF_ONE);
         let shared = &engine.shared;
         let dur = shared.dur.as_ref().unwrap();
         // a commit record that is not in the log: the flusher's own

@@ -61,10 +61,9 @@ pub use queue::{Job, JobQueue};
 pub use trace::{RingSink, TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use worker::retry_delay;
 
-use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_sim::{EncOp, EncWorkload};
 use oodb_storage::PoolStats;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -134,43 +133,11 @@ impl Engine {
     /// keeps a handle to, to arm faults
     /// ([`OptimisticCc::inject_fault_after`]) or read its counters.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
-        // a record nobody reads is not kept: no audit, and a control that
-        // decides without it (strict 2PL)
-        let rec = if cfg.audit || cc.reads_record() {
-            oodb_model::Recorder::new()
-        } else {
-            oodb_model::Recorder::disabled()
-        };
-        let enc = Encyclopedia::create(
-            rec.clone(),
-            EncyclopediaConfig {
-                fanout: cfg.fanout,
-                pool_frames: cfg.pool_frames,
-                io_latency: cfg.io_latency,
-                ..EncyclopediaConfig::default()
-            },
-        );
-        if cfg.durability.is_on() {
-            // dirty data pages may only be evicted once the log covers
-            // their redo — see pool::advance_durable_floor
-            enc.pool().gate_evictions();
-        }
-        let metrics = EngineMetrics::with_shards(cc.shards());
-        let queue_depth = metrics.queue_depth.clone();
+        let shared = Arc::new(EngineShared::new(&cfg, cc.as_ref()));
         let queue = Arc::new(JobQueue::with_depth_gauge(
             cfg.queue_capacity,
-            queue_depth.clone(),
+            shared.metrics.queue_depth.clone(),
         ));
-        let shared = Arc::new(EngineShared {
-            rec,
-            enc: CompensatedEncyclopedia::new(enc),
-            gate: RwLock::new(()),
-            metrics,
-            trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
-            dur: cfg.durability.is_on().then(|| {
-                durability::Durability::new(cfg.durability, cfg.fsync_latency, queue_depth)
-            }),
-        });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let shared = shared.clone();
@@ -318,20 +285,7 @@ impl Engine {
         // read the final state AFTER the audit snapshot so the read-only
         // dump transaction never pollutes the audited record; the
         // workers are joined, so nothing runs beside it
-        let final_state = {
-            let mut ctx = self.shared.rec.begin_txn("Dump");
-            self.cc
-                .retire(&self.shared, oodb_core::ids::TxnIdx(ctx.txn_number()));
-            let mut items: Vec<(String, String)> = self
-                .shared
-                .enc
-                .read_seq(&mut ctx)
-                .into_iter()
-                .map(|(_, k, text)| (k, text))
-                .collect();
-            items.sort();
-            items
-        };
+        let final_state = self.shared.final_state(self.cc.as_ref());
         let wal = self.shared.dur.as_ref().map(|d| d.image());
         EngineOutput {
             metrics,

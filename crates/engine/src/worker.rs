@@ -1,6 +1,7 @@
-//! The protocol-agnostic worker loop: pop a job, execute its operations
-//! under the concurrency control, commit or compensate-and-retry with
-//! bounded, jittered exponential backoff.
+//! The one attempt lifecycle ([`Attempt`]: the paper's transaction tree,
+//! which commits or is undone by compensation) and the worker loop that
+//! drives it: pop a job, run attempts of it to a commit, or compensate
+//! and retry with bounded, jittered exponential backoff.
 
 use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::config::EngineConfig;
@@ -197,10 +198,10 @@ fn execute(
     shared: &EngineShared,
     ctx: &mut TxnCtx,
     op: &EncOp,
-    job: &Job,
+    job: u64,
     wal: &mut Wal<'_>,
 ) -> (Option<u64>, bool) {
-    let tag = job.id.wrapping_add(1) as usize;
+    let tag = job.wrapping_add(1) as usize;
     let seq = shared.trace.enabled().then(|| shared.trace.claim_seq());
     let hit = apply_op(&shared.enc, ctx, op, tag);
     wal.log_executed(&shared.metrics, &shared.enc, ctx, op, tag, hit);
@@ -236,7 +237,7 @@ fn trace_granted(
 /// them is still held: the attempt's strict-2PL locks, or the install
 /// gate its deferred writes went in under. Every inverse is logged (the
 /// CLR analog, so recovery resumes the undo exactly here) and, when
-/// tracing, returned with a seq claimed under the same order — the
+/// tracing, traced with a seq claimed under the same order — the
 /// compensation's membership changes interleave with `OpGranted` events
 /// exactly where the history put them. All controls are strict, so an
 /// inverse that fails is an engine bug.
@@ -245,11 +246,10 @@ fn compensate(
     cc: &dyn ConcurrencyControl,
     ctx: TxnCtx,
     handle: &TxnHandle,
-    job: &Job,
     wal: &mut Wal<'_>,
-) -> Vec<(u64, EncOp)> {
+) {
     let name = if shared.rec.is_enabled() {
-        format!("C({}a{})", attempt_name(job.id, 0), handle.attempt)
+        format!("C({}a{})", attempt_name(handle.job, 0), handle.attempt)
     } else {
         String::new()
     };
@@ -269,61 +269,262 @@ fn compensate(
         }
         wal.log_abort_done(&shared.metrics);
     }
-    if !shared.trace.enabled() {
-        return Vec::new();
+    if shared.trace.enabled() {
+        for op in report.compensated.iter().filter_map(inverse_op) {
+            shared
+                .trace
+                .emit_txn(handle, || TraceEventKind::CompensationOp { op, hit: true });
+        }
     }
-    report
-        .compensated
-        .iter()
-        .filter_map(|inv| {
-            let op = inverse_op(inv)?;
-            Some((shared.trace.claim_seq(), op))
-        })
-        .collect()
 }
 
-/// The commit point of both controls: install the attempt's deferred
-/// writes, ask the control, then log the commit and commit — or
-/// compensate. A control that defers writes does all of it under the
-/// install gate held exclusive, so its readers, which hold the gate
-/// shared, see the batch whole or not at all; its reads already ran on
-/// committed state, so nothing uncommitted was ever visible — no commit
-/// dependency to wait for, nothing to cascade. Under strict 2PL nothing
-/// is deferred and the attempt's locks, still held, order all of it; they
-/// are released only after the commit record is appended, so whoever
-/// observes this transaction logs after it (the durable prefix never
-/// keeps an observer while losing it). `Err` carries the compensation
-/// trace events: the abort tail must not compensate again.
-fn commit_point(
-    shared: &EngineShared,
-    cc: &dyn ConcurrencyControl,
-    handle: &TxnHandle,
-    mut ctx: TxnCtx,
-    deferred: &[EncOp],
-    job: &Job,
-    wal: &mut Wal<'_>,
-) -> Result<Option<usize>, Vec<(u64, EncOp)>> {
-    let gate = cc.buffers_writes().then(|| shared.gate.write());
-    let mut installs = Vec::new();
-    for op in deferred {
-        let (seq, hit) = execute(shared, &mut ctx, op, job, wal);
-        if let Some(seq) = seq {
-            installs.push((seq, op.clone(), hit));
+/// One attempt of a job, run one step at a time: the only way the engine
+/// runs a transaction.
+///
+/// * [`begin`](Self::begin) records the root and builds the handle and
+///   the log cursor;
+/// * [`step`](Self::step) runs one operation: grant, execute or defer,
+///   then the fault check;
+/// * [`finish`](Self::finish) is the commit point: install, certify, log,
+///   then commit and [`after_commit`](ConcurrencyControl::after_commit),
+///   or compensate;
+/// * [`abort`](Self::abort) compensates an attempt that stopped before
+///   its commit point and calls
+///   [`after_abort`](ConcurrencyControl::after_abort).
+///
+/// The worker drives it to the end; a test may stop between any two
+/// steps and look at the control, the record or the log.
+pub struct Attempt<'a> {
+    shared: &'a EngineShared,
+    cc: &'a dyn ConcurrencyControl,
+    handle: TxnHandle,
+    ctx: TxnCtx,
+    wal: Wal<'a>,
+    /// The control defers writes to the commit point; reads see
+    /// committed state when issued (not `deferred`).
+    buffering: bool,
+    deferred: Vec<EncOp>,
+    ops_done: usize,
+    /// The grant waits so far, split out of execution time when (and
+    /// only when) the attempt commits.
+    wait: Duration,
+    /// Taken before the root is staged, which is execution time.
+    start: Instant,
+    submitted_at: Instant,
+    /// False for internal transactions (preload) that stay out of the
+    /// workload counters.
+    record_metrics: bool,
+}
+
+/// A committed attempt whose acknowledgement is still to be made: the
+/// worker parks it with the log flusher or makes it at once.
+pub struct Committed(Ack);
+
+/// A compensated attempt: everything it held is released.
+pub struct Aborted {
+    /// The attempt's handle.
+    pub handle: TxnHandle,
+    /// Why it aborted.
+    pub(crate) reason: AbortReason,
+}
+
+impl<'a> Attempt<'a> {
+    /// Begin attempt `attempt` of job `job` under `cc`: record its root
+    /// (named only when the record or the log reads the name) and build
+    /// its handle and log cursor.
+    pub fn begin(
+        shared: &'a EngineShared,
+        cc: &'a dyn ConcurrencyControl,
+        job: u64,
+        attempt: u32,
+    ) -> Self {
+        let start = Instant::now();
+        // the record takes the name, the log gets a copy
+        let name = if shared.rec.is_enabled() || shared.dur.is_some() {
+            attempt_name(job, attempt)
+        } else {
+            String::new()
+        };
+        let wal_name = shared.dur.is_some().then(|| name.clone());
+        let ctx = shared.rec.begin_txn(name);
+        let txn = ctx.txn_number();
+        Attempt {
+            shared,
+            cc,
+            handle: TxnHandle::new(job, attempt, TxnIdx(txn), OwnerId(u64::from(txn))),
+            ctx,
+            wal: Wal::new(shared, txn, wal_name),
+            buffering: cc.buffers_writes(),
+            deferred: Vec::new(),
+            ops_done: 0,
+            wait: Duration::ZERO,
+            start,
+            submitted_at: start,
+            record_metrics: true,
         }
     }
-    let result = match cc.try_finish(shared, handle) {
-        FinishOutcome::Committed => {
+
+    /// The attempt's identity under the control.
+    pub fn handle(&self) -> &TxnHandle {
+        &self.handle
+    }
+
+    /// Operations granted so far.
+    pub fn ops_done(&self) -> usize {
+        self.ops_done
+    }
+
+    /// Run `op`: ask the control for the grant, then execute it — or,
+    /// for a write the control defers, keep it for the commit point —
+    /// and consult the fault hook. `Err` names why the attempt must
+    /// [`abort`](Self::abort) now.
+    pub fn step(&mut self, op: &EncOp) -> Result<(), AbortReason> {
+        let (shared, cc) = (self.shared, self.cc);
+        let t0 = Instant::now();
+        let grant = cc.before_op(shared, &self.handle, op);
+        let waited = t0.elapsed();
+        self.wait += waited;
+        if self.record_metrics {
+            shared.metrics.lock_wait.record(waited);
+        }
+        match grant {
+            OpGrant::Granted if self.buffering && is_write(op) => {
+                // deferred: installs at the commit point, under the same
+                // gate as certification
+                self.deferred.push(op.clone());
+            }
+            OpGrant::Granted => {
+                // under strict 2PL the granted lock orders the op; under
+                // deferred writes it is a read, ordered against every
+                // commit point by the gate held shared
+                let gate = self.buffering.then(|| shared.gate.read());
+                let (seq, hit) = execute(shared, &mut self.ctx, op, self.handle.job, &mut self.wal);
+                drop(gate);
+                if let Some(seq) = seq {
+                    let wait_ns = waited.as_nanos() as u64;
+                    trace_granted(shared, cc, &self.handle, seq, op.clone(), wait_ns, hit);
+                }
+            }
+            OpGrant::AbortVictim => return Err(AbortReason::Victim),
+        }
+        self.ops_done += 1;
+        // fault injection: abort mid-flight exactly as a real failure
+        // would, compensating on every shard touched so far
+        if cc.inject_abort(&self.handle, self.ops_done) {
+            return Err(AbortReason::Injected);
+        }
+        Ok(())
+    }
+
+    /// The commit point of both controls: install the attempt's deferred
+    /// writes, ask the control, then log the commit, commit and release —
+    /// or compensate and release. A control that defers writes does all
+    /// of it but the release under the install gate held exclusive, so
+    /// its readers, which hold the gate shared, see the batch whole or not
+    /// at all; its reads already ran on committed state, so nothing
+    /// uncommitted was ever visible — no commit dependency to wait for,
+    /// nothing to cascade. Under strict 2PL nothing is deferred and the
+    /// attempt's locks, still held, order all of it; they are released
+    /// only after the commit record is appended, so whoever observes this
+    /// transaction logs after it (the durable prefix never keeps an
+    /// observer while losing it).
+    pub fn finish(self) -> Result<Committed, Aborted> {
+        let Attempt {
+            shared,
+            cc,
+            handle,
+            mut ctx,
+            mut wal,
+            buffering,
+            deferred,
+            ops_done,
+            wait,
+            start,
+            submitted_at,
+            record_metrics,
+        } = self;
+        let gate = buffering.then(|| shared.gate.write());
+        let mut installs = Vec::new();
+        for op in deferred {
+            let (seq, hit) = execute(shared, &mut ctx, &op, handle.job, &mut wal);
+            if let Some(seq) = seq {
+                installs.push((seq, op, hit));
+            }
+        }
+        let committed = cc.try_finish(shared, &handle) == FinishOutcome::Committed;
+        let end = if committed {
             let end = wal.log_commit(&shared.metrics);
             shared.enc.commit(ctx);
-            Ok(end)
+            end
+        } else {
+            compensate(shared, cc, ctx, &handle, &mut wal);
+            None
+        };
+        drop(gate);
+        for (seq, op, hit) in installs {
+            trace_granted(shared, cc, &handle, seq, op, 0, hit);
         }
-        FinishOutcome::Abort => Err(compensate(shared, cc, ctx, handle, job, wal)),
-    };
-    drop(gate);
-    for (seq, op, hit) in installs {
-        trace_granted(shared, cc, handle, seq, op, 0, hit);
+        if !committed {
+            let reason = AbortReason::Validation;
+            return Err(released(shared, cc, handle, &wal, ops_done, reason));
+        }
+        let appended_at = Instant::now();
+        cc.after_commit(shared, &handle);
+        Ok(Committed(Ack {
+            handle,
+            submitted_at,
+            record_metrics,
+            wait,
+            exec: start.elapsed().saturating_sub(wait),
+            wal_records: wal.records,
+            wal_bytes: wal.bytes,
+            logged: end.map(|end| Logged {
+                end,
+                mark: shared.enc.inner().pool().current_lsn(),
+                appended_at,
+            }),
+        }))
     }
-    result
+
+    /// Compensate an attempt that stopped before its commit point, under
+    /// the locks it still holds (its deferred writes, if any, were never
+    /// installed), and release it.
+    pub fn abort(self, reason: AbortReason) -> Aborted {
+        let Attempt {
+            shared,
+            cc,
+            handle,
+            ctx,
+            mut wal,
+            ops_done,
+            ..
+        } = self;
+        compensate(shared, cc, ctx, &handle, &mut wal);
+        released(shared, cc, handle, &wal, ops_done, reason)
+    }
+}
+
+/// The tail of every abort, once the compensation is done: trace it and
+/// the log records, then let the control release the attempt.
+fn released(
+    shared: &EngineShared,
+    cc: &dyn ConcurrencyControl,
+    handle: TxnHandle,
+    wal: &Wal<'_>,
+    ops_done: usize,
+    reason: AbortReason,
+) -> Aborted {
+    shared
+        .trace
+        .emit_txn(&handle, || TraceEventKind::Compensated { ops: ops_done });
+    if wal.records > 0 {
+        let (records, bytes) = (wal.records, wal.bytes);
+        shared
+            .trace
+            .emit_txn(&handle, || TraceEventKind::WalAppend { records, bytes });
+    }
+    cc.after_abort(shared, &handle);
+    Aborted { handle, reason }
 }
 
 /// Build the record of what this attempt (and anybody else) staged, if
@@ -395,120 +596,24 @@ pub(crate) fn process_job(
                 });
             return;
         }
-        // phase timers: this attempt's start and its accumulated
-        // grant/certification waits, split out of execution time when
-        // (and only when) the attempt commits. The clock starts before
-        // `begin_txn`, which stages the root and is execution time; the
-        // record of what the attempt stages is built after the commit,
-        // on `phase_drain`'s clock (`drain_record`)
-        let attempt_start = Instant::now();
-        // one name per attempt, formatted only when the record or the log
-        // reads it: the record takes it, the log gets a copy
-        let name = if shared.rec.is_enabled() || shared.dur.is_some() {
-            attempt_name(job.id, attempt)
-        } else {
-            String::new()
-        };
-        let wal_name = shared.dur.is_some().then(|| name.clone());
-        let mut ctx = shared.rec.begin_txn(name);
-        let txn_number = ctx.txn_number();
-        let handle = TxnHandle::new(
-            job.id,
-            attempt,
-            TxnIdx(txn_number),
-            OwnerId(u64::from(txn_number)),
-        );
-        let mut wal = Wal::new(shared, txn_number, wal_name);
+        let mut a = Attempt::begin(shared, cc, job.id, attempt);
+        (a.submitted_at, a.record_metrics) = (job.submitted_at, record_metrics);
         shared
             .trace
-            .emit_txn(&handle, || TraceEventKind::AttemptBegin {
+            .emit_txn(&a.handle, || TraceEventKind::AttemptBegin {
                 ops: job.ops.len(),
             });
-        let mut wait_total = Duration::ZERO;
-
-        // writes deferred to the commit point stay in this buffer instead
-        // of executing in place; reads see committed state when issued
-        // (not this buffer)
-        let buffering = cc.buffers_writes();
-        let mut buffered: Vec<EncOp> = Vec::new();
-
-        let mut aborting = false;
-        let mut reason = AbortReason::Victim;
-        let mut ops_done = 0usize;
-        for op in &job.ops {
-            let t0 = Instant::now();
-            let grant = cc.before_op(shared, &handle, op);
-            let waited = t0.elapsed();
-            wait_total += waited;
-            if record_metrics {
-                shared.metrics.lock_wait.record(waited);
-            }
-            match grant {
-                OpGrant::Granted if buffering && is_write(op) => {
-                    // deferred: installs at the commit point, under the
-                    // same gate as certification
-                    buffered.push(op.clone());
-                }
-                OpGrant::Granted => {
-                    // under strict 2PL the granted lock orders the op;
-                    // under deferred writes it is a read, ordered
-                    // against every commit point by the gate held shared
-                    let gate = buffering.then(|| shared.gate.read());
-                    let (seq, hit) = execute(shared, &mut ctx, op, job, &mut wal);
-                    drop(gate);
-                    if let Some(seq) = seq {
-                        let wait_ns = waited.as_nanos() as u64;
-                        trace_granted(shared, cc, &handle, seq, op.clone(), wait_ns, hit);
-                    }
-                }
-                OpGrant::AbortVictim => {
-                    aborting = true;
-                    reason = AbortReason::Victim;
-                    break;
-                }
-            }
-            ops_done += 1;
-            // fault injection: abort mid-flight exactly as a real failure
-            // would, compensating on every shard touched so far
-            if cc.inject_abort(&handle, ops_done) {
-                aborting = true;
-                reason = AbortReason::Injected;
-                break;
-            }
-        }
-
-        if !aborting && past(job.deadline) {
-            aborting = true;
-            reason = AbortReason::Deadline;
-        }
-        // `Ok(end)`: committed, with the log offset the acknowledgement
-        // must be durable through; `Err`: compensated, with the trace
-        // events of the compensation. An attempt that aborts before its
-        // commit point compensates here, under the locks it still holds
-        // (its deferred writes, if any, were never installed)
-        let outcome = if aborting {
-            Err(compensate(shared, cc, ctx, &handle, job, &mut wal))
-        } else {
-            commit_point(shared, cc, &handle, ctx, &buffered, job, &mut wal)
+        let stopped = job
+            .ops
+            .iter()
+            .find_map(|op| a.step(op).err())
+            .or_else(|| past(job.deadline).then_some(AbortReason::Deadline));
+        let ended = match stopped {
+            Some(reason) => Err(a.abort(reason)),
+            None => a.finish(),
         };
-        let comp_events = match outcome {
-            Ok(commit_end) => {
-                let appended_at = Instant::now();
-                cc.after_commit(shared, &handle);
-                let ack = Ack {
-                    handle,
-                    submitted_at: job.submitted_at,
-                    record_metrics,
-                    wait: wait_total,
-                    exec: attempt_start.elapsed().saturating_sub(wait_total),
-                    wal_records: wal.records,
-                    wal_bytes: wal.bytes,
-                    logged: commit_end.map(|end| Logged {
-                        end,
-                        mark: shared.enc.inner().pool().current_lsn(),
-                        appended_at,
-                    }),
-                };
+        let aborted = match ended {
+            Ok(Committed(ack)) => {
                 // the locks are gone and the commit record is in the log
                 // before anything that observed this transaction (the
                 // prefix property), so nothing in the database waits for
@@ -521,32 +626,8 @@ pub(crate) fn process_job(
                 drain_record(shared, record_metrics);
                 return;
             }
-            Err(comp_events) => {
-                if !aborting {
-                    reason = AbortReason::Validation;
-                }
-                comp_events
-            }
+            Err(aborted) => aborted,
         };
-        for (seq, op) in comp_events {
-            shared.trace.emit_at(
-                seq,
-                handle.job,
-                handle.attempt,
-                handle.owner.0 as u32,
-                TraceEventKind::CompensationOp { op, hit: true },
-            );
-        }
-        shared
-            .trace
-            .emit_txn(&handle, || TraceEventKind::Compensated { ops: ops_done });
-        if wal.records > 0 {
-            let (records, bytes) = (wal.records, wal.bytes);
-            shared
-                .trace
-                .emit_txn(&handle, || TraceEventKind::WalAppend { records, bytes });
-        }
-        cc.after_abort(shared, &handle);
         drain_record(shared, false);
         if record_metrics {
             shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
@@ -554,7 +635,10 @@ pub(crate) fn process_job(
         let last = attempt == cfg.max_retries;
         shared
             .trace
-            .emit_txn(&handle, || TraceEventKind::Aborted { reason, last });
+            .emit_txn(&aborted.handle, || TraceEventKind::Aborted {
+                reason: aborted.reason,
+                last,
+            });
 
         if last {
             if record_metrics {

@@ -1,32 +1,28 @@
 //! What the engine's suites share: a single-threaded virtual scheduler
-//! that drives a concurrency control through a fixed op-level schedule
-//! exactly as the worker would (buffered writes install at the commit
-//! point, compensations are retired) and logs every decision, the
-//! certifier's from-scratch replay over the final record, the
-//! interleaving enumerator, the small conflicting workloads the
-//! deterministic suites enumerate, the trace analyzer ([`analyze`]) and
-//! a JSON well-formedness check ([`json`]).
+//! that drives the worker's own attempt lifecycle through a fixed
+//! op-level schedule and logs every decision, the certifier's
+//! from-scratch replay over the final record, the interleaving
+//! enumerator, the small workloads the deterministic suites enumerate,
+//! the trace analyzer ([`analyze`]) and a JSON well-formedness check
+//! ([`json`]).
 
 #![allow(dead_code)] // each suite uses its own subset
 
 pub mod analyze;
 pub mod json;
 
-use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::certifier::restrict_history;
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::schedule::SystemSchedules;
 use oodb_core::serializability::check_system_decentralized;
 use oodb_core::system::TransactionSystem;
-use oodb_engine::trace::attempt_name;
+use oodb_engine::trace::AbortReason;
+use oodb_engine::worker::Attempt;
 use oodb_engine::{
-    audit, shard_of_key, ConcurrencyControl, EngineMetrics, EngineShared, FinishOutcome, OpGrant,
-    TxnHandle,
+    audit, shard_of_key, ConcurrencyControl, EngineConfig, EngineShared, FinishOutcome,
 };
-use oodb_lock::OwnerId;
-use oodb_model::{Recorder, TxnCtx};
-use oodb_sim::exec::apply_op;
+use oodb_model::Recorder;
 use oodb_sim::EncOp;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -91,26 +87,6 @@ pub fn infer_restricted(
     SystemSchedules::infer_scoped(ts, &restricted, scope)
 }
 
-/// One attempt of one logical transaction inside the virtual scheduler.
-pub struct Attempt {
-    ops: Vec<EncOp>,
-    /// Writes granted but not applied yet: a snapshot control
-    /// ([`ConcurrencyControl::buffers_writes`]) installs them at the
-    /// commit point, as the engine's worker does.
-    buffered: Vec<EncOp>,
-    cursor: usize,
-    attempt: u32,
-    ctx: TxnCtx,
-    handle: TxnHandle,
-}
-
-impl Attempt {
-    /// The text tag its writes carry: the job number, 0 for the preload.
-    fn tag(&self) -> usize {
-        (self.handle.job as usize).wrapping_add(1)
-    }
-}
-
 /// The outcome of one fully replayed schedule, including the complete
 /// ordered log of concurrency-control decisions. Two runs that make the
 /// same decisions produce byte-identical logs; any divergence in a grant
@@ -125,213 +101,117 @@ pub struct RunOutcome {
     pub decentralized_ok: bool,
     pub global_ok: bool,
     pub final_state: Vec<(String, String)>,
+    /// The run's log image, when the configuration logs.
+    pub wal: Option<Vec<u8>>,
 }
 
-/// Single-threaded virtual scheduler with a decision log: executes
-/// `schedule` (a merge of the transactions' op streams) step by step
-/// against `cc`, recording every grant and finish verdict in order, retries aborted attempts serially after the trace, then audits
-/// the record.
+/// What the scheduler has decided so far.
+#[derive(Default)]
+struct Log {
+    decisions: Vec<String>,
+    verdicts: Vec<(TxnIdx, FinishOutcome)>,
+    committed: usize,
+    retries: u32,
+    /// Aborted logical transactions awaiting a serial retry.
+    retry: VecDeque<(usize, u32)>,
+}
+
+impl Log {
+    /// Drive `a`, an attempt of transaction `t`, through its commit point
+    /// and log the verdict under `label`. True when it committed.
+    fn finish(&mut self, t: usize, label: &str, a: Attempt<'_>) -> bool {
+        let (txn, attempt) = (a.handle().txn, a.handle().attempt);
+        let verdict = match a.finish() {
+            Ok(_) => FinishOutcome::Committed,
+            Err(_) => FinishOutcome::Abort,
+        };
+        self.verdicts.push((txn, verdict));
+        self.decisions.push(format!("{label}: {verdict:?}"));
+        match verdict {
+            FinishOutcome::Committed => self.committed += 1,
+            FinishOutcome::Abort => self.requeue(t, attempt),
+        }
+        verdict == FinishOutcome::Committed
+    }
+
+    /// Compensate `a`, an attempt of transaction `t` that stopped before
+    /// its commit point, and log why under `label`.
+    fn abort(&mut self, t: usize, label: &str, a: Attempt<'_>, reason: AbortReason) {
+        self.decisions.push(format!("{label}: {}", reason.label()));
+        let attempt = a.abort(reason).handle.attempt;
+        self.requeue(t, attempt);
+    }
+
+    fn requeue(&mut self, t: usize, attempt: u32) {
+        self.retries += 1;
+        assert!(attempt < 8, "txn {t} must not abort forever");
+        self.retry.push_back((t, attempt + 1));
+    }
+
+    /// Run attempt `attempt` of transaction `t` start to finish with
+    /// nothing else live: the serial retry path, and the preload. True
+    /// when it committed.
+    fn serially(
+        &mut self,
+        shared: &EngineShared,
+        cc: &dyn ConcurrencyControl,
+        t: usize,
+        attempt: u32,
+        ops: &[EncOp],
+    ) -> bool {
+        let mut a = Attempt::begin(shared, cc, t as u64, attempt);
+        let label = format!("serial t{t}a{attempt}");
+        match ops.iter().find_map(|op| a.step(op).err()) {
+            Some(reason) => {
+                self.abort(t, &label, a, reason);
+                false
+            }
+            None => self.finish(t, &label, a),
+        }
+    }
+}
+
+/// Single-threaded virtual scheduler with a decision log: drives the
+/// worker's own attempt lifecycle ([`Attempt`]) through `schedule` (a
+/// merge of the transactions' op streams) one step at a time against
+/// `cc`, recording every grant and finish verdict in order, retries
+/// aborted attempts serially after the trace, then audits the record.
+/// Optimistic controls only: strict 2PL's `before_op` would block its
+/// one thread.
 pub struct VirtualScheduler {
     shared: EngineShared,
     cc: Arc<dyn ConcurrencyControl>,
     txns: Vec<Vec<EncOp>>,
-    active: Vec<Option<Attempt>>,
-    /// Aborted logical transactions awaiting a serial retry.
-    retry: VecDeque<(usize, u32)>,
-    committed: usize,
-    retries: u32,
-    decisions: Vec<String>,
-    verdicts: Vec<(TxnIdx, FinishOutcome)>,
+    log: Log,
 }
 
 impl VirtualScheduler {
-    pub fn new(cc: Arc<dyn ConcurrencyControl>, txns: &[Vec<EncOp>], preload: &[String]) -> Self {
-        let rec = oodb_model::Recorder::new();
-        let enc = Encyclopedia::create(
-            rec.clone(),
-            EncyclopediaConfig {
-                fanout: 8,
-                pool_frames: 1024,
-                ..EncyclopediaConfig::default()
-            },
-        );
-        let shared = EngineShared {
-            rec,
-            enc: CompensatedEncyclopedia::new(enc),
-            gate: Default::default(),
-            metrics: EngineMetrics::with_shards(cc.shards()),
-            trace: oodb_engine::Tracer::disabled(),
-            dur: None,
-        };
-        let mut vs = VirtualScheduler {
-            shared,
-            cc,
-            txns: txns.to_vec(),
-            active: (0..txns.len()).map(|_| None).collect(),
-            retry: VecDeque::new(),
-            committed: 0,
-            retries: 0,
-            decisions: Vec::new(),
-            verdicts: Vec::new(),
-        };
+    /// A scheduler over `txns` on the database `cfg` describes, after
+    /// one serial `Setup` transaction has inserted `preload`.
+    pub fn new(
+        cfg: &EngineConfig,
+        cc: Arc<dyn ConcurrencyControl>,
+        txns: &[Vec<EncOp>],
+        preload: &[String],
+    ) -> Self {
+        let shared = EngineShared::new(cfg, cc.as_ref());
+        let mut log = Log::default();
         if !preload.is_empty() {
             let ops: Vec<EncOp> = preload.iter().map(|k| EncOp::Insert(k.clone())).collect();
-            let setup = vs.begin(u64::MAX, "Setup".into(), ops);
-            let done = vs.run_serially(setup);
+            // the preload is job `u64::MAX`, as the engine's
+            let done = log.serially(&shared, cc.as_ref(), usize::MAX, 0, &ops);
             assert!(done, "uncontended preload must commit");
-            vs.committed -= 1; // Setup is not a workload transaction
+            log.committed -= 1; // Setup is not a workload transaction
 
             // preload decisions are invariant; its verdict stays, as the
             // later ones are checked against it
-            vs.decisions.clear();
+            log.decisions.clear();
         }
-        vs
-    }
-
-    fn begin(&mut self, job: u64, name: String, ops: Vec<EncOp>) -> Attempt {
-        let ctx = self.shared.rec.begin_txn(name);
-        let handle = TxnHandle::new(
-            job,
-            0,
-            TxnIdx(ctx.txn_number()),
-            OwnerId(u64::from(ctx.txn_number())),
-        );
-        Attempt {
-            ops,
-            buffered: Vec::new(),
-            cursor: 0,
-            attempt: 0,
-            ctx,
-            handle,
-        }
-    }
-
-    /// Execute one scheduled step of logical transaction `t`. Steps of
-    /// an attempt that already aborted (its retry runs after the trace)
-    /// are skipped — the schedule stays fixed, the trace just has holes.
-    fn step(&mut self, t: usize) {
-        if self.active[t].is_none() && !self.txns[t].is_empty() && !self.already_started(t) {
-            let a = self.begin(t as u64, attempt_name(t as u64, 0), self.txns[t].clone());
-            self.active[t] = Some(a);
-        }
-        let Some(mut a) = self.active[t].take() else {
-            return;
-        };
-        if a.cursor >= a.ops.len() {
-            self.active[t] = Some(a);
-            return;
-        }
-        let op = a.ops[a.cursor].clone();
-        match self.cc.before_op(&self.shared, &a.handle, &op) {
-            OpGrant::Granted => {
-                self.decisions
-                    .push(format!("t{t}a{} op{}: granted", a.attempt, a.cursor));
-                self.execute(&mut a, op);
-                a.cursor += 1;
-            }
-            OpGrant::AbortVictim => {
-                self.decisions
-                    .push(format!("t{t}a{} op{}: victim", a.attempt, a.cursor));
-                self.abort_attempt(t, a);
-                return;
-            }
-        }
-        if a.cursor == a.ops.len() {
-            let verdict = self.finish(&mut a);
-            self.decisions
-                .push(format!("t{t}a{}: {verdict:?}", a.attempt));
-            match verdict {
-                FinishOutcome::Committed => self.commit_attempt(a),
-                FinishOutcome::Abort => self.abort_attempt(t, a),
-            }
-        } else {
-            self.active[t] = Some(a);
-        }
-    }
-
-    /// Run a granted operation now, or keep a write back for the commit
-    /// point when the control buffers them.
-    fn execute(&self, a: &mut Attempt, op: EncOp) {
-        let is_write = matches!(op, EncOp::Insert(_) | EncOp::Change(_) | EncOp::Delete(_));
-        if is_write && self.cc.buffers_writes() {
-            a.buffered.push(op);
-        } else {
-            let tag = a.tag();
-            apply_op(&self.shared.enc, &mut a.ctx, &op, tag);
-        }
-    }
-
-    /// The commit point: install what was buffered, then ask the control.
-    fn finish(&mut self, a: &mut Attempt) -> FinishOutcome {
-        let tag = a.tag();
-        for op in std::mem::take(&mut a.buffered) {
-            apply_op(&self.shared.enc, &mut a.ctx, &op, tag);
-        }
-        let verdict = self.cc.try_finish(&self.shared, &a.handle);
-        self.verdicts.push((a.handle.txn, verdict));
-        verdict
-    }
-
-    /// A retry was queued or an attempt exists — `t` already started.
-    fn already_started(&self, t: usize) -> bool {
-        self.active[t].is_some() || self.retry.iter().any(|&(r, _)| r == t)
-    }
-
-    fn commit_attempt(&mut self, a: Attempt) {
-        self.shared.enc.commit(a.ctx);
-        self.cc.after_commit(&self.shared, &a.handle);
-        self.committed += 1;
-    }
-
-    fn abort_attempt(&mut self, t: usize, a: Attempt) {
-        let next = a.attempt + 1;
-        {
-            let mut comp = self.shared.rec.begin_txn(format!(
-                "C(J{}a{})",
-                (t as u64).wrapping_add(1),
-                a.attempt
-            ));
-            self.cc.retire(&self.shared, TxnIdx(comp.txn_number()));
-            self.shared.enc.abort(a.ctx, &mut comp);
-        }
-        self.cc.after_abort(&self.shared, &a.handle);
-        self.retries += 1;
-        assert!(next <= 8, "txn {t} must not abort forever");
-        self.retry.push_back((t, next));
-    }
-
-    /// Run one attempt start-to-finish with nothing else live (the
-    /// serial retry path). Returns false if it aborted (the caller
-    /// requeues the follow-up attempt).
-    fn run_serially(&mut self, mut a: Attempt) -> bool {
-        let t = a.handle.job as usize;
-        while a.cursor < a.ops.len() {
-            let op = a.ops[a.cursor].clone();
-            match self.cc.before_op(&self.shared, &a.handle, &op) {
-                OpGrant::Granted => {
-                    self.execute(&mut a, op);
-                    a.cursor += 1;
-                }
-                OpGrant::AbortVictim => {
-                    self.decisions
-                        .push(format!("serial t{t}a{}: victim", a.attempt));
-                    self.abort_attempt(t, a);
-                    return false;
-                }
-            }
-        }
-        let verdict = self.finish(&mut a);
-        self.decisions
-            .push(format!("serial t{t}a{}: {verdict:?}", a.attempt));
-        match verdict {
-            FinishOutcome::Committed => {
-                self.commit_attempt(a);
-                true
-            }
-            FinishOutcome::Abort => {
-                self.abort_attempt(t, a);
-                false
-            }
+        VirtualScheduler {
+            shared,
+            cc,
+            txns: txns.to_vec(),
+            log,
         }
     }
 
@@ -341,43 +221,56 @@ impl VirtualScheduler {
         self.shared.rec.clone()
     }
 
-    pub fn run(mut self, schedule: &[usize]) -> RunOutcome {
+    /// Execute one scheduled step of a logical transaction at each entry
+    /// of `schedule`. Steps of an attempt that already aborted (its retry
+    /// runs after the trace) are skipped — the schedule stays fixed, the
+    /// trace just has holes.
+    pub fn run(self, schedule: &[usize]) -> RunOutcome {
+        let VirtualScheduler {
+            shared,
+            cc,
+            txns,
+            mut log,
+        } = self;
+        let cc = cc.as_ref();
+        let mut live: Vec<Option<Attempt<'_>>> = txns.iter().map(|_| None).collect();
+        let mut started = vec![false; txns.len()];
         for &t in schedule {
-            self.step(t);
+            if !std::mem::replace(&mut started[t], true) {
+                live[t] = Some(Attempt::begin(&shared, cc, t as u64, 0));
+            }
+            let Some(mut a) = live[t].take() else {
+                continue;
+            };
+            let i = a.ops_done();
+            let attempt = a.handle().attempt;
+            match a.step(&txns[t][i]) {
+                Err(reason) => log.abort(t, &format!("t{t}a{attempt} op{i}"), a, reason),
+                Ok(()) => {
+                    log.decisions.push(format!("t{t}a{attempt} op{i}: granted"));
+                    if a.ops_done() == txns[t].len() {
+                        log.finish(t, &format!("t{t}a{attempt}"), a);
+                    } else {
+                        live[t] = Some(a);
+                    }
+                }
+            }
         }
         // serial retries: aborted transactions re-execute with nothing
         // else live, so each retry commits
-        while let Some((t, attempt)) = self.retry.pop_front() {
-            let mut a = self.begin(
-                t as u64,
-                attempt_name(t as u64, attempt),
-                self.txns[t].clone(),
-            );
-            a.attempt = attempt;
-            a.handle.attempt = attempt;
-            self.run_serially(a);
+        while let Some((t, attempt)) = log.retry.pop_front() {
+            log.serially(&shared, cc, t, attempt, &txns[t]);
         }
-        let audit_out = audit(&self.shared.rec, self.cc.as_ref());
-        let final_state = {
-            let mut ctx = self.shared.rec.begin_txn("Dump");
-            let mut items: Vec<(String, String)> = self
-                .shared
-                .enc
-                .read_seq(&mut ctx)
-                .into_iter()
-                .map(|(_, k, text)| (k, text))
-                .collect();
-            items.sort();
-            items
-        };
+        let audit_out = audit(&shared.rec, cc);
         RunOutcome {
-            decisions: self.decisions,
-            verdicts: self.verdicts,
-            committed: self.committed,
-            retries: self.retries,
+            decisions: log.decisions,
+            verdicts: log.verdicts,
+            committed: log.committed,
+            retries: log.retries,
             decentralized_ok: audit_out.report.oo_decentralized.is_ok(),
             global_ok: audit_out.report.oo_global.is_ok(),
-            final_state,
+            final_state: shared.final_state(cc),
+            wal: shared.dur.as_ref().map(|d| d.image()),
         }
     }
 }
@@ -419,3 +312,32 @@ pub fn conflicting_4txn_workload() -> (Vec<Vec<EncOp>>, Vec<String>) {
     ];
     (txns, vec![ka, kb])
 }
+
+/// Three transactions on a fanout-4 tree whose inserts split a leaf. The
+/// five preloaded keys split the root leaf into `[k01 k02]` and
+/// `[k04 k11 k12]`; `T0` and `T1` insert `k05` and `k07` into the right
+/// leaf at their commit points, so the second install splits it. `T2`'s
+/// range scan starts in the left leaf and walks the chain into the right
+/// one; its sequential scan reads the item list.
+pub fn splitting_workload() -> (EngineConfig, Vec<Vec<EncOp>>, Vec<String>) {
+    let cfg = EngineConfig {
+        fanout: 4,
+        ..EngineConfig::default()
+    };
+    let k = |s: &str| s.to_string();
+    let txns = vec![
+        vec![EncOp::Insert(k("k05"))],
+        vec![EncOp::Insert(k("k07")), EncOp::Search(k("k06"))],
+        vec![EncOp::Range(k("k03"), k("k11")), EncOp::ReadSeq],
+    ];
+    let preload = ["k01", "k02", "k04", "k11", "k12"].map(k).to_vec();
+    (cfg, txns, preload)
+}
+
+/// The Definition-5 witness: a schedule of [`splitting_workload`] the
+/// certifier admits and the audit rejects. `T1` defers its insert of
+/// `k07`, `T0` commits `k05`, `T2`'s range misses `k07`, `T1` commits
+/// (its install splits the right leaf), and `T2`'s sequential scan sees
+/// `k07`: `T2 → T1 → T2`, a phantom. At fanout 8 the certifier aborts
+/// `T2` on the same schedule.
+pub const SPLIT_WITNESS: [usize; 5] = [1, 0, 2, 1, 2];

@@ -5,12 +5,11 @@
 //! wait ends at a release or a verdict — a lost wake-up shows as a
 //! failed hang guard here, never as a hung suite.
 
-use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
 use oodb_core::ids::TxnIdx;
 use oodb_engine::trace::TraceEventKind;
 use oodb_engine::{
-    shard_of_key, CcKind, ConcurrencyControl, Engine, EngineConfig, EngineMetrics, EngineShared,
-    LockingCc, OpGrant, TraceMode, Tracer, TxnHandle, STRIPES,
+    shard_of_key, CcKind, ConcurrencyControl, Engine, EngineConfig, EngineShared, LockingCc,
+    OpGrant, TraceMode, TxnHandle, STRIPES,
 };
 use oodb_lock::OwnerId;
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkloadConfig, Skew};
@@ -46,22 +45,14 @@ fn keys_on_distinct_stripes(n: usize) -> Vec<String> {
     found.into_iter().flatten().collect()
 }
 
-fn shared() -> EngineShared {
-    let rec = oodb_model::Recorder::new();
-    let enc = Encyclopedia::create(
-        rec.clone(),
-        EncyclopediaConfig {
-            pool_frames: 64,
-            ..EncyclopediaConfig::default()
-        },
-    );
-    EngineShared {
-        rec,
-        enc: CompensatedEncyclopedia::new(enc),
-        gate: Default::default(),
-        metrics: EngineMetrics::new(),
-        trace: Tracer::from_mode(&TraceMode::ring(), 1),
-        dur: None,
+/// A small traced one-worker engine: the contract tests read the
+/// `DeadlockVictim` events from its one ring lane.
+fn traced() -> EngineConfig {
+    EngineConfig {
+        workers: 1,
+        pool_frames: 64,
+        trace: TraceMode::ring(),
+        ..EngineConfig::default()
     }
 }
 
@@ -137,7 +128,7 @@ fn a_two_cycle_aborts_the_larger_job_whichever_request_closes_it() {
         for round in 0..200u64 {
             for larger_closes in [true, false] {
                 let cc = Arc::new(LockingCc::semantic());
-                let shared = Arc::new(shared());
+                let shared = Arc::new(EngineShared::new(&traced(), cc.as_ref()));
                 let (small, large) = (2 * round, 2 * round + 1);
                 let turn = |closes: bool| usize::from(closes);
                 let verdicts = run_cycle(
@@ -183,7 +174,7 @@ fn a_three_cycle_across_three_stripes_aborts_only_the_largest_job() {
         let keys = keys_on_distinct_stripes(3);
         for closer in 0..3 {
             let cc = Arc::new(LockingCc::semantic());
-            let shared = Arc::new(shared());
+            let shared = Arc::new(EngineShared::new(&traced(), cc.as_ref()));
             let parties = (0..3)
                 .map(|i| Party {
                     txn: handle(10 * (i as u64 + 1), 0, i as u64 + 1),
@@ -223,7 +214,7 @@ fn the_victim_is_the_larger_job_not_the_larger_owner() {
         let keys = keys_on_distinct_stripes(2);
         for retried_closes in [true, false] {
             let cc = Arc::new(LockingCc::semantic());
-            let shared = Arc::new(shared());
+            let shared = Arc::new(EngineShared::new(&traced(), cc.as_ref()));
             let verdicts = run_cycle(
                 &cc,
                 &shared,
@@ -306,7 +297,7 @@ fn eight_workers_on_four_hot_keys_commit_every_job() {
 fn a_panicking_holder_leaves_no_waiter_parked() {
     within(10, || {
         let cc = Arc::new(LockingCc::semantic());
-        let shared = Arc::new(shared());
+        let shared = Arc::new(EngineShared::new(&traced(), cc.as_ref()));
         let key = EncOp::Change("hot".into());
         let (granted, holding) = mpsc::channel();
         let holder = {

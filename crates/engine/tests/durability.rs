@@ -27,6 +27,12 @@ fn combos() -> Vec<(CcKind, usize)> {
         .collect()
 }
 
+/// One force per logged commit: the unbatched baseline.
+const GROUP_OF_ONE: DurabilityMode = DurabilityMode::Group {
+    max_batch: 1,
+    max_wait: Duration::ZERO,
+};
+
 fn cfg(shards: usize, durability: DurabilityMode) -> EngineConfig {
     EngineConfig {
         workers: 4,
@@ -89,7 +95,7 @@ fn assert_acked_survive(acked: &[u64], recovered: &RecoveryOutcome, label: &str)
 fn clean_run_replay_reproduces_final_state_for_every_combo() {
     for (kind, shards) in combos() {
         let label = format!("{kind:?}/shards={shards}");
-        let out = run_engine(kind, shards, DurabilityMode::PerCommit, 24);
+        let out = run_engine(kind, shards, GROUP_OF_ONE, 24);
         assert!(
             out.audit.as_ref().unwrap().report.oo_decentralized.is_ok(),
             "{label}: live audit failed"
@@ -131,7 +137,7 @@ fn crash_harness_never_loses_acked_commits() {
                 max_wait: Duration::from_millis(1),
             }
         } else {
-            DurabilityMode::PerCommit
+            GROUP_OF_ONE
         };
         let engine = Engine::start(cfg(shards, durability_mode), kind);
         engine.preload(&preload_keys());
@@ -163,7 +169,7 @@ fn acknowledgement_comes_strictly_after_the_force() {
     let engine = Engine::start(
         EngineConfig {
             fsync_latency: Duration::from_millis(200),
-            ..cfg(1, DurabilityMode::PerCommit)
+            ..cfg(1, GROUP_OF_ONE)
         },
         CcKind::Pessimistic,
     );
@@ -273,7 +279,7 @@ fn the_parked_list_is_bounded() {
         EngineConfig {
             workers: 8,
             fsync_latency: Duration::from_millis(2),
-            ..cfg(1, DurabilityMode::PerCommit)
+            ..cfg(1, GROUP_OF_ONE)
         },
         CcKind::Pessimistic,
     );
@@ -284,7 +290,7 @@ fn the_parked_list_is_bounded() {
     }
     let m = engine.shutdown().metrics;
     assert_eq!(m.committed, 48);
-    assert_eq!(m.fsyncs, 48, "per-commit: one force per logged commit");
+    assert_eq!(m.fsyncs, 48, "a group of one: one force per logged commit");
     assert!(
         (2..=durability::PARK_BOUND as u64).contains(&m.wal_parked_peak),
         "parked peak {} (bound {})",
@@ -330,13 +336,13 @@ fn a_gated_pool_smaller_than_the_dirty_set_makes_progress() {
 }
 
 /// Seeded determinism: a single-worker engine is a deterministic
-/// process, so two identical runs append byte-identical logs — in
-/// per-commit mode and in group-commit mode (batch timing must never
-/// leak into log *contents*).
+/// process, so two identical runs append byte-identical logs — with
+/// groups of one and of two (batch timing must never leak into log
+/// *contents*).
 #[test]
 fn seeded_single_worker_runs_append_identical_logs() {
     for mode in [
-        DurabilityMode::PerCommit,
+        GROUP_OF_ONE,
         DurabilityMode::Group {
             max_batch: 2,
             max_wait: Duration::from_millis(1),
@@ -389,7 +395,7 @@ fn off_mode_logs_nothing() {
 /// WAL metrics flow through to the snapshot and its JSON export.
 #[test]
 fn wal_metrics_are_reported() {
-    let out = run_engine(CcKind::Pessimistic, 1, DurabilityMode::PerCommit, 8);
+    let out = run_engine(CcKind::Pessimistic, 1, GROUP_OF_ONE, 8);
     assert!(out.metrics.wal_appends > 0);
     assert!(out.metrics.wal_bytes > out.metrics.wal_appends);
     assert!(out.metrics.fsyncs > 0);
@@ -412,7 +418,7 @@ fn wal_metrics_are_reported() {
 /// longest valid prefix.
 #[test]
 fn corrupt_tail_recovers_the_valid_prefix() {
-    let out = run_engine(CcKind::Pessimistic, 1, DurabilityMode::PerCommit, 12);
+    let out = run_engine(CcKind::Pessimistic, 1, GROUP_OF_ONE, 12);
     let mut image = out.wal.unwrap();
     let flip = image.len() * 3 / 4;
     image[flip] ^= 0xFF;
@@ -437,10 +443,7 @@ fn contended_image() -> &'static (Vec<u8>, RecoveryOutcome) {
         for job in (0..32).step_by(4) {
             cc.inject_fault_after(job, 0, 2);
         }
-        let out = drive(
-            Engine::start_with(cfg(2, DurabilityMode::PerCommit), cc),
-            32,
-        );
+        let out = drive(Engine::start_with(cfg(2, GROUP_OF_ONE), cc), 32);
         assert_eq!(out.metrics.committed, 32, "every killed job retries");
         let image = out.wal.unwrap();
         let full = durability::recover(&image, EngineConfig::default().fanout);
@@ -461,7 +464,7 @@ fn sequential_image() -> &'static Vec<u8> {
             EngineConfig {
                 workers: 1,
                 seed: 3,
-                durability: DurabilityMode::PerCommit,
+                durability: GROUP_OF_ONE,
                 ..EngineConfig::default()
             },
             CcKind::Pessimistic,

@@ -2,21 +2,21 @@
 //! mid-flight — after its footprint already spans several lock stripes
 //! or metric lanes — must compensate and release **everything** it
 //! touched: no orphaned lock grants, no attempt left in the certifier's
-//! live set, and a clean retry that commits. Exercised through the worker's `inject_abort` hook (real
-//! engine, real retry machinery) and through a deterministic
-//! direct-drive of the protocol hooks.
+//! live set, and a clean retry that commits. Exercised through the
+//! worker's `inject_abort` hook (real engine, real retry machinery) and
+//! through deterministic direct drives of the worker's own attempt
+//! lifecycle (`worker::Attempt`), stopped between steps to look at the
+//! control.
 
 mod common;
 
 use common::analyze::cross_check;
-use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
-use oodb_core::ids::TxnIdx;
+use oodb_engine::trace::AbortReason;
+use oodb_engine::worker::Attempt;
 use oodb_engine::{
-    audit, shard_of_key, ConcurrencyControl, Engine, EngineConfig, EngineMetrics, EngineShared,
-    FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle, STRIPES,
+    audit, shard_of_key, ConcurrencyControl, Engine, EngineConfig, EngineShared, LockingCc,
+    OptimisticCc, STRIPES,
 };
-use oodb_lock::OwnerId;
-use oodb_sim::exec::apply_op;
 use oodb_sim::EncOp;
 use std::sync::Arc;
 
@@ -139,27 +139,31 @@ fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     }
 }
 
-fn shared_with(cc_shards: usize) -> EngineShared {
-    let rec = oodb_model::Recorder::new();
-    let enc = Encyclopedia::create(
-        rec.clone(),
-        EncyclopediaConfig {
-            fanout: 8,
-            pool_frames: 1024,
-            ..EncyclopediaConfig::default()
-        },
-    );
-    EngineShared {
-        rec,
-        enc: CompensatedEncyclopedia::new(enc),
-        gate: Default::default(),
-        metrics: EngineMetrics::with_shards(cc_shards),
-        trace: oodb_engine::Tracer::disabled(),
-        dur: None,
+/// Run attempt `attempt` of `job` through `ops` and its commit point,
+/// as the worker does.
+fn commit(
+    shared: &EngineShared,
+    cc: &dyn ConcurrencyControl,
+    job: u64,
+    attempt: u32,
+    ops: &[EncOp],
+) {
+    let mut a = Attempt::begin(shared, cc, job, attempt);
+    for op in ops {
+        assert_eq!(a.step(op), Ok(()), "{op:?} is granted");
     }
+    assert!(a.finish().is_ok(), "job {job} attempt {attempt} commits");
 }
 
-/// Deterministic direct-drive of the pessimistic hooks: acquire on three
+fn inserts(keys: &[String]) -> Vec<EncOp> {
+    keys.iter().map(|k| EncOp::Insert(k.clone())).collect()
+}
+
+fn changes(keys: &[String]) -> Vec<EncOp> {
+    keys.iter().map(|k| EncOp::Change(k.clone())).collect()
+}
+
+/// Deterministic direct drive under strict 2PL: acquire on three
 /// stripes, abort mid-flight while the locks are still held, and verify
 /// stripe-by-stripe cleanup before a fresh attempt commits.
 #[test]
@@ -170,29 +174,14 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
         .take(stripes)
         .collect();
     let cc = LockingCc::semantic().with_shards(3);
-    let shared = shared_with(cc.shards());
+    let shared = EngineShared::new(&EngineConfig::default(), &cc);
     // preload through the protocol so the audit sees a clean record
-    let mut setup = shared.rec.begin_txn("Setup");
-    let setup_handle = handle(&setup, u64::MAX, 0);
-    for k in &keys {
-        let op = EncOp::Insert(k.clone());
-        assert_eq!(cc.before_op(&shared, &setup_handle, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut setup, &op, 0);
-    }
-    assert_eq!(
-        cc.try_finish(&shared, &setup_handle),
-        FinishOutcome::Committed
-    );
-    shared.enc.commit(setup);
-    cc.after_commit(&shared, &setup_handle);
+    commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
 
-    // attempt 0: touches all three shards, then dies mid-flight
-    let mut t = shared.rec.begin_txn("J1");
-    let h0 = handle(&t, 0, 0);
-    for k in &keys {
-        let op = EncOp::Change(k.clone());
-        assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut t, &op, 1);
+    // attempt 0: touches all three stripes, then dies mid-flight
+    let mut a = Attempt::begin(&shared, &cc, 0, 0);
+    for op in changes(&keys) {
+        assert_eq!(a.step(&op), Ok(()));
     }
     assert_eq!(
         cc.residual_grants().iter().filter(|&&g| g > 0).count(),
@@ -201,12 +190,7 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     );
     assert_eq!(cc.tracked_owners(), 1);
     // compensate under held locks (strict), then release everywhere
-    {
-        let mut comp = shared.rec.begin_txn("C(J1a0)");
-        let report = shared.enc.abort(t, &mut comp);
-        assert!(report.failed.is_empty(), "strict compensation cannot fail");
-    }
-    cc.after_abort(&shared, &h0);
+    a.abort(AbortReason::Injected);
     assert_eq!(
         cc.residual_grants(),
         vec![0; STRIPES],
@@ -216,23 +200,14 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
     assert_eq!(cc.waiting_owners(), 0);
 
     // the retry re-acquires everything and commits
-    let mut r = shared.rec.begin_txn("J1r1");
-    let h1 = handle(&r, 0, 1);
-    for k in &keys {
-        let op = EncOp::Change(k.clone());
-        assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut r, &op, 1);
-    }
-    assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.commit(r);
-    cc.after_commit(&shared, &h1);
+    commit(&shared, &cc, 0, 1, &changes(&keys));
     assert_eq!(cc.residual_grants(), vec![0; STRIPES]);
 
     let out = audit(&shared.rec, &cc);
     assert!(out.report.oo_decentralized.is_ok() && out.report.oo_global.is_ok());
 }
 
-/// Deterministic direct-drive of the certifier hooks: a victim abort
+/// Deterministic direct drive under certification: a victim abort
 /// after a footprint on two shards is accounted on no lane, and the
 /// retry validates cleanly against the merged committed set and is
 /// accounted on every lane it touched.
@@ -241,17 +216,8 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let cc = OptimisticCc::new().with_shards(shards);
-    let shared = shared_with(shards);
-    let mut setup = shared.rec.begin_txn("Setup");
-    let sh = handle(&setup, u64::MAX, 0);
-    for k in &keys {
-        let op = EncOp::Insert(k.clone());
-        assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut setup, &op, 0);
-    }
-    assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.commit(setup);
-    cc.after_commit(&shared, &sh);
+    let shared = EngineShared::new(&EngineConfig::default(), &cc);
+    commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
     let commits = || {
         let m = shared.metrics_snapshot();
         (
@@ -261,33 +227,21 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
     };
     assert_eq!(commits(), (vec![1; shards], 1), "Setup touched every lane");
 
-    // attempt 0: footprint on two shards, then a victim abort
-    let mut t = shared.rec.begin_txn("J1");
-    let h0 = handle(&t, 0, 0);
-    for k in keys.iter().take(2) {
-        let op = EncOp::Change(k.clone());
-        assert_eq!(cc.before_op(&shared, &h0, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut t, &op, 1);
+    // attempt 0: footprint on two shards, then a victim abort; its
+    // writes were deferred, so its compensation has nothing to undo
+    let mut a = Attempt::begin(&shared, &cc, 0, 0);
+    for op in changes(&keys[..2]) {
+        assert_eq!(a.step(&op), Ok(()));
     }
-    {
-        let mut comp = shared.rec.begin_txn("C(J1a0)");
-        shared.enc.abort(t, &mut comp);
-    }
-    cc.after_abort(&shared, &h0);
+    let victim = a.abort(AbortReason::Victim);
     assert_eq!(commits(), (vec![1; shards], 1), "the victim counts nowhere");
-    assert!(cc.was_aborted(h0.txn), "registered with the certifier");
+    assert!(
+        cc.was_aborted(victim.handle.txn),
+        "registered with the certifier"
+    );
 
     // the retry commits through validation
-    let mut r = shared.rec.begin_txn("J1r1");
-    let h1 = handle(&r, 0, 1);
-    for k in &keys {
-        let op = EncOp::Change(k.clone());
-        assert_eq!(cc.before_op(&shared, &h1, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut r, &op, 1);
-    }
-    assert_eq!(cc.try_finish(&shared, &h1), FinishOutcome::Committed);
-    shared.enc.commit(r);
-    cc.after_commit(&shared, &h1);
+    commit(&shared, &cc, 0, 1, &changes(&keys));
     assert_eq!(commits(), (vec![2; shards], 2), "the retry on every lane");
     assert_eq!(cc.committed_count(), 2, "Setup + the retry");
 
@@ -407,7 +361,7 @@ fn injected_abort_under_certification_stays_clean() {
     );
 }
 
-/// Direct-drive of the incremental feed's garbage path: repeated
+/// Direct drive of the incremental feed's garbage path: repeated
 /// mid-flight victim aborts (interleaved with commits that settle and
 /// get excluded in turn) must trip the feed's garbage threshold and
 /// re-seed the maintained schedule — after which a fresh transaction
@@ -418,38 +372,23 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
     let cc = OptimisticCc::new().with_shards(shards);
-    let shared = shared_with(shards);
-    let mut setup = shared.rec.begin_txn("Setup");
-    let sh = handle(&setup, u64::MAX, 0);
-    for k in &keys {
-        let op = EncOp::Insert(k.clone());
-        assert_eq!(cc.before_op(&shared, &sh, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut setup, &op, 0);
-    }
-    assert_eq!(cc.try_finish(&shared, &sh), FinishOutcome::Committed);
-    shared.enc.commit(setup);
-    cc.after_commit(&shared, &sh);
+    let shared = EngineShared::new(&EngineConfig::default(), &cc);
+    commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
 
     for j in 0..16u64 {
-        let mut t = shared.rec.begin_txn(format!("J{}", j + 1));
-        let h = handle(&t, j, 0);
-        for k in keys.iter().take(2) {
-            let op = EncOp::Change(k.clone());
-            assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc, &mut t, &op, (j + 1) as usize);
-        }
         if j % 2 == 0 {
             // mid-flight victim abort: compensate, then notify the cc
-            {
-                let mut comp = shared.rec.begin_txn(format!("C(J{}a0)", j + 1));
-                shared.enc.abort(t, &mut comp);
+            let mut a = Attempt::begin(&shared, &cc, j, 0);
+            for op in changes(&keys[..2]) {
+                assert_eq!(a.step(&op), Ok(()));
             }
-            cc.after_abort(&shared, &h);
-            assert!(cc.was_aborted(h.txn), "victim registered as aborted");
+            let victim = a.abort(AbortReason::Victim);
+            assert!(
+                cc.was_aborted(victim.handle.txn),
+                "victim registered as aborted"
+            );
         } else {
-            assert_eq!(cc.try_finish(&shared, &h), FinishOutcome::Committed);
-            shared.enc.commit(t);
-            cc.after_commit(&shared, &h);
+            commit(&shared, &cc, j, 0, &changes(&keys[..2]));
         }
     }
     let stats = cc.stats();
@@ -465,31 +404,13 @@ fn direct_drive_incremental_reseed_after_repeated_aborts() {
     assert_eq!(stats.commits, 9, "Setup + every odd-numbered attempt");
 
     // post-reseed: a fresh cross-shard transaction commits cleanly
-    let mut r = shared.rec.begin_txn("Final");
-    let hr = handle(&r, 99, 0);
-    for k in &keys {
-        let op = EncOp::Change(k.clone());
-        assert_eq!(cc.before_op(&shared, &hr, &op), OpGrant::Granted);
-        apply_op(&shared.enc, &mut r, &op, 99);
-    }
-    assert_eq!(cc.try_finish(&shared, &hr), FinishOutcome::Committed);
-    shared.enc.commit(r);
-    cc.after_commit(&shared, &hr);
+    commit(&shared, &cc, 99, 0, &changes(&keys));
 
     let out = audit(&shared.rec, &cc);
     assert!(
         out.report.oo_decentralized.is_ok() && out.report.oo_global.is_ok(),
         "record with 8 compensated aborts stays oo-serializable"
     );
-}
-
-fn handle(ctx: &oodb_model::TxnCtx, job: u64, attempt: u32) -> TxnHandle {
-    TxnHandle::new(
-        job,
-        attempt,
-        TxnIdx(ctx.txn_number()),
-        OwnerId(u64::from(ctx.txn_number())),
-    )
 }
 
 /// Nothing outside the concurrency control may pin the certifier's cut.
@@ -564,48 +485,22 @@ fn an_abort_that_unpins_the_cut_is_published() {
         ),
     ];
     for (label, cc) in controls {
-        let shared = shared_with(shards);
-        // buffered writes are installed at the commit point, as the
-        // worker does; the order of recorded actions is the same here
-        let commit = |name: &str, job: u64, op: EncOp| {
-            let mut t = shared.rec.begin_txn(name);
-            let h = handle(&t, job, 0);
-            assert_eq!(cc.before_op(&shared, &h, &op), OpGrant::Granted);
-            apply_op(&shared.enc, &mut t, &op, job as usize);
-            assert_eq!(
-                cc.try_finish(&shared, &h),
-                FinishOutcome::Committed,
-                "{label}"
-            );
-            shared.enc.commit(t);
-            cc.after_commit(&shared, &h);
-        };
-        for (i, k) in keys.iter().enumerate() {
-            commit(
-                &format!("Setup{i}"),
-                100 + i as u64,
-                EncOp::Insert(k.clone()),
-            );
+        let cc = cc.as_ref();
+        let shared = EngineShared::new(&EngineConfig::default(), cc);
+        for (i, k) in keys.chunks(1).enumerate() {
+            commit(&shared, cc, 100 + i as u64, 0, &inserts(k));
         }
         let settled = || shared.metrics_snapshot().cert_settled;
         assert_eq!(settled(), 3, "{label}: nothing live, every insert settled");
 
-        let mut victim = shared.rec.begin_txn("V");
-        let vh = handle(&victim, 1, 0);
-        let read = EncOp::Search(keys[0].clone());
-        assert_eq!(cc.before_op(&shared, &vh, &read), OpGrant::Granted);
-        apply_op(&shared.enc, &mut victim, &read, 1);
-        commit("A", 2, EncOp::Change(keys[1].clone()));
-        commit("B", 3, EncOp::Change(keys[2].clone()));
+        let mut victim = Attempt::begin(&shared, cc, 1, 0);
+        assert_eq!(victim.step(&EncOp::Search(keys[0].clone())), Ok(()));
+        commit(&shared, cc, 2, 0, &changes(&keys[1..2]));
+        commit(&shared, cc, 3, 0, &changes(&keys[2..3]));
         assert_eq!(settled(), 3, "{label}: the live victim pins A and B");
         let pinned = shared.metrics_snapshot().cert_retained_actions;
 
-        {
-            let mut comp = shared.rec.begin_txn("C(V)");
-            cc.retire(&shared, TxnIdx(comp.txn_number()));
-            shared.enc.abort(victim, &mut comp);
-        }
-        cc.after_abort(&shared, &vh);
+        victim.abort(AbortReason::Victim);
         assert_eq!(settled(), 5, "{label}: the abort let A and B go");
         // dropped primitives stay in the schedules, and in the gauge,
         // until the next reseed replaces them

@@ -18,6 +18,7 @@ use oodb::engine::{CcKind, DurabilityMode, Engine, EngineConfig, EngineOutput, L
 use oodb::model::recorder::STAGE_BOUND;
 use oodb::sim::EncOp;
 use std::sync::Arc;
+use std::time::Duration;
 
 const TXNS: u64 = 200;
 
@@ -138,7 +139,10 @@ fn the_log_and_the_state_do_not_depend_on_the_record() {
         let cfg = EngineConfig {
             workers: 1,
             audit,
-            durability: DurabilityMode::PerCommit,
+            durability: DurabilityMode::Group {
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+            },
             ..EngineConfig::default()
         };
         let engine = Engine::start_with(cfg, Arc::new(cc));
