@@ -83,6 +83,7 @@ fn link(raw: u32) -> Option<PageId> {
 
 impl<'a> EncodedNode<'a> {
     /// Parse the header of [`Node::encode`]'s output.
+    #[inline]
     pub(crate) fn parse(mut buf: &'a [u8]) -> Self {
         let is_leaf = buf.get_u8() != 0;
         let count = buf.get_u16_le() as usize;
@@ -104,34 +105,44 @@ impl<'a> EncodedNode<'a> {
         }
     }
 
-    /// The entries in key order, borrowed from the page.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&'a str, u64)> {
+    /// The entries in key order, borrowed from the page, keys as bytes:
+    /// nothing validated.
+    #[inline]
+    fn raw_entries(&self) -> impl Iterator<Item = (&'a [u8], u64)> {
         let mut buf = self.entries;
         (0..self.count).map(move |_| {
             let klen = buf.get_u16_le() as usize;
             let (key, rest) = buf.split_at(klen);
             buf = rest;
-            let key = std::str::from_utf8(key).expect("keys are utf-8");
             (key, buf.get_u64_le())
         })
     }
 
-    /// Linear over at most fanout + 1 entries. `str` orders by bytes, so
-    /// the comparisons agree with [`Node::must_chase`],
-    /// [`Node::child_for`] and [`Node::get`].
+    /// The entries in key order, borrowed from the page.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&'a str, u64)> {
+        self.raw_entries()
+            .map(|(key, value)| (std::str::from_utf8(key).expect("keys are utf-8"), value))
+    }
+
+    /// Linear over at most fanout + 1 entries, on key bytes: `str`
+    /// orders by bytes, so the comparisons agree with
+    /// [`Node::must_chase`], [`Node::child_for`] and [`Node::get`], and
+    /// a key is validated only where it becomes a `&str`.
+    #[inline]
     pub(crate) fn probe(&self, key: &str) -> Probe {
-        if self.high_key.is_some_and(|h| key.as_bytes() >= h) {
+        let key = key.as_bytes();
+        if self.high_key.is_some_and(|h| key >= h) {
             return Probe::Chase(self.right_link.expect("high key implies right link"));
         }
         if self.is_leaf {
             let hit = self
-                .entries()
+                .raw_entries()
                 .take_while(|(k, _)| *k <= key)
                 .find(|(k, _)| *k == key);
             return Probe::Leaf(hit.map(|(_, v)| v));
         }
         let child = self
-            .entries()
+            .raw_entries()
             .take_while(|(k, _)| *k <= key)
             .last()
             .map(|(_, v)| PageId(v as u32))
@@ -478,8 +489,13 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Key `i` of the domain: ASCII for the lower half, multi-byte
+        /// UTF-8 above, so the byte order the probe compares spans one-,
+        /// two-, three- and four-byte characters (`ä` < `中` < `😀`
+        /// by bytes and by `str`).
         fn k(i: u8) -> String {
-            format!("k{i:02}")
+            const MARKS: [&str; 4] = ["", "ä", "中", "😀"];
+            format!("k{}{i:02}", MARKS[usize::from(i) * MARKS.len() / 46])
         }
 
         /// A valid leaf or inner node over a small key domain, so probes

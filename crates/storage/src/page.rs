@@ -122,6 +122,7 @@ impl Page {
         self.buf.len()
     }
 
+    #[inline]
     fn read_u16(&self, at: usize) -> u16 {
         (&self.buf[at..at + 2]).get_u16_le()
     }
@@ -131,6 +132,7 @@ impl Page {
     }
 
     /// Number of slots ever allocated (including deleted ones).
+    #[inline]
     pub fn slot_count(&self) -> u16 {
         self.read_u16(0)
     }
@@ -155,6 +157,7 @@ impl Page {
             .count()
     }
 
+    #[inline]
     fn slot(&self, s: u16) -> Result<(u16, u16), PageError> {
         if s >= self.slot_count() {
             return Err(PageError::BadSlot(s));
@@ -188,6 +191,7 @@ impl Page {
     }
 
     /// Read the record in slot `s`.
+    #[inline]
     pub fn read(&self, s: u16) -> Result<&[u8], PageError> {
         let (off, len) = self.slot(s)?;
         if off == DEAD {

@@ -16,6 +16,7 @@ pub trait Buf {
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// Consume and return the first `len` bytes.
+    #[inline]
     fn copy_to_bytes(&mut self, len: usize) -> Vec<u8> {
         let mut out = vec![0; len];
         self.copy_to_slice(&mut out);
@@ -23,6 +24,7 @@ pub trait Buf {
     }
 
     /// Consume one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0; 1];
         self.copy_to_slice(&mut b);
@@ -30,6 +32,7 @@ pub trait Buf {
     }
 
     /// Consume a little-endian `u16`.
+    #[inline]
     fn get_u16_le(&mut self) -> u16 {
         let mut b = [0; 2];
         self.copy_to_slice(&mut b);
@@ -37,6 +40,7 @@ pub trait Buf {
     }
 
     /// Consume a little-endian `u32`.
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0; 4];
         self.copy_to_slice(&mut b);
@@ -44,6 +48,7 @@ pub trait Buf {
     }
 
     /// Consume a little-endian `u64`.
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut b = [0; 8];
         self.copy_to_slice(&mut b);
@@ -52,10 +57,12 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(
             dst.len() <= self.len(),
@@ -76,33 +83,39 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Write one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Write a little-endian `u16`.
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Write a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Write a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
 }
 
 impl BufMut for &mut [u8] {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         assert!(
             src.len() <= self.len(),
