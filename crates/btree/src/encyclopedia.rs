@@ -20,8 +20,9 @@ use std::time::Duration;
 ///
 /// All operations take `&self`: the tree is latch-coupled
 /// ([`oodb_btree::latch`](crate::latch)) and the list uses a list-wide
-/// read/write latch, so the encyclopedia is shared freely across worker
-/// threads without an outer mutex.
+/// read/write latch (which a read that records nothing skips), so the
+/// encyclopedia is shared freely across worker threads without an outer
+/// mutex.
 pub struct Encyclopedia {
     rec: Recorder,
     enc_obj: ObjectIdx,

@@ -27,6 +27,9 @@ struct QueueState {
     closed: bool,
     /// Producers waiting on `not_full`: only then is it signalled.
     blocked_producers: usize,
+    /// Consumers waiting on `not_empty`: only then is it signalled, so a
+    /// push to a queue whose consumers are all busy makes no syscall.
+    idle_consumers: usize,
 }
 
 /// A bounded multi-producer multi-consumer queue.
@@ -40,7 +43,9 @@ struct QueueState {
 ///   preempting a consumer once per job;
 /// * [`pop`](JobQueue::pop) blocks until work arrives or the queue is
 ///   closed **and drained** — closing stops admission but lets workers
-///   finish everything already accepted.
+///   finish everything already accepted. A push signals a consumer only
+///   if one is parked: `Condvar::notify_one` is a syscall even when
+///   nobody waits.
 pub struct JobQueue {
     state: Mutex<QueueState>,
     capacity: usize,
@@ -69,6 +74,7 @@ impl JobQueue {
                 jobs: VecDeque::new(),
                 closed: false,
                 blocked_producers: 0,
+                idle_consumers: 0,
             }),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
@@ -112,8 +118,11 @@ impl JobQueue {
         let id = job.id;
         st.jobs.push_back(job);
         self.depth_gauge.store(st.jobs.len(), Ordering::Relaxed);
+        let wake = st.idle_consumers > 0;
         drop(st);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(id)
     }
 
@@ -140,8 +149,11 @@ impl JobQueue {
         // one signal per half queue: whoever leaves room passes it on, so
         // blocked producers cannot strand one another
         let pass_on = st.blocked_producers > 0 && st.jobs.len() < self.capacity;
+        let wake = st.idle_consumers > 0;
         drop(st);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         if pass_on {
             self.not_full.notify_one();
         }
@@ -167,8 +179,10 @@ impl JobQueue {
             if st.closed {
                 return None;
             }
+            st.idle_consumers += 1;
             self.not_empty
                 .wait_for(&mut st, std::time::Duration::from_millis(5));
+            st.idle_consumers -= 1;
         }
     }
 
@@ -279,6 +293,38 @@ mod tests {
         assert_eq!(q.depth(), 3);
         assert!(q.try_push(ops(), None).is_ok(), "room for a fourth");
         assert!(q.try_push(ops(), None).is_err(), "and shedding beyond it");
+    }
+
+    /// A push wakes a consumer parked on the empty queue at once. `pop`
+    /// also wakes every 5 ms to look, which would hide a lost wake-up
+    /// behind a 5 ms stall, so the fastest of several hand-offs must be
+    /// well under that.
+    #[test]
+    fn a_push_wakes_a_parked_consumer() {
+        let q = Arc::new(JobQueue::new(4));
+        let fastest = (0..10)
+            .map(|_| {
+                let consumer = {
+                    let q = q.clone();
+                    std::thread::spawn(move || {
+                        q.pop().expect("a job arrives");
+                        Instant::now()
+                    })
+                };
+                // parked: counted under the lock that its wait releases
+                while q.state.lock().idle_consumers == 0 {
+                    std::thread::yield_now();
+                }
+                let pushed = Instant::now();
+                q.try_push(ops(), None).unwrap();
+                consumer.join().unwrap() - pushed
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < std::time::Duration::from_millis(2),
+            "a parked consumer took {fastest:?} to see a push"
+        );
     }
 
     #[test]

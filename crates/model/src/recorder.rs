@@ -531,6 +531,13 @@ impl TxnCtx {
         self.depth as usize
     }
 
+    /// False iff this cursor belongs to a [`Recorder::disabled`]
+    /// recorder: it claims no ticket, so a visit it makes need not be
+    /// ordered by any latch (a caller may then read without one).
+    pub fn is_recording(&self) -> bool {
+        self.stage.is_some()
+    }
+
     /// Record one visit under one ticket: open the non-primitive actions
     /// `enters` in order, each nested in the one before (they stay open
     /// until their matching [`TxnCtx::exit`]), then record `primitive`
@@ -1176,6 +1183,8 @@ mod tests {
         let mut cursors: Vec<TxnCtx> = (0..3).map(|i| rec.begin_txn(format!("T{i}"))).collect();
         let numbers: Vec<u32> = cursors.iter().map(TxnCtx::txn_number).collect();
         assert_eq!(numbers, [0, 1, 2]);
+        assert!(!cursors[0].is_recording());
+        assert!(Recorder::new().begin_txn("T").is_recording());
         for t in &mut cursors {
             t.record(&[(leaf, &search)], Some((page, &DescriptorRef::read())));
             t.enter(leaf, ActionDescriptor::new("insert", vec![key("k")]));

@@ -7,6 +7,12 @@
 //! name — and neither does the drain, which has nothing to do. The same
 //! transaction on a recording recorder is printed beside it.
 //!
+//! The same search is pinned by the frame latches it takes, read off the
+//! pool's `hits` (which counts latched visits of resident pages): an
+//! unrecorded search reads the root and the inner node off their images
+//! and latches [`UNRECORDED_LATCHES`] frames — leaf, directory page, item
+//! page — and a recorded one still latches all [`RECORDED_LATCHES`].
+//!
 //! This binary holds one test only: the counting allocator is global, and
 //! although it counts on the measuring thread alone, a second test would
 //! share the switch.
@@ -69,9 +75,18 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
 /// the text the hit returns.
 const BUDGET: usize = 2;
 
+/// Frames a warm unrecorded search hit latches on a depth-3 tree: the
+/// leaf, the item's directory page and its item page.
+const UNRECORDED_LATCHES: u64 = 3;
+
+/// Frames the recorded search latches: root, inner node, leaf, directory
+/// page, item page.
+const RECORDED_LATCHES: u64 = 5;
+
 /// A one-search transaction on `rec`, as a worker runs it, after a warm-up
-/// of the same transaction; its allocations.
-fn one_search(rec: &Recorder) -> usize {
+/// of the same transaction; its allocations, and the frame latches one
+/// more such transaction takes.
+fn one_search(rec: &Recorder) -> (usize, u64) {
     let enc = Encyclopedia::create(
         rec.clone(),
         EncyclopediaConfig {
@@ -109,19 +124,31 @@ fn one_search(rec: &Recorder) -> usize {
     };
     let (count, hit) = allocations_in(|| txn(name()));
     assert_eq!(hit.as_deref(), Some("text 21"));
-    count
+    let hits = || enc.pool().stats().hits;
+    let before = hits();
+    assert!(txn(name()).is_some());
+    (count, hits() - before)
 }
 
 #[test]
 fn an_unrecorded_transaction_allocates_only_in_its_search() {
-    let unrecorded = one_search(&Recorder::disabled());
-    let recorded = one_search(&Recorder::new());
+    let (unrecorded, unrecorded_latches) = one_search(&Recorder::disabled());
+    let (recorded, recorded_latches) = one_search(&Recorder::new());
     println!(
         "begin + warm search hit (depth 3) + end + drain: {unrecorded} allocations \
-         unrecorded, {recorded} recorded (budget {BUDGET})"
+         unrecorded, {recorded} recorded (budget {BUDGET}); frame latches \
+         {unrecorded_latches} unrecorded, {recorded_latches} recorded"
     );
     assert!(
         unrecorded <= BUDGET,
         "an unrecorded one-search transaction allocated {unrecorded} times, budget {BUDGET}"
+    );
+    assert_eq!(
+        unrecorded_latches, UNRECORDED_LATCHES,
+        "an unrecorded search latches leaf, directory page and item page only"
+    );
+    assert_eq!(
+        recorded_latches, RECORDED_LATCHES,
+        "a recorded search latches every page it visits"
     );
 }
