@@ -516,7 +516,10 @@ pub struct MetricsSnapshot {
     /// Most actions any one transaction had staged when a drain took
     /// them (bounded by `oodb_model::recorder::STAGE_BOUND`).
     pub rec_staged_peak: u64,
-    /// Page requests the buffer pool served from a resident frame.
+    /// Page requests the buffer pool served from a resident frame. Every
+    /// request latches its frame, so this counts latched visits: a run
+    /// that records nothing reads inner B-link nodes without one, and
+    /// reports fewer hits (and a lower hit rate) than pages it visited.
     pub pool_hits: u64,
     /// Page requests that loaded the page from the disk sim.
     pub pool_misses: u64,
