@@ -1,8 +1,12 @@
 //! Semantic strict 2PL over one lock table striped by key hash
 //! (`shard_of_key(key, STRIPES)`), with deadlocks broken when they
 //! close: the paper's open-nested protocol as a worker-pool concurrency
-//! control. DESIGN.md §7 "Strict 2PL: one striped lock table" argues why
-//! the stripes are as strong as one table, why nobody starves, why no
+//! control. Each stripe keeps its grants as a list of `(owner, mode)`
+//! under its mutex; a mode is the operation's action descriptor, and a
+//! request is compatible with another owner's grant iff the
+//! encyclopedia's [`RangeSpec`] says the two commute (Definition 9).
+//! DESIGN.md §7 "Strict 2PL: one striped lock table" argues why the
+//! stripes are as strong as one table, why nobody starves, why no
 //! wake-up is lost, and the lock order. The locks are also what orders
 //! the log and the trace: every pair of operations whose order the WAL,
 //! recovery and the trace's dependency graph need conflicts under the
@@ -15,12 +19,12 @@ use super::{
     ShardRoute, TxnHandle,
 };
 use crate::trace::TraceEventKind;
-use oodb_core::commutativity::{ActionDescriptor, Method};
+use oodb_core::commutativity::{ActionDescriptor, CommutativitySpec, Method, RangeSpec};
 use oodb_core::graph::find_cycle_from;
-use oodb_lock::{LockManager, LockOutcome, OwnerId};
-use oodb_sim::exec::{enc_lock_manager, op_descriptor, page_descriptor, ENC_RESOURCE};
+use oodb_lock::OwnerId;
+use oodb_sim::exec::{op_descriptor, page_descriptor};
 use oodb_sim::EncOp;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 
@@ -39,7 +43,7 @@ const _: () = assert!(STRIPES <= u64::BITS as usize);
 fn trace_conflicts(
     shared: &EngineShared,
     txn: &TxnHandle,
-    locks: &LockManager,
+    grants: &[(OwnerId, ActionDescriptor)],
     ours: &ActionDescriptor,
     holders: Option<&[OwnerId]>,
 ) {
@@ -53,7 +57,6 @@ fn trace_conflicts(
             Method::Search | Method::RangeScan | Method::ReadSeq
         )
     };
-    let grants = locks.grants_on(ENC_RESOURCE);
     let parties: Vec<OwnerId> = match holders {
         Some(holders) => holders.to_vec(),
         None => grants
@@ -83,11 +86,49 @@ struct Stripe {
     released: Condvar,
 }
 
+#[derive(Default)]
 struct Table {
-    locks: LockManager,
+    /// Every grant held on the stripe, as `(owner, mode)`, in grant
+    /// order.
+    grants: Vec<(OwnerId, ActionDescriptor)>,
     /// Requests parked on `released`; a release with none skips the
     /// notify (a syscall).
     parked: usize,
+}
+
+impl Table {
+    /// Grant `ours` to `owner`, or return the owners whose grants here
+    /// do not commute with it under `spec`, each once, in grant order.
+    /// An owner's own grants never block it, and a mode it already holds
+    /// is not added twice.
+    fn acquire(
+        &mut self,
+        spec: &RangeSpec,
+        owner: OwnerId,
+        ours: &ActionDescriptor,
+    ) -> Result<(), Vec<OwnerId>> {
+        let mut holders = Vec::new();
+        let mut held = false;
+        for (o, theirs) in &self.grants {
+            if *o == owner {
+                held = held || theirs == ours;
+            } else if !spec.commutes(theirs, ours) && !holders.contains(o) {
+                holders.push(*o);
+            }
+        }
+        if !holders.is_empty() {
+            return Err(holders);
+        }
+        if !held {
+            self.grants.push((owner, ours.clone()));
+        }
+        Ok(())
+    }
+
+    /// Drop every grant of `owner`.
+    fn release(&mut self, owner: OwnerId) {
+        self.grants.retain(|(o, _)| *o != owner);
+    }
 }
 
 /// A blocked request in the waits-for map.
@@ -121,6 +162,9 @@ pub struct LockingCc {
     stripes: Vec<Stripe>,
     /// Blocked requests, by owner; only the blocking path touches it.
     waits: Mutex<HashMap<OwnerId, Waiter>>,
+    /// The encyclopedia's commutativity spec, the one compatibility
+    /// test of every stripe.
+    spec: RangeSpec,
     /// Page granularity: every mode is container-wide, on stripe 0.
     page: bool,
     descriptor: fn(&EncOp) -> ActionDescriptor,
@@ -143,18 +187,14 @@ impl LockingCc {
     }
 
     fn build(page: bool) -> Self {
-        // one spec shared by every stripe's manager
-        let locks = enc_lock_manager();
         let stripe = || Stripe {
-            table: Mutex::new(Table {
-                locks: locks.clone(),
-                parked: 0,
-            }),
+            table: Mutex::default(),
             released: Condvar::new(),
         };
         LockingCc {
             stripes: (0..STRIPES).map(|_| stripe()).collect(),
             waits: Mutex::new(HashMap::new()),
+            spec: RangeSpec::ordered_container("enc"),
             page,
             descriptor: if page { page_descriptor } else { op_descriptor },
             lanes: 1,
@@ -179,20 +219,33 @@ impl LockingCc {
     /// Grants still held per stripe — zero everywhere once all
     /// transactions finalized (no orphaned locks).
     pub fn residual_grants(&self) -> Vec<usize> {
-        let grants = |s: &Stripe| s.table.lock().locks.total_grants();
+        let grants = |s: &Stripe| s.table.lock().grants.len();
         self.stripes.iter().map(grants).collect()
     }
 
     /// Owners holding a grant on some stripe (live transactions).
     pub fn tracked_owners(&self) -> usize {
-        let owners = |s: &Stripe| s.table.lock().locks.grants_on(ENC_RESOURCE);
-        let all = self.stripes.iter().flat_map(owners);
-        all.map(|(o, _)| o).collect::<HashSet<_>>().len()
+        let mut owners = HashSet::new();
+        for s in &self.stripes {
+            owners.extend(s.table.lock().grants.iter().map(|(o, _)| *o));
+        }
+        owners.len()
     }
 
     /// Owners parked in the waits-for map.
     pub fn waiting_owners(&self) -> usize {
         self.waits.lock().len()
+    }
+
+    /// Stripe `s`'s table, counting an acquisition that finds its mutex
+    /// held in `lock_stripe_contended`.
+    fn lock_stripe(&self, shared: &EngineShared, s: usize) -> MutexGuard<'_, Table> {
+        let table = &self.stripes[s].table;
+        table.try_lock().unwrap_or_else(|| {
+            let contended = &shared.metrics.lock_stripe_contended;
+            contended.fetch_add(1, Ordering::Relaxed);
+            table.lock()
+        })
     }
 
     /// The stripe(s) `op` locks.
@@ -214,12 +267,12 @@ impl LockingCc {
         ours: &ActionDescriptor,
     ) -> bool {
         let stripe = &self.stripes[s];
-        let mut table = stripe.table.lock();
+        let mut table = self.lock_stripe(shared, s);
         let mut blocked = false;
         loop {
-            let holders = match table.locks.acquire(txn.owner, &[], ENC_RESOURCE, ours) {
-                LockOutcome::Granted => {
-                    trace_conflicts(shared, txn, &table.locks, ours, None);
+            let holders = match table.acquire(&self.spec, txn.owner, ours) {
+                Ok(()) => {
+                    trace_conflicts(shared, txn, &table.grants, ours, None);
                     if blocked {
                         // still under the stripe: no cycle ever runs
                         // through the edge of a granted request
@@ -228,12 +281,12 @@ impl LockingCc {
                     txn.footprint.set(txn.footprint.get() | 1 << s);
                     return true;
                 }
-                LockOutcome::Blocked { holders } => holders,
+                Err(holders) => holders,
             };
             if !blocked {
                 blocked = true;
                 shared.metrics.lock_blocks.fetch_add(1, Ordering::Relaxed);
-                trace_conflicts(shared, txn, &table.locks, ours, Some(&holders));
+                trace_conflicts(shared, txn, &table.grants, ours, Some(&holders));
             }
             let (victim, wake) = self.block(shared, txn, s, holders);
             if !wake.is_empty() {
@@ -241,10 +294,10 @@ impl LockingCc {
                 // doomed, then look again — a release may have come in
                 drop(table);
                 for &v in &wake {
-                    let _parked = self.stripes[v].table.lock();
+                    let _parked = self.lock_stripe(shared, v);
                     self.stripes[v].released.notify_all();
                 }
-                table = stripe.table.lock();
+                table = self.lock_stripe(shared, s);
             } else if !victim {
                 // the doom check in `block` ran under this mutex, which
                 // the wait releases atomically: no verdict is missed
@@ -253,7 +306,6 @@ impl LockingCc {
                 table.parked -= 1;
             }
             if victim {
-                table.locks.clear_waiting(txn.owner);
                 return false;
             }
         }
@@ -311,11 +363,11 @@ impl LockingCc {
 
     /// Drop every grant of `txn` on the stripes it holds, waking what is
     /// parked there; returns those stripes.
-    fn release(&self, txn: &TxnHandle) -> u64 {
+    fn release(&self, shared: &EngineShared, txn: &TxnHandle) -> u64 {
         let held = txn.footprint.take();
         for s in bits(held) {
-            let mut table = self.stripes[s].table.lock();
-            table.locks.release_all(txn.owner);
+            let mut table = self.lock_stripe(shared, s);
+            table.release(txn.owner);
             if table.parked > 0 {
                 self.stripes[s].released.notify_all();
             }
@@ -356,17 +408,17 @@ impl ConcurrencyControl for LockingCc {
     }
 
     fn after_commit(&self, shared: &EngineShared, txn: &TxnHandle) {
-        let held = self.release(txn);
+        let held = self.release(shared, txn);
         if self.lanes > 1 {
             let lanes = bits(held).fold(0, |m, s| m | 1 << (s % self.lanes));
             shared.metrics.commit_lanes(bits(lanes));
         }
     }
 
-    fn after_abort(&self, _shared: &EngineShared, txn: &TxnHandle) {
+    fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle) {
         // locks were still held while the worker compensated — nobody
         // observed uncommitted semantic state — release them now
-        self.release(txn);
+        self.release(shared, txn);
     }
 
     fn shards(&self) -> usize {
@@ -395,6 +447,13 @@ impl ConcurrencyControl for LockingCc {
 mod tests {
     use super::*;
     use crate::cc::shard_of_key;
+    use oodb_lock::LockOutcome;
+    use oodb_sim::exec::{enc_lock_manager, ENC_RESOURCE};
+    use proptest::prelude::*;
+
+    fn spec() -> RangeSpec {
+        RangeSpec::ordered_container("enc")
+    }
 
     #[test]
     fn keyed_ops_lock_their_stripe_scans_every_stripe_pages_stripe_zero() {
@@ -445,11 +504,10 @@ mod tests {
             EncOp::Range(lo, hi) => lo.as_str() <= key && key <= hi.as_str(),
         };
         let conflict = |descriptor: fn(&EncOp) -> ActionDescriptor, x: &EncOp, y: &EncOp| {
-            let mut locks = enc_lock_manager();
-            let first = locks.acquire(OwnerId(1), &[], ENC_RESOURCE, &descriptor(x));
-            assert!(matches!(first, LockOutcome::Granted));
-            let second = locks.acquire(OwnerId(2), &[], ENC_RESOURCE, &descriptor(y));
-            matches!(second, LockOutcome::Blocked { .. })
+            let mut table = Table::default();
+            let first = table.acquire(&spec(), OwnerId(1), &descriptor(x));
+            assert_eq!(first, Ok(()));
+            table.acquire(&spec(), OwnerId(2), &descriptor(y)).is_err()
         };
         let mut pairs = 0;
         for x in &ops {
@@ -514,5 +572,68 @@ mod tests {
         assert_eq!(cycle_from(&waits, OwnerId(3)), None, "4 waits for nobody");
         waits.get_mut(&OwnerId(2)).unwrap().doomed = true;
         assert_eq!(cycle_from(&waits, OwnerId(1)), None);
+    }
+
+    /// One step of an oracle sequence: an owner asks for the mode of an
+    /// operation, or releases every grant it holds.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Acquire(u64, EncOp),
+        Release(u64),
+    }
+
+    /// Steps of up to four owners over three keys, two overlapping
+    /// ranges and `ReadSeq`.
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let key = prop::sample::select(vec!["a", "b", "c"]).prop_map(String::from);
+        let op = prop_oneof![
+            1 => key.clone().prop_map(EncOp::Insert),
+            2 => key.clone().prop_map(EncOp::Search),
+            1 => key.clone().prop_map(EncOp::Change),
+            1 => key.prop_map(EncOp::Delete),
+            1 => prop::sample::select(vec![("a", "b"), ("b", "c")])
+                .prop_map(|(lo, hi)| EncOp::Range(lo.into(), hi.into())),
+            1 => Just(EncOp::ReadSeq),
+        ];
+        let step = prop_oneof![
+            4 => (0u64..4, op).prop_map(|(o, op)| Step::Acquire(o, op)),
+            1 => (0u64..4).prop_map(Step::Release),
+        ];
+        prop::collection::vec(step, 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A stripe's grant list answers every request as the generic
+        /// lock manager over the encyclopedia's spec (`enc_lock_manager`,
+        /// the simulator's) does — granted, or
+        /// blocked by the same holders in the same order — and holds the
+        /// same grants after every step, at both granularities.
+        #[test]
+        fn a_stripe_answers_as_the_lock_manager(owners in 2u64..5, steps in steps()) {
+            for descriptor in [op_descriptor as fn(&EncOp) -> ActionDescriptor, page_descriptor] {
+                let mut table = Table::default();
+                let mut oracle = enc_lock_manager();
+                for step in &steps {
+                    match step {
+                        Step::Acquire(o, op) => {
+                            let (owner, mode) = (OwnerId(o % owners), descriptor(op));
+                            let got = match table.acquire(&spec(), owner, &mode) {
+                                Ok(()) => LockOutcome::Granted,
+                                Err(holders) => LockOutcome::Blocked { holders },
+                            };
+                            let want = oracle.acquire(owner, &[], ENC_RESOURCE, &mode);
+                            prop_assert_eq!(got, want, "{:?} asks for {}", owner, mode);
+                        }
+                        Step::Release(o) => {
+                            table.release(OwnerId(o % owners));
+                            oracle.release_all(OwnerId(o % owners));
+                        }
+                    }
+                    prop_assert_eq!(&table.grants, &oracle.grants_on(ENC_RESOURCE));
+                }
+            }
+        }
     }
 }

@@ -221,6 +221,9 @@ pub struct EngineMetrics {
     pub retries: AtomicU64,
     /// Lock acquisitions that blocked at least once under strict 2PL.
     pub lock_blocks: AtomicU64,
+    /// Lock-stripe mutex acquisitions under strict 2PL that found the
+    /// mutex held and waited for it.
+    pub lock_stripe_contended: AtomicU64,
     /// Deadlock cycles broken, one victim each, under strict 2PL.
     pub deadlock_victims: AtomicU64,
     /// Submissions rejected by admission control (queue full).
@@ -315,6 +318,7 @@ impl EngineMetrics {
             aborted: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             lock_blocks: AtomicU64::new(0),
+            lock_stripe_contended: AtomicU64::new(0),
             deadlock_victims: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
@@ -387,6 +391,7 @@ impl EngineMetrics {
             aborted: self.aborted.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             lock_blocks: self.lock_blocks.load(Ordering::Relaxed),
+            lock_stripe_contended: self.lock_stripe_contended.load(Ordering::Relaxed),
             deadlock_victims: self.deadlock_victims.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
@@ -483,6 +488,10 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Lock acquisitions that blocked at least once (strict 2PL).
     pub lock_blocks: u64,
+    /// Lock-stripe mutex acquisitions that found the mutex held (strict
+    /// 2PL): two workers met on a stripe, whether or not their grants
+    /// conflict.
+    pub lock_stripe_contended: u64,
     /// Deadlock cycles broken by a victim (strict 2PL).
     pub deadlock_victims: u64,
     /// Submissions shed by admission control.
@@ -601,6 +610,11 @@ impl MetricsSnapshot {
         let _ = write!(s, "\"aborted\":{},", self.aborted);
         let _ = write!(s, "\"retries\":{},", self.retries);
         let _ = write!(s, "\"lock_blocks\":{},", self.lock_blocks);
+        let _ = write!(
+            s,
+            "\"lock_stripe_contended\":{},",
+            self.lock_stripe_contended
+        );
         let _ = write!(s, "\"deadlock_victims\":{},", self.deadlock_victims);
         let _ = write!(s, "\"shed\":{},", self.shed);
         let _ = write!(s, "\"deadline_expired\":{},", self.deadline_expired);
@@ -710,7 +724,8 @@ impl std::fmt::Display for MetricsSnapshot {
         write!(
             f,
             "committed {} ({:.0}/s) aborted {} retries {} shed {} expired {} depth {} \
-             lock-blocks {} deadlock-victims {} lock-wait p50/p99 {:?}/{:?} e2e p50/p99 {:?}/{:?}",
+             lock-blocks {} deadlock-victims {} stripe-contended {} lock-wait p50/p99 {:?}/{:?} \
+             e2e p50/p99 {:?}/{:?}",
             self.committed,
             self.throughput_per_sec,
             self.aborted,
@@ -720,6 +735,7 @@ impl std::fmt::Display for MetricsSnapshot {
             self.queue_depth,
             self.lock_blocks,
             self.deadlock_victims,
+            self.lock_stripe_contended,
             self.lock_wait_p50,
             self.lock_wait_p99,
             self.e2e_p50,
@@ -910,6 +926,7 @@ mod tests {
         let m = EngineMetrics::with_shards(2);
         m.committed.fetch_add(3, Ordering::Relaxed);
         m.lock_blocks.fetch_add(4, Ordering::Relaxed);
+        m.lock_stripe_contended.fetch_add(6, Ordering::Relaxed);
         m.deadlock_victims.fetch_add(1, Ordering::Relaxed);
         m.shard_op(0);
         m.e2e.record(Duration::from_millis(1));
@@ -945,6 +962,7 @@ mod tests {
             "\"aborted\":",
             "\"retries\":",
             "\"lock_blocks\":4",
+            "\"lock_stripe_contended\":6",
             "\"deadlock_victims\":1",
             "\"shed\":",
             "\"deadline_expired\":",

@@ -12,6 +12,14 @@
 //!
 //! Deadlocks are detected on the waits-for graph, projected onto
 //! top-level transactions.
+//!
+//! The engine's strict 2PL (`oodb_engine::LockingCc`) does not run on
+//! [`LockManager`]: its lock stripes keep their own grant lists and ask
+//! the encyclopedia's spec directly. [`LockManager`]'s users are the
+//! simulator's nested protocols (`oodb_sim::logical`), the repo
+//! benchmark's `lock.*` rows and its replays (`benchmark/src/layers.rs`,
+//! `benchmark/src/replay.rs`), and the test-side oracle the engine's
+//! stripes are checked against (`a_stripe_answers_as_the_lock_manager`).
 
 #![warn(missing_docs)]
 
