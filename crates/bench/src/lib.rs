@@ -2,7 +2,8 @@
 //!
 //! Regenerates every figure of the paper ([`figures`]: FIG1–FIG8 plus the
 //! added-relation GAP witness) and runs the quantitative experiments
-//! ([`quant`]: B1–B16). The `experiments` binary prints any of them:
+//! ([`quant`]: B1–B16; B2, B3, B7, B12, B13 and B15 are retired). The
+//! `experiments` binary prints any of them:
 //!
 //! ```text
 //! cargo run -p oodb-bench --bin experiments -- fig8

@@ -1,16 +1,17 @@
-//! Quantitative experiments B1–B8 (see DESIGN.md §4).
+//! Quantitative experiments B1, B4–B6, B8–B11, B14 and B16 (see
+//! DESIGN.md §4).
 //!
 //! Every function returns a rendered table plus, where benches reuse the
-//! computation, the raw series. Absolute numbers are simulator ticks or
-//! rates; the paper's claims are about *shape* (who wins, where the gap
-//! opens), which EXPERIMENTS.md records.
+//! computation, the raw series. Absolute numbers are counts, rates or
+//! wall-clock times of runs on the live encyclopedia and the engine; the
+//! paper's claims are about *shape* (who wins, where the gap opens),
+//! which EXPERIMENTS.md records.
 
 use crate::table::{f3, Table};
+use oodb_engine::{CcKind, EngineConfig};
 use oodb_sim::{
-    acceptance_rates, compile_editing, compile_encyclopedia, conflict_rates, editing_workload,
-    encyclopedia_workload, replay_encyclopedia, run_simulation, AcceptanceConfig,
-    EditWorkloadConfig, EncMix, EncWorkloadConfig, LogicalDocConfig, LogicalEncConfig, Protocol,
-    SimConfig, Skew,
+    acceptance_rates, conflict_rates, encyclopedia_workload, replay_encyclopedia, AcceptanceConfig,
+    EncMix, EncWorkload, EncWorkloadConfig, Skew,
 };
 use std::time::Instant;
 
@@ -75,109 +76,6 @@ pub fn b1() -> String {
     format!(
         "B1 — rate of conflicting accesses: conventional vs oo-serializability\n\
          (insert-only encyclopedia workload, live B+-tree, 10 txns x 6 ops)\n\n{}",
-        t.render()
-    )
-}
-
-/// **B2** — protocol throughput under the logical encyclopedia model:
-/// page 2PL vs open-nested vs closed-nested, sweeping concurrency and
-/// contention (keys per leaf).
-pub fn b2() -> String {
-    let mut t = Table::new(&[
-        "txns",
-        "keys/leaf",
-        "protocol",
-        "makespan",
-        "throughput",
-        "wait-ticks",
-        "deadlocks",
-    ]);
-    for &txns in &[4usize, 16, 48] {
-        for &kpl in &[16usize, 128] {
-            let wcfg = EncWorkloadConfig {
-                txns,
-                ops_per_txn: 6,
-                key_space: 256,
-                preload: 0,
-                mix: EncMix::update_heavy(),
-                skew: Skew::Zipf(0.8),
-                seed: 5,
-            };
-            let w = encyclopedia_workload(&wcfg);
-            let lcfg = LogicalEncConfig {
-                keys_per_leaf: kpl,
-                key_space: 256,
-                page_ticks: 2,
-            };
-            for p in Protocol::all() {
-                let compiled = compile_encyclopedia(&w.txn_ops, &lcfg, p);
-                let m = run_simulation(&compiled, &SimConfig::default());
-                t.row(vec![
-                    txns.to_string(),
-                    kpl.to_string(),
-                    p.name().to_string(),
-                    m.makespan.to_string(),
-                    f3(m.throughput()),
-                    m.wait_ticks.to_string(),
-                    m.deadlock_aborts.to_string(),
-                ]);
-            }
-        }
-    }
-    format!(
-        "B2 — protocol comparison on the logical encyclopedia\n\
-         (update-heavy mix, zipf 0.8; throughput = committed txns / 1000 ticks)\n\n{}",
-        t.render()
-    )
-}
-
-/// **B3** — cooperative editing (§1 motivation): long author sessions,
-/// page false-sharing, per protocol.
-pub fn b3() -> String {
-    let mut t = Table::new(&[
-        "authors",
-        "sections/page",
-        "overlap",
-        "protocol",
-        "makespan",
-        "wait-ticks",
-        "mean-response",
-    ]);
-    for &authors in &[2usize, 4, 8] {
-        for &spp in &[1usize, 4, 8] {
-            for &overlap in &[0.0f64, 0.3] {
-                let wcfg = EditWorkloadConfig {
-                    authors,
-                    sections: 8,
-                    steps_per_author: 5,
-                    overlap,
-                    step_duration: 10,
-                    seed: 11,
-                };
-                let sessions = editing_workload(&wcfg);
-                let dcfg = LogicalDocConfig {
-                    sections_per_page: spp,
-                    sections: 8,
-                };
-                for p in Protocol::all() {
-                    let compiled = compile_editing(&sessions, &dcfg, p);
-                    let m = run_simulation(&compiled, &SimConfig::default());
-                    t.row(vec![
-                        authors.to_string(),
-                        spp.to_string(),
-                        format!("{overlap:.1}"),
-                        p.name().to_string(),
-                        m.makespan.to_string(),
-                        m.wait_ticks.to_string(),
-                        format!("{:.1}", m.mean_response),
-                    ]);
-                }
-            }
-        }
-    }
-    format!(
-        "B3 — cooperative editing: authors x sections, page false-sharing\n\
-         (each author: 5 edit steps of 10 ticks + 2-tick page writes)\n\n{}",
         t.render()
     )
 }
@@ -359,80 +257,59 @@ pub fn b6() -> String {
     )
 }
 
-/// **B7** — banking with escrow semantics and deadlock-policy sweep:
-/// escrow modes vs page locks on hot accounts, under detection,
-/// wound-wait, and wait-die.
-pub fn b7() -> String {
-    use oodb_sim::{
-        banking_workload, compile_banking, BankWorkloadConfig, DeadlockPolicy, LogicalBankConfig,
-    };
-    let mut t = Table::new(&[
-        "accounts",
-        "policy",
-        "protocol",
-        "makespan",
-        "throughput",
-        "aborts",
-    ]);
-    for &accounts in &[4usize, 32] {
-        let w = banking_workload(&BankWorkloadConfig {
-            txns: 12,
-            ops_per_txn: 5,
-            accounts,
-            read_fraction: 0.15,
-            seed: 19,
-        });
-        let cfg = LogicalBankConfig {
-            accounts,
-            accounts_per_page: 8,
-            op_ticks: 3,
-        };
-        for policy in [
-            DeadlockPolicy::Detect,
-            DeadlockPolicy::WoundWait,
-            DeadlockPolicy::WaitDie,
-        ] {
-            for p in Protocol::all() {
-                let m = run_simulation(
-                    &compile_banking(&w, &cfg, p),
-                    &SimConfig {
-                        policy,
-                        ..Default::default()
-                    },
-                );
-                t.row(vec![
-                    accounts.to_string(),
-                    format!("{policy:?}"),
-                    p.name().to_string(),
-                    m.makespan.to_string(),
-                    f3(m.throughput()),
-                    m.deadlock_aborts.to_string(),
-                ]);
-            }
+/// The columns of [`engine_rows`].
+const ENGINE_COLUMNS: [&str; 8] = [
+    "executor",
+    "workers",
+    "committed",
+    "retries",
+    "throughput/s",
+    "e2e-p50-us",
+    "e2e-p99-us",
+    "oo-serializable",
+];
+
+/// One audited engine run of `w` per worker count and control, rendered
+/// as [`ENGINE_COLUMNS`] rows — B9's table and B8's protocol rows.
+fn engine_rows(w: &EncWorkload, workers: &[usize], kinds: &[CcKind]) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for &workers in workers {
+        for &kind in kinds {
+            let cfg = EngineConfig {
+                workers,
+                queue_capacity: 32,
+                seed: 31,
+                ..EngineConfig::default()
+            };
+            let out = oodb_engine::run_workload(&cfg, kind, w);
+            let audit = out.audit.as_ref().expect("audit enabled");
+            rows.push(vec![
+                format!("engine/{}", out.cc_name),
+                workers.to_string(),
+                out.metrics.committed.to_string(),
+                out.metrics.retries.to_string(),
+                f3(out.metrics.throughput_per_sec),
+                out.metrics.e2e_p50.as_micros().to_string(),
+                out.metrics.e2e_p99.as_micros().to_string(),
+                audit.report.oo_decentralized.is_ok().to_string(),
+            ]);
         }
     }
-    format!(
-        "B7 — banking: escrow commutativity vs page locking on hot accounts,\n\
-         under three deadlock policies (12 txns x 5 ops)\n\n{}",
-        t.render()
-    )
+    rows
 }
 
 /// **B8** — range queries vs concurrent inserts: the phantom problem
 /// (§1's anomaly list) handled semantically. Interval-precise
-/// `rangeScan` locks admit every out-of-range insert; page-level range
-/// protection read-locks whole leaf pages to commit.
+/// `rangeScan` locks admit every out-of-range insert; the page-level
+/// ablation read-locks the whole container for a scan. The protocol rows
+/// run the workload through the engine under semantic and page-level
+/// strict 2PL, audited; the ordered-pair columns come from a live replay
+/// of the same workload.
 pub fn b8() -> String {
-    use oodb_sim::compile_encyclopedia;
-    let mut t = Table::new(&[
-        "txns",
-        "range-width",
-        "protocol",
-        "makespan",
-        "wait-ticks",
-        "conv-ordered-pairs",
-        "oo-ordered-pairs",
-    ]);
+    let mut header = vec!["txns"];
+    header.extend(ENGINE_COLUMNS);
+    header.extend(["conv-ordered-pairs", "oo-ordered-pairs"]);
+    let mut t = Table::new(&header);
     for &txns in &[8usize, 24] {
         let wcfg = EncWorkloadConfig {
             txns,
@@ -444,34 +321,21 @@ pub fn b8() -> String {
             seed: 23,
         };
         let w = encyclopedia_workload(&wcfg);
-        // throughput side: logical sim
-        let lcfg = LogicalEncConfig {
-            keys_per_leaf: 64,
-            key_space: 512,
-            page_ticks: 2,
-        };
-        // conflict side: one live replay
         let out = replay_encyclopedia(&wcfg, 64, 2);
         let rates = conflict_rates(&out.ts, &out.history, out.setup_txns);
-        for p in Protocol::all() {
-            let m = run_simulation(
-                &compile_encyclopedia(&w.txn_ops, &lcfg, p),
-                &SimConfig::default(),
-            );
-            t.row(vec![
-                txns.to_string(),
-                "~1/16 of keyspace".into(),
-                p.name().to_string(),
-                m.makespan.to_string(),
-                m.wait_ticks.to_string(),
-                rates.conventional_ordered_pairs.to_string(),
-                rates.oo_ordered_pairs.to_string(),
-            ]);
+        let kinds = [CcKind::Pessimistic, CcKind::PessimisticPage];
+        for row in engine_rows(&w, &[4], &kinds) {
+            let mut cells = vec![txns.to_string()];
+            cells.extend(row);
+            cells.push(rates.conventional_ordered_pairs.to_string());
+            cells.push(rates.oo_ordered_pairs.to_string());
+            t.row(cells);
         }
     }
     format!(
         "B8 — range scans vs inserts (phantom handling): interval-precise\n\
-         semantic locks vs page read locks; ordered-pair columns from a\n\
+         semantic locks vs page-level locks on the engine (ranges ~1/16 of\n\
+         the key space; every run audited); ordered-pair columns from a\n\
          live replay of the same workload\n\n{}",
         t.render()
     )
@@ -485,8 +349,6 @@ pub fn b8() -> String {
 /// certification trades lock waits for validation work and commit
 /// dependencies. Every run is audited for oo-serializability.
 pub fn b9() -> String {
-    use oodb_engine::{CcKind, EngineConfig};
-
     let w = encyclopedia_workload(&EncWorkloadConfig {
         txns: 24,
         ops_per_txn: 4,
@@ -496,45 +358,15 @@ pub fn b9() -> String {
         skew: Skew::Zipf(0.8),
         seed: 31,
     });
-
-    let mut t = Table::new(&[
-        "executor",
-        "workers",
-        "committed",
-        "retries",
-        "throughput/s",
-        "e2e-p50-us",
-        "e2e-p99-us",
-        "oo-serializable",
-    ]);
-
-    for &workers in &[2usize, 4, 8] {
-        for kind in [
-            CcKind::Pessimistic,
-            CcKind::PessimisticPage,
-            CcKind::Optimistic,
-        ] {
-            let cfg = EngineConfig {
-                workers,
-                queue_capacity: 32,
-                seed: 31,
-                ..EngineConfig::default()
-            };
-            let out = oodb_engine::run_workload(&cfg, kind, &w);
-            let audit = out.audit.as_ref().expect("audit enabled");
-            t.row(vec![
-                format!("engine/{}", out.cc_name),
-                workers.to_string(),
-                out.metrics.committed.to_string(),
-                out.metrics.retries.to_string(),
-                f3(out.metrics.throughput_per_sec),
-                out.metrics.e2e_p50.as_micros().to_string(),
-                out.metrics.e2e_p99.as_micros().to_string(),
-                audit.report.oo_decentralized.is_ok().to_string(),
-            ]);
-        }
+    let kinds = [
+        CcKind::Pessimistic,
+        CcKind::PessimisticPage,
+        CcKind::Optimistic,
+    ];
+    let mut t = Table::new(&ENGINE_COLUMNS);
+    for row in engine_rows(&w, &[2, 4, 8], &kinds) {
+        t.row(row);
     }
-
     format!(
         "B9 — worker-pool engine: semantic vs page-level 2PL vs optimistic\n\
          certification, across worker counts\n\
@@ -564,12 +396,11 @@ pub fn b10_workload(txns: usize) -> (Vec<String>, Vec<Vec<oodb_sim::EncOp>>) {
 
 /// One audited run of the B10 disjoint-key workload on 8 workers.
 fn b10_engine_run(
-    kind: oodb_engine::CcKind,
+    kind: CcKind,
     shards: usize,
     txns: usize,
     trace: oodb_engine::TraceMode,
 ) -> oodb_engine::EngineOutput {
-    use oodb_engine::EngineConfig;
     let (preload, txn_ops) = b10_workload(txns);
     let cfg = EngineConfig {
         workers: 8,
@@ -590,7 +421,7 @@ fn b10_engine_run(
 }
 
 /// One audited B10 run; returns the engine output for the scaling table.
-pub fn b10_run(kind: oodb_engine::CcKind, shards: usize, txns: usize) -> oodb_engine::EngineOutput {
+pub fn b10_run(kind: CcKind, shards: usize, txns: usize) -> oodb_engine::EngineOutput {
     b10_engine_run(kind, shards, txns, oodb_engine::TraceMode::Off)
 }
 
@@ -604,8 +435,6 @@ pub fn b10_run(kind: oodb_engine::CcKind, shards: usize, txns: usize) -> oodb_en
 /// every shard count too, so its rows differ only in the metric lanes.
 /// Every run is audited (committed projection, Definition 16).
 pub fn b10() -> String {
-    use oodb_engine::CcKind;
-
     const TXNS: usize = 120;
     let mut t = Table::new(&[
         "cc",
@@ -651,7 +480,7 @@ pub fn b10() -> String {
 /// mode (4 shards, optimistic certification — the strategy with the
 /// most per-event instrumentation).
 pub fn b11_run(trace: oodb_engine::TraceMode, txns: usize) -> oodb_engine::EngineOutput {
-    b10_engine_run(oodb_engine::CcKind::Optimistic, 4, txns, trace)
+    b10_engine_run(CcKind::Optimistic, 4, txns, trace)
 }
 
 /// **B11** — tracing overhead. Three passes over the B10 disjoint-key
@@ -733,7 +562,6 @@ pub fn b11() -> String {
 /// measures the *device* amortization, so lock conflicts must not
 /// serialize the committers first.
 pub fn b14_run(mode: oodb_engine::DurabilityMode, txns: usize) -> oodb_engine::EngineOutput {
-    use oodb_engine::{CcKind, EngineConfig};
     let w = encyclopedia_workload(&EncWorkloadConfig {
         txns,
         ops_per_txn: 4,
@@ -810,7 +638,7 @@ pub fn b14() -> String {
         let out = b14_run(mode, TXNS);
         let recovered = match out.wal.as_ref() {
             Some(image) => {
-                let r = oodb_engine::recover(image, oodb_engine::EngineConfig::default().fanout);
+                let r = oodb_engine::recover(image, EngineConfig::default().fanout);
                 (r.consistent() && r.final_state == out.final_state).to_string()
             }
             None => "n/a".to_string(),
@@ -856,7 +684,6 @@ pub fn b14() -> String {
 /// can overlap it: searches S-latch-couple down the tree and the miss
 /// sleep happens outside every lock.
 pub fn b16_run(workers: usize) -> oodb_engine::EngineOutput {
-    use oodb_engine::{CcKind, EngineConfig};
     const KEYS: usize = 1024;
     let w = encyclopedia_workload(&EncWorkloadConfig {
         txns: 48,
@@ -935,21 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn b2_covers_all_protocols() {
-        let s = b2();
-        for p in ["page-2pl", "open-nested", "closed-nested"] {
-            assert!(s.contains(p));
-        }
-    }
-
-    #[test]
-    fn b3_covers_sweep() {
-        let s = b3();
-        assert!(s.contains("page-2pl"));
-        assert!(s.matches('\n').count() > 30, "3x3x2x3 rows expected");
-    }
-
-    #[test]
     fn b4_reports_costs() {
         let s = b4();
         assert!(s.contains("infer-us/action"));
@@ -968,19 +780,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn b7_covers_policies_and_protocols() {
-        let s = b7();
-        for needle in ["Detect", "WoundWait", "WaitDie", "open-nested", "page-2pl"] {
-            assert!(s.contains(needle), "missing {needle}");
-        }
-    }
-
+    /// Both locking controls commit every transaction of the
+    /// range-heavy workload with a clean audit, and the conventional
+    /// ordered pairs are never fewer than the oo ones.
     #[test]
     fn b8_range_scans_show_semantic_gain() {
         let s = b8();
-        assert!(s.contains("open-nested"));
-        assert!(s.contains("~1/16"));
+        let rows: Vec<Vec<&str>> = s
+            .lines()
+            .skip_while(|l| !l.starts_with('-'))
+            .skip(1)
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), 4, "two sizes x two controls: {s}");
+        for exec in ["engine/pessimistic", "engine/pessimistic-page"] {
+            assert_eq!(rows.iter().filter(|r| r[1] == exec).count(), 2, "{s}");
+        }
+        for r in &rows {
+            assert_eq!(r[3], r[0], "every transaction commits: {s}");
+            assert_eq!(r[8], "true", "every audit clean: {s}");
+            let conv: usize = r[9].parse().unwrap();
+            let oo: usize = r[10].parse().unwrap();
+            assert!(conv >= oo, "conventional >= oo ordered pairs: {s}");
+        }
     }
 
     /// Known flaky on the `engine/optimistic` rows: the certifier validates
@@ -1017,7 +840,7 @@ mod tests {
     #[test]
     fn b10_sharded_optimistic_scales() {
         use oodb_engine::trace::TraceEventKind;
-        use oodb_engine::{CcKind, TraceMode};
+        use oodb_engine::TraceMode;
         let mut best = 0.0_f64;
         for _ in 0..3 {
             let one = b10_run(CcKind::Optimistic, 1, 96);
@@ -1094,7 +917,7 @@ mod tests {
             let out = b14_run(mode, TXNS);
             assert!(out.metrics.committed > 0);
             let image = out.wal.as_ref().expect("durable run keeps its log");
-            let r = oodb_engine::recover(image, oodb_engine::EngineConfig::default().fanout);
+            let r = oodb_engine::recover(image, EngineConfig::default().fanout);
             assert!(r.consistent(), "{}: recovery audit failed", out.cc_name);
             assert_eq!(r.final_state, out.final_state, "replay must match");
             out.metrics.fsyncs as f64 / out.metrics.committed as f64

@@ -10,7 +10,11 @@
 //!   separate subtransaction *called from the insert*, the call-path
 //!   cycle motivating the paper's Definition 5;
 //! * [`list`] — the linked list of items with per-item objects;
-//! * [`encyclopedia`] — the `Enc` facade combining both (Figure 2).
+//! * [`encyclopedia`] — the `Enc` facade combining both (Figure 2), and
+//!   [`compensated`] — its open-nested abort by semantic inverses;
+//! * [`ops`] — the operations every executor runs against it ([`EncOp`])
+//!   and what each one means: its lock mode, its page-level ablation, its
+//!   execution and the text it writes.
 
 #![warn(missing_docs)]
 
@@ -20,10 +24,12 @@ pub mod latch;
 pub mod list;
 pub mod node;
 mod objects;
+pub mod ops;
 pub mod tree;
 
 pub use compensated::{AbortReport, CompensatedEncyclopedia};
 pub use encyclopedia::{Encyclopedia, EncyclopediaConfig};
 pub use list::{ItemId, ItemList};
 pub use node::{Entry, Node, Probe, MAX_KEY_LEN};
+pub use ops::{EncOp, EncWorkload};
 pub use tree::{required_page_size, BLinkTree};

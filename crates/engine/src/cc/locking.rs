@@ -19,11 +19,10 @@ use super::{
     ShardRoute, TxnHandle,
 };
 use crate::trace::TraceEventKind;
+use oodb_btree::ops::{op_descriptor, page_descriptor, EncOp};
 use oodb_core::commutativity::{ActionDescriptor, CommutativitySpec, Method, RangeSpec};
 use oodb_core::graph::find_cycle_from;
 use oodb_lock::OwnerId;
-use oodb_sim::exec::{op_descriptor, page_descriptor};
-use oodb_sim::EncOp;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;

@@ -29,13 +29,12 @@ use crate::config::EngineConfig;
 use crate::durability::Durability;
 use crate::metrics::EngineMetrics;
 use crate::trace::Tracer;
-use oodb_btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
+use oodb_btree::{CompensatedEncyclopedia, EncOp, Encyclopedia, EncyclopediaConfig};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
 use oodb_lock::OwnerId;
 use oodb_model::Recorder;
-use oodb_sim::EncOp;
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;

@@ -29,11 +29,11 @@ use super::{
     ShardRoute, TxnHandle,
 };
 use crate::trace::{CertOutcome, TraceEventKind};
+use oodb_btree::EncOp;
 use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
-use oodb_sim::EncOp;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 

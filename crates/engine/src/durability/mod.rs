@@ -59,13 +59,12 @@ use crate::cc::{EngineShared, TxnHandle};
 use crate::config::DurabilityMode;
 use crate::metrics::EngineMetrics;
 use crate::trace::TraceEventKind;
+use oodb_btree::ops::{write_text, EncOp};
 use oodb_core::commutativity::Method;
 use oodb_core::compensation::Inverse;
 use oodb_core::value::Value;
 use oodb_recovery::engine_log::{EngineOp, EngineRecord};
 use oodb_recovery::framing::{FramedLog, FRAME_HEADER};
-use oodb_sim::exec::write_text;
-use oodb_sim::EncOp;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

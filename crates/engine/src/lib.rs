@@ -61,7 +61,7 @@ pub use queue::{Job, JobQueue};
 pub use trace::{RingSink, TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use worker::retry_delay;
 
-use oodb_sim::{EncOp, EncWorkload};
+use oodb_btree::{EncOp, EncWorkload};
 use oodb_storage::PoolStats;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;

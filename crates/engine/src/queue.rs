@@ -1,7 +1,7 @@
 //! Bounded admission queue with load shedding, backpressure, and
 //! drain-on-shutdown semantics.
 
-use oodb_sim::EncOp;
+use oodb_btree::EncOp;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use crate::cc::ShardRoute;
-use oodb_sim::EncOp;
+use oodb_btree::EncOp;
 
 /// Sentinel worker id for events emitted off the worker pool (the
 /// submission path, preload on the caller thread).

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use oodb_sim::exec::op_descriptor;
+use oodb_btree::ops::op_descriptor;
 
 use super::event::{attempt_name, TraceEvent, TraceEventKind, TXN_NONE, WORKER_EXTERNAL};
 use super::sink::TraceLog;

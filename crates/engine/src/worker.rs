@@ -9,13 +9,12 @@ use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
 use crate::queue::{Job, JobQueue};
 use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
+use oodb_btree::ops::{apply_op, EncOp};
 use oodb_core::commutativity::Method;
 use oodb_core::ids::TxnIdx;
 use oodb_lock::OwnerId;
 use oodb_model::TxnCtx;
 use oodb_recovery::engine_log::{EngineOp as WalOp, EngineRecord};
-use oodb_sim::exec::apply_op;
-use oodb_sim::EncOp;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};

@@ -9,12 +9,11 @@
 //! protocols.
 //!
 //! Nesting follows open nested / multi-level locking: every action
-//! acquires its own lock on the object it accesses; ancestors' locks never
-//! block their descendants; when a subtransaction commits, the *open*
-//! discipline drops its locks (the caller's own semantic lock keeps
-//! protecting the result), while the *closed* discipline transfers them to
-//! the caller, where they keep blocking outsiders until top-level commit —
-//! the ablation of DESIGN.md §6.4.
+//! acquires its own lock on the object it accesses, and ancestors' locks
+//! never block their descendants, nor descendants' locks their ancestors.
+//! When a subtransaction commits, the open discipline drops its locks
+//! with [`LockManager::release_all`]: the caller's own semantic lock
+//! keeps protecting the result.
 //!
 //! The manager is step-based: [`LockManager::acquire`] never parks a
 //! thread; it answers `Granted` or `Blocked{holders}` and the scheduler
@@ -64,32 +63,16 @@ pub struct LockManager {
     specs: HashMap<ResourceId, SpecRef>,
     /// `waiting[o]` = the owners o is currently blocked on.
     waiting: HashMap<OwnerId, Vec<OwnerId>>,
-    /// Statistics: total requests, grants, blocks.
-    pub stats: LockStats,
 }
 
 impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockManager")
             .field("resources", &self.grants.len())
-            .field("grants", &self.total_grants())
+            .field("grants", &self.grants.values().map(Vec::len).sum::<usize>())
             .field("waiting", &self.waiting.len())
-            .field("stats", &self.stats)
             .finish()
     }
-}
-
-/// Monotone counters of manager activity.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LockStats {
-    /// Lock requests seen.
-    pub requests: u64,
-    /// Requests granted immediately.
-    pub granted: u64,
-    /// Requests blocked at least once.
-    pub blocked: u64,
-    /// Deadlocks detected.
-    pub deadlocks: u64,
 }
 
 impl LockManager {
@@ -113,7 +96,6 @@ impl LockManager {
         resource: ResourceId,
         descriptor: &ActionDescriptor,
     ) -> LockOutcome {
-        self.stats.requests += 1;
         // borrowed, not cloned: `specs` and `grants` are disjoint fields
         let spec = self
             .specs
@@ -135,7 +117,6 @@ impl LockManager {
             }
         }
         if !holders.is_empty() {
-            self.stats.blocked += 1;
             self.waiting.insert(owner, holders.clone());
             return LockOutcome::Blocked { holders };
         }
@@ -153,7 +134,6 @@ impl LockManager {
                 count: 1,
             });
         }
-        self.stats.granted += 1;
         LockOutcome::Granted
     }
 
@@ -166,25 +146,6 @@ impl LockManager {
         self.waiting.remove(&owner);
     }
 
-    /// *Closed* discipline: transfer the child's grants to `parent`, where
-    /// they keep blocking non-relatives until the parent releases.
-    pub fn transfer_to_parent(
-        &mut self,
-        child: OwnerId,
-        parent: OwnerId,
-        parent_ancestors: &[OwnerId],
-    ) {
-        for grants in self.grants.values_mut() {
-            for g in grants.iter_mut() {
-                if g.owner == child {
-                    g.owner = parent;
-                    g.ancestors = parent_ancestors.to_vec();
-                }
-            }
-        }
-        self.waiting.remove(&child);
-    }
-
     /// Number of grants currently held by `owner`.
     pub fn held_by(&self, owner: OwnerId) -> usize {
         self.grants
@@ -192,11 +153,6 @@ impl LockManager {
             .flat_map(|v| v.iter())
             .filter(|g| g.owner == owner)
             .count()
-    }
-
-    /// Total grants in the table.
-    pub fn total_grants(&self) -> usize {
-        self.grants.values().map(Vec::len).sum()
     }
 
     /// The current grants on `resource` as `(owner, descriptor)` pairs —
@@ -209,16 +165,11 @@ impl LockManager {
             .unwrap_or_default()
     }
 
-    /// Record that `owner` is no longer waiting (e.g. it was aborted).
-    pub fn clear_waiting(&mut self, owner: OwnerId) {
-        self.waiting.remove(&owner);
-    }
-
     /// Detect a waits-for cycle. `project` maps lock owners to the
     /// conflict-resolution unit (usually the top-level transaction), so
     /// that cycles among sub-owners of one transaction are not reported.
     /// Returns the cycle's units if found.
-    pub fn find_deadlock(&mut self, project: impl Fn(OwnerId) -> OwnerId) -> Option<Vec<OwnerId>> {
+    pub fn find_deadlock(&self, project: impl Fn(OwnerId) -> OwnerId) -> Option<Vec<OwnerId>> {
         let mut g: DiGraph<OwnerId> = DiGraph::new();
         for (&waiter, holders) in &self.waiting {
             for &h in holders {
@@ -228,11 +179,7 @@ impl LockManager {
                 }
             }
         }
-        let cycle = g.find_cycle();
-        if cycle.is_some() {
-            self.stats.deadlocks += 1;
-        }
-        cycle
+        g.find_cycle()
     }
 }
 
@@ -269,8 +216,6 @@ mod tests {
                 holders: vec![OwnerId(1), OwnerId(2)]
             }
         );
-        assert_eq!(m.stats.requests, 3);
-        assert_eq!(m.stats.blocked, 1);
     }
 
     #[test]
@@ -351,27 +296,14 @@ mod tests {
     }
 
     #[test]
-    fn open_vs_closed_child_commit() {
+    fn open_child_commit_releases_to_strangers() {
         let (mut m, r) = page_manager();
         let parent = OwnerId(1);
         let child = OwnerId(2);
         m.acquire(child, &[parent], r, &rw());
-        // open: drop the child's page lock; stranger may proceed
-        let mut open = LockManager::new();
-        open.register(r, Arc::new(ReadWriteSpec));
-        open.acquire(child, &[parent], r, &rw());
-        open.release_all(child);
-        assert_eq!(
-            open.acquire(OwnerId(9), &[], r, &rw()),
-            LockOutcome::Granted
-        );
-        // closed: transfer to parent; stranger still blocked
-        m.transfer_to_parent(child, parent, &[]);
-        assert!(matches!(
-            m.acquire(OwnerId(9), &[], r, &rw()),
-            LockOutcome::Blocked { holders } if holders == vec![parent]
-        ));
-        assert_eq!(m.held_by(parent), 1);
+        // open: drop the child's page lock; a stranger may proceed
+        m.release_all(child);
+        assert_eq!(m.acquire(OwnerId(9), &[], r, &rw()), LockOutcome::Granted);
         assert_eq!(m.held_by(child), 0);
     }
 
@@ -392,7 +324,6 @@ mod tests {
         ));
         let cycle = m.find_deadlock(|o| o).expect("deadlock exists");
         assert_eq!(cycle.len(), 2);
-        assert_eq!(m.stats.deadlocks, 1);
     }
 
     #[test]
@@ -407,16 +338,5 @@ mod tests {
         ));
         // project both to the same top-level id
         assert!(m.find_deadlock(|_| OwnerId(1)).is_none());
-    }
-
-    #[test]
-    fn stats_track_activity() {
-        let (mut m, r) = page_manager();
-        m.acquire(OwnerId(1), &[], r, &rd());
-        m.acquire(OwnerId(2), &[], r, &rw());
-        let s = m.stats;
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.granted, 1);
-        assert_eq!(s.blocked, 1);
     }
 }

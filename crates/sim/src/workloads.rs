@@ -1,50 +1,22 @@
 //! Workload generators.
 //!
-//! Three families, matching the paper's motivating contrasts (Figure 1)
-//! and its examples:
+//! Two families, matching the paper's running example and Figure 1's
+//! contrast:
 //!
 //! * **Encyclopedia** — the §2 running example: keyed inserts, searches,
-//!   item changes, deletions, and sequential reads over the B⁺-tree +
-//!   item-list database, with uniform or Zipf key skew.
+//!   item changes, deletions, sequential reads and range queries over the
+//!   B⁺-tree + item-list database, with uniform or Zipf key skew. The
+//!   operations themselves ([`EncOp`], [`EncWorkload`]) belong to
+//!   [`oodb_btree::ops`] and are re-exported here.
 //! * **Banking** — Figure 1's "conventional transactions": short
 //!   operations on small account objects (deposit / withdraw / transfer /
-//!   balance), the escrow playground.
-//! * **Cooperative editing** — Figure 1's "object-oriented operations":
-//!   long transactions in which authors repeatedly edit sections of a
-//!   shared document (the publication-system motivation of §1).
+//!   balance).
 
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One encyclopedia-level operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncOp {
-    /// Insert `key` with text.
-    Insert(String),
-    /// Exact lookup of `key`.
-    Search(String),
-    /// Change the item stored under `key`.
-    Change(String),
-    /// Delete `key`.
-    Delete(String),
-    /// Sequential read of all items.
-    ReadSeq,
-    /// Range query over `[lo, hi]` (inclusive).
-    Range(String, String),
-}
-
-impl EncOp {
-    /// The key this operation targets, if any (ranges report their lower
-    /// bound).
-    pub fn key(&self) -> Option<&str> {
-        match self {
-            EncOp::Insert(k) | EncOp::Search(k) | EncOp::Change(k) | EncOp::Delete(k) => Some(k),
-            EncOp::Range(lo, _) => Some(lo),
-            EncOp::ReadSeq => None,
-        }
-    }
-}
+pub use oodb_btree::ops::{EncOp, EncWorkload};
 
 /// Operation-mix ratios (need not sum to 1; normalized internally).
 #[derive(Debug, Clone, Copy)]
@@ -190,16 +162,6 @@ impl Distribution<usize> for ZipfSampler {
             Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-}
-
-/// A generated encyclopedia workload: preload keys plus one operation
-/// list per transaction.
-#[derive(Debug, Clone)]
-pub struct EncWorkload {
-    /// Keys inserted before measurement starts.
-    pub preload_keys: Vec<String>,
-    /// Per-transaction operation lists.
-    pub txn_ops: Vec<Vec<EncOp>>,
 }
 
 /// Key name for index `i` (zero-padded so lexicographic = numeric order).
@@ -362,70 +324,6 @@ pub fn banking_workload(cfg: &BankWorkloadConfig) -> Vec<Vec<BankOp>> {
         .collect()
 }
 
-/// One editing step of an author: work on a section for some time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EditStep {
-    /// Section index edited.
-    pub section: usize,
-    /// Logical duration of the edit (simulator ticks).
-    pub duration: u32,
-}
-
-/// Configuration of the cooperative-editing workload (§1's publication
-/// system: "every author wants to write down his ideas immediately").
-#[derive(Debug, Clone)]
-pub struct EditWorkloadConfig {
-    /// Number of authors (concurrent long transactions).
-    pub authors: usize,
-    /// Sections of the shared document.
-    pub sections: usize,
-    /// Edit steps per author session.
-    pub steps_per_author: usize,
-    /// Probability an author strays from their "own" section.
-    pub overlap: f64,
-    /// Ticks per edit step.
-    pub step_duration: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for EditWorkloadConfig {
-    fn default() -> Self {
-        EditWorkloadConfig {
-            authors: 4,
-            sections: 8,
-            steps_per_author: 5,
-            overlap: 0.2,
-            step_duration: 10,
-            seed: 11,
-        }
-    }
-}
-
-/// Generate author sessions: each author mostly edits a home section,
-/// straying with probability `overlap`.
-pub fn editing_workload(cfg: &EditWorkloadConfig) -> Vec<Vec<EditStep>> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    (0..cfg.authors)
-        .map(|a| {
-            let home = a % cfg.sections;
-            (0..cfg.steps_per_author)
-                .map(|_| {
-                    let section = if rng.gen_bool(cfg.overlap) {
-                        rng.gen_range(0..cfg.sections)
-                    } else {
-                        home
-                    };
-                    EditStep {
-                        section,
-                        duration: cfg.step_duration,
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,31 +395,6 @@ mod tests {
                 BankOp::Balance { acc } => assert!(*acc < cfg.accounts),
             }
         }
-    }
-
-    #[test]
-    fn editing_respects_overlap_extremes() {
-        let cfg = EditWorkloadConfig {
-            overlap: 0.0,
-            ..Default::default()
-        };
-        let w = editing_workload(&cfg);
-        for (a, steps) in w.iter().enumerate() {
-            let home = a % cfg.sections;
-            assert!(steps.iter().all(|s| s.section == home));
-        }
-        // full overlap: at least one author strays somewhere
-        let cfg = EditWorkloadConfig {
-            overlap: 1.0,
-            seed: 3,
-            ..Default::default()
-        };
-        let w = editing_workload(&cfg);
-        let strayed = w
-            .iter()
-            .enumerate()
-            .any(|(a, steps)| steps.iter().any(|s| s.section != a % cfg.sections));
-        assert!(strayed);
     }
 
     #[test]

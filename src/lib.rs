@@ -10,14 +10,15 @@
 //! * [`model`] — the recorder: live execution staged into the call
 //!   trees and histories the checkers read;
 //! * [`storage`] — simulated slotted pages behind a buffer pool;
-//! * [`btree`] — the encyclopedia substrate: B-link tree + item list;
-//! * [`lock`] — semantic lock manager, open/closed nesting, escrow;
+//! * [`btree`] — the encyclopedia substrate: B-link tree + item list,
+//!   and the operations every executor runs against it;
+//! * [`lock`] — semantic lock manager, open nesting, escrow;
 //! * [`recovery`] — the engine log's on-disk representation: CRC-framed
 //!   records carrying semantic redo + compensation payloads;
-//! * [`sim`] — workloads, the logical lock simulator, paper replays;
+//! * [`sim`] — workload generators, live replays, paper examples;
 //! * [`engine`] — a worker-pool transaction engine with pluggable
 //!   concurrency control (semantic 2PL or optimistic certification),
-//!   admission control, retries, and metrics.
+//!   admission control, retries, and metrics — the one executor.
 //!
 //! Start with `examples/quickstart.rs`, then `examples/encyclopedia.rs`
 //! and `examples/engine.rs`.

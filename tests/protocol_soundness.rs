@@ -1,121 +1,15 @@
-//! Integration: protocol and checker soundness across workloads.
+//! Integration: checker and protocol soundness across workloads.
 //!
-//! * every protocol commits every transaction (no lost work, deadlocks
-//!   are broken);
-//! * open nesting never waits more than closed nesting on the same
-//!   workload;
-//! * the inclusion `conventional-SR ⟹ oo-SR` holds on every replayed
-//!   execution of the real encyclopedia;
-//! * the checker hierarchy `oo-global ⟹ oo-decentralized` holds;
+//! * the inclusions `conventional-SR ⟹ oo-SR` and `oo-global ⟹
+//!   oo-decentralized` hold on every replayed execution of the real
+//!   encyclopedia, and oo never orders more transaction pairs than the
+//!   conventional view;
 //! * every execution of the engine under semantic strict 2PL is
 //!   oo-serializable, aborted attempts and compensations included.
 
 use oodb::sim::{
-    compile_editing, compile_encyclopedia, conflict_rates, editing_workload, encyclopedia_workload,
-    replay_encyclopedia, run_simulation, EditWorkloadConfig, EncMix, EncWorkloadConfig,
-    LogicalDocConfig, LogicalEncConfig, Protocol, SimConfig, Skew,
+    conflict_rates, encyclopedia_workload, replay_encyclopedia, EncMix, EncWorkloadConfig, Skew,
 };
-
-#[test]
-fn all_protocols_commit_everything_across_sweep() {
-    for &txns in &[2usize, 8, 24] {
-        for &kpl in &[8usize, 64] {
-            let wcfg = EncWorkloadConfig {
-                txns,
-                ops_per_txn: 5,
-                key_space: 128,
-                preload: 0,
-                mix: EncMix::update_heavy(),
-                skew: Skew::Zipf(0.8),
-                seed: 31,
-            };
-            let w = encyclopedia_workload(&wcfg);
-            let lcfg = LogicalEncConfig {
-                keys_per_leaf: kpl,
-                key_space: 128,
-                page_ticks: 2,
-            };
-            for p in Protocol::all() {
-                let m = run_simulation(
-                    &compile_encyclopedia(&w.txn_ops, &lcfg, p),
-                    &SimConfig::default(),
-                );
-                assert_eq!(m.committed, txns, "{} txns={txns} kpl={kpl}", p.name());
-                assert!(m.makespan > 0);
-            }
-        }
-    }
-}
-
-#[test]
-fn open_nesting_dominates_closed_nesting() {
-    let mut open_total = 0u64;
-    let mut closed_total = 0u64;
-    for seed in 0..6 {
-        let wcfg = EncWorkloadConfig {
-            txns: 12,
-            ops_per_txn: 5,
-            key_space: 128,
-            preload: 0,
-            mix: EncMix::update_heavy(),
-            skew: Skew::Uniform,
-            seed,
-        };
-        let w = encyclopedia_workload(&wcfg);
-        let lcfg = LogicalEncConfig {
-            keys_per_leaf: 32,
-            key_space: 128,
-            page_ticks: 2,
-        };
-        open_total += run_simulation(
-            &compile_encyclopedia(&w.txn_ops, &lcfg, Protocol::OpenNested),
-            &SimConfig::default(),
-        )
-        .makespan;
-        closed_total += run_simulation(
-            &compile_encyclopedia(&w.txn_ops, &lcfg, Protocol::ClosedNested),
-            &SimConfig::default(),
-        )
-        .makespan;
-    }
-    assert!(
-        open_total <= closed_total,
-        "open nesting must not lose to closed: {open_total} vs {closed_total}"
-    );
-}
-
-#[test]
-fn editing_disjoint_sections_favor_semantic_locking() {
-    let wcfg = EditWorkloadConfig {
-        authors: 6,
-        sections: 6,
-        steps_per_author: 4,
-        overlap: 0.0,
-        step_duration: 12,
-        seed: 2,
-    };
-    let sessions = editing_workload(&wcfg);
-    let dcfg = LogicalDocConfig {
-        sections_per_page: 6,
-        sections: 6,
-    };
-    let page = run_simulation(
-        &compile_editing(&sessions, &dcfg, Protocol::PageTwoPhase),
-        &SimConfig::default(),
-    );
-    let open = run_simulation(
-        &compile_editing(&sessions, &dcfg, Protocol::OpenNested),
-        &SimConfig::default(),
-    );
-    assert_eq!(page.committed, 6);
-    assert_eq!(open.committed, 6);
-    assert!(
-        (open.makespan as f64) < page.makespan as f64 * 0.6,
-        "semantic locking should be much faster: open {} vs page {}",
-        open.makespan,
-        page.makespan
-    );
-}
 
 #[test]
 fn checker_inclusions_on_replayed_executions() {
@@ -249,37 +143,6 @@ fn engine_semantic_2pl_is_sound_on_every_workload_shape() {
                 audit.report.oo_decentralized
             );
             assert!(audit.report.oo_global.is_ok(), "{shape} seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn deadlock_policies_agree_on_committed_work() {
-    use oodb::sim::{compile_encyclopedia, DeadlockPolicy, EncMix};
-    let w = encyclopedia_workload(&EncWorkloadConfig {
-        txns: 10,
-        ops_per_txn: 5,
-        key_space: 128,
-        preload: 0,
-        mix: EncMix::update_heavy(),
-        skew: Skew::Zipf(0.9),
-        seed: 8,
-    });
-    let lcfg = LogicalEncConfig::default();
-    for policy in [
-        DeadlockPolicy::Detect,
-        DeadlockPolicy::WoundWait,
-        DeadlockPolicy::WaitDie,
-    ] {
-        for p in Protocol::all() {
-            let m = run_simulation(
-                &compile_encyclopedia(&w.txn_ops, &lcfg, p),
-                &SimConfig {
-                    policy,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(m.committed, 10, "{policy:?}/{}", p.name());
         }
     }
 }
