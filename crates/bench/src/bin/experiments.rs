@@ -19,7 +19,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("b1", quant::b1),
     ("b4", quant::b4),
     ("b5", quant::b5),
-    ("b6", quant::b6),
     ("b8", quant::b8),
     ("b9", quant::b9),
     ("b10", quant::b10),

@@ -73,7 +73,7 @@ fn render_trace(ts: &TransactionSystem, ss: &SystemSchedules) -> String {
 
 /// **Figure 1** — the conventional-vs-object-oriented contrast, measured
 /// on this implementation: a banking workload recorded as its call
-/// trees and an encyclopedia workload against the real B⁺-tree database.
+/// trees, and the record of an encyclopedia workload run by the engine.
 pub fn fig1() -> String {
     // --- banking side: small objects, short flat transactions ---------
     // Account methods touch only the receiver's balance (primitives);
@@ -128,19 +128,20 @@ pub fn fig1() -> String {
     let bank_stats = txn_shape_stats(&bank_ts, &bank_h, 0);
 
     // --- publication side: the encyclopedia with long transactions ----
-    let out = oodb_sim::replay_encyclopedia(
-        &oodb_sim::EncWorkloadConfig {
-            txns: 8,
-            ops_per_txn: 8,
-            key_space: 128,
-            preload: 64,
-            mix: oodb_sim::EncMix::update_heavy(),
-            ..Default::default()
-        },
-        16,
-        1,
-    );
-    let enc_stats = txn_shape_stats(&out.ts, &out.history, out.setup_txns);
+    let w = oodb_sim::encyclopedia_workload(&oodb_sim::EncWorkloadConfig {
+        txns: 8,
+        ops_per_txn: 8,
+        key_space: 128,
+        preload: 64,
+        mix: oodb_sim::EncMix::update_heavy(),
+        ..Default::default()
+    });
+    let cfg = oodb_engine::EngineConfig {
+        fanout: 16,
+        ..oodb_engine::EngineConfig::default()
+    };
+    let (rec, setup) = crate::quant::engine_record(&cfg, &w);
+    let enc_stats = txn_shape_stats(&rec.ts, &rec.history, setup);
 
     let mut t = Table::new(&[
         "metric",

@@ -1,19 +1,37 @@
-//! Quantitative experiments B1, B4–B6, B8–B11, B14 and B16 (see
+//! Quantitative experiments B1, B4, B5, B8–B11, B14 and B16 (see
 //! DESIGN.md §4).
 //!
 //! Every function returns a rendered table plus, where benches reuse the
 //! computation, the raw series. Absolute numbers are counts, rates or
-//! wall-clock times of runs on the live encyclopedia and the engine; the
-//! paper's claims are about *shape* (who wins, where the gap opens),
-//! which EXPERIMENTS.md records.
+//! wall-clock times of engine runs; the paper's claims are about *shape*
+//! (who wins, where the gap opens), which EXPERIMENTS.md records.
 
 use crate::table::{f3, Table};
-use oodb_engine::{CcKind, EngineConfig};
+use oodb_engine::{AuditOutput, CcKind, EngineConfig};
 use oodb_sim::{
-    acceptance_rates, conflict_rates, encyclopedia_workload, replay_encyclopedia, AcceptanceConfig,
-    EncMix, EncWorkload, EncWorkloadConfig, Skew,
+    acceptance_rates, conflict_rates, encyclopedia_workload, AcceptanceConfig, EncMix, EncWorkload,
+    EncWorkloadConfig, Skew,
 };
 use std::time::Instant;
+
+/// The audited record of a one-worker strict-2PL engine run of `w`
+/// under `cfg` (its worker count aside), and how many leading
+/// transactions of it are the preload. One worker runs the transactions
+/// one after another: the record is deterministic, and no attempt is
+/// ever retried, so neither an aborted attempt nor a compensation can
+/// count as a measured transaction.
+pub fn engine_record(cfg: &EngineConfig, w: &EncWorkload) -> (AuditOutput, usize) {
+    let cfg = EngineConfig {
+        workers: 1,
+        audit: true,
+        ..cfg.clone()
+    };
+    let out = oodb_engine::run_workload(&cfg, CcKind::Pessimistic, w);
+    assert_eq!(out.metrics.retries, 0, "one worker never retries");
+    assert_eq!(out.metrics.committed as usize, w.txn_ops.len());
+    let audit = out.audit.expect("audit enabled");
+    (audit, usize::from(!w.preload_keys.is_empty()))
+}
 
 /// **B1** — conflict rates, conventional vs oo, sweeping keys-per-page
 /// (tree fanout) and key skew. The paper's §2 argument: "every node …
@@ -41,30 +59,21 @@ pub fn b1() -> String {
                 skew,
                 seed: 21,
             };
-            // average across interleavings
-            let mut conv = 0usize;
-            let mut oo = 0usize;
-            let mut pairs = 0usize;
-            let mut prim_rate = 0.0;
-            let runs = 3;
-            for seed in 0..runs {
-                let out = replay_encyclopedia(&cfg, fanout, seed);
-                let r = conflict_rates(&out.ts, &out.history, out.setup_txns);
-                conv += r.conventional_ordered_pairs;
-                oo += r.oo_ordered_pairs;
-                pairs += r.txn_pairs;
-                prim_rate += r.primitive_conflict_rate();
-            }
-            let conv_rate = conv as f64 / pairs as f64;
-            let oo_rate = oo as f64 / pairs as f64;
+            let ecfg = EngineConfig {
+                fanout,
+                ..EngineConfig::default()
+            };
+            let (rec, setup) = engine_record(&ecfg, &encyclopedia_workload(&cfg));
+            let r = conflict_rates(&rec.ts, &rec.history, setup);
+            let (conv, oo) = (r.conventional_ordered_pairs, r.oo_ordered_pairs);
             t.row(vec![
                 fanout.to_string(),
                 format!("{skew:?}"),
-                f3(prim_rate / runs as f64),
+                f3(r.primitive_conflict_rate()),
                 conv.to_string(),
                 oo.to_string(),
-                f3(conv_rate),
-                f3(oo_rate),
+                f3(r.conventional_rate()),
+                f3(r.oo_rate()),
                 if conv > 0 {
                     format!("{:.1}x", conv as f64 / (oo.max(1)) as f64)
                 } else {
@@ -75,7 +84,8 @@ pub fn b1() -> String {
     }
     format!(
         "B1 — rate of conflicting accesses: conventional vs oo-serializability\n\
-         (insert-only encyclopedia workload, live B+-tree, 10 txns x 6 ops)\n\n{}",
+         (insert-only encyclopedia workload, 10 txns x 6 ops, recorded by\n\
+         one-worker strict-2PL engine runs)\n\n{}",
         t.render()
     )
 }
@@ -99,26 +109,30 @@ pub fn b4() -> String {
             mix: EncMix::update_heavy(),
             ..Default::default()
         };
-        let out = replay_encyclopedia(&cfg, 16, 7);
-        let actions = out.ts.action_count();
+        let ecfg = EngineConfig {
+            fanout: 16,
+            ..EngineConfig::default()
+        };
+        let (rec, _) = engine_record(&ecfg, &encyclopedia_workload(&cfg));
+        let actions = rec.ts.action_count();
         let start = Instant::now();
         let iters = 5;
         for _ in 0..iters {
-            let ss = oodb_core::schedule::SystemSchedules::infer(&out.ts, &out.history);
+            let ss = oodb_core::schedule::SystemSchedules::infer(&rec.ts, &rec.history);
             std::hint::black_box(ss.trace().len());
         }
         let total = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
         t.row(vec![
             txns.to_string(),
             actions.to_string(),
-            out.history.len().to_string(),
+            rec.history.len().to_string(),
             format!("{total:.2}"),
             format!("{:.2}", total * 1000.0 / actions as f64),
         ]);
     }
     format!(
         "B4 — cost of dependency tracking: SystemSchedules::infer on\n\
-         recorded encyclopedia executions (mean of 5 runs)\n\n{}",
+         the records of one-worker strict-2PL engine runs (mean of 5 runs)\n\n{}",
         t.render()
     )
 }
@@ -178,85 +192,6 @@ pub fn b5() -> String {
     )
 }
 
-/// **B6** — the optimistic certifier over replayed executions: commit /
-/// wait / abort rates as contention grows (smaller key spaces = more
-/// same-key conflicts = more waits and validation aborts).
-pub fn b6() -> String {
-    use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
-    use oodb_core::ids::TxnIdx;
-
-    let mut t = Table::new(&[
-        "key-space",
-        "txns",
-        "commits",
-        "validation-aborts",
-        "waits",
-        "committed-set-serializable",
-    ]);
-    for &key_space in &[8usize, 32, 256] {
-        let cfg = EncWorkloadConfig {
-            txns: 8,
-            ops_per_txn: 5,
-            key_space,
-            preload: key_space / 2,
-            mix: EncMix::update_heavy(),
-            skew: Skew::Uniform,
-            seed: 41,
-        };
-        let out = replay_encyclopedia(&cfg, 16, 3);
-        // strict wait policy with a bounded retry loop; unresolved waits
-        // (wait cycles) are broken by aborting the waiter
-        let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Require);
-        // pre-commit the setup transaction
-        let _ = cert.try_commit(&out.ts, &out.history, TxnIdx(0));
-        let mut pending: Vec<u32> = (1..=cfg.txns as u32).collect();
-        let mut validation_aborts = 0usize;
-        for _round in 0..=cfg.txns {
-            let mut next = Vec::new();
-            for &x in &pending {
-                match cert.try_commit(&out.ts, &out.history, TxnIdx(x)) {
-                    CommitOutcome::Committed => {}
-                    CommitOutcome::MustWait { .. } => next.push(x),
-                    CommitOutcome::MustAbort(_) => validation_aborts += 1,
-                }
-            }
-            if next.len() == pending.len() {
-                // wait cycle: abort the first waiter and cascade
-                if let Some(&victim) = next.first() {
-                    let mut stack = vec![TxnIdx(victim)];
-                    while let Some(v) = stack.pop() {
-                        if cert.aborted().contains(&v) || cert.committed().contains(&v) {
-                            continue;
-                        }
-                        stack.extend(cert.abort(&out.ts, &out.history, v));
-                    }
-                    next.retain(|&x| !cert.aborted().contains(&TxnIdx(x)));
-                }
-            }
-            pending = next;
-            if pending.is_empty() {
-                break;
-            }
-        }
-        let committed = cert.committed_history(&out.ts, &out.history);
-        let ss = oodb_core::schedule::SystemSchedules::infer(&out.ts, &committed);
-        let ok = oodb_core::serializability::check_system_decentralized(&out.ts, &ss).is_ok();
-        t.row(vec![
-            key_space.to_string(),
-            cfg.txns.to_string(),
-            cert.stats.commits.to_string(),
-            validation_aborts.to_string(),
-            cert.stats.waits.to_string(),
-            ok.to_string(),
-        ]);
-    }
-    format!(
-        "B6 — optimistic certifier (commit dependencies + cascading aborts)\n\
-         over replayed encyclopedia executions, sweeping contention\n\n{}",
-        t.render()
-    )
-}
-
 /// The columns of [`engine_rows`].
 const ENGINE_COLUMNS: [&str; 8] = [
     "executor",
@@ -269,19 +204,23 @@ const ENGINE_COLUMNS: [&str; 8] = [
     "oo-serializable",
 ];
 
+/// The engine configuration of [`engine_rows`] at `workers` workers.
+fn rows_config(workers: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        queue_capacity: 32,
+        seed: 31,
+        ..EngineConfig::default()
+    }
+}
+
 /// One audited engine run of `w` per worker count and control, rendered
 /// as [`ENGINE_COLUMNS`] rows — B9's table and B8's protocol rows.
 fn engine_rows(w: &EncWorkload, workers: &[usize], kinds: &[CcKind]) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for &workers in workers {
         for &kind in kinds {
-            let cfg = EngineConfig {
-                workers,
-                queue_capacity: 32,
-                seed: 31,
-                ..EngineConfig::default()
-            };
-            let out = oodb_engine::run_workload(&cfg, kind, w);
+            let out = oodb_engine::run_workload(&rows_config(workers), kind, w);
             let audit = out.audit.as_ref().expect("audit enabled");
             rows.push(vec![
                 format!("engine/{}", out.cc_name),
@@ -303,8 +242,8 @@ fn engine_rows(w: &EncWorkload, workers: &[usize], kinds: &[CcKind]) -> Vec<Vec<
 /// `rangeScan` locks admit every out-of-range insert; the page-level
 /// ablation read-locks the whole container for a scan. The protocol rows
 /// run the workload through the engine under semantic and page-level
-/// strict 2PL, audited; the ordered-pair columns come from a live replay
-/// of the same workload.
+/// strict 2PL, audited; the ordered-pair columns come from the record of
+/// a one-worker run at the rows' configuration.
 pub fn b8() -> String {
     let mut header = vec!["txns"];
     header.extend(ENGINE_COLUMNS);
@@ -321,8 +260,8 @@ pub fn b8() -> String {
             seed: 23,
         };
         let w = encyclopedia_workload(&wcfg);
-        let out = replay_encyclopedia(&wcfg, 64, 2);
-        let rates = conflict_rates(&out.ts, &out.history, out.setup_txns);
+        let (rec, setup) = engine_record(&rows_config(1), &w);
+        let rates = conflict_rates(&rec.ts, &rec.history, setup);
         let kinds = [CcKind::Pessimistic, CcKind::PessimisticPage];
         for row in engine_rows(&w, &[4], &kinds) {
             let mut cells = vec![txns.to_string()];
@@ -336,7 +275,7 @@ pub fn b8() -> String {
         "B8 — range scans vs inserts (phantom handling): interval-precise\n\
          semantic locks vs page-level locks on the engine (ranges ~1/16 of\n\
          the key space; every run audited); ordered-pair columns from a\n\
-         live replay of the same workload\n\n{}",
+         one-worker run of the same workload and configuration\n\n{}",
         t.render()
     )
 }
@@ -751,14 +690,114 @@ pub fn b16() -> String {
 mod tests {
     use super::*;
 
+    /// The table's body rows, split into cells.
+    fn rows(s: &str) -> Vec<Vec<&str>> {
+        s.lines()
+            .skip_while(|l| !l.starts_with('-'))
+            .skip(1)
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| l.split_whitespace().collect())
+            .collect()
+    }
+
+    /// The paper's claim, row by row: on every fanout and skew the
+    /// conventional definition orders strictly more transaction pairs
+    /// than oo-serializability.
     #[test]
     fn b1_table_is_complete_and_shows_gain() {
         let s = b1();
-        assert!(s.lines().count() >= 8 + 3, "8 sweep rows expected");
-        assert!(s.contains("Uniform"));
-        assert!(s.contains("Zipf"));
-        // at least one row with a strict gain marker
-        assert!(s.contains('x'), "gain column present: {s}");
+        let rows = rows(&s);
+        assert_eq!(rows.len(), 8, "4 fanouts x 2 skews: {s}");
+        for r in &rows {
+            let conv: usize = r[3].parse().unwrap();
+            let oo: usize = r[4].parse().unwrap();
+            assert!(conv > oo, "conventional > oo ordered pairs: {r:?}\n{s}");
+        }
+    }
+
+    /// A small update-heavy workload's one-worker engine record.
+    fn small_record(fanout: usize, cfg: EncWorkloadConfig) -> oodb_sim::ConflictRates {
+        let ecfg = EngineConfig {
+            fanout,
+            ..EngineConfig::default()
+        };
+        let (rec, setup) = engine_record(&ecfg, &encyclopedia_workload(&cfg));
+        conflict_rates(&rec.ts, &rec.history, setup)
+    }
+
+    #[test]
+    fn conflict_rates_oo_never_exceeds_conventional() {
+        for seed in 0..4 {
+            let rates = small_record(
+                16,
+                EncWorkloadConfig {
+                    txns: 6,
+                    ops_per_txn: 6,
+                    preload: 40,
+                    key_space: 80,
+                    mix: EncMix::update_heavy(),
+                    seed,
+                    ..Default::default()
+                },
+            );
+            assert!(
+                rates.oo_ordered_pairs <= rates.conventional_ordered_pairs,
+                "seed {seed}: oo {} > conventional {}",
+                rates.oo_ordered_pairs,
+                rates.conventional_ordered_pairs
+            );
+            assert_eq!(rates.txns, 6);
+            assert_eq!(rates.txn_pairs, 15);
+        }
+    }
+
+    /// Inserts of distinct keys into a small tree: heavy page sharing, no
+    /// semantic conflicts — the paper's ideal case.
+    #[test]
+    fn conflict_rates_commuting_inserts_show_a_gap() {
+        // large fanout: everything lands on few pages
+        let rates = small_record(
+            64,
+            EncWorkloadConfig {
+                txns: 8,
+                ops_per_txn: 4,
+                preload: 0,
+                key_space: 1_000,
+                mix: EncMix::insert_only(),
+                skew: Skew::Uniform,
+                seed: 5,
+            },
+        );
+        assert!(
+            rates.conventional_ordered_pairs > 0,
+            "page sharing must order txns conventionally"
+        );
+        assert!(
+            rates.oo_ordered_pairs < rates.conventional_ordered_pairs,
+            "insert-only distinct keys must show the oo gap: oo={} conv={}",
+            rates.oo_ordered_pairs,
+            rates.conventional_ordered_pairs
+        );
+    }
+
+    #[test]
+    fn conflict_rates_are_well_formed() {
+        let r = small_record(
+            8,
+            EncWorkloadConfig {
+                txns: 4,
+                ops_per_txn: 4,
+                preload: 10,
+                key_space: 20,
+                ..Default::default()
+            },
+        );
+        assert!(r.conflicting_prim_pairs <= r.cross_txn_prim_pairs);
+        assert!(r.conventional_ordered_pairs <= r.txn_pairs);
+        assert!(r.oo_ordered_pairs <= r.txn_pairs);
+        assert!((0.0..=1.0).contains(&r.conventional_rate()));
+        assert!((0.0..=1.0).contains(&r.oo_rate()));
+        assert!((0.0..=1.0).contains(&r.primitive_conflict_rate()));
     }
 
     #[test]
@@ -766,18 +805,6 @@ mod tests {
         let s = b4();
         assert!(s.contains("infer-us/action"));
         assert!(s.lines().count() >= 4 + 3);
-    }
-
-    #[test]
-    fn b6_committed_sets_are_serializable() {
-        let s = b6();
-        // the last column must be all "true"
-        for line in s.lines().skip_while(|l| !l.starts_with('-')).skip(1) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            assert!(line.trim_end().ends_with("true"), "bad row: {line}");
-        }
     }
 
     /// Both locking controls commit every transaction of the

@@ -1,9 +1,8 @@
 //! The encyclopedia's operation vocabulary, and what each operation
 //! means.
 //!
-//! Every executor — the `oodb-engine` worker pool, the workload
-//! replays, the repo benchmark — runs the same [`EncOp`]s through the
-//! same primitives:
+//! The `oodb-engine` worker pool and the repo benchmark's serial replay
+//! run the same [`EncOp`]s through the same primitives:
 //!
 //! * [`op_descriptor`] — map an [`EncOp`] to the semantic
 //!   [`ActionDescriptor`] used as its lock mode;

@@ -77,12 +77,6 @@ pub struct IncrementalSchedules {
     /// system, so a re-seed costs what it replays.
     objects: IdMap<ObjectIdx, ObjectState>,
     added_seen: HashSet<(ActionIdx, ActionIdx)>,
-    /// Top-level dependency graph (action deps of the system object,
-    /// mirrored for cheap certifier access).
-    top: DiGraph<ActionIdx>,
-    /// `top` with every edge reversed, so "whom does this transaction
-    /// depend on" is a successor list as well.
-    top_rev: DiGraph<ActionIdx>,
     /// Per transaction: every `(object, relation, node)` where one of its
     /// actions is the source of an edge, appended when the node gains its
     /// first out-edge there. The candidate-rooted Definition-16 search
@@ -142,10 +136,6 @@ impl IncrementalSchedules {
             return; // already known: nothing new can follow from it
         }
         self.note_out_edge(ts, o, Relation::Action, from);
-        if o == ts.system_object() {
-            self.top.add_edge(from, to);
-            self.top_rev.add_edge(to, from);
-        }
         // Definition 10: lift to callers if the endpoints conflict
         if !ts.conflicts(from, to) {
             return;
@@ -228,44 +218,6 @@ impl IncrementalSchedules {
     /// The maintained added relation of `o`.
     pub fn added_deps(&self, o: ObjectIdx) -> Option<&DiGraph<ActionIdx>> {
         self.objects.get(&o).map(|s| &s.added_deps)
-    }
-
-    /// Dependencies among top-level transactions, maintained inline
-    /// (cheap `MustWait` checks for the certifier).
-    pub fn top_level_deps(&self) -> &DiGraph<ActionIdx> {
-        &self.top
-    }
-
-    /// The transactions with a top-level dependency on `txn`, each once:
-    /// whom an abort of `txn` cascades to. Costs `txn`'s own edges.
-    pub fn top_level_dependents<'a>(
-        &'a self,
-        ts: &'a TransactionSystem,
-        txn: TxnIdx,
-    ) -> impl Iterator<Item = TxnIdx> + 'a {
-        Self::owners(ts, &self.top, txn)
-    }
-
-    /// The transactions `txn` has a top-level dependency on, each once:
-    /// whom a commit of `txn` waits for while they are live. Costs
-    /// `txn`'s own edges.
-    pub fn top_level_dependencies<'a>(
-        &'a self,
-        ts: &'a TransactionSystem,
-        txn: TxnIdx,
-    ) -> impl Iterator<Item = TxnIdx> + 'a {
-        Self::owners(ts, &self.top_rev, txn)
-    }
-
-    /// Owners of the successors of `txn`'s root in a graph over
-    /// top-level roots (one root per transaction, so no owner repeats).
-    fn owners<'a>(
-        ts: &'a TransactionSystem,
-        g: &'a DiGraph<ActionIdx>,
-        txn: TxnIdx,
-    ) -> impl Iterator<Item = TxnIdx> + 'a {
-        g.successors(&ts.top_level()[txn.as_usize()])
-            .map(|a| ts.action(*a).txn)
     }
 
     /// Compare against batch inference (test/diagnostic helper): true iff
@@ -503,6 +455,8 @@ mod tests {
         assert!(inc.matches_batch(&ts, &batch));
     }
 
+    /// Top-level dependencies are the system object's action
+    /// dependencies, maintained inline like every other object's.
     #[test]
     fn top_level_deps_maintained_inline() {
         let (ts, prims) = example_system();
@@ -511,28 +465,13 @@ mod tests {
         for &p in &[prims[0], prims[1], prims[2], prims[3]] {
             inc.on_primitive(&ts, p);
         }
-        let tops = ts.top_level();
-        assert!(inc.top_level_deps().has_edge(&tops[0], &tops[1]));
-        assert!(!inc.top_level_deps().has_edge(&tops[1], &tops[0]));
+        let (tops, sys) = (ts.top_level(), ts.system_object());
+        assert!(inc.action_deps(sys).unwrap().has_edge(&tops[0], &tops[1]));
+        assert!(!inc.action_deps(sys).unwrap().has_edge(&tops[1], &tops[0]));
         // T3 (different key) stays unordered
         inc.on_primitive(&ts, prims[4]);
         inc.on_primitive(&ts, prims[5]);
-        assert!(
-            !inc.top_level_deps().contains_node(&tops[2])
-                || inc.top_level_deps().successors(&tops[2]).count() == 0
-        );
-        // both directions answer from the transaction's own edges
-        let owners = |it: &mut dyn Iterator<Item = TxnIdx>| it.collect::<Vec<_>>();
-        assert_eq!(
-            owners(&mut inc.top_level_dependents(&ts, TxnIdx(0))),
-            [TxnIdx(1)]
-        );
-        assert_eq!(
-            owners(&mut inc.top_level_dependencies(&ts, TxnIdx(1))),
-            [TxnIdx(0)]
-        );
-        assert_eq!(owners(&mut inc.top_level_dependencies(&ts, TxnIdx(0))), []);
-        assert_eq!(owners(&mut inc.top_level_dependents(&ts, TxnIdx(2))), []);
+        assert_eq!(inc.action_deps(sys).unwrap().edge_count(), 1);
     }
 
     #[test]

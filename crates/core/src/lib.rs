@@ -69,9 +69,7 @@ pub mod value;
 
 /// Convenience re-exports of the items almost every user needs.
 pub mod prelude {
-    pub use crate::certifier::{
-        Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy,
-    };
+    pub use crate::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome};
     pub use crate::commutativity::{
         ActionDescriptor, AllCommute, AllConflict, CommutativitySpec, EscrowSpec, KeyedSpec,
         MatrixSpec, Method, RangeSpec, ReadWriteSpec, SpecRef,

@@ -475,10 +475,8 @@ proptest! {
         }
     }
 
-    /// On schedules whose top-level dependencies are acyclic, the
-    /// certifier commits every transaction: `MustWait` answers resolve by
-    /// retrying in any order (the waits follow the acyclic dependency
-    /// graph) and no validation ever fails.
+    /// On oo-serializable schedules the certifier commits every
+    /// transaction, in one pass in transaction order: no validation fails.
     #[test]
     fn certifier_commits_everything_on_serializable_schedules(plan in system_plan()) {
         use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
@@ -487,24 +485,12 @@ proptest! {
         let h = History::from_order(&ts, &order).unwrap();
         if analyze(&ts, &h).oo_decentralized.is_ok() {
             let mut cert = Certifier::new(CertifierMode::Paper);
-            let mut pending: Vec<u32> = (0..ts.top_level().len() as u32).collect();
-            let mut rounds = 0usize;
-            while !pending.is_empty() {
-                rounds += 1;
-                prop_assert!(rounds <= ts.top_level().len() + 1, "wait livelock");
-                let mut next = Vec::new();
-                for &t in &pending {
-                    match cert.try_commit(&ts, &h, TxnIdx(t)) {
-                        CommitOutcome::Committed => {}
-                        CommitOutcome::MustWait { .. } => next.push(t),
-                        CommitOutcome::MustAbort(v) => {
-                            return Err(TestCaseError::fail(format!(
-                                "txn {t} aborted on serializable schedule: {v:?}"
-                            )))
-                        }
-                    }
-                }
-                pending = next;
+            for t in 0..ts.top_level().len() as u32 {
+                let outcome = cert.try_commit(&ts, &h, TxnIdx(t));
+                prop_assert!(
+                    outcome == CommitOutcome::Committed,
+                    "txn {} aborted on serializable schedule: {:?}", t, outcome
+                );
             }
             prop_assert_eq!(cert.stats.aborts, 0);
         }
@@ -528,13 +514,6 @@ proptest! {
             inc.on_primitive(&ts, p);
         }
         prop_assert!(inc.matches_batch(&ts, &batch));
-        // the inline top-level graph equals the batch one
-        let top_batch = batch.top_level_deps(&ts);
-        let top_inc = inc.top_level_deps();
-        prop_assert_eq!(top_batch.edge_count(), top_inc.edge_count());
-        for (f, t) in top_batch.edges() {
-            prop_assert!(top_inc.has_edge(f, t));
-        }
     }
 }
 
@@ -592,7 +571,7 @@ proptest! {
         global in any::<bool>(),
         force_reseed in any::<bool>(),
     ) {
-        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
         use oodb_core::incremental::IncrementalFeed;
         use oodb_core::serializability::{check_candidate_decentralized, check_candidate_global};
         use std::collections::HashSet;
@@ -603,8 +582,7 @@ proptest! {
         order.sort_by_key(|&t| (priority[t as usize % priority.len()], t));
 
         let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
-        // validation only: the wait check is not what changed
-        let mut cert = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
+        let mut cert = Certifier::new(mode);
         let mut decisions = Vec::new();
         let mut feed = IncrementalFeed::new();
         let mut committed: HashSet<TxnIdx> = HashSet::new();
@@ -808,13 +786,13 @@ proptest! {
     /// that never drops would pass the closure check vacuously.
     #[test]
     fn cut_is_closed(plans in prop::collection::vec(online_plan(), 32)) {
-        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
         use std::collections::HashMap;
 
         let mut runs_that_dropped = 0;
         for plan in &plans {
             let (ts, prims) = build(&plan.system);
-            let mut cert = Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore);
+            let mut cert = Certifier::new(CertifierMode::Paper);
             // the finalization step at which a transaction left for good
             let mut dropped_at: HashMap<TxnIdx, usize> = HashMap::new();
             let mut aborted_at: HashMap<TxnIdx, usize> = HashMap::new();
@@ -873,12 +851,12 @@ proptest! {
         plans in prop::collection::vec(online_plan(), 16),
         global in any::<bool>(),
     ) {
-        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+        use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
 
         let mode = if global { CertifierMode::Global } else { CertifierMode::Paper };
         for plan in &plans {
             let (ts, prims) = build(&plan.system);
-            let mut pruned = Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore);
+            let mut pruned = Certifier::new(mode);
             let mut decisions = Vec::new();
             let (order, _) = play_online(plan, &ts, &prims, |h, t, _| {
                 let got = pruned.try_commit(&ts, h, t);

@@ -7,8 +7,9 @@
 //! gate, which reads hold shared, so an uncommitted effect is never
 //! public — and an
 //! attempt's read does not see its own deferred write either.
-//! Recoverability therefore needs no apparatus of its own — no commit
-//! dependency to wait on, no abort that cascades — and what is left is
+//! Recoverability therefore needs no apparatus of its own, and the
+//! certifier has none: no commit dependency to wait on, no abort that
+//! cascades. What is left is
 //! the commutativity-based check of what commits: the certifier keeps
 //! the dependency relations incrementally, and each round feeds it the
 //! actions recorded since the last one under the recorder's record lock
@@ -30,7 +31,7 @@ use super::{
 };
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_btree::EncOp;
-use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome, WaitPolicy};
+use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
@@ -56,13 +57,10 @@ pub struct OptimisticCc {
 impl OptimisticCc {
     /// Writes deferred to the commit point, reads of committed state when
     /// issued, certified incrementally against the paper's decentralized
-    /// Definition 16, on one shard. The certifier never makes a commit
-    /// wait: nothing uncommitted is ever visible to wait on.
+    /// Definition 16, on one shard.
     pub fn new() -> Self {
         OptimisticCc {
-            cert: Mutex::new(
-                Certifier::new(CertifierMode::Paper).with_wait_policy(WaitPolicy::Ignore),
-            ),
+            cert: Mutex::new(Certifier::new(CertifierMode::Paper)),
             shards: 1,
             faults: FaultPlan::default(),
         }
@@ -168,13 +166,10 @@ impl OptimisticCc {
         // what the check can reach: the transactions still retained
         // after the feed, plus the candidate
         let component = cert.retained_txns() + 1;
-        let committed = match cert.try_commit(ts, history, txn.txn) {
-            CommitOutcome::Committed => true,
-            CommitOutcome::MustAbort(_) => false,
-            CommitOutcome::MustWait { .. } => {
-                unreachable!("WaitPolicy::Ignore never asks a candidate to wait")
-            }
-        };
+        let committed = matches!(
+            cert.try_commit(ts, history, txn.txn),
+            CommitOutcome::Committed
+        );
         shared.trace.emit_txn(txn, || TraceEventKind::CertAttempt {
             component,
             outcome: if committed {

@@ -3,7 +3,7 @@
 //! The checker side of the reproduction ([`oodb_core`]) works on a
 //! *recorded* [`TransactionSystem`] plus [`History`]. This module is the
 //! bridge from live code — the B⁺ tree, the engine's workers, the
-//! replay executors — to that record: a thread-safe [`Recorder`]
+//! repo benchmark's serial replay — to that record: a thread-safe [`Recorder`]
 //! owning the system and history, and per-transaction [`TxnCtx`] cursors
 //! that executors thread through their call stacks.
 //!

@@ -2,7 +2,7 @@
 //! claim — "a lower rate of conflicting accesses than with the
 //! conventional definition of serializability is achieved").
 //!
-//! From one replayed execution we measure, over the same transaction
+//! From one recorded execution we measure, over the same transaction
 //! population:
 //!
 //! * how many cross-transaction primitive (page) access pairs conflict —
@@ -63,7 +63,7 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Measure conflict rates of a replayed execution, ignoring the first
+/// Measure conflict rates of a recorded execution, ignoring the first
 /// `skip_txns` (setup/preload) transactions.
 pub fn conflict_rates(
     ts: &TransactionSystem,
@@ -128,83 +128,5 @@ pub fn conflict_rates(
         conflicting_prim_pairs: conflicting,
         conventional_ordered_pairs: conv_pairs,
         oo_ordered_pairs: oo_pairs,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::replay::replay_encyclopedia;
-    use crate::workloads::{EncMix, EncWorkloadConfig, Skew};
-
-    #[test]
-    fn oo_rate_never_exceeds_conventional() {
-        let cfg = EncWorkloadConfig {
-            txns: 6,
-            ops_per_txn: 6,
-            preload: 40,
-            key_space: 80,
-            mix: EncMix::update_heavy(),
-            ..Default::default()
-        };
-        for seed in 0..4 {
-            let out = replay_encyclopedia(&cfg, 16, seed);
-            let rates = conflict_rates(&out.ts, &out.history, out.setup_txns);
-            assert!(
-                rates.oo_ordered_pairs <= rates.conventional_ordered_pairs,
-                "seed {seed}: oo {} > conventional {}",
-                rates.oo_ordered_pairs,
-                rates.conventional_ordered_pairs
-            );
-            assert_eq!(rates.txns, 6);
-            assert_eq!(rates.txn_pairs, 15);
-        }
-    }
-
-    #[test]
-    fn commuting_insert_workload_shows_a_gap() {
-        // inserts of distinct keys over a small tree: heavy page sharing,
-        // no semantic conflicts — the paper's ideal case
-        let cfg = EncWorkloadConfig {
-            txns: 8,
-            ops_per_txn: 4,
-            preload: 0,
-            key_space: 1_000,
-            mix: EncMix::insert_only(),
-            skew: Skew::Uniform,
-            seed: 5,
-        };
-        // large fanout: everything lands on few pages
-        let out = replay_encyclopedia(&cfg, 64, 9);
-        let rates = conflict_rates(&out.ts, &out.history, out.setup_txns);
-        assert!(
-            rates.conventional_ordered_pairs > 0,
-            "page sharing must order txns conventionally"
-        );
-        assert!(
-            rates.oo_ordered_pairs < rates.conventional_ordered_pairs,
-            "insert-only distinct keys must show the oo gap: oo={} conv={}",
-            rates.oo_ordered_pairs,
-            rates.conventional_ordered_pairs
-        );
-    }
-
-    #[test]
-    fn rates_are_well_formed() {
-        let cfg = EncWorkloadConfig {
-            txns: 4,
-            ops_per_txn: 4,
-            preload: 10,
-            key_space: 20,
-            ..Default::default()
-        };
-        let out = replay_encyclopedia(&cfg, 8, 1);
-        let r = conflict_rates(&out.ts, &out.history, out.setup_txns);
-        assert!(r.conflicting_prim_pairs <= r.cross_txn_prim_pairs);
-        assert!(r.conventional_ordered_pairs <= r.txn_pairs);
-        assert!(r.oo_ordered_pairs <= r.txn_pairs);
-        assert!((0.0..=1.0).contains(&r.conventional_rate()));
-        assert!((0.0..=1.0).contains(&r.oo_rate()));
-        assert!((0.0..=1.0).contains(&r.primitive_conflict_rate()));
     }
 }

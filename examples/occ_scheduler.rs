@@ -1,13 +1,17 @@
-//! Optimistic concurrency control over the encyclopedia: transactions
-//! execute freely, a backward-validating certifier with **commit
-//! dependencies** decides commits, and aborts **cascade and compensate**
-//! (open nested transactions cannot restore before-images — their
-//! subtransactions' effects are already public).
+//! Optimistic concurrency control over the encyclopedia, run the way the
+//! engine's optimistic control runs it: reads see committed state when
+//! issued, writes are deferred to the commit point, and there they are
+//! installed and certified in one step. A transaction that fails
+//! validation is **compensated** (open nested transactions cannot restore
+//! before-images — their installed effects are already public).
 //!
-//! The scenario builds a genuine cross cycle: T1 and T2 each read the
-//! other's uncommitted change. Both must wait on each other; the
-//! scheduler breaks the tie by aborting one, the cascade takes the other
-//! (it read compensated-away state), and the independent T3 commits.
+//! No transaction ever sees another's uncommitted write, so no commit
+//! waits on another and no abort cascades.
+//!
+//! The scenario builds a genuine cross cycle: T1 reads DBS and changes
+//! DBMS, T2 reads DBMS and changes DBS, and both read before either
+//! installs. The first to commit wins; the second closes the cycle, fails
+//! validation and is compensated; the independent T3 commits.
 //!
 //! Run with: `cargo run --example occ_scheduler`
 
@@ -16,7 +20,7 @@ use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome};
 use oodb::core::ids::TxnIdx;
 use oodb::core::prelude::*;
 use oodb::core::schedule::SystemSchedules;
-use oodb::model::Recorder;
+use oodb::model::{Recorder, TxnCtx};
 
 fn main() {
     let rec = Recorder::new();
@@ -28,84 +32,74 @@ fn main() {
         },
     );
     let enc = CompensatedEncyclopedia::new(enc);
+    let mut cert = Certifier::new(CertifierMode::Paper);
+    // the commit point: validate everything recorded so far
+    let certify = |cert: &mut Certifier, ctx: &TxnCtx| {
+        let (ts, h) = rec.snapshot();
+        cert.try_commit(&ts, &h, TxnIdx(ctx.txn_number()))
+    };
 
     // seed data
     let mut setup = rec.begin_txn("Setup");
-    let setup_n = TxnIdx(setup.txn_number());
     enc.insert(&mut setup, "DBS", "database systems");
     enc.insert(&mut setup, "DBMS", "v1");
+    assert_eq!(certify(&mut cert, &setup), CommitOutcome::Committed);
     enc.commit(setup);
 
-    // Three optimistic transactions execute WITHOUT locks:
-    //  T1 changes DBMS, later reads DBS;
-    //  T2 reads DBMS (after T1's change: T1 -> T2), then changes DBS
-    //     before T1 reads it (T2 -> T1) — a genuine cross cycle;
-    //  T3 inserts an unrelated key (commutes with everything).
+    // the reads, issued against committed state
     let mut t1 = rec.begin_txn("T1");
     let mut t2 = rec.begin_txn("T2");
     let mut t3 = rec.begin_txn("T3");
+    println!("T1 read DBS  = {:?}", enc.search(&mut t1, "DBS"));
+    println!("T2 read DBMS = {:?}", enc.search(&mut t2, "DBMS"));
 
+    // T1's commit point: install its deferred change, then certify
+    println!("\ncommit points:");
     enc.change(&mut t1, "DBMS", "v2");
-    let seen = enc.search(&mut t2, "DBMS");
-    println!("T2 read DBMS = {seen:?} (T1's uncommitted change!)");
+    let outcome = certify(&mut cert, &t1);
+    println!("  T1: {outcome:?}");
+    assert_eq!(outcome, CommitOutcome::Committed);
+    enc.commit(t1);
+
+    // T2's commit point: its read of DBMS preceded T1's change (T2 -> T1)
+    // and T1's read of DBS precedes this change (T1 -> T2)
     enc.change(&mut t2, "DBS", "updated by T2");
-    let seen = enc.search(&mut t1, "DBS");
-    println!("T1 read DBS  = {seen:?} (T2's uncommitted change!)");
-    enc.insert(&mut t3, "OODB", "object-oriented dbs");
-
-    let t1n = TxnIdx(t1.txn_number());
-    let t2n = TxnIdx(t2.txn_number());
-    let t3n = TxnIdx(t3.txn_number());
-
-    let (ts, h) = rec.snapshot();
-    let mut cert = Certifier::new(CertifierMode::Paper);
-    // register the already-applied setup transaction as committed
-    assert_eq!(cert.try_commit(&ts, &h, setup_n), CommitOutcome::Committed);
-
-    // both cycle members must wait on each other; T3 is free
-    println!("\ncommit attempts:");
-    println!("  T1: {:?}", cert.try_commit(&ts, &h, t1n));
-    println!("  T2: {:?}", cert.try_commit(&ts, &h, t2n));
-    println!("  T3: {:?}", cert.try_commit(&ts, &h, t3n));
-
-    // wait-for cycle: the scheduler picks T1 as the victim; the cascade
-    // takes T2 (it read T1's compensated-away state)
-    let cascade = cert.abort(&ts, &h, t1n);
-    println!("\naborting T1; cascade: {cascade:?}");
-    let mut comp = rec.begin_txn("C(T1)");
-    let report = enc.abort(t1, &mut comp);
-    drop(comp);
-    println!("compensated {} inverse(s) for T1", report.compensated.len());
-
-    assert_eq!(cascade, vec![t2n]);
-    let more = cert.abort(&ts, &h, t2n);
-    assert!(more.is_empty());
+    let outcome = certify(&mut cert, &t2);
+    println!("  T2: {outcome:?}");
+    assert!(matches!(outcome, CommitOutcome::MustAbort(_)));
     let mut comp = rec.begin_txn("C(T2)");
+    // the compensation is final as it stands: never a candidate
+    cert.retire(TxnIdx(comp.txn_number()));
     let report = enc.abort(t2, &mut comp);
     drop(comp);
-    println!("compensated {} inverse(s) for T2", report.compensated.len());
+    println!("      compensated {} inverse(s)", report.compensated.len());
+
+    enc.insert(&mut t3, "OODB", "object-oriented dbs");
+    let outcome = certify(&mut cert, &t3);
+    println!("  T3: {outcome:?}");
+    assert_eq!(outcome, CommitOutcome::Committed);
     enc.commit(t3);
 
     println!("\ncertifier stats: {:?}", cert.stats);
 
     // the DURABLE (committed) sub-history is oo-serializable, and the
-    // database is semantically back to Setup + T3
+    // database holds Setup + T1 + T3
     let (final_ts, final_h) = rec.snapshot();
     let committed = cert.committed_history(&final_ts, &final_h);
     let ss = SystemSchedules::infer(&final_ts, &committed);
     let ok = check_system_decentralized(&final_ts, &ss).is_ok();
     println!("committed sub-history oo-serializable: {ok}");
     assert!(ok);
-    assert_eq!(cert.stats.commits, 2, "Setup and T3 commit");
-    assert_eq!(cert.stats.aborts, 2, "T1 aborted, T2 cascaded");
+    assert_eq!(cert.stats.commits, 3, "Setup, T1 and T3 commit");
+    assert_eq!(cert.stats.aborts, 1, "T2 fails validation");
 
     let mut check = rec.begin_txn("Check");
-    assert_eq!(enc.search(&mut check, "DBMS").as_deref(), Some("v1"));
+    assert_eq!(enc.search(&mut check, "DBMS").as_deref(), Some("v2"));
     assert_eq!(
         enc.search(&mut check, "DBS").as_deref(),
         Some("database systems")
     );
     assert!(enc.search(&mut check, "OODB").is_some());
     drop(check);
-    println!("state restored: DBMS=v1, DBS original, OODB present");
+    println!("state: DBMS=v2 (T1), DBS original (T2 compensated), OODB present");
 }

@@ -15,7 +15,8 @@
 //! * [`lock`] — semantic lock manager, open nesting, escrow;
 //! * [`recovery`] — the engine log's on-disk representation: CRC-framed
 //!   records carrying semantic redo + compensation payloads;
-//! * [`sim`] — workload generators, live replays, paper examples;
+//! * [`sim`] — workload generators, conflict and acceptance
+//!   measurements, paper examples;
 //! * [`engine`] — a worker-pool transaction engine with pluggable
 //!   concurrency control (semantic 2PL or optimistic certification),
 //!   admission control, retries, and metrics — the one executor.

@@ -7,7 +7,7 @@
 //! a given schedule.
 
 use oodb::btree::{Encyclopedia, EncyclopediaConfig};
-use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome, WaitPolicy};
+use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome};
 use oodb::core::ids::TxnIdx;
 use oodb::model::{Recorder, TxnCtx};
 
@@ -38,7 +38,7 @@ impl Stack {
         let mut stack = Stack {
             rec,
             enc,
-            cert: Certifier::new(mode).with_wait_policy(WaitPolicy::Ignore),
+            cert: Certifier::new(mode),
         };
         let mut setup = stack.rec.begin_txn("Setup");
         for i in 0..KEYS {

@@ -1,10 +1,26 @@
-//! Full-stack integration: workloads against the live encyclopedia with
-//! recording, Definition 5 extension, dependency inference, checking and
+//! Full-stack integration: workloads run by the engine with recording,
+//! Definition 5 extension, dependency inference, checking and
 //! measurement in one pass — the complete pipeline a user of this library
 //! runs.
 
 use oodb::core::prelude::*;
-use oodb::sim::{replay_encyclopedia, EncMix, EncWorkloadConfig, Skew};
+use oodb::engine::{run_workload, AuditOutput, CcKind, EngineConfig};
+use oodb::sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
+
+/// The audited record of a one-worker strict-2PL engine run of the
+/// workload `cfg` generates, on a tree of the given fanout. One worker
+/// runs the transactions one after another and never retries.
+fn engine_record(cfg: &EncWorkloadConfig, fanout: usize) -> AuditOutput {
+    let engine = EngineConfig {
+        workers: 1,
+        fanout,
+        ..EngineConfig::default()
+    };
+    let out = run_workload(&engine, CcKind::Pessimistic, &encyclopedia_workload(cfg));
+    assert_eq!(out.metrics.committed as usize, cfg.txns);
+    assert_eq!(out.metrics.retries, 0);
+    out.audit.expect("audit is on by default")
+}
 
 #[test]
 fn large_mixed_workload_pipeline() {
@@ -17,9 +33,9 @@ fn large_mixed_workload_pipeline() {
         skew: Skew::Zipf(0.7),
         seed: 77,
     };
-    let out = replay_encyclopedia(&cfg, 8, 5);
-    // everything executed
-    assert_eq!(out.ops_executed, 100);
+    let out = engine_record(&cfg, 8);
+    // the preload and every transaction were recorded
+    assert_eq!(out.ts.top_level().len(), 1 + 10);
     out.history.check_complete(&out.ts).unwrap();
     // histories recorded live always conform to programmed precedence
     assert!(out.history.check_conform(&out.ts).is_ok());
@@ -30,8 +46,6 @@ fn large_mixed_workload_pipeline() {
 
 #[test]
 fn serial_replays_always_pass_every_checker() {
-    // a "serial" interleaving arises when each transaction's ops run
-    // back-to-back; emulate by giving each transaction its own seed window
     let cfg = EncWorkloadConfig {
         txns: 1,
         ops_per_txn: 40,
@@ -42,7 +56,7 @@ fn serial_replays_always_pass_every_checker() {
         seed: 9,
     };
     // single transaction: trivially serial
-    let out = replay_encyclopedia(&cfg, 4, 1);
+    let out = engine_record(&cfg, 4);
     assert!(out.report.oo_decentralized.is_ok());
     assert!(out.report.oo_global.is_ok());
     assert!(out.report.conventional.is_ok());
@@ -60,7 +74,7 @@ fn deep_trees_exercise_virtual_objects_and_stay_sound() {
         skew: Skew::Uniform,
         seed: 123,
     };
-    let out = replay_encyclopedia(&cfg, 4, 3);
+    let out = engine_record(&cfg, 4);
     // splits happened during preload and during the measured txns:
     // virtual objects must exist
     let virtuals = out
@@ -72,10 +86,8 @@ fn deep_trees_exercise_virtual_objects_and_stay_sound() {
         virtuals > 0,
         "deep insert-only load must trigger Definition 5"
     );
-    // verdict hierarchy intact
-    if out.report.conventional.is_ok() {
-        assert!(out.report.oo_decentralized.is_ok());
-    }
+    assert!(out.report.oo_decentralized.is_ok());
+    assert!(out.report.oo_global.is_ok());
 }
 
 #[test]
@@ -92,7 +104,7 @@ fn trace_is_replayable_documentation() {
         skew: Skew::Uniform,
         seed: 55,
     };
-    let out = replay_encyclopedia(&cfg, 8, 2);
+    let out = engine_record(&cfg, 8);
     let ss = SystemSchedules::infer(&out.ts, &out.history);
     for d in ss.trace() {
         match d {
