@@ -92,13 +92,10 @@ impl EngineShared {
             enc.pool().gate_evictions();
         }
         let metrics = EngineMetrics::with_shards(cc.shards());
-        let dur = cfg.durability.is_on().then(|| {
-            Durability::new(
-                cfg.durability,
-                cfg.fsync_latency,
-                metrics.queue_depth.clone(),
-            )
-        });
+        let dur = cfg
+            .durability
+            .is_on()
+            .then(|| Durability::new(cfg.durability, cfg.fsync_latency, metrics.queue.clone()));
         EngineShared {
             rec,
             enc: CompensatedEncyclopedia::new(enc),

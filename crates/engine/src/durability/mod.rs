@@ -58,6 +58,7 @@ pub use recover::{recover, RecoveryOutcome, ReplayStats};
 use crate::cc::{EngineShared, TxnHandle};
 use crate::config::DurabilityMode;
 use crate::metrics::EngineMetrics;
+use crate::queue::QueueGauges;
 use crate::trace::TraceEventKind;
 use oodb_btree::ops::{write_text, EncOp};
 use oodb_core::commutativity::Method;
@@ -196,10 +197,10 @@ pub struct Durability {
     arrived: Condvar,
     /// Workers that found the parked list full wait here.
     room: Condvar,
-    /// The admission queue's depth gauge.
-    queue_depth: Arc<AtomicUsize>,
+    /// The admission queue's gauges (its depth, for the idle rule).
+    queue: Arc<QueueGauges>,
     /// Jobs being executed: entered and neither parked nor finished.
-    /// With `queue_depth`, everything admitted that could still park.
+    /// With the queue's depth, everything admitted that could still park.
     executing: AtomicUsize,
     /// Jobs acknowledged as committed *after* their commit record became
     /// durable — the set a crash is never allowed to lose.
@@ -246,12 +247,12 @@ impl Executing<'_> {
 
 impl Durability {
     /// A fresh log in the given mode, which must not be `Off` (the
-    /// engine simply holds no `Durability` then). `queue_depth` is the
-    /// admission queue's gauge, for the idle rule.
+    /// engine simply holds no `Durability` then). `queue` holds the
+    /// admission queue's depth, for the idle rule.
     pub(crate) fn new(
         mode: DurabilityMode,
         fsync_latency: Duration,
-        queue_depth: Arc<AtomicUsize>,
+        queue: Arc<QueueGauges>,
     ) -> Self {
         let DurabilityMode::Group {
             max_batch,
@@ -268,7 +269,7 @@ impl Durability {
             parked: Mutex::new(Parked::default()),
             arrived: Condvar::new(),
             room: Condvar::new(),
-            queue_depth,
+            queue,
             executing: AtomicUsize::new(0),
             acked: Mutex::new(Vec::new()),
         }
@@ -312,7 +313,7 @@ impl Durability {
 
     /// Nothing admitted could still park: none executing, none queued.
     fn idle(&self, executing: usize) -> bool {
-        executing == 0 && self.queue_depth.load(Ordering::SeqCst) == 0
+        executing == 0 && self.queue.depth.load(Ordering::SeqCst) == 0
     }
 
     /// Wait until a gather ends, move what it gathered into `batch` and
@@ -362,8 +363,7 @@ impl Durability {
         );
         let m = &shared.metrics;
         m.fsyncs.fetch_add(1, Ordering::Relaxed);
-        m.group_commits.fetch_add(1, Ordering::Relaxed);
-        m.wal_group_size.record_value(batch.len() as u64);
+        m.record_group(batch.len());
         m.wal_flush_reasons[reason as usize].fetch_add(1, Ordering::Relaxed);
         shared
             .trace

@@ -57,7 +57,7 @@ pub use metrics::{
     EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane, ShardLaneSnapshot,
     ValueQuantiles,
 };
-pub use queue::{Job, JobQueue};
+pub use queue::{Job, JobQueue, PollBackoff, QueueGauges};
 pub use trace::{RingSink, TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use worker::retry_delay;
 
@@ -134,9 +134,9 @@ impl Engine {
     /// ([`OptimisticCc::inject_fault_after`]) or read its counters.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
         let shared = Arc::new(EngineShared::new(&cfg, cc.as_ref()));
-        let queue = Arc::new(JobQueue::with_depth_gauge(
+        let queue = Arc::new(JobQueue::with_gauges(
             cfg.queue_capacity,
-            shared.metrics.queue_depth.clone(),
+            shared.metrics.queue.clone(),
         ));
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -230,6 +230,17 @@ impl Engine {
             .emit(id, 0, trace::TXN_NONE, || TraceEventKind::JobAdmitted {
                 depth,
             });
+    }
+
+    /// Jobs that have left the engine — committed, aborted or past
+    /// their deadline — from three counters, without building a
+    /// [`MetricsSnapshot`]: what a client that keeps one transaction in
+    /// flight waits on.
+    pub fn finished(&self) -> u64 {
+        let m = &self.shared.metrics;
+        m.committed.load(Ordering::Relaxed)
+            + m.aborted.load(Ordering::Relaxed)
+            + m.deadline_expired.load(Ordering::Relaxed)
     }
 
     /// Current counters and latency percentiles; the `pool_*` fields as

@@ -2,10 +2,11 @@
 //! histograms, snapshotted on demand.
 
 use crate::durability::FlushReason;
+use crate::queue::QueueGauges;
 use oodb_model::RecorderStats;
 use oodb_storage::PoolStats;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,33 +39,12 @@ impl Histogram {
     /// Record one dimensionless value into its log₂ bucket (zero counts
     /// into bucket 0). The same structure also serves non-latency
     /// distributions — e.g. commits per group-commit flush — where
-    /// [`bucket_counts`](Histogram::bucket_counts) and
-    /// [`mean`](Histogram::mean) are the useful views.
+    /// [`bucket_counts`](Histogram::bucket_counts) is the useful view.
     pub fn record_value(&self, v: u64) {
         let v = v.max(1);
         let idx = (63 - v.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Approximate mean of the recorded values (geometric bucket
-    /// midpoints weighted by count); 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let mut sum = 0.0f64;
-        let mut n = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                let lo = (1u64 << i) as f64;
-                sum += c as f64 * lo * 1.5;
-                n += c;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
     }
 
     /// Number of recorded samples.
@@ -129,19 +109,6 @@ impl Histogram {
             p99: self.quantile(0.99),
             p999: self.quantile(0.999),
         }
-    }
-
-    /// Fold another histogram's samples into this one (per-bucket adds),
-    /// so per-shard or per-run lanes can be aggregated for reporting.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let c = theirs.load(Ordering::Relaxed);
-            if c > 0 {
-                mine.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// A frozen copy of every bucket count (`counts[i]` = samples in
@@ -258,6 +225,9 @@ pub struct EngineMetrics {
     /// Flushes that made at least one commit record durable (each one
     /// also records its commit count in `wal_group_size`).
     pub group_commits: AtomicU64,
+    /// Commits those flushes acknowledged, summed: divided by
+    /// `group_commits`, the exact mean group size.
+    pub group_committed: AtomicU64,
     /// Flushes by what ended their gather, indexed by [`FlushReason`].
     pub wal_flush_reasons: [AtomicU64; 3],
     /// Most acknowledgements ever parked at once (bounded by
@@ -267,10 +237,11 @@ pub struct EngineMetrics {
     /// group-commit amortization made visible (recorded via
     /// [`Histogram::record_value`]; buckets are counts, not ns).
     pub wal_group_size: Histogram,
-    /// Current admission-queue depth (gauge). Shared with the
-    /// [`JobQueue`](crate::JobQueue), which keeps it current on every
-    /// push, pop, and shed — not just when a worker happens to pop.
-    pub queue_depth: Arc<AtomicUsize>,
+    /// The admission queue's depth gauge and hand-off counters. Shared
+    /// with the [`JobQueue`](crate::JobQueue), which keeps the depth
+    /// current on every push, pop, and shed — not just when a worker
+    /// happens to pop.
+    pub queue: Arc<QueueGauges>,
     /// Time spent acquiring operation grants (lock waits under
     /// pessimistic control; certification waits show up in `e2e`).
     pub lock_wait: Histogram,
@@ -331,10 +302,11 @@ impl EngineMetrics {
             wal_bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             group_commits: AtomicU64::new(0),
+            group_committed: AtomicU64::new(0),
             wal_flush_reasons: Default::default(),
             wal_parked_peak: AtomicU64::new(0),
             wal_group_size: Histogram::default(),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
+            queue: Arc::default(),
             lock_wait: Histogram::default(),
             e2e: Histogram::default(),
             phase_queue: Histogram::default(),
@@ -343,6 +315,14 @@ impl EngineMetrics {
             phase_fsync: Histogram::default(),
             phase_drain: Histogram::default(),
         }
+    }
+
+    /// Account one log flush that acknowledged `commits` commits.
+    pub fn record_group(&self, commits: usize) {
+        self.group_commits.fetch_add(1, Ordering::Relaxed);
+        self.group_committed
+            .fetch_add(commits as u64, Ordering::Relaxed);
+        self.wal_group_size.record_value(commits as u64);
     }
 
     /// Count one operation routed to shard `s` (no-op without lanes).
@@ -375,6 +355,7 @@ impl EngineMetrics {
         let committed = self.committed.load(Ordering::Relaxed);
         let flushes =
             |why: FlushReason| self.wal_flush_reasons[why as usize].load(Ordering::Relaxed);
+        let group_commits = self.group_commits.load(Ordering::Relaxed);
         MetricsSnapshot {
             elapsed,
             shards: self
@@ -413,16 +394,25 @@ impl EngineMetrics {
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
+            group_commits,
             wal_flush_full: flushes(FlushReason::Full),
             wal_flush_deadline: flushes(FlushReason::Deadline),
             wal_flush_idle: flushes(FlushReason::Idle),
             wal_parked_peak: self.wal_parked_peak.load(Ordering::Relaxed),
             wal_commits_acked: self.phase_fsync.len(),
-            wal_group_mean: self.wal_group_size.mean(),
+            wal_group_mean: if group_commits == 0 {
+                0.0
+            } else {
+                self.group_committed.load(Ordering::Relaxed) as f64 / group_commits as f64
+            },
             wal_group_buckets: self.wal_group_size.bucket_counts(),
             wal_group: value_quantiles(&self.wal_group_size),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_depth: self.queue.depth.load(Ordering::Relaxed),
+            queue_consumer_wakes: self.queue.consumer_wakes.load(Ordering::Relaxed),
+            queue_timed_wakeups_with_work: self
+                .queue
+                .timed_wakeups_with_work
+                .load(Ordering::Relaxed),
             throughput_per_sec: committed as f64 / elapsed.as_secs_f64().max(1e-9),
             lock_wait_p50: self.lock_wait.quantile(0.50),
             lock_wait_p99: self.lock_wait.quantile(0.99),
@@ -560,7 +550,7 @@ pub struct MetricsSnapshot {
     /// Logged commits the flusher acknowledged (the samples of
     /// `phase_fsync`; the preload is not metered).
     pub wal_commits_acked: u64,
-    /// Mean commits acknowledged per such flush (0.0 when none).
+    /// Mean commits acknowledged per such flush, exact (0.0 when none).
     pub wal_group_mean: f64,
     /// Log₂-bucket counts of commits per flush (`buckets[i]` = flushes
     /// that covered `[2^i, 2^(i+1))` commits).
@@ -569,6 +559,14 @@ pub struct MetricsSnapshot {
     pub wal_group: ValueQuantiles,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
+    /// Pushes that signalled a parked consumer (≈ 0 per job in a closed
+    /// loop, where the polling worker takes each job).
+    pub queue_consumer_wakes: u64,
+    /// Timed re-checks of a parked consumer that found a job stranded:
+    /// no signal on its way and no producer watching a poller take it
+    /// (a lost wake-up, or a descheduled poller nobody stood in for).
+    /// 0 on a correct queue.
+    pub queue_timed_wakeups_with_work: u64,
     /// Committed transactions per second since engine start.
     pub throughput_per_sec: f64,
     /// Median grant-acquisition wait.
@@ -678,6 +676,11 @@ impl MetricsSnapshot {
             self.wal_group.p50, self.wal_group.p99, self.wal_group.p999
         );
         let _ = write!(s, "\"queue_depth\":{},", self.queue_depth);
+        let _ = write!(
+            s,
+            "\"queue_consumer_wakes\":{},\"queue_timed_wakeups_with_work\":{},",
+            self.queue_consumer_wakes, self.queue_timed_wakeups_with_work
+        );
         let _ = write!(s, "\"throughput_per_sec\":{:.3},", self.throughput_per_sec);
         let _ = write!(s, "\"lock_wait_p50_ns\":{},", self.lock_wait_p50.as_nanos());
         let _ = write!(s, "\"lock_wait_p99_ns\":{},", self.lock_wait_p99.as_nanos());
@@ -724,7 +727,7 @@ impl std::fmt::Display for MetricsSnapshot {
         write!(
             f,
             "committed {} ({:.0}/s) aborted {} retries {} shed {} expired {} depth {} \
-             lock-blocks {} deadlock-victims {} stripe-contended {} lock-wait p50/p99 {:?}/{:?} \
+             consumer-wakes {} (timed with work {}) lock-blocks {} deadlock-victims {} stripe-contended {} lock-wait p50/p99 {:?}/{:?} \
              e2e p50/p99 {:?}/{:?}",
             self.committed,
             self.throughput_per_sec,
@@ -733,6 +736,8 @@ impl std::fmt::Display for MetricsSnapshot {
             self.shed,
             self.deadline_expired,
             self.queue_depth,
+            self.queue_consumer_wakes,
+            self.queue_timed_wakeups_with_work,
             self.lock_blocks,
             self.deadlock_victims,
             self.lock_stripe_contended,
@@ -891,22 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_bucketwise() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(10));
-        b.record(Duration::from_millis(10));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        let counts = a.bucket_counts();
-        assert_eq!(counts.iter().sum::<u64>(), 3);
-        // the 10µs bucket now holds two samples
-        assert!(counts.contains(&2), "merged bucket counts: {counts:?}");
-        assert!(a.quantile(0.99) >= Duration::from_millis(8));
-    }
-
-    #[test]
     fn value_histogram_buckets_counts() {
         let h = Histogram::default();
         for n in [1u64, 1, 4, 4, 4, 8] {
@@ -916,9 +905,28 @@ mod tests {
         assert_eq!(counts[0], 2, "two flushes of 1 commit");
         assert_eq!(counts[2], 3, "three flushes of 4 commits");
         assert_eq!(counts[3], 1);
-        let mean = h.mean();
-        assert!(mean > 1.0 && mean < 10.0, "mean {mean}");
-        assert_eq!(Histogram::default().mean(), 0.0);
+    }
+
+    /// The group-size mean is the commits summed over the flushes, not
+    /// a bucket estimate: a log₂ bucket's midpoint read a flush of one
+    /// commit as 1.5.
+    #[test]
+    fn wal_group_mean_is_exact() {
+        let snap = |m: &EngineMetrics| {
+            m.snapshot(oodb_model::Recorder::new().stats(), PoolStats::default())
+        };
+        let m = EngineMetrics::new();
+        assert_eq!(snap(&m).wal_group_mean, 0.0, "no flush yet");
+        for n in [1, 1, 4, 4, 4, 8] {
+            m.record_group(n);
+        }
+        assert_eq!(snap(&m).wal_group_mean, 22.0 / 6.0);
+        assert_eq!(snap(&m).group_commits, 6);
+        let ones = EngineMetrics::new();
+        for _ in 0..5 {
+            ones.record_group(1);
+        }
+        assert_eq!(snap(&ones).wal_group_mean, 1.0);
     }
 
     #[test]
@@ -933,12 +941,13 @@ mod tests {
         m.wal_appends.fetch_add(9, Ordering::Relaxed);
         m.wal_bytes.fetch_add(412, Ordering::Relaxed);
         m.fsyncs.fetch_add(2, Ordering::Relaxed);
-        m.group_commits.fetch_add(2, Ordering::Relaxed);
+        m.group_commits.fetch_add(1, Ordering::Relaxed);
         m.wal_flush_reasons[FlushReason::Deadline as usize].fetch_add(1, Ordering::Relaxed);
         m.wal_flush_reasons[FlushReason::Idle as usize].fetch_add(1, Ordering::Relaxed);
         m.wal_parked_peak.fetch_max(5, Ordering::Relaxed);
         m.phase_fsync.record(Duration::from_micros(300));
-        m.wal_group_size.record_value(2);
+        m.record_group(2);
+        m.queue.consumer_wakes.fetch_add(11, Ordering::Relaxed);
         let rec = RecorderStats {
             enabled: true,
             drains: 7,
@@ -996,6 +1005,8 @@ mod tests {
             "\"wal_group_p99\":",
             "\"wal_group_p999\":",
             "\"queue_depth\":",
+            "\"queue_consumer_wakes\":11",
+            "\"queue_timed_wakeups_with_work\":0",
             "\"throughput_per_sec\":",
             "\"lock_wait_p50_ns\":",
             "\"lock_wait_p99_ns\":",

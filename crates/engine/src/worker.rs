@@ -7,7 +7,7 @@ use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHan
 use crate::config::EngineConfig;
 use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::EngineMetrics;
-use crate::queue::{Job, JobQueue};
+use crate::queue::{Job, JobQueue, PollBackoff};
 use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
 use oodb_btree::ops::{apply_op, EncOp};
 use oodb_core::commutativity::Method;
@@ -554,8 +554,12 @@ pub(crate) fn run_worker(
 ) {
     // route this thread's trace events to its own ring lane
     crate::trace::set_worker_id(index);
-    // queue depth is published by the queue itself on every change
-    while let Some(job) = queue.pop() {
+    // queue depth is published by the queue itself on every change; a
+    // worker that has run no job parks at once, one that just finished
+    // one polls before it parks, unless its polls keep finding nothing
+    let mut backoff = PollBackoff::default();
+    let mut next = queue.pop();
+    while let Some(job) = next {
         // queue-wait phase: submission to this pop (recorded once per
         // job; retries never re-enter the queue)
         shared
@@ -563,6 +567,7 @@ pub(crate) fn run_worker(
             .phase_queue
             .record(job.submitted_at.elapsed());
         process_job(shared, cc, cfg, &job, true);
+        next = queue.pop_after_job(&mut backoff);
     }
 }
 

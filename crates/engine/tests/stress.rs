@@ -45,6 +45,13 @@ fn assert_sound(out: &EngineOutput, label: &str) {
         audit.report.oo_global.is_ok(),
         "{label}: global check failed"
     );
+    // a lost wake-up in the admission hand-off shows only here: the
+    // parked worker's timed re-check finds the job 5 ms late
+    assert_eq!(
+        out.metrics.queue_timed_wakeups_with_work, 0,
+        "{label}: {}",
+        out.metrics
+    );
 }
 
 /// ≥8 workers, ≥200 transactions in total, low- and high-contention key

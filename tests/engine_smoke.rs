@@ -88,6 +88,8 @@ fn every_control_commits_audits_and_recovers() {
                 assert!(m
                     .to_json()
                     .contains(&format!("\"pool_hits\":{}", m.pool_hits)));
+                // no parked worker ever found a job nobody signalled it for
+                assert_eq!(m.queue_timed_wakeups_with_work, 0, "{label}: {m}");
                 let audit = out.audit.expect("audit enabled by default");
                 assert!(audit.report.oo_decentralized.is_ok(), "{label}");
                 assert!(audit.report.oo_global.is_ok(), "{label}");
