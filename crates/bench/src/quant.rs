@@ -620,8 +620,8 @@ pub fn b14() -> String {
 /// keys, with the buffer pool sized well below the working set and a
 /// simulated per-miss device latency — so every search pays real
 /// (simulated) IO and the only question is whether concurrent readers
-/// can overlap it: searches S-latch-couple down the tree and the miss
-/// sleep happens outside every lock.
+/// can overlap it: searches latch only the leaf (inner nodes are read by
+/// version) and the miss sleep happens outside every lock.
 pub fn b16_run(workers: usize) -> oodb_engine::EngineOutput {
     const KEYS: usize = 1024;
     let w = encyclopedia_workload(&EncWorkloadConfig {

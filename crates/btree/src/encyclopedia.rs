@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// The encyclopedia object: a B-link tree index over a linked item list.
 ///
-/// All operations take `&self`: the tree is latch-coupled
+/// All operations take `&self`: the tree is latched and read by version
 /// ([`oodb_btree::latch`](crate::latch)) and the list uses a list-wide
 /// read/write latch (which a read that records nothing skips), so the
 /// encyclopedia is shared freely across worker threads without an outer

@@ -5,7 +5,8 @@
 //!
 //! * [`node`]/[`tree`] — a concurrent B⁺ tree with **B-link** splits and
 //!   real latch coupling ([`latch`]): crabbing with retained ancestors,
-//!   fixed-root in-place splits, every record call under the page latch.
+//!   inner nodes read by version, fixed-root in-place splits, every
+//!   record call ordered by the page's latch or its image's version.
 //!   Leaf splits complete locally and the father is rearranged by a
 //!   separate subtransaction *called from the insert*, the call-path
 //!   cycle motivating the paper's Definition 5;

@@ -68,9 +68,9 @@ pub(crate) struct ObjectIds {
     rec: Recorder,
     /// Name of the owning structure, the prefix of its node objects.
     owner: String,
-    /// Keyed by page; a root keeps only its current epoch's object (a
-    /// descent reads the epoch under the root's latch, a split bumps it
-    /// under the exclusive one, so no reader asks for an older epoch).
+    /// Keyed by page; a root keeps only the epoch last asked for (a
+    /// reader that raced a root split may ask for the one before; it is
+    /// found again by name, and its visit fails its second look).
     nodes: IdTable,
     pages: IdTable,
     items: IdTable,

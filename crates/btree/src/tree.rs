@@ -18,9 +18,10 @@
 //!   the concurrency-relevant access pattern intact.
 //!
 //! Concurrency comes from latch coupling (crabbing) with retained
-//! ancestors and a fixed root page — the protocol, its safety condition,
-//! and the deadlock-freedom argument are documented in [`crate::latch`].
-//! All operations take `&self`; the tree is shared freely across worker
+//! ancestors for writers, inner nodes read by version for readers, and a
+//! fixed root page — the protocol, its safety condition, and the
+//! deadlock-freedom argument are documented in [`crate::latch`]. All
+//! operations take `&self`; the tree is shared freely across worker
 //! threads.
 
 use crate::latch::{
@@ -33,6 +34,7 @@ use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpe
 use oodb_core::ids::ObjectIdx;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::{BufferManager, PageExclusive, PageId, PageShared};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -50,7 +52,7 @@ pub(crate) fn keyed(method: Method, key: &str) -> DescriptorRef {
     ActionDescriptor::keyed(method, key).into()
 }
 
-/// A recorded, latch-coupled B-link tree.
+/// A recorded B-link tree: latch-coupled writers, readers by version.
 pub struct BLinkTree {
     mgr: BufferManager,
     /// Recorder ids of this tree's node and page objects.
@@ -64,11 +66,11 @@ pub struct BLinkTree {
     /// same shape a move-the-root split would record — keeping the
     /// rearrange off the descent's call path (only *father* rearranges
     /// coincide with an ancestor's object, the Definition 5 cycle).
-    /// Written only under the root's exclusive latch; read during
-    /// descents, which always hold at least the root's shared latch.
+    /// Written under the root's exclusive latch while its image is odd;
+    /// read by a visit of the root, under its latch or inside its image's
+    /// version window.
     root_epoch: AtomicU32,
-    /// Inner nodes as unrecorded descents read them: by version, not
-    /// by latch.
+    /// Inner nodes as readers read them: by version, not by latch.
     images: InnerImages,
     fanout: usize,
 }
@@ -96,7 +98,7 @@ impl BLinkTree {
         let images = InnerImages::new(mgr.pool().page_size());
         let root_pin = mgr.allocate().expect("allocating the root page");
         let root = root_pin.id();
-        write_node(&images, &root_pin, &Node::leaf());
+        write_node(&images, &root_pin, &Node::leaf(), || {});
         drop(root_pin);
         BLinkTree {
             mgr,
@@ -138,27 +140,35 @@ impl BLinkTree {
         self.objects.get(ObjectKey::Page(page))
     }
 
-    /// Record the visit of a node whose latch the caller holds: the
-    /// operation `descriptor` on the node object and the page read under
-    /// it, in one `record` call (one ticket). The first visit of an operation
-    /// (`tree_level`: the cursor is still where the operation found it)
-    /// also opens the tree-level action around them. Leaves the node
-    /// action (and the tree action) open.
+    /// Record the visit of a node: `descriptor` on the node object and the
+    /// page read under it, one ticket, kept if `still_valid` after the
+    /// claim (`|| true` under the latch). The first visit of an operation
+    /// (`tree_level`) also opens the tree-level action around them. Leaves
+    /// the actions open if it returns `true`.
     fn record_visit(
         &self,
         ctx: &mut TxnCtx,
         page: PageId,
         descriptor: &DescriptorRef,
         tree_level: bool,
-    ) {
-        let node = (self.node_object(page), descriptor);
+        still_valid: impl FnOnce() -> bool,
+    ) -> bool {
         let read = DescriptorRef::read();
-        let page_read = Some((self.page_object(page), &read));
+        let node = || (self.node_object(page), descriptor);
+        let page_read = || (self.page_object(page), &read);
         if tree_level {
-            ctx.record(&[(self.tree_obj, descriptor), node], page_read);
+            let visit = || ([(self.tree_obj, descriptor), node()], page_read());
+            ctx.record_validated(visit, still_valid)
         } else {
-            ctx.record(&[node], page_read);
+            ctx.record_validated(|| ([node()], page_read()), still_valid)
         }
+    }
+
+    /// Write `node` to the X-latched `page` and record it ([`write_node`]).
+    fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, node: &Node) {
+        write_node(&self.images, page, node, || {
+            ctx.page_write(self.page_object(page.id()))
+        });
     }
 
     /// One node, decoded under its own S latch and nothing else: for the
@@ -189,30 +199,26 @@ impl BLinkTree {
         let base = ctx.depth();
         let (mut page, mut node) = write_latched(&self.mgr, self.root);
         loop {
-            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base, || true);
             if node.must_chase(key) {
                 // B-link chase (safety net — splits are atomic under the
                 // retained latches, so a writer normally never sees one):
                 // acquire the sibling before releasing the current node.
                 ctx.exit();
                 let right = node.right_link.expect("high key implies right link");
-                let (rp, rn) = write_latched(&self.mgr, right);
-                page = rp;
-                node = rn;
+                (page, node) = write_latched(&self.mgr, right);
                 continue;
             }
             if is_safe(&node, self.fanout) {
                 // no split below can reach any ancestor: release them all
-                retained.release_all();
+                retained.clear();
             }
             if node.is_leaf {
                 break;
             }
-            let child = node.child_for(key);
-            let (cp, cn) = write_latched(&self.mgr, child);
-            retained.push(page, node);
-            page = cp;
-            node = cn;
+            let child = write_latched(&self.mgr, node.child_for(key));
+            retained.push((page, node));
+            (page, node) = child;
         }
 
         // Leaf work, inside the (still open) leaf insert action, with the
@@ -222,11 +228,10 @@ impl BLinkTree {
         if node.entries.len() > self.fanout {
             self.split(ctx, &mut retained, page, node);
         } else {
-            write_node(&self.images, &page, &node);
-            ctx.page_write(self.page_object(page.id()));
+            self.write(ctx, &page, &node);
             drop(page);
         }
-        retained.release_all();
+        retained.clear();
 
         // close leaf + descent actions + the tree-level insert
         ctx.exit_to(base);
@@ -256,10 +261,8 @@ impl BLinkTree {
         // new sibling; B-link: left now points at the sibling before the
         // father learns anything
         node.right_link = Some(right_page);
-        write_node(&self.images, &right_pin, &right);
-        ctx.page_write(self.page_object(right_page));
-        write_node(&self.images, &page, &node);
-        ctx.page_write(self.page_object(page.id()));
+        self.write(ctx, &right_pin, &right);
+        self.write(ctx, &page, &node);
         drop(right_pin);
         drop(page);
         // rearrange the father — a separate subtransaction called from
@@ -281,15 +284,15 @@ impl BLinkTree {
         let (page, mut node) = retained
             .pop()
             .expect("a splitting node's father is always retained");
-        self.record_visit(ctx, page.id(), &keyed(Method::Rearrange, &separator), false);
+        let rearrange = keyed(Method::Rearrange, &separator);
+        self.record_visit(ctx, page.id(), &rearrange, false, || true);
         node.upsert(&separator, child.0 as u64);
         if node.entries.len() > self.fanout {
             // the father's father is rearranged from within this
             // rearrangement
             self.split(ctx, retained, page, node);
         } else {
-            write_node(&self.images, &page, &node);
-            ctx.page_write(self.page_object(page.id()));
+            self.write(ctx, &page, &node);
             drop(page);
         }
         ctx.exit();
@@ -316,87 +319,87 @@ impl BLinkTree {
         node: &mut Node,
     ) {
         let (sep, right) = node.split();
-        // safe to bump before the writes: we hold the root's exclusive
-        // latch, so no concurrent descent can observe the half-made epoch
-        self.root_epoch.fetch_add(1, Ordering::AcqRel);
-        ctx.enter(
-            self.node_object(root_page.id()),
-            keyed(Method::Rearrange, &sep),
-        );
+        // the epoch moves with the root's write, while its image is odd:
+        // a visit that read the old epoch off a copy fails its second look
+        let epoch = self.root_epoch.load(Ordering::Relaxed) + 1;
+        let page = root_page.id();
+        let fresh_root = self.objects.get(ObjectKey::Node { page, epoch });
+        ctx.enter(fresh_root, keyed(Method::Rearrange, &sep));
         let left_pin = self.mgr.allocate().expect("allocating root left half");
         let right_pin = self.mgr.allocate().expect("allocating root right half");
         // left half keeps chaining to the right half; the right half
         // inherited the root's (empty) link and high key from split()
         node.right_link = Some(right_pin.id());
-        write_node(&self.images, &left_pin, node);
-        ctx.page_write(self.page_object(left_pin.id()));
-        write_node(&self.images, &right_pin, &right);
-        ctx.page_write(self.page_object(right_pin.id()));
+        self.write(ctx, &left_pin, node);
+        self.write(ctx, &right_pin, &right);
         let mut new_root = Node::inner(left_pin.id());
         new_root.upsert(&sep, right_pin.id().0 as u64);
-        write_node(&self.images, root_page, &new_root);
-        ctx.page_write(self.page_object(root_page.id()));
+        write_node(&self.images, root_page, &new_root, || {
+            self.root_epoch.store(epoch, Ordering::Release);
+            ctx.page_write(self.page_object(page));
+        });
         ctx.exit();
     }
 
-    /// S-latch-coupled descent to the leaf responsible for `key`,
-    /// recording `descriptor` at the tree level and at every node visited
-    /// and probing each node in place. Returns the still-latched leaf
-    /// and what it holds for `key`; the tree-level action and one action
-    /// per node on the path are left open above the cursor's depth at
-    /// entry.
-    fn descend_shared(
+    /// Descent to the leaf responsible for `key`, recording `descriptor`
+    /// at the tree level and at every node visited. Returns the
+    /// S-latched leaf and what it holds for `key`, the actions it
+    /// recorded left open.
+    fn descend(
         &self,
         ctx: &mut TxnCtx,
         key: &str,
         descriptor: &DescriptorRef,
     ) -> (PageShared<'_>, Option<u64>) {
-        if !ctx.is_recording() {
-            return self.descend_unrecorded(key);
-        }
-        let base = ctx.depth();
-        let mut page = read_latched(&self.mgr, self.root);
+        let (base, mut buf, mut page) = (ctx.depth(), [0; IMAGE_BUF], self.root);
         loop {
-            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
-            // coupling: the next node is latched before this one is
-            // released (the assignment drops the old guard)
-            match with_encoded(&page, |node| node.probe(key)) {
-                Probe::Chase(right) => {
-                    ctx.exit();
-                    page = read_latched(&self.mgr, right);
+            match self.visit(ctx, page, key, descriptor, ctx.depth() == base, &mut buf) {
+                ControlFlow::Continue(next) => page = next,
+                ControlFlow::Break(leaf) => return leaf,
+            }
+        }
+    }
+
+    /// One visit of a descent for `key`: the node on `page`, read off its
+    /// image or, if it is a leaf or its image will not validate, under its
+    /// S latch. Nothing is coupled: a key that moved right since the parent
+    /// was read is found through the high key and right link (Lehman–Yao).
+    /// Continues with the child or the right sibling (closing the visit
+    /// chased past), or breaks with the latched leaf and its hit.
+    fn visit<'a>(
+        &'a self,
+        ctx: &mut TxnCtx,
+        page: PageId,
+        key: &str,
+        descriptor: &DescriptorRef,
+        tree_level: bool,
+        buf: &mut [u8],
+    ) -> ControlFlow<(PageShared<'a>, Option<u64>), PageId> {
+        let record = |still_valid: &dyn Fn() -> bool| {
+            self.record_visit(ctx, page, descriptor, tree_level, still_valid)
+        };
+        let probe = match self.images.visit(page, key, buf, record) {
+            Some(probe) => probe,
+            None => {
+                let latched = read_latched(&self.mgr, page);
+                self.record_visit(ctx, page, descriptor, tree_level, || true);
+                match with_encoded(&latched, |node| node.probe(key)) {
+                    Probe::Leaf(hit) => return ControlFlow::Break((latched, hit)),
+                    probe => probe,
                 }
-                Probe::Child(child) => page = read_latched(&self.mgr, child),
-                Probe::Leaf(hit) => return (page, hit),
             }
-        }
+        };
+        ControlFlow::Continue(match probe {
+            Probe::Chase(right) => {
+                ctx.exit();
+                right
+            }
+            Probe::Child(child) => child,
+            Probe::Leaf(_) => unreachable!("only inner nodes have images"),
+        })
     }
 
-    /// The descent of a cursor that records nothing: no visit needs a
-    /// ticket claimed under a latch, so inner nodes are read off their
-    /// images and only the leaf is S-latched. Nothing is coupled: a
-    /// parent read before a split sends the descent to the page the key
-    /// left, whose high key and right link send it on (Lehman–Yao; nodes
-    /// never merge and non-root pages are never reused). Returns the
-    /// still-latched leaf and what it holds for `key`.
-    fn descend_unrecorded(&self, key: &str) -> (PageShared<'_>, Option<u64>) {
-        let mut buf = [0; IMAGE_BUF];
-        let mut page = self.root;
-        loop {
-            if let Some(next) = self.images.next(page, key, &mut buf) {
-                page = next;
-                continue;
-            }
-            // a leaf, or an inner page being rewritten (or just grown
-            // from a leaf, if it is the root)
-            let latched = read_latched(&self.mgr, page);
-            match with_encoded(&latched, |node| node.probe(key)) {
-                Probe::Chase(next) | Probe::Child(next) => page = next,
-                Probe::Leaf(hit) => return (latched, hit),
-            }
-        }
-    }
-
-    /// Exact-match lookup. S-latch-coupled descent.
+    /// Exact-match lookup.
     pub fn search(&self, ctx: &mut TxnCtx, key: &str) -> Option<u64> {
         self.search_as(ctx, key, &keyed(Method::Search, key))
     }
@@ -410,7 +413,7 @@ impl BLinkTree {
         descriptor: &DescriptorRef,
     ) -> Option<u64> {
         let base = ctx.depth();
-        let (leaf, hit) = self.descend_shared(ctx, key, descriptor);
+        let (leaf, hit) = self.descend(ctx, key, descriptor);
         drop(leaf);
         ctx.exit_to(base);
         hit
@@ -433,7 +436,7 @@ impl BLinkTree {
         let base = ctx.depth();
         let mut page = self.mgr.write_page(self.root).expect("tree pages exist");
         let removed = loop {
-            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base);
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base, || true);
             match page.read(|p| Node::probe(node_record(p), key)) {
                 Probe::Chase(right) => {
                     ctx.exit();
@@ -447,8 +450,7 @@ impl BLinkTree {
                     // only the leaf that loses the key is decoded
                     let mut node = page.read(|p| Node::decode(node_record(p)));
                     let removed = node.remove(key);
-                    write_node(&self.images, &page, &node);
-                    ctx.page_write(self.page_object(page.id()));
+                    self.write(ctx, &page, &node);
                     break removed;
                 }
             }
@@ -460,25 +462,14 @@ impl BLinkTree {
 
     /// Full ordered scan over the leaf chain, recorded as the keyless
     /// `readSeq` (conflicts with every updater, commutes with readers).
-    /// S-latch-coupled down the leftmost spine, then rightward along the
-    /// chain (each leaf's sibling is latched before the leaf is
-    /// released).
+    /// Descends the leftmost spine (a descent for the empty key), then
+    /// walks rightward along the chain (each leaf's sibling is latched
+    /// before the leaf is released).
     pub fn scan(&self, ctx: &mut TxnCtx) -> Vec<(String, u64)> {
         let scan: DescriptorRef = ActionDescriptor::nullary(Method::ReadSeq).into();
-        // descend the leftmost spine
         let base = ctx.depth();
-        let mut page = read_latched(&self.mgr, self.root);
-        loop {
-            self.record_visit(ctx, page.id(), &scan, ctx.depth() == base);
-            let child = with_encoded(&page, |node| {
-                (!node.is_leaf).then(|| node.first_child.expect("inner node has first child"))
-            });
-            match child {
-                Some(child) => page = read_latched(&self.mgr, child),
-                None => break,
-            }
-        }
-        let out = self.walk_chain(ctx, page, &scan, |_| true, |_| false);
+        let (leaf, _) = self.descend(ctx, "", &scan);
+        let out = self.walk_chain(ctx, leaf, &scan, |_| true, |_| false);
         ctx.exit_to(base);
         out
     }
@@ -507,7 +498,7 @@ impl BLinkTree {
         // in-range insert into the same leaf a conflict, i.e. phantom
         // protection)
         let base = ctx.depth();
-        let (leaf, _) = self.descend_shared(ctx, lo, descriptor);
+        let (leaf, _) = self.descend(ctx, lo, descriptor);
         let out = self.walk_chain(ctx, leaf, descriptor, |k| k >= lo, |k| k > hi);
         ctx.exit_to(base);
         out
@@ -542,7 +533,7 @@ impl BLinkTree {
             });
             let Some(next) = next else { break };
             page = read_latched(&self.mgr, next);
-            self.record_visit(ctx, page.id(), descriptor, false);
+            self.record_visit(ctx, page.id(), descriptor, false, || true);
             ctx.exit();
         }
         out
@@ -551,16 +542,16 @@ impl BLinkTree {
     /// Depth of the tree (1 = root is a leaf). Unrecorded, unlatched
     /// single-threaded diagnostic.
     pub fn depth(&self) -> usize {
-        let mut d = 1;
-        let mut cur = self.root;
-        loop {
-            let node = self.read_node_raw(cur);
-            if node.is_leaf {
-                return d;
-            }
-            cur = node.first_child.expect("inner has first child");
-            d += 1;
+        self.leftmost_leaf().1
+    }
+
+    /// The leftmost leaf and its depth, for the diagnostics.
+    fn leftmost_leaf(&self) -> (PageId, usize) {
+        let (mut page, mut depth) = (self.root, 1);
+        while let Some(child) = self.read_node_raw(page).first_child {
+            (page, depth) = (child, depth + 1);
         }
+        (page, depth)
     }
 
     /// Structural integrity check: uniform leaf depth, per-node
@@ -573,16 +564,8 @@ impl BLinkTree {
             return Err(format!("non-uniform leaf depths: {leaf_depths:?}"));
         }
         // leaf chain sorted end to end
-        let mut cur = self.root;
-        loop {
-            let node = self.read_node_raw(cur);
-            if node.is_leaf {
-                break;
-            }
-            cur = node.first_child.expect("inner has first child");
-        }
         let mut prev: Option<String> = None;
-        let mut leaf = Some(cur);
+        let mut leaf = Some(self.leftmost_leaf().0);
         while let Some(p) = leaf {
             let node = self.read_node_raw(p);
             for e in &node.entries {
@@ -690,6 +673,8 @@ impl BLinkTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
+    use oodb_core::ids::{ActionIdx, TxnIdx};
     use oodb_core::prelude::{analyze, extend_virtual_objects};
     use oodb_storage::BufferPool;
 
@@ -891,6 +876,80 @@ mod tests {
             .collect();
         assert_eq!(keys, ["k010", "k011", "k012", "k013"]);
         drop(ctx);
+    }
+
+    /// A recorded search reads the root off its image; a recorded insert
+    /// then splits the leaf the root sent it to, and the key it looks for
+    /// moves right. The search resumes there, chases the right link and
+    /// finds the key, and the record holds the chase: the leaf's visit
+    /// closed, its sibling's visited beside it under the root's.
+    #[test]
+    fn a_recorded_search_chases_a_split_made_between_two_of_its_visits() {
+        let (t, rec) = tree(4);
+        let mut setup = rec.begin_txn("Setup");
+        for (i, k) in ["a", "b", "c", "d", "e", "f"].iter().enumerate() {
+            t.insert(&mut setup, k, i as u64);
+        }
+        drop(setup);
+        assert_eq!(t.depth(), 2, "a root over [a b] and [c d e f]");
+
+        let mut reader = rec.begin_txn("Search");
+        let search = keyed(Method::Search, "f");
+        let mut buf = [0; IMAGE_BUF];
+        let hits = || t.mgr.pool().stats().hits;
+        let before = hits();
+        let ControlFlow::Continue(leaf) =
+            t.visit(&mut reader, t.root, "f", &search, true, &mut buf)
+        else {
+            panic!("the root is an inner node")
+        };
+        assert_eq!(hits(), before, "the root was read off its image");
+
+        let mut writer = rec.begin_txn("Insert");
+        assert!(t.insert(&mut writer, "g", 6), "[c d e f g] splits at e");
+        drop(writer);
+
+        let ControlFlow::Continue(sibling) =
+            t.visit(&mut reader, leaf, "f", &search, false, &mut buf)
+        else {
+            panic!("f moved right of the leaf")
+        };
+        let ControlFlow::Break((latched, hit)) =
+            t.visit(&mut reader, sibling, "f", &search, false, &mut buf)
+        else {
+            panic!("the sibling is a leaf")
+        };
+        assert_eq!(hit, Some(5));
+        drop(latched);
+        reader.exit_to(1);
+        drop(reader);
+        t.check_integrity().unwrap();
+
+        let (mut ts, h) = rec.finish();
+        h.check_complete(&ts).unwrap();
+        let only_child = |a: ActionIdx| {
+            let children: Vec<_> = ts.children(a).collect();
+            assert_eq!(children.len(), 1, "{}", ts.render_tree(ts.root_of(a)));
+            children[0]
+        };
+        let search_root = ts.top_level()[1];
+        let root_visit = only_child(only_child(search_root));
+        let name = |a: ActionIdx| ts.object(ts.action(a).object).name.clone();
+        let under_root: Vec<String> = ts.children(root_visit).map(name).collect();
+        let node = |page: PageId| format!("BpTree.N{}", page.0);
+        let (root_page, leaf_page) = (format!("Page{}", t.root.0), format!("Page{}", leaf.0));
+        assert_eq!(under_root, [root_page, node(leaf), node(sibling)]);
+        let leaf_visit = ts.children(root_visit).nth(1).unwrap();
+        assert_eq!(name(only_child(leaf_visit)), leaf_page);
+
+        extend_virtual_objects(&mut ts);
+        let r = analyze(&ts, &h);
+        assert!(r.oo_decentralized.is_ok(), "{:?}", r.oo_decentralized);
+        let mut cert = Certifier::new(CertifierMode::Paper);
+        for txn in 0..3 {
+            let outcome = cert.try_commit(&ts, &h, TxnIdx(txn));
+            assert_eq!(outcome, CommitOutcome::Committed, "T{txn}");
+        }
     }
 
     #[test]

@@ -1,23 +1,31 @@
-//! Reads that record nothing, against writers that split.
+//! Reads against writers that split, recorded and not.
 //!
-//! A cursor of a [`Recorder::disabled`] recorder reads the tree's inner
-//! nodes off their version-validated images and the item directory
-//! without the list lock; no audited run takes those paths, so this
-//! suite checks them by what the reads return. Reader threads search
-//! preloaded keys, keys the writers have already inserted, and keys
-//! nobody ever inserts, while writer threads insert fresh keys at fanout
-//! 4 — leaf splits, inner splits and in-place root splits, starting from
-//! a root that is still a leaf.
+//! A search reads the tree's inner nodes off their version-validated
+//! images, whether its cursor records or not; a cursor of a
+//! [`Recorder::disabled`] recorder also reads the item directory without
+//! the list lock. Reader threads search preloaded keys, keys the writers
+//! have already inserted, and keys nobody ever inserts, while writer
+//! threads insert fresh keys at fanout 4 — leaf splits, inner splits and
+//! in-place root splits, starting from a root that is still a leaf. Each
+//! search and each insert is a transaction of its own. The reads are
+//! checked by what they return, and a recorded round's record by the
+//! paper's checker: a visit read off an image must sit in the history
+//! where the writes it saw and missed put it.
 
 use oodb_btree::{Encyclopedia, EncyclopediaConfig};
+use oodb_core::prelude::{analyze, extend_virtual_objects};
 use oodb_model::Recorder;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 const WRITERS: usize = 2;
 const READERS: usize = 2;
-/// Keys each writer inserts per round.
+/// Keys each writer inserts per unrecorded round.
 const INSERTS: usize = 300;
+/// Keys each writer inserts per recorded round: the checker's cost
+/// grows roughly with the square of the record, so a recorded round is
+/// a third the size (and still grows the tree to depth 4).
+const RECORDED_INSERTS: usize = 100;
 
 /// Key `n` of the universe. Preloaded keys are `n ≡ 0 (mod 4)`, writer
 /// `w` inserts `n ≡ w + 1`, and `n ≡ 3` is never inserted: every kind
@@ -30,16 +38,17 @@ fn text(n: usize) -> String {
     format!("text {n}")
 }
 
-/// The `i`-th key writer `w` inserts: a fixed permutation of its
-/// residue class, so inserts land all over the tree.
-fn written(w: usize, i: usize) -> usize {
-    (i * 37 % INSERTS) * 4 + w + 1
+/// The `i`-th key writer `w` inserts when each inserts `inserts`: a
+/// fixed permutation of its residue class, so inserts land all over the
+/// tree.
+fn written(w: usize, i: usize, inserts: usize) -> usize {
+    (i * 37 % inserts) * 4 + w + 1
 }
 
-/// One round: preload `preload` keys, then let the writers insert while
-/// the readers search. Returns how many searches the readers made.
-fn round(preload: usize, seed: usize) -> usize {
-    let rec = Recorder::disabled();
+/// One round on `rec`: preload `preload` keys, then let the writers
+/// insert `inserts` keys each while the readers search. Returns how many
+/// searches the readers made.
+fn round(rec: &Recorder, preload: usize, seed: usize, inserts: usize) -> usize {
     let enc = Encyclopedia::create(
         rec.clone(),
         EncyclopediaConfig {
@@ -63,10 +72,11 @@ fn round(preload: usize, seed: usize) -> usize {
             .map(|w| {
                 let (enc, rec, progress) = (&enc, &rec, &progress);
                 s.spawn(move || {
-                    let mut ctx = rec.begin_txn(String::new());
-                    for i in 0..INSERTS {
-                        let n = written(w, i);
+                    for i in 0..inserts {
+                        let n = written(w, i, inserts);
+                        let mut ctx = rec.begin_txn(String::new());
                         assert!(enc.insert(&mut ctx, &key(n), &text(n)).is_some());
+                        drop(ctx);
                         progress[w].store(i + 1, Ordering::Release);
                     }
                 })
@@ -76,7 +86,7 @@ fn round(preload: usize, seed: usize) -> usize {
             let (enc, rec, progress, writing, searches) =
                 (&enc, &rec, &progress, &writing, &searches);
             s.spawn(move || {
-                let mut ctx = rec.begin_txn(String::new());
+                let search = |n: usize| enc.search(&mut rec.begin_txn(String::new()), &key(n));
                 let mut x = (seed * READERS + r) as u64 * 0x9E37_79B9 + 1;
                 let mut made = 0;
                 loop {
@@ -88,18 +98,16 @@ fn round(preload: usize, seed: usize) -> usize {
                     let pick = x as usize;
                     if preload > 0 {
                         let n = pick % preload * 4;
-                        let found = enc.search(&mut ctx, &key(n));
-                        assert_eq!(found, Some(text(n)), "preloaded {} lost", key(n));
+                        assert_eq!(search(n), Some(text(n)), "preloaded {} lost", key(n));
                     }
                     let w = pick % WRITERS;
                     let done = progress[w].load(Ordering::Acquire);
                     if done > 0 {
-                        let n = written(w, pick / WRITERS % done);
-                        let found = enc.search(&mut ctx, &key(n));
-                        assert_eq!(found, Some(text(n)), "inserted {} lost", key(n));
+                        let n = written(w, pick / WRITERS % done, inserts);
+                        assert_eq!(search(n), Some(text(n)), "inserted {} lost", key(n));
                     }
-                    let n = pick % (INSERTS * 4) / 4 * 4 + 3;
-                    assert_eq!(enc.search(&mut ctx, &key(n)), None, "{} appeared", key(n));
+                    let n = pick % (inserts * 4) / 4 * 4 + 3;
+                    assert_eq!(search(n), None, "{} appeared", key(n));
                     made += 3;
                     if last {
                         break;
@@ -118,12 +126,12 @@ fn round(preload: usize, seed: usize) -> usize {
     enc.tree()
         .check_integrity()
         .expect("integrity after the round");
-    assert_eq!(enc.list().len(), preload + WRITERS * INSERTS);
+    assert_eq!(enc.list().len(), preload + WRITERS * inserts);
     assert!(enc.tree().depth() >= 4, "the round grew the tree");
     let mut ctx = rec.begin_txn("Check");
     for n in (0..preload)
         .map(|i| i * 4)
-        .chain((0..WRITERS).flat_map(|w| (0..INSERTS).map(move |i| written(w, i))))
+        .chain((0..WRITERS).flat_map(|w| (0..inserts).map(move |i| written(w, i, inserts))))
     {
         assert_eq!(enc.search(&mut ctx, &key(n)), Some(text(n)));
     }
@@ -138,9 +146,33 @@ fn unrecorded_searches_see_every_key_through_splits() {
     let mut searches = 0;
     for seed in 0..16 {
         for preload in [3, 64] {
-            searches += round(preload, seed);
+            searches += round(&Recorder::disabled(), preload, seed, INSERTS);
         }
     }
     assert!(searches > 0);
     println!("{searches} unrecorded searches against splitting writers");
+}
+
+/// The same rounds, recorded (four load orders each): every key is found
+/// as above, and each round's record is complete and oo-serializable.
+#[test]
+fn recorded_searches_see_every_key_through_splits() {
+    let mut searches = 0;
+    for seed in 0..4 {
+        for preload in [3, 64] {
+            let rec = Recorder::new();
+            searches += round(&rec, preload, seed, RECORDED_INSERTS);
+            let (mut ts, h) = rec.finish();
+            h.check_complete(&ts)
+                .expect("every recorded primitive executed");
+            extend_virtual_objects(&mut ts);
+            let verdict = analyze(&ts, &h).oo_decentralized;
+            assert!(
+                verdict.is_ok(),
+                "seed {seed}, preload {preload}: {verdict:?}"
+            );
+        }
+    }
+    assert!(searches > 0);
+    println!("{searches} recorded searches against splitting writers");
 }

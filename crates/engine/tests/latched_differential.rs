@@ -8,12 +8,14 @@
 //! commit-order independent, so for every concurrency-control family ×
 //! shard count the 4-worker engine must commit the same transactions,
 //! pass the same audits, and agree bit-for-bit on final state with it —
-//! on spread keys, and on keys that all share one lock stripe. One more
-//! row runs strict 2PL with the audit off at fanout 4: that run records
-//! nothing, so its reads take the paths no audited run takes — inner
-//! nodes read by version, the item directory read without the list lock
-//! — while its inserts split leaves, inner nodes and the root; only the
-//! final state can vouch for it.
+//! on spread keys, and on keys that all share one lock stripe. Every run
+//! reads inner B-link nodes by version, a recorded one claiming each
+//! visit's ticket inside the image's version window. One more row runs
+//! strict 2PL with the audit off at fanout 4: that run records nothing,
+//! so its reads also take the one path no audited run takes — the item
+//! directory read without the list lock — while its inserts split
+//! leaves, inner nodes and the root; only the final state can vouch for
+//! it.
 //!
 //! A second test pins the rearrange/seq-claim boundary under real
 //! concurrency: a tiny fanout forces structure modifications (page

@@ -24,14 +24,16 @@
 //! **staged** under a ticket and the record is **materialized** later,
 //! off the path of whoever staged.
 //!
-//! * **Ticket under the stage lock, while the latch is held.**
+//! * **Ticket under the stage lock, inside the page's order.**
 //!   [`TxnCtx::record`] locks the transaction's own stage (contended only
 //!   by a drain, for the length of a buffer swap), claims the next value
 //!   of one process-wide `AtomicU64` and pushes the visit. The caller
-//!   still holds the latch of the page the primitive accesses, so for two
-//!   accesses the latch ordered, the earlier one's claim happens-before
-//!   the later one's and draws the smaller ticket: ticket order *is*
-//!   latch order wherever the checkers need one.
+//!   still holds the latch of the page the primitive accesses — or read
+//!   it off a seqlock image, and [`TxnCtx::record_validated`] pushes only
+//!   if the version has not moved since the copy, while writers claim
+//!   with the version odd — so of two conflicting accesses the earlier
+//!   draws the smaller ticket: ticket order *is* page order wherever the
+//!   checkers need one.
 //! * **A root is a staged entry too.** [`Recorder::begin_txn`] builds the
 //!   root's descriptor and its stage outside any lock, then under the
 //!   short *registry* mutex claims the transaction number and a ticket
@@ -546,7 +548,8 @@ impl TxnCtx {
     /// Call it while the latch of the page `primitive` accesses is held:
     /// the ticket is claimed before this returns, so no other thread's
     /// access to that page can fall between the latch's order and the
-    /// recorded one (Axiom 1). Panics if there is nothing to record.
+    /// recorded one (Axiom 1); a read off a validated copy goes through
+    /// [`TxnCtx::record_validated`]. Panics if there is nothing to record.
     pub fn record(
         &mut self,
         enters: &[(ObjectIdx, &DescriptorRef)],
@@ -556,9 +559,41 @@ impl TxnCtx {
             !enters.is_empty() || primitive.is_some(),
             "record() with nothing to record"
         );
+        self.stage_visit(enters, primitive, || true);
+    }
+
+    /// Record the visit `visit` builds (as [`TxnCtx::record`] takes it) of
+    /// a page read off a version-validated copy, no latch held: claim the
+    /// ticket, then stage only if `still_valid` — the version, looked at
+    /// once more — says the copy holds (DESIGN.md §7); an unstaged ticket
+    /// is a gap, which a cut skips. Returns whether it was recorded. A
+    /// disabled cursor calls neither closure and counts `N` enters.
+    pub fn record_validated<'d, const N: usize>(
+        &mut self,
+        visit: impl FnOnce() -> (
+            [(ObjectIdx, &'d DescriptorRef); N],
+            (ObjectIdx, &'d DescriptorRef),
+        ),
+        still_valid: impl FnOnce() -> bool,
+    ) -> bool {
+        if self.stage.is_none() {
+            self.depth += N as u32;
+            return true;
+        }
+        let (enters, primitive) = visit();
+        self.stage_visit(&enters, Some(primitive), still_valid)
+    }
+
+    /// Claim a ticket under the stage lock; if `still_valid`, stage under it.
+    fn stage_visit(
+        &mut self,
+        enters: &[(ObjectIdx, &DescriptorRef)],
+        primitive: Option<(ObjectIdx, &DescriptorRef)>,
+        still_valid: impl FnOnce() -> bool,
+    ) -> bool {
         let Some(stage) = &self.stage else {
             self.depth += enters.len() as u32;
-            return;
+            return true;
         };
         let full = {
             let mut stage = stage.lock();
@@ -566,6 +601,9 @@ impl TxnCtx {
             // publishes the entry); its order comes from the counter's
             // modification order, which follows happens-before.
             let ticket = self.recorder.shared.tickets.fetch_add(1, Ordering::Relaxed);
+            if !still_valid() {
+                return false;
+            }
             let enters = enters.iter().map(|enter| (false, enter));
             let actions = enters.chain(primitive.iter().map(|primitive| (true, primitive)));
             for (primitive, &(object, descriptor)) in actions {
@@ -585,6 +623,7 @@ impl TxnCtx {
         if full {
             self.recorder.shared.drained();
         }
+        true
     }
 
     /// Open a non-primitive action on `object`; all actions recorded until
@@ -1209,6 +1248,39 @@ mod tests {
         assert_eq!((ts.action_count(), h.len()), (0, 0));
         assert_eq!(ts.object_by_name("Page"), Some(page));
         assert!(Recorder::new().stats().enabled);
+    }
+
+    /// A visit whose copy no longer holds once its ticket is claimed
+    /// stages nothing; one whose copy holds is recorded as `record` would
+    /// record it. A disabled cursor calls neither closure.
+    #[test]
+    fn a_validated_visit_is_staged_only_if_its_copy_still_holds() {
+        let rec = Recorder::new();
+        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
+        let page = rec.object("P", Arc::new(ReadWriteSpec));
+        let search: DescriptorRef = ActionDescriptor::new("search", vec![key("k")]).into();
+        let read = DescriptorRef::read();
+        let visit = || ([(node, &search)], (page, &read));
+        let mut t = rec.begin_txn("T");
+        assert!(!t.record_validated(visit, || false));
+        assert_eq!(t.depth(), 1, "nothing was entered");
+        assert!(t.record_validated(visit, || true));
+        assert_eq!(t.depth(), 2);
+        t.exit();
+        drop(t);
+        let (ts, h) = rec.finish();
+        assert_eq!((ts.action_count(), h.len()), (3, 1), "root, visit, read");
+        h.check_complete(&ts).unwrap();
+
+        type Visit = (
+            [(ObjectIdx, &'static DescriptorRef); 2],
+            (ObjectIdx, &'static DescriptorRef),
+        );
+        let never = || -> Visit { panic!("a disabled cursor builds no visit") };
+        let mut t = Recorder::disabled().begin_txn("T");
+        assert!(t.record_validated(never, || panic!("nor looks again")));
+        assert_eq!(t.depth(), 3);
+        t.exit_to(1);
     }
 
     #[test]
