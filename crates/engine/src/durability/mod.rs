@@ -37,6 +37,11 @@
 //! force. Read-only transactions log nothing and are acknowledged
 //! inline by their worker, through the same function.
 //!
+//! The flusher sleeps `fsync_latency` and waits out `max_wait` as
+//! configured, to within the scheduler's wake-up: on Linux it sets its
+//! own timer slack to 1 ns when it starts, where the default 50 µs slack
+//! made a 50 µs fsync sleep ≈ 105 µs. No other thread's slack changes.
+//!
 //! The parked list is bounded ([`PARK_BOUND`] batches): a worker that
 //! finds it full waits for the flusher to take a batch. The three locks
 //! here — parked list, log device, acked set — are never held together.
@@ -422,6 +427,7 @@ pub(crate) fn run_flusher(shared: &EngineShared) {
         .as_ref()
         .expect("the flusher runs with durability on");
     let _close = CloseOnExit(dur);
+    fine_timer_slack();
     let mut batch = Vec::new();
     while let Some(reason) = dur.gather(&mut batch) {
         dur.flush(shared, &batch, reason);
@@ -430,6 +436,31 @@ pub(crate) fn run_flusher(shared: &EngineShared) {
         }
     }
 }
+
+/// Ask the kernel to wake the calling thread's timed sleeps within 1 ns
+/// of their deadline instead of within the default 50 µs timer slack,
+/// so the flusher sleeps `fsync_latency` and `max_wait`, not a slack
+/// longer. Only the flusher calls it: the workers' sleeps (retry
+/// back-off, the queue's re-check) are not device time. A refusal
+/// leaves the default slack, which is slower, never wrong.
+#[cfg(target_os = "linux")]
+fn fine_timer_slack() {
+    // std already links libc; this is its prototype on Linux
+    extern "C" {
+        fn prctl(option: i32, ...) -> i32;
+    }
+    const PR_SET_TIMERSLACK: i32 = 29;
+    // 0 would restore the default: 1 ns is the finest slack there is
+    let slack_ns: std::ffi::c_ulong = 1;
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long by value and
+    // touches no memory of this process; it acts on the calling thread
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, slack_ns);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn fine_timer_slack() {}
 
 /// The loggable redo form of an executed operation: `None` for reads
 /// (never logged). `tag` is the same value-tag `apply_op` wrote with,
