@@ -3,34 +3,41 @@
 //! drain that materializes what it staged, may allocate at most
 //! [`BUDGET`] times between them. The count is exact and repeats, so the
 //! test is immune to the host's timing noise. A warm page visit — latch
-//! the page in the pool, drop the guard — may not allocate at all.
+//! the page in the pool, drop the guard — may not allocate at all, and
+//! neither may a metrics snapshot, which the benchmark's serial loop takes
+//! once per spin.
 //!
-//! This binary holds one test only: the counting allocator is global, and
-//! although it counts on the measuring thread alone, a second test would
-//! share the switch.
+//! The counting allocator is global, but its switch and its count are the
+//! measuring thread's own, so the tests of this binary may run side by
+//! side.
 
 use oodb::btree::{Encyclopedia, EncyclopediaConfig};
+use oodb::engine::{CcKind, Engine, EngineConfig};
 use oodb::model::Recorder;
+use oodb::sim::EncOp;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation if this thread is measuring.
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|a| a.set(a.get() + 1));
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only added
-// work is a relaxed counter increment and a read of a const-initialised,
-// destructor-free thread-local, neither of which allocates.
+// work is a read and an increment of const-initialised, destructor-free
+// thread-locals, neither of which allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -41,9 +48,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,11 +59,11 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations (including reallocations) `f` performs on this thread.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let r = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
+    (ALLOCATIONS.with(Cell::get) - before, r)
 }
 
 /// The same search, measured with this very test at the commit before the
@@ -130,4 +135,38 @@ fn warm_search_hit_stays_inside_its_allocation_budget() {
         count <= BUDGET,
         "a warm search hit allocated {count} times, budget {BUDGET}"
     );
+}
+
+/// A metrics snapshot of a one-worker, one-lane engine allocates nothing:
+/// every field is a number or an array, and the per-shard list is empty
+/// without lanes. The benchmark's serial phase times each transaction
+/// through a loop that spins on `Engine::metrics()`, so an allocation
+/// here would land in `txn_p50_us`.
+#[test]
+fn metrics_snapshot_allocates_nothing() {
+    let engine = Engine::start(
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        CcKind::Pessimistic,
+    );
+    let keys: Vec<String> = (0..16).map(|i| format!("k{i:02}")).collect();
+    engine.preload(&keys);
+    for k in &keys {
+        engine
+            .submit_blocking(vec![EncOp::Search(k.clone()), EncOp::Change(k.clone())])
+            .expect("engine accepts work");
+    }
+    while engine.finished() < keys.len() as u64 {
+        std::hint::spin_loop();
+    }
+    // warm: the pool sample is taken and every lazily made structure made
+    let _ = engine.metrics();
+    let (count, m) = allocations_in(|| engine.metrics());
+    assert!(m.shards.is_empty(), "one lane: {:?}", m.shards);
+    assert_eq!(m.committed, keys.len() as u64);
+    println!("Engine::metrics() on one worker: {count} allocations");
+    assert_eq!(count, 0, "a metrics snapshot allocated {count} times");
+    engine.shutdown();
 }
