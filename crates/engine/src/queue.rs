@@ -11,13 +11,13 @@
 //! leaves its poll only by re-checking the queue under the lock, so a
 //! push that counted it as the taker cannot strand a job; and a producer
 //! that left its job to a poller while another consumer is parked
-//! watches for [`HANDOFF_WAIT`] that it is taken, and signals the parked
+//! watches for `HANDOFF_WAIT` (5 µs) that it is taken, and signals the parked
 //! consumer if not, so a poller that lost its CPU holds a job up by
 //! microseconds, not until it runs again.
 //!
 //! Polling pays only while the poller has a CPU of its own. Each
 //! consumer keeps a [`PollBackoff`]: a poll of its that finds no job
-//! makes its next 1, 2, 4, … up to [`MAX_POLL_BACKOFF`] jobs end in a
+//! makes its next 1, 2, 4, … up to `MAX_POLL_BACKOFF` (256) jobs end in a
 //! park without a poll, and one that takes a job halves that count. A
 //! worker that shares its CPU with the submitter therefore stops polling
 //! and gets the plain park-and-signal hand-off, whose woken thread takes
@@ -204,7 +204,7 @@ impl<J> QueueState<J> {
 /// across its jobs ([`JobQueue::pop_after_job`]). A poll that finds no
 /// job means the job's producer could not push within [`POLL_BUDGET`] —
 /// most often because it waited for the poller's own CPU — so the
-/// consumer's next 1, 2, 4, … up to [`MAX_POLL_BACKOFF`] jobs end in a
+/// consumer's next 1, 2, 4, … up to `MAX_POLL_BACKOFF` (256) jobs end in a
 /// park without a poll; a poll that takes a job halves that count.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct PollBackoff {
