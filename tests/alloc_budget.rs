@@ -5,7 +5,8 @@
 //! test is immune to the host's timing noise. A warm page visit — latch
 //! the page in the pool, drop the guard — may not allocate at all, and
 //! neither may a metrics snapshot, which the benchmark's serial loop takes
-//! once per spin.
+//! once per spin. A warm unrecorded insert into a depth-5 tree allocates
+//! exactly [`INSERT_BUDGET`] times, whole and in the tree.
 //!
 //! The counting allocator is global, but its switch and its count are the
 //! measuring thread's own, so the tests of this binary may run side by
@@ -134,6 +135,75 @@ fn warm_search_hit_stays_inside_its_allocation_budget() {
     assert!(
         count <= BUDGET,
         "a warm search hit allocated {count} times, budget {BUDGET}"
+    );
+}
+
+/// The same insert, measured with this very test at the commit before the
+/// writer's descent stopped decoding every node on its path: the whole
+/// `Encyclopedia::insert`, and the part of it spent in `BLinkTree::insert`.
+const INSERT_PARENT: (usize, usize) = (43, 36);
+
+/// What a warm `Encyclopedia::insert` of a fresh key into a depth-5 tree
+/// on a disabled recorder allocates, whole and in the tree.
+const INSERT_BUDGET: (usize, usize) = INSERT_PARENT;
+
+/// An encyclopedia of fanout 8 on a disabled recorder, preloaded with
+/// 4 096 even keys in order (depth 5), and a warm writer on it: fresh
+/// keys went into other leaves, so every buffer on the path has its
+/// capacity and the measured insert splits nothing.
+fn preloaded_writer() -> (Encyclopedia, oodb::model::TxnCtx) {
+    let rec = Recorder::disabled();
+    let enc = Encyclopedia::create(
+        rec.clone(),
+        EncyclopediaConfig {
+            fanout: 8,
+            ..EncyclopediaConfig::default()
+        },
+    );
+    let mut load = rec.begin_txn("Load");
+    for i in 0..4096 {
+        enc.insert(&mut load, &insert_key(2 * i), &format!("text {i}"));
+    }
+    drop(load);
+    assert_eq!(enc.tree().depth(), 5, "the budget is stated for depth 5");
+    let mut ctx = rec.begin_txn("Writer");
+    for i in [101, 2101, 4101, 6101] {
+        assert!(enc.insert(&mut ctx, &insert_key(i), "warm").is_some());
+    }
+    (enc, ctx)
+}
+
+fn insert_key(i: usize) -> String {
+    format!("k{i:05}")
+}
+
+#[test]
+fn warm_insert_decodes_only_the_leaf() {
+    let fresh = insert_key(3001);
+    let (enc, mut ctx) = preloaded_writer();
+    let (whole, item) = allocations_in(|| enc.insert(&mut ctx, &fresh, "fresh"));
+    assert!(item.is_some(), "{fresh} is new");
+    drop(ctx);
+    // the tree's share, on an identical encyclopedia: `BLinkTree::insert`
+    // builds the `insert(key)` descriptor that `Encyclopedia::insert`
+    // builds once for itself, the list and the tree
+    let (twin, mut ctx) = preloaded_writer();
+    let (tree, new) = allocations_in(|| twin.tree().insert(&mut ctx, &fresh, 0));
+    assert!(new, "{fresh} is new");
+    drop(ctx);
+    for enc in [&enc, &twin] {
+        assert_eq!(enc.tree().depth(), 5, "the measured insert split nothing");
+        enc.tree().check_integrity().expect("tree intact");
+    }
+    let tree = tree - 1;
+    println!(
+        "warm insert, depth 5, unrecorded: {whole} allocations, {tree} in the tree \
+         (parent {INSERT_PARENT:?}, budget {INSERT_BUDGET:?})"
+    );
+    assert_eq!(
+        (whole, tree),
+        INSERT_BUDGET,
+        "a warm insert's allocations (whole, in the tree) moved"
     );
 }
 
