@@ -9,7 +9,7 @@
 //! prefers writers, so no thread may latch a page it already holds (none
 //! does: every acquisition goes down or right). This module supplies the
 //! protocol layer on top: typed helpers that read a node under its latch
-//! — in place for readers, decoded for writers — the
+//! — in place, and decoded only to rewrite it — the
 //! retained-ancestor stack that makes multi-level splits atomic with
 //! respect to every other traversal, and the version-validated images of
 //! inner nodes (`InnerImages`) that readers read instead of latching.
@@ -25,14 +25,15 @@
 //!   (Lehman–Yao). Nodes never merge and non-root pages are never
 //!   reused, so a link, once read, stays a valid start.
 //! * **Writers** (insert / delete) latch-couple **exclusive** downward.
+//!   Both read each node in place, its encoded entry count included.
 //!   Insert additionally *retains* ancestor latches while the just-read
-//!   child is **unsafe** — `entries.len() == fanout`, i.e. one more entry
+//!   child is **unsafe** — it holds `fanout` entries, i.e. one more entry
 //!   would overflow it — and releases *all* retained ancestors the moment
 //!   a safe child is reached (`Retained`). Delete is lazy (leaf-only,
 //!   never merges), so it always releases the parent immediately after
 //!   coupling to the child.
-//! * **Safety condition**: a node is *safe* for insert iff
-//!   `entries.len() < fanout` (`is_safe`) — an insertion below it
+//! * **Safety condition**: a node is *safe* for insert iff it holds
+//!   fewer than `fanout` entries (`is_safe`) — an insertion below it
 //!   cannot propagate a split into it. The retained stack therefore
 //!   always covers exactly the maximal unsafe suffix of the descent path:
 //!   when a split does happen, every node it can touch is already
@@ -57,7 +58,7 @@
 //!   stay *block-atomic*, which prevents the read-read-write-write page
 //!   pattern `oodb-model::recorder` pins as the paper's Example 1.
 //!
-//! The B-link chase (`must_chase`, [`Probe::Chase`]) is what keeps a
+//! The B-link chase ([`Probe::Chase`]) is what keeps a
 //! reader correct: it reads parents without a latch, so it meets nodes
 //! split after it chose them, and the chase finds the key right of them.
 //! For the writers' coupled descents it is only a safety net: a split's
@@ -69,9 +70,10 @@ use oodb_storage::{BufferManager, Page, PageError, PageExclusive, PageId, PageSh
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// `true` iff an insertion below `node` cannot split it.
-pub(crate) fn is_safe(node: &Node, fanout: usize) -> bool {
-    node.entries.len() < fanout
+/// `true` iff an insertion below a node of `entries` entries cannot split
+/// it.
+pub(crate) fn is_safe(entries: usize, fanout: usize) -> bool {
+    entries < fanout
 }
 
 /// The encoded node of a tree page: its record 0.
@@ -90,36 +92,34 @@ pub(crate) fn with_encoded<R>(page: &PageShared<'_>, f: impl FnOnce(EncodedNode<
     page.read(|p| f(EncodedNode::parse(node_record(p))))
 }
 
-/// X-latch `page` and decode its node.
-pub(crate) fn write_latched(mgr: &BufferManager, page: PageId) -> (PageExclusive<'_>, Node) {
-    let guard = mgr.write_page(page).expect("tree pages exist");
-    let node = guard.read(|p| Node::decode(node_record(p)));
-    (guard, node)
+/// Decode the node of an exclusively latched page, to change it.
+pub(crate) fn decode(page: &PageExclusive<'_>) -> Node {
+    page.read(|p| Node::decode(node_record(p)))
 }
 
-/// Encode `node` into record 0 of an exclusively latched page,
-/// compacting on fragmentation, and republish the page's image if the
-/// node is an inner one. `claim` records the write, under the latch and,
-/// for an inner node, while the image's version is odd (DESIGN.md §7).
+/// Write the encoded node `bytes` into record 0 of an exclusively
+/// latched page, compacting on fragmentation, and republish the page's
+/// image if the node is an inner one. `claim` records the write, under
+/// the latch and, for an inner node, while the image's version is odd
+/// (DESIGN.md §7).
 pub(crate) fn write_node(
     images: &InnerImages,
     page: &PageExclusive<'_>,
-    node: &Node,
+    bytes: &[u8],
     claim: impl FnOnce(),
 ) {
-    let bytes = node.encode();
-    if node.is_leaf {
+    if EncodedNode::parse(bytes).is_leaf {
         debug_assert!(
             images.get(page.id()).is_none(),
             "an inner node never becomes a leaf"
         );
         claim();
     } else {
-        images.publish(page.id(), &bytes, claim);
+        images.publish(page.id(), bytes, claim);
     }
     let put = |p: &mut Page| match p.slot_count() {
-        0 => p.insert(&bytes).map(drop),
-        _ => p.update(0, &bytes),
+        0 => p.insert(bytes).map(drop),
+        _ => p.update(0, bytes),
     };
     page.write(|p| match put(p) {
         Err(PageError::Full { .. }) => {
@@ -289,7 +289,8 @@ impl InnerImages {
 /// through unsafe nodes, deepest last: popping one for a split keeps it
 /// latched until the split's writes complete, and `clear` releases them
 /// all the moment a safe child proves no split can propagate this high.
-pub(crate) type Retained<'a> = Vec<(PageExclusive<'a>, Node)>;
+/// They are kept encoded: a split decodes each father it pops.
+pub(crate) type Retained<'a> = Vec<PageExclusive<'a>>;
 
 #[cfg(test)]
 mod tests {

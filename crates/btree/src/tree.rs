@@ -25,10 +25,10 @@
 //! threads.
 
 use crate::latch::{
-    is_safe, node_record, read_latched, with_encoded, write_latched, write_node, InnerImages,
-    Retained, IMAGE_BUF,
+    decode, is_safe, node_record, read_latched, with_encoded, write_node, InnerImages, Retained,
+    IMAGE_BUF,
 };
-use crate::node::{Node, Probe, MAX_KEY_LEN};
+use crate::node::{EncodedNode, Node, Probe, MAX_KEY_LEN};
 use crate::objects::{ObjectIds, ObjectKey};
 use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpec};
 use oodb_core::ids::ObjectIdx;
@@ -98,7 +98,7 @@ impl BLinkTree {
         let images = InnerImages::new(mgr.pool().page_size());
         let root_pin = mgr.allocate().expect("allocating the root page");
         let root = root_pin.id();
-        write_node(&images, &root_pin, &Node::leaf(), || {});
+        write_node(&images, &root_pin, &Node::leaf().encode(), || {});
         drop(root_pin);
         BLinkTree {
             mgr,
@@ -164,9 +164,10 @@ impl BLinkTree {
         }
     }
 
-    /// Write `node` to the X-latched `page` and record it ([`write_node`]).
-    fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, node: &Node) {
-        write_node(&self.images, page, node, || {
+    /// Write the encoded node `bytes` to the X-latched `page` and record
+    /// it ([`write_node`]).
+    fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, bytes: &[u8]) {
+        write_node(&self.images, page, bytes, || {
             ctx.page_write(self.page_object(page.id()))
         });
     }
@@ -193,49 +194,86 @@ impl BLinkTree {
         descriptor: &DescriptorRef,
     ) -> bool {
         assert!(key.len() <= MAX_KEY_LEN, "key longer than MAX_KEY_LEN");
-        // X-latch-coupled descent retaining ancestors of unsafe children;
-        // every record call happens under the node's latch.
-        let mut retained = Retained::new();
         let base = ctx.depth();
-        let (mut page, mut node) = write_latched(&self.mgr, self.root);
-        loop {
-            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base, || true);
-            if node.must_chase(key) {
-                // B-link chase (safety net — splits are atomic under the
-                // retained latches, so a writer normally never sees one):
-                // acquire the sibling before releasing the current node.
-                ctx.exit();
-                let right = node.right_link.expect("high key implies right link");
-                (page, node) = write_latched(&self.mgr, right);
-                continue;
-            }
-            if is_safe(&node, self.fanout) {
-                // no split below can reach any ancestor: release them all
-                retained.clear();
-            }
-            if node.is_leaf {
-                break;
-            }
-            let child = write_latched(&self.mgr, node.child_for(key));
-            retained.push((page, node));
-            (page, node) = child;
-        }
-
+        let mut retained = Retained::new();
+        let (page, hit) = self.descend_exclusive(ctx, key, descriptor, Some(&mut retained));
         // Leaf work, inside the (still open) leaf insert action, with the
         // leaf exclusively latched and every split-reachable ancestor
-        // retained.
-        let fresh = node.upsert(key, value);
-        if node.entries.len() > self.fanout {
-            self.split(ctx, &mut retained, page, node);
-        } else {
-            self.write(ctx, &page, &node);
-            drop(page);
+        // retained. A leaf with room takes the entry into its encoded
+        // record; only a leaf that splits is decoded.
+        let spliced = page.read(|p| {
+            let record = node_record(p);
+            let room = hit.is_some() || is_safe(EncodedNode::parse(record).len(), self.fanout);
+            room.then(|| Node::upsert_encoded(record, key, value))
+        });
+        match spliced {
+            Some(record) => {
+                self.write(ctx, &page, &record);
+                drop(page);
+            }
+            None => {
+                let mut node = decode(&page);
+                node.upsert(key, value);
+                self.split(ctx, &mut retained, page, node);
+            }
         }
         retained.clear();
 
         // close leaf + descent actions + the tree-level insert
         ctx.exit_to(base);
-        fresh
+        hit.is_none()
+    }
+
+    /// X-latch-coupled descent to the leaf responsible for `key`,
+    /// recording `descriptor` at the tree level and at every node visited,
+    /// each visit under the node's latch. Every node is read in place
+    /// ([`EncodedNode::probe`] and its entry count): the writers decode
+    /// only what they change. Returns the X-latched leaf and what it
+    /// holds for `key`, the actions it recorded left open.
+    ///
+    /// With `retained` (an insert), the latches of the ancestors of an
+    /// unsafe node stay held on it, deepest last, and are all released
+    /// the moment a safe node is reached ([`crate::latch`]). Without
+    /// (a delete, which never splits or merges), the parent's latch goes
+    /// as soon as the child's is held.
+    fn descend_exclusive<'a>(
+        &'a self,
+        ctx: &mut TxnCtx,
+        key: &str,
+        descriptor: &DescriptorRef,
+        mut retained: Option<&mut Retained<'a>>,
+    ) -> (PageExclusive<'a>, Option<u64>) {
+        let base = ctx.depth();
+        let latch = |page| self.mgr.write_page(page).expect("tree pages exist");
+        let mut page = latch(self.root);
+        loop {
+            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base, || true);
+            let (probe, entries) = page.read(|p| {
+                let node = EncodedNode::parse(node_record(p));
+                (node.probe(key), node.len())
+            });
+            if !matches!(probe, Probe::Chase(_)) && is_safe(entries, self.fanout) {
+                // no split below can reach any ancestor: release them all
+                retained.iter_mut().for_each(|retained| retained.clear());
+            }
+            match probe {
+                Probe::Chase(right) => {
+                    // B-link chase (a safety net: splits are atomic under
+                    // the retained latches, so a writer normally never
+                    // sees one): the sibling is latched before this node
+                    // is released
+                    ctx.exit();
+                    page = latch(right);
+                }
+                Probe::Child(child) => {
+                    let parent = std::mem::replace(&mut page, latch(child));
+                    if let Some(retained) = retained.as_deref_mut() {
+                        retained.push(parent);
+                    }
+                }
+                Probe::Leaf(hit) => return (page, hit),
+            }
+        }
     }
 
     /// Split the overflowed, exclusively latched `node` — in place if it
@@ -261,8 +299,8 @@ impl BLinkTree {
         // new sibling; B-link: left now points at the sibling before the
         // father learns anything
         node.right_link = Some(right_page);
-        self.write(ctx, &right_pin, &right);
-        self.write(ctx, &page, &node);
+        self.write(ctx, &right_pin, &right.encode());
+        self.write(ctx, &page, &node.encode());
         drop(right_pin);
         drop(page);
         // rearrange the father — a separate subtransaction called from
@@ -281,18 +319,19 @@ impl BLinkTree {
         separator: String,
         child: PageId,
     ) {
-        let (page, mut node) = retained
+        let page = retained
             .pop()
             .expect("a splitting node's father is always retained");
         let rearrange = keyed(Method::Rearrange, &separator);
         self.record_visit(ctx, page.id(), &rearrange, false, || true);
+        let mut node = decode(&page);
         node.upsert(&separator, child.0 as u64);
         if node.entries.len() > self.fanout {
             // the father's father is rearranged from within this
             // rearrangement
             self.split(ctx, retained, page, node);
         } else {
-            self.write(ctx, &page, &node);
+            self.write(ctx, &page, &node.encode());
             drop(page);
         }
         ctx.exit();
@@ -330,11 +369,11 @@ impl BLinkTree {
         // left half keeps chaining to the right half; the right half
         // inherited the root's (empty) link and high key from split()
         node.right_link = Some(right_pin.id());
-        self.write(ctx, &left_pin, node);
-        self.write(ctx, &right_pin, &right);
+        self.write(ctx, &left_pin, &node.encode());
+        self.write(ctx, &right_pin, &right.encode());
         let mut new_root = Node::inner(left_pin.id());
         new_root.upsert(&sep, right_pin.id().0 as u64);
-        write_node(&self.images, root_page, &new_root, || {
+        write_node(&self.images, root_page, &new_root.encode(), || {
             self.root_epoch.store(epoch, Ordering::Release);
             ctx.page_write(self.page_object(page));
         });
@@ -434,30 +473,16 @@ impl BLinkTree {
         descriptor: &DescriptorRef,
     ) -> Option<u64> {
         let base = ctx.depth();
-        let mut page = self.mgr.write_page(self.root).expect("tree pages exist");
-        let removed = loop {
-            self.record_visit(ctx, page.id(), descriptor, ctx.depth() == base, || true);
-            match page.read(|p| Node::probe(node_record(p), key)) {
-                Probe::Chase(right) => {
-                    ctx.exit();
-                    page = self.mgr.write_page(right).expect("tree pages exist");
-                }
-                Probe::Child(child) => {
-                    page = self.mgr.write_page(child).expect("tree pages exist");
-                }
-                Probe::Leaf(None) => break None,
-                Probe::Leaf(Some(_)) => {
-                    // only the leaf that loses the key is decoded
-                    let mut node = page.read(|p| Node::decode(node_record(p)));
-                    let removed = node.remove(key);
-                    self.write(ctx, &page, &node);
-                    break removed;
-                }
-            }
-        };
+        let (page, hit) = self.descend_exclusive(ctx, key, descriptor, None);
+        if hit.is_some() {
+            // only the leaf that loses the key is decoded
+            let mut node = decode(&page);
+            node.remove(key);
+            self.write(ctx, &page, &node.encode());
+        }
         drop(page);
         ctx.exit_to(base);
-        removed
+        hit
     }
 
     /// Full ordered scan over the leaf chain, recorded as the keyless
