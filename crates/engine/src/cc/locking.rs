@@ -105,9 +105,8 @@ struct Table {
 
 /// A mode's hash, never 0: two modes with different tags differ, so an
 /// owner's request is compared in full only with its own grants of the
-/// same tag. Out of line: most requests never hash, and the pass over the
-/// grants stays as small as it was without tags (inlined, it cost
-/// `read_fit` ≈ 4 % of its throughput, EXPERIMENTS.md).
+/// same tag. Out of line: most requests never hash, so the pass over the
+/// grants keeps the hashing out of its loop.
 #[inline(never)]
 fn tag(mode: &ActionDescriptor) -> u64 {
     BuildHasherDefault::<IdHasher>::default().hash_one(mode) | 1
