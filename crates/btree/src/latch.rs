@@ -97,29 +97,29 @@ pub(crate) fn decode(page: &PageExclusive<'_>) -> Node {
     page.read(|p| Node::decode(node_record(p)))
 }
 
-/// Write the encoded node `bytes` into record 0 of an exclusively
-/// latched page, compacting on fragmentation, and republish the page's
-/// image if the node is an inner one. `claim` records the write, under
-/// the latch and, for an inner node, while the image's version is odd
-/// (DESIGN.md §7).
+/// Encode `node` into record 0 of an exclusively latched page,
+/// compacting on fragmentation, and republish the page's image if the
+/// node is an inner one. `claim` records the write, under the latch and,
+/// for an inner node, while the image's version is odd (DESIGN.md §7).
 pub(crate) fn write_node(
     images: &InnerImages,
     page: &PageExclusive<'_>,
-    bytes: &[u8],
+    node: &Node,
     claim: impl FnOnce(),
 ) {
-    if EncodedNode::parse(bytes).is_leaf {
+    let bytes = node.encode();
+    if node.is_leaf {
         debug_assert!(
             images.get(page.id()).is_none(),
             "an inner node never becomes a leaf"
         );
         claim();
     } else {
-        images.publish(page.id(), bytes, claim);
+        images.publish(page.id(), &bytes, claim);
     }
     let put = |p: &mut Page| match p.slot_count() {
-        0 => p.insert(bytes).map(drop),
-        _ => p.update(0, bytes),
+        0 => p.insert(&bytes).map(drop),
+        _ => p.update(0, &bytes),
     };
     page.write(|p| match put(p) {
         Err(PageError::Full { .. }) => {

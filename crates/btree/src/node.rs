@@ -22,7 +22,6 @@
 
 use bytes::{Buf, BufMut};
 use oodb_storage::PageId;
-use std::cmp::Ordering;
 
 /// Maximum key length accepted by the tree (keeps nodes page-sized).
 pub const MAX_KEY_LEN: usize = 128;
@@ -66,7 +65,8 @@ pub enum Probe {
 
 /// Borrowed view of an encoded node: the fixed header parsed, the high
 /// key and the entries left in place. Every descent works on this under
-/// the page's latch; only a split or a delete pays for [`Node::decode`].
+/// the page's latch; only the node a writer changes pays for
+/// [`Node::decode`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EncodedNode<'a> {
     pub(crate) is_leaf: bool,
@@ -162,37 +162,6 @@ impl Node {
     /// node in place — no `Node`, no `String`s.
     pub fn probe(encoded: &[u8], key: &str) -> Probe {
         EncodedNode::parse(encoded).probe(key)
-    }
-
-    /// The record of the node encoded in `record` with `key → value` put
-    /// in, overwriting the value of a key it holds: what decoding,
-    /// [`upsert`](Self::upsert) and [`encode`](Self::encode) would give,
-    /// built by copying the entries around the new one, with no `Node`
-    /// and no `String`s.
-    pub(crate) fn upsert_encoded(record: &[u8], key: &str, value: u64) -> Vec<u8> {
-        let node = EncodedNode::parse(record);
-        let mut at = record.len() - node.entries.len();
-        for (k, _) in node.raw_entries() {
-            match k.cmp(key.as_bytes()) {
-                Ordering::Less => at += 2 + k.len() + 8,
-                Ordering::Equal => {
-                    let mut out = record.to_vec();
-                    let v = at + 2 + k.len();
-                    out[v..v + 8].copy_from_slice(&value.to_le_bytes());
-                    return out;
-                }
-                Ordering::Greater => break,
-            }
-        }
-        let mut out = Vec::with_capacity(record.len() + 2 + key.len() + 8);
-        out.put_slice(&record[..1]);
-        out.put_u16_le(node.count as u16 + 1);
-        out.put_slice(&record[3..at]);
-        out.put_u16_le(key.len() as u16);
-        out.put_slice(key.as_bytes());
-        out.put_u64_le(value);
-        out.put_slice(&record[at..]);
-        out
     }
 
     /// An empty leaf.
@@ -583,16 +552,6 @@ mod tests {
                     Probe::Child(decoded.child_for(&key))
                 };
                 prop_assert_eq!(Node::probe(&bytes, &key), want);
-            }
-
-            /// Putting an entry into the encoded node is decoding it,
-            /// upserting and encoding it again, new key or held.
-            #[test]
-            fn upsert_encoded_equals_the_decoded_node(node in nodes(), key in 0u8..40) {
-                let (key, value) = (k(key), 7_u64 << 40);
-                let mut decoded = node.clone();
-                decoded.upsert(&key, value);
-                prop_assert_eq!(Node::upsert_encoded(&node.encode(), &key, value), decoded.encode());
             }
         }
     }

@@ -98,7 +98,7 @@ impl BLinkTree {
         let images = InnerImages::new(mgr.pool().page_size());
         let root_pin = mgr.allocate().expect("allocating the root page");
         let root = root_pin.id();
-        write_node(&images, &root_pin, &Node::leaf().encode(), || {});
+        write_node(&images, &root_pin, &Node::leaf(), || {});
         drop(root_pin);
         BLinkTree {
             mgr,
@@ -164,10 +164,9 @@ impl BLinkTree {
         }
     }
 
-    /// Write the encoded node `bytes` to the X-latched `page` and record
-    /// it ([`write_node`]).
-    fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, bytes: &[u8]) {
-        write_node(&self.images, page, bytes, || {
+    /// Write `node` to the X-latched `page` and record it ([`write_node`]).
+    fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, node: &Node) {
+        write_node(&self.images, page, node, || {
             ctx.page_write(self.page_object(page.id()))
         });
     }
@@ -196,32 +195,23 @@ impl BLinkTree {
         assert!(key.len() <= MAX_KEY_LEN, "key longer than MAX_KEY_LEN");
         let base = ctx.depth();
         let mut retained = Retained::new();
-        let (page, hit) = self.descend_exclusive(ctx, key, descriptor, Some(&mut retained));
+        let (page, _) = self.descend_exclusive(ctx, key, descriptor, Some(&mut retained));
         // Leaf work, inside the (still open) leaf insert action, with the
         // leaf exclusively latched and every split-reachable ancestor
-        // retained. A leaf with room takes the entry into its encoded
-        // record; only a leaf that splits is decoded.
-        let spliced = page.read(|p| {
-            let record = node_record(p);
-            let room = hit.is_some() || is_safe(EncodedNode::parse(record).len(), self.fanout);
-            room.then(|| Node::upsert_encoded(record, key, value))
-        });
-        match spliced {
-            Some(record) => {
-                self.write(ctx, &page, &record);
-                drop(page);
-            }
-            None => {
-                let mut node = decode(&page);
-                node.upsert(key, value);
-                self.split(ctx, &mut retained, page, node);
-            }
+        // retained: only the leaf is decoded.
+        let mut node = decode(&page);
+        let fresh = node.upsert(key, value);
+        if node.entries.len() > self.fanout {
+            self.split(ctx, &mut retained, page, node);
+        } else {
+            self.write(ctx, &page, &node);
+            drop(page);
         }
         retained.clear();
 
         // close leaf + descent actions + the tree-level insert
         ctx.exit_to(base);
-        hit.is_none()
+        fresh
     }
 
     /// X-latch-coupled descent to the leaf responsible for `key`,
@@ -299,8 +289,8 @@ impl BLinkTree {
         // new sibling; B-link: left now points at the sibling before the
         // father learns anything
         node.right_link = Some(right_page);
-        self.write(ctx, &right_pin, &right.encode());
-        self.write(ctx, &page, &node.encode());
+        self.write(ctx, &right_pin, &right);
+        self.write(ctx, &page, &node);
         drop(right_pin);
         drop(page);
         // rearrange the father — a separate subtransaction called from
@@ -331,7 +321,7 @@ impl BLinkTree {
             // rearrangement
             self.split(ctx, retained, page, node);
         } else {
-            self.write(ctx, &page, &node.encode());
+            self.write(ctx, &page, &node);
             drop(page);
         }
         ctx.exit();
@@ -369,11 +359,11 @@ impl BLinkTree {
         // left half keeps chaining to the right half; the right half
         // inherited the root's (empty) link and high key from split()
         node.right_link = Some(right_pin.id());
-        self.write(ctx, &left_pin, &node.encode());
-        self.write(ctx, &right_pin, &right.encode());
+        self.write(ctx, &left_pin, node);
+        self.write(ctx, &right_pin, &right);
         let mut new_root = Node::inner(left_pin.id());
         new_root.upsert(&sep, right_pin.id().0 as u64);
-        write_node(&self.images, root_page, &new_root.encode(), || {
+        write_node(&self.images, root_page, &new_root, || {
             self.root_epoch.store(epoch, Ordering::Release);
             ctx.page_write(self.page_object(page));
         });
@@ -478,7 +468,7 @@ impl BLinkTree {
             // only the leaf that loses the key is decoded
             let mut node = decode(&page);
             node.remove(key);
-            self.write(ctx, &page, &node.encode());
+            self.write(ctx, &page, &node);
         }
         drop(page);
         ctx.exit_to(base);

@@ -19,10 +19,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// hands out — never outside input — so SipHash's collision resistance
 /// buys nothing on what is the certifier's hottest path (one lookup per
 /// derived edge). No map here is iterated, so no order depends on it.
-/// The engine's lock stripes tag their grants' modes with it too: there a
-/// collision costs one full comparison, never a wrong answer.
 #[derive(Default)]
-pub struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl IdHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;
