@@ -140,16 +140,17 @@ impl Encyclopedia {
         result
     }
 
-    /// Change the text of the item under `key` (Example 4's `T2`).
-    pub fn change(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> bool {
+    /// Change the text of the item under `key` (Example 4's `T2`);
+    /// returns the text it replaced, or `None` if there is no such item.
+    pub fn change(&self, ctx: &mut TxnCtx, key: &str, text: &str) -> Option<String> {
         let update = keyed(Method::Update, key);
         ctx.enter(self.enc_obj, update.clone());
-        let changed = match self.tree.search(ctx, key) {
-            Some(id) => self.list.update_item(ctx, id, text, &update),
-            None => false,
-        };
+        let old = self
+            .tree
+            .search(ctx, key)
+            .and_then(|id| self.list.update_item(ctx, id, text, &update));
         ctx.exit();
-        changed
+        old
     }
 
     /// Delete the item under `key`.
@@ -234,12 +235,15 @@ mod tests {
             e.search(&mut ctx, "DBS").as_deref(),
             Some("database systems")
         );
-        assert!(e.change(&mut ctx, "DBS", "updated"));
+        assert_eq!(
+            e.change(&mut ctx, "DBS", "updated").as_deref(),
+            Some("database systems")
+        );
         assert_eq!(e.search(&mut ctx, "DBS").as_deref(), Some("updated"));
         assert!(e.delete(&mut ctx, "DBS"));
         assert!(!e.delete(&mut ctx, "DBS"));
         assert_eq!(e.search(&mut ctx, "DBS"), None);
-        assert!(!e.change(&mut ctx, "DBS", "zombie"));
+        assert_eq!(e.change(&mut ctx, "DBS", "zombie"), None);
         drop(ctx);
     }
 

@@ -410,8 +410,10 @@ impl ItemList {
     }
 
     /// Overwrite an item's text through the list and the item object (the
-    /// paper's Example 4: `T2` changes the previously inserted item). The
-    /// list-level `update` action — `descriptor`, the caller's
+    /// paper's Example 4: `T2` changes the previously inserted item), and
+    /// return the text it replaced — read under the item page's X latch,
+    /// in the same visit as the write — or `None` if the item is gone.
+    /// The list-level `update` action — `descriptor`, the caller's
     /// `update(key)` — carries the dependency to LinkedList, see
     /// [`ItemList::read_item`].
     pub fn update_item(
@@ -420,11 +422,9 @@ impl ItemList {
         id: ItemId,
         text: &str,
         descriptor: &DescriptorRef,
-    ) -> bool {
+    ) -> Option<String> {
         let mut state = self.state.write();
-        let Some(loc) = self.locate(id, descriptor) else {
-            return false;
-        };
+        let loc = self.locate(id, descriptor)?;
         let write = DescriptorRef::write();
         ctx.record(
             &[(self.list_obj, descriptor), (self.item_object(id), &write)],
@@ -434,7 +434,10 @@ impl ItemList {
             .pool
             .write_page(loc.item_page)
             .expect("item page exists");
-        let updated = pin.write(|p| p.update(loc.item_slot, text.as_bytes()).is_ok());
+        let (old, updated) = pin.write(|p| {
+            let old = text_of(p, loc.item_slot).expect("a live item has its text");
+            (old, p.update(loc.item_slot, text.as_bytes()).is_ok())
+        });
         drop(pin);
         if updated {
             ctx.page_write(self.page_object(loc.item_page));
@@ -450,7 +453,7 @@ impl ItemList {
         }
         ctx.exit(); // item write
         ctx.exit(); // list update
-        true
+        Some(old)
     }
 
     /// Remove an item: mark its directory record dead and delete content.
@@ -593,20 +596,31 @@ mod tests {
     }
 
     #[test]
-    fn update_changes_text_even_across_relocation() {
+    fn update_returns_the_replaced_text_even_across_relocation() {
         let (l, rec) = list();
         let mut ctx = rec.begin_txn("T1");
         let id = l.insert(&mut ctx, "DBMS", "v1", &keyed(Method::Insert, "DBMS"));
-        assert!(l.update_item(&mut ctx, id, "v2", &keyed(Method::Update, "DBMS")));
+        let update = keyed(Method::Update, "DBMS");
+        assert_eq!(
+            l.update_item(&mut ctx, id, "v2", &update).as_deref(),
+            Some("v1")
+        );
         let search = keyed(Method::Search, "DBMS");
         assert_eq!(l.read_item(&mut ctx, id, &search).as_deref(), Some("v2"));
         // force relocation with a much larger payload
         let long = "x".repeat(180);
-        assert!(l.update_item(&mut ctx, id, &long, &keyed(Method::Update, "DBMS")));
+        assert_eq!(
+            l.update_item(&mut ctx, id, &long, &update).as_deref(),
+            Some("v2")
+        );
         assert_eq!(
             l.read_item(&mut ctx, id, &search).as_deref(),
             Some(long.as_str())
         );
+        // the relocated text is what the next update replaces
+        assert_eq!(l.update_item(&mut ctx, id, "v3", &update), Some(long));
+        assert!(l.remove(&mut ctx, id, &keyed(Method::Delete, "DBMS")));
+        assert_eq!(l.update_item(&mut ctx, id, "v4", &update), None);
         drop(ctx);
     }
 

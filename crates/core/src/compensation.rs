@@ -15,27 +15,22 @@
 //! This module provides the protocol-agnostic pieces:
 //!
 //! * [`Inverse`] — how to undo one committed action;
-//! * [`CompensationLog`] — per-transaction stacks of inverses;
 //! * [`InverseRegistry`] — deriving inverses from action descriptors for
 //!   the common method families (keyed containers, escrow counters).
 //!
-//! Executors (the encyclopedia, the object model) register inverses while
-//! running and apply them through their own mutation paths on abort, so
+//! Executors (the encyclopedia, the object model) push inverses onto the
+//! running transaction's own undo stack (`oodb_model::TxnCtx`) and apply
+//! them in reverse through their own mutation paths on abort, so
 //! compensation is itself recorded and checked.
 //!
 //! ```
-//! use oodb_core::compensation::{CompensationLog, Inverse, InverseRegistry};
+//! use oodb_core::compensation::InverseRegistry;
 //! use oodb_core::commutativity::{ActionDescriptor, Method};
 //!
 //! let reg = InverseRegistry::new();
 //! let fwd = ActionDescriptor::keyed(Method::Insert, "DBS");
 //! let inv = reg.invert(&fwd, None).unwrap();
 //! assert_eq!(inv.method, Method::Delete);
-//!
-//! let mut log = CompensationLog::new();
-//! log.push(1, Inverse::new("Enc", inv));
-//! let plan = log.abort_plan(1);       // reverse commit order
-//! assert_eq!(plan.len(), 1);
 //! ```
 
 use crate::commutativity::{ActionDescriptor, Args, Method};
@@ -45,7 +40,7 @@ use std::collections::HashMap;
 
 /// Signature of a custom inverse builder: forward descriptor + saved
 /// state → inverse descriptor (or `None` = not invertible).
-pub type InverseFn = fn(&ActionDescriptor, Option<&Value>) -> Option<ActionDescriptor>;
+pub type InverseFn = fn(&ActionDescriptor, Option<Value>) -> Option<ActionDescriptor>;
 
 /// A compensating action: the descriptor to apply on some object. State
 /// the inverse needs to rebuild (the overwritten item text, the removed
@@ -69,53 +64,6 @@ impl Inverse {
     }
 }
 
-/// Per-transaction compensation stacks. Inverses are pushed as
-/// subtransactions commit and popped in reverse on abort (the classic
-/// saga/compensation order).
-#[derive(Debug, Default)]
-pub struct CompensationLog {
-    stacks: HashMap<u32, Vec<Inverse>>,
-}
-
-impl CompensationLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that transaction `txn` committed a subtransaction whose
-    /// effect `inverse` undoes.
-    pub fn push(&mut self, txn: u32, inverse: Inverse) {
-        self.stacks.entry(txn).or_default().push(inverse);
-    }
-
-    /// Number of pending inverses for `txn`.
-    pub fn pending(&self, txn: u32) -> usize {
-        self.stacks.get(&txn).map(Vec::len).unwrap_or(0)
-    }
-
-    /// The most recently pushed inverse for `txn` — the compensation of
-    /// the transaction's latest registered effect. The engine's
-    /// write-ahead logger reads this right after executing an operation
-    /// to pair the redo record with its inverse.
-    pub fn last(&self, txn: u32) -> Option<&Inverse> {
-        self.stacks.get(&txn).and_then(|s| s.last())
-    }
-
-    /// Take the compensation plan for an aborting transaction: the
-    /// inverses in reverse commit order. The log entry is consumed.
-    pub fn abort_plan(&mut self, txn: u32) -> Vec<Inverse> {
-        let mut v = self.stacks.remove(&txn).unwrap_or_default();
-        v.reverse();
-        v
-    }
-
-    /// Discard the log of a committing transaction (its effects stand).
-    pub fn commit(&mut self, txn: u32) {
-        self.stacks.remove(&txn);
-    }
-}
-
 /// Derives inverses for the standard method families. Custom executors
 /// can register additional rules per method.
 #[derive(Debug, Default)]
@@ -136,15 +84,15 @@ impl InverseRegistry {
 
     /// Derive the inverse descriptor of `d`. `saved` carries state
     /// captured before the forward action (previous value, overwritten
-    /// text). Returns `None` for actions with no effect to undo (reads)
+    /// text); it moves into the inverse's arguments. Returns `None` for actions with no effect to undo (reads)
     /// and for methods without a known inverse (caller must then fall
     /// back to forbidding early release — i.e. closed nesting).
-    pub fn invert(&self, d: &ActionDescriptor, saved: Option<&Value>) -> Option<ActionDescriptor> {
+    pub fn invert(&self, d: &ActionDescriptor, saved: Option<Value>) -> Option<ActionDescriptor> {
         if let Some(f) = self.custom.get(&d.method) {
             return f(d, saved);
         }
         // the forward arguments, then the saved state the inverse rebuilds
-        let with_saved = || d.args.iter().chain(saved).cloned().collect::<Args>();
+        let with_saved = || d.args.iter().cloned().chain(saved).collect::<Args>();
         match d.method {
             // keyed containers
             Method::Insert => Some(ActionDescriptor::new(Method::Delete, d.args.clone())),
@@ -162,7 +110,7 @@ impl InverseRegistry {
     pub fn is_compensable(&self, d: &ActionDescriptor) -> bool {
         match d.method {
             Method::Read | Method::Search | Method::Balance | Method::ReadSeq => true,
-            _ => self.invert(d, Some(&Value::Unit)).is_some(),
+            _ => self.invert(d, Some(Value::Unit)).is_some(),
         }
     }
 }
@@ -171,25 +119,6 @@ impl InverseRegistry {
 mod tests {
     use super::*;
     use crate::value::key;
-
-    #[test]
-    fn log_replays_in_reverse() {
-        let mut log = CompensationLog::new();
-        log.push(1, Inverse::new("A", ActionDescriptor::nullary("x1")));
-        log.push(1, Inverse::new("B", ActionDescriptor::nullary("x2")));
-        log.push(2, Inverse::new("C", ActionDescriptor::nullary("y1")));
-        assert_eq!(log.pending(1), 2);
-        let plan = log.abort_plan(1);
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].descriptor.method.as_str(), "x2");
-        assert_eq!(plan[1].descriptor.method.as_str(), "x1");
-        assert_eq!(log.pending(1), 0);
-        // txn 2 unaffected
-        assert_eq!(log.pending(2), 1);
-        log.commit(2);
-        assert_eq!(log.pending(2), 0);
-        assert!(log.abort_plan(2).is_empty());
-    }
 
     #[test]
     fn builtin_inverses() {
@@ -201,7 +130,7 @@ mod tests {
         );
         let del = ActionDescriptor::new("delete", vec![key("DBS")]);
         let inv = reg
-            .invert(&del, Some(&Value::Str("old text".into())))
+            .invert(&del, Some(Value::Str("old text".into())))
             .unwrap();
         assert_eq!(inv.method, Method::Insert);
         assert_eq!(inv.args.len(), 2);
@@ -231,7 +160,7 @@ mod tests {
     #[test]
     fn custom_rules_override() {
         let mut reg = InverseRegistry::new();
-        fn inv(_: &ActionDescriptor, _: Option<&Value>) -> Option<ActionDescriptor> {
+        fn inv(_: &ActionDescriptor, _: Option<Value>) -> Option<ActionDescriptor> {
             Some(ActionDescriptor::nullary("defrobnicate"))
         }
         reg.register("frobnicate", inv);
@@ -249,7 +178,7 @@ mod tests {
     fn update_inverse_carries_previous_value() {
         let reg = InverseRegistry::new();
         let upd = ActionDescriptor::new("update", vec![key("DBMS")]);
-        let inv = reg.invert(&upd, Some(&Value::Str("v1".into()))).unwrap();
+        let inv = reg.invert(&upd, Some(Value::Str("v1".into()))).unwrap();
         assert_eq!(inv.method, Method::Update);
         assert_eq!(inv.args[1], Value::Str("v1".into()));
     }

@@ -74,7 +74,7 @@ pub mod prelude {
         ActionDescriptor, AllCommute, AllConflict, CommutativitySpec, EscrowSpec, KeyedSpec,
         MatrixSpec, Method, RangeSpec, ReadWriteSpec, SpecRef,
     };
-    pub use crate::compensation::{CompensationLog, Inverse, InverseRegistry};
+    pub use crate::compensation::{Inverse, InverseRegistry};
     pub use crate::extension::{extend_virtual_objects, ExtensionReport};
     pub use crate::graph::DiGraph;
     pub use crate::history::{History, HistoryError};

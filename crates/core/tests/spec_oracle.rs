@@ -239,6 +239,39 @@ fn the_universe_separates_the_specs() {
     }
 }
 
+/// A change records no read of the text it replaces, and a delete need
+/// not either: under the encyclopedia's and the item list's specs,
+/// everything that conflicts with `search(k)` conflicts with `update(k)`
+/// and with `delete(k)` too, so a write's own action carries every edge
+/// the read would have added. Checked for every key the argument shapes
+/// name, against every descriptor of the universe.
+#[test]
+fn every_conflict_of_a_search_is_a_conflict_of_a_write() {
+    let universe = universe();
+    let specs: [Box<dyn CommutativitySpec>; 2] = [
+        Box::new(RangeSpec::ordered_container("encyclopedia")),
+        Box::new(KeyedSpec::search_structure("item-list")),
+    ];
+    let mut conflicts = 0;
+    for spec in &specs {
+        for k in ["a", "b", "c", "d", "e"] {
+            let search = ActionDescriptor::keyed(Method::Search, k);
+            for other in universe.iter().filter(|d| !spec.commutes(&search, d)) {
+                for write in [Method::Update, Method::Delete] {
+                    let write = ActionDescriptor::keyed(write, k);
+                    assert!(
+                        !spec.commutes(&write, other),
+                        "{}: {other} conflicts with {search} but commutes with {write}",
+                        spec.name()
+                    );
+                }
+                conflicts += 1;
+            }
+        }
+    }
+    assert!(conflicts > 100, "{conflicts} conflicting descriptors");
+}
+
 fn key_text() -> impl Strategy<Value = String> {
     prop_oneof![
         prop::sample::select(vec!["a", "b", "k0001", "k0002"]).prop_map(str::to_owned),

@@ -105,7 +105,7 @@ struct ReplayTxn {
 fn apply(enc: &Encyclopedia, ctx: &mut TxnCtx, op: &EngineOp) -> bool {
     match op {
         EngineOp::Insert { key, text } => enc.insert(ctx, key, text).is_some(),
-        EngineOp::Change { key, text } => enc.change(ctx, key, text),
+        EngineOp::Change { key, text } => enc.change(ctx, key, text).is_some(),
         EngineOp::Delete { key } => enc.delete(ctx, key),
     }
 }

@@ -160,7 +160,7 @@ impl<'a> Wal<'a> {
     }
 
     /// After the executed `op` (with `hit` = engaged its target), pair
-    /// the redo with the inverse the compensation log just captured and
+    /// the redo with the inverse `op` just pushed onto `ctx`'s undo stack and
     /// append the `Op` record. Call while what ordered `op`'s execution
     /// is still held.
     fn log_executed(
@@ -180,7 +180,7 @@ impl<'a> Wal<'a> {
         };
         let comp = enc
             .last_inverse(ctx)
-            .and_then(|inv| comp_of(&inv))
+            .and_then(comp_of)
             .expect("every effectful mutation captures an inverse");
         self.log_op(m, redo, comp);
     }

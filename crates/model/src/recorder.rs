@@ -96,7 +96,7 @@
 //! run nobody will read — strict 2PL with the audit off, where the locks
 //! decide everything and no checker runs. [`Recorder::begin_txn`] still
 //! hands out numbers in the same sequence (they name lock owners and
-//! compensation logs), a cursor still counts its nesting depth, so the
+//! log records), a cursor still counts its nesting depth, so the
 //! executors' `enter` / `exit` discipline is checked the same way; but a
 //! cursor has no stage, a visit claims no ticket and stages nothing, and
 //! nothing is ever drained. Objects are still registered (an executor
@@ -104,6 +104,7 @@
 //! history.
 
 use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, SpecRef};
+use oodb_core::compensation::Inverse;
 use oodb_core::history::History;
 use oodb_core::ids::{ActionIdx, ObjectIdx};
 use oodb_core::system::TransactionSystem;
@@ -401,6 +402,7 @@ impl Recorder {
                 stage: None,
                 number,
                 depth: 1,
+                undo: Vec::new(),
             };
         }
         let descriptor = ActionDescriptor::nullary(name.into()).into();
@@ -436,6 +438,7 @@ impl Recorder {
             stage: Some(stage),
             number,
             depth: 1,
+            undo: Vec::new(),
         }
     }
 
@@ -511,6 +514,13 @@ impl Recorder {
 /// Cursor of one in-flight transaction. Not `Sync`: each transaction is
 /// driven by one executor at a time (one *process* in the paper's
 /// Definition 9 sense).
+///
+/// The cursor also carries the transaction's undo stack: the inverse of
+/// each effectful operation, pushed by the executor that ran it
+/// ([`TxnCtx::push_inverse`]). It is the transaction's own state, so no
+/// other thread touches it: dropping the cursor (commit) discards it,
+/// and an abort takes it ([`TxnCtx::take_inverses`]) and runs it in
+/// reverse.
 pub struct TxnCtx {
     recorder: Recorder,
     /// `None` when the recorder is disabled.
@@ -518,12 +528,14 @@ pub struct TxnCtx {
     number: u32,
     /// Open actions, the root included.
     depth: u32,
+    /// Inverses of the effectful operations so far, oldest first.
+    undo: Vec<Inverse>,
 }
 
 impl TxnCtx {
     /// Zero-based number of this top-level transaction: the position of
     /// its root in `top_level()` once the root is materialized (stable
-    /// key for compensation logs and schedulers).
+    /// key for lock owners, log records and schedulers).
     pub fn txn_number(&self) -> u32 {
         self.number
     }
@@ -670,6 +682,22 @@ impl TxnCtx {
     /// Convenience: record a primitive page `write`.
     pub fn page_write(&mut self, page: ObjectIdx) {
         self.record(&[], Some((page, &DescriptorRef::write())))
+    }
+
+    /// Push the inverse of an effectful operation the transaction just
+    /// ran onto its undo stack.
+    pub fn push_inverse(&mut self, inverse: Inverse) {
+        self.undo.push(inverse);
+    }
+
+    /// The transaction's undo stack, oldest inverse first.
+    pub fn inverses(&self) -> &[Inverse] {
+        &self.undo
+    }
+
+    /// Take the undo stack, leaving it empty.
+    pub fn take_inverses(&mut self) -> Vec<Inverse> {
+        std::mem::take(&mut self.undo)
     }
 }
 

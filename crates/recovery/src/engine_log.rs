@@ -7,7 +7,7 @@
 //! a live abort would (`oodb_core::compensation`). Each [`Op`] record
 //! therefore carries **both** directions of one encyclopedia mutation:
 //! the forward operation for repeating history and the inverse the
-//! compensation log captured at execution time, so restart can undo
+//! transaction's undo stack captured at execution time, so restart can undo
 //! losers without any page images at all.
 //!
 //! Records are self-contained plain data (keys and texts, no engine

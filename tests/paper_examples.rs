@@ -100,7 +100,7 @@ fn example4_live_encyclopedia() {
 
     enc.insert(&mut t1, "DBS", "database systems");
     enc.insert(&mut t2, "DBMS", "v1");
-    assert!(enc.change(&mut t2, "DBMS", "v2"));
+    assert_eq!(enc.change(&mut t2, "DBMS", "v2").as_deref(), Some("v1"));
     // note: unlike the hand-crafted Example 4 (where T3 only consults the
     // index), the live search also reads the *item*, so it must run after
     // T2's change — in between it would be a genuine read anomaly, which
@@ -146,7 +146,7 @@ fn example4_unrepeatable_read_rejected() {
     let mut t2 = rec.begin_txn("T2");
     let mut t4 = rec.begin_txn("T4");
     let first = enc.read_seq(&mut t4);
-    assert!(enc.change(&mut t2, "DBMS", "v2"));
+    assert_eq!(enc.change(&mut t2, "DBMS", "v2").as_deref(), Some("v1"));
     let second = enc.read_seq(&mut t4);
     assert_ne!(first, second, "T4 observed two different states");
     drop(t2);
