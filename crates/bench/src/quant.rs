@@ -914,22 +914,18 @@ mod tests {
         }
     }
 
+    /// B11 on counts: the untraced run captures nothing and the default
+    /// ring holds the whole traced run. The throughput ratio is a clock
+    /// reading, printed by `experiments b11`, not asserted; that a
+    /// disabled tracer does no work is `trace::tests`' count.
     #[test]
-    fn b11_ring_tracing_keeps_half_the_throughput() {
+    fn b11_ring_tracing_captures_the_whole_run() {
         use oodb_engine::TraceMode;
         let off = b11_run(TraceMode::Off, 96);
         assert!(off.trace.is_none(), "off mode captures nothing");
         let ring = b11_run(TraceMode::ring(), 96);
         let log = ring.trace.as_ref().expect("ring sink captured a trace");
         assert_eq!(log.dropped, 0, "default ring capacity holds the run");
-        // loose CI-safe bound: even the *enabled* ring sink must not
-        // halve throughput, so the disabled fast path is far below the
-        // ~5% budget the design targets (B11 reports the measured ratio)
-        let ratio = ring.metrics.throughput_per_sec / off.metrics.throughput_per_sec.max(1e-9);
-        assert!(
-            ratio >= 0.5,
-            "ring-traced run fell below half of untraced throughput: {ratio:.2}x"
-        );
     }
 
     /// B14's floor on counts, which hold whatever the arrival timing:

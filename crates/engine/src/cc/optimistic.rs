@@ -15,20 +15,15 @@
 //! actions recorded since the last one under the recorder's record lock
 //! and checks Definition 16 from the candidate's own edges.
 //!
-//! There is one certifier at every shard count. The paper decentralizes
+//! There is one certifier at every lane count. The paper decentralizes
 //! by object (Definition 6), which the certifier's per-object schedules
 //! already do, and the cut ([`oodb_core::retention`]) keeps what a commit
 //! is checked against at a few transactions; a second scoping by hash
 //! partition bought nothing measurable (EXPERIMENTS.md "After the
-//! merge"). [`OptimisticCc::with_shards`] therefore only *accounts*:
-//! the lanes an attempt's operations routed to, kept in its own handle,
-//! feed the per-shard lanes and the cross-shard counter of
-//! [`EngineMetrics`](crate::EngineMetrics).
+//! merge"). The metric lanes are the engine's, not the control's
+//! ([`EngineMetrics::shard_op`](crate::EngineMetrics::shard_op)).
 
-use super::{
-    bits, route_keyed, ConcurrencyControl, EngineShared, FaultPlan, FinishOutcome, OpGrant,
-    ShardRoute, TxnHandle,
-};
+use super::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_btree::EncOp;
 use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome};
@@ -49,36 +44,16 @@ use std::sync::atomic::Ordering;
 /// still retains plus the candidate.
 pub struct OptimisticCc {
     cert: Mutex<Certifier>,
-    /// Lanes the key space is accounted over (1 = no lanes).
-    shards: usize,
-    faults: FaultPlan,
 }
 
 impl OptimisticCc {
     /// Writes deferred to the commit point, reads of committed state when
     /// issued, certified incrementally against the paper's decentralized
-    /// Definition 16, on one shard.
+    /// Definition 16.
     pub fn new() -> Self {
         OptimisticCc {
             cert: Mutex::new(Certifier::new(CertifierMode::Paper)),
-            shards: 1,
-            faults: FaultPlan::default(),
         }
-    }
-
-    /// Account operations and commits over `shards` (at most 64) hash
-    /// partitions of the key space ([`shard_of_key`](super::shard_of_key)).
-    /// Decisions do not depend on it (`tests/cert_differential.rs`
-    /// compares the decision logs at 1 and 3 shards).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, u64::BITS as usize);
-        self
-    }
-
-    /// Arm a mid-flight abort: attempt `attempt` of `job` aborts once
-    /// `after_ops` of its operations have executed (test hook).
-    pub fn inject_fault_after(&self, job: u64, attempt: u32, after_ops: usize) {
-        self.faults.arm(job, attempt, after_ops);
     }
 
     /// Committed transactions so far.
@@ -194,15 +169,7 @@ impl ConcurrencyControl for OptimisticCc {
         "optimistic"
     }
 
-    fn before_op(&self, shared: &EngineShared, txn: &TxnHandle, op: &EncOp) -> OpGrant {
-        if self.shards > 1 {
-            let lanes = match route_keyed(op, self.shards) {
-                ShardRoute::One(s) => 1 << s,
-                ShardRoute::All => u64::MAX >> (u64::BITS as usize - self.shards),
-            };
-            txn.footprint.set(txn.footprint.get() | lanes);
-            bits(lanes).for_each(|l| shared.metrics.shard_op(l));
-        }
+    fn before_op(&self, _shared: &EngineShared, _txn: &TxnHandle, _op: &EncOp) -> OpGrant {
         OpGrant::Granted
     }
 
@@ -211,7 +178,6 @@ impl ConcurrencyControl for OptimisticCc {
             .rec
             .with_record(|ts, history| self.certify(shared, txn, ts, history));
         if committed {
-            shared.metrics.commit_lanes(bits(txn.footprint.get()));
             FinishOutcome::Committed
         } else {
             FinishOutcome::Abort
@@ -232,22 +198,6 @@ impl ConcurrencyControl for OptimisticCc {
         }
     }
 
-    fn shards(&self) -> usize {
-        self.shards
-    }
-
-    fn route(&self, op: &EncOp) -> ShardRoute {
-        if self.shards == 1 {
-            ShardRoute::One(0)
-        } else {
-            route_keyed(op, self.shards)
-        }
-    }
-
-    fn inject_abort(&self, txn: &TxnHandle, ops_done: usize) -> bool {
-        self.faults.fires(txn, ops_done)
-    }
-
     fn buffers_writes(&self) -> bool {
         true
     }
@@ -260,26 +210,5 @@ impl ConcurrencyControl for OptimisticCc {
 
     fn committed_projection(&self, ts: &TransactionSystem, history: &History) -> Option<History> {
         Some(self.cert.lock().committed_history(ts, history))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shards_route_by_the_key_hash_and_one_shard_routes_to_zero() {
-        let cc = OptimisticCc::new().with_shards(4);
-        assert_eq!(cc.shards(), 4);
-        let alpha = EncOp::Insert("alpha".into());
-        assert_eq!(
-            cc.route(&alpha),
-            ShardRoute::One(crate::shard_of_key("alpha", 4))
-        );
-        assert_eq!(cc.route(&EncOp::ReadSeq), ShardRoute::All);
-        let one = OptimisticCc::new();
-        assert_eq!(one.shards(), 1);
-        assert_eq!(one.route(&alpha), ShardRoute::One(0));
-        assert_eq!(one.route(&EncOp::ReadSeq), ShardRoute::One(0));
     }
 }

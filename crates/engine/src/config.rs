@@ -119,12 +119,12 @@ pub struct EngineConfig {
     pub seed: u64,
     /// B-link tree fanout of the underlying encyclopedia.
     pub fanout: usize,
-    /// Number of metric lanes the key space is accounted over (per-lane
-    /// operations, blocks and commits, and the cross-shard counter). No
-    /// decision depends on it: strict 2PL has one lock table striped by
-    /// key hash ([`STRIPES`](crate::STRIPES) stripes) and the optimistic
-    /// strategy one certifier, at every value. `1` (the default) keeps no
-    /// lanes; the optimistic strategy keeps at most 64.
+    /// Number of metric lanes the key space is accounted over by key hash
+    /// (per-lane operations and commits, and the cross-shard counter),
+    /// clamped once to 1..=64, for every control alike. No decision
+    /// depends on it: strict 2PL has one lock table striped by key hash
+    /// ([`STRIPES`](crate::STRIPES) stripes) and the optimistic strategy
+    /// one certifier, at every value. `1` (the default) keeps no lanes.
     pub shards: usize,
     /// Record and verify the execution on shutdown: pessimistic runs
     /// audit the complete record (including aborted attempts and their

@@ -504,7 +504,6 @@ mod tests {
     use super::*;
     use crate::{CcKind, Engine, EngineConfig};
     use oodb_core::ids::TxnIdx;
-    use oodb_lock::OwnerId;
     use oodb_recovery::framing::scan;
     use std::sync::Barrier;
 
@@ -530,7 +529,7 @@ mod tests {
         let (end, bytes) = dur.append(&EngineRecord::Commit { txn: job }, &shared.metrics);
         assert!(bytes > FRAME_HEADER);
         Ack {
-            handle: TxnHandle::new(job, 0, TxnIdx(job as u32), OwnerId(job)),
+            handle: TxnHandle::new(job, 0, TxnIdx(job as u32)),
             submitted_at: Instant::now(),
             record_metrics: true,
             wait: Duration::ZERO,

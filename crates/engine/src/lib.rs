@@ -48,14 +48,14 @@ pub mod worker;
 
 pub use audit::{audit, AuditOutput, AuditScope};
 pub use cc::{
-    shard_of_key, ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant,
-    OptimisticCc, ShardRoute, TxnHandle, STRIPES,
+    ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle,
+    STRIPES,
 };
 pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
 pub use durability::{recover, Durability, RecoveryOutcome, ReplayStats};
 pub use metrics::{
-    EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane, ShardLaneSnapshot,
-    ValueQuantiles,
+    shard_of_key, EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane,
+    ShardLaneSnapshot, ShardRoute, ValueQuantiles,
 };
 pub use queue::{Job, JobQueue, PollBackoff, QueueGauges};
 pub use trace::{RingSink, TraceEvent, TraceEventKind, TraceLog, Tracer};
@@ -116,22 +116,19 @@ pub struct EngineOutput {
 
 impl Engine {
     /// Start an engine with one of the built-in strategies.
-    /// [`EngineConfig::shards`] only selects the metric lanes: strict 2PL
-    /// keeps its one striped lock table and the optimistic strategy its
-    /// one certifier at every value.
     pub fn start(cfg: EngineConfig, kind: CcKind) -> Engine {
-        let shards = cfg.shards.max(1);
         let cc: Arc<dyn ConcurrencyControl> = match kind {
-            CcKind::Pessimistic => Arc::new(LockingCc::semantic().with_shards(shards)),
-            CcKind::PessimisticPage => Arc::new(LockingCc::page_level().with_shards(shards)),
-            CcKind::Optimistic => Arc::new(OptimisticCc::new().with_shards(shards)),
+            CcKind::Pessimistic => Arc::new(LockingCc::semantic()),
+            CcKind::PessimisticPage => Arc::new(LockingCc::page_level()),
+            CcKind::Optimistic => Arc::new(OptimisticCc::new()),
         };
         Self::start_with(cfg, cc)
     }
 
-    /// Start an engine with a custom [`ConcurrencyControl`]: one a test
-    /// keeps a handle to, to arm faults
-    /// ([`OptimisticCc::inject_fault_after`]) or read its counters.
+    /// Start an engine with a custom [`ConcurrencyControl`], one a test
+    /// keeps a handle to, to read its counters. As with [`Engine::start`],
+    /// [`EngineConfig::shards`] selects the metric lanes, which no
+    /// control decides by.
     pub fn start_with(cfg: EngineConfig, cc: Arc<dyn ConcurrencyControl>) -> Engine {
         let shared = Arc::new(EngineShared::new(&cfg, cc.as_ref()));
         let queue = Arc::new(JobQueue::with_gauges(
@@ -185,6 +182,14 @@ impl Engine {
             deadline: None,
         };
         worker::process_job(&self.shared, self.cc.as_ref(), &self.cfg, &job, false);
+    }
+
+    /// Arm a mid-flight abort: attempt `attempt` of job `job` (jobs are
+    /// numbered from 0 in submission order) aborts once `after_ops` of
+    /// its operations have been granted, then compensates and retries as
+    /// after a real failure (test hook).
+    pub fn inject_fault_after(&self, job: u64, attempt: u32, after_ops: usize) {
+        self.shared.inject_fault_after(job, attempt, after_ops);
     }
 
     /// Admit a transaction, shedding (`Err`, returning the operations)

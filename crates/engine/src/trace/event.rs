@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use crate::cc::ShardRoute;
+use crate::metrics::ShardRoute;
 use oodb_btree::EncOp;
 
 /// Sentinel worker id for events emitted off the worker pool (the

@@ -14,7 +14,7 @@ use oodb_btree::ops::op_descriptor;
 
 use super::event::{attempt_name, TraceEvent, TraceEventKind, TXN_NONE, WORKER_EXTERNAL};
 use super::sink::TraceLog;
-use crate::cc::ShardRoute;
+use crate::metrics::ShardRoute;
 
 /// Escape a string for a JSON string literal (without the quotes).
 fn esc(s: &str, out: &mut String) {

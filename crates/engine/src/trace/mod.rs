@@ -129,7 +129,7 @@ impl Tracer {
     where
         F: FnOnce() -> TraceEventKind,
     {
-        self.emit(handle.job, handle.attempt, handle.owner.0 as u32, kind);
+        self.emit(handle.job, handle.attempt, handle.txn.0, kind);
     }
 
     /// Emit an event at a pre-claimed sequence number (see
@@ -172,15 +172,22 @@ mod tests {
         Tracer::from_mode(&TraceMode::Ring { capacity_per_lane }, workers)
     }
 
+    /// A disabled tracer runs no payload closure and claims no seq,
+    /// whichever emit is called: with tracing off an event costs the
+    /// branch and nothing else.
     #[test]
-    fn disabled_tracer_skips_payload_closure() {
+    fn a_disabled_tracer_runs_no_payload_and_claims_no_seq() {
         let t = Tracer::disabled();
-        let mut ran = false;
-        t.emit(0, 0, TXN_NONE, || {
-            ran = true;
+        let handle = TxnHandle::new(1, 0, oodb_core::ids::TxnIdx(3));
+        let ran = Cell::new(0);
+        let payload = || {
+            ran.set(ran.get() + 1);
             TraceEventKind::Committed
-        });
-        assert!(!ran);
+        };
+        t.emit(0, 0, TXN_NONE, payload);
+        t.emit_txn(&handle, payload);
+        assert_eq!(ran.get(), 0, "a payload closure ran");
+        assert_eq!(t.seq.load(Ordering::Relaxed), 0, "a seq was claimed");
         assert!(t.drain().is_none());
     }
 

@@ -6,13 +6,12 @@
 use crate::cc::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::config::EngineConfig;
 use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, ShardRoute};
 use crate::queue::{Job, JobQueue, PollBackoff};
 use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
 use oodb_btree::ops::{apply_op, EncOp};
 use oodb_core::commutativity::Method;
 use oodb_core::ids::TxnIdx;
-use oodb_lock::OwnerId;
 use oodb_model::TxnCtx;
 use oodb_recovery::engine_log::{EngineOp as WalOp, EngineRecord};
 use rand::{Rng, SeedableRng};
@@ -210,7 +209,6 @@ fn execute(
 /// Emit the `OpGranted` event of an operation executed at `seq`.
 fn trace_granted(
     shared: &EngineShared,
-    cc: &dyn ConcurrencyControl,
     handle: &TxnHandle,
     seq: u64,
     op: EncOp,
@@ -221,9 +219,9 @@ fn trace_granted(
         seq,
         handle.job,
         handle.attempt,
-        handle.owner.0 as u32,
+        handle.txn.0,
         TraceEventKind::OpGranted {
-            shard: cc.route(&op),
+            shard: ShardRoute::of(&op, shared.metrics.lanes()),
             op,
             wait_ns,
             hit,
@@ -282,11 +280,11 @@ fn compensate(
 ///
 /// * [`begin`](Self::begin) records the root and builds the handle and
 ///   the log cursor;
-/// * [`step`](Self::step) runs one operation: grant, execute or defer,
-///   then the fault check;
+/// * [`step`](Self::step) runs one operation: grant, count it on its
+///   metric lanes, execute or defer, then the fault check;
 /// * [`finish`](Self::finish) is the commit point: install, certify, log,
-///   then commit and [`after_commit`](ConcurrencyControl::after_commit),
-///   or compensate;
+///   then commit, [`after_commit`](ConcurrencyControl::after_commit) and
+///   count the commit on its lanes, or compensate;
 /// * [`abort`](Self::abort) compensates an attempt that stopped before
 ///   its commit point and calls
 ///   [`after_abort`](ConcurrencyControl::after_abort).
@@ -304,6 +302,8 @@ pub struct Attempt<'a> {
     buffering: bool,
     deferred: Vec<EncOp>,
     ops_done: usize,
+    /// The metric lanes its granted operations routed to, one bit each.
+    lanes: u64,
     /// The grant waits so far, split out of execution time when (and
     /// only when) the attempt commits.
     wait: Duration,
@@ -350,12 +350,13 @@ impl<'a> Attempt<'a> {
         Attempt {
             shared,
             cc,
-            handle: TxnHandle::new(job, attempt, TxnIdx(txn), OwnerId(u64::from(txn))),
+            handle: TxnHandle::new(job, attempt, TxnIdx(txn)),
             ctx,
             wal: Wal::new(shared, txn, wal_name),
             buffering: cc.buffers_writes(),
             deferred: Vec::new(),
             ops_done: 0,
+            lanes: 0,
             wait: Duration::ZERO,
             start,
             submitted_at: start,
@@ -373,10 +374,11 @@ impl<'a> Attempt<'a> {
         self.ops_done
     }
 
-    /// Run `op`: ask the control for the grant, then execute it — or,
-    /// for a write the control defers, keep it for the commit point —
-    /// and consult the fault hook. `Err` names why the attempt must
-    /// [`abort`](Self::abort) now.
+    /// Run `op`: ask the control for the grant, count it on its metric
+    /// lanes (the preload's too), then execute it — or, for a write the
+    /// control defers, keep it for the commit point — and consult the
+    /// armed faults ([`EngineShared::inject_fault_after`]). `Err` names
+    /// why the attempt must [`abort`](Self::abort) now.
     pub fn step(&mut self, op: &EncOp) -> Result<(), AbortReason> {
         let (shared, cc) = (self.shared, self.cc);
         let t0 = Instant::now();
@@ -386,30 +388,30 @@ impl<'a> Attempt<'a> {
         if self.record_metrics {
             shared.metrics.lock_wait.record(waited);
         }
-        match grant {
-            OpGrant::Granted if self.buffering && is_write(op) => {
-                // deferred: installs at the commit point, under the same
-                // gate as certification
-                self.deferred.push(op.clone());
+        if grant == OpGrant::AbortVictim {
+            return Err(AbortReason::Victim);
+        }
+        self.lanes |= shared.metrics.shard_op(op);
+        if self.buffering && is_write(op) {
+            // deferred: installs at the commit point, under the same gate
+            // as certification
+            self.deferred.push(op.clone());
+        } else {
+            // under strict 2PL the granted lock orders the op; under
+            // deferred writes it is a read, ordered against every commit
+            // point by the gate held shared
+            let gate = self.buffering.then(|| shared.gate.read());
+            let (seq, hit) = execute(shared, &mut self.ctx, op, self.handle.job, &mut self.wal);
+            drop(gate);
+            if let Some(seq) = seq {
+                let wait_ns = waited.as_nanos() as u64;
+                trace_granted(shared, &self.handle, seq, op.clone(), wait_ns, hit);
             }
-            OpGrant::Granted => {
-                // under strict 2PL the granted lock orders the op; under
-                // deferred writes it is a read, ordered against every
-                // commit point by the gate held shared
-                let gate = self.buffering.then(|| shared.gate.read());
-                let (seq, hit) = execute(shared, &mut self.ctx, op, self.handle.job, &mut self.wal);
-                drop(gate);
-                if let Some(seq) = seq {
-                    let wait_ns = waited.as_nanos() as u64;
-                    trace_granted(shared, cc, &self.handle, seq, op.clone(), wait_ns, hit);
-                }
-            }
-            OpGrant::AbortVictim => return Err(AbortReason::Victim),
         }
         self.ops_done += 1;
         // fault injection: abort mid-flight exactly as a real failure
-        // would, compensating on every shard touched so far
-        if cc.inject_abort(&self.handle, self.ops_done) {
+        // would, compensating everything done so far
+        if shared.faults.fires(&self.handle, self.ops_done) {
             return Err(AbortReason::Injected);
         }
         Ok(())
@@ -437,6 +439,7 @@ impl<'a> Attempt<'a> {
             buffering,
             deferred,
             ops_done,
+            lanes,
             wait,
             start,
             submitted_at,
@@ -461,7 +464,7 @@ impl<'a> Attempt<'a> {
         };
         drop(gate);
         for (seq, op, hit) in installs {
-            trace_granted(shared, cc, &handle, seq, op, 0, hit);
+            trace_granted(shared, &handle, seq, op, 0, hit);
         }
         if !committed {
             let reason = AbortReason::Validation;
@@ -469,6 +472,7 @@ impl<'a> Attempt<'a> {
         }
         let appended_at = Instant::now();
         cc.after_commit(shared, &handle);
+        shared.metrics.commit_lanes(lanes);
         Ok(Committed(Ack {
             handle,
             submitted_at,
@@ -717,9 +721,8 @@ mod tests {
             txn_deadline: Some(Duration::from_millis(5)),
             ..EngineConfig::default()
         };
-        let cc = std::sync::Arc::new(OptimisticCc::new());
-        cc.inject_fault_after(0, 0, 1);
-        let engine = Engine::start_with(cfg, cc);
+        let engine = Engine::start_with(cfg, std::sync::Arc::new(OptimisticCc::new()));
+        engine.inject_fault_after(0, 0, 1);
         let t0 = Instant::now();
         engine
             .submit_blocking(vec![EncOp::Insert("k".into())])

@@ -39,9 +39,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The optimistic control, accounted over `shards` lanes.
-fn make_cc(shards: usize) -> Arc<dyn ConcurrencyControl> {
-    Arc::new(OptimisticCc::new().with_shards(shards))
+/// The optimistic control.
+fn make_cc() -> Arc<dyn ConcurrencyControl> {
+    Arc::new(OptimisticCc::new())
 }
 
 /// Run one schedule on the database `cfg` describes at 1 and 3 lanes
@@ -59,7 +59,11 @@ fn assert_all_agree(
     schedule: &[usize],
 ) -> RunOutcome {
     let replay = |shards| {
-        let vs = VirtualScheduler::new(cfg, make_cc(shards), txns, preload);
+        let cfg = &EngineConfig {
+            shards,
+            ..cfg.clone()
+        };
+        let vs = VirtualScheduler::new(cfg, make_cc(), txns, preload);
         let rec = vs.recorder();
         let out = vs.run(schedule);
         let (ts, history) = rec.snapshot();
@@ -246,7 +250,7 @@ fn every_snapshot_interleaving_passes_the_audit() {
 #[test]
 fn every_splitting_interleaving_decisions_agree() {
     let (cfg, txns, preload) = splitting_workload();
-    let vs = VirtualScheduler::new(&cfg, make_cc(1), &txns, &preload);
+    let vs = VirtualScheduler::new(&cfg, make_cc(), &txns, &preload);
     let rec = vs.recorder();
     let setup = vs.run(&SPLIT_WITNESS).verdicts[0].0;
     let (ts, _) = rec.snapshot();
@@ -370,7 +374,7 @@ fn engine_run(w: &Workload, shards: usize, workers: usize) -> EngineOutput {
         seed: w.seed,
         ..EngineConfig::default()
     };
-    let engine = oodb_engine::Engine::start_with(cfg, make_cc(shards));
+    let engine = oodb_engine::Engine::start_with(cfg, make_cc());
     engine.preload(&preload);
     for (t, codes) in w.txns.iter().enumerate() {
         let ops: Vec<EncOp> = codes

@@ -11,7 +11,6 @@ use oodb_engine::{
     shard_of_key, CcKind, ConcurrencyControl, Engine, EngineConfig, EngineShared, LockingCc,
     OpGrant, TraceMode, TxnHandle, STRIPES,
 };
-use oodb_lock::OwnerId;
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkloadConfig, Skew};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -56,8 +55,8 @@ fn traced() -> EngineConfig {
     }
 }
 
-fn handle(job: u64, attempt: u32, owner: u64) -> TxnHandle {
-    TxnHandle::new(job, attempt, TxnIdx(owner as u32), OwnerId(owner))
+fn handle(job: u64, attempt: u32, owner: u32) -> TxnHandle {
+    TxnHandle::new(job, attempt, TxnIdx(owner))
 }
 
 /// One party of a lock cycle: it holds `held`, then asks for `wants`
@@ -177,7 +176,7 @@ fn a_three_cycle_across_three_stripes_aborts_only_the_largest_job() {
             let shared = Arc::new(EngineShared::new(&traced(), cc.as_ref()));
             let parties = (0..3)
                 .map(|i| Party {
-                    txn: handle(10 * (i as u64 + 1), 0, i as u64 + 1),
+                    txn: handle(10 * (i as u64 + 1), 0, i as u32 + 1),
                     held: keys[i].clone(),
                     wants: keys[(i + 1) % 3].clone(),
                     // the closer goes last; the other two in index order

@@ -440,11 +440,11 @@ fn corrupt_tail_recovers_the_valid_prefix() {
 fn contended_image() -> &'static (Vec<u8>, RecoveryOutcome) {
     static IMAGE: OnceLock<(Vec<u8>, RecoveryOutcome)> = OnceLock::new();
     IMAGE.get_or_init(|| {
-        let cc = Arc::new(LockingCc::semantic().with_shards(2));
+        let engine = Engine::start_with(cfg(2, GROUP_OF_ONE), Arc::new(LockingCc::semantic()));
         for job in (0..32).step_by(4) {
-            cc.inject_fault_after(job, 0, 2);
+            engine.inject_fault_after(job, 0, 2);
         }
-        let out = drive(Engine::start_with(cfg(2, GROUP_OF_ONE), cc), 32);
+        let out = drive(engine, 32);
         assert_eq!(out.metrics.committed, 32, "every killed job retries");
         let image = out.wal.unwrap();
         let full = durability::recover(&image, EngineConfig::default().fanout);

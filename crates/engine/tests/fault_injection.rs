@@ -2,8 +2,9 @@
 //! mid-flight — after its footprint already spans several lock stripes
 //! or metric lanes — must compensate and release **everything** it
 //! touched: no orphaned lock grants, no attempt left in the certifier's
-//! live set, and a clean retry that commits. Exercised through the
-//! worker's `inject_abort` hook (real engine, real retry machinery) and
+//! live set, and a clean retry that commits. Exercised through faults
+//! armed on the engine (`Engine::inject_fault_after`: real engine, real
+//! retry machinery) and
 //! through deterministic direct drives of the worker's own attempt
 //! lifecycle (`worker::Attempt`), stopped between steps to look at the
 //! control.
@@ -37,6 +38,14 @@ fn keys_on_distinct_shards(n: usize) -> Vec<String> {
     found.into_iter().map(Option::unwrap).collect()
 }
 
+/// The direct drives' database, accounted over `shards` lanes.
+fn lanes(shards: usize) -> EngineConfig {
+    EngineConfig {
+        shards,
+        ..EngineConfig::default()
+    }
+}
+
 fn cfg(shards: usize) -> EngineConfig {
     EngineConfig {
         workers: 2,
@@ -56,10 +65,10 @@ fn pessimistic_cross_stripe_abort_releases_every_stripe() {
     let shards = 4;
     // distinct mod 4 ⇒ distinct mod STRIPES: one key per stripe
     let keys = keys_on_distinct_shards(shards);
-    let cc = Arc::new(LockingCc::semantic().with_shards(shards));
-    // job 0, first attempt: dies after 2 of its 4 cross-shard ops
-    cc.inject_fault_after(0, 0, 2);
+    let cc = Arc::new(LockingCc::semantic());
     let engine = Engine::start_with(cfg(shards), cc.clone());
+    // job 0, first attempt: dies after 2 of its 4 cross-shard ops
+    engine.inject_fault_after(0, 0, 2);
     engine.preload(&keys);
     let victim: Vec<EncOp> = keys.iter().map(|k| EncOp::Change(k.clone())).collect();
     engine.submit_blocking(victim).unwrap();
@@ -102,9 +111,9 @@ fn pessimistic_cross_stripe_abort_releases_every_stripe() {
 fn optimistic_cross_shard_abort_drops_every_certifier_entry() {
     let shards = 4;
     let keys = keys_on_distinct_shards(shards);
-    let cc = Arc::new(OptimisticCc::new().with_shards(shards));
-    cc.inject_fault_after(0, 0, 2);
+    let cc = Arc::new(OptimisticCc::new());
     let engine = Engine::start_with(cfg(shards), cc.clone());
+    engine.inject_fault_after(0, 0, 2);
     engine.preload(&keys);
     let victim: Vec<EncOp> = keys.iter().map(|k| EncOp::Change(k.clone())).collect();
     engine.submit_blocking(victim).unwrap();
@@ -173,8 +182,8 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
         .into_iter()
         .take(stripes)
         .collect();
-    let cc = LockingCc::semantic().with_shards(3);
-    let shared = EngineShared::new(&EngineConfig::default(), &cc);
+    let cc = LockingCc::semantic();
+    let shared = EngineShared::new(&lanes(3), &cc);
     // preload through the protocol so the audit sees a clean record
     commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
 
@@ -215,8 +224,8 @@ fn direct_drive_pessimistic_partial_acquisition_cleanup() {
 fn direct_drive_optimistic_victim_abort_cleanup() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    let cc = OptimisticCc::new().with_shards(shards);
-    let shared = EngineShared::new(&EngineConfig::default(), &cc);
+    let cc = OptimisticCc::new();
+    let shared = EngineShared::new(&lanes(shards), &cc);
     commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
     let commits = || {
         let m = shared.metrics_snapshot();
@@ -250,7 +259,8 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
 }
 
 /// Run a traced, fault-injected workload: the first job deletes one key
-/// per shard and is killed after 2 operations, so compensating it —
+/// per shard and its first attempt is killed after 2 operations, so
+/// compensating it —
 /// where the deletes executed, i.e. under locking — **re-inserts** the
 /// deleted items as new incarnations; the remaining jobs update and scan
 /// around the churn.
@@ -261,6 +271,7 @@ fn traced_abort_run(cc: Arc<dyn ConcurrencyControl>, shards: usize) -> oodb_engi
         ..cfg(shards)
     };
     let engine = Engine::start_with(config, cc);
+    engine.inject_fault_after(0, 0, 2);
     engine.preload(&keys);
     let victim: Vec<EncOp> = keys.iter().map(|k| EncOp::Delete(k.clone())).collect();
     engine.submit_blocking(victim).unwrap();
@@ -286,13 +297,9 @@ fn injected_abort_trace_still_matches_audit() {
     let shards = 4;
     for pessimistic in [true, false] {
         let cc: Arc<dyn ConcurrencyControl> = if pessimistic {
-            let cc = Arc::new(LockingCc::semantic().with_shards(shards));
-            cc.inject_fault_after(0, 0, 2);
-            cc
+            Arc::new(LockingCc::semantic())
         } else {
-            let cc = Arc::new(OptimisticCc::new().with_shards(shards));
-            cc.inject_fault_after(0, 0, 2);
-            cc
+            Arc::new(OptimisticCc::new())
         };
         let out = traced_abort_run(cc, shards);
         assert!(out.metrics.retries >= 1, "the injected abort fired");
@@ -329,8 +336,7 @@ fn injected_abort_trace_still_matches_audit() {
 #[test]
 fn injected_abort_under_certification_stays_clean() {
     let shards = 4;
-    let cc = Arc::new(OptimisticCc::new().with_shards(shards));
-    cc.inject_fault_after(0, 0, 2);
+    let cc = Arc::new(OptimisticCc::new());
     let out = traced_abort_run(cc.clone(), shards);
     assert!(out.metrics.retries >= 1, "the injected abort fired");
     assert_eq!(
@@ -371,8 +377,8 @@ fn injected_abort_under_certification_stays_clean() {
 fn direct_drive_incremental_reseed_after_repeated_aborts() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    let cc = OptimisticCc::new().with_shards(shards);
-    let shared = EngineShared::new(&EngineConfig::default(), &cc);
+    let cc = OptimisticCc::new();
+    let shared = EngineShared::new(&lanes(shards), &cc);
     commit(&shared, &cc, u64::MAX, 0, &inserts(&keys));
 
     for j in 0..16u64 {
@@ -428,15 +434,15 @@ fn an_injected_abort_does_not_pin_the_cut() {
     let run = |inject: bool| {
         // the victim's update is still buffered when the fault fires:
         // its compensation transaction begins and records nothing
-        let cc = Arc::new(OptimisticCc::new().with_shards(shards));
-        if inject {
-            cc.inject_fault_after(1, 0, 2);
-        }
+        let cc = Arc::new(OptimisticCc::new());
         let config = EngineConfig {
             workers: 1,
             ..cfg(shards)
         };
         let engine = Engine::start_with(config, cc.clone());
+        if inject {
+            engine.inject_fault_after(1, 0, 2);
+        }
         engine.preload(&keys);
         for j in 0..12 {
             let k = |i: usize| keys[(j + i) % shards].clone();
@@ -477,16 +483,10 @@ fn an_injected_abort_does_not_pin_the_cut() {
 fn an_abort_that_unpins_the_cut_is_published() {
     let shards = 3;
     let keys = keys_on_distinct_shards(shards);
-    let controls: Vec<(&str, Box<dyn ConcurrencyControl>)> = vec![
-        ("optimistic/1", Box::new(OptimisticCc::new())),
-        (
-            "optimistic/3",
-            Box::new(OptimisticCc::new().with_shards(shards)),
-        ),
-    ];
-    for (label, cc) in controls {
-        let cc = cc.as_ref();
-        let shared = EngineShared::new(&EngineConfig::default(), cc);
+    for lane_count in [1, shards] {
+        let label = format!("optimistic/{lane_count}");
+        let cc = &OptimisticCc::new();
+        let shared = EngineShared::new(&lanes(lane_count), cc);
         for (i, k) in keys.chunks(1).enumerate() {
             commit(&shared, cc, 100 + i as u64, 0, &inserts(k));
         }

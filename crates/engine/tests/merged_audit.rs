@@ -45,9 +45,9 @@ fn workload() -> (Vec<String>, Vec<Vec<EncOp>>) {
 #[test]
 fn sharded_optimistic_audits_only_the_merged_committed_projection() {
     let (preload, txns) = workload();
-    let cc = Arc::new(OptimisticCc::new().with_shards(2));
-    cc.inject_fault_after(0, 0, 1); // J1's first attempt dies, J1r1 commits
+    let cc = Arc::new(OptimisticCc::new());
     let engine = Engine::start_with(cfg(2), cc.clone());
+    engine.inject_fault_after(0, 0, 1); // J1's first attempt dies, J1r1 commits
     engine.preload(&preload);
     for ops in txns {
         engine.submit_blocking(ops).unwrap();
@@ -103,9 +103,9 @@ fn sharded_optimistic_audits_only_the_merged_committed_projection() {
 #[test]
 fn sharded_pessimistic_audits_the_full_record() {
     let (preload, txns) = workload();
-    let cc = Arc::new(LockingCc::semantic().with_shards(2));
-    cc.inject_fault_after(0, 0, 1);
+    let cc = Arc::new(LockingCc::semantic());
     let engine = Engine::start_with(cfg(2), cc.clone());
+    engine.inject_fault_after(0, 0, 1);
     engine.preload(&preload);
     for ops in txns {
         engine.submit_blocking(ops).unwrap();

@@ -101,7 +101,7 @@ fn a_warm_stripe_grant_of_six_keyed_ops_allocates_nothing() {
     let shared = EngineShared::new(&cfg, &cc);
     let key = |i: usize| format!("k{:07}", 40 + i);
     // a second owner's commuting searches stay granted throughout
-    let other = TxnHandle::new(0, 0, TxnIdx(0), OwnerId(1));
+    let other = TxnHandle::new(0, 0, TxnIdx(1));
     for i in 0..3 {
         let search = EncOp::Search(key(i));
         assert_eq!(cc.before_op(&shared, &other, &search), OpGrant::Granted);
@@ -117,7 +117,7 @@ fn a_warm_stripe_grant_of_six_keyed_ops_allocates_nothing() {
         })
         .collect();
     let txn = |job: u64| {
-        let txn = TxnHandle::new(job, 0, TxnIdx(job as u32), OwnerId(job + 1));
+        let txn = TxnHandle::new(job, 0, TxnIdx(job as u32 + 1));
         let granted = ops
             .iter()
             .all(|op| cc.before_op(&shared, &txn, op) == OpGrant::Granted);

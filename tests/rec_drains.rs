@@ -134,8 +134,6 @@ fn an_unaudited_strict_2pl_run_records_nothing() {
 fn the_log_and_the_state_do_not_depend_on_the_record() {
     let txns = updates(40);
     let run = |audit: bool| {
-        let cc = LockingCc::semantic();
-        cc.inject_fault_after(5, 0, 2);
         let cfg = EngineConfig {
             workers: 1,
             audit,
@@ -145,7 +143,8 @@ fn the_log_and_the_state_do_not_depend_on_the_record() {
             },
             ..EngineConfig::default()
         };
-        let engine = Engine::start_with(cfg, Arc::new(cc));
+        let engine = Engine::start_with(cfg, Arc::new(LockingCc::semantic()));
+        engine.inject_fault_after(5, 0, 2);
         engine.preload(&keys(4));
         for ops in &txns {
             engine
