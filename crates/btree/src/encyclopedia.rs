@@ -81,11 +81,6 @@ impl Encyclopedia {
         }
     }
 
-    /// Default-configured encyclopedia.
-    pub fn with_defaults(rec: Recorder) -> Self {
-        Self::create(rec, EncyclopediaConfig::default())
-    }
-
     /// The `Enc` facade object.
     pub fn object(&self) -> ObjectIdx {
         self.enc_obj

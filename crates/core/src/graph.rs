@@ -131,11 +131,6 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
         }
     }
 
-    /// True iff `n` has been interned.
-    pub fn contains_node(&self, n: &N) -> bool {
-        self.index.contains_key(n)
-    }
-
     /// The node stored at dense index `i`.
     pub fn node(&self, i: usize) -> &N {
         &self.nodes[i]

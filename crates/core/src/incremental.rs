@@ -291,11 +291,6 @@ impl IncrementalFeed {
         &self.inc
     }
 
-    /// History positions consumed so far.
-    pub fn fed_len(&self) -> usize {
-        self.retention.scanned()
-    }
-
     /// Transactions excluded from maintenance.
     pub fn excluded(&self) -> &HashSet<TxnIdx> {
         self.retention.excluded()

@@ -6,9 +6,9 @@
 //! ([`TxnIdx`]); a mode is the operation's action descriptor, and a
 //! request is compatible with another owner's grant iff the
 //! encyclopedia's [`RangeSpec`] says the two commute (Definition 9).
-//! Past its first few grants on a stripe, an owner's grants carry their
-//! modes' hashes, so its own requests are compared in full only with
-//! grants of the same hash.
+//! A request is never compared with its own owner's grants, which never
+//! block it: a grant is one pass over the other owners' grants and one
+//! push, a repeated mode included, and a release is one `retain`.
 //! DESIGN.md §7 "Strict 2PL: one striped lock table" argues why the
 //! stripes are as strong as one table, why nobody starves, why no
 //! wake-up is lost, and the lock order. The locks are also what orders
@@ -27,7 +27,6 @@ use oodb_core::graph::find_cycle_from;
 use oodb_core::ids::TxnIdx;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
 
 /// Number of lock-table stripes, keyed by
@@ -38,17 +37,19 @@ pub const STRIPES: usize = 16;
 const _: () = assert!(STRIPES <= u64::BITS as usize);
 
 /// Trace a [`TraceEventKind::Conflict`] of `txn`'s request `ours` with
-/// each other party on the stripe. Blocked, the parties are the
-/// `holders`, whose grants do not commute with ours: the dependency is
-/// inherited to the top level (Definition 11). Granted (`None`), they are
-/// the coexisting grants where one side writes: a page-level conflict
-/// whose inheritance stopped at the commuting method.
+/// each other party on the stripe, naming that party's first grant the
+/// rule selects. Blocked, the rule is a grant that does not commute with
+/// ours under `spec`: the dependency is inherited to the top level
+/// (Definition 11). Granted, it is a coexisting grant where one side
+/// writes: a page-level conflict whose inheritance stopped at the
+/// commuting method.
 fn trace_conflicts(
     shared: &EngineShared,
     txn: &TxnHandle,
+    spec: &RangeSpec,
     grants: &[(TxnIdx, ActionDescriptor)],
     ours: &ActionDescriptor,
-    holders: Option<&[TxnIdx]>,
+    blocked: bool,
 ) {
     if !shared.trace.enabled() {
         return;
@@ -60,24 +61,24 @@ fn trace_conflicts(
             Method::Search | Method::RangeScan | Method::ReadSeq
         )
     };
-    let parties: Vec<TxnIdx> = match holders {
-        Some(holders) => holders.to_vec(),
-        None => grants
-            .iter()
-            .filter(|(_, d)| writes(ours) || writes(d))
-            .map(|(o, _)| *o)
-            .collect(),
+    let selects = |theirs: &ActionDescriptor| {
+        if blocked {
+            !spec.commutes(theirs, ours)
+        } else {
+            writes(ours) || writes(theirs)
+        }
     };
-    for with in parties.into_iter().filter(|&o| o != txn.txn) {
-        let theirs = grants
-            .iter()
-            .find(|(o, _)| *o == with)
-            .map(|(_, d)| d.to_string());
+    let mut named = Vec::new();
+    for (with, theirs) in grants {
+        if *with == txn.txn || named.contains(with) || !selects(theirs) {
+            continue;
+        }
+        named.push(*with);
         shared.trace.emit_txn(txn, || TraceEventKind::Conflict {
             with: u64::from(with.0),
             ours: ours.to_string(),
-            theirs: theirs.unwrap_or_default(),
-            inherited: holders.is_some(),
+            theirs: theirs.to_string(),
+            inherited: blocked,
         });
     }
 }
@@ -89,97 +90,41 @@ struct Stripe {
     released: Condvar,
 }
 
-/// How many of an owner's grants on a stripe a request of its own is
-/// compared with in full. Each later grant carries its mode's [`tag`],
-/// and a request is compared in full with it only where the tags agree,
-/// so a long transaction's lock cost per operation stays flat in its
-/// length. No transaction of the benchmark's timed phases holds more
-/// than 4 grants on a stripe, so none of them hashes.
-const UNTAGGED: usize = 8;
-
 #[derive(Default)]
 struct Table {
     /// Every grant held on the stripe, as `(owner, mode)`, in grant
-    /// order.
+    /// order; a mode asked for again is a second entry.
     grants: Vec<(TxnIdx, ActionDescriptor)>,
-    /// Empty until an owner is granted more than [`UNTAGGED`] modes here;
-    /// from then until the stripe empties, the tag of each grant, in the
-    /// same order: 0 for each of an owner's first [`UNTAGGED`] grants, the
-    /// mode's [`tag`] for each later one. Only `acquire` and `release`
-    /// change the two lists, each both.
-    tags: Vec<u64>,
     /// Requests parked on `released`; a release with none skips the
     /// notify (a syscall).
     parked: usize,
 }
 
-/// A mode's hash: an owner's request is compared in full only with its
-/// own tagged grants of the same tag.
-fn tag(mode: &ActionDescriptor) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    mode.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Whether an owner's grant is the mode it asks for again, compared in
-/// full.
-fn same_mode(theirs: &ActionDescriptor, ours: &ActionDescriptor) -> bool {
-    #[cfg(test)]
-    tests::FULL_COMPARISONS.with(|n| n.set(n.get() + 1));
-    theirs == ours
-}
-
 impl Table {
     /// Grant `ours` to `owner`, or return the owners whose grants here
     /// do not commute with it under `spec`, each once, in grant order.
-    /// An owner's own grants never block it, and a mode it already holds
-    /// is not added twice. `ours` is hashed only when its owner already
-    /// holds [`UNTAGGED`] grants here.
+    /// An owner's own grants are never compared: they never block it.
     fn acquire(
         &mut self,
         spec: &RangeSpec,
         owner: TxnIdx,
         ours: &ActionDescriptor,
     ) -> Result<(), Vec<TxnIdx>> {
-        debug_assert!(self.tags.is_empty() || self.tags.len() == self.grants.len());
         let mut holders = Vec::new();
-        let (mut held, mut own, mut our_tag) = (false, 0, None);
-        for (i, (o, theirs)) in self.grants.iter().enumerate() {
-            if *o == owner {
-                if !held {
-                    held = (own < UNTAGGED
-                        || self.tags[i] == *our_tag.get_or_insert_with(|| tag(ours)))
-                        && same_mode(theirs, ours);
-                    own += 1;
-                }
-            } else if !spec.commutes(theirs, ours) && !holders.contains(o) {
+        for (o, theirs) in &self.grants {
+            if *o != owner && !holders.contains(o) && !spec.commutes(theirs, ours) {
                 holders.push(*o);
             }
         }
         if !holders.is_empty() {
             return Err(holders);
         }
-        if !held {
-            if own >= UNTAGGED || !self.tags.is_empty() {
-                self.tags.resize(self.grants.len(), 0);
-                let our_tag = if own < UNTAGGED {
-                    0
-                } else {
-                    our_tag.unwrap_or_else(|| tag(ours))
-                };
-                self.tags.push(our_tag);
-            }
-            self.grants.push((owner, ours.clone()));
-        }
+        self.grants.push((owner, ours.clone()));
         Ok(())
     }
 
-    /// Drop every grant of `owner`, and its tag.
+    /// Drop every grant of `owner`.
     fn release(&mut self, owner: TxnIdx) {
-        if !self.tags.is_empty() {
-            let mut keep = self.grants.iter().map(|(o, _)| *o != owner);
-            self.tags.retain(|_| keep.next() == Some(true));
-        }
         self.grants.retain(|(o, _)| *o != owner);
     }
 }
@@ -306,7 +251,7 @@ impl LockingCc {
         loop {
             let holders = match table.acquire(&self.spec, txn.txn, ours) {
                 Ok(()) => {
-                    trace_conflicts(shared, txn, &table.grants, ours, None);
+                    trace_conflicts(shared, txn, &self.spec, &table.grants, ours, false);
                     if blocked {
                         // still under the stripe: no cycle ever runs
                         // through the edge of a granted request
@@ -320,7 +265,7 @@ impl LockingCc {
             if !blocked {
                 blocked = true;
                 shared.metrics.lock_blocks.fetch_add(1, Ordering::Relaxed);
-                trace_conflicts(shared, txn, &table.grants, ours, Some(&holders));
+                trace_conflicts(shared, txn, &self.spec, &table.grants, ours, true);
             }
             let (victim, wake) = self.block(shared, txn, s, holders);
             if !wake.is_empty() {
@@ -460,54 +405,39 @@ mod tests {
     use oodb_lock::{LockOutcome, OwnerId};
     use oodb_sim::exec::{enc_lock_manager, ENC_RESOURCE};
     use proptest::prelude::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Full mode comparisons ([`same_mode`]) made on this thread.
-        pub(super) static FULL_COMPARISONS: Cell<u64> = const { Cell::new(0) };
-    }
 
     fn spec() -> RangeSpec {
         RangeSpec::ordered_container("enc")
     }
 
     /// A transaction as long as the benchmark's preload, all on one
-    /// stripe: the grant list holds each mode once and still blocks
-    /// another owner, and each request is compared in full with at most
-    /// [`UNTAGGED`] of its owner's grants there, and with a tagged one
-    /// only where the tags agree: 28 for the first 8 requests, 8 for
-    /// each later one, 8, 9 and 9 for the three repeats. Comparing every
-    /// own grant in full makes it 8 390 673.
+    /// stripe, that asks for three of its modes again: every request is
+    /// granted and pushed, repeats included, another owner's conflicting
+    /// request is blocked by the holder once, and a release empties the
+    /// stripe.
     #[test]
-    fn a_long_transaction_compares_each_request_with_a_bounded_number_of_own_grants() {
+    fn a_long_transaction_keeps_its_repeated_modes_until_it_releases() {
         const MODES: usize = 4096;
         let (spec, mut table) = (spec(), Table::default());
         let mode = |i: usize| op_descriptor(&EncOp::Insert(format!("k{i:07}")));
-        let before = FULL_COMPARISONS.with(Cell::get);
         for i in 0..MODES {
             assert_eq!(table.acquire(&spec, TxnIdx(1), &mode(i)), Ok(()));
-            if i < UNTAGGED {
-                assert!(table.tags.is_empty(), "{} grants, no tags", i + 1);
-            }
         }
         for i in [7, 8, MODES - 1] {
             assert_eq!(table.acquire(&spec, TxnIdx(1), &mode(i)), Ok(()));
         }
-        assert_eq!(table.grants.len(), MODES, "a mode held is not added twice");
+        assert_eq!(
+            table.grants.len(),
+            MODES + 3,
+            "a repeated mode is a second entry"
+        );
         assert_eq!(
             table.acquire(&spec, TxnIdx(2), &mode(MODES - 1)),
             Err(vec![TxnIdx(1)]),
-            "another owner's conflicting request waits for the holder"
+            "another owner's conflicting request waits for the holder, named once"
         );
-        let compared = FULL_COMPARISONS.with(Cell::get) - before;
-        let first_pass = (0..MODES).map(|i| i.min(UNTAGGED)).sum::<usize>();
-        // the repeats: the 8th grant in full, the 9th and the last by tag
-        let repeats = 8 + (UNTAGGED + 1) + (UNTAGGED + 1);
-        assert_eq!(compared, (first_pass + repeats) as u64);
-        assert!(compared <= ((UNTAGGED + 1) * (MODES + 4)) as u64);
-        assert_eq!(table.tags.len(), MODES, "tagged since the 9th grant");
         table.release(TxnIdx(1));
-        assert!(table.grants.is_empty() && table.tags.is_empty());
+        assert!(table.grants.is_empty());
     }
 
     #[test]
@@ -662,14 +592,18 @@ mod tests {
 
         /// A stripe's grant list answers every request as the generic
         /// lock manager over the encyclopedia's spec (`enc_lock_manager`,
-        /// the simulator's) does — granted, or
-        /// blocked by the same holders in the same order — and holds the
-        /// same grants after every step, at both granularities.
+        /// the simulator's) does — granted, or blocked by the same
+        /// holders in the same order — at both granularities. After
+        /// every step the list is exactly a model's: every granted
+        /// `(owner, mode)` since that owner's last release, in grant
+        /// order, repeats included; and the model's first occurrences
+        /// are the lock manager's grants, which counts a repeat instead.
         #[test]
         fn a_stripe_answers_as_the_lock_manager(owners in 2u64..5, steps in steps()) {
             for descriptor in [op_descriptor as fn(&EncOp) -> ActionDescriptor, page_descriptor] {
                 let mut table = Table::default();
                 let mut oracle = enc_lock_manager();
+                let mut model: Vec<(TxnIdx, ActionDescriptor)> = Vec::new();
                 for step in &steps {
                     match step {
                         Step::Acquire(o, op) => {
@@ -681,17 +615,27 @@ mod tests {
                                 },
                             };
                             let want = oracle.acquire(owner(t), &[], ENC_RESOURCE, &mode);
-                            prop_assert_eq!(got, want, "{:?} asks for {}", t, mode);
+                            prop_assert_eq!(&got, &want, "{:?} asks for {}", t, mode);
+                            if got == LockOutcome::Granted {
+                                model.push((t, mode));
+                            }
                         }
                         Step::Release(o) => {
                             let t = TxnIdx((o % owners) as u32);
                             table.release(t);
                             oracle.release_all(owner(t));
+                            model.retain(|(m, _)| *m != t);
                         }
                     }
-                    let grants: Vec<_> =
-                        table.grants.iter().map(|(t, d)| (owner(*t), d.clone())).collect();
-                    prop_assert_eq!(&grants, &oracle.grants_on(ENC_RESOURCE));
+                    prop_assert_eq!(&table.grants, &model);
+                    let mut distinct: Vec<(OwnerId, ActionDescriptor)> = Vec::new();
+                    for (t, d) in &model {
+                        let grant = (owner(*t), d.clone());
+                        if !distinct.contains(&grant) {
+                            distinct.push(grant);
+                        }
+                    }
+                    prop_assert_eq!(&distinct, &oracle.grants_on(ENC_RESOURCE));
                 }
             }
         }

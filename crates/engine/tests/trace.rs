@@ -8,11 +8,13 @@ mod common;
 
 use common::analyze::{cross_check, reconstruct_graph};
 use common::json::{validate_json, validate_jsonl};
+use oodb_core::ids::TxnIdx;
 use oodb_engine::trace::export::{to_chrome_trace, to_jsonl, to_jsonl_canonical};
 use oodb_engine::trace::{AbortReason, TXN_NONE, WORKER_EXTERNAL};
 use oodb_engine::{
-    CcKind, DurabilityMode, EngineConfig, ShardRoute, TraceEvent, TraceEventKind, TraceLog,
-    TraceMode,
+    shard_of_key, CcKind, ConcurrencyControl, DurabilityMode, EngineConfig, EngineShared,
+    LockingCc, OpGrant, ShardRoute, TraceEvent, TraceEventKind, TraceLog, TraceMode, TxnHandle,
+    STRIPES,
 };
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkload, EncWorkloadConfig, Skew};
 
@@ -197,6 +199,61 @@ fn a_read_sees_committed_state_when_writes_are_deferred() {
         "in place, the search hits the insert"
     );
     assert!(insert_seq < search_seq);
+}
+
+/// A `Conflict` event names the grant that conflicts. T1 holds
+/// `search(k024)` and then an insert, and T2 is granted `search(k051)`,
+/// all on lock stripe 0: two searches never page-conflict, so T2's one
+/// event names T1's insert, and T1, alone on the stripe, has none.
+#[test]
+fn a_conflict_names_the_grant_that_conflicts() {
+    let on_stripe_0 = |k: &str| shard_of_key(k, STRIPES) == 0;
+    assert!(on_stripe_0("k024") && on_stripe_0("k051"));
+    let inserted = (0..1000)
+        .map(|i| format!("k{i:03}"))
+        .find(|k| on_stripe_0(k) && k != "k024" && k != "k051")
+        .expect("a third key on stripe 0");
+    let cc = LockingCc::semantic();
+    let shared = EngineShared::new(&cfg(1, 1, TraceMode::ring()), &cc);
+    let (t1, t2) = (
+        TxnHandle::new(1, 0, TxnIdx(1)),
+        TxnHandle::new(2, 0, TxnIdx(2)),
+    );
+    for (txn, op) in [
+        (&t1, EncOp::Search("k024".into())),
+        (&t1, EncOp::Insert(inserted.clone())),
+        (&t2, EncOp::Search("k051".into())),
+    ] {
+        assert_eq!(cc.before_op(&shared, txn, &op), OpGrant::Granted);
+    }
+    cc.after_commit(&shared, &t1);
+    cc.after_commit(&shared, &t2);
+    let conflicts: Vec<_> = shared
+        .trace
+        .drain()
+        .expect("tracing on")
+        .events
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Conflict {
+                with,
+                ours,
+                theirs,
+                inherited,
+            } => Some((e.txn, with, ours, theirs, inherited)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        conflicts,
+        vec![(
+            2,
+            1,
+            "search(k051)".to_string(),
+            format!("insert({inserted})"),
+            false
+        )]
+    );
 }
 
 /// An undersized ring drops the newest events (counted, never blocking
