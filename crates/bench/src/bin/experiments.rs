@@ -1,5 +1,5 @@
 //! Experiment driver: regenerate the paper's figures and the quantitative
-//! tables. Usage: `experiments [fig1|fig2|fig4|…|gap|b1|b4|…|b16|all]…`
+//! tables. Usage: `experiments [fig1|fig2|fig4|…|gap|b1|b4|b5|b8|b14|all]…`
 
 use oodb_bench::{figures, quant};
 
@@ -20,11 +20,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("b4", quant::b4),
     ("b5", quant::b5),
     ("b8", quant::b8),
-    ("b9", quant::b9),
-    ("b10", quant::b10),
-    ("b11", quant::b11),
     ("b14", quant::b14),
-    ("b16", quant::b16),
 ];
 
 fn main() {

@@ -2,7 +2,9 @@
 //!
 //! Regenerates every figure of the paper ([`figures`]: FIG1–FIG8 plus the
 //! added-relation GAP witness) and runs the quantitative experiments
-//! ([`quant`]: B1–B16; B2, B3, B7, B12, B13 and B15 are retired). The
+//! ([`quant`]: B1, B4, B5, B8 and B14, counts over audited engine runs;
+//! every other B-id is retired). No table reads a clock: wall-clock
+//! numbers are the repository benchmark's (`benchmark/`). The
 //! `experiments` binary prints any of them:
 //!
 //! ```text

@@ -14,7 +14,6 @@ use oodb_core::ids::ObjectIdx;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::{BufferManager, BufferPool};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The encyclopedia object: a B-link tree index over a linked item list.
 ///
@@ -41,9 +40,6 @@ pub struct EncyclopediaConfig {
     pub fanout: usize,
     /// Buffer pool frames.
     pub pool_frames: usize,
-    /// Simulated device latency per buffer-pool fetch miss (slept outside
-    /// all pool locks, so concurrent misses overlap like a disk queue).
-    pub io_latency: Duration,
 }
 
 impl Default for EncyclopediaConfig {
@@ -52,7 +48,6 @@ impl Default for EncyclopediaConfig {
             name: "Enc".to_owned(),
             fanout: 16,
             pool_frames: 1024,
-            io_latency: Duration::ZERO,
         }
     }
 }
@@ -64,7 +59,6 @@ impl Encyclopedia {
             config.pool_frames,
             required_page_size(config.fanout).max(512),
         );
-        pool.set_io_latency(config.io_latency);
         let mgr = BufferManager::new(pool);
         let enc_obj = rec.object(
             &config.name,

@@ -2,8 +2,9 @@
 //!
 //! [`crate::schedule::SystemSchedules::infer`] recomputes the fixpoint
 //! from scratch — fine for post-hoc analysis, wasteful for an online
-//! scheduler that revalidates after every operation (the cost experiment
-//! B4 shows the superlinear growth). [`IncrementalSchedules`] maintains
+//! scheduler that revalidates after every operation (experiment B4
+//! counts the derivations one pass makes as histories grow; the
+//! benchmark's `core.infer_ms` row times it). [`IncrementalSchedules`] maintains
 //! the same relations **edge by edge**: when a primitive executes, its
 //! new Axiom 1 orderings are seeded and the Definition 10/11/15 lifting
 //! runs as a worklist from just those edges. The result is identical to

@@ -93,7 +93,6 @@ impl EngineShared {
             EncyclopediaConfig {
                 fanout: cfg.fanout,
                 pool_frames: cfg.pool_frames,
-                io_latency: cfg.io_latency,
                 ..EncyclopediaConfig::default()
             },
         );

@@ -40,7 +40,7 @@ pub enum DurabilityMode {
     /// has passed, or nothing admitted could still join (no job queued,
     /// none executing), whichever first. A group of one (`max_batch: 1`)
     /// forces once per logged commit — the unbatched baseline experiment
-    /// B14 measures group commit against.
+    /// B14 counts group commit against.
     Group {
         /// Flush once this many commits are parked.
         max_batch: usize,
@@ -145,13 +145,11 @@ pub struct EngineConfig {
     /// and moves on (see [`crate::durability`]).
     pub durability: DurabilityMode,
     /// Simulated latency of one log force (fsync). Zero by default so
-    /// tests run fast; B14 raises it to make batching visible.
+    /// tests run fast; experiment B14 and the benchmark's `durable_write`
+    /// workload raise it, so that commits park and flushes gather.
     pub fsync_latency: Duration,
     /// Buffer-pool capacity, in frames, of the underlying encyclopedia.
     pub pool_frames: usize,
-    /// Simulated latency of one buffer-pool miss (page read from disk).
-    /// Zero by default; B16 raises it so overlapping misses are visible.
-    pub io_latency: Duration,
 }
 
 impl Default for EngineConfig {
@@ -171,7 +169,6 @@ impl Default for EngineConfig {
             durability: DurabilityMode::Off,
             fsync_latency: Duration::ZERO,
             pool_frames: 4096,
-            io_latency: Duration::ZERO,
         }
     }
 }
@@ -214,6 +211,5 @@ mod tests {
             "group(8)"
         );
         assert!(c.pool_frames >= 64);
-        assert_eq!(c.io_latency, Duration::ZERO);
     }
 }

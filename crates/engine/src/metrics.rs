@@ -892,6 +892,7 @@ mod tests {
             writebacks: 4,
             allocations: 3,
             latch_waits: 2,
+            misses_in_flight_peak: 1,
         };
         m.snapshot(rec, pool)
     }

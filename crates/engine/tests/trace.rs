@@ -65,9 +65,9 @@ fn canonical_jsonl_is_deterministic_for_single_worker_fixed_seed() {
     assert!(validate_jsonl(&a), "canonical export is valid JSONL");
 }
 
-/// The disjoint-key workload of the B10 and B11 experiments:
-/// transaction `i` inserts and updates two keys of its own. Its keys
-/// outgrow a leaf at the default fanout, so leaves split mid-run.
+/// The disjoint-key workload: transaction `i` inserts and updates two
+/// keys of its own. Its keys outgrow a leaf at the default fanout, so
+/// leaves split mid-run.
 fn disjoint_key_workload(txns: usize) -> EncWorkload {
     let txn_ops = (0..txns)
         .map(|i| {
@@ -88,9 +88,9 @@ fn disjoint_key_workload(txns: usize) -> EncWorkload {
 
 /// The dependency graph reconstructed from trace events alone matches
 /// the shutdown audit's committed projection edge-for-edge — for every
-/// strategy, sharded and unsharded, and for the traced B11 run: 96
+/// strategy, sharded and unsharded, and for a splitting run: 96
 /// disjoint-key transactions on 8 workers, optimistic, 4 lanes, at the
-/// default fanout.
+/// default fanout. The default ring holds every run whole.
 #[test]
 fn trace_graph_matches_audit_for_every_strategy() {
     let contended = contended_workload(17);
@@ -111,13 +111,13 @@ fn trace_graph_matches_audit_for_every_strategy() {
         }
     }
     let disjoint = disjoint_key_workload(96);
-    let b11 = EngineConfig {
+    let splitting = EngineConfig {
         seed: 42,
         ..cfg(8, 4, TraceMode::ring())
     };
     runs.push((
-        "B11 disjoint keys".into(),
-        b11,
+        "optimistic x4 disjoint keys, splitting".into(),
+        splitting,
         CcKind::Optimistic,
         &disjoint,
     ));
@@ -144,6 +144,47 @@ fn trace_graph_matches_audit_for_every_strategy() {
         total_matched > 0,
         "a contended workload must produce at least one dependency edge"
     );
+}
+
+/// The optimistic control on the disjoint-key workload at 1 and at 8
+/// metric lanes — one certifier at both, so what must hold is the same
+/// on both: every transaction commits and both audits are clean; no
+/// certification expands a node (a deferred-write candidate installs
+/// last, so it owns no out-edge); and the cut keeps what a commit is
+/// checked against (the `component` of its `CertAttempt`) near the
+/// in-flight window, well under the record.
+#[test]
+fn disjoint_keys_certify_against_a_bounded_cut_at_any_lane_count() {
+    const TXNS: usize = 384;
+    let workload = disjoint_key_workload(TXNS);
+    for shards in [1, 8] {
+        let config = EngineConfig {
+            seed: 42,
+            ..cfg(8, shards, TraceMode::ring())
+        };
+        let out = oodb_engine::run_workload(&config, CcKind::Optimistic, &workload);
+        let label = format!("{shards} lanes");
+        assert_eq!(out.metrics.committed, TXNS as u64, "{label}");
+        assert_eq!(out.metrics.cert_check_visited, 0, "{label}");
+        let audit = out.audit.as_ref().expect("audit enabled by default");
+        assert!(audit.report.oo_decentralized.is_ok(), "{label}");
+        assert!(audit.report.oo_global.is_ok(), "{label}");
+        let log = out.trace.as_ref().expect("ring sink captured a trace");
+        let largest = log
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::CertAttempt { component, .. } => Some(component),
+                _ => None,
+            })
+            .max()
+            .expect("every commit is certified");
+        assert!(
+            largest <= TXNS / 2,
+            "{label}: the cut must keep the retained set near the in-flight \
+             window, got {largest} of {TXNS} transactions"
+        );
+    }
 }
 
 /// What a read observes when writes are deferred to the commit point:

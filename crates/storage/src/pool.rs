@@ -42,6 +42,9 @@ pub struct PoolStats {
     pub allocations: u64,
     /// Latch acquisitions that found a conflicting holder and blocked.
     pub latch_waits: u64,
+    /// The most misses ever reading from the disk sim at one time: above
+    /// 1 only if concurrent misses overlap their device reads.
+    pub misses_in_flight_peak: u64,
 }
 
 impl PoolStats {
@@ -137,6 +140,9 @@ struct Inner {
     writebacks: AtomicU64,
     allocations: AtomicU64,
     latch_waits: AtomicU64,
+    /// Misses reading from the disk sim now, and the most ever at once.
+    misses_in_flight: AtomicU64,
+    misses_in_flight_peak: AtomicU64,
 }
 
 fn bump(counter: &AtomicU64) {
@@ -272,11 +278,15 @@ impl Inner {
         let mut image = None;
         if !fresh {
             bump(&self.misses);
+            let in_flight = self.misses_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+            self.misses_in_flight_peak
+                .fetch_max(in_flight, Ordering::Relaxed);
             image = self.disk.lock().get(&id).cloned();
             let latency = self.io_latency_ns.load(Ordering::Relaxed);
             if latency > 0 {
                 std::thread::sleep(Duration::from_nanos(latency));
             }
+            self.misses_in_flight.fetch_sub(1, Ordering::Relaxed);
         }
         // never written back (or new): the blank page
         slot.page = image.map_or_else(|| Page::new(self.page_size), Page::from_bytes);
@@ -333,6 +343,7 @@ impl BufferPool {
             writebacks: pool.writebacks.load(Ordering::Relaxed),
             allocations: pool.allocations.load(Ordering::Relaxed),
             latch_waits: pool.latch_waits.load(Ordering::Relaxed),
+            misses_in_flight_peak: pool.misses_in_flight_peak.load(Ordering::Relaxed),
         }
     }
 
