@@ -380,6 +380,35 @@ mod tests {
     }
 
     #[test]
+    fn a_change_that_moves_its_item_conflicts_with_a_reader_of_the_old_text() {
+        // `k`'s item page is full, so T2's longer text moves the item to
+        // a fresh page. T1 read the old text before the move and reads
+        // `j`, which T2 changed in place, after it: T1 → T2 on `k`'s old
+        // page, T2 → T1 on `j`'s — not serializable.
+        let (e, rec) = enc(8);
+        let mut setup = rec.begin_txn("Setup");
+        e.insert(&mut setup, "k", "short");
+        for i in 0..24 {
+            e.insert(&mut setup, &format!("f{i:02}"), &"x".repeat(60));
+        }
+        e.insert(&mut setup, "j", "short");
+        drop(setup);
+        let mut t1 = rec.begin_txn("T1");
+        let mut t2 = rec.begin_txn("T2");
+        assert_eq!(e.search(&mut t1, "k").as_deref(), Some("short"));
+        assert!(e.change(&mut t2, "k", &"y".repeat(300)).is_some());
+        assert!(e.change(&mut t2, "j", "other").is_some());
+        assert_eq!(e.search(&mut t1, "j").as_deref(), Some("other"));
+        drop(t1);
+        drop(t2);
+        let (mut ts, h) = rec.finish();
+        extend_virtual_objects(&mut ts);
+        let r = analyze(&ts, &h);
+        assert!(r.oo_decentralized.is_err(), "{:?}", r.oo_decentralized);
+        assert!(r.conventional.is_err(), "{:?}", r.conventional);
+    }
+
+    #[test]
     fn double_scan_around_in_range_insert_rejected() {
         // unrepeatable range read: T1 scans, T2 inserts inside, T1 scans
         // again — a phantom T1 observed; must be non-serializable
