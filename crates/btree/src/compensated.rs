@@ -12,6 +12,14 @@
 //! inside a fresh *compensation transaction* — which the concurrency
 //! machinery records and serializes like any other.
 //!
+//! This module is the one owner of an inverse's format: `insert(k)` is
+//! undone by `delete(k)`, a change by `update(k, old text)` and a delete
+//! by `insert(k, old text)` — the key in the first argument, the text in
+//! the second. [`EncWrite::of`] is the one reader of that format, and
+//! [`EncWrite::apply`] the one executor of a write with its text spelled
+//! out: abort runs inverses through them, and the engine's log, trace
+//! and recovery read and replay inverses through them too.
+//!
 //! An inverse is built from what the operation itself returns (Malta &
 //! Martinez): a change hands back the text it overwrote, read under the
 //! item page's latch in the same visit as the write. The change records
@@ -22,9 +30,10 @@
 
 use crate::encyclopedia::Encyclopedia;
 use crate::list::ItemId;
-use oodb_core::commutativity::{ActionDescriptor, Method};
-use oodb_core::compensation::{Inverse, InverseRegistry};
-use oodb_core::value::Value;
+use crate::ops::EncOp;
+use oodb_core::commutativity::{ActionDescriptor, Args, Method};
+use oodb_core::compensation::Inverse;
+use oodb_core::value::{key, Value};
 use oodb_model::TxnCtx;
 
 /// Encyclopedia with compensation logging and semantic abort.
@@ -34,7 +43,6 @@ use oodb_model::TxnCtx;
 /// so logging one takes no shared lock.
 pub struct CompensatedEncyclopedia {
     enc: Encyclopedia,
-    registry: InverseRegistry,
 }
 
 /// Outcome of [`CompensatedEncyclopedia::abort`].
@@ -48,13 +56,83 @@ pub struct AbortReport {
     pub failed: Vec<Inverse>,
 }
 
+/// An encyclopedia write with its text spelled out: what an inverse
+/// runs, what a log record carries and what recovery replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncWrite<'a> {
+    /// Insert `key` with `text`.
+    Insert {
+        /// The key.
+        key: &'a str,
+        /// The item text.
+        text: &'a str,
+    },
+    /// Change the item under `key` to `text`.
+    Change {
+        /// The key.
+        key: &'a str,
+        /// The new item text.
+        text: &'a str,
+    },
+    /// Delete `key`.
+    Delete {
+        /// The key.
+        key: &'a str,
+    },
+}
+
+impl<'a> EncWrite<'a> {
+    /// The write `inv` undoes with. Panics on an inverse this module did
+    /// not build.
+    pub fn of(inv: &'a Inverse) -> Self {
+        let d = &inv.descriptor;
+        let key = d.key().expect("an encyclopedia inverse names its key");
+        let text = || {
+            d.args
+                .get(1)
+                .and_then(Value::as_str)
+                .expect("an encyclopedia inverse that writes carries its text")
+        };
+        match d.method {
+            Method::Insert => EncWrite::Insert { key, text: text() },
+            Method::Update => EncWrite::Change { key, text: text() },
+            Method::Delete => EncWrite::Delete { key },
+            ref other => panic!("no encyclopedia write undoes with {other}"),
+        }
+    }
+
+    /// Run the write inside `ctx`; false when it found nothing to write
+    /// (the key already present for an insert, absent otherwise).
+    pub fn apply(self, enc: &Encyclopedia, ctx: &mut TxnCtx) -> bool {
+        match self {
+            EncWrite::Insert { key, text } => enc.insert(ctx, key, text).is_some(),
+            EncWrite::Change { key, text } => enc.change(ctx, key, text).is_some(),
+            EncWrite::Delete { key } => enc.delete(ctx, key),
+        }
+    }
+
+    /// The operation this write performs, without its text.
+    pub fn op(self) -> EncOp {
+        match self {
+            EncWrite::Insert { key, .. } => EncOp::Insert(key.to_owned()),
+            EncWrite::Change { key, .. } => EncOp::Change(key.to_owned()),
+            EncWrite::Delete { key } => EncOp::Delete(key.to_owned()),
+        }
+    }
+}
+
+/// The inverse that writes `text` back under `k` by `method`.
+fn restore(method: Method, k: &str, text: String) -> Inverse {
+    let args: Args = [key(k), Value::Str(text)].into_iter().collect();
+    Inverse {
+        descriptor: ActionDescriptor::new(method, args),
+    }
+}
+
 impl CompensatedEncyclopedia {
     /// Wrap an encyclopedia.
     pub fn new(enc: Encyclopedia) -> Self {
-        CompensatedEncyclopedia {
-            enc,
-            registry: InverseRegistry::new(),
-        }
+        CompensatedEncyclopedia { enc }
     }
 
     /// The wrapped encyclopedia (read-only access for assertions).
@@ -69,20 +147,12 @@ impl CompensatedEncyclopedia {
         ctx.inverses().last()
     }
 
-    /// Push the inverse of the effectful `forward` operation, rebuilt
-    /// from `saved`, the state it replaced.
-    fn log(&self, ctx: &mut TxnCtx, forward: Method, k: &str, saved: Option<Value>) {
-        let inverse = self
-            .registry
-            .invert(&ActionDescriptor::keyed(forward, k), saved)
-            .expect("every encyclopedia write is invertible");
-        ctx.push_inverse(Inverse::new("Enc", inverse));
-    }
-
     /// Insert; logs `delete(key)` as the inverse.
     pub fn insert(&self, ctx: &mut TxnCtx, k: &str, text: &str) -> Option<ItemId> {
         let id = self.enc.insert(ctx, k, text)?;
-        self.log(ctx, Method::Insert, k, None);
+        ctx.push_inverse(Inverse {
+            descriptor: ActionDescriptor::keyed(Method::Delete, k),
+        });
         Some(id)
     }
 
@@ -92,7 +162,7 @@ impl CompensatedEncyclopedia {
         let Some(old) = self.enc.change(ctx, k, text) else {
             return false;
         };
-        self.log(ctx, Method::Update, k, Some(Value::Str(old)));
+        ctx.push_inverse(restore(Method::Update, k, old));
         true
     }
 
@@ -109,7 +179,7 @@ impl CompensatedEncyclopedia {
         if !self.enc.delete(ctx, k) {
             return false;
         }
-        self.log(ctx, Method::Delete, k, Some(Value::Str(old)));
+        ctx.push_inverse(restore(Method::Insert, k, old));
         true
     }
 
@@ -141,16 +211,7 @@ impl CompensatedEncyclopedia {
             failed: Vec::new(),
         };
         for inv in plan.into_iter().rev() {
-            let d = &inv.descriptor;
-            let k = d.key().expect("keyed inverse");
-            let text = || d.args.get(1).and_then(Value::as_str).unwrap_or("");
-            let ok = match d.method {
-                Method::Delete => self.enc.delete(comp_ctx, k),
-                Method::Insert => self.enc.insert(comp_ctx, k, text()).is_some(),
-                Method::Update => self.enc.change(comp_ctx, k, text()).is_some(),
-                ref other => panic!("no executor for inverse method {other}"),
-            };
-            if ok {
+            if EncWrite::of(&inv).apply(&self.enc, comp_ctx) {
                 report.compensated.push(inv);
             } else {
                 report.failed.push(inv);
@@ -212,6 +273,41 @@ mod tests {
 
         // visible state is exactly the pre-transaction state
         assert_eq!(state(&enc, &rec), before);
+    }
+
+    #[test]
+    fn each_write_logs_the_write_that_undoes_it() {
+        let (enc, rec) = setup();
+        let mut t = rec.begin_txn("T");
+        enc.insert(&mut t, "K", "v0");
+        enc.change(&mut t, "K", "v1");
+        enc.delete(&mut t, "K");
+        let d = |m: &str, args: Vec<Value>| ActionDescriptor::new(m, args);
+        let logged: Vec<&ActionDescriptor> = t.inverses().iter().map(|i| &i.descriptor).collect();
+        assert_eq!(
+            logged,
+            [
+                &d("delete", vec![key("K")]),
+                &d("update", vec![key("K"), Value::Str("v0".into())]),
+                &d("insert", vec![key("K"), Value::Str("v1".into())]),
+            ]
+        );
+        let writes: Vec<EncWrite<'_>> = t.inverses().iter().map(EncWrite::of).collect();
+        assert_eq!(
+            writes,
+            [
+                EncWrite::Delete { key: "K" },
+                EncWrite::Change {
+                    key: "K",
+                    text: "v0"
+                },
+                EncWrite::Insert {
+                    key: "K",
+                    text: "v1"
+                },
+            ]
+        );
+        drop(t);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   cycle motivating the paper's Definition 5;
 //! * [`list`] — the linked list of items with per-item objects;
 //! * [`encyclopedia`] — the `Enc` facade combining both (Figure 2), and
-//!   [`compensated`] — its open-nested abort by semantic inverses;
+//!   [`compensated`] — its open-nested abort by semantic inverses, whose
+//!   format it alone knows ([`EncWrite`]);
 //! * [`ops`] — the operations every executor runs against it ([`EncOp`])
 //!   and what each one means: its lock mode, its page-level ablation, its
 //!   execution and the text it writes.
@@ -28,7 +29,7 @@ mod objects;
 pub mod ops;
 pub mod tree;
 
-pub use compensated::{AbortReport, CompensatedEncyclopedia};
+pub use compensated::{AbortReport, CompensatedEncyclopedia, EncWrite};
 pub use encyclopedia::{Encyclopedia, EncyclopediaConfig};
 pub use list::{ItemId, ItemList};
 pub use node::{Entry, Node, Probe, MAX_KEY_LEN};

@@ -66,9 +66,8 @@ use crate::metrics::EngineMetrics;
 use crate::queue::QueueGauges;
 use crate::trace::TraceEventKind;
 use oodb_btree::ops::{write_text, EncOp};
-use oodb_core::commutativity::Method;
+use oodb_btree::EncWrite;
 use oodb_core::compensation::Inverse;
-use oodb_core::value::Value;
 use oodb_recovery::engine_log::{EngineOp, EngineRecord};
 use oodb_recovery::framing::{FramedLog, FRAME_HEADER};
 use parking_lot::{Condvar, Mutex};
@@ -481,21 +480,28 @@ pub(crate) fn redo_of(op: &EncOp, tag: usize) -> Option<EngineOp> {
 }
 
 /// The loggable form of a captured compensation inverse.
-pub(crate) fn comp_of(inv: &Inverse) -> Option<EngineOp> {
-    let d = &inv.descriptor;
-    let key = d.key()?.to_owned();
-    let text = || {
-        d.args
-            .get(1)
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned()
-    };
-    match d.method {
-        Method::Insert => Some(EngineOp::Insert { key, text: text() }),
-        Method::Update => Some(EngineOp::Change { key, text: text() }),
-        Method::Delete => Some(EngineOp::Delete { key }),
-        _ => None,
+pub(crate) fn comp_of(inv: &Inverse) -> EngineOp {
+    match EncWrite::of(inv) {
+        EncWrite::Insert { key, text } => EngineOp::Insert {
+            key: key.to_owned(),
+            text: text.to_owned(),
+        },
+        EncWrite::Change { key, text } => EngineOp::Change {
+            key: key.to_owned(),
+            text: text.to_owned(),
+        },
+        EncWrite::Delete { key } => EngineOp::Delete {
+            key: key.to_owned(),
+        },
+    }
+}
+
+/// The write a logged operation replays.
+pub(crate) fn write_of(op: &EngineOp) -> EncWrite<'_> {
+    match op {
+        EngineOp::Insert { key, text } => EncWrite::Insert { key, text },
+        EngineOp::Change { key, text } => EncWrite::Change { key, text },
+        EngineOp::Delete { key } => EncWrite::Delete { key },
     }
 }
 

@@ -21,6 +21,7 @@
 //!    serializability checker. A recovered state is only reported
 //!    consistent if the checkers accept it.
 
+use super::write_of;
 use oodb_btree::{Encyclopedia, EncyclopediaConfig};
 use oodb_core::certifier::restrict_history;
 use oodb_core::ids::TxnIdx;
@@ -102,14 +103,6 @@ struct ReplayTxn {
     finished: bool,
 }
 
-fn apply(enc: &Encyclopedia, ctx: &mut TxnCtx, op: &EngineOp) -> bool {
-    match op {
-        EngineOp::Insert { key, text } => enc.insert(ctx, key, text).is_some(),
-        EngineOp::Change { key, text } => enc.change(ctx, key, text).is_some(),
-        EngineOp::Delete { key } => enc.delete(ctx, key),
-    }
-}
-
 /// Recover a crashed (or cleanly shut down) engine's log image into a
 /// fresh database. `fanout` should match the crashed engine's
 /// [`EngineConfig::fanout`](crate::EngineConfig::fanout) so the replayed
@@ -163,7 +156,7 @@ pub fn recover(image: &[u8], fanout: usize) -> RecoveryOutcome {
             EngineRecord::Op { txn, redo, comp } => {
                 let t = txns.get_mut(txn).expect("Op after Begin");
                 let ctx = t.ctx.as_mut().expect("Op before terminator");
-                apply(&enc, ctx, redo);
+                write_of(redo).apply(&enc, ctx);
                 t.comps.push((idx, comp.clone()));
                 stats.ops += 1;
             }
@@ -174,7 +167,7 @@ pub fn recover(image: &[u8], fanout: usize) -> RecoveryOutcome {
                     let ctx = t
                         .comp_ctx
                         .get_or_insert_with(|| rec.begin_txn(format!("C({name})")));
-                    apply(&enc, ctx, op);
+                    write_of(op).apply(&enc, ctx);
                     stats.comps += 1;
                 }
                 t.comps_seen += 1;
@@ -214,7 +207,7 @@ pub fn recover(image: &[u8], fanout: usize) -> RecoveryOutcome {
         let ctx = t
             .comp_ctx
             .get_or_insert_with(|| rec.begin_txn(format!("C({name})")));
-        apply(&enc, ctx, op);
+        write_of(op).apply(&enc, ctx);
         stats.loser_comps += 1;
     }
     for t in txns.values_mut() {

@@ -10,7 +10,7 @@ use crate::metrics::{EngineMetrics, ShardRoute};
 use crate::queue::{Job, JobQueue, PollBackoff};
 use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
 use oodb_btree::ops::{apply_op, EncOp};
-use oodb_core::commutativity::Method;
+use oodb_btree::EncWrite;
 use oodb_core::ids::TxnIdx;
 use oodb_model::TxnCtx;
 use oodb_recovery::engine_log::{EngineOp as WalOp, EngineRecord};
@@ -41,18 +41,6 @@ pub fn retry_delay(cfg: &EngineConfig, job: u64, attempt: u32) -> Duration {
 
 fn past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// The encyclopedia operation a compensation inverse executed — the
-/// trace's membership-replay form of the abort report.
-fn inverse_op(inv: &oodb_core::compensation::Inverse) -> Option<EncOp> {
-    let k = inv.descriptor.key()?.to_owned();
-    match inv.descriptor.method {
-        Method::Insert => Some(EncOp::Insert(k)),
-        Method::Update => Some(EncOp::Change(k)),
-        Method::Delete => Some(EncOp::Delete(k)),
-        _ => None,
-    }
 }
 
 /// True for operations that mutate the encyclopedia — the ones the
@@ -179,7 +167,7 @@ impl<'a> Wal<'a> {
         };
         let comp = enc
             .last_inverse(ctx)
-            .and_then(comp_of)
+            .map(comp_of)
             .expect("every effectful mutation captures an inverse");
         self.log_op(m, redo, comp);
     }
@@ -260,14 +248,13 @@ fn compensate(
     );
     if wal.active() {
         for inv in &report.compensated {
-            if let Some(op) = comp_of(inv) {
-                wal.log_comp(&shared.metrics, op);
-            }
+            wal.log_comp(&shared.metrics, comp_of(inv));
         }
         wal.log_abort_done(&shared.metrics);
     }
     if shared.trace.enabled() {
-        for op in report.compensated.iter().filter_map(inverse_op) {
+        for inv in &report.compensated {
+            let op = EncWrite::of(inv).op();
             shared
                 .trace
                 .emit_txn(handle, || TraceEventKind::CompensationOp { op, hit: true });
