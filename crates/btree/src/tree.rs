@@ -688,7 +688,7 @@ impl BLinkTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::certifier::{Certifier, CertifierMode, CommitOutcome};
+    use oodb_core::certifier::{Certifier, CommitOutcome};
     use oodb_core::ids::{ActionIdx, TxnIdx};
     use oodb_core::prelude::{analyze, extend_virtual_objects};
     use oodb_storage::BufferPool;
@@ -960,7 +960,7 @@ mod tests {
         extend_virtual_objects(&mut ts);
         let r = analyze(&ts, &h);
         assert!(r.oo_decentralized.is_ok(), "{:?}", r.oo_decentralized);
-        let mut cert = Certifier::new(CertifierMode::Paper);
+        let mut cert = Certifier::default();
         for txn in 0..3 {
             let outcome = cert.try_commit(&ts, &h, TxnIdx(txn));
             assert_eq!(outcome, CommitOutcome::Committed, "T{txn}");

@@ -26,7 +26,7 @@
 use super::{ConcurrencyControl, EngineShared, FinishOutcome, OpGrant, TxnHandle};
 use crate::trace::{CertOutcome, TraceEventKind};
 use oodb_btree::EncOp;
-use oodb_core::certifier::{Certifier, CertifierMode, CertifierStats, CommitOutcome};
+use oodb_core::certifier::{Certifier, CertifierStats, CommitOutcome};
 use oodb_core::history::History;
 use oodb_core::ids::TxnIdx;
 use oodb_core::system::TransactionSystem;
@@ -52,7 +52,7 @@ impl OptimisticCc {
     /// Definition 16.
     pub fn new() -> Self {
         OptimisticCc {
-            cert: Mutex::new(Certifier::new(CertifierMode::Paper)),
+            cert: Mutex::new(Certifier::default()),
         }
     }
 

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --example occ_scheduler`
 
 use oodb::btree::{CompensatedEncyclopedia, Encyclopedia, EncyclopediaConfig};
-use oodb::core::certifier::{Certifier, CertifierMode, CommitOutcome};
+use oodb::core::certifier::{Certifier, CommitOutcome};
 use oodb::core::ids::TxnIdx;
 use oodb::core::prelude::*;
 use oodb::core::schedule::SystemSchedules;
@@ -32,7 +32,7 @@ fn main() {
         },
     );
     let enc = CompensatedEncyclopedia::new(enc);
-    let mut cert = Certifier::new(CertifierMode::Paper);
+    let mut cert = Certifier::default();
     // the commit point: validate everything recorded so far
     let certify = |cert: &mut Certifier, ctx: &TxnCtx| {
         let (ts, h) = rec.snapshot();
