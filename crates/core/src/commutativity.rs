@@ -254,14 +254,6 @@ impl ActionDescriptor {
         self.args.first().and_then(Value::as_key)
     }
 
-    /// The first argument as a key, as the specs compare it.
-    fn first_key(&self) -> Option<&Key> {
-        match self.args.first() {
-            Some(Value::Key(k)) => Some(k),
-            _ => None,
-        }
-    }
-
     /// The keys among the arguments, as the specs compare them.
     fn keys(&self) -> impl Iterator<Item = &Key> {
         self.args.iter().filter_map(|v| match v {
@@ -471,50 +463,6 @@ impl CommutativitySpec for ReadWriteSpec {
     }
 }
 
-/// Key-based semantics for search structures (B⁺-tree nodes, leaves,
-/// directories): operations on **different keys always commute** — the
-/// source of the extra concurrency in Example 1 — while on the same key
-/// only two `search`es commute (`insert`, `delete` and `update` conflict
-/// with each other and with `search`).
-///
-/// The keyless scan `readSeq` commutes with `search` and itself and
-/// conflicts with everything else; every other keyless pair, and every
-/// same-key pair of kinds the structure does not define, conservatively
-/// conflicts.
-#[derive(Debug, Clone)]
-pub struct KeyedSpec {
-    name: String,
-}
-
-impl KeyedSpec {
-    /// The spec of an ordered search structure, with the given diagnostic
-    /// name.
-    pub fn search_structure(name: impl Into<String>) -> Self {
-        KeyedSpec { name: name.into() }
-    }
-}
-
-impl CommutativitySpec for KeyedSpec {
-    fn commutes(&self, a: &ActionDescriptor, b: &ActionDescriptor) -> bool {
-        let reads = |d: &ActionDescriptor| matches!(d.method, Method::Search | Method::ReadSeq);
-        match (&a.method, &b.method) {
-            // whole-object scans: commute only with readers
-            (Method::ReadSeq, _) | (_, Method::ReadSeq) => reads(a) && reads(b),
-            (ma, mb) => match (a.first_key(), b.first_key()) {
-                (Some(ka), Some(kb)) => {
-                    ka != kb || matches!((ma, mb), (Method::Search, Method::Search))
-                }
-                // keyless non-scan methods: conservative
-                _ => false,
-            },
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Escrow-style semantics for numeric counters (accounts, quantities),
 /// after O'Neil's escrow method which the paper cites for including
 /// "parameter values and the status of accessed objects" in the
@@ -608,16 +556,20 @@ impl CommutativitySpec for MatrixSpec {
     }
 }
 
-/// Range semantics for ordered containers: operations carry either a
-/// single key or a `[lo, hi]` range (two key arguments), and two
-/// operations commute iff their key sets are disjoint, or both only read
-/// (`search`, `rangeScan`, `readSeq`).
+/// Range semantics for ordered containers and search structures (the
+/// encyclopedia, B⁺-tree nodes and leaves, the item list): operations
+/// carry either a single key or a `[lo, hi]` range (two key arguments),
+/// and two operations commute iff their key sets are disjoint, or both
+/// only read (`search`, `rangeScan`, `readSeq`). So operations on
+/// **different keys always commute** — the source of the extra
+/// concurrency in Example 1 — while on the same key only readers do; a
+/// keyless writer, or a kind the structure does not define without a
+/// key, conservatively conflicts with everything.
 ///
-/// This is the semantic answer to the *phantom problem* the paper lists
-/// among the §1 anomalies: a `rangeScan[lo,hi]` conflicts with exactly
-/// the inserts/deletes whose key falls inside `[lo,hi]` — no more (no
-/// page-level false sharing) and no less (no phantoms). On point
-/// operations it coincides with [`KeyedSpec::search_structure`].
+/// This is also the semantic answer to the *phantom problem* the paper
+/// lists among the §1 anomalies: a `rangeScan[lo,hi]` conflicts with
+/// exactly the inserts/deletes whose key falls inside `[lo,hi]` — no
+/// more (no page-level false sharing) and no less (no phantoms).
 #[derive(Debug, Clone)]
 pub struct RangeSpec {
     name: String,
@@ -717,7 +669,7 @@ mod tests {
     #[test]
     fn keyed_different_keys_commute() {
         // the paper's Example 1: insert(DBS) Θ insert(DBMS) on a leaf
-        let s = KeyedSpec::search_structure("leaf");
+        let s = RangeSpec::ordered_container("leaf");
         let i1 = d("insert", vec![key("DBS")]);
         let i2 = d("insert", vec![key("DBMS")]);
         assert!(s.commutes(&i1, &i2));
@@ -726,7 +678,7 @@ mod tests {
     #[test]
     fn keyed_same_key_insert_search_conflict() {
         // the paper's Example 1: insert(DBS) conflicts with search(DBS)
-        let s = KeyedSpec::search_structure("leaf");
+        let s = RangeSpec::ordered_container("leaf");
         let i = d("insert", vec![key("DBS")]);
         let q = d("search", vec![key("DBS")]);
         assert!(!s.commutes(&i, &q));
@@ -735,7 +687,7 @@ mod tests {
 
     #[test]
     fn keyed_same_key_searches_commute() {
-        let s = KeyedSpec::search_structure("leaf");
+        let s = RangeSpec::ordered_container("leaf");
         let q = d("search", vec![key("DBS")]);
         assert!(s.commutes(&q, &q.clone()));
     }
@@ -744,7 +696,7 @@ mod tests {
     fn keyed_scan_conflicts_with_updates_commutes_with_reads() {
         // Example 4: T2 (changes an item) conflicts with T4's readSeq on
         // LinkedList, but two readSeq commute.
-        let s = KeyedSpec::search_structure("list");
+        let s = RangeSpec::ordered_container("list");
         let scan = d("readSeq", vec![]);
         let ins = d("insert", vec![key("DBS")]);
         let q = d("search", vec![key("DBS")]);
@@ -756,7 +708,7 @@ mod tests {
 
     #[test]
     fn keyed_unknown_method_conflicts() {
-        let s = KeyedSpec::search_structure("leaf");
+        let s = RangeSpec::ordered_container("leaf");
         let m = d("mystery", vec![key("k")]);
         assert!(!s.commutes(&m, &m.clone()));
         // but different keys still commute (key dominance)

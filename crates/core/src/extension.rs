@@ -108,7 +108,7 @@ pub fn extend_virtual_objects(ts: &mut TransactionSystem) -> ExtensionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+    use crate::commutativity::{ActionDescriptor, RangeSpec, ReadWriteSpec};
     use crate::history::History;
     use crate::schedule::SystemSchedules;
     use crate::serializability::{analyze, check_system_global};
@@ -124,8 +124,8 @@ mod tests {
     /// on Node6.
     fn blink_system() -> (TransactionSystem, ActionIdx, ActionIdx, Vec<ActionIdx>) {
         let mut ts = TransactionSystem::new();
-        let node = ts.add_object("Node6", Arc::new(KeyedSpec::search_structure("node")));
-        let leaf = ts.add_object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+        let node = ts.add_object("Node6", Arc::new(RangeSpec::ordered_container("node")));
+        let leaf = ts.add_object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
         let page_n = ts.add_object("PageN", Arc::new(ReadWriteSpec));
         let page_l = ts.add_object("PageL", Arc::new(ReadWriteSpec));
 

@@ -410,7 +410,7 @@ fn has_call_path_cycle(ts: &TransactionSystem, p: ActionIdx) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+    use crate::commutativity::{ActionDescriptor, RangeSpec, ReadWriteSpec};
     use crate::history::History;
     use crate::value::key;
     use std::sync::Arc;
@@ -422,7 +422,7 @@ mod tests {
     /// The Example 1 shapes again, driven incrementally.
     fn example_system() -> (TransactionSystem, Vec<ActionIdx>) {
         let mut ts = TransactionSystem::new();
-        let leaf = ts.add_object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = ts.add_object("Leaf", Arc::new(RangeSpec::ordered_container("leaf")));
         let p = ts.add_object("PageA", Arc::new(ReadWriteSpec));
         let q = ts.add_object("PageB", Arc::new(ReadWriteSpec));
         let mut prims = Vec::new();

@@ -477,7 +477,7 @@ pub fn conventional_deps(ts: &TransactionSystem, history: &History) -> DiGraph<A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+    use crate::commutativity::{ActionDescriptor, RangeSpec, ReadWriteSpec};
     use crate::history::History;
     use crate::system::TransactionSystem;
     use crate::value::key;
@@ -492,7 +492,7 @@ mod tests {
     /// page with read+write.
     fn example1_commuting() -> (TransactionSystem, Vec<ActionIdx>, Vec<ActionIdx>) {
         let mut ts = TransactionSystem::new();
-        let leaf = ts.add_object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = ts.add_object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = ts.add_object("Page4712", Arc::new(ReadWriteSpec));
         let mut prims = Vec::new();
         let mut b = ts.txn("T1");
@@ -515,7 +515,7 @@ mod tests {
     /// inserts.
     fn example1_conflicting() -> (TransactionSystem, Vec<ActionIdx>, Vec<ActionIdx>) {
         let mut ts = TransactionSystem::new();
-        let leaf = ts.add_object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = ts.add_object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = ts.add_object("Page4712", Arc::new(ReadWriteSpec));
         let mut prims = Vec::new();
         let mut b = ts.txn("T3");

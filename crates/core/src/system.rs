@@ -635,7 +635,7 @@ impl<'a> TxnBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commutativity::{KeyedSpec, ReadWriteSpec};
+    use crate::commutativity::{RangeSpec, ReadWriteSpec};
     use crate::value::key;
 
     fn desc(m: &str) -> ActionDescriptor {
@@ -644,7 +644,7 @@ mod tests {
 
     fn two_object_system() -> (TransactionSystem, ObjectIdx, ObjectIdx) {
         let mut ts = TransactionSystem::new();
-        let leaf = ts.add_object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = ts.add_object("Leaf", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = ts.add_object("Page", Arc::new(ReadWriteSpec));
         (ts, leaf, page)
     }

@@ -186,7 +186,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::commutativity::{EscrowSpec, KeyedSpec, ReadWriteSpec};
+    use oodb_core::commutativity::{EscrowSpec, RangeSpec, ReadWriteSpec};
     use oodb_core::value::key;
     use std::sync::Arc;
 
@@ -260,7 +260,7 @@ mod tests {
     fn semantic_modes_from_keyed_spec() {
         let mut m = LockManager::new();
         let leaf = ResourceId(7);
-        m.register(leaf, Arc::new(KeyedSpec::search_structure("leaf")));
+        m.register(leaf, Arc::new(RangeSpec::ordered_container("leaf")));
         let i_dbs = ActionDescriptor::new("insert", vec![key("DBS")]);
         let i_dbms = ActionDescriptor::new("insert", vec![key("DBMS")]);
         let s_dbs = ActionDescriptor::new("search", vec![key("DBS")]);

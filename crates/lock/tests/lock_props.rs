@@ -2,7 +2,7 @@
 //! do two granted locks of unrelated owners conflict under the resource's
 //! commutativity spec, and releases restore availability.
 
-use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, KeyedSpec, ReadWriteSpec, SpecRef};
+use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, RangeSpec, ReadWriteSpec, SpecRef};
 use oodb_core::value::key;
 use oodb_lock::{LockManager, LockOutcome, OwnerId, ResourceId};
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 fn spec_for(resource: u8) -> SpecRef {
     match resource {
         0 => Arc::new(ReadWriteSpec),
-        1 => Arc::new(KeyedSpec::search_structure("leaf")),
+        1 => Arc::new(RangeSpec::ordered_container("leaf")),
         _ => Arc::new(EscrowSpec::bounded()),
     }
 }

@@ -720,7 +720,7 @@ impl Drop for TxnCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, KeyedSpec, ReadWriteSpec};
+    use oodb_core::commutativity::{ActionDescriptor, EscrowSpec, RangeSpec, ReadWriteSpec};
     use oodb_core::prelude::{analyze, key, SystemSchedules};
     use oodb_core::value::Value;
     use std::sync::atomic::AtomicBool;
@@ -728,7 +728,7 @@ mod tests {
     #[test]
     fn records_example1_shape() {
         let rec = Recorder::new();
-        let leaf = rec.object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = rec.object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = rec.object("Page4712", Arc::new(ReadWriteSpec));
 
         let mut t1 = rec.begin_txn("T1");
@@ -758,7 +758,7 @@ mod tests {
     #[test]
     fn serializable_interleaving_accepted() {
         let rec = Recorder::new();
-        let leaf = rec.object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = rec.object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = rec.object("Page4712", Arc::new(ReadWriteSpec));
 
         let mut t1 = rec.begin_txn("T1");
@@ -816,7 +816,7 @@ mod tests {
     fn object_registration_is_idempotent() {
         let rec = Recorder::new();
         let a = rec.object("X", Arc::new(ReadWriteSpec));
-        let b = rec.object("X", Arc::new(KeyedSpec::search_structure("other")));
+        let b = rec.object("X", Arc::new(RangeSpec::ordered_container("other")));
         assert_eq!(a, b);
         assert_eq!(rec.find_object("X"), Some(a));
         assert_eq!(rec.find_object("Y"), None);
@@ -825,7 +825,7 @@ mod tests {
     #[test]
     fn concurrent_recording_is_safe() {
         let rec = Recorder::new();
-        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
+        let node = rec.object("N", Arc::new(RangeSpec::ordered_container("node")));
         let page = rec.object("P", Arc::new(ReadWriteSpec));
         let start = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
@@ -939,7 +939,7 @@ mod tests {
         txns: usize,
         visits: usize,
     ) -> (Vec<std::thread::JoinHandle<()>>, Vec<TxnCtx>) {
-        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
+        let node = rec.object("N", Arc::new(RangeSpec::ordered_container("node")));
         let page = rec.object("P", Arc::new(ReadWriteSpec));
         let latch = Arc::new(std::sync::Mutex::new(0u64));
         let start = Arc::new(std::sync::Barrier::new(4));
@@ -1177,7 +1177,7 @@ mod tests {
     #[test]
     fn arena_order_is_call_order() {
         let rec = Recorder::new();
-        let leaf = rec.object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = rec.object("Leaf", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = rec.object("Page", Arc::new(ReadWriteSpec));
         let ins =
             |k: &str| -> DescriptorRef { ActionDescriptor::new("insert", vec![key(k)]).into() };
@@ -1244,7 +1244,7 @@ mod tests {
     fn a_disabled_recorder_numbers_and_keeps_nothing() {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
-        let leaf = rec.object("Leaf", Arc::new(KeyedSpec::search_structure("leaf")));
+        let leaf = rec.object("Leaf", Arc::new(RangeSpec::ordered_container("leaf")));
         let page = rec.object("Page", Arc::new(ReadWriteSpec));
         let search: DescriptorRef = ActionDescriptor::new("search", vec![key("k")]).into();
         let mut cursors: Vec<TxnCtx> = (0..3).map(|i| rec.begin_txn(format!("T{i}"))).collect();
@@ -1284,7 +1284,7 @@ mod tests {
     #[test]
     fn a_validated_visit_is_staged_only_if_its_copy_still_holds() {
         let rec = Recorder::new();
-        let node = rec.object("N", Arc::new(KeyedSpec::search_structure("node")));
+        let node = rec.object("N", Arc::new(RangeSpec::ordered_container("node")));
         let page = rec.object("P", Arc::new(ReadWriteSpec));
         let search: DescriptorRef = ActionDescriptor::new("search", vec![key("k")]).into();
         let read = DescriptorRef::read();

@@ -9,7 +9,7 @@
 //! all-conflict), showing the gain collapse back to the conventional
 //! level.
 
-use oodb_core::commutativity::{ActionDescriptor, AllConflict, KeyedSpec, ReadWriteSpec, SpecRef};
+use oodb_core::commutativity::{ActionDescriptor, AllConflict, RangeSpec, ReadWriteSpec, SpecRef};
 use oodb_core::history::History;
 use oodb_core::ids::ActionIdx;
 use oodb_core::prelude::analyze;
@@ -81,7 +81,7 @@ fn build_system(cfg: &AcceptanceConfig, semantic: bool) -> (TransactionSystem, O
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ts = TransactionSystem::new();
     let leaf_spec: SpecRef = if semantic {
-        Arc::new(KeyedSpec::search_structure("leaf"))
+        Arc::new(RangeSpec::ordered_container("leaf"))
     } else {
         Arc::new(AllConflict)
     };

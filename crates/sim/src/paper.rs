@@ -7,7 +7,7 @@
 //! the live encyclopedia substrate (`oodb-btree`), which produces the
 //! same shapes with machine-generated names.
 
-use oodb_core::commutativity::{ActionDescriptor, KeyedSpec, ReadWriteSpec};
+use oodb_core::commutativity::{ActionDescriptor, RangeSpec, ReadWriteSpec};
 use oodb_core::history::History;
 use oodb_core::ids::ActionIdx;
 use oodb_core::system::TransactionSystem;
@@ -43,13 +43,16 @@ pub struct EncObjects {
 /// Register Figure 2's objects in a fresh system.
 pub fn encyclopedia_objects(ts: &mut TransactionSystem) -> EncObjects {
     EncObjects {
-        enc: ts.add_object("Enc", Arc::new(KeyedSpec::search_structure("encyclopedia"))),
-        bptree: ts.add_object("BpTree", Arc::new(KeyedSpec::search_structure("bptree"))),
-        leaf11: ts.add_object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf"))),
+        enc: ts.add_object(
+            "Enc",
+            Arc::new(RangeSpec::ordered_container("encyclopedia")),
+        ),
+        bptree: ts.add_object("BpTree", Arc::new(RangeSpec::ordered_container("bptree"))),
+        leaf11: ts.add_object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf"))),
         page4712: ts.add_object("Page4712", Arc::new(ReadWriteSpec)),
         linked_list: ts.add_object(
             "LinkedList",
-            Arc::new(KeyedSpec::search_structure("item-list")),
+            Arc::new(RangeSpec::ordered_container("item-list")),
         ),
         item8: ts.add_object("Item8", Arc::new(ReadWriteSpec)),
         page_item: ts.add_object("Page4801", Arc::new(ReadWriteSpec)),
@@ -116,8 +119,8 @@ pub fn example1_conflicting() -> (TransactionSystem, History) {
 /// the action `a12` accessing `O1` again (the call-path cycle).
 pub fn example2_tree() -> (TransactionSystem, ActionIdx) {
     let mut ts = TransactionSystem::new();
-    let o1 = ts.add_object("O1", Arc::new(KeyedSpec::search_structure("o1")));
-    let o2 = ts.add_object("O2", Arc::new(KeyedSpec::search_structure("o2")));
+    let o1 = ts.add_object("O1", Arc::new(RangeSpec::ordered_container("o1")));
+    let o2 = ts.add_object("O2", Arc::new(RangeSpec::ordered_container("o2")));
     let o3 = ts.add_object("O3", Arc::new(ReadWriteSpec));
     let mut b = ts.txn("t1");
     // a1 on O1
@@ -242,9 +245,9 @@ pub fn example4() -> (TransactionSystem, History) {
 /// [`oodb_core::serializability::check_system_global`] rejects it.
 pub fn added_relation_gap() -> (TransactionSystem, History) {
     let mut ts = TransactionSystem::new();
-    let x = ts.add_object("X", Arc::new(KeyedSpec::search_structure("x")));
-    let y = ts.add_object("Y", Arc::new(KeyedSpec::search_structure("y")));
-    let z = ts.add_object("Z", Arc::new(KeyedSpec::search_structure("z")));
+    let x = ts.add_object("X", Arc::new(RangeSpec::ordered_container("x")));
+    let y = ts.add_object("Y", Arc::new(RangeSpec::ordered_container("y")));
+    let z = ts.add_object("Z", Arc::new(RangeSpec::ordered_container("z")));
     let p1 = ts.add_object("P1", Arc::new(ReadWriteSpec));
     let p2 = ts.add_object("P2", Arc::new(ReadWriteSpec));
     let p3 = ts.add_object("P3", Arc::new(ReadWriteSpec));

@@ -15,7 +15,7 @@ fn main() {
     // 1. Objects with the commutativity spec of their type (Def. 9):
     //    the leaf is key-based, the page is read/write.
     let mut ts = TransactionSystem::new();
-    let leaf = ts.add_object("Leaf11", Arc::new(KeyedSpec::search_structure("leaf")));
+    let leaf = ts.add_object("Leaf11", Arc::new(RangeSpec::ordered_container("leaf")));
     let page = ts.add_object("Page4712", Arc::new(ReadWriteSpec));
 
     // 2. Two open nested transactions (Defs. 1–4).
