@@ -66,7 +66,7 @@
 
 use crate::node::{EncodedNode, Node, Probe};
 use oodb_storage::chunked::Chunked;
-use oodb_storage::{BufferManager, Page, PageError, PageExclusive, PageId, PageShared};
+use oodb_storage::{BufferManager, Page, PageExclusive, PageId, PageShared};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -97,8 +97,8 @@ pub(crate) fn decode(page: &PageExclusive<'_>) -> Node {
     page.read(|p| Node::decode(node_record(p)))
 }
 
-/// Encode `node` into record 0 of an exclusively latched page,
-/// compacting on fragmentation, and republish the page's image if the
+/// Encode `node` into record 0 of an exclusively latched page (an update
+/// compacts the page itself when it must), and republish the page's image if the
 /// node is an inner one. `claim` records the write, under the latch and,
 /// for an inner node, while the image's version is odd (DESIGN.md §7).
 pub(crate) fn write_node(
@@ -117,16 +117,12 @@ pub(crate) fn write_node(
     } else {
         images.publish(page.id(), &bytes, claim);
     }
-    let put = |p: &mut Page| match p.slot_count() {
-        0 => p.insert(&bytes).map(drop),
-        _ => p.update(0, &bytes),
-    };
-    page.write(|p| match put(p) {
-        Err(PageError::Full { .. }) => {
-            p.compact();
-            put(p).expect("sized for fanout")
+    page.write(|p| {
+        match p.slot_count() {
+            0 => p.insert(&bytes).map(drop),
+            _ => p.update(0, &bytes),
         }
-        result => result.expect("writing node"),
+        .expect("a node is sized for its page")
     });
 }
 

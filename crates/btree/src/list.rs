@@ -627,6 +627,52 @@ mod tests {
         drop(ctx);
     }
 
+    /// On a full item page, changing an item to a shorter text rewrites
+    /// it in place: no page is allocated, and the change writes its item
+    /// page once and no other page.
+    #[test]
+    fn a_shorter_text_on_a_full_item_page_stays_in_place() {
+        let (l, rec) = list();
+        let page_writes = || {
+            let (ts, h) = rec.snapshot();
+            h.order()
+                .iter()
+                .map(|&a| ts.action(a))
+                .filter(|a| a.descriptor.method == Method::Write)
+                .map(|a| a.object)
+                .collect::<Vec<_>>()
+        };
+        let mut setup = rec.begin_txn("Setup");
+        // five 46-byte texts and their slots fill a 256-byte page exactly
+        let text = "t".repeat(46);
+        let ids: Vec<ItemId> = (0..5)
+            .map(|i| {
+                let key = format!("k{i}");
+                l.insert(&mut setup, &key, &text, &keyed(Method::Insert, &key))
+            })
+            .collect();
+        drop(setup);
+        let item_page = l.state.read().item_page;
+        let free = |page| l.pool.read_page(page).unwrap().read(|p| p.free_space());
+        assert_eq!(free(item_page), 0, "the item page is full");
+        let (allocated, before) = (l.pool.stats().allocations, page_writes());
+        let mut t = rec.begin_txn("T");
+        let update = keyed(Method::Update, "k2");
+        assert_eq!(
+            l.update_item(&mut t, ids[2], "short", &update),
+            Some(text.clone())
+        );
+        assert_eq!(
+            l.read_item(&mut t, ids[2], &keyed(Method::Search, "k2"))
+                .as_deref(),
+            Some("short")
+        );
+        drop(t);
+        assert_eq!(l.pool.stats().allocations, allocated, "no page allocated");
+        assert_eq!(l.state.read().item_page, item_page);
+        assert_eq!(page_writes()[before.len()..], [l.page_object(item_page)]);
+    }
+
     #[test]
     fn remove_hides_item() {
         let (l, rec) = list();

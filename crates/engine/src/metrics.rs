@@ -23,17 +23,23 @@ const BUCKETS: usize = 64;
 
 /// A log₂-bucketed latency histogram: bucket `i` counts durations in
 /// `[2^i, 2^(i+1))` ns, from 1 ns to ~584 years, recorded without allocating.
+///
+/// The buckets are all it keeps: recording a sample is one relaxed add to
+/// one bucket, and the sample count is their sum. A reader copies the
+/// buckets once and takes every figure from that copy, so a concurrent
+/// record never leaves it a rank it cannot reach. Reading loads every
+/// bucket the writers add to, which is why a live
+/// [`Engine::metrics`](crate::Engine::metrics) samples the histograms
+/// rather than reading them on each call.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
         }
     }
 }
@@ -50,12 +56,11 @@ impl Histogram {
         let v = v.max(1);
         let idx = (63 - v.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples: the sum of the buckets.
     pub fn len(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.bucket_counts().iter().sum()
     }
 
     /// True when nothing has been recorded.
@@ -72,42 +77,31 @@ impl Histogram {
         Duration::from_nanos((lo * 2f64.powf(frac)).round() as u64)
     }
 
-    /// The approximate `q`-quantile (`0.0 ..= 1.0`), **log-linearly
-    /// interpolated** inside the rank's bucket, so p99 and p999 stay
-    /// distinct inside one power-of-two bucket. Zero when empty. A rank a
-    /// concurrent `record` left unreachable (count bumped after its bucket
-    /// was scanned) gets the last non-empty bucket's midpoint, never a
-    /// sentinel.
-    pub fn quantile(&self, q: f64) -> Duration {
-        let total = self.len();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        let mut last_nonempty = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                last_nonempty = Some((i, c));
-            }
-            if c > 0 && seen + c >= rank {
-                return Self::bucket_interp(i, rank - seen, c);
+    /// The p50, p99 and p999 of `counts`, each **log-linearly
+    /// interpolated** inside its rank's bucket so p99 and p999 stay
+    /// distinct inside one power-of-two bucket; zero when empty. One pass:
+    /// the ranks ascend, and the total is the sum of the same counts, so
+    /// every rank lands in a bucket.
+    fn quantiles_of(counts: &[u64; BUCKETS]) -> Quantiles {
+        let total: u64 = counts.iter().sum();
+        let ranks = [0.50, 0.99, 0.999].map(|q| ((q * total as f64).ceil() as u64).max(1));
+        let mut found = [Duration::ZERO; 3];
+        let (mut k, mut seen) = (0, 0u64);
+        for (i, &c) in counts.iter().enumerate() {
+            while k < ranks.len() && c > 0 && seen + c >= ranks[k] {
+                found[k] = Self::bucket_interp(i, ranks[k] - seen, c);
+                k += 1;
             }
             seen += c;
         }
-        last_nonempty
-            .map(|(i, c)| Self::bucket_interp(i, c.div_ceil(2).max(1), c))
-            .unwrap_or(Duration::ZERO)
+        let [p50, p99, p999] = found;
+        Quantiles { p50, p99, p999 }
     }
 
-    /// The p50/p99/p999 triple of this histogram, one scan per quantile.
+    /// The p50/p99/p999 triple of this histogram, from one copy of its
+    /// buckets.
     pub fn quantiles(&self) -> Quantiles {
-        Quantiles {
-            p50: self.quantile(0.50),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
-        }
+        Self::quantiles_of(&self.bucket_counts())
     }
 
     /// A frozen copy of every bucket count.
@@ -315,9 +309,12 @@ fn close(s: &mut String, end: &str) {
 /// (an `AtomicU64`), `name: latency(p50, p99, p999)` (a [`Histogram`] frozen
 /// as three `Duration`s), `key { sub: name, .. }` (histograms frozen as
 /// [`Quantiles`], one JSON object), `name: values(buckets, quantiles)`,
-/// `name: store Type` (live only) or `name: Type = expr` (frozen only, from
-/// `m`, `rec`, `pool` and the fields above). A row becomes a record of live
-/// fields, frozen fields, freezing statements and JSON entries.
+/// `name: store Type` (live only), `name: Type = expr` (frozen only, from
+/// `m`, `rec`, `pool` and the fields above) or `name: sampled Type = expr`
+/// (frozen only, from `m`, and sampled like the histograms). A row becomes a
+/// record of live fields, frozen fields, the frozen fields a live snapshot
+/// samples (the `Distributions`), the statements freezing the rest, the
+/// statements freezing the sampled ones, and JSON entries.
 macro_rules! metrics {
     ($m:ident, $rec:ident, $pool:ident; $($rows:tt)*) => {
         metrics!(@row [$m $rec $pool] [$($rows)*]);
@@ -325,7 +322,7 @@ macro_rules! metrics {
     (@row [$m:ident $($h:ident)*] [$(#[doc = $d:literal])* $name:ident: counter, $($rest:tt)*]
         $($acc:tt)*) => {
         metrics!(@row [$m $($h)*] [$($rest)*] $($acc)* {[$(#[doc = $d])* $name: AtomicU64,]
-            [$(#[doc = $d])* $name: u64,] [let $name = $m.$name.load(Ordering::Relaxed);]
+            [$(#[doc = $d])* $name: u64,] [] [let $name = $m.$name.load(Ordering::Relaxed);] []
             [($name)]});
     };
     (@row [$m:ident $($h:ident)*] [$(#[doc = $d:literal])* $name:ident:
@@ -334,6 +331,7 @@ macro_rules! metrics {
             [$(#[doc = $d])* #[doc = ""] #[doc = "Median."] $p50: Duration,
              $(#[doc = $d])* #[doc = ""] #[doc = "99th percentile."] $p99: Duration,
              $(#[doc = $d])* #[doc = ""] #[doc = "99.9th percentile."] $p999: Duration,]
+            [$p50: Duration, $p99: Duration, $p999: Duration,] []
             [let Quantiles { p50: $p50, p99: $p99, p999: $p999 } = $m.$name.quantiles();]
             [($p50) ($p99) ($p999)]});
     };
@@ -341,30 +339,39 @@ macro_rules! metrics {
         [$key:ident { $($(#[doc = $d:literal])* $sub:ident: $name:ident),* $(,)? }, $($rest:tt)*]
         $($acc:tt)*) => {
         metrics!(@row [$m $($h)*] [$($rest)*] $($acc)* {[$($(#[doc = $d])* $name: Histogram,)*]
-            [$($(#[doc = $d])* $name: Quantiles,)*] [$(let $name = $m.$name.quantiles();)*]
-            [($key [$($sub: $name),*])]});
+            [$($(#[doc = $d])* $name: Quantiles,)*] [$($name: Quantiles,)*] []
+            [$(let $name = $m.$name.quantiles();)*] [($key [$($sub: $name),*])]});
     };
     (@row [$m:ident $($h:ident)*] [$(#[doc = $d:literal])* $name:ident:
         values($buckets:ident, $q:ident), $($rest:tt)*] $($acc:tt)*) => {
         metrics!(@row [$m $($h)*] [$($rest)*] $($acc)* {[$(#[doc = $d])* $name: Histogram,]
             [$(#[doc = $d])* #[doc = ""] #[doc = "Bucket counts."] $buckets: [u64; BUCKETS],
              $(#[doc = $d])* #[doc = ""] #[doc = "Quantiles."] $q: ValueQuantiles,]
+            [$buckets: [u64; BUCKETS], $q: ValueQuantiles,] []
             [let $buckets = $m.$name.bucket_counts();
-             let [p50, p99, p999] =
-                 [0.50, 0.99, 0.999].map(|q| $m.$name.quantile(q).as_nanos() as u64);
+             let [p50, p99, p999] = {
+                 let q = Histogram::quantiles_of(&$buckets);
+                 [q.p50, q.p99, q.p999].map(|d| d.as_nanos() as u64)
+             };
              let $q = ValueQuantiles { p50, p99, p999 };] [($buckets) ($q)]});
     };
     (@row $h:tt [$(#[doc = $d:literal])* $name:ident: store $ty:ty, $($rest:tt)*] $($acc:tt)*) => {
-        metrics!(@row $h [$($rest)*] $($acc)* {[$(#[doc = $d])* $name: $ty,] [] [] []});
+        metrics!(@row $h [$($rest)*] $($acc)* {[$(#[doc = $d])* $name: $ty,] [] [] [] [] []});
+    };
+    (@row $h:tt [$(#[doc = $d:literal])* $name:ident: sampled $ty:ty = $read:expr, $($rest:tt)*]
+        $($acc:tt)*) => {
+        metrics!(@row $h [$($rest)*] $($acc)*
+            {[] [$(#[doc = $d])* $name: $ty,] [$name: $ty,] [] [let $name: $ty = $read;] [($name)]});
     };
     (@row $h:tt [$(#[doc = $d:literal])* $name:ident: $ty:ty = $read:expr, $($rest:tt)*]
         $($acc:tt)*) => {
         metrics!(@row $h [$($rest)*] $($acc)*
-            {[] [$(#[doc = $d])* $name: $ty,] [let $name: $ty = $read;] [($name)]});
+            {[] [$(#[doc = $d])* $name: $ty,] [] [let $name: $ty = $read;] [] [($name)]});
     };
     (@row [$m:ident $rec:ident $pool:ident] [] $({
         [$($(#[doc = $ed:literal])* $e:ident: $ety:ty,)*]
-        [$($(#[doc = $fd:literal])* $f:ident: $fty:ty,)*] [$($l:tt)*] [$($j:tt)*]
+        [$($(#[doc = $fd:literal])* $f:ident: $fty:ty,)*]
+        [$($sf:ident: $sty:ty,)*] [$($l:tt)*] [$($sl:tt)*] [$($j:tt)*]
     })*) => {
         /// Shared engine counters, updated with relaxed atomics; a
         /// [`snapshot`](EngineMetrics::snapshot) is consistent enough to report.
@@ -374,6 +381,13 @@ macro_rules! metrics {
             /// The metric lanes; none when there is one.
             shard_lanes: Vec<ShardLane>,
             $($($(#[doc = $ed])* pub $e: $ety,)*)*
+        }
+
+        /// The fields of a [`MetricsSnapshot`] read off histograms, frozen
+        /// together: what a live snapshot samples rather than reads.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(crate) struct Distributions {
+            $($($sf: $sty,)*)*
         }
 
         impl EngineMetrics {
@@ -391,7 +405,26 @@ macro_rules! metrics {
 
             /// A point-in-time copy of every metric, `rec` and `pool` read in.
             pub fn snapshot(&self, $rec: RecorderStats, $pool: PoolStats) -> MetricsSnapshot {
+                self.snapshot_with($rec, $pool, &self.distributions())
+            }
+
+            /// Every histogram-backed field, read now.
+            pub(crate) fn distributions(&self) -> Distributions {
                 let $m = self;
+                $($($sl)*)*
+                Distributions { $($($sf,)*)* }
+            }
+
+            /// Every other field read now, beside `rec`, `pool` and the
+            /// histogram-backed fields `d`, however old those are.
+            pub(crate) fn snapshot_with(
+                &self,
+                $rec: RecorderStats,
+                $pool: PoolStats,
+                d: &Distributions,
+            ) -> MetricsSnapshot {
+                let $m = self;
+                let Distributions { $($($sf,)*)* } = *d;
                 $($($l)*)*
                 MetricsSnapshot { $($($f,)*)* }
             }
@@ -410,6 +443,12 @@ macro_rules! metrics {
                 $($(metrics!(@json self s $j);)*)*
                 close(&mut s, "}");
                 s
+            }
+
+            /// The histogram-backed fields of this snapshot.
+            #[cfg(test)]
+            pub(crate) fn distributions(&self) -> Distributions {
+                Distributions { $($($sf: self.$sf,)*)* }
             }
         }
     };
@@ -499,7 +538,7 @@ metrics! {
     /// Most acknowledgements ever parked at once ([`PARK_BOUND`](crate::durability::PARK_BOUND)).
     wal_parked_peak: counter,
     /// Logged commits the flusher acknowledged (`phase_fsync`'s samples).
-    wal_commits_acked: u64 = m.phase_fsync.len(),
+    wal_commits_acked: sampled u64 = m.phase_fsync.len(),
     /// Mean commits acknowledged per flush, exact (0.0 when none).
     wal_group_mean: f64 =
         m.group_committed.load(Ordering::Relaxed) as f64 / group_commits.max(1) as f64,
@@ -693,22 +732,36 @@ mod tests {
     fn empty_histogram_is_zero() {
         let h = Histogram::default();
         assert!(h.is_empty());
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
+        assert_eq!(h.quantiles().p99, Duration::ZERO);
     }
 
+    /// Quantiles read while another thread records land in a bucket that
+    /// holds samples: the ranks and the total come from one copy of the
+    /// buckets, so no rank is out of reach and nothing falls back.
     #[test]
-    fn quantile_never_returns_the_overflow_sentinel() {
-        // Force the fall-through: count says more samples than the
-        // buckets hold (the transient state a racing `record` leaves).
+    fn quantiles_read_beside_a_recorder_stay_inside_the_recorded_buckets() {
         let h = Histogram::default();
-        h.record(Duration::from_micros(100));
-        h.count.fetch_add(5, Ordering::Relaxed);
-        let q = h.quantile(1.0);
-        assert!(
-            q < Duration::from_secs(1),
-            "fall-through must return a real in-bucket value, got {q:?}"
-        );
-        assert_eq!(q, h.quantile(0.01), "only one bucket is populated");
+        let (lo, hi) = (Duration::from_micros(10), Duration::from_millis(3));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..20_000 {
+                    h.record(if i % 100 == 0 { hi } else { lo });
+                }
+            });
+            for _ in 0..2_000 {
+                let q = h.quantiles();
+                for p in [q.p50, q.p99, q.p999] {
+                    assert!(
+                        p == Duration::ZERO
+                            || (Duration::from_nanos(1 << 13)..Duration::from_nanos(1 << 22))
+                                .contains(&p),
+                        "{q:?} left the recorded buckets"
+                    );
+                }
+                assert!(q.p50 <= q.p99 && q.p99 <= q.p999, "{q:?}");
+            }
+        });
+        assert_eq!(h.len(), 20_000);
     }
 
     #[test]

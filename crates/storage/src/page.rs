@@ -212,17 +212,25 @@ impl Page {
         Ok(())
     }
 
-    /// Overwrite the record in slot `s`. Same-length updates are done in
-    /// place; otherwise the old payload is abandoned (reclaimed by
-    /// [`Page::compact`]) and the new payload allocated from free space.
+    /// Overwrite the record in slot `s`. A record no longer than the old
+    /// one is written in place, its tail left to [`Page::compact`]; a
+    /// longer one is allocated from free space, the old payload abandoned.
+    /// When the free space is too small the page compacts once and tries
+    /// again, so `Full` means the live records and the new one together
+    /// exceed the page.
     pub fn update(&mut self, s: u16, record: &[u8]) -> Result<(), PageError> {
         let (off, len) = self.slot(s)?;
         if off == DEAD {
             return Err(PageError::Dead(s));
         }
-        if record.len() == len as usize {
+        let at = HEADER + s as usize * SLOT;
+        if record.len() <= len as usize {
             self.buf[off as usize..off as usize + record.len()].copy_from_slice(record);
+            self.write_u16(at + 2, record.len() as u16);
             return Ok(());
+        }
+        if record.len() > self.free_space() {
+            self.compact();
         }
         if record.len() > self.free_space() {
             return Err(PageError::Full {
@@ -232,7 +240,6 @@ impl Page {
         }
         let upper = self.free_upper() - record.len();
         self.buf[upper..upper + record.len()].copy_from_slice(record);
-        let at = HEADER + s as usize * SLOT;
         self.write_u16(at, upper as u16);
         self.write_u16(at + 2, record.len() as u16);
         self.write_u16(4, upper as u16);
@@ -342,6 +349,48 @@ mod tests {
         assert_eq!(p.read(s).unwrap(), b"bbbb");
         p.update(s, b"longer-record").unwrap(); // relocation
         assert_eq!(p.read(s).unwrap(), b"longer-record");
+    }
+
+    /// On a full page a shorter record is written in place, and a longer
+    /// one that fits only once the abandoned bytes are squeezed out
+    /// compacts the page instead of reporting `Full`, which a growth
+    /// reports only when the live records and the new one overflow.
+    #[test]
+    fn a_full_page_shrinks_in_place_and_grows_after_compaction() {
+        let mut p = Page::new(96);
+        let capacity = 96 - HEADER - 3 * SLOT;
+        let a = p.insert(&[1u8; 30]).unwrap();
+        let b = p.insert(&[2u8; 30]).unwrap();
+        let c = p.insert(&[3u8; 8]).unwrap();
+        assert_eq!(p.free_space(), capacity - 68);
+        let upper = p.free_upper();
+        p.update(a, &[4u8; 5]).unwrap();
+        assert_eq!(
+            p.free_upper(),
+            upper,
+            "the shorter record took no free space"
+        );
+        // 10 bytes free and 25 abandoned: 34 fit beside the 43 live bytes
+        p.update(b, &[5u8; 34]).unwrap();
+        assert_eq!(p.free_space(), capacity - (5 + 30 + 8) - 34);
+        for (slot, want) in [(a, &[4u8; 5][..]), (b, &[5u8; 34]), (c, &[3u8; 8])] {
+            assert_eq!(p.read(slot).unwrap(), want);
+        }
+        let fits = capacity - (5 + 34 + 8);
+        assert_eq!(
+            p.update(c, &vec![6u8; fits + 1]),
+            Err(PageError::Full {
+                needed: fits + 1,
+                available: fits
+            })
+        );
+        assert_eq!(
+            p.read(c).unwrap(),
+            &[3u8; 8],
+            "a failed update changes nothing"
+        );
+        p.update(c, &vec![6u8; fits]).unwrap();
+        assert_eq!(p.free_space(), 0);
     }
 
     #[test]

@@ -3,6 +3,10 @@
 use oodb_storage::{Page, PageError};
 use proptest::prelude::*;
 
+/// The page header and one slot entry, in bytes (`page.rs`'s layout).
+const HEADER: usize = 6;
+const SLOT: usize = 4;
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<u8>),
@@ -60,10 +64,16 @@ proptest! {
                     }
                 }
                 Op::Update(slot, data) => {
+                    // the page's room for records: all of it but the header
+                    // and the slots, dead ones included
+                    let capacity = page.size() - HEADER - oracle.len() * SLOT;
+                    let live: usize = oracle.iter().flatten().map(Vec::len).sum();
                     let expected = oracle.get_mut(*slot);
                     match (page.update(*slot as u16, data), expected) {
                         (Ok(()), Some(entry @ Some(_))) => *entry = Some(data.clone()),
-                        (Err(PageError::Full { .. }), Some(Some(_))) => {}
+                        // full only for a longer record the live ones leave no room for
+                        (Err(PageError::Full { .. }), Some(Some(old)))
+                            if data.len() > old.len() && live + data.len() > capacity => {}
                         (Err(PageError::Dead(_)), Some(None)) => {}
                         (Err(PageError::BadSlot(_)), None) => {}
                         (got, want) => {

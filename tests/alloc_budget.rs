@@ -291,11 +291,12 @@ fn warm_unrecorded_change_is_pinned_by_count() {
     );
 }
 
-/// A metrics snapshot of a one-worker, one-lane engine allocates nothing:
-/// every field is a number or an array, and the per-shard list is empty
-/// without lanes. The benchmark's serial phase times each transaction
-/// through a loop that spins on `Engine::metrics()`, so an allocation
-/// here would land in `txn_p50_us`.
+/// A metrics snapshot of a one-worker, one-lane engine allocates nothing,
+/// whether it takes a new sample of the pool and the histograms or reuses
+/// the last one: every field is a number or an array, and the per-shard
+/// list is empty without lanes. The benchmark's serial phase times each
+/// transaction through a loop that spins on `Engine::metrics()`, so an
+/// allocation here would land in `txn_p50_us`.
 #[test]
 fn metrics_snapshot_allocates_nothing() {
     let engine = Engine::start(
@@ -315,12 +316,20 @@ fn metrics_snapshot_allocates_nothing() {
     while engine.finished() < keys.len() as u64 {
         std::hint::spin_loop();
     }
-    // warm: the pool sample is taken and every lazily made structure made
+    // warm: every lazily made structure made
     let _ = engine.metrics();
-    let (count, m) = allocations_in(|| engine.metrics());
-    assert!(m.shards.is_empty(), "one lane: {:?}", m.shards);
-    assert_eq!(m.committed, keys.len() as u64);
-    println!("Engine::metrics() on one worker: {count} allocations");
-    assert_eq!(count, 0, "a metrics snapshot allocated {count} times");
+    // past the 10 ms sample period the next call samples anew; the one
+    // right after it reuses that sample
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    for call in ["sampling", "cached"] {
+        let (count, m) = allocations_in(|| engine.metrics());
+        assert!(m.shards.is_empty(), "one lane: {:?}", m.shards);
+        assert_eq!(m.committed, keys.len() as u64);
+        println!("Engine::metrics() on one worker, {call}: {count} allocations");
+        assert_eq!(
+            count, 0,
+            "a {call} metrics snapshot allocated {count} times"
+        );
+    }
     engine.shutdown();
 }
