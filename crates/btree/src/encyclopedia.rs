@@ -18,10 +18,10 @@ use std::sync::Arc;
 /// The encyclopedia object: a B-link tree index over a linked item list.
 ///
 /// All operations take `&self`: the tree is latched and read by version
-/// ([`oodb_btree::latch`](crate::latch)) and the list uses a list-wide
-/// read/write latch (which a read that records nothing skips), so the
-/// encyclopedia is shared freely across worker threads without an outer
-/// mutex.
+/// ([`oodb_btree::latch`](crate::latch)), and the list's reads take
+/// page latches only while its mutators serialize on a list mutex, so
+/// the encyclopedia is shared freely across worker threads without an
+/// outer mutex.
 pub struct Encyclopedia {
     rec: Recorder,
     enc_obj: ObjectIdx,

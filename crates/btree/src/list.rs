@@ -7,21 +7,27 @@
 //! keyed container whose `readSeq` scan conflicts with every updater —
 //! exactly the `T2 ↔ readSeq` dependency of Figure 8.
 //!
-//! Concurrency: one list-wide reader-writer lock that *owns* the list's
-//! bookkeeping (page chain, fill page, live count) — mutations hold it
-//! exclusively, reads shared, so readers overlap all the way through
-//! while the mutators — of different keys too, which the engine's
-//! controls let run side by side — stay simple. All recording happens
-//! under that lock, keeping each
-//! list/item action's page accesses block-atomic.
+//! Concurrency: the page latches order what the list records. Every
+//! ticket is claimed while the latch of the page it names is held
+//! (Axiom 1, `TxnCtx::record`), and reads take page latches only. A
+//! read finds an item's directory record through the item directory, a
+//! table indexed by item id, S-latches the directory page, then the item
+//! page before it releases the directory page; a scan walks the chain of
+//! directory pages through the next-pointers in their record 0 and reads
+//! each live item while its directory page is still S-latched. The
+//! mutators serialize on one list mutex, which owns the bookkeeping
+//! (chain tail, fill page, live count). Every thread latches a directory
+//! page before an item page, never the other way round, and holds two
+//! directory pages only to link a fresh tail that nobody can reach yet,
+//! so the coupling cannot deadlock.
 //!
-//! The item directory — where each item's directory record is — lives
-//! beside the lock, in a table indexed by item id: mutators write it
-//! under the exclusive lock, and a read that records nothing reads it
-//! without the lock at all. Such a read S-latches the directory page,
-//! then the item page before it releases the directory page; no mutator
-//! ever holds two list-page latches at once, so this coupling cannot
-//! deadlock, and it keeps the item's location and content one snapshot.
+//! An item that outgrows its page moves in three steps: its text is
+//! stored on the fill page, its directory record is rewritten, and only
+//! then is the page it leaves X-latched, which is where that page's
+//! write is claimed. A reader coupled on the old record holds the old
+//! page's S latch before the rewrite can take the directory page, so its
+//! read precedes the move's write of the page it read; a reader after
+//! the rewrite finds the new page, whose write came first.
 //!
 //! The keyed operations take the descriptor of the list-level action from
 //! the caller: the encyclopedia records the same `search(k)` /
@@ -34,8 +40,8 @@ use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpe
 use oodb_core::ids::ObjectIdx;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::chunked::Chunked;
-use oodb_storage::{BufferPool, Page, PageError, PageId};
-use parking_lot::RwLock;
+use oodb_storage::{BufferPool, Page, PageError, PageExclusive, PageId};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,11 +111,10 @@ struct Location {
     item_slot: u16,
 }
 
-/// The list's bookkeeping, owned by the list lock.
+/// The list's bookkeeping, owned by the list mutex.
 struct ListState {
-    /// Chain of directory pages, in order (head first). The chain is also
-    /// materialized on the pages themselves via next-pointers in record 0.
-    chain: Vec<PageId>,
+    /// Last page of the directory chain, where the next record goes.
+    tail: PageId,
     /// Current item-content page being filled.
     item_page: PageId,
     /// Items in the directory.
@@ -133,7 +138,7 @@ impl Directory {
         Some((PageId(page as u32), word as u16))
     }
 
-    /// Under the list's exclusive lock.
+    /// Under the list mutex.
     fn set(&self, id: ItemId, entry: Option<(PageId, u16)>) {
         let word = entry.map_or(0, |(page, slot)| {
             (u64::from(page.0) + 1) << 16 | u64::from(slot)
@@ -145,15 +150,19 @@ impl Directory {
 }
 
 /// Linked list of items over pages, with per-item objects. Shareable
-/// across threads; mutations serialize on the list lock, reads overlap.
+/// across threads; mutations serialize on the list mutex, reads take
+/// page latches only.
 pub struct ItemList {
     pool: BufferPool,
     /// Recorder ids of this list's page and item objects.
     objects: ObjectIds,
     name: String,
     list_obj: ObjectIdx,
+    /// First page of the directory chain; record 0 of each chain page
+    /// holds the next one's id + 1 (0 = none).
+    head: PageId,
     directory: Directory,
-    state: RwLock<ListState>,
+    state: Mutex<ListState>,
 }
 
 const CHAIN_HEADER_SLOT: u16 = 0;
@@ -165,7 +174,6 @@ impl ItemList {
         let list_obj = rec.object(&name, Arc::new(RangeSpec::ordered_container("item-list")));
         let head_pin = pool.allocate().expect("allocating list head");
         let head = head_pin.id();
-        // record 0 of each chain page: next chain page + 1 (0 = none)
         head_pin.write(|p| {
             p.insert(&0u32.to_le_bytes()).expect("fresh page has space");
         });
@@ -178,9 +186,10 @@ impl ItemList {
             objects: ObjectIds::new(rec, &name),
             name,
             list_obj,
+            head,
             directory: Directory::default(),
-            state: RwLock::new(ListState {
-                chain: vec![head],
+            state: Mutex::new(ListState {
+                tail: head,
                 item_page,
                 live: 0,
                 next_id: 0,
@@ -208,7 +217,7 @@ impl ItemList {
 
     /// Number of live items.
     pub fn len(&self) -> usize {
-        self.state.read().live
+        self.state.lock().live
     }
 
     /// True iff no live items exist.
@@ -227,17 +236,19 @@ impl ItemList {
         descriptor: &DescriptorRef,
     ) -> ItemId {
         debug_assert_eq!(descriptor.key(), Some(key));
-        let mut state = self.state.write();
+        let mut state = self.state.lock();
         let id = state.next_id;
         state.next_id += 1;
 
         // 1. store the content on an item page, via the item object
-        let (item_page, item_slot) = self.store_content(&mut state, text.as_bytes());
+        let (pin, item_slot) = self.store_content(&mut state, text.as_bytes());
+        let item_page = pin.id();
         let write = DescriptorRef::write();
         ctx.record(
             &[(self.list_obj, descriptor), (self.item_object(id), &write)],
             Some((self.page_object(item_page), &write)),
         );
+        drop(pin);
         ctx.exit();
 
         // 2. append the directory record to the chain's tail page
@@ -255,15 +266,16 @@ impl ItemList {
         id
     }
 
-    fn store_content(&self, state: &mut ListState, bytes: &[u8]) -> (PageId, u16) {
+    /// Store `bytes` on the fill page, or on a fresh one when it is full;
+    /// returns that page, still X-latched, and the record's slot.
+    fn store_content(&self, state: &mut ListState, bytes: &[u8]) -> (PageExclusive<'_>, u16) {
         loop {
             let pin = self
                 .pool
                 .write_page(state.item_page)
                 .expect("item page exists");
-            let res = pin.write(|p| p.insert(bytes));
-            match res {
-                Ok(slot) => return (state.item_page, slot),
+            match pin.write(|p| p.insert(bytes)) {
+                Ok(slot) => return (pin, slot),
                 Err(PageError::Full { .. }) => {
                     drop(pin);
                     let fresh = self.pool.allocate().expect("allocating item page");
@@ -274,57 +286,63 @@ impl ItemList {
         }
     }
 
+    /// Append `entry` to the chain's tail page, linking a fresh tail when
+    /// it is full, and return where it went.
     fn append_directory(
         &self,
         state: &mut ListState,
         ctx: &mut TxnCtx,
         entry: &DirEntry<'_>,
     ) -> (PageId, u16) {
-        let tail = *state.chain.last().expect("chain never empty");
+        let tail = state.tail;
         let tail_obj = self.page_object(tail);
-        ctx.page_read(tail_obj);
         let pin = self.pool.write_page(tail).expect("chain page exists");
-        let res = pin.write(|p| p.insert(&entry.encode()));
-        match res {
+        ctx.page_read(tail_obj);
+        let record = entry.encode();
+        match pin.write(|p| p.insert(&record)) {
             Ok(slot) => {
                 ctx.page_write(tail_obj);
                 (tail, slot)
             }
             Err(PageError::Full { .. }) => {
-                drop(pin);
-                // extend the chain: new tail, linked from the old one
+                // the new tail is written before the old one links it
                 let fresh = self.pool.allocate().expect("allocating chain page");
-                let new_tail = fresh.id();
-                fresh.write(|p| {
+                let slot = fresh.write(|p| {
                     p.insert(&0u32.to_le_bytes()).expect("fresh page has space");
+                    p.insert(&record).expect("fresh page fits")
                 });
-                let slot = fresh.write(|p| p.insert(&entry.encode()).expect("fresh page fits"));
-                drop(fresh);
-                let old_pin = self.pool.write_page(tail).expect("chain page exists");
-                old_pin.write(|p| {
-                    p.update(CHAIN_HEADER_SLOT, &(new_tail.0 + 1).to_le_bytes())
+                pin.write(|p| {
+                    p.update(CHAIN_HEADER_SLOT, &(fresh.id().0 + 1).to_le_bytes())
                         .expect("chain header update");
                 });
-                drop(old_pin);
                 ctx.page_write(tail_obj);
-                ctx.page_write(self.page_object(new_tail));
-                state.chain.push(new_tail);
-                (new_tail, slot)
+                drop(pin);
+                ctx.page_write(self.page_object(fresh.id()));
+                state.tail = fresh.id();
+                (fresh.id(), slot)
             }
             Err(e) => panic!("appending directory record: {e}"),
         }
     }
 
-    /// Where item `id` lives, if it is alive — read off the directory
-    /// record in place; the key stays on the page. The caller holds the
-    /// list lock.
-    fn locate(&self, id: ItemId, descriptor: &DescriptorRef) -> Option<Location> {
+    /// Find live item `id` off its directory record, read in place under
+    /// the directory page's S latch (the key stays on the page), and run
+    /// `visit` on its location while that latch is still held: `visit`
+    /// latches the item page, so the coupling of the module docs holds.
+    fn couple<R>(
+        &self,
+        id: ItemId,
+        descriptor: &DescriptorRef,
+        visit: impl FnOnce(Location) -> R,
+    ) -> Option<R> {
         let (dir_page, dir_slot) = self.directory.get(id)?;
-        let pin = self.pool.read_page(dir_page).expect("dir page exists");
-        pin.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor))
+        let dir = self.pool.read_page(dir_page).expect("dir page exists");
+        let loc = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor))?;
+        Some(visit(loc))
     }
 
-    /// [`locate`](Self::locate) on the latched directory page `p`.
+    /// Where the live item whose directory record is `dir_slot` of the
+    /// latched directory page `p` lives.
     fn locate_on(
         p: &Page,
         dir_page: PageId,
@@ -342,20 +360,6 @@ impl ItemList {
         })
     }
 
-    /// Rewrite the directory record at `loc` through `change`.
-    fn rewrite_entry(&self, loc: Location, change: impl FnOnce(&mut DirEntry<'_>)) {
-        let pin = self.pool.write_page(loc.dir_page).expect("dir page exists");
-        pin.write(|p| {
-            let bytes = {
-                let record = p.read(loc.dir_slot).expect("directory record present");
-                let mut entry = DirEntry::decode(record);
-                change(&mut entry);
-                entry.encode()
-            };
-            p.update(loc.dir_slot, &bytes).expect("dir update fits");
-        });
-    }
-
     /// Read an item's text through the list and the item object;
     /// `descriptor` is the caller's `search(key)` with the item's key.
     ///
@@ -365,48 +369,35 @@ impl ItemList {
     /// can lift their order instead of stranding it in the pairwise
     /// added relation (Figure 8's `LinkedList: T2 ↔ readSeq` row).
     ///
-    /// A cursor that records nothing reads without the list lock (module
-    /// docs); a recording one keeps it, so that its tickets are claimed
-    /// in the order the list's mutators see.
+    /// It takes no list lock: the visit is claimed while the directory
+    /// page and the item page are both S-latched (module docs).
     pub fn read_item(
         &self,
         ctx: &mut TxnCtx,
         id: ItemId,
         descriptor: &DescriptorRef,
     ) -> Option<String> {
-        if !ctx.is_recording() {
-            return self.read_item_unlocked(id, descriptor);
-        }
-        let _state = self.state.read();
-        let loc = self.locate(id, descriptor)?;
         let read = DescriptorRef::read();
-        ctx.record(
-            &[(self.list_obj, descriptor), (self.item_object(id), &read)],
-            Some((self.page_object(loc.item_page), &read)),
-        );
-        let text = self.read_text(loc.item_page, loc.item_slot);
+        let (item, item_slot) = self.couple(id, descriptor, |loc| {
+            let item = self
+                .pool
+                .read_page(loc.item_page)
+                .expect("item page exists");
+            ctx.record_validated(
+                || {
+                    (
+                        [(self.list_obj, descriptor), (self.item_object(id), &read)],
+                        (self.page_object(loc.item_page), &read),
+                    )
+                },
+                || true,
+            );
+            (item, loc.item_slot)
+        })?;
+        let text = item.read(|p| text_of(p, item_slot));
         ctx.exit(); // item read
         ctx.exit(); // list search
         text
-    }
-
-    /// [`read_item`](Self::read_item) without the list lock: the
-    /// directory page stays S-latched until the item page is.
-    fn read_item_unlocked(&self, id: ItemId, descriptor: &DescriptorRef) -> Option<String> {
-        let (dir_page, dir_slot) = self.directory.get(id)?;
-        let dir = self.pool.read_page(dir_page).expect("dir page exists");
-        let loc = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor))?;
-        let item = self
-            .pool
-            .read_page(loc.item_page)
-            .expect("item page exists");
-        drop(dir);
-        item.read(|p| text_of(p, loc.item_slot))
-    }
-
-    fn read_text(&self, item_page: PageId, item_slot: u16) -> Option<String> {
-        let pin = self.pool.read_page(item_page).expect("item page exists");
-        pin.read(|p| text_of(p, item_slot))
     }
 
     /// Overwrite an item's text through the list and the item object (the
@@ -415,7 +406,8 @@ impl ItemList {
     /// in the same visit as the write — or `None` if the item is gone.
     /// The list-level `update` action — `descriptor`, the caller's
     /// `update(key)` — carries the dependency to LinkedList, see
-    /// [`ItemList::read_item`].
+    /// [`ItemList::read_item`]. A text the item page cannot hold moves
+    /// the item (module docs).
     pub fn update_item(
         &self,
         ctx: &mut TxnCtx,
@@ -423,36 +415,48 @@ impl ItemList {
         text: &str,
         descriptor: &DescriptorRef,
     ) -> Option<String> {
-        let mut state = self.state.write();
-        let loc = self.locate(id, descriptor)?;
+        let mut state = self.state.lock();
+        let (loc, pin) = self.couple(id, descriptor, |loc| {
+            let pin = self
+                .pool
+                .write_page(loc.item_page)
+                .expect("item page exists");
+            (loc, pin)
+        })?;
+        let item_obj = self.page_object(loc.item_page);
         let write = DescriptorRef::write();
         ctx.record(
             &[(self.list_obj, descriptor), (self.item_object(id), &write)],
-            Some((self.page_object(loc.item_page), &DescriptorRef::read())),
+            Some((item_obj, &DescriptorRef::read())),
         );
-        let pin = self
-            .pool
-            .write_page(loc.item_page)
-            .expect("item page exists");
         let (old, updated) = pin.write(|p| {
             let old = text_of(p, loc.item_slot).expect("a live item has its text");
             (old, p.update(loc.item_slot, text.as_bytes()).is_ok())
         });
-        drop(pin);
         if updated {
-            ctx.page_write(self.page_object(loc.item_page));
-        } else {
-            // relocation to a fresh page when the old one cannot grow: the
-            // page the item leaves is written too, so a reader of the old
-            // text conflicts with the move
-            ctx.page_write(self.page_object(loc.item_page));
-            let (np, ns) = self.store_content(&mut state, text.as_bytes());
-            ctx.page_write(self.page_object(np));
-            self.rewrite_entry(loc, |entry| {
-                entry.item_page = np;
-                entry.item_slot = ns;
+            ctx.page_write(item_obj);
+        }
+        drop(pin);
+        if !updated {
+            let (pin, item_slot) = self.store_content(&mut state, text.as_bytes());
+            let item_page = pin.id();
+            ctx.page_write(self.page_object(item_page));
+            drop(pin);
+            let dir = self.pool.write_page(loc.dir_page).expect("dir page exists");
+            rewrite_entry(&dir, loc.dir_slot, |entry| {
+                entry.item_page = item_page;
+                entry.item_slot = item_slot;
             });
             ctx.page_write(self.page_object(loc.dir_page));
+            drop(dir);
+            // the page the item leaves is written last, so a reader of the
+            // old text conflicts with the move
+            let left = self
+                .pool
+                .write_page(loc.item_page)
+                .expect("item page exists");
+            ctx.page_write(item_obj);
+            drop(left);
         }
         ctx.exit(); // item write
         ctx.exit(); // list update
@@ -462,17 +466,22 @@ impl ItemList {
     /// Remove an item: mark its directory record dead and delete content.
     /// `descriptor` is the caller's `delete(key)` with the item's key.
     pub fn remove(&self, ctx: &mut TxnCtx, id: ItemId, descriptor: &DescriptorRef) -> bool {
-        let mut state = self.state.write();
-        let Some(loc) = self.locate(id, descriptor) else {
+        let mut state = self.state.lock();
+        let Some((dir_page, dir_slot)) = self.directory.get(id) else {
             return false;
         };
-        let dir_obj = self.page_object(loc.dir_page);
+        let dir = self.pool.write_page(dir_page).expect("dir page exists");
+        let Some(loc) = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor)) else {
+            return false;
+        };
+        let dir_obj = self.page_object(dir_page);
         ctx.record(
             &[(self.list_obj, descriptor)],
             Some((dir_obj, &DescriptorRef::read())),
         );
-        self.rewrite_entry(loc, |entry| entry.alive = false);
+        rewrite_entry(&dir, dir_slot, |entry| entry.alive = false);
         ctx.page_write(dir_obj);
+        drop(dir);
         // delete content
         let item_pin = self
             .pool
@@ -481,12 +490,12 @@ impl ItemList {
         item_pin.write(|p| {
             let _ = p.delete(loc.item_slot);
         });
-        drop(item_pin);
         let write = DescriptorRef::write();
         ctx.record(
             &[(self.item_object(id), &write)],
             Some((self.page_object(loc.item_page), &write)),
         );
+        drop(item_pin);
         ctx.exit();
         self.directory.set(id, None);
         state.live -= 1;
@@ -495,40 +504,55 @@ impl ItemList {
     }
 
     /// Sequential read of all live items, in insertion order — the
-    /// paper's `readSeq`. Each item is read through its item object.
+    /// paper's `readSeq`. Each item is read through its item object,
+    /// while its directory page is S-latched; the chain is walked through
+    /// the pages' next-pointers, with no list lock (module docs).
     pub fn read_seq(&self, ctx: &mut TxnCtx) -> Vec<(ItemId, String, String)> {
-        let state = self.state.read();
         ctx.enter(self.list_obj, ActionDescriptor::nullary(Method::ReadSeq));
         let read = DescriptorRef::read();
         let mut out = Vec::new();
-        for &page in &state.chain {
+        let mut next = Some(self.head);
+        while let Some(page) = next {
+            let dir = self.pool.read_page(page).expect("dir page exists");
             ctx.page_read(self.page_object(page));
-            for (id, key, item_page, item_slot) in self.live_entries(page) {
-                ctx.record(
-                    &[(self.item_object(id), &read)],
-                    Some((self.page_object(item_page), &read)),
-                );
-                let text = self.read_text(item_page, item_slot).unwrap_or_default();
-                ctx.exit();
-                out.push((id, key, text));
-            }
+            next = dir.read(|p| {
+                let entries = p
+                    .records()
+                    .filter(|(s, _)| *s != CHAIN_HEADER_SLOT)
+                    .map(|(_, b)| DirEntry::decode(b))
+                    .filter(|e| e.alive);
+                for e in entries {
+                    let item = self.pool.read_page(e.item_page).expect("item page exists");
+                    ctx.record(
+                        &[(self.item_object(e.id), &read)],
+                        Some((self.page_object(e.item_page), &read)),
+                    );
+                    let text = item.read(|p| text_of(p, e.item_slot)).unwrap_or_default();
+                    ctx.exit();
+                    out.push((e.id, e.key.to_owned(), text));
+                }
+                let header = p.read(CHAIN_HEADER_SLOT).expect("chain header present");
+                let next = u32::from_le_bytes(header.try_into().expect("a page id"));
+                next.checked_sub(1).map(PageId)
+            });
         }
         ctx.exit();
         out
     }
+}
 
-    /// The live directory records of one chain page, in slot order.
-    fn live_entries(&self, page: PageId) -> Vec<(ItemId, String, PageId, u16)> {
-        let pin = self.pool.read_page(page).expect("dir page exists");
-        pin.read(|p| {
-            p.records()
-                .filter(|(s, _)| *s != CHAIN_HEADER_SLOT)
-                .map(|(_, b)| DirEntry::decode(b))
-                .filter(|e| e.alive)
-                .map(|e| (e.id, e.key.to_owned(), e.item_page, e.item_slot))
-                .collect()
-        })
-    }
+/// Rewrite the directory record in `slot` of the X-latched page `dir`
+/// through `change`.
+fn rewrite_entry(dir: &PageExclusive<'_>, slot: u16, change: impl FnOnce(&mut DirEntry<'_>)) {
+    dir.write(|p| {
+        let bytes = {
+            let record = p.read(slot).expect("directory record present");
+            let mut entry = DirEntry::decode(record);
+            change(&mut entry);
+            entry.encode()
+        };
+        p.update(slot, &bytes).expect("dir update fits");
+    });
 }
 
 /// The text in `slot` of the latched item page `p`.
@@ -652,7 +676,7 @@ mod tests {
             })
             .collect();
         drop(setup);
-        let item_page = l.state.read().item_page;
+        let item_page = l.state.lock().item_page;
         let free = |page| l.pool.read_page(page).unwrap().read(|p| p.free_space());
         assert_eq!(free(item_page), 0, "the item page is full");
         let (allocated, before) = (l.pool.stats().allocations, page_writes());
@@ -669,7 +693,7 @@ mod tests {
         );
         drop(t);
         assert_eq!(l.pool.stats().allocations, allocated, "no page allocated");
-        assert_eq!(l.state.read().item_page, item_page);
+        assert_eq!(l.state.lock().item_page, item_page);
         assert_eq!(page_writes()[before.len()..], [l.page_object(item_page)]);
     }
 
@@ -709,8 +733,9 @@ mod tests {
             assert_eq!(key, &format!("k{i:02}"));
             assert_eq!(text, &format!("text{i}"));
         }
-        assert!(
-            l.state.read().chain.len() > 1,
+        assert_ne!(
+            l.state.lock().tail,
+            l.head,
             "directory chain must have grown"
         );
         drop(ctx);

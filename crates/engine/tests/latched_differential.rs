@@ -11,11 +11,9 @@
 //! on spread keys, and on keys that all share one lock stripe. Every run
 //! reads inner B-link nodes by version, a recorded one claiming each
 //! visit's ticket inside the image's version window. One more row runs
-//! strict 2PL with the audit off at fanout 4: that run records nothing,
-//! so its reads also take the one path no audited run takes — the item
-//! directory read without the list lock — while its inserts split
-//! leaves, inner nodes and the root; only the final state can vouch for
-//! it.
+//! strict 2PL with the audit off at fanout 4: that run records nothing
+//! while its inserts split leaves, inner nodes and the root; only the
+//! final state can vouch for it.
 //!
 //! A second test pins the rearrange/seq-claim boundary under real
 //! concurrency: a tiny fanout forces structure modifications (page
