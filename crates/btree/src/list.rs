@@ -23,8 +23,8 @@
 //!
 //! An item that outgrows its page moves in three steps: its text is
 //! stored on the fill page, its directory record is rewritten, and only
-//! then is the page it leaves X-latched, which is where that page's
-//! write is claimed. A reader coupled on the old record holds the old
+//! then is its old record deleted, under the X latch of the page it
+//! leaves, which is where that page's write is claimed. A reader coupled on the old record holds the old
 //! page's S latch before the rewrite can take the directory page, so its
 //! read precedes the move's write of the page it read; a reader after
 //! the rewrite finds the new page, whose write came first.
@@ -449,12 +449,13 @@ impl ItemList {
             });
             ctx.page_write(self.page_object(loc.dir_page));
             drop(dir);
-            // the page the item leaves is written last, so a reader of the
-            // old text conflicts with the move
+            // the page the item leaves loses its old record last, so a
+            // reader of the old text conflicts with the move
             let left = self
                 .pool
                 .write_page(loc.item_page)
                 .expect("item page exists");
+            left.write(|p| p.delete(loc.item_slot).expect("the old record is there"));
             ctx.page_write(item_obj);
             drop(left);
         }
@@ -695,6 +696,37 @@ mod tests {
         assert_eq!(l.pool.stats().allocations, allocated, "no page allocated");
         assert_eq!(l.state.lock().item_page, item_page);
         assert_eq!(page_writes()[before.len()..], [l.page_object(item_page)]);
+    }
+
+    /// A moved item's old record is deleted: the page it leaves keeps
+    /// only its other items, and one of them can then grow in place into
+    /// the space the moved one left (140 bytes: `Page::update` writes a
+    /// longer record beside the old one, so 150 would not fit).
+    #[test]
+    fn a_moved_item_leaves_no_record_behind() {
+        let (l, rec) = list();
+        let mut t = rec.begin_txn("T");
+        let [a, b] = ["a", "b"].map(|key| {
+            let text = "t".repeat(100);
+            l.insert(&mut t, key, &text, &keyed(Method::Insert, key))
+        });
+        let page = l.state.lock().item_page;
+        let live = || l.pool.read_page(page).unwrap().read(|p| p.live_records());
+        assert_eq!(live(), 2);
+        let long = "u".repeat(150);
+        l.update_item(&mut t, a, &long, &keyed(Method::Update, "a"));
+        assert_ne!(l.state.lock().item_page, page, "the first item moved");
+        assert_eq!(live(), 1, "the page it left keeps the second item only");
+        let allocated = l.pool.stats().allocations;
+        let grown = "v".repeat(140);
+        l.update_item(&mut t, b, &grown, &keyed(Method::Update, "b"));
+        assert_eq!(l.pool.stats().allocations, allocated, "b grew in place");
+        assert_eq!(live(), 1);
+        for (id, key, text) in [(a, "a", long), (b, "b", grown)] {
+            let search = keyed(Method::Search, key);
+            assert_eq!(l.read_item(&mut t, id, &search), Some(text));
+        }
+        drop(t);
     }
 
     #[test]
