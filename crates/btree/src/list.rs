@@ -7,27 +7,23 @@
 //! keyed container whose `readSeq` scan conflicts with every updater —
 //! exactly the `T2 ↔ readSeq` dependency of Figure 8.
 //!
-//! Concurrency: the page latches order what the list records. Every
-//! ticket is claimed while the latch of the page it names is held
-//! (Axiom 1, `TxnCtx::record`), and reads take page latches only. A
-//! read finds an item's directory record through the item directory, a
-//! table indexed by item id, S-latches the directory page, then the item
-//! page before it releases the directory page; a scan walks the chain of
-//! directory pages through the next-pointers in their record 0 and reads
-//! each live item while its directory page is still S-latched. The
-//! mutators serialize on one list mutex, which owns the bookkeeping
-//! (chain tail, fill page, live count). Every thread latches a directory
-//! page before an item page, never the other way round, and holds two
-//! directory pages only to link a fresh tail that nobody can reach yet,
-//! so the coupling cannot deadlock.
+//! Concurrency: the page latches order what the list records — every
+//! ticket is claimed under the latch of the page it names (Axiom 1) —
+//! and reads take page latches only. A read finds an item's directory
+//! record through the item directory (item id → record), S-latches the
+//! directory page, then the item page before releasing the directory
+//! page; a scan follows the chain's next-pointers (record 0 of each
+//! directory page) and reads each live item under its directory page's
+//! S latch. The mutators serialize on the list mutex, which owns the
+//! bookkeeping. Nothing latches a directory page while it holds an item
+//! page, or two directory pages but to link a fresh tail nobody can
+//! reach yet, so the coupling cannot deadlock.
 //!
-//! An item that outgrows its page moves in three steps: its text is
-//! stored on the fill page, its directory record is rewritten, and only
-//! then is its old record deleted, under the X latch of the page it
-//! leaves, which is where that page's write is claimed. A reader coupled on the old record holds the old
-//! page's S latch before the rewrite can take the directory page, so its
-//! read precedes the move's write of the page it read; a reader after
-//! the rewrite finds the new page, whose write came first.
+//! An item that outgrows its page moves: its text goes to the fill page,
+//! its directory record is rewritten, and only then is its old record
+//! deleted and the page it leaves written. A reader coupled on the old
+//! record holds that page's S latch before the rewrite can proceed, so
+//! its read precedes the move's write of the page it read.
 //!
 //! The keyed operations take the descriptor of the list-level action from
 //! the caller: the encyclopedia records the same `search(k)` /
@@ -40,7 +36,7 @@ use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, Method, RangeSpe
 use oodb_core::ids::ObjectIdx;
 use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::chunked::Chunked;
-use oodb_storage::{BufferPool, Page, PageError, PageExclusive, PageId};
+use oodb_storage::{BufferPool, Page, PageError, PageExclusive, PageId, PageShared};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -173,14 +169,10 @@ impl ItemList {
         let name = name.into();
         let list_obj = rec.object(&name, Arc::new(RangeSpec::ordered_container("item-list")));
         let head_pin = pool.allocate().expect("allocating list head");
+        head_pin.write(|p| p.insert(&0u32.to_le_bytes()).expect("fresh page has space"));
         let head = head_pin.id();
-        head_pin.write(|p| {
-            p.insert(&0u32.to_le_bytes()).expect("fresh page has space");
-        });
         drop(head_pin);
-        let item_pin = pool.allocate().expect("allocating item page");
-        let item_page = item_pin.id();
-        drop(item_pin);
+        let item_page = pool.allocate().expect("allocating item page").id();
         ItemList {
             pool,
             objects: ObjectIds::new(rec, &name),
@@ -213,6 +205,16 @@ impl ItemList {
 
     fn item_object(&self, id: ItemId) -> ObjectIdx {
         self.objects.get(ObjectKey::Item(id))
+    }
+
+    /// Page `id` of this list, S-latched.
+    fn shared(&self, id: PageId) -> PageShared<'_> {
+        self.pool.read_page(id).expect("list pages stay")
+    }
+
+    /// Page `id` of this list, X-latched.
+    fn exclusive(&self, id: PageId) -> PageExclusive<'_> {
+        self.pool.write_page(id).expect("list pages stay")
     }
 
     /// Number of live items.
@@ -270,19 +272,13 @@ impl ItemList {
     /// returns that page, still X-latched, and the record's slot.
     fn store_content(&self, state: &mut ListState, bytes: &[u8]) -> (PageExclusive<'_>, u16) {
         loop {
-            let pin = self
-                .pool
-                .write_page(state.item_page)
-                .expect("item page exists");
+            let pin = self.exclusive(state.item_page);
             match pin.write(|p| p.insert(bytes)) {
                 Ok(slot) => return (pin, slot),
-                Err(PageError::Full { .. }) => {
-                    drop(pin);
-                    let fresh = self.pool.allocate().expect("allocating item page");
-                    state.item_page = fresh.id();
-                }
+                Err(PageError::Full { .. }) => drop(pin),
                 Err(e) => panic!("storing item content: {e}"),
             }
+            state.item_page = self.pool.allocate().expect("allocating item page").id();
         }
     }
 
@@ -296,7 +292,7 @@ impl ItemList {
     ) -> (PageId, u16) {
         let tail = state.tail;
         let tail_obj = self.page_object(tail);
-        let pin = self.pool.write_page(tail).expect("chain page exists");
+        let pin = self.exclusive(tail);
         ctx.page_read(tail_obj);
         let record = entry.encode();
         match pin.write(|p| p.insert(&record)) {
@@ -336,7 +332,7 @@ impl ItemList {
         visit: impl FnOnce(Location) -> R,
     ) -> Option<R> {
         let (dir_page, dir_slot) = self.directory.get(id)?;
-        let dir = self.pool.read_page(dir_page).expect("dir page exists");
+        let dir = self.shared(dir_page);
         let loc = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor))?;
         Some(visit(loc))
     }
@@ -379,19 +375,12 @@ impl ItemList {
     ) -> Option<String> {
         let read = DescriptorRef::read();
         let (item, item_slot) = self.couple(id, descriptor, |loc| {
-            let item = self
-                .pool
-                .read_page(loc.item_page)
-                .expect("item page exists");
-            ctx.record_validated(
-                || {
-                    (
-                        [(self.list_obj, descriptor), (self.item_object(id), &read)],
-                        (self.page_object(loc.item_page), &read),
-                    )
-                },
-                || true,
-            );
+            let item = self.shared(loc.item_page);
+            let visit = || {
+                let enters = [(self.list_obj, descriptor), (self.item_object(id), &read)];
+                (enters, (self.page_object(loc.item_page), &read))
+            };
+            ctx.record_validated(visit, || true);
             (item, loc.item_slot)
         })?;
         let text = item.read(|p| text_of(p, item_slot));
@@ -416,17 +405,13 @@ impl ItemList {
         descriptor: &DescriptorRef,
     ) -> Option<String> {
         let mut state = self.state.lock();
-        let (loc, pin) = self.couple(id, descriptor, |loc| {
-            let pin = self
-                .pool
-                .write_page(loc.item_page)
-                .expect("item page exists");
-            (loc, pin)
-        })?;
+        let (loc, pin) = self.couple(id, descriptor, |loc| (loc, self.exclusive(loc.item_page)))?;
         let item_obj = self.page_object(loc.item_page);
-        let write = DescriptorRef::write();
         ctx.record(
-            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
+            &[
+                (self.list_obj, descriptor),
+                (self.item_object(id), &DescriptorRef::write()),
+            ],
             Some((item_obj, &DescriptorRef::read())),
         );
         let (old, updated) = pin.write(|p| {
@@ -435,14 +420,13 @@ impl ItemList {
         });
         if updated {
             ctx.page_write(item_obj);
-        }
-        drop(pin);
-        if !updated {
+        } else {
+            drop(pin);
             let (pin, item_slot) = self.store_content(&mut state, text.as_bytes());
             let item_page = pin.id();
             ctx.page_write(self.page_object(item_page));
             drop(pin);
-            let dir = self.pool.write_page(loc.dir_page).expect("dir page exists");
+            let dir = self.exclusive(loc.dir_page);
             rewrite_entry(&dir, loc.dir_slot, |entry| {
                 entry.item_page = item_page;
                 entry.item_slot = item_slot;
@@ -451,10 +435,7 @@ impl ItemList {
             drop(dir);
             // the page the item leaves loses its old record last, so a
             // reader of the old text conflicts with the move
-            let left = self
-                .pool
-                .write_page(loc.item_page)
-                .expect("item page exists");
+            let left = self.exclusive(loc.item_page);
             left.write(|p| p.delete(loc.item_slot).expect("the old record is there"));
             ctx.page_write(item_obj);
             drop(left);
@@ -471,7 +452,7 @@ impl ItemList {
         let Some((dir_page, dir_slot)) = self.directory.get(id) else {
             return false;
         };
-        let dir = self.pool.write_page(dir_page).expect("dir page exists");
+        let dir = self.exclusive(dir_page);
         let Some(loc) = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor)) else {
             return false;
         };
@@ -483,11 +464,7 @@ impl ItemList {
         rewrite_entry(&dir, dir_slot, |entry| entry.alive = false);
         ctx.page_write(dir_obj);
         drop(dir);
-        // delete content
-        let item_pin = self
-            .pool
-            .write_page(loc.item_page)
-            .expect("item page exists");
+        let item_pin = self.exclusive(loc.item_page);
         item_pin.write(|p| {
             let _ = p.delete(loc.item_slot);
         });
@@ -514,7 +491,7 @@ impl ItemList {
         let mut out = Vec::new();
         let mut next = Some(self.head);
         while let Some(page) = next {
-            let dir = self.pool.read_page(page).expect("dir page exists");
+            let dir = self.shared(page);
             ctx.page_read(self.page_object(page));
             next = dir.read(|p| {
                 let entries = p
@@ -523,7 +500,7 @@ impl ItemList {
                     .map(|(_, b)| DirEntry::decode(b))
                     .filter(|e| e.alive);
                 for e in entries {
-                    let item = self.pool.read_page(e.item_page).expect("item page exists");
+                    let item = self.shared(e.item_page);
                     ctx.record(
                         &[(self.item_object(e.id), &read)],
                         Some((self.page_object(e.item_page), &read)),
@@ -532,9 +509,8 @@ impl ItemList {
                     ctx.exit();
                     out.push((e.id, e.key.to_owned(), text));
                 }
-                let header = p.read(CHAIN_HEADER_SLOT).expect("chain header present");
-                let next = u32::from_le_bytes(header.try_into().expect("a page id"));
-                next.checked_sub(1).map(PageId)
+                let mut header = p.read(CHAIN_HEADER_SLOT).expect("chain header present");
+                header.get_u32_le().checked_sub(1).map(PageId)
             });
         }
         ctx.exit();
