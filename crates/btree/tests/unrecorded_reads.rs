@@ -9,10 +9,10 @@
 //! leaf. Each search and each insert is a transaction of its own. The
 //! reads are checked by what they return, and a recorded round's record
 //! by the paper's checker: a visit read off an image must sit in the
-//! history where the writes it saw and missed put it. A last round has
-//! writers change texts instead, moving items between pages, and checks
-//! that each recorded read sits between the writes of the version it
-//! returned and of the next one.
+//! history where the writes it saw and missed put it. The change rounds
+//! have writers rewrite texts instead, moving items between pages, and
+//! check that each recorded read sits between the writes of the version
+//! it returned and of the next one.
 
 use oodb_btree::{Encyclopedia, EncyclopediaConfig};
 use oodb_core::commutativity::Method;
@@ -48,7 +48,7 @@ const VERSIONS: usize = 32;
 /// The most searches each reader makes in a change round.
 const READS: usize = 300;
 /// Change rounds. A change that claims its page write after it drops the
-/// X latch fails one round in about twelve in release, where a round is
+/// X latch fails about one round in nine in release, where a round is
 /// fast; the checker is slow in debug.
 const ROUNDS: usize = if cfg!(debug_assertions) { 4 } else { 24 };
 
