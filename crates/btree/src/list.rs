@@ -406,12 +406,9 @@ impl ItemList {
     ) -> Option<String> {
         let mut state = self.state.lock();
         let (loc, pin) = self.couple(id, descriptor, |loc| (loc, self.exclusive(loc.item_page)))?;
-        let item_obj = self.page_object(loc.item_page);
+        let (item_obj, write) = (self.page_object(loc.item_page), DescriptorRef::write());
         ctx.record(
-            &[
-                (self.list_obj, descriptor),
-                (self.item_object(id), &DescriptorRef::write()),
-            ],
+            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
             Some((item_obj, &DescriptorRef::read())),
         );
         let (old, updated) = pin.write(|p| {
