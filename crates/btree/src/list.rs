@@ -673,8 +673,7 @@ mod tests {
 
     /// A moved item's old record is deleted: the page it leaves keeps
     /// only its other items, and one of them can then grow in place into
-    /// the space the moved one left (140 bytes: `Page::update` writes a
-    /// longer record beside the old one, so 150 would not fit).
+    /// the space the moved one left.
     #[test]
     fn a_moved_item_leaves_no_record_behind() {
         let (l, rec) = list();
@@ -691,7 +690,7 @@ mod tests {
         assert_ne!(l.state.lock().item_page, page, "the first item moved");
         assert_eq!(live(), 1, "the page it left keeps the second item only");
         let allocated = l.pool.stats().allocations;
-        let grown = "v".repeat(140);
+        let grown = "v".repeat(150);
         l.update_item(&mut t, b, &grown, &keyed(Method::Update, "b"));
         assert_eq!(l.pool.stats().allocations, allocated, "b grew in place");
         assert_eq!(live(), 1);
@@ -699,6 +698,26 @@ mod tests {
             let search = keyed(Method::Search, key);
             assert_eq!(l.read_item(&mut t, id, &search), Some(text));
         }
+        drop(t);
+    }
+
+    /// An item alone on its page grows into its own old bytes: 100
+    /// bytes grow to 150 on the 256-byte page without a move.
+    #[test]
+    fn an_item_alone_on_its_page_grows_in_place() {
+        let (l, rec) = list();
+        let mut t = rec.begin_txn("T");
+        let a = l.insert(&mut t, "a", &"t".repeat(100), &keyed(Method::Insert, "a"));
+        let page = l.state.lock().item_page;
+        let allocated = l.pool.stats().allocations;
+        let grown = "u".repeat(150);
+        l.update_item(&mut t, a, &grown, &keyed(Method::Update, "a"));
+        assert_eq!(l.pool.stats().allocations, allocated, "no page allocated");
+        assert_eq!(l.state.lock().item_page, page);
+        let live = l.pool.read_page(page).unwrap().read(|p| p.live_records());
+        assert_eq!(live, 1);
+        let search = keyed(Method::Search, "a");
+        assert_eq!(l.read_item(&mut t, a, &search), Some(grown));
         drop(t);
     }
 

@@ -109,7 +109,7 @@ impl EngineShared {
             enc: CompensatedEncyclopedia::new(enc),
             gate: RwLock::new(()),
             metrics,
-            trace: Tracer::from_mode(&cfg.trace, cfg.workers.max(1)),
+            trace: Tracer::new(cfg.trace, cfg.workers.max(1)),
             dur,
             faults: FaultPlan::default(),
         }

@@ -1,5 +1,5 @@
 //! Engine configuration: worker pool sizing, admission control, retry
-//! policy, and deadlines.
+//! count, deadlines, durability and the tracing switch.
 
 use std::time::Duration;
 
@@ -65,32 +65,6 @@ impl DurabilityMode {
     }
 }
 
-/// Where trace events go (see [`crate::trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// No tracing: the hot path pays one branch per would-be event.
-    #[default]
-    Off,
-    /// Per-worker lock-free bounded ring buffers, drained at shutdown
-    /// into [`EngineOutput::trace`](crate::EngineOutput::trace). When a
-    /// lane fills, further events from that lane are dropped (and
-    /// counted) rather than blocking the worker.
-    Ring {
-        /// Capacity of each worker's lane, in events.
-        capacity_per_lane: usize,
-    },
-}
-
-impl TraceMode {
-    /// Ring-buffer tracing with a default per-lane capacity generous
-    /// enough for the test workloads (64k events per worker).
-    pub fn ring() -> Self {
-        TraceMode::Ring {
-            capacity_per_lane: 65_536,
-        }
-    }
-}
-
 /// Tunables for an [`Engine`](crate::Engine) instance.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -103,12 +77,9 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Maximum retry attempts per transaction after aborts (deadlock
     /// victim, validation failure). The first execution is attempt 0;
-    /// a job gives up after `max_retries` re-executions.
+    /// a job gives up after `max_retries` re-executions, each after a
+    /// back-off of [`retry_delay`](crate::retry_delay).
     pub max_retries: u32,
-    /// Base delay of the exponential retry backoff (doubles per attempt).
-    pub base_backoff: Duration,
-    /// Cap on the backoff delay regardless of attempt count.
-    pub max_backoff: Duration,
     /// Per-transaction deadline measured from submission; a job whose
     /// deadline passes before it commits is dropped (counted as
     /// `deadline_expired`). `None` disables deadlines.
@@ -133,9 +104,11 @@ pub struct EngineConfig {
     /// while the optimistic control still records, for its certifier.
     pub audit: bool,
     /// Structured lifecycle tracing (see [`crate::trace`]). Off by
-    /// default; [`TraceMode::ring`] captures events into per-worker
-    /// ring buffers drained at shutdown.
-    pub trace: TraceMode,
+    /// default; on, events are captured into one bounded buffer per
+    /// worker ([`LANE_CAPACITY`](crate::trace::LANE_CAPACITY) events
+    /// each) and drained at shutdown into
+    /// [`EngineOutput::trace`](crate::EngineOutput::trace).
+    pub trace: bool,
     /// Commit durability: [`DurabilityMode::Off`] (the default) keeps
     /// commits memory-only; [`DurabilityMode::Group`] appends redo +
     /// compensation records to a write-ahead log while the operation's
@@ -158,14 +131,12 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: 64,
             max_retries: 8,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(20),
             txn_deadline: None,
             seed: 0,
             fanout: 8,
             shards: 1,
             audit: true,
-            trace: TraceMode::Off,
+            trace: false,
             durability: DurabilityMode::Off,
             fsync_latency: Duration::ZERO,
             pool_frames: 4096,
@@ -182,12 +153,8 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.workers >= 1);
         assert!(c.queue_capacity >= c.workers);
-        assert!(c.base_backoff <= c.max_backoff);
         assert_eq!(c.shards, 1, "metric lanes are opt-in");
-        assert_eq!(c.trace, TraceMode::Off, "tracing is opt-in");
-        assert!(
-            matches!(TraceMode::ring(), TraceMode::Ring { capacity_per_lane } if capacity_per_lane > 0)
-        );
+        assert!(!c.trace, "tracing is opt-in");
         assert_eq!(CcKind::default(), CcKind::Pessimistic);
         assert_eq!(
             c.durability,

@@ -443,6 +443,7 @@ pub(crate) fn run_flusher(shared: &EngineShared) {
 /// back-off, the queue's re-check) are not device time. A refusal
 /// leaves the default slack, which is slower, never wrong.
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 fn fine_timer_slack() {
     // std already links libc; this is its prototype on Linux
     extern "C" {

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod audit;
 pub mod cc;
@@ -51,7 +52,7 @@ pub use cc::{
     ConcurrencyControl, EngineShared, FinishOutcome, LockingCc, OpGrant, OptimisticCc, TxnHandle,
     STRIPES,
 };
-pub use config::{CcKind, DurabilityMode, EngineConfig, TraceMode};
+pub use config::{CcKind, DurabilityMode, EngineConfig};
 pub use durability::{recover, Durability, RecoveryOutcome, ReplayStats};
 pub use metrics::{
     shard_of_key, EngineMetrics, Histogram, MetricsSnapshot, Quantiles, ShardLane,

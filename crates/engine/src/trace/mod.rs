@@ -3,10 +3,11 @@
 //! The engine stamps every lifecycle transition — admission, shedding,
 //! attempt start, operation grants, conflicts, deadlock victims,
 //! certification rounds, compensation, commit/abort — with
-//! `(job, attempt, txn, worker, seq)` and hands it to the ring sink
-//! ([`RingSink`]): events land in per-worker lock-free lanes and are
-//! drained at shutdown into a [`TraceLog`]. With tracing off there is no
-//! sink, and the whole subsystem costs one branch per would-be event.
+//! `(job, attempt, txn, worker, seq)` and hands it to the sink
+//! ([`RingSink`]): events land in per-worker lanes, each behind its own
+//! mutex, and are drained at shutdown into a [`TraceLog`]. With tracing
+//! off there is no sink, and the whole subsystem costs one branch per
+//! would-be event.
 //!
 //! Two exporters ([`export::to_jsonl`], [`export::to_chrome_trace`])
 //! turn a log into files. Operation events are ordered so that the
@@ -19,16 +20,14 @@ pub mod sink;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 pub use event::{
     attempt_name, AbortReason, CertOutcome, TraceEvent, TraceEventKind, TXN_NONE, WORKER_EXTERNAL,
 };
-pub use sink::{RingSink, TraceLog};
+pub use sink::{RingSink, TraceLog, LANE_CAPACITY};
 
 use crate::cc::TxnHandle;
-use crate::config::TraceMode;
 
 thread_local! {
     /// The lane this thread's events route to. Workers set their index
@@ -50,42 +49,20 @@ pub fn current_worker_id() -> u32 {
 /// The engine's tracing front end: owns the sink (none when tracing is
 /// off), the global sequence counter, and the epoch all timestamps are
 /// relative to.
-///
-/// Cloning is cheap (`Arc` bumps); every clone shares the same counter
-/// and sink.
-#[derive(Clone)]
 pub struct Tracer {
-    sink: Option<Arc<RingSink>>,
-    seq: Arc<AtomicU64>,
+    sink: Option<RingSink>,
+    seq: AtomicU64,
     epoch: Instant,
 }
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.enabled())
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 impl Tracer {
-    /// The tracer that captures nothing.
-    pub fn disabled() -> Self {
-        Tracer::from_mode(&TraceMode::Off, 0)
-    }
-
-    /// Build the tracer an [`crate::EngineConfig`] asks for.
-    pub fn from_mode(mode: &TraceMode, workers: usize) -> Self {
-        let sink = match mode {
-            TraceMode::Off => None,
-            TraceMode::Ring { capacity_per_lane } => {
-                Some(Arc::new(RingSink::new(workers, *capacity_per_lane)))
-            }
-        };
+    /// A tracer for a pool of `workers`: with `on`, one lane of
+    /// [`LANE_CAPACITY`] events per worker plus the external lane;
+    /// without, no sink at all.
+    pub fn new(on: bool, workers: usize) -> Self {
         Tracer {
-            sink,
-            seq: Arc::new(AtomicU64::new(0)),
+            sink: on.then(|| RingSink::new(workers, LANE_CAPACITY)),
+            seq: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
@@ -158,26 +135,16 @@ impl Tracer {
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ring(workers: usize, capacity_per_lane: usize) -> Tracer {
-        Tracer::from_mode(&TraceMode::Ring { capacity_per_lane }, workers)
-    }
 
     /// A disabled tracer runs no payload closure and claims no seq,
     /// whichever emit is called: with tracing off an event costs the
     /// branch and nothing else.
     #[test]
     fn a_disabled_tracer_runs_no_payload_and_claims_no_seq() {
-        let t = Tracer::disabled();
+        let t = Tracer::new(false, 0);
         let handle = TxnHandle::new(1, 0, oodb_core::ids::TxnIdx(3));
         let ran = Cell::new(0);
         let payload = || {
@@ -193,7 +160,7 @@ mod tests {
 
     #[test]
     fn ring_tracer_captures_in_seq_order() {
-        let t = ring(1, 16);
+        let t = Tracer::new(true, 1);
         t.emit(0, 0, 0, || TraceEventKind::AttemptBegin { ops: 2 });
         let pinned = t.claim_seq();
         t.emit(0, 0, 0, || TraceEventKind::Committed);
@@ -206,7 +173,7 @@ mod tests {
 
     #[test]
     fn external_thread_stamps_sentinel_worker() {
-        let t = ring(2, 4);
+        let t = Tracer::new(true, 2);
         t.emit(7, 0, TXN_NONE, || TraceEventKind::JobAdmitted { depth: 1 });
         let log = t.drain().unwrap();
         assert_eq!(log.events[0].worker, WORKER_EXTERNAL);

@@ -18,16 +18,23 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+/// The retry back-off before a job's second attempt; it doubles with
+/// each attempt after that.
+pub const BASE_BACKOFF: Duration = Duration::from_micros(100);
+
+/// The longest retry back-off, whatever the attempt.
+pub const MAX_BACKOFF: Duration = Duration::from_millis(20);
+
 /// The retry delay before re-executing `job` after its `attempt`-th
-/// failed attempt: exponential in the attempt number, capped, with a
-/// **deterministic** jitter drawn from a RNG seeded by
-/// `(cfg.seed, job, attempt)` — the same configuration always produces
-/// the same backoff schedule, so contended runs are reproducible.
+/// failed attempt: [`BASE_BACKOFF`] doubled per attempt, capped at
+/// [`MAX_BACKOFF`], with a **deterministic** jitter drawn from a RNG
+/// seeded by `(cfg.seed, job, attempt)` — the same configuration always
+/// produces the same backoff schedule, so contended runs are
+/// reproducible.
 pub fn retry_delay(cfg: &EngineConfig, job: u64, attempt: u32) -> Duration {
-    let exp = cfg
-        .base_backoff
+    let exp = BASE_BACKOFF
         .saturating_mul(1u32 << attempt.min(16))
-        .min(cfg.max_backoff);
+        .min(MAX_BACKOFF);
     let half = exp.as_nanos() as u64 / 2;
     if half == 0 {
         return exp;
@@ -37,6 +44,16 @@ pub fn retry_delay(cfg: &EngineConfig, job: u64, attempt: u32) -> Duration {
     );
     let jitter = rng.gen_range(0..half);
     Duration::from_nanos(half + jitter)
+}
+
+/// The back-off after `job`'s failed `attempt`, but never past the
+/// job's deadline: the next iteration reports the expiry as soon as it
+/// is due.
+fn backoff(cfg: &EngineConfig, job: &Job, attempt: u32) -> Duration {
+    let delay = retry_delay(cfg, job.id, attempt);
+    job.deadline.map_or(delay, |deadline| {
+        delay.min(deadline.saturating_duration_since(Instant::now()))
+    })
 }
 
 fn past(deadline: Option<Instant>) -> bool {
@@ -641,13 +658,7 @@ pub(crate) fn process_job(
             }
             return;
         }
-        // back off, but never past the deadline: the next iteration
-        // reports the expiry as soon as it is due
-        let mut delay = retry_delay(cfg, job.id, attempt);
-        if let Some(deadline) = job.deadline {
-            delay = delay.min(deadline.saturating_duration_since(Instant::now()));
-        }
-        std::thread::sleep(delay);
+        std::thread::sleep(backoff(cfg, job, attempt));
     }
 }
 
@@ -676,17 +687,15 @@ mod tests {
     fn backoff_grows_and_caps() {
         let cfg = EngineConfig {
             seed: 7,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(10),
             ..EngineConfig::default()
         };
-        // the delay lies in [exp/2, exp) for the capped exponential
+        // the delay lies in [exp/2, exp) for the capped exponential,
+        // which reaches the cap at attempt 8
         for attempt in 0..10u32 {
             let d = retry_delay(&cfg, 3, attempt);
-            let exp = cfg
-                .base_backoff
+            let exp = BASE_BACKOFF
                 .saturating_mul(1u32 << attempt.min(16))
-                .min(cfg.max_backoff);
+                .min(MAX_BACKOFF);
             assert!(
                 d >= exp / 2 && d < exp,
                 "attempt {attempt}: {d:?} vs {exp:?}"
@@ -694,34 +703,40 @@ mod tests {
         }
     }
 
-    /// The backoff never outlives the deadline: an attempt aborted with
-    /// a 250–500 ms retry delay ahead and 5 ms left is reported as
-    /// expired when the 5 ms are up, not when the backoff is.
+    /// The backoff never outlives the deadline: after attempt 8, whose
+    /// retry delay is 10–20 ms, a job with 5 ms left sleeps 5 ms at
+    /// most. On the engine, a job whose every attempt fails is reported
+    /// as expired, not as out of retries.
     #[test]
     fn backoff_sleep_stops_at_the_deadline() {
         use crate::{Engine, OptimisticCc};
-        let long = Duration::from_millis(500);
+        let left = Duration::from_millis(5);
         let cfg = EngineConfig {
             workers: 1,
-            base_backoff: long,
-            max_backoff: long,
-            txn_deadline: Some(Duration::from_millis(5)),
+            txn_deadline: Some(left),
             ..EngineConfig::default()
         };
-        let engine = Engine::start_with(cfg, std::sync::Arc::new(OptimisticCc::new()));
-        engine.inject_fault_after(0, 0, 1);
-        let t0 = Instant::now();
+        let now = Instant::now();
+        let job = Job {
+            id: 0,
+            ops: Vec::new(),
+            submitted_at: now,
+            deadline: Some(now + left),
+        };
+        assert!(retry_delay(&cfg, job.id, 8) > left);
+        assert!(backoff(&cfg, &job, 8) <= left);
+
+        let engine = Engine::start_with(cfg.clone(), std::sync::Arc::new(OptimisticCc::new()));
+        for attempt in 0..=cfg.max_retries {
+            engine.inject_fault_after(0, attempt, 1);
+        }
         engine
             .submit_blocking(vec![EncOp::Insert("k".into())])
             .expect("accepts until shutdown");
         let out = engine.shutdown();
-        assert!(
-            t0.elapsed() < long / 2,
-            "shutdown waited out the backoff: {:?}",
-            t0.elapsed()
-        );
         assert_eq!(out.metrics.deadline_expired, 1);
         assert_eq!(out.metrics.committed, 0);
+        assert_eq!(out.metrics.aborted, 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use oodb_core::ids::TxnIdx;
 use oodb_engine::trace::TraceEventKind;
 use oodb_engine::{
     shard_of_key, CcKind, ConcurrencyControl, Engine, EngineConfig, EngineShared, LockingCc,
-    OpGrant, TraceMode, TxnHandle, STRIPES,
+    OpGrant, TxnHandle, STRIPES,
 };
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkloadConfig, Skew};
 use std::sync::mpsc;
@@ -50,7 +50,7 @@ fn traced() -> EngineConfig {
     EngineConfig {
         workers: 1,
         pool_frames: 64,
-        trace: TraceMode::ring(),
+        trace: true,
         ..EngineConfig::default()
     }
 }

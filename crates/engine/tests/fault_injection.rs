@@ -267,7 +267,7 @@ fn direct_drive_optimistic_victim_abort_cleanup() {
 fn traced_abort_run(cc: Arc<dyn ConcurrencyControl>, shards: usize) -> oodb_engine::EngineOutput {
     let keys = keys_on_distinct_shards(shards);
     let config = EngineConfig {
-        trace: oodb_engine::TraceMode::ring(),
+        trace: true,
         ..cfg(shards)
     };
     let engine = Engine::start_with(config, cc);

@@ -2,7 +2,7 @@
 //! one transaction in flight commits every job and strands none, and a
 //! one-worker engine still runs its jobs in submission order.
 
-use oodb_engine::{CcKind, Engine, EngineConfig, TraceEventKind, TraceMode};
+use oodb_engine::{CcKind, Engine, EngineConfig, TraceEventKind};
 use oodb_sim::EncOp;
 use std::time::{Duration, Instant};
 
@@ -61,9 +61,7 @@ fn one_worker_runs_jobs_in_submission_order() {
             workers: 1,
             queue_capacity: 4,
             audit: false,
-            trace: TraceMode::Ring {
-                capacity_per_lane: 1 << 12,
-            },
+            trace: true,
             ..EngineConfig::default()
         },
         CcKind::Pessimistic,

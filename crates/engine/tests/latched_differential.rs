@@ -24,7 +24,7 @@
 mod common;
 
 use common::analyze::cross_check;
-use oodb_engine::{shard_of_key, CcKind, EngineConfig, EngineOutput, TraceMode, STRIPES};
+use oodb_engine::{shard_of_key, CcKind, EngineConfig, EngineOutput, STRIPES};
 use oodb_sim::{EncOp, EncWorkload};
 use proptest::prelude::*;
 
@@ -211,7 +211,7 @@ fn split_under_concurrency_pins_rearrange_seq_boundary() {
             shards: 4,
             seed: 7,
             fanout: 4,
-            trace: TraceMode::ring(),
+            trace: true,
             ..EngineConfig::default()
         };
         let out = oodb_engine::run_workload(&cfg, kind, &workload);

@@ -13,7 +13,7 @@ use oodb_engine::trace::export::{to_chrome_trace, to_jsonl, to_jsonl_canonical};
 use oodb_engine::trace::{AbortReason, TXN_NONE, WORKER_EXTERNAL};
 use oodb_engine::{
     shard_of_key, CcKind, ConcurrencyControl, DurabilityMode, EngineConfig, EngineShared,
-    LockingCc, OpGrant, ShardRoute, TraceEvent, TraceEventKind, TraceLog, TraceMode, TxnHandle,
+    LockingCc, OpGrant, RingSink, ShardRoute, TraceEvent, TraceEventKind, TraceLog, TxnHandle,
     STRIPES,
 };
 use oodb_sim::{encyclopedia_workload, EncMix, EncOp, EncWorkload, EncWorkloadConfig, Skew};
@@ -32,7 +32,7 @@ fn contended_workload(seed: u64) -> oodb_sim::EncWorkload {
     })
 }
 
-fn cfg(workers: usize, shards: usize, trace: TraceMode) -> EngineConfig {
+fn cfg(workers: usize, shards: usize, trace: bool) -> EngineConfig {
     EngineConfig {
         workers,
         shards,
@@ -50,7 +50,7 @@ fn cfg(workers: usize, shards: usize, trace: TraceMode) -> EngineConfig {
 fn canonical_jsonl_is_deterministic_for_single_worker_fixed_seed() {
     let run = || {
         let out = oodb_engine::run_workload(
-            &cfg(1, 1, TraceMode::ring()),
+            &cfg(1, 1, true),
             CcKind::Pessimistic,
             &contended_workload(5),
         );
@@ -101,7 +101,7 @@ fn trace_graph_matches_audit_for_every_strategy() {
         CcKind::Optimistic,
     ] {
         for shards in [1usize, 4] {
-            let config = cfg(3, shards, TraceMode::ring());
+            let config = cfg(3, shards, true);
             runs.push((
                 format!("{kind:?} x {shards} shards"),
                 config,
@@ -113,7 +113,7 @@ fn trace_graph_matches_audit_for_every_strategy() {
     let disjoint = disjoint_key_workload(96);
     let splitting = EngineConfig {
         seed: 42,
-        ..cfg(8, 4, TraceMode::ring())
+        ..cfg(8, 4, true)
     };
     runs.push((
         "optimistic x4 disjoint keys, splitting".into(),
@@ -160,7 +160,7 @@ fn disjoint_keys_certify_against_a_bounded_cut_at_any_lane_count() {
     for shards in [1, 8] {
         let config = EngineConfig {
             seed: 42,
-            ..cfg(8, shards, TraceMode::ring())
+            ..cfg(8, shards, true)
         };
         let out = oodb_engine::run_workload(&config, CcKind::Optimistic, &workload);
         let label = format!("{shards} lanes");
@@ -198,7 +198,7 @@ fn disjoint_keys_certify_against_a_bounded_cut_at_any_lane_count() {
 fn a_read_sees_committed_state_when_writes_are_deferred() {
     use oodb_engine::Engine;
     let granted = |kind: CcKind| {
-        let engine = Engine::start(cfg(1, 1, TraceMode::ring()), kind);
+        let engine = Engine::start(cfg(1, 1, true), kind);
         engine
             .submit_blocking(vec![EncOp::Insert("k".into()), EncOp::Search("k".into())])
             .expect("accepts until shutdown");
@@ -255,7 +255,7 @@ fn a_conflict_names_the_grant_that_conflicts() {
         .find(|k| on_stripe_0(k) && k != "k024" && k != "k051")
         .expect("a third key on stripe 0");
     let cc = LockingCc::semantic();
-    let shared = EngineShared::new(&cfg(1, 1, TraceMode::ring()), &cc);
+    let shared = EngineShared::new(&cfg(1, 1, true), &cc);
     let (t1, t2) = (
         TxnHandle::new(1, 0, TxnIdx(1)),
         TxnHandle::new(2, 0, TxnIdx(2)),
@@ -297,26 +297,35 @@ fn a_conflict_names_the_grant_that_conflicts() {
     );
 }
 
-/// An undersized ring drops the newest events (counted, never blocking
-/// the workers) and still drains to a seq-sorted, exportable log.
+/// An undersized sink drops the newest events of each lane (counted,
+/// never blocking a writer) and still drains to a seq-sorted, exportable
+/// log: two threads write 20 events each, one into worker lane 0 and one
+/// into the external lane, of 8 slots each.
 #[test]
 fn ring_overflow_drops_newest_and_stays_consistent() {
-    let out = oodb_engine::run_workload(
-        &cfg(
-            2,
-            1,
-            TraceMode::Ring {
-                capacity_per_lane: 8,
-            },
-        ),
-        CcKind::Pessimistic,
-        &contended_workload(23),
-    );
-    let log = out.trace.expect("ring sink captured a trace");
-    assert!(log.dropped > 0, "8 slots per lane cannot hold this run");
-    assert!(
-        log.events.windows(2).all(|w| w[0].seq <= w[1].seq),
-        "drained events are seq-sorted"
+    let sink = RingSink::new(1, 8);
+    std::thread::scope(|scope| {
+        for (lane, worker) in [(0, 0), (1, WORKER_EXTERNAL)] {
+            let sink = &sink;
+            scope.spawn(move || {
+                for i in 0..20u64 {
+                    let seq = 2 * i + lane as u64;
+                    let ev = TraceEvent {
+                        worker,
+                        ..op(seq, seq, EncOp::Insert(format!("k{seq:03}")))
+                    };
+                    sink.record(lane, ev);
+                }
+            });
+        }
+    });
+    let log = sink.drain();
+    assert_eq!(log.dropped, 24, "12 of each lane's 20 events overflow");
+    let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
+    assert_eq!(
+        seqs,
+        (0..16).collect::<Vec<_>>(),
+        "each lane keeps its first 8, drained in seq order"
     );
     assert!(validate_jsonl(&to_jsonl(&log)));
     assert!(validate_json(&to_chrome_trace(&log)));
@@ -329,7 +338,7 @@ fn ring_overflow_drops_newest_and_stays_consistent() {
 #[test]
 fn exporters_emit_valid_json_and_tracing_is_opt_in() {
     let w = contended_workload(29);
-    let off = oodb_engine::run_workload(&cfg(2, 2, TraceMode::Off), CcKind::Optimistic, &w);
+    let off = oodb_engine::run_workload(&cfg(2, 2, false), CcKind::Optimistic, &w);
     assert!(off.trace.is_none(), "tracing must be opt-in");
 
     let config = EngineConfig {
@@ -337,7 +346,7 @@ fn exporters_emit_valid_json_and_tracing_is_opt_in() {
             max_batch: 4,
             max_wait: std::time::Duration::from_micros(200),
         },
-        ..cfg(2, 2, TraceMode::ring())
+        ..cfg(2, 2, true)
     };
     let out = oodb_engine::run_workload(&config, CcKind::Optimistic, &w);
     let log = out.trace.expect("ring sink captured a trace");

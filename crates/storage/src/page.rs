@@ -215,9 +215,10 @@ impl Page {
     /// Overwrite the record in slot `s`. A record no longer than the old
     /// one is written in place, its tail left to [`Page::compact`]; a
     /// longer one is allocated from free space, the old payload abandoned.
-    /// When the free space is too small the page compacts once and tries
-    /// again, so `Full` means the live records and the new one together
-    /// exceed the page.
+    /// When the free space is too small the page drops the old record and
+    /// compacts once, so `Full` means the other live records and the new
+    /// one together exceed the page; the record's own old bytes count
+    /// toward its growth. A failed update changes nothing.
     pub fn update(&mut self, s: u16, record: &[u8]) -> Result<(), PageError> {
         let (off, len) = self.slot(s)?;
         if off == DEAD {
@@ -230,13 +231,16 @@ impl Page {
             return Ok(());
         }
         if record.len() > self.free_space() {
+            let live: usize = self.records().map(|(_, r)| r.len()).sum();
+            let available = self.size() - self.free_lower() - (live - len as usize);
+            if record.len() > available {
+                return Err(PageError::Full {
+                    needed: record.len(),
+                    available,
+                });
+            }
+            self.write_u16(at, DEAD);
             self.compact();
-        }
-        if record.len() > self.free_space() {
-            return Err(PageError::Full {
-                needed: record.len(),
-                available: self.free_space(),
-            });
         }
         let upper = self.free_upper() - record.len();
         self.buf[upper..upper + record.len()].copy_from_slice(record);
@@ -354,7 +358,8 @@ mod tests {
     /// On a full page a shorter record is written in place, and a longer
     /// one that fits only once the abandoned bytes are squeezed out
     /// compacts the page instead of reporting `Full`, which a growth
-    /// reports only when the live records and the new one overflow.
+    /// reports only when the other live records and the new one
+    /// overflow.
     #[test]
     fn a_full_page_shrinks_in_place_and_grows_after_compaction() {
         let mut p = Page::new(96);
@@ -370,13 +375,15 @@ mod tests {
             upper,
             "the shorter record took no free space"
         );
-        // 10 bytes free and 25 abandoned: 34 fit beside the 43 live bytes
+        // 10 bytes free: the page drops b's old 30, compacts away a's
+        // abandoned 25, and 34 fit beside the other 13 live bytes
         p.update(b, &[5u8; 34]).unwrap();
-        assert_eq!(p.free_space(), capacity - (5 + 30 + 8) - 34);
+        assert_eq!(p.free_space(), capacity - (5 + 8) - 34);
         for (slot, want) in [(a, &[4u8; 5][..]), (b, &[5u8; 34]), (c, &[3u8; 8])] {
             assert_eq!(p.read(slot).unwrap(), want);
         }
-        let fits = capacity - (5 + 34 + 8);
+        // the 8 bytes `c` holds count toward its growth
+        let fits = capacity - (5 + 34);
         assert_eq!(
             p.update(c, &vec![6u8; fits + 1]),
             Err(PageError::Full {
@@ -391,6 +398,29 @@ mod tests {
         );
         p.update(c, &vec![6u8; fits]).unwrap();
         assert_eq!(p.free_space(), 0);
+    }
+
+    /// A record alone on its page grows into its own old bytes: 100
+    /// bytes on a 256-byte page, 142 free, grow to 150 in place and then
+    /// to the whole room, but no further.
+    #[test]
+    fn a_record_grows_into_its_own_space() {
+        let mut p = Page::new(256);
+        let s = p.insert(&[1u8; 100]).unwrap();
+        assert_eq!(p.free_space(), 256 - HEADER - SLOT - 100);
+        p.update(s, &[2u8; 150]).unwrap();
+        assert_eq!(p.read(s).unwrap(), &[2u8; 150]);
+        let room = 256 - HEADER - SLOT;
+        p.update(s, &vec![3u8; room]).unwrap();
+        assert_eq!(p.free_space(), 0);
+        assert_eq!(
+            p.update(s, &vec![4u8; room + 1]),
+            Err(PageError::Full {
+                needed: room + 1,
+                available: room
+            })
+        );
+        assert_eq!(p.read(s).unwrap(), &vec![3u8; room][..]);
     }
 
     #[test]

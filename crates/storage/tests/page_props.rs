@@ -71,9 +71,11 @@ proptest! {
                     let expected = oracle.get_mut(*slot);
                     match (page.update(*slot as u16, data), expected) {
                         (Ok(()), Some(entry @ Some(_))) => *entry = Some(data.clone()),
-                        // full only for a longer record the live ones leave no room for
+                        // full only for a longer record the other live ones
+                        // leave no room for: its own old bytes count
                         (Err(PageError::Full { .. }), Some(Some(old)))
-                            if data.len() > old.len() && live + data.len() > capacity => {}
+                            if data.len() > old.len()
+                                && live - old.len() + data.len() > capacity => {}
                         (Err(PageError::Dead(_)), Some(None)) => {}
                         (Err(PageError::BadSlot(_)), None) => {}
                         (got, want) => {

@@ -13,7 +13,7 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>).
 
 use oodb::engine::trace::export::{to_chrome_trace, to_jsonl};
-use oodb::engine::{CcKind, DurabilityMode, EngineConfig, TraceMode};
+use oodb::engine::{CcKind, DurabilityMode, EngineConfig};
 use oodb::sim::{encyclopedia_workload, EncMix, EncWorkloadConfig, Skew};
 
 fn main() {
@@ -50,11 +50,7 @@ fn main() {
         (CcKind::Optimistic, 4, false),
     ];
     for (i, (kind, shards, durable)) in combos.into_iter().enumerate() {
-        let trace = if trace_path.is_some() && i == combos.len() - 1 {
-            TraceMode::ring()
-        } else {
-            TraceMode::Off
-        };
+        let trace = trace_path.is_some() && i == combos.len() - 1;
         let cfg = EngineConfig {
             workers: 8,
             queue_capacity: 16,
