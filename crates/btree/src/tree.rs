@@ -523,7 +523,11 @@ impl BLinkTree {
     /// `leaf`, collecting the entries `keep` accepts until `past` says a
     /// key lies beyond the scan or the chain ends. Every further leaf is
     /// latched before the previous one is released and recorded as one
-    /// closed visit of `descriptor`.
+    /// closed visit of `descriptor`, beside `leaf`'s visit and not inside
+    /// it: the descent left that visit open, and the walk closes it
+    /// before it records the first chained leaf. Nested, a chained
+    /// leaf's conflict would be inherited by `leaf`'s action, an action
+    /// on another object, and stop there.
     fn walk_chain(
         &self,
         ctx: &mut TxnCtx,
@@ -534,6 +538,7 @@ impl BLinkTree {
     ) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         let mut page = leaf;
+        let mut leaf_open = true;
         loop {
             let next = with_encoded(&page, |node| {
                 for (k, v) in node.entries() {
@@ -548,6 +553,9 @@ impl BLinkTree {
             });
             let Some(next) = next else { break };
             page = read_latched(&self.mgr, next);
+            if std::mem::take(&mut leaf_open) {
+                ctx.exit();
+            }
             self.record_visit(ctx, page.id(), descriptor, false, || true);
             ctx.exit();
         }

@@ -6,8 +6,9 @@
 //! or embedded into a total order (existence of an equivalent serial
 //! schedule). [`DiGraph`] is the shared toolkit: interned nodes, edge
 //! insertion, cycle detection with witness extraction, topological sort,
-//! strongly connected components, transitive closure, and Graphviz export
-//! for regenerating the paper's figures.
+//! and Graphviz export for regenerating the paper's figures. There is
+//! one cycle search, [`find_cycle_from`]: [`DiGraph::find_cycle`] runs it
+//! from every node, the certifier from a candidate's actions.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -167,57 +168,13 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
     }
 
     /// Find a witness cycle, returned as the node sequence
-    /// `v0 → v1 → … → vk → v0`, or `None` if the graph is acyclic.
-    ///
-    /// Iterative three-colour DFS; no recursion so deep graphs are safe.
+    /// `v0 → v1 → … → vk → v0`, or `None` if the graph is acyclic:
+    /// [`find_cycle_from`] started at every node in insertion order,
+    /// following successors in the order their edges were added.
     pub fn find_cycle(&self) -> Option<Vec<N>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let n = self.nodes.len();
-        let mut colour = vec![Colour::White; n];
-        let mut parent: Vec<usize> = vec![usize::MAX; n];
-
-        for start in 0..n {
-            if colour[start] != Colour::White {
-                continue;
-            }
-            // stack of (node, next successor position)
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = Colour::Grey;
-            while let Some(&mut (v, ref mut pos)) = stack.last_mut() {
-                if *pos < self.succs[v].len() {
-                    let w = self.succs[v][*pos];
-                    *pos += 1;
-                    match colour[w] {
-                        Colour::White => {
-                            colour[w] = Colour::Grey;
-                            parent[w] = v;
-                            stack.push((w, 0));
-                        }
-                        Colour::Grey => {
-                            // found a back edge v → w: reconstruct w → … → v → w
-                            let mut cycle = vec![self.nodes[v].clone()];
-                            let mut cur = v;
-                            while cur != w {
-                                cur = parent[cur];
-                                cycle.push(self.nodes[cur].clone());
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour[v] = Colour::Black;
-                    stack.pop();
-                }
-            }
-        }
-        None
+        let expand = |&v: &usize, out: &mut Vec<usize>| out.extend(&self.succs[v]);
+        let cycle = find_cycle_from(0..self.nodes.len(), expand, &mut 0)?;
+        Some(cycle.into_iter().map(|i| self.nodes[i].clone()).collect())
     }
 
     /// Kahn's algorithm. Returns a topological ordering of the nodes, or
@@ -246,127 +203,6 @@ impl<N: Eq + Hash + Clone> DiGraph<N> {
         } else {
             None
         }
-    }
-
-    /// Tarjan's strongly connected components, iterative. Components are
-    /// returned in reverse topological order of the condensation.
-    pub fn tarjan_scc(&self) -> Vec<Vec<N>> {
-        let n = self.nodes.len();
-        let mut index_of = vec![usize::MAX; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<N>> = Vec::new();
-
-        for root in 0..n {
-            if index_of[root] != usize::MAX {
-                continue;
-            }
-            // call stack of (v, successor position)
-            let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-            index_of[root] = next_index;
-            lowlink[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-
-            while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-                if *pos < self.succs[v].len() {
-                    let w = self.succs[v][*pos];
-                    *pos += 1;
-                    if index_of[w] == usize::MAX {
-                        index_of[w] = next_index;
-                        lowlink[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index_of[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(p, _)) = call.last() {
-                        lowlink[p] = lowlink[p].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index_of[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(self.nodes[w].clone());
-                            if w == v {
-                                break;
-                            }
-                        }
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-        sccs
-    }
-
-    /// Reachability closure as a dense boolean matrix:
-    /// `closure[i][j]` ⇔ node `j` is reachable from node `i` by a
-    /// non-empty path. Bitset rows keep this O(V·E/64).
-    pub fn transitive_closure(&self) -> TransitiveClosure {
-        let n = self.nodes.len();
-        let words = n.div_ceil(64);
-        let mut rows = vec![vec![0u64; words]; n];
-        // process in reverse topological order when possible; otherwise
-        // iterate to fixpoint (cyclic graphs)
-        let mut changed = true;
-        // seed with direct edges
-        for (f, ts) in self.succs.iter().enumerate() {
-            for &t in ts {
-                rows[f][t / 64] |= 1 << (t % 64);
-            }
-        }
-        while changed {
-            changed = false;
-            for v in 0..n {
-                for &w in &self.succs[v] {
-                    // rows[v] |= rows[w], split borrows via indices
-                    #[allow(clippy::needless_range_loop)]
-                    for k in 0..words {
-                        let add = rows[w][k] & !rows[v][k];
-                        if add != 0 {
-                            rows[v][k] |= add;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        TransitiveClosure { rows, words }
-    }
-
-    /// True iff `to` is reachable from `from` via a non-empty path.
-    pub fn is_reachable(&self, from: &N, to: &N) -> bool {
-        let (Some(&f), Some(&t)) = (self.index.get(from), self.index.get(to)) else {
-            return false;
-        };
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![f];
-        while let Some(v) = stack.pop() {
-            for &w in &self.succs[v] {
-                if w == t {
-                    return true;
-                }
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        false
-    }
-
-    /// Dense index of node `n`, if interned.
-    pub fn index_of(&self, n: &N) -> Option<usize> {
-        self.index.get(n).copied()
     }
 
     /// Render the graph in Graphviz DOT syntax. `label` maps each node to
@@ -453,20 +289,6 @@ pub fn find_cycle_from<N: Eq + Hash + Clone>(
     None
 }
 
-/// Result of [`DiGraph::transitive_closure`].
-pub struct TransitiveClosure {
-    rows: Vec<Vec<u64>>,
-    words: usize,
-}
-
-impl TransitiveClosure {
-    /// True iff dense node `j` is reachable from dense node `i`.
-    pub fn reaches(&self, i: usize, j: usize) -> bool {
-        debug_assert!(j / 64 < self.words);
-        self.rows[i][j / 64] & (1 << (j % 64)) != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,43 +349,6 @@ mod tests {
         assert!(pos(1) < pos(3));
         assert!(pos(2) < pos(4));
         assert!(pos(3) < pos(4));
-    }
-
-    #[test]
-    fn scc_partitions_nodes() {
-        let g = graph(&[(1, 2), (2, 1), (2, 3), (3, 4), (4, 3), (5, 5)]);
-        let mut sccs: Vec<Vec<u32>> = g
-            .tarjan_scc()
-            .into_iter()
-            .map(|mut c| {
-                c.sort_unstable();
-                c
-            })
-            .collect();
-        sccs.sort();
-        assert_eq!(sccs, vec![vec![1, 2], vec![3, 4], vec![5]]);
-    }
-
-    #[test]
-    fn reachability_and_closure_agree() {
-        let g = graph(&[(1, 2), (2, 3), (4, 1)]);
-        assert!(g.is_reachable(&4, &3));
-        assert!(!g.is_reachable(&3, &4));
-        assert!(!g.is_reachable(&1, &1));
-        let tc = g.transitive_closure();
-        let i = |n: u32| g.index_of(&n).unwrap();
-        assert!(tc.reaches(i(4), i(3)));
-        assert!(!tc.reaches(i(3), i(4)));
-        assert!(!tc.reaches(i(1), i(1)));
-    }
-
-    #[test]
-    fn closure_on_cycle_reaches_self() {
-        let g = graph(&[(1, 2), (2, 1)]);
-        let tc = g.transitive_closure();
-        let i = |n: u32| g.index_of(&n).unwrap();
-        assert!(tc.reaches(i(1), i(1)));
-        assert!(tc.reaches(i(2), i(2)));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::schedule::{conventional_deps, Derivation, ObjectSchedule, SystemSchedules};
     pub use crate::serializability::{
         analyze, check_conventional, check_multilevel, check_object, check_system_decentralized,
-        check_system_global, projected_txn_deps, SerializabilityReport, Violation,
+        check_system_global, SerializabilityReport, Violation,
     };
     pub use crate::system::{ActionInfo, ObjectInfo, TransactionSystem, TxnBuilder};
     pub use crate::value::{key, Value};

@@ -101,12 +101,7 @@ impl SerializabilityReport {
 ///
 /// (ii) The action dependency relation must be acyclic — contradicting
 /// action dependencies signify access to an inconsistent state.
-pub fn check_object(
-    ts: &TransactionSystem,
-    ss: &SystemSchedules,
-    o: ObjectIdx,
-) -> Result<(), Violation> {
-    let _ = ts; // kept for signature stability across checker variants
+pub fn check_object(ss: &SystemSchedules, o: ObjectIdx) -> Result<(), Violation> {
     let sch = ss.schedule(o);
     if let Some(cycle) = sch.txn_deps.find_cycle() {
         return Err(Violation::TxnDepCycle { object: o, cycle });
@@ -125,32 +120,12 @@ pub fn check_system_decentralized(
     ss: &SystemSchedules,
 ) -> Result<(), Violation> {
     for o in ts.object_indices() {
-        check_object(ts, ss, o)?;
+        check_object(ss, o)?;
         if let Some(cycle) = ss.schedule(o).combined_deps().find_cycle() {
             return Err(Violation::AddedDepCycle { object: o, cycle });
         }
     }
     Ok(())
-}
-
-/// Diagnostic view of one object's caller dependencies projected onto
-/// the top-level transactions of their endpoints (same-root dependencies
-/// drop out). Not part of the Definition 13 check — the serial notion of
-/// Definition 8 is caller-level — but useful for visualizing which
-/// top-level orderings an object's schedule induces.
-pub fn projected_txn_deps(
-    ts: &TransactionSystem,
-    ss: &SystemSchedules,
-    o: ObjectIdx,
-) -> DiGraph<ActionIdx> {
-    let mut projected: DiGraph<ActionIdx> = DiGraph::new();
-    for (f, t) in ss.schedule(o).txn_deps.edges() {
-        let (rf, rt) = (ts.root_of(*f), ts.root_of(*t));
-        if rf != rt {
-            projected.add_edge(rf, rt);
-        }
-    }
-    projected
 }
 
 /// Strengthened system check: the decentralized Definition 16 check plus
@@ -523,7 +498,7 @@ mod tests {
         let ss = SystemSchedules::infer(&ts, &h);
         // leaf action deps: T1.insert -> T2.insert (via PageA) and
         // T2.insert -> T1.insert (via PageB): cycle
-        let leaf_check = check_object(&ts, &ss, leaf);
+        let leaf_check = check_object(&ss, leaf);
         assert!(leaf_check.is_err());
         let r = analyze(&ts, &h);
         assert!(r.oo_decentralized.is_err());
@@ -537,7 +512,7 @@ mod tests {
         let h = History::from_order(&ts, &[a[0], c[0], a[1], c[1]]).unwrap();
         let ss = SystemSchedules::infer(&ts, &h);
         for o in ts.object_indices() {
-            let acyclic = check_object(&ts, &ss, o).is_ok();
+            let acyclic = check_object(&ss, o).is_ok();
             let brute = exists_equivalent_serial_bruteforce(&ts, &ss, o);
             assert_eq!(acyclic, brute, "object {o}");
         }
@@ -571,10 +546,10 @@ mod tests {
         // system object's callers... the leaf's txn deps relate the roots
         let s = ts.system_object();
         assert!(matches!(
-            check_object(&ts, &ss, leaf),
+            check_object(&ss, leaf),
             Err(Violation::TxnDepCycle { .. } | Violation::ActionDepCycle { .. })
         ));
-        assert!(check_object(&ts, &ss, s).is_err());
+        assert!(check_object(&ss, s).is_err());
         // the leaf's txn dep relation (over the roots) is cyclic: no
         // serial schedule can be equivalent at the leaf
         assert!(!exists_equivalent_serial_bruteforce(&ts, &ss, leaf));

@@ -189,7 +189,7 @@ impl ConcurrencyControl for OptimisticCc {
     fn after_abort(&self, shared: &EngineShared, txn: &TxnHandle) {
         // nothing was published, so nothing can cascade; just finalize
         // the certifier bookkeeping (the attempt may have aborted before
-        // its commit point: deadline, injected fault)
+        // its commit point: an injected fault)
         let me = txn.txn;
         let mut cert = self.cert.lock();
         if cert.is_live(me) {

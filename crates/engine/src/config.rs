@@ -1,5 +1,5 @@
-//! Engine configuration: worker pool sizing, admission control, retry
-//! count, deadlines, durability and the tracing switch.
+//! Engine configuration: worker pool sizing, the admission queue's
+//! capacity, retry count, durability and the tracing switch.
 
 use std::time::Duration;
 
@@ -70,20 +70,15 @@ impl DurabilityMode {
 pub struct EngineConfig {
     /// Number of worker threads processing transactions.
     pub workers: usize,
-    /// Admission-queue capacity. [`Engine::submit`](crate::Engine::submit)
-    /// sheds (rejects) work when the queue is full;
-    /// [`Engine::submit_blocking`](crate::Engine::submit_blocking)
-    /// applies backpressure instead.
+    /// Admission-queue capacity: a full queue blocks
+    /// [`Engine::submit_blocking`](crate::Engine::submit_blocking) until
+    /// the workers drain it (backpressure).
     pub queue_capacity: usize,
     /// Maximum retry attempts per transaction after aborts (deadlock
     /// victim, validation failure). The first execution is attempt 0;
     /// a job gives up after `max_retries` re-executions, each after a
     /// back-off of [`retry_delay`](crate::retry_delay).
     pub max_retries: u32,
-    /// Per-transaction deadline measured from submission; a job whose
-    /// deadline passes before it commits is dropped (counted as
-    /// `deadline_expired`). `None` disables deadlines.
-    pub txn_deadline: Option<Duration>,
     /// Seed for the deterministic backoff jitter. Two engines with the
     /// same seed produce identical retry schedules for the same job ids
     /// and attempt numbers.
@@ -131,7 +126,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: 64,
             max_retries: 8,
-            txn_deadline: None,
             seed: 0,
             fanout: 8,
             shards: 1,

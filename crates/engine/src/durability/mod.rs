@@ -301,7 +301,7 @@ impl Durability {
         Executing(Some(self))
     }
 
-    /// A job finished without parking (read-only, aborted, expired). If
+    /// A job finished without parking (read-only, or aborted). If
     /// it was the last one a gather could wait for, tell the flusher.
     fn leave(&self) {
         let executing = self.executing.fetch_sub(1, Ordering::SeqCst) - 1;

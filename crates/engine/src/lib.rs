@@ -8,13 +8,12 @@
 //!
 //! Around that loop sits the operational shell:
 //!
-//! * a **bounded admission queue** — [`Engine::submit`] sheds when full,
-//!   [`Engine::submit_blocking`] applies backpressure;
+//! * a **bounded admission queue** — [`Engine::submit_blocking`] waits
+//!   for room (backpressure);
 //! * **bounded retries** with capped exponential backoff and
 //!   deterministic seeded jitter ([`worker::retry_delay`]);
-//! * per-transaction **deadlines**;
 //! * **graceful shutdown** draining admitted work;
-//! * [`EngineMetrics`] — throughput, commit/abort/retry/shed counts,
+//! * [`EngineMetrics`] — throughput, commit/abort/retry counts,
 //!   queue depth, and lock-wait / end-to-end latency percentiles from
 //!   fixed-bucket histograms;
 //! * an optional shutdown **audit** running every serializability
@@ -186,7 +185,6 @@ impl Engine {
             id: u64::MAX, // reserved id; never collides with submissions
             ops: keys.iter().map(|k| EncOp::Insert(k.clone())).collect(),
             submitted_at: std::time::Instant::now(),
-            deadline: None,
         };
         worker::process_job(&self.shared, self.cc.as_ref(), &self.cfg, &job, false);
     }
@@ -199,38 +197,10 @@ impl Engine {
         self.shared.inject_fault_after(job, attempt, after_ops);
     }
 
-    /// Admit a transaction, shedding (`Err`, returning the operations)
-    /// when the queue is full.
-    pub fn submit(&self, ops: Vec<EncOp>) -> Result<u64, Vec<EncOp>> {
-        match self.queue.try_push(ops, self.cfg.txn_deadline) {
-            Ok(id) => {
-                self.note_admitted(id);
-                Ok(id)
-            }
-            Err(ops) => {
-                self.shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                let depth = self.queue.gauge();
-                self.shared
-                    .trace
-                    .emit(u64::MAX, 0, trace::TXN_NONE, || TraceEventKind::JobShed {
-                        depth,
-                    });
-                Err(ops)
-            }
-        }
-    }
-
     /// Admit a transaction, blocking for queue space (backpressure).
     /// `Err` only if the engine is shutting down.
     pub fn submit_blocking(&self, ops: Vec<EncOp>) -> Result<u64, Vec<EncOp>> {
-        let r = self.queue.push_blocking(ops, self.cfg.txn_deadline);
-        if let Ok(id) = r {
-            self.note_admitted(id);
-        }
-        r
-    }
-
-    fn note_admitted(&self, id: u64) {
+        let id = self.queue.push_blocking(ops)?;
         self.shared
             .metrics
             .submitted
@@ -242,17 +212,16 @@ impl Engine {
             .emit(id, 0, trace::TXN_NONE, || TraceEventKind::JobAdmitted {
                 depth,
             });
+        Ok(id)
     }
 
-    /// Jobs that have left the engine — committed, aborted or past
-    /// their deadline — from three counters, without building a
+    /// Jobs that have left the engine — committed, or aborted once out
+    /// of retries — from two counters, without building a
     /// [`MetricsSnapshot`]: what a client that keeps one transaction in
     /// flight waits on.
     pub fn finished(&self) -> u64 {
         let m = &self.shared.metrics;
-        m.committed.load(Ordering::Relaxed)
-            + m.aborted.load(Ordering::Relaxed)
-            + m.deadline_expired.load(Ordering::Relaxed)
+        m.committed.load(Ordering::Relaxed) + m.aborted.load(Ordering::Relaxed)
     }
 
     /// Current counters; the `pool_*` fields and everything read off a

@@ -481,9 +481,11 @@ metrics! {
     lock_stripe_contended: counter,
     /// Deadlock cycles broken, one victim each, under strict 2PL.
     deadlock_victims: counter,
-    /// Submissions rejected by admission control (queue full).
+    /// Always 0: admission never sheds (a full queue blocks the
+    /// submitter). Kept only for the benchmark's accounting identity.
     shed: counter,
-    /// Jobs dropped because their deadline passed before commit.
+    /// Always 0: a job has no deadline. Kept only for the benchmark's
+    /// accounting identity.
     deadline_expired: counter,
     /// Actions fed to certification-time dependency inference, reseed replays included.
     cert_actions_inferred: counter,

@@ -1,5 +1,5 @@
-//! Bounded admission queue with load shedding, backpressure, and
-//! drain-on-shutdown semantics.
+//! Bounded admission queue with backpressure and drain-on-shutdown
+//! semantics.
 //!
 //! The hand-off to an idle worker is **polled, then parked**. A worker
 //! that has just finished a job and finds the queue empty spins on the
@@ -78,17 +78,14 @@ pub struct Job {
     /// When the job entered the queue (start of the end-to-end latency
     /// measurement).
     pub submitted_at: Instant,
-    /// Absolute deadline, if the engine enforces one.
-    pub deadline: Option<Instant>,
 }
 
 /// What the queue publishes for readers that do not take its lock: the
 /// engine's metrics and the log flusher's idle rule.
 #[derive(Debug, Default)]
 pub struct QueueGauges {
-    /// Jobs waiting, refreshed on every push, pop, and shed (a gauge
-    /// only written on pop goes stale the moment the queue fills). A
-    /// poller spins on it.
+    /// Jobs waiting, refreshed on every push and pop. A poller spins on
+    /// it.
     pub depth: AtomicUsize,
     /// Pushes that signalled a parked consumer: ≈ 0 per job in a closed
     /// loop, where a poller takes each job.
@@ -237,8 +234,6 @@ impl PollBackoff {
 
 /// A bounded multi-producer multi-consumer queue.
 ///
-/// * [`try_push`](JobQueue::try_push) sheds when full (admission
-///   control);
 /// * [`push_blocking`](JobQueue::push_blocking) waits for space
 ///   (backpressure) and is woken when the queue has drained to half its
 ///   capacity, not at every pop: a producer that shares its CPUs with
@@ -288,27 +283,15 @@ impl JobQueue {
         self.gauges.depth.load(Ordering::Relaxed)
     }
 
-    fn make_job(&self, ops: Vec<EncOp>, deadline: Option<Duration>) -> Job {
-        let now = Instant::now();
-        Job {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            ops,
-            submitted_at: now,
-            deadline: deadline.map(|d| now + d),
-        }
-    }
-
     /// Queue `ops` (the caller checked for room) and apply the push
     /// rule. Returns the job id and what to do once the lock is dropped.
-    fn enqueue(
-        &self,
-        st: &mut QueueState,
-        ops: Vec<EncOp>,
-        deadline: Option<Duration>,
-    ) -> (u64, Handoff) {
-        let job = self.make_job(ops, deadline);
-        let id = job.id;
-        st.jobs.push_back(job);
+    fn enqueue(&self, st: &mut QueueState, ops: Vec<EncOp>) -> (u64, Handoff) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        st.jobs.push_back(Job {
+            id,
+            ops,
+            submitted_at: Instant::now(),
+        });
         self.gauges.depth.store(st.jobs.len(), Ordering::Relaxed);
         let handoff = if st.wakes_a_consumer() {
             self.count_signal(st);
@@ -358,29 +341,9 @@ impl JobQueue {
         }
     }
 
-    /// Admit `ops` if there is room. Returns `Err(ops)` (shedding the
-    /// work back to the caller) when the queue is full or closed.
-    pub fn try_push(&self, ops: Vec<EncOp>, deadline: Option<Duration>) -> Result<u64, Vec<EncOp>> {
-        let mut st = self.state.lock();
-        if st.closed || st.jobs.len() >= self.capacity {
-            // publish the depth the shed observed (a full queue must
-            // read as full, not as whatever the last pop saw)
-            self.gauges.depth.store(st.jobs.len(), Ordering::Relaxed);
-            return Err(ops);
-        }
-        let (id, handoff) = self.enqueue(&mut st, ops, deadline);
-        drop(st);
-        self.hand_off(handoff);
-        Ok(id)
-    }
-
     /// Admit `ops`, blocking until the queue has room (backpressure).
     /// Returns `Err(ops)` only if the queue closes while waiting.
-    pub fn push_blocking(
-        &self,
-        ops: Vec<EncOp>,
-        deadline: Option<Duration>,
-    ) -> Result<u64, Vec<EncOp>> {
+    pub fn push_blocking(&self, ops: Vec<EncOp>) -> Result<u64, Vec<EncOp>> {
         let mut st = self.state.lock();
         while !st.closed && st.jobs.len() >= self.capacity {
             st.blocked_producers += 1;
@@ -390,7 +353,7 @@ impl JobQueue {
         if st.closed {
             return Err(ops);
         }
-        let (id, handoff) = self.enqueue(&mut st, ops, deadline);
+        let (id, handoff) = self.enqueue(&mut st, ops);
         // one signal per half queue: whoever leaves room passes it on, so
         // blocked producers cannot strand one another
         let pass_on = st.blocked_producers > 0 && st.jobs.len() < self.capacity;
@@ -519,21 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn sheds_when_full() {
-        let q = JobQueue::new(2);
-        assert!(q.try_push(ops(), None).is_ok());
-        assert!(q.try_push(ops(), None).is_ok());
-        assert!(q.try_push(ops(), None).is_err());
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
     fn drains_after_close() {
         let q = JobQueue::new(4);
-        q.try_push(ops(), None).unwrap();
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
+        q.push_blocking(ops()).unwrap();
         q.close();
-        assert!(q.try_push(ops(), None).is_err(), "closed queue sheds");
+        assert!(
+            q.push_blocking(ops()).is_err(),
+            "a closed queue refuses a push"
+        );
         assert!(q.pop().is_some());
         assert!(q.pop().is_some());
         assert!(q.pop().is_none(), "closed + drained returns None");
@@ -542,33 +499,23 @@ mod tests {
     #[test]
     fn ids_are_submission_ordered() {
         let q = JobQueue::new(8);
-        let a = q.try_push(ops(), None).unwrap();
-        let b = q.try_push(ops(), None).unwrap();
+        let a = q.push_blocking(ops()).unwrap();
+        let b = q.push_blocking(ops()).unwrap();
         assert!(b > a);
     }
 
     #[test]
-    fn depth_gauge_tracks_push_pop_and_shed() {
+    fn depth_gauge_tracks_push_and_pop() {
         let gauges = Arc::new(QueueGauges::default());
         let q = JobQueue::with_gauges(2, gauges.clone());
         let depth = || gauges.depth.load(Ordering::Relaxed);
         assert_eq!(q.gauge(), 0);
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         assert_eq!(depth(), 1, "push publishes depth");
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         assert_eq!(depth(), 2);
         q.pop();
         assert_eq!(depth(), 1, "pop publishes depth");
-        // regression: fill the queue again, then shed — the gauge must
-        // read the full depth, not whatever the last pop saw
-        q.try_push(ops(), None).unwrap();
-        gauges.depth.store(0, Ordering::Relaxed); // simulate a stale reading
-        assert!(q.try_push(ops(), None).is_err(), "queue is full");
-        assert_eq!(
-            depth(),
-            2,
-            "a shed refreshes the gauge to the observed full depth"
-        );
     }
 
     /// Capacity 4, three producers blocked on the full queue: the
@@ -579,12 +526,12 @@ mod tests {
     fn low_water_wakeup_strands_no_producer() {
         let q = Arc::new(JobQueue::new(4));
         for _ in 0..4 {
-            q.try_push(ops(), None).unwrap();
+            q.push_blocking(ops()).unwrap();
         }
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         for _ in 0..3 {
             let (q, done_tx) = (q.clone(), done_tx.clone());
-            std::thread::spawn(move || done_tx.send(q.push_blocking(ops(), None).is_ok()));
+            std::thread::spawn(move || done_tx.send(q.push_blocking(ops()).is_ok()));
         }
         while q.state.lock().blocked_producers < 3 {
             std::thread::yield_now();
@@ -602,8 +549,7 @@ mod tests {
             assert!(admitted);
         }
         assert_eq!(q.depth(), 3);
-        assert!(q.try_push(ops(), None).is_ok(), "room for a fourth");
-        assert!(q.try_push(ops(), None).is_err(), "and shedding beyond it");
+        assert!(q.push_blocking(ops()).is_ok(), "room for a fourth");
     }
 
     /// A push wakes a consumer parked on the empty queue at once. `pop`
@@ -627,7 +573,7 @@ mod tests {
                     std::thread::yield_now();
                 }
                 let pushed = Instant::now();
-                q.try_push(ops(), None).unwrap();
+                q.push_blocking(ops()).unwrap();
                 consumer.join().unwrap() - pushed
             })
             .min()
@@ -641,9 +587,9 @@ mod tests {
     #[test]
     fn backpressure_unblocks_on_pop() {
         let q = std::sync::Arc::new(JobQueue::new(1));
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         let q2 = q.clone();
-        let producer = std::thread::spawn(move || q2.push_blocking(ops(), None).is_ok());
+        let producer = std::thread::spawn(move || q2.push_blocking(ops()).is_ok());
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert!(q.pop().is_some());
         assert!(producer.join().unwrap(), "blocked producer admitted");
@@ -667,7 +613,7 @@ mod tests {
             drop(st);
             std::thread::yield_now();
         }
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         assert!(consumer.join().unwrap());
         assert_eq!(q.gauges.consumer_wakes.load(Ordering::Relaxed), 1);
     }
@@ -695,7 +641,7 @@ mod tests {
                     if st.polling {
                         // pushed in the same critical section that saw the flag;
                         // nobody is parked, so nobody watches the hand-off
-                        let (_, handoff) = q.enqueue(&mut st, ops(), None);
+                        let (_, handoff) = q.enqueue(&mut st, ops());
                         assert_eq!(handoff, Handoff::Done, "a push with a poller signalled");
                         break true;
                     }
@@ -706,7 +652,7 @@ mod tests {
                     std::hint::spin_loop();
                 };
                 if !polled {
-                    q.try_push(ops(), None).unwrap();
+                    q.push_blocking(ops()).unwrap();
                 }
                 assert!(consumer.join().unwrap());
                 polled
@@ -759,7 +705,7 @@ mod tests {
             std::thread::yield_now();
         }
         let pushed = Instant::now();
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         let took = consumer.join().unwrap() - pushed;
         assert_eq!(q.gauges.consumer_wakes.load(Ordering::Relaxed), 1);
         assert_eq!(q.gauges.timed_wakeups_with_work.load(Ordering::Relaxed), 0);
@@ -810,7 +756,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(!q.state.lock().polling, "a backed-off consumer polled");
-        q.try_push(ops(), None).unwrap();
+        q.push_blocking(ops()).unwrap();
         assert!(consumer.join().unwrap());
         assert_eq!(q.gauges.consumer_wakes.load(Ordering::Relaxed), 1);
     }

@@ -20,7 +20,7 @@ use oodb_btree::EncOp;
 pub const WORKER_EXTERNAL: u32 = u32::MAX;
 
 /// Sentinel txn number for events emitted before a recorded transaction
-/// exists for the attempt (e.g. a deadline expiring in the queue).
+/// exists for the attempt (a job's admission).
 pub const TXN_NONE: u32 = u32::MAX;
 
 /// Outcome of one certification (validation) attempt.
@@ -39,8 +39,6 @@ pub enum AbortReason {
     Victim,
     /// Failed commit-time validation.
     Validation,
-    /// The job's deadline passed.
-    Deadline,
     /// The fault-injection hook fired.
     Injected,
 }
@@ -51,7 +49,6 @@ impl AbortReason {
         match self {
             AbortReason::Victim => "victim",
             AbortReason::Validation => "validation",
-            AbortReason::Deadline => "deadline",
             AbortReason::Injected => "injected",
         }
     }
@@ -74,11 +71,6 @@ pub enum TraceEventKind {
     /// A job entered the admission queue.
     JobAdmitted {
         /// Queue depth right after admission.
-        depth: usize,
-    },
-    /// Admission control rejected a submission (queue full or closed).
-    JobShed {
-        /// Queue depth at the rejection.
         depth: usize,
     },
     /// A worker began executing an attempt of a job.
@@ -198,7 +190,7 @@ pub enum TraceEventKind {
         /// Why.
         reason: AbortReason,
         /// True when this was the job's final attempt (retries
-        /// exhausted or deadline passed) — the job is dropped.
+        /// exhausted) — the job is dropped.
         last: bool,
     },
 }
@@ -209,7 +201,6 @@ impl TraceEventKind {
     pub fn name(&self) -> &'static str {
         match self {
             TraceEventKind::JobAdmitted { .. } => "job_admitted",
-            TraceEventKind::JobShed { .. } => "job_shed",
             TraceEventKind::AttemptBegin { .. } => "attempt_begin",
             TraceEventKind::OpGranted { .. } => "op_granted",
             TraceEventKind::CompensationOp { .. } => "compensation_op",

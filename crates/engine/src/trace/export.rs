@@ -58,9 +58,7 @@ fn shard_str(s: ShardRoute) -> String {
 /// Append the payload-specific keys of `kind` to `out`.
 fn payload(out: &mut String, kind: &TraceEventKind, timing: bool) {
     match kind {
-        TraceEventKind::JobAdmitted { depth } | TraceEventKind::JobShed { depth } => {
-            put_u64(out, "depth", *depth as u64);
-        }
+        TraceEventKind::JobAdmitted { depth } => put_u64(out, "depth", *depth as u64),
         TraceEventKind::AttemptBegin { ops } => put_u64(out, "ops", *ops as u64),
         TraceEventKind::OpGranted {
             op,
@@ -141,20 +139,18 @@ fn event_line(out: &mut String, ev: &TraceEvent, timing: bool, seq: u64) {
         put_u64(out, "t_ns", ev.t_ns);
     }
     put_str(out, "kind", ev.kind.name());
-    // A shed submission never got a job id; every other event belongs
-    // to a (job, attempt) and is stamped with the attempt's name.
-    if !matches!(ev.kind, TraceEventKind::JobShed { .. }) {
-        if ev.job == u64::MAX {
-            put_str(out, "job", "setup");
-        } else {
-            put_u64(out, "job", ev.job);
-        }
-        put_u64(out, "attempt", ev.attempt as u64);
-        if ev.txn != TXN_NONE {
-            put_u64(out, "txn", ev.txn as u64);
-        }
-        put_str(out, "name", &attempt_name(ev.job, ev.attempt));
+    // Every event belongs to a (job, attempt) and is stamped with the
+    // attempt's name.
+    if ev.job == u64::MAX {
+        put_str(out, "job", "setup");
+    } else {
+        put_u64(out, "job", ev.job);
     }
+    put_u64(out, "attempt", ev.attempt as u64);
+    if ev.txn != TXN_NONE {
+        put_u64(out, "txn", ev.txn as u64);
+    }
+    put_str(out, "name", &attempt_name(ev.job, ev.attempt));
     if ev.worker == WORKER_EXTERNAL {
         put_str(out, "worker", "ext");
     } else {
@@ -177,19 +173,15 @@ pub fn to_jsonl(log: &TraceLog) -> String {
 
 /// Canonical JSONL export: the deterministic projection of a trace.
 /// Omits the wall-clock fields (`t_ns`, `wait_ns`), drops the
-/// admission-side events (`job_admitted`/`job_shed` are emitted by the
-/// submitting thread, so their position in the global sequence — and
-/// the queue depth they observe — race the workers even on a
-/// single-worker engine), and renumbers `seq` densely over what
-/// remains. A fixed-seed single-worker run exports byte-identically.
+/// admission events (`job_admitted` is emitted by the submitting
+/// thread, so its position in the global sequence — and the queue depth
+/// it observes — race the workers even on a single-worker engine), and
+/// renumbers `seq` densely over what remains. A fixed-seed single-worker run exports byte-identically.
 pub fn to_jsonl_canonical(log: &TraceLog) -> String {
     let mut out = String::new();
     let mut seq = 0u64;
     for ev in &log.events {
-        if matches!(
-            ev.kind,
-            TraceEventKind::JobAdmitted { .. } | TraceEventKind::JobShed { .. }
-        ) {
+        if matches!(ev.kind, TraceEventKind::JobAdmitted { .. }) {
             continue;
         }
         event_line(&mut out, ev, false, seq);
@@ -249,9 +241,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
         // Every event also lands as an instant marker with its payload.
         let mut args = String::from("{");
         put_u64(&mut args, "seq", ev.seq);
-        if !matches!(ev.kind, TraceEventKind::JobShed { .. }) {
-            put_str(&mut args, "name", &attempt_name(ev.job, ev.attempt));
-        }
+        put_str(&mut args, "name", &attempt_name(ev.job, ev.attempt));
         payload(&mut args, &ev.kind, true);
         args.pop();
         args.push('}');

@@ -1,8 +1,8 @@
 //! Structured transaction tracing.
 //!
-//! The engine stamps every lifecycle transition — admission, shedding,
-//! attempt start, operation grants, conflicts, deadlock victims,
-//! certification rounds, compensation, commit/abort — with
+//! The engine stamps every lifecycle transition — admission, attempt
+//! start, operation grants, conflicts, deadlock victims, certification
+//! rounds, compensation, commit/abort — with
 //! `(job, attempt, txn, worker, seq)` and hands it to the sink
 //! ([`RingSink`]): events land in per-worker lanes, each behind its own
 //! mutex, and are drained at shutdown into a [`TraceLog`]. With tracing

@@ -8,7 +8,7 @@ use crate::config::EngineConfig;
 use crate::durability::{acknowledge, comp_of, redo_of, Ack, Durability, Logged};
 use crate::metrics::{EngineMetrics, ShardRoute};
 use crate::queue::{Job, JobQueue, PollBackoff};
-use crate::trace::{attempt_name, AbortReason, TraceEventKind, TXN_NONE};
+use crate::trace::{attempt_name, AbortReason, TraceEventKind};
 use oodb_btree::ops::{apply_op, EncOp};
 use oodb_btree::EncWrite;
 use oodb_core::ids::TxnIdx;
@@ -44,20 +44,6 @@ pub fn retry_delay(cfg: &EngineConfig, job: u64, attempt: u32) -> Duration {
     );
     let jitter = rng.gen_range(0..half);
     Duration::from_nanos(half + jitter)
-}
-
-/// The back-off after `job`'s failed `attempt`, but never past the
-/// job's deadline: the next iteration reports the expiry as soon as it
-/// is due.
-fn backoff(cfg: &EngineConfig, job: &Job, attempt: u32) -> Duration {
-    let delay = retry_delay(cfg, job.id, attempt);
-    job.deadline.map_or(delay, |deadline| {
-        delay.min(deadline.saturating_duration_since(Instant::now()))
-    })
-}
-
-fn past(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// True for operations that mutate the encyclopedia — the ones the
@@ -579,9 +565,9 @@ pub(crate) fn run_worker(
     }
 }
 
-/// Execute one job to completion: commit, deadline expiry, or retry
-/// exhaustion. `record_metrics` is false for internal transactions
-/// (preload) that should not distort the workload counters.
+/// Execute one job to completion: commit, or retry exhaustion.
+/// `record_metrics` is false for internal transactions (preload) that
+/// should not distort the workload counters.
 pub(crate) fn process_job(
     shared: &EngineShared,
     cc: &dyn ConcurrencyControl,
@@ -593,21 +579,6 @@ pub(crate) fn process_job(
     // flusher may still be joined by it
     let executing = shared.dur.as_ref().map(Durability::enter);
     for attempt in 0..=cfg.max_retries {
-        if past(job.deadline) {
-            if record_metrics {
-                shared
-                    .metrics
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            shared
-                .trace
-                .emit(job.id, attempt, TXN_NONE, || TraceEventKind::Aborted {
-                    reason: AbortReason::Deadline,
-                    last: true,
-                });
-            return;
-        }
         let mut a = Attempt::begin(shared, cc, job.id, attempt);
         (a.submitted_at, a.record_metrics) = (job.submitted_at, record_metrics);
         shared
@@ -615,12 +586,7 @@ pub(crate) fn process_job(
             .emit_txn(&a.handle, || TraceEventKind::AttemptBegin {
                 ops: job.ops.len(),
             });
-        let stopped = job
-            .ops
-            .iter()
-            .find_map(|op| a.step(op).err())
-            .or_else(|| past(job.deadline).then_some(AbortReason::Deadline));
-        let ended = match stopped {
+        let ended = match job.ops.iter().find_map(|op| a.step(op).err()) {
             Some(reason) => Err(a.abort(reason)),
             None => a.finish(),
         };
@@ -658,7 +624,7 @@ pub(crate) fn process_job(
             }
             return;
         }
-        std::thread::sleep(backoff(cfg, job, attempt));
+        std::thread::sleep(retry_delay(cfg, job.id, attempt));
     }
 }
 
@@ -701,42 +667,6 @@ mod tests {
                 "attempt {attempt}: {d:?} vs {exp:?}"
             );
         }
-    }
-
-    /// The backoff never outlives the deadline: after attempt 8, whose
-    /// retry delay is 10–20 ms, a job with 5 ms left sleeps 5 ms at
-    /// most. On the engine, a job whose every attempt fails is reported
-    /// as expired, not as out of retries.
-    #[test]
-    fn backoff_sleep_stops_at_the_deadline() {
-        use crate::{Engine, OptimisticCc};
-        let left = Duration::from_millis(5);
-        let cfg = EngineConfig {
-            workers: 1,
-            txn_deadline: Some(left),
-            ..EngineConfig::default()
-        };
-        let now = Instant::now();
-        let job = Job {
-            id: 0,
-            ops: Vec::new(),
-            submitted_at: now,
-            deadline: Some(now + left),
-        };
-        assert!(retry_delay(&cfg, job.id, 8) > left);
-        assert!(backoff(&cfg, &job, 8) <= left);
-
-        let engine = Engine::start_with(cfg.clone(), std::sync::Arc::new(OptimisticCc::new()));
-        for attempt in 0..=cfg.max_retries {
-            engine.inject_fault_after(0, attempt, 1);
-        }
-        engine
-            .submit_blocking(vec![EncOp::Insert("k".into())])
-            .expect("accepts until shutdown");
-        let out = engine.shutdown();
-        assert_eq!(out.metrics.deadline_expired, 1);
-        assert_eq!(out.metrics.committed, 0);
-        assert_eq!(out.metrics.aborted, 0);
     }
 
     #[test]

@@ -28,14 +28,21 @@ mod common;
 
 use common::{
     conflicting_3txn_workload, conflicting_4txn_workload, interleavings, replay_from_scratch,
-    splitting_workload, three_cross_shard_keys, RunOutcome, VirtualScheduler, SPLIT_WITNESS,
+    splitting_workload, three_cross_shard_keys, RunOutcome, VirtualScheduler, PHANTOM_NO_SPLIT,
+    SPLIT_WITNESS,
 };
+use oodb_core::certifier::restrict_history;
 use oodb_core::commutativity::Method;
+use oodb_core::extension::extend_virtual_objects;
+use oodb_core::ids::TxnIdx;
+use oodb_core::serializability::analyze;
 use oodb_engine::{
-    recover, ConcurrencyControl, DurabilityMode, EngineConfig, EngineOutput, OptimisticCc,
+    recover, ConcurrencyControl, DurabilityMode, EngineConfig, EngineOutput, FinishOutcome,
+    OptimisticCc,
 };
 use oodb_sim::EncOp;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -241,27 +248,82 @@ fn every_snapshot_interleaving_passes_the_audit() {
     check_every_interleaving("4txn", &cfg, conflicting_4txn_workload(), 630);
 }
 
-/// A workload whose inserts split a leaf at fanout 4
-/// (`common::splitting_workload`): every verdict is still the
-/// from-scratch replay's and the lane count still leaks into no decision.
-/// Its audit is not asserted: some of its schedules, `SPLIT_WITNESS`
-/// among them, are admitted by the certifier and rejected by the audit
-/// (ROADMAP, the Definition-5 item).
-#[test]
-fn every_splitting_interleaving_decisions_agree() {
+/// Run `schedule` of [`splitting_workload`] and check it is a range
+/// phantom caught: the certifier aborts `T2`'s first attempt, which the
+/// audit would have rejected too (the Definition-5-extended record
+/// restricted to the transactions committed before that verdict and the
+/// attempt), as the conventional checker does; `T2`'s retry commits.
+/// Returns whether a workload insert split a leaf.
+fn phantom_is_rejected(schedule: &[usize]) -> bool {
     let (cfg, txns, preload) = splitting_workload();
     let vs = VirtualScheduler::new(&cfg, make_cc(), &txns, &preload);
     let rec = vs.recorder();
-    let setup = vs.run(&SPLIT_WITNESS).verdicts[0].0;
-    let (ts, _) = rec.snapshot();
+    let out = vs.run(schedule);
     assert!(
-        ts.action_indices().any(|a| {
-            let action = ts.action(a);
-            action.descriptor.method == Method::Rearrange && action.txn != setup
-        }),
+        out.decisions.iter().any(|d| d == "t2a0: Abort"),
+        "the certifier aborts T2: {:?}",
+        out.decisions
+    );
+    assert!(
+        out.decisions.iter().any(|d| d == "serial t2a1: Committed"),
+        "T2's retry commits: {:?}",
+        out.decisions
+    );
+    assert!(out.decentralized_ok && out.global_ok, "{:?}", out.decisions);
+
+    let (mut ts, history) = rec.snapshot();
+    extend_virtual_objects(&mut ts);
+    let aborted = out
+        .verdicts
+        .iter()
+        .position(|&(_, v)| v == FinishOutcome::Abort)
+        .expect("T2 aborted");
+    let scope: HashSet<TxnIdx> = out.verdicts[..aborted]
+        .iter()
+        .filter(|&&(_, v)| v == FinishOutcome::Committed)
+        .map(|&(t, _)| t)
+        .chain([out.verdicts[aborted].0])
+        .collect();
+    let admitted = analyze(&ts, &restrict_history(&ts, &history, &scope));
+    assert!(
+        admitted.oo_decentralized.is_err() && admitted.oo_global.is_err(),
+        "the audit rejects T2's first attempt"
+    );
+    assert!(admitted.conventional.is_err());
+
+    let setup = out.verdicts[0].0;
+    ts.action_indices().any(|a| {
+        let action = ts.action(a);
+        action.descriptor.method == Method::Rearrange && action.txn != setup
+    })
+}
+
+/// A workload whose inserts split a leaf at fanout 4
+/// (`common::splitting_workload`): every verdict is still the
+/// from-scratch replay's, the lane count still leaks into no decision,
+/// and the committed projection of every schedule passes the audit.
+/// `SPLIT_WITNESS`, a range phantom through a split, is caught.
+#[test]
+fn every_splitting_interleaving_decisions_agree() {
+    assert!(
+        phantom_is_rejected(&SPLIT_WITNESS),
         "a workload insert splits a leaf"
     );
-    every_interleaving("split", &cfg, (txns, preload), 30);
+    let (cfg, txns, preload) = splitting_workload();
+    check_every_interleaving("split", &cfg, (txns, preload), 30);
+}
+
+/// The range phantom without a split: `T2`'s range scan misses `k07`,
+/// `T1` inserts it into the right leaf (which stays at four keys) and
+/// commits, and `T2`'s sequential scan sees it: `T2 → T1 → T2`. The
+/// range descends to the left leaf and meets `k07`'s leaf on the chain,
+/// so only a chained leaf's visit records the conflict.
+#[test]
+fn a_range_phantom_without_a_split_is_rejected() {
+    assert!(
+        !phantom_is_rejected(&PHANTOM_NO_SPLIT),
+        "no workload insert splits a leaf"
+    );
 }
 
 /// Hot-key pool shared by every generated transaction (contention is

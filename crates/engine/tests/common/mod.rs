@@ -334,10 +334,14 @@ pub fn splitting_workload() -> (EngineConfig, Vec<Vec<EncOp>>, Vec<String>) {
     (cfg, txns, preload)
 }
 
-/// The Definition-5 witness: a schedule of [`splitting_workload`] the
-/// certifier admits and the audit rejects. `T1` defers its insert of
-/// `k07`, `T0` commits `k05`, `T2`'s range misses `k07`, `T1` commits
-/// (its install splits the right leaf), and `T2`'s sequential scan sees
-/// `k07`: `T2 → T1 → T2`, a phantom. At fanout 8 the certifier aborts
-/// `T2` on the same schedule.
+/// A phantom through a split, on [`splitting_workload`]. `T1` defers
+/// its insert of `k07`, `T0` commits `k05`, `T2`'s range misses `k07`,
+/// `T1` commits (its install splits the right leaf), and `T2`'s
+/// sequential scan sees `k07`: `T2 → T1 → T2`, which the certifier
+/// must abort.
 pub const SPLIT_WITNESS: [usize; 5] = [1, 0, 2, 1, 2];
+
+/// The same phantom without a split, on [`splitting_workload`]: `T2`'s
+/// range scan, all of `T1` (`T0` never runs, so the right leaf takes
+/// `k07` without splitting), then `T2`'s sequential scan.
+pub const PHANTOM_NO_SPLIT: [usize; 4] = [2, 1, 1, 2];
