@@ -246,10 +246,11 @@ impl ItemList {
         let (pin, item_slot) = self.store_content(&mut state, text.as_bytes());
         let item_page = pin.id();
         let write = DescriptorRef::write();
-        ctx.record(
-            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
-            Some((self.page_object(item_page), &write)),
-        );
+        let visit = || {
+            let enters = [(self.list_obj, descriptor), (self.item_object(id), &write)];
+            (enters, (self.page_object(item_page), &write))
+        };
+        ctx.record_validated(visit, || true);
         drop(pin);
         ctx.exit();
 
@@ -291,13 +292,13 @@ impl ItemList {
         entry: &DirEntry<'_>,
     ) -> (PageId, u16) {
         let tail = state.tail;
-        let tail_obj = self.page_object(tail);
+        let write = DescriptorRef::write();
         let pin = self.exclusive(tail);
-        ctx.page_read(tail_obj);
+        self.objects.record_page(ctx, tail, &DescriptorRef::read());
         let record = entry.encode();
         match pin.write(|p| p.insert(&record)) {
             Ok(slot) => {
-                ctx.page_write(tail_obj);
+                self.objects.record_page(ctx, tail, &write);
                 (tail, slot)
             }
             Err(PageError::Full { .. }) => {
@@ -311,9 +312,9 @@ impl ItemList {
                     p.update(CHAIN_HEADER_SLOT, &(fresh.id().0 + 1).to_le_bytes())
                         .expect("chain header update");
                 });
-                ctx.page_write(tail_obj);
+                self.objects.record_page(ctx, tail, &write);
                 drop(pin);
-                ctx.page_write(self.page_object(fresh.id()));
+                self.objects.record_page(ctx, fresh.id(), &write);
                 state.tail = fresh.id();
                 (fresh.id(), slot)
             }
@@ -406,35 +407,37 @@ impl ItemList {
     ) -> Option<String> {
         let mut state = self.state.lock();
         let (loc, pin) = self.couple(id, descriptor, |loc| (loc, self.exclusive(loc.item_page)))?;
-        let (item_obj, write) = (self.page_object(loc.item_page), DescriptorRef::write());
-        ctx.record(
-            &[(self.list_obj, descriptor), (self.item_object(id), &write)],
-            Some((item_obj, &DescriptorRef::read())),
-        );
+        let (read, write) = (DescriptorRef::read(), DescriptorRef::write());
+        let visit = || {
+            let page = self.page_object(loc.item_page);
+            let enters = [(self.list_obj, descriptor), (self.item_object(id), &write)];
+            (enters, (page, &read))
+        };
+        ctx.record_validated(visit, || true);
         let (old, updated) = pin.write(|p| {
             let old = text_of(p, loc.item_slot).expect("a live item has its text");
             (old, p.update(loc.item_slot, text.as_bytes()).is_ok())
         });
         if updated {
-            ctx.page_write(item_obj);
+            self.objects.record_page(ctx, loc.item_page, &write);
         } else {
             drop(pin);
             let (pin, item_slot) = self.store_content(&mut state, text.as_bytes());
             let item_page = pin.id();
-            ctx.page_write(self.page_object(item_page));
+            self.objects.record_page(ctx, item_page, &write);
             drop(pin);
             let dir = self.exclusive(loc.dir_page);
             rewrite_entry(&dir, loc.dir_slot, |entry| {
                 entry.item_page = item_page;
                 entry.item_slot = item_slot;
             });
-            ctx.page_write(self.page_object(loc.dir_page));
+            self.objects.record_page(ctx, loc.dir_page, &write);
             drop(dir);
             // the page the item leaves loses its old record last, so a
             // reader of the old text conflicts with the move
             let left = self.exclusive(loc.item_page);
             left.write(|p| p.delete(loc.item_slot).expect("the old record is there"));
-            ctx.page_write(item_obj);
+            self.objects.record_page(ctx, loc.item_page, &write);
             drop(left);
         }
         ctx.exit(); // item write
@@ -453,23 +456,24 @@ impl ItemList {
         let Some(loc) = dir.read(|p| Self::locate_on(p, dir_page, dir_slot, descriptor)) else {
             return false;
         };
-        let dir_obj = self.page_object(dir_page);
-        ctx.record(
-            &[(self.list_obj, descriptor)],
-            Some((dir_obj, &DescriptorRef::read())),
-        );
+        let (read, write) = (DescriptorRef::read(), DescriptorRef::write());
+        let visit = || {
+            let enters = [(self.list_obj, descriptor)];
+            (enters, (self.page_object(dir_page), &read))
+        };
+        ctx.record_validated(visit, || true);
         rewrite_entry(&dir, dir_slot, |entry| entry.alive = false);
-        ctx.page_write(dir_obj);
+        self.objects.record_page(ctx, dir_page, &write);
         drop(dir);
         let item_pin = self.exclusive(loc.item_page);
         item_pin.write(|p| {
             let _ = p.delete(loc.item_slot);
         });
-        let write = DescriptorRef::write();
-        ctx.record(
-            &[(self.item_object(id), &write)],
-            Some((self.page_object(loc.item_page), &write)),
-        );
+        let visit = || {
+            let enters = [(self.item_object(id), &write)];
+            (enters, (self.page_object(loc.item_page), &write))
+        };
+        ctx.record_validated(visit, || true);
         drop(item_pin);
         ctx.exit();
         self.directory.set(id, None);
@@ -489,7 +493,7 @@ impl ItemList {
         let mut next = Some(self.head);
         while let Some(page) = next {
             let dir = self.shared(page);
-            ctx.page_read(self.page_object(page));
+            self.objects.record_page(ctx, page, &read);
             next = dir.read(|p| {
                 let entries = p
                     .records()
@@ -498,10 +502,11 @@ impl ItemList {
                     .filter(|e| e.alive);
                 for e in entries {
                     let item = self.shared(e.item_page);
-                    ctx.record(
-                        &[(self.item_object(e.id), &read)],
-                        Some((self.page_object(e.item_page), &read)),
-                    );
+                    let visit = || {
+                        let enters = [(self.item_object(e.id), &read)];
+                        (enters, (self.page_object(e.item_page), &read))
+                    };
+                    ctx.record_validated(visit, || true);
                     let text = item.read(|p| text_of(p, e.item_slot)).unwrap_or_default();
                     ctx.exit();
                     out.push((e.id, e.key.to_owned(), text));

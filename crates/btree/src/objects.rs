@@ -9,6 +9,12 @@
 //! the id is one load from a table indexed by the integer the caller
 //! already holds.
 //!
+//! And only for a recording cursor: the tree and the list ask for an id
+//! inside the closure `TxnCtx::record_validated` takes, which a disabled
+//! cursor never calls, so a run that records nothing registers nothing —
+//! no name, spec or by-name entry per item it ever wrote, kept for as
+//! long as the recorder lives.
+//!
 //! The tables live with the tree and the list, not in the recorder,
 //! because only they know the integer key; the recorder knows objects by
 //! name, so a cache there would still have to build the name to ask.
@@ -18,9 +24,9 @@
 //! sized by pool frames or key space up front.
 
 use crate::list::ItemId;
-use oodb_core::commutativity::{RangeSpec, ReadWriteSpec, SpecRef};
+use oodb_core::commutativity::{DescriptorRef, RangeSpec, ReadWriteSpec, SpecRef};
 use oodb_core::ids::ObjectIdx;
-use oodb_model::Recorder;
+use oodb_model::{Recorder, TxnCtx};
 use oodb_storage::chunked::Chunked;
 use oodb_storage::PageId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,6 +120,12 @@ impl ObjectIds {
         let id = self.rec.object(&name, spec);
         table.set(index, epoch, id);
         id
+    }
+
+    /// Record the primitive `access` of `page`, latched by the caller,
+    /// naming the page object only for a recording cursor.
+    pub(crate) fn record_page(&self, ctx: &mut TxnCtx, page: PageId, access: &DescriptorRef) {
+        ctx.record_validated(|| ([], (self.get(ObjectKey::Page(page)), access)), || true);
     }
 }
 

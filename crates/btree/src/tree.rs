@@ -167,7 +167,8 @@ impl BLinkTree {
     /// Write `node` to the X-latched `page` and record it ([`write_node`]).
     fn write(&self, ctx: &mut TxnCtx, page: &PageExclusive<'_>, node: &Node) {
         write_node(&self.images, page, node, || {
-            ctx.page_write(self.page_object(page.id()))
+            self.objects
+                .record_page(ctx, page.id(), &DescriptorRef::write())
         });
     }
 
@@ -352,20 +353,29 @@ impl BLinkTree {
         // a visit that read the old epoch off a copy fails its second look
         let epoch = self.root_epoch.load(Ordering::Relaxed) + 1;
         let page = root_page.id();
-        let fresh_root = self.objects.get(ObjectKey::Node { page, epoch });
-        ctx.enter(fresh_root, keyed(Method::Rearrange, &sep));
+        let (rearrange, write) = (keyed(Method::Rearrange, &sep), DescriptorRef::write());
         let left_pin = self.mgr.allocate().expect("allocating root left half");
         let right_pin = self.mgr.allocate().expect("allocating root right half");
         // left half keeps chaining to the right half; the right half
         // inherited the root's (empty) link and high key from split()
         node.right_link = Some(right_pin.id());
-        self.write(ctx, &left_pin, node);
+        // the rearrange opens on the fresh root object in the ticket of its
+        // first write, the left half's, so that the object too is named
+        // only for a recording cursor
+        write_node(&self.images, &left_pin, node, || {
+            let visit = || {
+                let fresh_root = self.objects.get(ObjectKey::Node { page, epoch });
+                let left = self.page_object(left_pin.id());
+                ([(fresh_root, &rearrange)], (left, &write))
+            };
+            ctx.record_validated(visit, || true);
+        });
         self.write(ctx, &right_pin, &right);
         let mut new_root = Node::inner(left_pin.id());
         new_root.upsert(&sep, right_pin.id().0 as u64);
         write_node(&self.images, root_page, &new_root, || {
             self.root_epoch.store(epoch, Ordering::Release);
-            ctx.page_write(self.page_object(page));
+            self.objects.record_page(ctx, page, &write);
         });
         ctx.exit();
     }

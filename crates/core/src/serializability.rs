@@ -316,12 +316,7 @@ pub fn analyze(ts: &TransactionSystem, history: &History) -> SerializabilityRepo
 /// equality (Definition 12) with the given schedule's relation. Used in
 /// tests to validate that the acyclicity criterion of [`check_object`]
 /// coincides with the literal definition (Szpilrajn order extension).
-pub fn exists_equivalent_serial_bruteforce(
-    ts: &TransactionSystem,
-    ss: &SystemSchedules,
-    o: ObjectIdx,
-) -> bool {
-    let _ = ts;
+pub fn exists_equivalent_serial_bruteforce(ss: &SystemSchedules, o: ObjectIdx) -> bool {
     let sch = ss.schedule(o);
     // the relation's support: unordered caller pairs with a dependency
     let mut support: Vec<(ActionIdx, ActionIdx)> = Vec::new();
@@ -513,7 +508,7 @@ mod tests {
         let ss = SystemSchedules::infer(&ts, &h);
         for o in ts.object_indices() {
             let acyclic = check_object(&ss, o).is_ok();
-            let brute = exists_equivalent_serial_bruteforce(&ts, &ss, o);
+            let brute = exists_equivalent_serial_bruteforce(&ss, o);
             assert_eq!(acyclic, brute, "object {o}");
         }
     }
@@ -552,7 +547,7 @@ mod tests {
         assert!(check_object(&ss, s).is_err());
         // the leaf's txn dep relation (over the roots) is cyclic: no
         // serial schedule can be equivalent at the leaf
-        assert!(!exists_equivalent_serial_bruteforce(&ts, &ss, leaf));
+        assert!(!exists_equivalent_serial_bruteforce(&ss, leaf));
     }
 
     #[test]

@@ -259,7 +259,7 @@ proptest! {
         for o in ts.object_indices() {
             let acyclic = ss.schedule(o).txn_deps.find_cycle().is_none();
             let brute =
-                oodb_core::serializability::exists_equivalent_serial_bruteforce(&ts, &ss, o);
+                oodb_core::serializability::exists_equivalent_serial_bruteforce(&ss, o);
             prop_assert_eq!(acyclic, brute, "object {}", ts.object(o).name.clone());
         }
     }

@@ -99,9 +99,10 @@
 //! log records), a cursor still counts its nesting depth, so the
 //! executors' `enter` / `exit` discipline is checked the same way; but a
 //! cursor has no stage, a visit claims no ticket and stages nothing, and
-//! nothing is ever drained. Objects are still registered (an executor
-//! needs their ids), so readers see the objects and an empty system and
-//! history.
+//! nothing is ever drained. [`Recorder::object`] still registers what it
+//! is asked for, so readers see those objects and an empty system and
+//! history; an executor that names its objects lazily asks for none
+//! (below, [`TxnCtx::record_validated`]).
 
 use oodb_core::commutativity::{ActionDescriptor, DescriptorRef, SpecRef};
 use oodb_core::compensation::Inverse;
@@ -340,8 +341,8 @@ impl Recorder {
     }
 
     /// A recorder that records nothing (module docs, "A recorder that
-    /// records nothing"): transactions are numbered, objects registered,
-    /// and every visit is dropped.
+    /// records nothing"): transactions are numbered, objects registered
+    /// when asked for, and every visit is dropped.
     pub fn disabled() -> Self {
         Self::build(false)
     }
@@ -554,7 +555,11 @@ impl TxnCtx {
     /// the ticket is claimed before this returns, so no other thread's
     /// access to that page can fall between the latch's order and the
     /// recorded one (Axiom 1); a read off a validated copy goes through
-    /// [`TxnCtx::record_validated`]. Panics if there is nothing to record.
+    /// [`TxnCtx::record_validated`]. The ids are the caller's before the
+    /// call, so a disabled cursor drops objects that were registered
+    /// for nothing; an executor that registers objects on first use
+    /// names them in `record_validated`'s closure instead. Panics if
+    /// there is nothing to record.
     pub fn record(
         &mut self,
         enters: &[(ObjectIdx, &DescriptorRef)],
@@ -572,7 +577,11 @@ impl TxnCtx {
     /// ticket, then stage only if `still_valid` — the version, looked at
     /// once more — says the copy holds (DESIGN.md §7); an unstaged ticket
     /// is a gap, which a cut skips. Returns whether it was recorded. A
-    /// disabled cursor calls neither closure and counts `N` enters.
+    /// disabled cursor calls neither closure and counts `N` enters, so
+    /// object ids built inside `visit` are built only for a recording
+    /// cursor: the B-link tree and the item list record every visit
+    /// through here, latched ones with `still_valid` `|| true`, and an
+    /// unrecorded run registers none of their objects.
     pub fn record_validated<'d, const N: usize>(
         &mut self,
         visit: impl FnOnce() -> (
@@ -672,7 +681,8 @@ impl TxnCtx {
         self.record(&[], Some((page, &DescriptorRef::read())))
     }
 
-    /// Convenience: record a primitive page `write`.
+    /// Convenience: record a primitive page `write`. Like
+    /// [`TxnCtx::record`], it takes an id resolved before the call.
     pub fn page_write(&mut self, page: ObjectIdx) {
         self.record(&[], Some((page, &DescriptorRef::write())))
     }
